@@ -131,7 +131,7 @@ func (s *Session) storeMergedStats(ctx context.Context, key string, st *stats.St
 		return
 	}
 	if s.cache != nil {
-		s.cache.StoreStats(ctx, key, st, nil)
+		s.cache.StoreStats(ctx, key, st)
 		return
 	}
 	s.mu.Lock()

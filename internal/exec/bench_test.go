@@ -11,7 +11,8 @@ import (
 
 // benchMeasure runs one kernel under both backends so the engine's
 // speedup over the generic walker is a single benchcmp away:
-//   go test -bench Measure -benchmem ./internal/exec
+//
+//	go test -bench Measure -benchmem ./internal/exec
 func benchMeasure(b *testing.B, e *einsum.Expr, tens map[string]*tiling.TiledTensor) {
 	b.Helper()
 	for _, mode := range []struct {

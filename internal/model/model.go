@@ -25,9 +25,7 @@ package model
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"d2t2/internal/checked"
 	"d2t2/internal/einsum"
 	"d2t2/internal/stats"
 )
@@ -70,71 +68,14 @@ type Predictor struct {
 	// model untouched.
 	Calib      *Calibration
 	CalibClass string
-
-	// Shape-evaluation memo: EvalShape is a full pass over the micro-tile
-	// summary and the optimizer's sweep re-derives the same snapped shape
-	// for many candidates (several RFs snap to the same config, and the
-	// fits-check plus Predict both need the shape). The memo is keyed by
-	// (occurrence name, snapped dims) and lives for the predictor's
-	// lifetime; EvalShape is deterministic and ShapeStats is read-only
-	// after construction, so sharing one result across candidates and
-	// goroutines is safe. Orders beyond maxMemoOrder bypass the memo.
-	shapeMu   sync.Mutex
-	shapeMemo map[shapeMemoKey]*stats.ShapeStats
-}
-
-// maxMemoOrder bounds the fixed-size dims array used as a comparable memo
-// key; higher-order tensors (none exist in the 21-bit tile-key regime)
-// fall back to uncached evaluation.
-const maxMemoOrder = 8
-
-type shapeMemoKey struct {
-	name string
-	n    int
-	dims [maxMemoOrder]int32
-}
-
-// evalShapeMemo returns st.EvalShape(snapped) through the predictor's
-// memo. snapped is copied into the key, so callers may reuse the slice.
-func (p *Predictor) evalShapeMemo(name string, st *stats.Stats, snapped []int) (*stats.ShapeStats, error) {
-	if len(snapped) > maxMemoOrder {
-		return st.EvalShape(snapped)
-	}
-	key := shapeMemoKey{name: name, n: len(snapped)}
-	for a, v := range snapped {
-		key.dims[a] = checked.Int32(v)
-	}
-	p.shapeMu.Lock()
-	sh, ok := p.shapeMemo[key]
-	p.shapeMu.Unlock()
-	if ok {
-		return sh, nil
-	}
-	sh, err := st.EvalShape(snapped)
-	if err != nil {
-		return nil, err
-	}
-	p.shapeMu.Lock()
-	if p.shapeMemo == nil {
-		p.shapeMemo = make(map[shapeMemoKey]*stats.ShapeStats)
-	}
-	if prev, ok := p.shapeMemo[key]; ok {
-		// A concurrent evaluation won the race; both results are
-		// deterministic and identical — keep the first for stability.
-		sh = prev
-	} else {
-		p.shapeMemo[key] = sh
-	}
-	p.shapeMu.Unlock()
-	return sh, nil
 }
 
 // EvalRef evaluates the shape statistics of one input occurrence under
 // cfg: tile dims are read off the config in the ref's index order,
-// snapped to micro granularity, and evaluated through the predictor's
-// shape memo. This is the entry point the optimizer's fits-checks share
-// with Predict so each distinct (ref, snapped shape) is computed once per
-// predictor.
+// snapped to micro granularity, and evaluated through the bundle's shape
+// memo (stats.Stats.EvalShape). This is the entry point the optimizer's
+// fits-checks share with Predict, so each distinct snapped shape is
+// computed once per statistics bundle.
 func (p *Predictor) EvalRef(ref einsum.Ref, cfg Config) (*stats.ShapeStats, error) {
 	st := p.Stats[ref.Name]
 	if st == nil {
@@ -148,8 +89,7 @@ func (p *Predictor) EvalRef(ref einsum.Ref, cfg Config) (*stats.ShapeStats, erro
 		}
 		dims[a] = td
 	}
-	snapped := st.SnapToMicroInto(dims, dims)
-	return p.evalShapeMemo(ref.Name, st, snapped)
+	return st.EvalShape(st.SnapToMicroInto(dims, dims))
 }
 
 // New builds a predictor. Every input occurrence of e must have stats.
@@ -225,7 +165,7 @@ func (p *Predictor) view(ref einsum.Ref, cfg Config) (*tensorView, error) {
 
 	if p.Mode == ModeExact {
 		snapped := st.SnapToMicroInto(tileDims, tileDims)
-		sh, err := p.evalShapeMemo(ref.Name, st, snapped)
+		sh, err := st.EvalShape(snapped)
 		if err != nil {
 			return nil, err
 		}
@@ -317,15 +257,12 @@ func (p *Predictor) SnapConfig(cfg Config) Config {
 // SnapConfigInPlace is SnapConfig without the defensive copy: cfg itself
 // is MUTATED — every index's tile size is overwritten with its snapped
 // value — and returned for chaining. A small fixed-size buffer keeps the
-// per-call allocation at zero for tensors up to order maxMemoOrder.
+// per-call allocation at zero for tensors up to order 8.
 func (p *Predictor) SnapConfigInPlace(cfg Config) Config {
-	var buf [maxMemoOrder]int
+	var buf [8]int
 	for _, ref := range p.Expr.Inputs() {
 		st := p.Stats[ref.Name]
 		dims := buf[:0]
-		if len(ref.Indices) > maxMemoOrder {
-			dims = make([]int, 0, len(ref.Indices))
-		}
 		for a, ix := range ref.Indices {
 			td := cfg[ix]
 			if td > st.Dims[a] {

@@ -202,9 +202,9 @@ func (s *Server) handleInternalBatch(w http.ResponseWriter, r *http.Request) {
 // its cached artifact — interoperate with /v1/optimize. The ladder per
 // distinct key: warm cache, then (public route, clustered) a sub-batch
 // forwarded to each key's ring owner, then local compute. All local
-// jobs run inside ONE compute-pool slot: statistics are precollected
-// sequentially first — jobs sharing a tensor trigger exactly one
-// collection — and the per-job searches then fan out on the pool's
+// jobs run inside ONE compute-pool slot: statistics bundles are
+// resolved sequentially first — once per distinct bundle, however many
+// jobs share it — and the per-job searches then fan out on the pool's
 // width through internal/par. A job failure is reported in its result
 // slot; it never fails the batch.
 func (s *Server) batch(w http.ResponseWriter, r *http.Request, internal bool) {
@@ -326,12 +326,15 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request, internal bool) {
 }
 
 // runBatchLocal executes a batch's local jobs inside one already-held
-// compute slot: inputs resolve and statistics precollect sequentially —
-// the session memo turns N jobs on one tensor into one collection —
-// then the per-job shape searches fan out via internal/par, splitting
-// the slot's worker budget across them. Results and failures land in
-// each job's own result slots.
+// compute slot: inputs resolve and statistics precollect sequentially
+// through one d2t2.Batch — each distinct (tensor, base tile, level
+// order) bundle is loaded, decoded or collected once, and every job in
+// its group gets the same decoded bundle and shape memo — then the
+// per-job shape searches fan out via internal/par, splitting the slot's
+// worker budget across them. The bundles are dropped with the batch.
+// Results and failures land in each job's own result slots.
 func (s *Server) runBatchLocal(ctx context.Context, local []*batchJob, out []batchJobResult) {
+	batch := s.session.NewBatch()
 	live := make([]*batchJob, 0, len(local))
 	for _, j := range local {
 		inputs, err := s.resolveInputs(ctx, j.k.InputOrders(), j.req.Inputs)
@@ -339,7 +342,7 @@ func (s *Server) runBatchLocal(ctx context.Context, local []*batchJob, out []bat
 			s.failBatchJob(out, j, err)
 			continue
 		}
-		if err := s.session.PrecollectCtx(ctx, j.k, inputs, d2t2.Options{
+		if err := batch.PrecollectCtx(ctx, j.k, inputs, d2t2.Options{
 			BufferWords:    j.req.BufferWords,
 			Analytic:       j.req.Analytic,
 			DisableCorrs:   j.req.DisableCorrs,
@@ -363,7 +366,7 @@ func (s *Server) runBatchLocal(ctx context.Context, local []*batchJob, out []bat
 	// must not cancel its batchmates. Only a dead ctx stops the sweep.
 	perr := par.ForEachCtx(ctx, s.cfg.Workers, len(live), func(i int) error {
 		j := live[i]
-		plan, err := s.session.OptimizeCtx(ctx, j.k, j.inputs, d2t2.Options{
+		plan, err := batch.OptimizeCtx(ctx, j.k, j.inputs, d2t2.Options{
 			BufferWords:    j.req.BufferWords,
 			Analytic:       j.req.Analytic,
 			DisableCorrs:   j.req.DisableCorrs,

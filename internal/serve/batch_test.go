@@ -125,6 +125,71 @@ func TestBatchSharedStats(t *testing.T) {
 	}
 }
 
+// TestBatchBundleOncePerFrame pins the batch's "one resolve per bundle"
+// claim: a cold batch of 16 jobs over one tensor, in two statistics
+// frames (base tiles 32 and 16) and two kernels, consults the artifact
+// ladder once per response key (the warm rung) plus once per distinct
+// statistics bundle — not once per job in each of the precollect and
+// search phases. Every job's body equals a cold single /v1/optimize of
+// the same job on a fresh server.
+func TestBatchBundleOncePerFrame(t *testing.T) {
+	const ijk = "C(i,j) = A(i,k) * B(j,k) | order: i,j,k"
+	s, ts := newTestServer(t, Config{})
+	id := ingestGen(t, ts.URL, "C", 1<<20)
+	var jobs []map[string]any
+	for _, frame := range []struct {
+		kernel string
+		tile   int
+	}{{testKernel, 32}, {ijk, 16}} {
+		// Distinct buffers inside one Conservative band: distinct
+		// responses, one base tile, hence one bundle per frame.
+		for i := 0; i < 8; i++ {
+			jobs = append(jobs, map[string]any{
+				"kernel":      frame.kernel,
+				"inputs":      map[string]string{"A": id, "B": id},
+				"bufferWords": denseSquareWords(frame.tile, 2) + 97*i,
+			})
+		}
+	}
+	const bundles = 2
+
+	lookups := func(s *Server) int64 {
+		return s.Metric("artifact_mem_hits") + s.Metric("artifact_disk_hits") + s.Metric("artifact_misses")
+	}
+	before := lookups(s)
+	_, results := postBatch(t, ts.URL, jobs)
+	if got, want := lookups(s)-before, int64(len(jobs)+bundles); got != want {
+		t.Fatalf("cold batch of %d jobs made %d artifact lookups, want %d (one per response key + one per bundle)",
+			len(jobs), got, want)
+	}
+	if got := s.Metric("stats_collect_total"); got != bundles {
+		t.Fatalf("stats_collect_total = %d, want %d", got, bundles)
+	}
+
+	s2, ts2 := newTestServer(t, Config{})
+	if id2 := ingestGen(t, ts2.URL, "C", 1<<20); id2 != id {
+		t.Fatalf("fresh server ingested %q, want %q", id2, id)
+	}
+	for i, r := range results {
+		if r.Error != "" || r.Cache != "miss" {
+			t.Fatalf("job %d: cache %q error %q", i, r.Cache, r.Error)
+		}
+		resp, body := postJSON(t, ts2.URL+"/v1/optimize", jobs[i])
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-D2T2-Cache") != "miss" {
+			t.Fatalf("single optimize %d: status %d cache %q", i, resp.StatusCode, resp.Header.Get("X-D2T2-Cache"))
+		}
+		if resp.Header.Get("X-D2T2-Key") != r.Key {
+			t.Fatalf("job %d: single key %q, batch key %q", i, resp.Header.Get("X-D2T2-Key"), r.Key)
+		}
+		if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(r.Response)) {
+			t.Fatalf("job %d: batch body differs from a single optimize:\n%s\n%s", i, r.Response, body)
+		}
+	}
+	if got := s2.Metric("stats_collect_total"); got != bundles {
+		t.Fatalf("single optimizes ran %d collections, want %d", got, bundles)
+	}
+}
+
 // TestBatchValidationAndPartialFailure covers the request surface: empty
 // and oversized batches refuse outright, a bad job fails in its own
 // result slot without sinking its batchmates, and duplicate jobs

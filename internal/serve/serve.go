@@ -22,7 +22,6 @@ import (
 	"d2t2/internal/buildinfo"
 	"d2t2/internal/snapshot"
 	"d2t2/internal/stats"
-	"d2t2/internal/tiling"
 )
 
 // Config tunes a Server. The zero value is usable: in-memory cache only,
@@ -403,9 +402,9 @@ func (c *storeCache) LoadStats(ctx context.Context, key string) (*stats.Stats, b
 	return a.Stats, true
 }
 
-func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats, tiled *tiling.TiledTensor) {
+func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_collect_total", 1)
-	b, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st, Tiled: tiled})
+	b, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st})
 	if err != nil {
 		return
 	}

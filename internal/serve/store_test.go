@@ -6,9 +6,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
+
+	"d2t2/internal/snapshot"
+	"d2t2/internal/stats"
 )
 
 func key(seed string) string {
@@ -198,5 +202,90 @@ func TestStoreConcurrentLRU(t *testing.T) {
 	}
 	if fromDisk == 0 {
 		t.Fatalf("no key was served from disk; eviction never happened?")
+	}
+}
+
+// TestStatsArtifactsCarryStatsOnly checks the statistics artifact shape:
+// a collection stores exactly the canonical stats-only encoding (no TILE
+// section), and an artifact written the older way — statistics plus the
+// conservative tiling — still loads through storeCache.LoadStats to the
+// same statistics bytes and serves an optimize without a collection.
+func TestStatsArtifactsCarryStatsOnly(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	id := ingestGen(t, ts.URL, "C", 1<<20)
+	optimize := func(tile int) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/optimize", map[string]any{
+			"kernel": testKernel,
+			"inputs": map[string]string{"A": id, "B": id},
+			"tile":   tile,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("optimize tile %d: status %d: %s", tile, resp.StatusCode, body)
+		}
+	}
+	optimize(32)
+	if got := s.Metric("stats_collect_total"); got != 1 {
+		t.Fatalf("stats_collect_total = %d, want 1", got)
+	}
+	stored, _, err := s.store.Get(snapshot.StatsKey(id, []int{32, 32}, []int{0, 1}, 8))
+	if err != nil || stored == nil {
+		t.Fatalf("stats artifact not stored: %v", err)
+	}
+	a, err := snapshot.DecodeBytes(stored)
+	if err != nil || a.Stats == nil {
+		t.Fatalf("stored stats artifact: %v", err)
+	}
+	if a.Tiled != nil {
+		t.Fatal("stored stats artifact carries a TILE section")
+	}
+	want, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: a.Stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, want) {
+		t.Fatal("stored stats artifact is not the canonical stats-only encoding")
+	}
+
+	// An artifact in the older shape, at a frame not yet collected.
+	tb, _, err := s.store.Get(id)
+	if err != nil || tb == nil {
+		t.Fatalf("tensor artifact: %v", err)
+	}
+	ta, err := snapshot.DecodeBytes(tb)
+	if err != nil || ta.Tensor == nil {
+		t.Fatalf("tensor artifact: %v", err)
+	}
+	dims, order := []int{16, 16}, []int{0, 1}
+	st, tt, err := stats.Collect(ta.Tensor, dims, order, &stats.Options{MicroDiv: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st, Tiled: tt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := snapshot.StatsKey(id, dims, order, 8)
+	if err := s.store.Put(key, legacy); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := (&storeCache{s: s}).LoadStats(context.Background(), key)
+	if !ok {
+		t.Fatal("stats artifact with a TILE section did not load")
+	}
+	gotBytes, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatal("stats loaded from a TILE-carrying artifact differ from the collected stats")
+	}
+	optimize(16)
+	if got := s.Metric("stats_collect_total"); got != 1 {
+		t.Fatalf("optimize over a TILE-carrying artifact re-collected: stats_collect_total = %d", got)
 	}
 }

@@ -216,12 +216,73 @@ func (sh *ShapeStats) OverflowStats(budgetWords float64) (rate, excessWords floa
 	return float64(over) / float64(n), excessWords / scale
 }
 
+// shapeMemoCap bounds one bundle's shape memo. One optimize sweep
+// evaluates a few dozen distinct shapes per bundle, so a batch of jobs
+// sharing the bundle fits well inside it; once full, further shapes are
+// evaluated without being kept.
+const shapeMemoCap = 256
+
+// maxMemoOrder bounds the fixed-size dims array used as a comparable memo
+// key; higher-order tensors (none exist in the 21-bit tile-key regime)
+// bypass the memo.
+const maxMemoOrder = 8
+
+type shapeKey struct {
+	n    int
+	dims [maxMemoOrder]int32
+}
+
 // EvalShape aggregates the micro summary into tiles of the given
 // per-axis dimensions, which must be positive multiples of the micro tile
 // dimensions. Footprints are summed over members, a slight overestimate
 // of a retiled CSF's footprint (shared upper-level metadata), consistent
 // across candidates.
+//
+// Results are memoized on the bundle per tile shape (up to shapeMemoCap
+// shapes): the optimizer's sweep re-derives the same shapes for many
+// candidates, and every job holding the same *Stats shares them.
+// EvalShape is deterministic and the returned ShapeStats is shared, so
+// callers must treat it as read-only. tileDims is copied into the key,
+// so callers may reuse the slice.
 func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
+	if len(tileDims) > maxMemoOrder {
+		return s.evalShape(tileDims)
+	}
+	key := shapeKey{n: len(tileDims)}
+	for a, v := range tileDims {
+		if !checked.FitsInt32(v) {
+			return s.evalShape(tileDims) // no snapped shape is this large
+		}
+		key.dims[a] = checked.Int32(v)
+	}
+	s.shapeMu.Lock()
+	sh, ok := s.shapes[key]
+	s.shapeMu.Unlock()
+	if ok {
+		return sh, nil
+	}
+	sh, err := s.evalShape(tileDims)
+	if err != nil {
+		return nil, err
+	}
+	s.shapeMu.Lock()
+	defer s.shapeMu.Unlock()
+	if prev, ok := s.shapes[key]; ok {
+		// A concurrent evaluation won the race; both results are
+		// identical — keep the first for stability.
+		return prev, nil
+	}
+	if len(s.shapes) < shapeMemoCap {
+		if s.shapes == nil {
+			s.shapes = make(map[shapeKey]*ShapeStats)
+		}
+		s.shapes[key] = sh
+	}
+	return sh, nil
+}
+
+// evalShape is EvalShape without the memo.
+func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	ms := s.micro
 	if ms == nil {
 		return nil, fmt.Errorf("stats: no micro summary collected")

@@ -117,6 +117,11 @@ type Stats struct {
 	occupancy [][]bool
 
 	micro *microSummary
+
+	// shapes memoizes EvalShape per tile shape for the bundle's
+	// lifetime, guarded by shapeMu.
+	shapeMu sync.Mutex
+	shapes  map[shapeKey]*ShapeStats
 }
 
 // PTileBase returns the product of PrTileIdx over all outer levels: the

@@ -8,7 +8,6 @@ import (
 	"d2t2/internal/optimizer"
 	"d2t2/internal/snapshot"
 	"d2t2/internal/stats"
-	"d2t2/internal/tiling"
 )
 
 // sessionMicroDiv is the micro-summary divisor every session collection
@@ -23,12 +22,11 @@ const sessionMicroDiv = 8
 // The context is the calling request's: cache implementations that
 // reach the network (d2t2d's cluster read-through) bound their I/O with
 // it, and must treat a dead context as a miss rather than an error.
-// The tiled tensor passed to StoreStats is the conservative tiling the
-// statistics were collected from, so stores can persist the full
-// snapshot artifact; it may be nil when only statistics are available.
+// A bundle holds statistics only: the conservative tiling they were
+// collected from is never needed again, so it is not handed to the store.
 type StatsCache interface {
 	LoadStats(ctx context.Context, key string) (*stats.Stats, bool)
-	StoreStats(ctx context.Context, key string, s *stats.Stats, tiled *tiling.TiledTensor)
+	StoreStats(ctx context.Context, key string, s *stats.Stats)
 }
 
 // PartialCache is an optional extension of StatsCache for stores that
@@ -132,16 +130,39 @@ func (s *Session) TensorID(t *Tensor) (string, error) {
 }
 
 // statsFor returns the statistics for t at the given base tiling and
-// level order, consulting the session memo or external cache before
-// collecting. A cancelled ctx aborts the collection (the context's
-// error is returned) without storing anything — the memo and cache only
-// ever hold completed collections.
-func (s *Session) statsFor(ctx context.Context, t *Tensor, tileDims, order []int) (*stats.Stats, error) {
+// level order, consulting the batch scope (when b is non-nil), then the
+// session memo or external cache, before collecting. A cancelled ctx
+// aborts the collection (the context's error is returned) without
+// storing anything — the memo and cache only ever hold completed
+// collections.
+func (s *Session) statsFor(ctx context.Context, b *Batch, t *Tensor, tileDims, order []int) (*stats.Stats, error) {
 	id, err := s.TensorID(t)
 	if err != nil {
 		return nil, err
 	}
 	key := snapshot.StatsKey(id, tileDims, order, sessionMicroDiv)
+	if b == nil {
+		return s.resolve(ctx, key, t, tileDims, order)
+	}
+	// Holding the lock across the resolve makes it exactly once per key;
+	// it only serializes this batch's own misses, which resolve
+	// sequentially anyway.
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if st := b.bundles[key]; st != nil {
+		return st, nil
+	}
+	st, err := s.resolve(ctx, key, t, tileDims, order)
+	if err != nil {
+		return nil, err
+	}
+	b.bundles[key] = st
+	return st, nil
+}
+
+// resolve returns the bundle stored under key from the session memo or
+// external cache, collecting (and storing) it on a miss.
+func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, order []int) (*stats.Stats, error) {
 	if s.cache != nil {
 		if st, ok := s.cache.LoadStats(ctx, key); ok {
 			return st, nil
@@ -154,13 +175,13 @@ func (s *Session) statsFor(ctx context.Context, t *Tensor, tileDims, order []int
 			return st, nil
 		}
 	}
-	st, tt, err := stats.CollectCtx(ctx, t.coo, tileDims, order,
+	st, _, err := stats.CollectCtx(ctx, t.coo, tileDims, order,
 		&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
 	if err != nil {
 		return nil, err
 	}
 	if s.cache != nil {
-		s.cache.StoreStats(ctx, key, st, tt)
+		s.cache.StoreStats(ctx, key, st)
 	} else {
 		s.mu.Lock()
 		s.memo[key] = st
@@ -185,6 +206,12 @@ func (s *Session) Optimize(k *Kernel, inputs Inputs, opts Options) (*Plan, error
 // contexts through here so an abandoned request stops claiming CPU. A
 // never-cancelled ctx yields exactly Optimize's byte-identical plan.
 func (s *Session) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
+	return s.optimize(ctx, nil, k, inputs, opts)
+}
+
+// optimize is OptimizeCtx with bundles resolved through b (nil for the
+// session alone).
+func (s *Session) optimize(ctx context.Context, b *Batch, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
 	o := opts.lower()
 	if o.Workers == 0 {
 		o.Workers = s.Workers
@@ -198,7 +225,7 @@ func (s *Session) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opt
 	if err != nil {
 		return nil, err
 	}
-	pre, err := s.precollect(ctx, k, inputs, base)
+	pre, err := s.precollect(ctx, b, k, inputs, base)
 	if err != nil {
 		return nil, err
 	}
@@ -210,25 +237,50 @@ func (s *Session) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opt
 	return newPlan(res, k, inputs, o.Workers, o.BufferWords), nil
 }
 
-// PrecollectCtx runs only the tile-and-collect phase OptimizeCtx would
-// run for k's inputs — warming the session (and its cache) without the
-// shape search. d2t2d's batch endpoint calls this once per group of
-// jobs sharing a tensor, so N batched jobs trigger exactly one
-// statistics collection before the per-job searches run.
-func (s *Session) PrecollectCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) error {
-	o := opts.lower()
-	base, err := o.ConservativeBase(k.expr)
+// Batch scopes a group of optimize calls on one Session so they share
+// statistics bundles: each distinct (tensor, base tile, level order)
+// bundle is resolved — session memo, external cache or a fresh
+// collection — at most once per Batch, and every job in the group gets
+// the same decoded *stats.Stats, so the jobs' shape searches share its
+// EvalShape memo too. A Batch keeps its bundles until it is dropped:
+// scope one to a single request, never to the process. It is safe for
+// concurrent use; resolve its bundles with PrecollectCtx before fanning
+// out, since concurrent misses queue behind one another.
+type Batch struct {
+	s       *Session
+	mu      sync.Mutex
+	bundles map[string]*stats.Stats
+}
+
+// NewBatch returns an empty batch scope on the session.
+func (s *Session) NewBatch() *Batch {
+	return &Batch{s: s, bundles: make(map[string]*stats.Stats)}
+}
+
+// PrecollectCtx resolves the statistics bundles OptimizeCtx would use
+// for k's inputs into the batch — warming the session (and its cache)
+// without the shape search. d2t2d's batch endpoint calls this for every
+// job before the searches fan out, so each distinct bundle is loaded,
+// decoded or collected once per batch however many jobs share it.
+func (b *Batch) PrecollectCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) error {
+	base, err := opts.lower().ConservativeBase(k.expr)
 	if err != nil {
 		return err
 	}
-	_, err = s.precollect(ctx, k, inputs, base)
+	_, err = b.s.precollect(ctx, b, k, inputs, base)
 	return err
+}
+
+// OptimizeCtx is Session.OptimizeCtx with bundles resolved through the
+// batch; the plan is byte-identical to the session's.
+func (b *Batch) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
+	return b.s.optimize(ctx, b, k, inputs, opts)
 }
 
 // precollect warms and returns the statistics for every distinct input
 // of k at an order-matched square base tiling, in the kernel's level
 // order for each reference — the exact frame OptimizeCtx consumes.
-func (s *Session) precollect(ctx context.Context, k *Kernel, inputs Inputs, base int) (map[string]*stats.Stats, error) {
+func (s *Session) precollect(ctx context.Context, b *Batch, k *Kernel, inputs Inputs, base int) (map[string]*stats.Stats, error) {
 	pre := make(map[string]*stats.Stats)
 	for _, ref := range k.expr.Inputs() {
 		if _, done := pre[ref.Name]; done {
@@ -242,7 +294,7 @@ func (s *Session) precollect(ctx context.Context, k *Kernel, inputs Inputs, base
 		for a := range dims {
 			dims[a] = base
 		}
-		st, err := s.statsFor(ctx, t, dims, k.expr.LevelOrder(ref))
+		st, err := s.statsFor(ctx, b, t, dims, k.expr.LevelOrder(ref))
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +324,7 @@ func (s *Session) PredictCtx(ctx context.Context, k *Kernel, inputs Inputs, cfg 
 			return 0, errMissing(ref.Name)
 		}
 		dims := clampedSquare(t, statsTile, len(ref.Indices))
-		one, err := s.statsFor(ctx, t, dims, k.expr.LevelOrder(ref))
+		one, err := s.statsFor(ctx, nil, t, dims, k.expr.LevelOrder(ref))
 		if err != nil {
 			return 0, err
 		}
@@ -296,7 +348,7 @@ func (s *Session) StatsCtx(ctx context.Context, t *Tensor, tile int) (*StatsSumm
 	for a := range order {
 		order[a] = a
 	}
-	st, err := s.statsFor(ctx, t, dims, order)
+	st, err := s.statsFor(ctx, nil, t, dims, order)
 	if err != nil {
 		return nil, err
 	}
