@@ -33,3 +33,28 @@ func BenchmarkCollectFromTiled(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCorrsFinalize measures the Corrs overlap count on a gathered
+// accumulator along each axis of a power-law matrix, against the
+// pairwise-merge oracle it replaced.
+func BenchmarkCorrsFinalize(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	m := gen.PowerLawGraph(r, 1200, 100_000, 1.7)
+	for ax := range m.Dims {
+		pl := newCorrPlan(m.Dims[ax], 128, 512)
+		off, flat := pl.gather(m, ax)
+		for _, k := range []struct {
+			name string
+			run  func(*corrPlan, []int32, []uint64) []float64
+		}{{"inverted", (*corrPlan).finalize}, {"pairwise", finalizePairwise}} {
+			b.Run(fmt.Sprintf("axis=%d/%s", ax, k.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if c := k.run(pl, off, flat); c[0] != 1 {
+						b.Fatal("Corrs not normalized")
+					}
+				}
+			})
+		}
+	}
+}

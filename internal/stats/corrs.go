@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"d2t2/internal/tensor"
@@ -17,8 +19,8 @@ import (
 type corrPlan struct {
 	dim      int
 	maxShift int
+	stride   int // sampled sources are the positions 0, stride, 2·stride, …
 	needed   []bool
-	sources  []int
 }
 
 func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
@@ -36,14 +38,33 @@ func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
 	if sampleTarget > 0 && dim > sampleTarget {
 		stride = dim / sampleTarget
 	}
-	pl := &corrPlan{dim: dim, maxShift: maxShift, needed: make([]bool, dim)}
+	pl := &corrPlan{dim: dim, maxShift: maxShift, stride: stride, needed: make([]bool, dim)}
+	// Windows of consecutive sources overlap when stride ≤ maxShift; mark
+	// each position once so the plan costs O(dim), not O(dim·maxShift).
+	next := 0
 	for k := 0; k < dim; k += stride {
-		pl.sources = append(pl.sources, k)
-		for s := 0; s <= maxShift && k+s < dim; s++ {
-			pl.needed[k+s] = true
+		for q := max(k, next); q <= k+maxShift && q < dim; q++ {
+			pl.needed[q] = true
 		}
+		next = max(next, k+maxShift+1)
 	}
 	return pl
+}
+
+// corrKeySpace bounds the rest-key range for a tensor of the given dims:
+// finalize packs each entry as rest·dim + position, so Corrs needs
+// Π dims < 2^64 or distinct coordinates would collide. It returns the
+// product of dims, or an error when that product does not fit a uint64.
+func corrKeySpace(dims []int) (uint64, error) {
+	prod := uint64(1)
+	for _, d := range dims {
+		hi, lo := bits.Mul64(prod, uint64(d))
+		if hi != 0 {
+			return 0, fmt.Errorf("stats: corr keys overflow: product of dims %v reaches 2^64", dims)
+		}
+		prod = lo
+	}
+	return prod, nil
 }
 
 // gather groups the needed entries by coordinate along axis; the "rest"
@@ -91,43 +112,106 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int) (off []int32, flat []uint64)
 // finalize replays the overlap accumulation over a gathered (or merged)
 // accumulator: for positions k and k+s along the axis, the overlap
 // between the rest-key multisets of their entries, summed over sampled k
-// and normalized so shift 0 is 1. The replay is deterministic given the
-// sorted per-position multisets, so identical accumulators yield
-// byte-identical curves regardless of how they were assembled.
+// and normalized so shift 0 is 1.
+//
+// The count runs over an inverted index rather than per (k, s) pair:
+// every entry becomes the packed key rest·dim + position, and one sort
+// groups the entries by rest key with positions ascending. Inside a rest
+// key's run, each sampled source p meets every later position q within
+// maxShift and adds min(mult_p, mult_q) to overlap[q−p] — exactly what a
+// sorted-merge intersection of the two positions' multisets counts. The
+// cost is the sort plus the number of matches, however many (k, s) pairs
+// the plan spans. Sums are exact integers, so identical accumulators
+// yield bit-identical curves regardless of how they were assembled.
 func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
-	rest := func(k int) []uint64 { return flat[off[k]:off[k+1]] }
-	overlap := make([]float64, pl.maxShift+1)
-	base := 0.0
-	for _, k := range pl.sources {
-		lk := rest(k)
-		if len(lk) == 0 {
-			continue
+	dim := uint64(pl.dim)
+	keys := make([]uint64, len(flat))
+	for k := 0; k < pl.dim; k++ {
+		for i := off[k]; i < off[k+1]; i++ {
+			keys[i] = flat[i]*dim + uint64(k)
 		}
-		base += float64(len(lk))
-		for s := 0; s <= pl.maxShift && k+s < pl.dim; s++ {
-			ls := rest(k + s)
-			if len(ls) == 0 {
+	}
+	keys = radixSort(keys, make([]uint64, len(keys)))
+
+	overlap := make([]int64, pl.maxShift+1)
+	var run []posMult
+	for i := 0; i < len(keys); {
+		// One rest key's run, run-length encoded by position.
+		lo := keys[i] / dim * dim
+		run = run[:0]
+		for i < len(keys) && keys[i]-lo < dim {
+			j := i + 1
+			for j < len(keys) && keys[j] == keys[i] {
+				j++
+			}
+			run = append(run, posMult{int(keys[i] - lo), j - i})
+			i = j
+		}
+		for a, src := range run {
+			if src.pos%pl.stride != 0 {
 				continue
 			}
-			overlap[s] += float64(sortedIntersection(lk, ls))
+			for _, dst := range run[a:] {
+				s := uint(dst.pos - src.pos)
+				if s >= uint(len(overlap)) {
+					break
+				}
+				overlap[s] += int64(min(src.mult, dst.mult))
+			}
 		}
 	}
+
+	// Shift 0 is each source's own multiset size, i.e. the base.
 	out := make([]float64, pl.maxShift+1)
-	if base == 0 {
-		out[0] = 1
-		return out
-	}
-	for s := range out {
-		out[s] = overlap[s] / base
-	}
-	// Normalize so shift 0 is exactly 1 (it equals base by construction).
-	if out[0] > 0 && out[0] != 1 {
-		for s := range out {
-			out[s] /= out[0]
+	out[0] = 1
+	if base := float64(overlap[0]); base > 0 {
+		for s := 1; s < len(out); s++ {
+			out[s] = float64(overlap[s]) / base
 		}
 	}
-	out[0] = 1
 	return out
+}
+
+// posMult is one position of a rest key's run and how many entries at
+// that position carry the key.
+type posMult struct {
+	pos, mult int
+}
+
+// radixBits is the digit width of radixSort: 2^11 counters fit in L1,
+// and the packed key of a 1200×1200 matrix sorts in two passes.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// radixSort sorts keys ascending by a least-significant-digit radix sort
+// over the significant bits of the largest key, using buf (same length)
+// as scratch, and returns whichever of the two holds the result.
+func radixSort(keys, buf []uint64) []uint64 {
+	var hi uint64
+	for _, k := range keys {
+		hi |= k
+	}
+	var cnt [1 << radixBits]int
+	for shift := 0; shift < bits.Len64(hi); shift += radixBits {
+		clear(cnt[:])
+		for _, k := range keys {
+			cnt[k>>shift&radixMask]++
+		}
+		sum := 0
+		for d, c := range cnt {
+			cnt[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & radixMask
+			buf[cnt[d]] = k
+			cnt[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
 }
 
 // corrsAxis computes the paper's Corrs statistic (Eq. 11) generalized to
@@ -136,29 +220,12 @@ func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
 // The paper averages within sampled tiles; we compute against the full
 // coordinate range with sampled source positions, which measures the same
 // reduction potential (overlaps produce output reuse wherever they fall)
-// while bounding cost by sampleTarget × maxShift merge passes.
+// while bounding cost by one sort of the gathered entries plus the rest
+// keys the sampled positions share within maxShift.
 func corrsAxis(t *tensor.COO, axis, maxShift, sampleTarget int) []float64 {
 	pl := newCorrPlan(t.Dims[axis], maxShift, sampleTarget)
 	off, flat := pl.gather(t, axis)
 	return pl.finalize(off, flat)
-}
-
-// sortedIntersection returns |a ∩ b| for sorted slices.
-func sortedIntersection(a, b []uint64) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // tileCorrs computes the paper's TileCorrs statistic (Eq. 12) with the

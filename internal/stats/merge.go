@@ -126,17 +126,9 @@ func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order [
 			microDims[a] = 1
 		}
 	}
-	axes := o.CorrAxes
-	if axes == nil {
-		axes = make([]int, n)
-		for a := range axes {
-			axes[a] = a
-		}
-	}
-	for _, ax := range axes {
-		if ax < 0 || ax >= n {
-			return nil, fmt.Errorf("stats: corr axis %d out of range", ax)
-		}
+	axes, err := o.corrAxes(n)
+	if err != nil {
+		return nil, err
 	}
 	maxShifts := make([]int, len(axes))
 	for i, ax := range axes {
@@ -166,6 +158,11 @@ func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order [
 // matches what NewCtx materializes (see TestSummarizeMatchesNew).
 func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, workers int) (*Partial, error) {
 	n := len(prm.dims)
+	if len(prm.corrAxes) > 0 {
+		if _, err := corrKeySpace(prm.dims); err != nil {
+			return nil, err
+		}
+	}
 	tsum, err := tiling.SummarizeCtx(ctx, t, prm.tileDims, prm.order, workers)
 	if err != nil {
 		return nil, err
@@ -489,6 +486,10 @@ func (p *Partial) Validate() error {
 		return fmt.Errorf("stats: partial corr tables: %d axes, %d shifts, %d offsets, %d rests",
 			len(p.CorrAxes), len(p.CorrMaxShift), len(p.CorrOff), len(p.CorrRest))
 	}
+	keySpace, err := corrKeySpace(p.Dims)
+	if err != nil && len(p.CorrAxes) > 0 {
+		return err
+	}
 	for i, ax := range p.CorrAxes {
 		if ax < 0 || ax >= n {
 			return fmt.Errorf("stats: partial corr axis %d out of range", ax)
@@ -504,6 +505,18 @@ func (p *Partial) Validate() error {
 			for k := 1; k < len(off); k++ {
 				if off[k] < off[k-1] {
 					return fmt.Errorf("stats: partial corr axis %d: offsets decrease at %d", ax, k)
+				}
+			}
+			// Merge's sorted union and the canonical encoding assume
+			// ascending rest keys; finalize's packed key rest·dim +
+			// position assumes each key lies inside the rest range.
+			for k := 0; k+1 < len(off); k++ {
+				rest := p.CorrRest[i][off[k]:off[k+1]]
+				if !slices.IsSorted(rest) {
+					return fmt.Errorf("stats: partial corr axis %d: rest keys at position %d are not sorted", ax, k)
+				}
+				if len(rest) > 0 && rest[len(rest)-1] >= keySpace/uint64(p.Dims[ax]) {
+					return fmt.Errorf("stats: partial corr axis %d: rest key %d at position %d out of range", ax, rest[len(rest)-1], k)
 				}
 			}
 		}

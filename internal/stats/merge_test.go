@@ -396,6 +396,49 @@ func TestPartialSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartialRejectsBadRestKeys pins the corr accumulator invariants
+// Validate enforces: each position's rest keys ascend (Merge's sorted
+// union and the canonical encoding assume it) and lie inside the rest
+// range (Finalize packs them with the position). A partial breaking
+// either fails Finalize and the snapshot decoder.
+func TestPartialRejectsBadRestKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	m := gen.PowerLawGraph(r, 128, 2000, 1.5)
+	p, err := stats.CollectPartial(m, []int{16, 16}, []int{0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, rest := p.CorrOff[0], p.CorrRest[0]
+	k := 0
+	for off[k+1]-off[k] < 2 || rest[off[k]] == rest[off[k+1]-1] {
+		k++
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func([]uint64)
+	}{
+		{"unsorted", "not sorted", func(keys []uint64) {
+			keys[off[k]], keys[off[k+1]-1] = keys[off[k+1]-1], keys[off[k]]
+		}},
+		{"out-of-range", "out of range", func(keys []uint64) {
+			keys[off[k+1]-1] = uint64(m.Dims[1])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *p
+			bad.CorrRest = append([][]uint64(nil), p.CorrRest...)
+			bad.CorrRest[0] = append([]uint64(nil), rest...)
+			tc.corrupt(bad.CorrRest[0])
+			if _, err := bad.Finalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Finalize accepted corrupted rest keys: %v", err)
+			}
+			if _, err := snapshot.DecodeBytes(partialBytes(t, &bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decoder accepted corrupted rest keys: %v", err)
+			}
+		})
+	}
+}
+
 // TestPartialKeyDistinct pins the content-address separation between
 // finalized and accumulator artifacts for identical parameters.
 func TestPartialKeyDistinct(t *testing.T) {

@@ -82,6 +82,24 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
+// corrAxes resolves the axes Corrs is collected for on an order-n
+// tensor: every axis when CorrAxes is nil, else the listed ones.
+func (o *Options) corrAxes(n int) ([]int, error) {
+	axes := o.CorrAxes
+	if axes == nil {
+		axes = make([]int, n)
+		for a := range axes {
+			axes[a] = a
+		}
+	}
+	for _, ax := range axes {
+		if ax < 0 || ax >= n {
+			return nil, fmt.Errorf("stats: corr axis %d out of range", ax)
+		}
+	}
+	return axes, nil
+}
+
 // Stats holds everything the collector extracts for one tensor.
 type Stats struct {
 	Dims         []int // original dimension sizes
@@ -192,6 +210,15 @@ func CollectFromTiled(t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*St
 func CollectFromTiledCtx(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*Stats, error) {
 	o := opts.withDefaults()
 	n := len(tt.Dims)
+	axes, err := o.corrAxes(n)
+	if err != nil {
+		return nil, err
+	}
+	if len(axes) > 0 {
+		if _, err := corrKeySpace(tt.Dims); err != nil {
+			return nil, err
+		}
+	}
 	s := &Stats{
 		Dims:         append([]int(nil), tt.Dims...),
 		BaseTileDims: append([]int(nil), tt.TileDims...),
@@ -379,18 +406,6 @@ func CollectFromTiledCtx(ctx context.Context, t *tensor.COO, tt *tiling.TiledTen
 	// Element-granularity Corrs along the requested axes, one worker per
 	// axis (each axis reads the raw tensor independently and the result
 	// lands in its own slot).
-	axes := o.CorrAxes
-	if axes == nil {
-		axes = make([]int, n)
-		for a := range axes {
-			axes[a] = a
-		}
-	}
-	for _, ax := range axes {
-		if ax < 0 || ax >= n {
-			return nil, fmt.Errorf("stats: corr axis %d out of range", ax)
-		}
-	}
 	corrs, err := par.MapCtx(ctx, o.Workers, len(axes), func(i int) ([]float64, error) {
 		ax := axes[i]
 		maxShift := o.CorrMaxShift
