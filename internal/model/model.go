@@ -68,6 +68,12 @@ type Predictor struct {
 	// model untouched.
 	Calib      *Calibration
 	CalibClass string
+
+	// prods and refine are derived from Expr once, in New: the kernel's
+	// sum-of-products and, for a single-product kernel, the per-occurrence
+	// refinement plans of refine.go.
+	prods  [][]int
+	refine []*refinePlan
 }
 
 // EvalRef evaluates the shape statistics of one input occurrence under
@@ -107,7 +113,11 @@ func New(e *einsum.Expr, st map[string]*stats.Stats) (*Predictor, error) {
 				ref, len(ref.Indices), len(s.Dims))
 		}
 	}
-	return &Predictor{Expr: e, Stats: st, Mode: ModeExact, UseCorrs: true}, nil
+	p := &Predictor{Expr: e, Stats: st, Mode: ModeExact, UseCorrs: true, prods: e.ProductsIdx()}
+	if len(p.prods) == 1 {
+		p.refine = refinePlans(e, p.prods[0])
+	}
+	return p, nil
 }
 
 // Prediction is the model's traffic estimate in words.
@@ -289,7 +299,7 @@ func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
 		}
 		views = append(views, v)
 	}
-	prods := e.ProductsIdx()
+	prods := p.prods
 
 	// Outer iteration counts per index variable (consistent across
 	// tensors by construction; take from any view).
@@ -307,7 +317,7 @@ func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
 	// refinement replaces the mean-field product when applicable.
 	for vi, v := range views {
 		if p.Mode == ModeExact && !p.DisableRefinement && len(prods) == 1 {
-			if tr, ok := p.refinedInputTraffic(vi, views, prods[0]); ok {
+			if tr, ok := p.refinedInputTraffic(vi, views); ok {
 				pred.Input[v.ref.Name] += tr
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"d2t2/internal/einsum"
 	"d2t2/internal/stats"
 )
 
@@ -25,123 +26,113 @@ import (
 // binding no extras, an indicator that W has any data consistent with
 // t's shared coordinates (the exact tile-filter term).
 //
+// Both factors are read from W's stats.Projection over (shared, extras)
+// axes: a sorted table memoized on W's shape, which the bundle's shape
+// memo shares across every prediction and batch job at that shape, so a
+// prediction does one binary search per (V tile, cofactor) and builds no
+// table. Which axes play which role depends only on the expression, so
+// New derives it once per Predictor (refinePlans).
+//
 // The refinement applies when every extra index is owned by exactly one
 // cofactor; otherwise (joint conditions across cofactors, e.g. MTTKRP's
 // B and C sharing l) the mean-field path is used. ModeAnalytic never
 // refines — it is the paper-faithful model used in the Fig. 9 ablation.
 
-// cofactorPlan describes how one cofactor constrains V's fetches.
+// refinePlan lists the cofactors constraining one occurrence V's fetches.
+type refinePlan struct {
+	cofactors []cofactorPlan
+}
+
+// cofactorPlan describes how one cofactor W constrains V's fetches.
 type cofactorPlan struct {
+	w int // W's occurrence index
 	// sharedV are V's axis positions whose coordinates key the lookup;
 	// sharedW are the corresponding axis positions in W.
 	sharedV, sharedW []int
-	// count is non-nil for extras-owning cofactors: shared-coordinate key
-	// → number of distinct extra-index assignments.
-	count map[uint64]int
-	// exists is non-nil for filter cofactors: key → any data present.
-	exists map[uint64]struct{}
+	// extras are W's axes bound to V's extra fetch indices; empty for a
+	// filter cofactor.
+	extras []int
+}
+
+// refinePlans derives the refinement plan of every occurrence of the
+// single product prod, indexed by occurrence; an entry is nil when some
+// extra index is not owned by exactly one cofactor.
+func refinePlans(e *einsum.Expr, prod []int) []*refinePlan {
+	refs := e.Inputs()
+	plans := make([]*refinePlan, len(refs))
+	for _, vi := range prod {
+		v := refs[vi]
+		own := make(map[string]int, len(v.Indices)) // index var -> V axis
+		for a, ix := range v.Indices {
+			own[ix] = a
+		}
+		extraOwner := make(map[string]int) // extra index -> count of cofactors carrying it
+		for _, ix := range e.FetchSpace(v) {
+			if _, ok := own[ix]; !ok {
+				extraOwner[ix] = 0
+			}
+		}
+		plan := &refinePlan{}
+		for _, wi := range prod {
+			if wi == vi {
+				continue
+			}
+			c := cofactorPlan{w: wi}
+			for a, ix := range refs[wi].Indices {
+				if va, ok := own[ix]; ok {
+					c.sharedV = append(c.sharedV, va)
+					c.sharedW = append(c.sharedW, a)
+				} else if _, isExtra := extraOwner[ix]; isExtra {
+					extraOwner[ix]++
+					c.extras = append(c.extras, a)
+				}
+				// Other indices of W lie below V's fetch level and are
+				// marginalized by the projection.
+			}
+			plan.cofactors = append(plan.cofactors, c)
+		}
+		plans[vi] = plan
+		for _, n := range extraOwner {
+			if n != 1 {
+				plans[vi] = nil
+			}
+		}
+	}
+	return plans
 }
 
 // refinedInputTraffic computes the exact expected traffic for occurrence
 // vi under a single-product kernel, or (0, false) when the preconditions
 // fail and the caller must fall back to the mean-field estimate.
-func (p *Predictor) refinedInputTraffic(vi int, views []*tensorView, prod []int) (float64, bool) {
-	e := p.Expr
+func (p *Predictor) refinedInputTraffic(vi int, views []*tensorView) (float64, bool) {
+	plan := p.refine[vi]
 	v := views[vi]
-	if v.sh == nil || len(v.sh.GroupOuter) == 0 {
+	if plan == nil || v.sh == nil || len(v.sh.GroupFP) == 0 {
 		return 0, false
 	}
-	own := make(map[string]int, len(v.ref.Indices)) // index var -> V axis
-	for a, ix := range v.ref.Indices {
-		own[ix] = a
-	}
-	fetch := e.FetchSpace(v.ref)
-	extraOwner := make(map[string]int) // extra index -> count of cofactors carrying it
-	var extras []string
-	for _, ix := range fetch {
-		if _, ok := own[ix]; !ok {
-			extras = append(extras, ix)
-			extraOwner[ix] = 0
-		}
-	}
-	for _, wi := range prod {
-		if wi == vi {
-			continue
-		}
-		for _, ix := range views[wi].ref.Indices {
-			if _, isExtra := extraOwner[ix]; isExtra {
-				extraOwner[ix]++
-			}
-		}
-	}
-	for _, ix := range extras {
-		if extraOwner[ix] != 1 {
-			return 0, false
-		}
-	}
-
-	var plans []cofactorPlan
-	for _, wi := range prod {
-		if wi == vi {
-			continue
-		}
-		w := views[wi]
+	var buf [4]*stats.Projection
+	projs := buf[:0]
+	for _, c := range plan.cofactors {
+		w := views[c.w]
 		if w.sh == nil {
 			return 0, false
 		}
-		var plan cofactorPlan
-		var wExtras []int
-		for a, ix := range w.ref.Indices {
-			if va, ok := own[ix]; ok {
-				// Shared coordinate: tile sizes must agree for the outer
-				// grids to align.
-				if w.tileDims[a] != v.tileDims[va] {
-					return 0, false
-				}
-				plan.sharedV = append(plan.sharedV, va)
-				plan.sharedW = append(plan.sharedW, a)
-			} else if _, isExtra := extraOwner[ix]; isExtra {
-				wExtras = append(wExtras, a)
-			}
-			// Other indices of W lie below V's fetch level and are
-			// marginalized by the projections below.
-		}
-		if len(wExtras) > 0 {
-			plan.count = make(map[uint64]int)
-			seen := make(map[uint64]map[uint64]struct{})
-			for _, oc := range w.sh.GroupOuter {
-				key := projKey(oc, plan.sharedW)
-				ext := projKey(oc, wExtras)
-				s := seen[key]
-				if s == nil {
-					s = make(map[uint64]struct{})
-					seen[key] = s
-				}
-				s[ext] = struct{}{}
-			}
-			for key, s := range seen {
-				plan.count[key] = len(s)
-			}
-		} else {
-			plan.exists = make(map[uint64]struct{})
-			for _, oc := range w.sh.GroupOuter {
-				plan.exists[projKey(oc, plan.sharedW)] = struct{}{}
+		// Shared coordinates: tile sizes must agree for the outer grids
+		// to align.
+		for i, va := range c.sharedV {
+			if w.tileDims[c.sharedW[i]] != v.tileDims[va] {
+				return 0, false
 			}
 		}
-		plans = append(plans, plan)
+		projs = append(projs, w.sh.Project(c.sharedW, c.extras))
 	}
 
 	traffic := 0.0
-	for t, oc := range v.sh.GroupOuter {
-		f := v.sh.GroupFP[t]
+	for t, f := range v.sh.GroupFP {
+		oc := v.sh.TileOuter(t)
 		mult := 1.0
-		for _, plan := range plans {
-			key := projKey(oc, plan.sharedV)
-			if plan.count != nil {
-				mult *= float64(plan.count[key])
-			} else if _, ok := plan.exists[key]; !ok {
-				mult = 0
-			}
+		for i, c := range plan.cofactors {
+			mult *= float64(projs[i].Lookup(stats.ProjKey(oc, c.sharedV)))
 			if mult <= 0 {
 				break
 			}
@@ -149,15 +140,6 @@ func (p *Predictor) refinedInputTraffic(vi int, views []*tensorView, prod []int)
 		traffic += f * mult
 	}
 	return traffic, true
-}
-
-// projKey packs the coordinates at the given axis positions into a key.
-func projKey(oc []int32, axes []int) uint64 {
-	var k uint64
-	for _, a := range axes {
-		k = k<<21 | uint64(oc[a])
-	}
-	return k
 }
 
 // refinedOutput computes the output-traffic estimate for two-factor
@@ -211,12 +193,12 @@ func (p *Predictor) refinedOutput(views []*tensorView, prod []int, cfg Config, o
 	// Exact tile-level pair count along the contracted slices.
 	nSlices := v.sh.OuterDims[axV]
 	sliceV := make([]int32, nSlices)
-	for _, oc := range v.sh.GroupOuter {
-		sliceV[oc[axV]]++
+	for t := range v.sh.GroupFP {
+		sliceV[v.sh.TileOuter(t)[axV]]++
 	}
 	sliceW := make([]int32, nSlices)
-	for _, oc := range w.sh.GroupOuter {
-		sliceW[oc[axW]]++
+	for t := range w.sh.GroupFP {
+		sliceW[w.sh.TileOuter(t)[axW]]++
 	}
 	leafPairs := 0.0
 	for s := 0; s < nSlices; s++ {

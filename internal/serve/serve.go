@@ -22,6 +22,7 @@ import (
 	"d2t2/internal/buildinfo"
 	"d2t2/internal/snapshot"
 	"d2t2/internal/stats"
+	"d2t2/internal/tiling"
 )
 
 // Config tunes a Server. The zero value is usable: in-memory cache only,
@@ -633,6 +634,11 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 		if err != nil {
 			return ingestResponse{}, err
 		}
+	}
+	// A tensor every later tiling would refuse is a bad upload, not a
+	// resident that fails each optimize.
+	if t.Order() > tiling.MaxOrder {
+		return ingestResponse{}, fmt.Errorf("order-%d tensor: tiling supports order ≤ %d", t.Order(), tiling.MaxOrder)
 	}
 	t.Normalize()
 	id, t, cached, err := s.registerTensor(ctx, t)

@@ -273,6 +273,32 @@ func TestRawUploadIngest(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsOrderAboveTilingLimit: a 4-way .tns upload parses,
+// but its tile keys would wrap, so ingest answers 400 and counts the
+// failure instead of registering a tensor whose plans would be wrong.
+func TestIngestRejectsOrderAboveTilingLimit(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	tns := "1 1 1 1 1.0\n3 1 1 1 2.0\n5 1 1 1 3.0\n8 2 2 2 4.0\n"
+	resp, err := http.Post(ts.URL+"/v1/tensors", "text/plain", strings.NewReader(tns))
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("order-4 upload: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "order") {
+		t.Fatalf("order-4 upload: error does not name the limit: %s", body)
+	}
+	if got := s.Metric("ingest_errors"); got != 1 {
+		t.Fatalf("ingest_errors = %d, want 1", got)
+	}
+	if got := s.Metric("tensors_registered"); got != 0 {
+		t.Fatalf("tensors_registered = %d, want 0", got)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	cases := []struct {

@@ -131,7 +131,7 @@ func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
 			keys[i] = flat[i]*dim + uint64(k)
 		}
 	}
-	keys = radixSort(keys, make([]uint64, len(keys)))
+	keys, _ = radixSort(keys, make([]uint64, len(keys)), nil, nil)
 
 	overlap := make([]int64, pl.maxShift+1)
 	var run []posMult
@@ -187,8 +187,12 @@ const (
 
 // radixSort sorts keys ascending by a least-significant-digit radix sort
 // over the significant bits of the largest key, using buf (same length)
-// as scratch, and returns whichever of the two holds the result.
-func radixSort(keys, buf []uint64) []uint64 {
+// as scratch, and returns whichever of the two holds the result. When
+// vals is non-nil it is permuted alongside keys, with vbuf (same length)
+// as its scratch; the sort is stable, so equal keys keep their input
+// order. It is the one sort behind Corrs finalize, the EvalShape
+// group-by and the cofactor projections.
+func radixSort(keys, buf []uint64, vals, vbuf []int32) ([]uint64, []int32) {
 	var hi uint64
 	for _, k := range keys {
 		hi |= k
@@ -204,14 +208,24 @@ func radixSort(keys, buf []uint64) []uint64 {
 			cnt[d] = sum
 			sum += c
 		}
-		for _, k := range keys {
-			d := k >> shift & radixMask
-			buf[cnt[d]] = k
-			cnt[d]++
+		if vals == nil {
+			for _, k := range keys {
+				d := k >> shift & radixMask
+				buf[cnt[d]] = k
+				cnt[d]++
+			}
+		} else {
+			for i, k := range keys {
+				d := k >> shift & radixMask
+				buf[cnt[d]] = k
+				vbuf[cnt[d]] = vals[i]
+				cnt[d]++
+			}
+			vals, vbuf = vbuf, vals
 		}
 		keys, buf = buf, keys
 	}
-	return keys
+	return keys, vals
 }
 
 // corrsAxis computes the paper's Corrs statistic (Eq. 11) generalized to

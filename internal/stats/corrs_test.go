@@ -207,9 +207,11 @@ func TestCorrKeySpace(t *testing.T) {
 		_, errPartial := CollectPartial(x, tile, nil, nil)
 		return [2]error{errTiled, errPartial}
 	}
-	for _, err := range collect(1<<16, 1<<16, 1<<16, 1<<16, 1<<16) {
+	// Tiling caps the order at 3, so the overflowing case spreads the
+	// 64 bits over three axes: 2^22 · 2^21 · 2^21 = 2^64.
+	for _, err := range collect(1<<22, 1<<21, 1<<21) {
 		if err == nil || !strings.Contains(err.Error(), "overflow") {
-			t.Fatalf("order-5 tensor with dims 2^16 collected: %v", err)
+			t.Fatalf("order-3 tensor with dims product 2^64 collected: %v", err)
 		}
 	}
 	for _, err := range collect(1<<21, 1<<21, 1<<21) {

@@ -3,7 +3,11 @@ package stats
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/tensor"
@@ -119,10 +123,12 @@ type ShapeStats struct {
 	PrefixOccupied []int
 	// Order is the level order the prefixes follow (axis per level).
 	Order []int
-	// GroupOuter/GroupFP enumerate every non-empty tile at this shape:
-	// outer coordinates in axis order and the calibrated footprint. They
-	// power the model's exact cross-operand refinement (DESIGN.md §4).
-	GroupOuter [][]int32
+	// GroupOuter/GroupFP enumerate every non-empty tile at this shape in
+	// canonical tile-key order: tile t's outer coordinates in axis order
+	// sit flat at GroupOuter[t·n : (t+1)·n] (see TileOuter), its
+	// calibrated footprint at GroupFP[t]. They power the model's exact
+	// cross-operand refinement (DESIGN.md §4).
+	GroupOuter []int32
 	GroupFP    []float64
 	// FPScale is the calibration factor already applied to GroupFP,
 	// SizeTile and MaxTile (1 when uncalibrated). GroupFP[i]/FPScale
@@ -132,6 +138,116 @@ type ShapeStats struct {
 	// under-predicts (the calibrated estimate can sit below a tile's
 	// real footprint at shapes far from the statistics frame).
 	FPScale float64
+
+	// projs memoizes Project per (shared, extras) axis-set pair; the
+	// shape is shared through the bundle's shape memo, so every
+	// consumer of the bundle shares these tables too.
+	projMu sync.Mutex
+	projs  []projEntry
+}
+
+type projEntry struct {
+	shared, extras []int
+	p              *Projection
+}
+
+// TileOuter returns tile t's outer coordinates in axis order, a view
+// into GroupOuter.
+func (sh *ShapeStats) TileOuter(t int) []int32 {
+	n := len(sh.OuterDims)
+	return sh.GroupOuter[t*n : (t+1)*n : (t+1)*n]
+}
+
+// Projection is the shape's tiles seen through two disjoint axis sets:
+// Keys holds every distinct ProjKey over the shared axes, ascending, and
+// Count[i] the number of distinct extras tuples among the tiles whose
+// shared key is Keys[i]. With no extras axes every count is 1, so
+// presence is the filter test.
+type Projection struct {
+	Keys  []uint64
+	Count []int32
+}
+
+// Lookup returns the count stored for key, or 0 when no tile projects
+// onto it.
+func (p *Projection) Lookup(key uint64) int32 {
+	if i, ok := slices.BinarySearch(p.Keys, key); ok {
+		return p.Count[i]
+	}
+	return 0
+}
+
+// ProjKey packs the outer coordinates at the given axis positions into
+// one key, tiling.KeyShift bits per coordinate, first axis most
+// significant. Any set of distinct axes of a shape fits, since shapes
+// have at most tiling.MaxOrder axes.
+func ProjKey(oc []int32, axes []int) uint64 {
+	var k uint64
+	for _, a := range axes {
+		k = k<<tiling.KeyShift | uint64(oc[a])
+	}
+	return k
+}
+
+// Project returns the shape's Projection over the disjoint axis lists
+// shared and extras. Results are memoized on the shape, one per axis-set
+// pair, so repeated predictions at a memoized shape (the optimizer's
+// sweep, every job of a batch sharing the bundle) read a sorted table
+// instead of rebuilding it. The result is shared and read-only; the
+// argument slices are copied into the memo key.
+func (sh *ShapeStats) Project(shared, extras []int) *Projection {
+	sh.projMu.Lock()
+	p := sh.lookupProj(shared, extras)
+	sh.projMu.Unlock()
+	if p != nil {
+		return p
+	}
+	p = sh.project(shared, extras)
+	sh.projMu.Lock()
+	defer sh.projMu.Unlock()
+	if prev := sh.lookupProj(shared, extras); prev != nil {
+		// A concurrent projection won the race; both are identical —
+		// keep the first for stability.
+		return prev
+	}
+	sh.projs = append(sh.projs, projEntry{slices.Clone(shared), slices.Clone(extras), p})
+	return p
+}
+
+// lookupProj finds a memoized projection; the caller holds projMu.
+func (sh *ShapeStats) lookupProj(shared, extras []int) *Projection {
+	for _, e := range sh.projs {
+		if slices.Equal(e.shared, shared) && slices.Equal(e.extras, extras) {
+			return e.p
+		}
+	}
+	return nil
+}
+
+// project is Project without the memo: it packs each tile's (shared,
+// extras) tuple into one key — shared fields above extras fields, at
+// most tiling.MaxOrder fields in all — radix-sorts the keys and counts
+// distinct extras tuples per shared run.
+func (sh *ShapeStats) project(shared, extras []int) *Projection {
+	extBits := uint(tiling.KeyShift * len(extras))
+	pairs := make([]uint64, len(sh.GroupFP))
+	for t := range pairs {
+		oc := sh.TileOuter(t)
+		pairs[t] = ProjKey(oc, shared)<<extBits | ProjKey(oc, extras)
+	}
+	pairs, _ = radixSort(pairs, make([]uint64, len(pairs)), nil, nil)
+	keys := countRuns(pairs, extBits)
+	p := &Projection{Keys: make([]uint64, 0, keys), Count: make([]int32, 0, keys)}
+	for i, v := range pairs {
+		switch {
+		case i == 0 || v>>extBits != pairs[i-1]>>extBits:
+			p.Keys = append(p.Keys, v>>extBits)
+			p.Count = append(p.Count, 1)
+		case v != pairs[i-1]:
+			p.Count[len(p.Count)-1]++
+		}
+	}
+	return p
 }
 
 // PPrefix returns the probability that a subtree bound at levels 0..l is
@@ -222,14 +338,12 @@ func (sh *ShapeStats) OverflowStats(budgetWords float64) (rate, excessWords floa
 // evaluated without being kept.
 const shapeMemoCap = 256
 
-// maxMemoOrder bounds the fixed-size dims array used as a comparable memo
-// key; higher-order tensors (none exist in the 21-bit tile-key regime)
-// bypass the memo.
-const maxMemoOrder = 8
-
+// shapeKey is a comparable memo key: tile dims up to tiling.MaxOrder
+// axes, the most a micro summary has. Longer dims bypass the memo (and
+// evalShape rejects them).
 type shapeKey struct {
 	n    int
-	dims [maxMemoOrder]int32
+	dims [tiling.MaxOrder]int32
 }
 
 // EvalShape aggregates the micro summary into tiles of the given
@@ -245,7 +359,7 @@ type shapeKey struct {
 // callers must treat it as read-only. tileDims is copied into the key,
 // so callers may reuse the slice.
 func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
-	if len(tileDims) > maxMemoOrder {
+	if len(tileDims) > tiling.MaxOrder {
 		return s.evalShape(tileDims)
 	}
 	key := shapeKey{n: len(tileDims)}
@@ -282,6 +396,15 @@ func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 }
 
 // evalShape is EvalShape without the memo.
+//
+// It groups the micro keys by sorting instead of hashing: each micro key
+// maps to its tile's mixed-radix outer key Σ oc[a]·stride[a] (axis 0
+// most significant, so ascending keys are the lexicographic order of
+// tiling.Key), one radix sort brings each tile's members together, and
+// a run-length pass sums them. Tiles come out in canonical key order
+// with no hash map and no comparison sort. This is the optimizer's
+// hottest loop: EvalShape runs per (ref, candidate shape) and ms.keys is
+// the full micro-tile population.
 func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	ms := s.micro
 	if ms == nil {
@@ -290,6 +413,12 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	n := len(ms.dims)
 	if len(tileDims) != n {
 		return nil, fmt.Errorf("stats: %d tile dims for order-%d tensor", len(tileDims), n)
+	}
+	if n > tiling.MaxOrder {
+		return nil, fmt.Errorf("stats: order-%d micro summary exceeds the order-%d tile-key limit", n, tiling.MaxOrder)
+	}
+	if len(ms.keys) > math.MaxInt32 {
+		return nil, fmt.Errorf("stats: %d micro keys exceed the int32 entry index", len(ms.keys))
 	}
 	factors := make([]int, n)
 	for a, td := range tileDims {
@@ -314,23 +443,43 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		out.OuterDims[a] = (ms.dims[a] + tileDims[a] - 1) / tileDims[a]
 		area *= float64(tileDims[a])
 	}
-
-	// Aggregation state is laid out flat — an index map into an []agg
-	// slice, []bool occupancy per axis over one backing array, and prefix
-	// sets only for the middle levels (the first level's prefix count is
-	// the axis occupancy of Order[0]; the last level's is NumTiles, both
-	// free) — so the per-micro-key loop below allocates nothing. This is
-	// the optimizer's hottest loop: EvalShape runs per (ref, candidate
-	// shape) and ms.keys is the full micro-tile population.
-	type agg struct {
-		nnz, fp int
+	// Row-major place values: Σ oc[a]·stride[a] orders tiles like
+	// tiling.Key. A decoded summary may claim a grid no tile key spans.
+	stride := make([]uint64, n)
+	span := uint64(1)
+	for a := n - 1; a >= 0; a-- {
+		stride[a] = span
+		hi, lo := bits.Mul64(span, uint64(out.OuterDims[a]))
+		if hi != 0 {
+			return nil, fmt.Errorf("stats: outer grid %v overflows a uint64 tile key", out.OuterDims)
+		}
+		span = lo
 	}
-	gid := make(map[uint64]int32, len(ms.keys)/2+1)
-	aggs := make([]agg, 0, len(ms.keys)/2+1)
-	gkeys := make([]uint64, 0, len(ms.keys)/2+1)
+
+	// Outer key per micro entry, then one stable radix sort carrying the
+	// entry index.
+	keys := make([]uint64, len(ms.keys))
+	idx := make([]int32, len(ms.keys))
+	mc := make([]int, n)
+	for i, k := range ms.keys {
+		tiling.UnkeyInto(mc, k)
+		var g uint64
+		for a, c := range mc {
+			g += uint64(c/factors[a]) * stride[a]
+		}
+		keys[i] = g
+		idx[i] = int32(i)
+	}
+	keys, idx = radixSort(keys, make([]uint64, len(keys)), idx, make([]int32, len(idx)))
+
+	tiles := countRuns(keys, 0)
+	out.NumTiles = tiles
+	out.FPScale = ms.fpScale
+	out.GroupOuter = make([]int32, tiles*n)
+	out.GroupFP = make([]float64, tiles)
 	occTotal := 0
-	for a := 0; a < n; a++ {
-		occTotal += out.OuterDims[a]
+	for _, d := range out.OuterDims {
+		occTotal += d
 	}
 	occBack := make([]bool, occTotal)
 	axisOcc := make([][]bool, n)
@@ -338,41 +487,26 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		axisOcc[a] = occBack[off : off+out.OuterDims[a] : off+out.OuterDims[a]]
 		off += out.OuterDims[a]
 	}
-	var prefixOcc []map[uint64]struct{}
-	if n > 2 {
-		prefixOcc = make([]map[uint64]struct{}, n)
-		for l := 1; l < n-1; l++ {
-			prefixOcc[l] = make(map[uint64]struct{})
+	totalFP, totalNNZ := 0, 0
+	for i, t := 0, 0; i < len(keys); t++ {
+		k := keys[i]
+		nnz, fp := 0, 0
+		for ; i < len(keys) && keys[i] == k; i++ {
+			nnz += int(ms.nnz[idx[i]])
+			fp += int(ms.footprint[idx[i]])
 		}
-	}
-	mc := make([]int, n)
-	oc := make([]int, n)
-	for idx, k := range ms.keys {
-		tiling.UnkeyInto(mc, k)
-		for a := range oc {
-			oc[a] = mc[a] / factors[a]
+		totalFP += fp
+		totalNNZ += nnz
+		out.MaxTile = max(out.MaxTile, fp)
+		out.GroupFP[t] = float64(fp)
+		oc := out.TileOuter(t)
+		for a := n - 1; a >= 0; a-- {
+			d := uint64(out.OuterDims[a])
+			oc[a] = checked.Int32(int(k % d))
+			k /= d
 			axisOcc[a][oc[a]] = true
 		}
-		if n > 2 {
-			pk := uint64(oc[s.Order[0]])
-			for l := 1; l < n-1; l++ {
-				pk = pk<<21 | uint64(oc[s.Order[l]])
-				prefixOcc[l][pk] = struct{}{}
-			}
-		}
-		gk := tiling.Key(oc)
-		g, ok := gid[gk]
-		if !ok {
-			g = checked.Int32(len(aggs))
-			gid[gk] = g
-			aggs = append(aggs, agg{})
-			gkeys = append(gkeys, gk)
-		}
-		aggs[g].nnz += int(ms.nnz[idx])
-		aggs[g].fp += int(ms.footprint[idx])
 	}
-	out.Order = append([]int(nil), s.Order...)
-	out.PrefixOccupied = make([]int, n)
 	for a := 0; a < n; a++ {
 		cnt := 0
 		for _, b := range axisOcc[a] {
@@ -382,45 +516,28 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		}
 		out.Occupied[a] = cnt
 	}
-	// The level-0 prefix is just the first level's axis coordinate and the
-	// full prefix is the whole outer coordinate, so both counts come from
-	// state already built; only middle levels (order ≥ 3) need real sets.
+
+	// The level-0 prefix is the first level's axis occupancy and the full
+	// prefix is the tile itself. Order 3 (the tiling limit) adds one
+	// middle level: the distinct level-0/level-1 prefixes, counted in one
+	// sort of the tiles' prefix keys.
+	out.Order = append([]int(nil), s.Order...)
+	out.PrefixOccupied = make([]int, n)
 	if n > 0 {
 		out.PrefixOccupied[0] = out.Occupied[s.Order[0]]
-		out.PrefixOccupied[n-1] = len(aggs)
+		out.PrefixOccupied[n-1] = tiles
 	}
-	for l := 1; l < n-1; l++ {
-		out.PrefixOccupied[l] = len(prefixOcc[l])
+	if n == 3 {
+		o0, o1 := s.Order[0], s.Order[1]
+		pks := make([]uint64, tiles)
+		for t := range pks {
+			oc := out.TileOuter(t)
+			pks[t] = uint64(oc[o0])*uint64(out.OuterDims[o1]) + uint64(oc[o1])
+		}
+		pks, _ = radixSort(pks, make([]uint64, tiles), nil, nil)
+		out.PrefixOccupied[1] = countRuns(pks, 0)
 	}
 
-	out.NumTiles = len(aggs)
-	out.FPScale = ms.fpScale
-	totalFP, totalNNZ := 0, 0
-	// Sort the groups by key through a permutation so the enumeration
-	// below is canonical regardless of first-appearance order.
-	perm := make([]int, len(gkeys))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool { return gkeys[perm[x]] < gkeys[perm[y]] })
-	out.GroupOuter = make([][]int32, 0, len(aggs))
-	out.GroupFP = make([]float64, 0, len(aggs))
-	ocBack := make([]int32, n*len(aggs))
-	for gi, pi := range perm {
-		g := aggs[pi]
-		totalFP += g.fp
-		totalNNZ += g.nnz
-		if g.fp > out.MaxTile {
-			out.MaxTile = g.fp
-		}
-		tiling.UnkeyInto(mc, gkeys[pi])
-		oc32 := ocBack[gi*n : (gi+1)*n : (gi+1)*n]
-		for a, v := range mc {
-			oc32[a] = checked.Int32(v)
-		}
-		out.GroupOuter = append(out.GroupOuter, oc32)
-		out.GroupFP = append(out.GroupFP, float64(g.fp))
-	}
 	if out.NumTiles > 0 {
 		out.MaxTileBound = out.MaxTile
 		out.SizeTile = ms.fpScale * float64(totalFP) / float64(out.NumTiles)
@@ -444,6 +561,18 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		}
 	}
 	return out, nil
+}
+
+// countRuns returns the number of distinct values of key>>shift in
+// ascending keys.
+func countRuns(keys []uint64, shift uint) int {
+	runs := 0
+	for i, k := range keys {
+		if i == 0 || k>>shift != keys[i-1]>>shift {
+			runs++
+		}
+	}
+	return runs
 }
 
 // MicroDims returns the micro tile dimensions candidate shapes must be

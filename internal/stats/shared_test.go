@@ -53,7 +53,10 @@ func planOf(r *optimizer.Result) plan {
 // searches — distinct buffers in one Conservative band, conservative and
 // overbooked — over ONE shared bundle, at 1 and 8 workers, and checks
 // each plan deep-equals the same search over a freshly decoded bundle.
-// The shared bundle's shape memo must stay within its cap.
+// Alongside the searches, goroutines project the bundle's shapes on
+// every axis-set pair: all of them must get one memoized table per pair,
+// equal to a fresh bundle's. The shared bundle's shape memo must stay
+// within its cap.
 func TestSharedBundleOptimizeMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	m := gen.PowerLawGraph(r, 512, 6000, 1.5)
@@ -77,19 +80,57 @@ func TestSharedBundleOptimizeMatchesFresh(t *testing.T) {
 		return o
 	}
 	const jobs = 8
+	projections := []struct{ shape, shared, extras []int }{
+		{[]int{32, 32}, []int{0}, []int{1}},
+		{[]int{32, 32}, []int{1}, []int{0}},
+		{[]int{32, 32}, []int{1}, nil},
+		{[]int{64, 16}, []int{0}, []int{1}},
+		{[]int{64, 16}, []int{0, 1}, nil},
+	}
 	for _, workers := range []int{1, 8} {
 		shared := fresh()
 		got := make([]*optimizer.Result, jobs)
 		errs := make([]error, jobs)
+		projs := make([][]*stats.Projection, jobs)
 		var wg sync.WaitGroup
 		for i := 0; i < jobs; i++ {
-			wg.Add(1)
+			wg.Add(2)
 			go func(i int) {
 				defer wg.Done()
 				got[i], errs[i] = optimizer.OptimizeCtx(context.Background(), e, inputs, opts(i, workers, shared))
 			}(i)
+			go func(i int) {
+				defer wg.Done()
+				for _, pr := range projections {
+					sh, err := shared.EvalShape(pr.shape)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					projs[i] = append(projs[i], sh.Project(pr.shared, pr.extras))
+				}
+			}(i)
 		}
 		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		ref := fresh()
+		for k, pr := range projections {
+			sh, err := ref.EvalShape(pr.shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sh.Project(pr.shared, pr.extras)
+			for i := range projs {
+				if projs[i][k] != projs[0][k] {
+					t.Fatalf("workers=%d projection %d: goroutines got distinct tables for one axis-set pair", workers, k)
+				}
+			}
+			if !reflect.DeepEqual(projs[0][k], want) {
+				t.Fatalf("workers=%d projection %d: shared table differs from a fresh bundle's", workers, k)
+			}
+		}
 		for i := 0; i < jobs; i++ {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d job %d: %v", workers, i, errs[i])

@@ -10,6 +10,9 @@ import "fmt"
 // Packed super-tiles (PackTiles) are not supported.
 func FromTiles(dims, tileDims, order []int, tiles []*Tile) (*TiledTensor, error) {
 	n := len(dims)
+	if n > MaxOrder {
+		return nil, fmt.Errorf("tiling: order-%d tensor exceeds the order-%d limit of %d-bit tile keys", n, MaxOrder, keyShift)
+	}
 	if len(tileDims) != n || len(order) != n {
 		return nil, fmt.Errorf("tiling: arity mismatch: %d dims, %d tile dims, %d order", n, len(tileDims), len(order))
 	}

@@ -29,6 +29,12 @@ const keyShift = 21
 // keys into level order to count CSF fibers without building the CSF.
 const KeyShift = keyShift
 
+// MaxOrder is the highest tensor order whose outer coordinates fit one
+// Key: three 21-bit fields. A fourth axis would wrap into the top bits
+// and distinct tiles would share a key, so every tiling entry point
+// rejects higher orders.
+const MaxOrder = 64 / keyShift
+
 // Key encodes outer tile coordinates (in axis order) as a map key.
 func Key(outer []int) uint64 {
 	var k uint64
@@ -283,12 +289,16 @@ func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, wor
 	return tt, nil
 }
 
-// validateTiling checks the tile-dims/order arity and the coordinate
-// width bounds shared by NewCtx and SummarizeCtx, returning the resolved
-// level order (natural when nil). The math.MaxInt32 guard here bounds
-// every outer/inner conversion downstream of both entry points.
+// validateTiling checks the order limit, the tile-dims/order arity and
+// the coordinate width bounds shared by NewCtx and SummarizeCtx,
+// returning the resolved level order (natural when nil). The
+// math.MaxInt32 guard here bounds every outer/inner conversion
+// downstream of both entry points.
 func validateTiling(t *tensor.COO, tileDims, order []int) ([]int, error) {
 	n := t.Order()
+	if n > MaxOrder {
+		return nil, fmt.Errorf("tiling: order-%d tensor exceeds the order-%d limit of %d-bit tile keys", n, MaxOrder, keyShift)
+	}
 	if len(tileDims) != n {
 		return nil, fmt.Errorf("tiling: %d tile dims for order-%d tensor", len(tileDims), n)
 	}
@@ -351,9 +361,9 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, wor
 
 	// Pass 1 (parallel over disjoint entry ranges): per-entry inner
 	// coordinates per level and the outer tile key packed in level order.
-	// The keyShift guard in validateTiling bounds every outer coordinate
-	// below 2^keyShift, so n levels always fit one uint64 (Key relies on
-	// the same bound in axis order).
+	// validateTiling bounds every outer coordinate below 2^keyShift and
+	// the order at MaxOrder, so the n levels fit one uint64 (Key relies on
+	// the same bounds in axis order).
 	inner := make([][]int32, n)
 	for l := range inner {
 		inner[l] = make([]int32, nnz)

@@ -120,6 +120,42 @@ func TestTileErrors(t *testing.T) {
 	}
 }
 
+// TestTileRejectsOrderAboveKeyLimit: a fourth 21-bit field would wrap
+// out of the uint64 tile key, so tiles 0, 2 and 4 on axis 0 of an
+// 8×2×2×2 tensor would collapse into one. Every entry point refuses the
+// order instead of returning that merged tile.
+func TestTileRejectsOrderAboveKeyLimit(t *testing.T) {
+	m := tensor.New(8, 2, 2, 2)
+	for _, i := range []int{0, 2, 4} {
+		m.Append([]int{i, 0, 0, 0}, 1)
+	}
+	dims := []int{1, 2, 2, 2}
+	if _, err := New(m, dims, nil); err == nil {
+		t.Fatal("New accepted an order-4 tensor")
+	}
+	if _, err := Summarize(m, dims, nil, 1); err == nil {
+		t.Fatal("Summarize accepted an order-4 tensor")
+	}
+	if _, err := FromTiles(m.Dims, dims, []int{0, 1, 2, 3}, nil); err == nil {
+		t.Fatal("FromTiles accepted an order-4 tensor")
+	}
+	if MaxOrder != 3 {
+		t.Fatalf("MaxOrder = %d, want 3 for %d-bit key fields", MaxOrder, keyShift)
+	}
+	// The limit itself still tiles: distinct axis-0 tiles stay distinct.
+	m3 := tensor.New(8, 2, 2)
+	for _, i := range []int{0, 2, 4} {
+		m3.Append([]int{i, 0, 0}, 1)
+	}
+	tt, err := New(m3, []int{1, 2, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tt.Tiles) != 3 {
+		t.Fatalf("order-3 tiling has %d tiles, want 3", len(tt.Tiles))
+	}
+}
+
 func TestOuterCSFValuesAreFootprints(t *testing.T) {
 	m := fig3Matrix()
 	tt, _ := New(m, []int{2, 2}, nil)
