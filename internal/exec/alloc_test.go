@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"d2t2/internal/einsum"
@@ -46,6 +48,56 @@ func TestMeasureAllocs(t *testing.T) {
 			t.Logf("allocs/op: %.0f", avg)
 			if avg > tc.ceiling {
 				t.Errorf("Measure allocates %.0f times per call, ceiling %.0f", avg, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestMeasureAllocsWideTile is the bytes gate for wide output tiles: on
+// a 1024²-cell output tile (exactly the dense-stamp cap), a steady-state
+// Measure reuses pooled stamps instead of allocating 4 B per cell, so
+// its allocated bytes stay a small fraction of the tile's area. What
+// remains is the plan and the per-call predecode of the two operands.
+// The ceiling is 1/16 of 4 B × area, ~1.8x the measured steady state.
+func TestMeasureAllocsWideTile(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	r := rand.New(rand.NewSource(29))
+	a := gen.UniformRandom(r, 2048, 2048, 4000)
+	e := einsum.SpMSpMIKJ()
+	tiles := map[string]int{"i": 1024, "k": 256, "j": 1024}
+	tens := map[string]*tiling.TiledTensor{
+		"A": tileFor(t, e, "A", a, tiles),
+		"B": tileFor(t, e, "B", a.Transpose(), tiles),
+	}
+	const area = 1024 * 1024
+	const ceiling = 4 * area / 16
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := &Options{Workers: workers}
+			measure := func() {
+				res, err := Measure(e, tens, opts)
+				if err != nil || !res.Specialized || res.MACs == 0 {
+					t.Fatalf("measurement failed: %v (specialized=%v)", err, res != nil && res.Specialized)
+				}
+			}
+			// Steady state is the cheapest of a few windows: a worker
+			// that first runs mid-window grows a reused scratch once.
+			perOp := uint64(math.MaxUint64)
+			for w := 0; w < 3; w++ {
+				const runs = 4
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					measure()
+				}
+				runtime.ReadMemStats(&after)
+				perOp = min(perOp, (after.TotalAlloc-before.TotalAlloc)/runs)
+			}
+			t.Logf("bytes/op: %d (4 B × area = %d)", perOp, 4*area)
+			if perOp > ceiling {
+				t.Errorf("Measure allocates %d bytes per call, ceiling %d", perOp, ceiling)
 			}
 		})
 	}

@@ -1,21 +1,25 @@
 package exec
 
 import (
+	"math/bits"
+
 	"d2t2/internal/checked"
 	"d2t2/internal/einsum"
 	"d2t2/internal/formats"
 )
 
 // The engine's shape envelope. Kernels outside it fall back to the
-// generic walker: the caps bound the per-worker scratch (dense output
-// accumulator, join head table) and the fixed-size coordinate arrays
-// the compiled loop nest uses.
+// generic walker: the caps bound the join head table and the
+// fixed-size coordinate arrays the compiled loop nest uses. Output-tile
+// area is not capped: a tile of up to maxStampCells cells counts its
+// distinct cells with dense stamps, a larger one with a sorted list of
+// cell keys whose memory scales with the scope's partial products.
 const (
 	maxEngineRefs  = 8       // tensor occurrences per product
 	maxEngineDepth = 6       // loop levels
 	maxEngineOut   = 4       // output rank
 	maxEngineHeads = 1 << 16 // join head-table entries per step
-	maxEngineAcc   = 1 << 20 // dense output-tile accumulator entries
+	maxStampCells  = 1 << 20 // output-tile cells counted with dense stamps
 )
 
 // bindRef names one outer-CSF level a loop depth advances.
@@ -48,9 +52,17 @@ type joinStep struct {
 	strideOut int     // relation stride after this step
 }
 
+// outTerm is one output axis's contribution to a cell key: the
+// tile-local coordinate at src (an entry-list axis or a relation tuple
+// position) times the axis's stride.
+type outTerm struct {
+	src    int32
+	stride uint64
+}
+
 // enginePlan is a kernel compiled for the measurement engine: the loop
-// nest (binds/fetch per depth), the leaf join plan, the output-tile
-// accumulator geometry and the predecoded operands. It is immutable
+// nest (binds/fetch per depth), the leaf join plan, the output cell
+// keys and counting layout, and the predecoded operands. It is immutable
 // after compileEngine returns; every worker runs it through a private
 // engineState.
 type enginePlan struct {
@@ -65,8 +77,18 @@ type enginePlan struct {
 	outOrderPos []int32 // loop depth binding each output axis
 	outTileDims []int32
 	outDims     []int64
-	outLevels   []int32 // output axes in dataflow (level) order
-	accSize     int     // product of outTileDims
+
+	// Output cells are keyed in level order: a cell's key is
+	// Σ c[a]·outStride[a] over its tile-local coordinates, and its
+	// level-l prefix is key / lvSuffix[l]. Tiles of at most
+	// maxStampCells cells stamp a cell at its key and a level-l prefix at
+	// stampOff[l] + prefix (stampLen stamps in all); larger tiles take
+	// the list path.
+	outStride []uint64
+	lvSuffix  []uint64
+	stampOff  []uint64
+	stampLen  int
+	list      bool
 
 	refs []engineRef
 
@@ -77,23 +99,23 @@ type enginePlan struct {
 	topPos  [][]int32
 
 	// Fused two-ref join (the SpMSpM/TTM/SDDMM-after-sampling leaf
-	// shape): probe ref ri1 hashed on sharedA1, driven by ri0 rows.
-	two      bool
-	ri0, ri1 int32
-	sharedA0 []int32
-	sharedA1 []int32
-	shDims2  []int32
-	heads2   int
-	outSide  []int8  // per output axis: 0 = from ri0 entry, 1 = from ri1 entry
-	outAxis  []int32 // the tensor axis on that side
+	// shape): probe ref join2.ri, chained on its shared axes, with ri0's
+	// entries keyed on sharedA0. key0 and key1 are each side's share of
+	// the output cell key.
+	two        bool
+	ri0        int32
+	sharedA0   []int32
+	join2      joinStep
+	key0, key1 []outTerm
 
 	// General chain (1 ref, or ≥3 refs as in MTTKRP/SDDMM): middle
 	// steps materialize the relation, the last step is fused with the
-	// output reduction.
-	mids         []joinStep
-	last         *joinStep
-	outFromTuple []int32 // relation tuple position per output axis, or -1
-	outFromProbe []int32 // last-step ref axis per output axis, or -1
+	// output reduction. keyTup and keyProbe are the relation's and the
+	// last ref's shares of the output cell key.
+	mids     []joinStep
+	last     *joinStep
+	keyTup   []outTerm
+	keyProbe []outTerm
 
 	maxHeads int // scratch sizing: largest head table across steps
 	maxEnts  int // scratch sizing: largest entry list across tiles
@@ -118,13 +140,6 @@ func compileEngine(r *runner) *enginePlan {
 	if nOut < 1 || nOut > maxEngineOut {
 		return nil
 	}
-	accSize := 1
-	for _, td := range r.outTileDims {
-		accSize *= td
-		if accSize > maxEngineAcc {
-			return nil
-		}
-	}
 	prod := r.prods[0]
 	if len(prod) != len(r.refs) {
 		return nil
@@ -137,14 +152,14 @@ func compileEngine(r *runner) *enginePlan {
 		seen[ri] = true
 	}
 
-	p := &enginePlan{host: r, depth: r.depth, nOut: nOut, outDepth: r.outDepth, accSize: accSize}
+	p := &enginePlan{host: r, depth: r.depth, nOut: nOut, outDepth: r.outDepth}
 	for a := range r.outTileDims {
 		p.outTileDims = append(p.outTileDims, checked.Int32(r.outTileDims[a]))
 		p.outDims = append(p.outDims, int64(r.outDims[a]))
 		p.outOrderPos = append(p.outOrderPos, checked.Int32(r.e.OrderPos(r.e.Out.Indices[a])))
 	}
-	for _, a := range r.outLevels {
-		p.outLevels = append(p.outLevels, checked.Int32(a))
+	if !p.compileOutput(r.outLevels) {
+		return nil
 	}
 	for d := 0; d < r.depth; d++ {
 		var bs []bindRef
@@ -182,13 +197,46 @@ func compileEngine(r *runner) *enginePlan {
 	return p
 }
 
+// compileOutput lays out the output tile's distinct-cell counting: the
+// level-order key strides, and dense stamps (cells first, then each
+// shorter prefix level) when the area is within maxStampCells, else the
+// list path. It fails only when a key would not fit in 64 bits — the
+// walker's and the collected output's keys share that limit.
+func (p *enginePlan) compileOutput(levels []int) bool {
+	n := p.nOut
+	p.outStride = make([]uint64, n)
+	p.lvSuffix = make([]uint64, n)
+	area := uint64(1)
+	for l := n - 1; l >= 0; l-- {
+		a := levels[l]
+		p.lvSuffix[l] = area
+		p.outStride[a] = area
+		hi, lo := bits.Mul64(area, uint64(p.outTileDims[a]))
+		if hi != 0 {
+			return false
+		}
+		area = lo
+	}
+	if area > maxStampCells {
+		p.list = true
+		return true
+	}
+	p.stampOff = make([]uint64, n)
+	end := area
+	for l := n - 2; l >= 0; l-- {
+		p.stampOff[l] = end
+		end += area / p.lvSuffix[l]
+	}
+	p.stampLen = int(end)
+	return true
+}
+
 // compileJoin precomputes the leaf join plan over the product's refs in
 // occurrence order — the same left-deep order joinProduct uses, so the
 // engine emits output terms in the identical sequence (the engine's
 // float sums are bit-identical to the walker's because addition order
-// matches term for term). The engine requires every shared-key radix
-// product within maxEngineHeads, which also keeps it inside the regime
-// where the walker's 16-bit-per-var hash keys are collision-free.
+// matches term for term). Every shared-key radix product must fit the
+// head table (maxEngineHeads); the keys themselves are exact.
 func (p *enginePlan) compileJoin(prod []int) bool {
 	r := p.host
 	e := r.e
@@ -198,31 +246,27 @@ func (p *enginePlan) compileJoin(prod []int) bool {
 	if len(prod) == 2 {
 		p.two = true
 		st1 := r.refs[prod[1]]
-		p.ri1 = checked.Int32(prod[1])
-		heads := 1
+		p.join2 = joinStep{ri: checked.Int32(prod[1]), heads: 1}
 		for a1, ix := range st1.ref.Indices {
 			a0 := axisOf(ref0, ix)
 			if a0 < 0 {
 				continue
 			}
 			p.sharedA0 = append(p.sharedA0, checked.Int32(a0))
-			p.sharedA1 = append(p.sharedA1, checked.Int32(a1))
+			p.join2.sharedAx = append(p.join2.sharedAx, checked.Int32(a1))
 			dim := st1.tt.TileDims[a1]
-			p.shDims2 = append(p.shDims2, checked.Int32(dim))
-			heads *= dim
-			if heads > maxEngineHeads {
+			p.join2.shDims = append(p.join2.shDims, checked.Int32(dim))
+			p.join2.heads *= dim
+			if p.join2.heads > maxEngineHeads {
 				return false
 			}
 		}
-		p.heads2 = heads
-		p.maxHeads = heads
-		for _, ix := range e.Out.Indices {
+		p.maxHeads = p.join2.heads
+		for a, ix := range e.Out.Indices {
 			if a0 := axisOf(ref0, ix); a0 >= 0 {
-				p.outSide = append(p.outSide, 0)
-				p.outAxis = append(p.outAxis, checked.Int32(a0))
+				p.key0 = append(p.key0, outTerm{checked.Int32(a0), p.outStride[a]})
 			} else if a1 := axisOf(st1.ref, ix); a1 >= 0 {
-				p.outSide = append(p.outSide, 1)
-				p.outAxis = append(p.outAxis, checked.Int32(a1))
+				p.key1 = append(p.key1, outTerm{checked.Int32(a1), p.outStride[a]})
 			} else {
 				return false
 			}
@@ -258,13 +302,11 @@ func (p *enginePlan) compileJoin(prod []int) bool {
 		if s == nsteps-1 {
 			last := step
 			p.last = &last
-			for _, ix := range e.Out.Indices {
+			for oa, ix := range e.Out.Indices {
 				if pos := indexOfVar(vars, ix); pos >= 0 {
-					p.outFromTuple = append(p.outFromTuple, checked.Int32(pos))
-					p.outFromProbe = append(p.outFromProbe, -1)
+					p.keyTup = append(p.keyTup, outTerm{checked.Int32(pos), p.outStride[oa]})
 				} else if a := axisOf(st.ref, ix); a >= 0 {
-					p.outFromTuple = append(p.outFromTuple, -1)
-					p.outFromProbe = append(p.outFromProbe, checked.Int32(a))
+					p.keyProbe = append(p.keyProbe, outTerm{checked.Int32(a), p.outStride[oa]})
 				} else {
 					return false
 				}
@@ -279,13 +321,12 @@ func (p *enginePlan) compileJoin(prod []int) bool {
 	}
 
 	// Single-ref product: emit straight from ref0 entries.
-	for _, ix := range e.Out.Indices {
+	for oa, ix := range e.Out.Indices {
 		pos := indexOfVar(vars, ix)
 		if pos < 0 {
 			return false
 		}
-		p.outFromTuple = append(p.outFromTuple, checked.Int32(pos))
-		p.outFromProbe = append(p.outFromProbe, -1)
+		p.keyTup = append(p.keyTup, outTerm{checked.Int32(pos), p.outStride[oa]})
 	}
 	return true
 }
@@ -343,6 +384,11 @@ func buildEngineRef(st *refState, o *Options) engineRef {
 // coordinates) and, per binding ref, each value's outer-CSF position —
 // precomputed once so pool workers claim values without re-probing.
 func (p *enginePlan) compileTop() {
+	for _, er := range p.refs {
+		if er.csf.NNZ() == 0 {
+			return // an empty operand empties the product
+		}
+	}
 	b0 := p.binds[0]
 	type rootRange struct {
 		lo, hi int32

@@ -2,19 +2,22 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync"
 
 	"d2t2/internal/par"
+	"d2t2/internal/radix"
 )
 
 // engineState is one worker's mutable state for a compiled plan: loop
-// cursors, the dense output-tile accumulator, join scratch and private
-// traffic counters. All buffers are sized at construction from the
-// plan's caps and reused across every tile the worker claims — the
-// steady-state inner loops allocate nothing.
+// cursors, the output tile's distinct-cell counts, private traffic
+// counters and a pooled engineScratch. Every buffer is reused across
+// every tile the worker claims — the steady-state inner loops allocate
+// nothing.
 type engineState struct {
-	p *enginePlan
+	p  *enginePlan
+	sc *engineScratch
 
 	cursors  [][]int32 // per depth, per ref: outer-CSF position
 	rlo, rhi [][]int32 // per depth, per binds[d] entry: child range
@@ -24,25 +27,63 @@ type engineState struct {
 	traffic    Traffic // integer counters only (Input map stays nil)
 	collect    map[uint64]float64
 
+	// The output tile is a set of distinct cells (an entry whose terms
+	// sum to zero still counts, exactly like the walker's map):
+	// fibers[l] counts the distinct level-order prefixes of length l+1
+	// emitted in the current scope, so fibers[nOut-1] is its nnz.
+	fibers [maxEngineOut]int
+}
+
+// engineScratch holds a worker's buffers whose size depends on the data
+// rather than the plan's rank: the output stamps and their epoch, the
+// coordinate list, the join tables and the relation buffers. It is
+// reused across MeasureCtx calls (freeScratch), so a steady-state call
+// allocates nothing proportional to the output tile's area.
+type engineScratch struct {
+	// Dense path: one stamp per output cell and per level-order prefix,
+	// laid out by enginePlan.stampOff. Stamps equal to epoch are live
+	// in the current scope; bumping the epoch clears them all, and a
+	// full clear happens once per 65535 scopes, when it wraps. Two
+	// bytes per cell keep the pooled stamps small.
+	stamp []uint16
+	epoch uint16
+
+	// List path: the level-order keys emitted in the current scope, and
+	// the sort's scratch.
+	keys, sortBuf []uint64
+
 	// Hash-join scratch: chained buckets with heads storing position+1
 	// (0 = empty), chains built in reverse so iteration ascends —
-	// matching the walker's append-order buckets term for term.
+	// matching the walker's append-order buckets term for term — and
+	// each chained entry's share of the output cell key.
 	heads   []int32
 	nextEnt []int32
+	keyEnt  []uint64
 
 	// Relation ping-pong buffers for materialized middle join steps.
 	tupBuf [2][]int32
 	valBuf [2][]float64
+}
 
-	// Dense per-output-tile accumulator: flat axis-order index within
-	// the tile. A stamp per cell replaces clearing; touched lists the
-	// live cells of the current tile scope (an entry whose terms sum to
-	// zero still counts toward nnz, exactly like the walker's map).
-	acc     []float64
-	stamp   []uint32
-	epoch   uint32
-	touched []int32
-	ord     []uint64 // flush scratch: level-order sort keys
+// freeScratch holds released scratch for the next engine state. Unlike
+// a sync.Pool it survives garbage collection, so a steady stream of
+// measurements allocates no area-sized stamps. It keeps at most two
+// scratches per GOMAXPROCS: the workers of two concurrent measurements.
+var freeScratch struct {
+	sync.Mutex
+	list []*engineScratch
+}
+
+func getScratch() *engineScratch {
+	freeScratch.Lock()
+	defer freeScratch.Unlock()
+	n := len(freeScratch.list)
+	if n == 0 {
+		return new(engineScratch)
+	}
+	sc := freeScratch.list[n-1]
+	freeScratch.list = freeScratch.list[:n-1]
+	return sc
 }
 
 func newEngineState(p *enginePlan) *engineState {
@@ -63,15 +104,34 @@ func newEngineState(p *enginePlan) *engineState {
 	if p.host.collect != nil {
 		s.collect = make(map[uint64]float64)
 	}
-	if p.maxHeads > 0 {
-		s.heads = make([]int32, p.maxHeads)
-	}
-	if p.maxEnts > 0 {
-		s.nextEnt = make([]int32, p.maxEnts)
-	}
-	s.acc = make([]float64, p.accSize)
-	s.stamp = make([]uint32, p.accSize)
+
+	sc := getScratch()
+	sc.stamp = grow(sc.stamp, p.stampLen)
+	sc.heads = grow(sc.heads, p.maxHeads)
+	sc.nextEnt = grow(sc.nextEnt, p.maxEnts)
+	sc.keyEnt = grow(sc.keyEnt, p.maxEnts)
+	s.sc = sc
 	return s
+}
+
+// grow returns b resliced to n, reallocating (zeroed) only when its
+// capacity is short. Stale contents are harmless: stamps are older than
+// the next epoch, and join tables are rebuilt before every read.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// release returns the state's scratch to freeScratch.
+func (s *engineState) release() {
+	freeScratch.Lock()
+	if len(freeScratch.list) < 2*runtime.GOMAXPROCS(0) {
+		freeScratch.list = append(freeScratch.list, s.sc)
+	}
+	freeScratch.Unlock()
+	s.sc = nil
 }
 
 // run executes the compiled plan: serially with a per-work-unit context
@@ -87,6 +147,7 @@ func (p *enginePlan) run(ctx context.Context, workers int) error {
 	}
 	if workers <= 1 {
 		s := newEngineState(p)
+		defer s.release()
 		for vi := 0; vi < n; vi++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -110,15 +171,15 @@ func (p *enginePlan) run(ctx context.Context, workers int) error {
 		s.runTop(vi)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	for _, s := range states {
-		s.mergeInto(p.host)
+		if err == nil {
+			s.mergeInto(p.host)
+		}
+		s.release()
 	}
-	return nil
+	return err
 }
 
 // runTop executes one outermost work unit: coordinate value topVals[vi],
@@ -232,85 +293,114 @@ func (s *engineState) fetchAt(d int) {
 	}
 }
 
-// beginTile opens a fresh output-tile scope: bump the epoch instead of
-// clearing the dense accumulator (a full clear only on the ~never
-// wraparound).
+// beginTile opens a fresh output-tile scope: zero the counts, empty the
+// key list, and bump the epoch instead of clearing the stamps. The
+// wraparound clear covers the stamps' whole capacity, so stamps a
+// larger plan left beyond the current length cannot alias a later
+// epoch.
 func (s *engineState) beginTile() {
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.stamp)
-		s.epoch = 1
+	s.fibers = [maxEngineOut]int{}
+	sc := s.sc
+	sc.keys = sc.keys[:0]
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.stamp[:cap(sc.stamp)])
+		sc.epoch = 1
 	}
-	s.touched = s.touched[:0]
 }
 
-// emit accumulates one output term at tile-local coordinates c — the
+// emit records one output term in the cell with level-order key k — the
 // engine's replacement for the walker's outAcc map write — and, when
 // collecting, adds the term to the global output at the identical
 // chronological position, so collected float sums are bit-identical.
-func (s *engineState) emit(v float64, c *[maxEngineOut]int32) {
+// Only the set of cells matters to traffic: the dense path counts a
+// cell on its first touch in the scope, the list path appends its key
+// for flushTile to count (compacting the list before it would grow).
+func (s *engineState) emit(v float64, k uint64) {
 	p := s.p
-	idx := int32(0)
-	for a := 0; a < p.nOut; a++ {
-		idx = idx*p.outTileDims[a] + c[a]
-	}
-	if s.stamp[idx] != s.epoch {
-		s.stamp[idx] = s.epoch
-		s.acc[idx] = v
-		s.touched = append(s.touched, idx)
-	} else {
-		s.acc[idx] += v
+	sc := s.sc
+	if p.list {
+		if n := len(sc.keys); n == cap(sc.keys) && n >= compactFloor {
+			s.compactKeys()
+		}
+		sc.keys = append(sc.keys, k)
+	} else if sc.stamp[k] != sc.epoch {
+		s.touch(k)
 	}
 	if s.collect != nil {
 		var gk uint64
 		for a := 0; a < p.nOut; a++ {
-			g := uint64(s.bound[p.outOrderPos[a]])*uint64(p.outTileDims[a]) + uint64(c[a])
+			td := uint64(p.outTileDims[a])
+			g := uint64(s.bound[p.outOrderPos[a]])*td + k/p.outStride[a]%td
 			gk = gk*uint64(p.outDims[a]) + g
 		}
 		s.collect[gk] += v
 	}
 }
 
-// leaf2 is the fused two-operand leaf: hash ri1's tile entries on the
+// touch stamps a cell's first touch in the scope, then each shorter
+// level-order prefix, counting every newly stamped one and stopping at
+// the first already stamped (every shorter prefix then is too).
+func (s *engineState) touch(k uint64) {
+	p := s.p
+	st, ep := s.sc.stamp, s.sc.epoch
+	st[k] = ep
+	s.fibers[p.nOut-1]++
+	for l := p.nOut - 2; l >= 0; l-- {
+		i := p.stampOff[l] + k/p.lvSuffix[l]
+		if st[i] == ep {
+			return
+		}
+		st[i] = ep
+		s.fibers[l]++
+	}
+}
+
+// entryKey and tupleKey sum an entry's or a relation tuple's share of
+// an output cell key.
+func entryKey(e *entryList, t int, terms []outTerm) uint64 {
+	var k uint64
+	for _, o := range terms {
+		k += uint64(e.crds[o.src][t]) * o.stride
+	}
+	return k
+}
+
+func tupleKey(base []int32, terms []outTerm) uint64 {
+	var k uint64
+	for _, o := range terms {
+		k += uint64(base[o.src]) * o.stride
+	}
+	return k
+}
+
+// leaf2 is the fused two-operand leaf: chain ri1's tile entries on the
 // shared coordinates (exact mixed-radix keys), stream ri0's entries
 // through the table, and emit each product directly.
 func (s *engineState) leaf2() {
 	p := s.p
 	cur := s.cursors[p.depth]
+	st := &p.join2
 	e0 := &p.refs[p.ri0].ents[cur[p.ri0]]
-	e1 := &p.refs[p.ri1].ents[cur[p.ri1]]
-	heads := s.heads[:p.heads2]
-	clear(heads)
-	next := s.nextEnt
-	for t := len(e1.vals) - 1; t >= 0; t-- {
-		k := int32(0)
-		for x, a1 := range p.sharedA1 {
-			k = k*p.shDims2[x] + e1.crds[a1][t]
-		}
-		next[t] = heads[k]
-		//d2t2:ignore coordwidth t indexes a tile entry list whose length is bounded by the int32 tile volume; this is the innermost join loop
-		heads[k] = int32(t) + 1
-	}
-	nOut := p.nOut
+	e1 := &p.refs[st.ri].ents[cur[st.ri]]
+	s.chain(st, e1, p.key1)
+	heads, next, key1 := s.sc.heads[:st.heads], s.sc.nextEnt, s.sc.keyEnt
 	n0 := len(e0.vals)
 	for t := 0; t < n0; t++ {
 		k := int32(0)
 		for x, a0 := range p.sharedA0 {
-			k = k*p.shDims2[x] + e0.crds[a0][t]
+			k = k*st.shDims[x] + e0.crds[a0][t]
+		}
+		q := heads[k]
+		if q == 0 {
+			continue
 		}
 		vt := e0.vals[t]
-		for q := heads[k]; q != 0; q = next[q-1] {
-			pi := int(q - 1)
+		k0 := entryKey(e0, t, p.key0)
+		for ; q != 0; q = next[q-1] {
+			pi := q - 1
 			s.traffic.MACs++
-			var c [maxEngineOut]int32
-			for a := 0; a < nOut; a++ {
-				if p.outSide[a] == 0 {
-					c[a] = e0.crds[p.outAxis[a]][t]
-				} else {
-					c[a] = e1.crds[p.outAxis[a]][pi]
-				}
-			}
-			s.emit(vt*e1.vals[pi], &c)
+			s.emit(vt*e1.vals[pi], k0+key1[pi])
 		}
 	}
 }
@@ -327,30 +417,30 @@ func (s *engineState) leafN() {
 	n := len(e0.vals)
 	rank0 := len(e0.crds)
 	stride := rank0
-	if need := n * stride; cap(s.tupBuf[0]) < need {
-		s.tupBuf[0] = make([]int32, need+need/2)
+	if need := n * stride; cap(s.sc.tupBuf[0]) < need {
+		s.sc.tupBuf[0] = make([]int32, need+need/2)
 	}
-	tup := s.tupBuf[0][:n*stride]
+	tup := s.sc.tupBuf[0][:n*stride]
 	for t := 0; t < n; t++ {
 		for a := 0; a < rank0; a++ {
 			tup[t*stride+a] = e0.crds[a][t]
 		}
 	}
-	if cap(s.valBuf[0]) < n {
-		s.valBuf[0] = make([]float64, n+n/2)
+	if cap(s.sc.valBuf[0]) < n {
+		s.sc.valBuf[0] = make([]float64, n+n/2)
 	}
-	vals := s.valBuf[0][:n]
+	vals := s.sc.valBuf[0][:n]
 	copy(vals, e0.vals)
 
 	buf := 0
 	for mi := range p.mids {
 		st := &p.mids[mi]
 		en := &p.refs[st.ri].ents[cur[st.ri]]
-		s.chain(st, en)
-		heads, next := s.heads[:st.heads], s.nextEnt
+		s.chain(st, en, nil)
+		heads, next := s.sc.heads[:st.heads], s.sc.nextEnt
 		ob := 1 - buf
-		outTup := s.tupBuf[ob][:0]
-		outVals := s.valBuf[ob][:0]
+		outTup := s.sc.tupBuf[ob][:0]
+		outVals := s.sc.valBuf[ob][:0]
 		nt := len(vals)
 		for t := 0; t < nt; t++ {
 			base := tup[t*stride : (t+1)*stride]
@@ -368,8 +458,8 @@ func (s *engineState) leafN() {
 			}
 		}
 		s.traffic.MACs += int64(len(outVals))
-		s.tupBuf[ob] = outTup
-		s.valBuf[ob] = outVals
+		s.sc.tupBuf[ob] = outTup
+		s.sc.valBuf[ob] = outVals
 		tup, vals, stride, buf = outTup, outVals, st.strideOut, ob
 		if len(vals) == 0 {
 			return
@@ -379,20 +469,15 @@ func (s *engineState) leafN() {
 	if p.last == nil {
 		nt := len(vals)
 		for t := 0; t < nt; t++ {
-			base := tup[t*stride : (t+1)*stride]
-			var c [maxEngineOut]int32
-			for a := 0; a < p.nOut; a++ {
-				c[a] = base[p.outFromTuple[a]]
-			}
-			s.emit(vals[t], &c)
+			s.emit(vals[t], tupleKey(tup[t*stride:(t+1)*stride], p.keyTup))
 		}
 		return
 	}
 
 	st := p.last
 	en := &p.refs[st.ri].ents[cur[st.ri]]
-	s.chain(st, en)
-	heads, next := s.heads[:st.heads], s.nextEnt
+	s.chain(st, en, p.keyProbe)
+	heads, next, keyProbe := s.sc.heads[:st.heads], s.sc.nextEnt, s.sc.keyEnt
 	nt := len(vals)
 	for t := 0; t < nt; t++ {
 		base := tup[t*stride : (t+1)*stride]
@@ -400,29 +485,28 @@ func (s *engineState) leafN() {
 		for x, vp := range st.sharedRel {
 			k = k*st.shDims[x] + base[vp]
 		}
+		q := heads[k]
+		if q == 0 {
+			continue
+		}
 		vt := vals[t]
-		for q := heads[k]; q != 0; q = next[q-1] {
-			pi := int(q - 1)
+		kt := tupleKey(base, p.keyTup)
+		for ; q != 0; q = next[q-1] {
+			pi := q - 1
 			s.traffic.MACs++
-			var c [maxEngineOut]int32
-			for a := 0; a < p.nOut; a++ {
-				if vp := p.outFromTuple[a]; vp >= 0 {
-					c[a] = base[vp]
-				} else {
-					c[a] = en.crds[p.outFromProbe[a]][pi]
-				}
-			}
-			s.emit(vt*en.vals[pi], &c)
+			s.emit(vt*en.vals[pi], kt+keyProbe[pi])
 		}
 	}
 }
 
 // chain rebuilds the bucket chains for one join step's probe entries,
-// in reverse so bucket iteration ascends by entry position.
-func (s *engineState) chain(st *joinStep, en *entryList) {
-	heads := s.heads[:st.heads]
+// in reverse so bucket iteration ascends by entry position, and records
+// each entry's share of the output cell key under terms (none for the
+// middle steps).
+func (s *engineState) chain(st *joinStep, en *entryList, terms []outTerm) {
+	heads := s.sc.heads[:st.heads]
 	clear(heads)
-	next := s.nextEnt
+	next, keys := s.sc.nextEnt, s.sc.keyEnt
 	for t := len(en.vals) - 1; t >= 0; t-- {
 		k := int32(0)
 		for x, a := range st.sharedAx {
@@ -431,16 +515,21 @@ func (s *engineState) chain(st *joinStep, en *entryList) {
 		next[t] = heads[k]
 		//d2t2:ignore coordwidth t indexes a tile entry list whose length is bounded by the int32 tile volume; this is the innermost join loop
 		heads[k] = int32(t) + 1
+		keys[t] = entryKey(en, t, terms)
 	}
 }
 
-// flushTile closes an output-tile scope: the touched cells' CSF
-// footprint (level-order sort, fiber counting by coordinate divergence,
-// overflow chunking) charged to the output traffic — the same
+// flushTile closes an output-tile scope: its CSF footprint (nnz plus,
+// per level, the distinct prefixes' coordinates and segment words, and
+// overflow chunking) is charged to the output traffic — the same
 // arithmetic as the walker's flushOutput over its map keys.
 func (s *engineState) flushTile() {
 	p := s.p
-	nnz := len(s.touched)
+	if p.list {
+		s.countKeys()
+	}
+	nOut := p.nOut
+	nnz := s.fibers[nOut-1]
 	if nnz == 0 {
 		return
 	}
@@ -451,54 +540,13 @@ func (s *engineState) flushTile() {
 		t.OutputNNZ += int64(nnz)
 		return
 	}
-	if cap(s.ord) < nnz {
-		s.ord = make([]uint64, nnz+nnz/2)
-	}
-	ord := s.ord[:nnz]
-	nOut := p.nOut
-	for i, idx := range s.touched {
-		k := idx
-		var c [maxEngineOut]int32
-		for a := nOut - 1; a >= 0; a-- {
-			td := p.outTileDims[a]
-			c[a] = k % td
-			k /= td
-		}
-		var o uint64
-		for _, a := range p.outLevels {
-			o = o*uint64(p.outTileDims[a]) + uint64(c[a])
-		}
-		ord[i] = o
-	}
-	slices.Sort(ord)
-	var prev [maxEngineOut]int32
-	var fibers [maxEngineOut]int
-	for i, o := range ord {
-		var c [maxEngineOut]int32
-		for l := nOut - 1; l >= 0; l-- {
-			td := uint64(p.outTileDims[p.outLevels[l]])
-			//d2t2:ignore coordwidth the modulus is bounded by the int32 output tile dimension; this is the per-tile flush loop
-			c[l] = int32(o % td)
-			o /= td
-		}
-		div := 0
-		if i > 0 {
-			for div < nOut && c[div] == prev[div] {
-				div++
-			}
-		}
-		for l := div; l < nOut; l++ {
-			fibers[l]++
-		}
-		prev = c
-	}
 	words := nnz
 	for l := 0; l < nOut; l++ {
-		words += fibers[l]
+		words += s.fibers[l]
 		if l == 0 {
 			words += 2
 		} else {
-			words += fibers[l-1] + 1
+			words += s.fibers[l-1] + 1
 		}
 	}
 	writes := int64(1)
@@ -510,6 +558,52 @@ func (s *engineState) flushTile() {
 	t.Output += int64(words)
 	t.OutputWrites += writes
 	t.OutputNNZ += int64(nnz)
+}
+
+// compactFloor is the key-list length below which the list path never
+// compacts: a short list is sorted once, at flush.
+const compactFloor = 1 << 14
+
+// sortKeys sorts the list path's keys and returns the sorted slice
+// (either the key list or its sort scratch).
+func (s *engineState) sortKeys() []uint64 {
+	sc := s.sc
+	sc.sortBuf = grow(sc.sortBuf, len(sc.keys))
+	keys, _ := radix.Sort(sc.keys, sc.sortBuf, nil, nil)
+	return keys
+}
+
+// compactKeys sorts and dedupes the key list in place, so its memory
+// tracks the scope's distinct cells rather than its partial products.
+// It leaves at least as much room as the distinct keys take, so the
+// next compaction is as many appends away and each key is sorted an
+// amortized O(1) times.
+func (s *engineState) compactKeys() {
+	sc := s.sc
+	sc.keys = append(sc.keys[:0], slices.Compact(s.sortKeys())...)
+	sc.keys = slices.Grow(sc.keys, len(sc.keys))
+}
+
+// countKeys fills fibers from the list path's keys: sort them, then for
+// each key walk its prefixes from longest to shortest against the
+// previous key's, counting each new prefix and stopping at the first
+// shared one — so a duplicate key counts nothing.
+func (s *engineState) countKeys() {
+	p := s.p
+	if len(s.sc.keys) == 0 {
+		return
+	}
+	keys := s.sortKeys()
+	for l := range s.fibers[:p.nOut] {
+		s.fibers[l] = 1
+	}
+	prev := keys[0]
+	for _, k := range keys[1:] {
+		for l := p.nOut - 1; l >= 0 && k/p.lvSuffix[l] != prev/p.lvSuffix[l]; l-- {
+			s.fibers[l]++
+		}
+		prev = k
+	}
 }
 
 // mergeInto folds this worker's counters into the host runner — exact

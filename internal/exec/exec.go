@@ -333,8 +333,7 @@ func newRunner(e *einsum.Expr, tensors map[string]*tiling.TiledTensor, opts *Opt
 // returned.
 func (r *runner) runCtx(ctx context.Context) error {
 	r.ctx = ctx
-	cursors := make([]int32, len(r.refs))
-	r.walk(0, cursors)
+	r.walk(0, r.rootCursors())
 	r.ctx = nil
 	return r.ctxErr
 }
@@ -343,9 +342,21 @@ func (r *runner) runCtx(ctx context.Context) error {
 // value — the per-tile work unit of the pool-scheduled fallback.
 func (r *runner) runOne(v int32) {
 	r.topOnly = v
-	cursors := make([]int32, len(r.refs))
-	r.walk(0, cursors)
+	r.walk(0, r.rootCursors())
 	r.topOnly = -1
+}
+
+// rootCursors returns the walk's initial cursors: 0 per ref, or -1
+// (dead) for an empty tensor, whose outer CSF has no root fiber to
+// descend — it kills every summand it belongs to.
+func (r *runner) rootCursors() []int32 {
+	cursors := make([]int32, len(r.refs))
+	for ri, st := range r.refs {
+		if st.tt.OuterCSF.NNZ() == 0 {
+			cursors[ri] = -1
+		}
+	}
+	return cursors
 }
 
 // clone returns a fresh runner sharing this runner's immutable metadata
@@ -410,10 +421,15 @@ func (r *runner) mergeFrom(sub *runner) {
 // of root-level coordinates of each summand's refs, sorted ascending.
 func (r *runner) topValues() []int32 {
 	values := make(map[int32]bool)
+	root := r.rootCursors()
 	for _, prod := range r.prods {
 		var sets [][]int32
 		for _, ri := range prod {
 			st := r.refs[ri]
+			if root[ri] < 0 {
+				sets = nil
+				break
+			}
 			if st.levelAtDepth[0] < 0 {
 				continue
 			}

@@ -57,13 +57,16 @@ func (r *runner) joinProduct(prod []int) {
 			}
 		}
 
-		// Hash the ref entries on the shared coordinates.
+		// Hash the ref entries on the shared coordinates' mixed-radix
+		// key over the tile dims (a bucket holds ascending positions).
+		// The key only wraps past 64 bits, and a probe checks the shared
+		// coordinates anyway, so the join is exact at any tile size.
 		type bucket []int32 // entry positions
 		hash := make(map[uint64]bucket, n)
 		for p := 0; p < n; p++ {
 			var key uint64
 			for _, a := range sharedRef {
-				key = key<<16 | uint64(uint16(ent.crds[a][p]))
+				key = key*uint64(st.tt.TileDims[a]) + uint64(ent.crds[a][p])
 			}
 			hash[key] = append(hash[key], checked.Int32(p))
 		}
@@ -78,10 +81,16 @@ func (r *runner) joinProduct(prod []int) {
 		for t := 0; t < len(vals); t++ {
 			base := tuples[t*stride : (t+1)*stride]
 			var key uint64
-			for _, vp := range sharedRel {
-				key = key<<16 | uint64(uint16(base[vp]))
+			for x, vp := range sharedRel {
+				key = key*uint64(st.tt.TileDims[sharedRef[x]]) + uint64(base[vp])
 			}
+		probe:
 			for _, p := range hash[key] {
+				for x, vp := range sharedRel {
+					if base[vp] != ent.crds[sharedRef[x]][p] {
+						continue probe
+					}
+				}
 				outTuples = append(outTuples, base...)
 				for _, a := range newAxes {
 					outTuples = append(outTuples, ent.crds[a][p])

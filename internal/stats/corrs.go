@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"d2t2/internal/radix"
 	"d2t2/internal/tensor"
 )
 
@@ -131,7 +132,7 @@ func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
 			keys[i] = flat[i]*dim + uint64(k)
 		}
 	}
-	keys, _ = radixSort(keys, make([]uint64, len(keys)), nil, nil)
+	keys, _ = radix.Sort(keys, make([]uint64, len(keys)), nil, nil)
 
 	overlap := make([]int64, pl.maxShift+1)
 	var run []posMult
@@ -176,56 +177,6 @@ func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
 // that position carry the key.
 type posMult struct {
 	pos, mult int
-}
-
-// radixBits is the digit width of radixSort: 2^11 counters fit in L1,
-// and the packed key of a 1200×1200 matrix sorts in two passes.
-const (
-	radixBits = 11
-	radixMask = 1<<radixBits - 1
-)
-
-// radixSort sorts keys ascending by a least-significant-digit radix sort
-// over the significant bits of the largest key, using buf (same length)
-// as scratch, and returns whichever of the two holds the result. When
-// vals is non-nil it is permuted alongside keys, with vbuf (same length)
-// as its scratch; the sort is stable, so equal keys keep their input
-// order. It is the one sort behind Corrs finalize, the EvalShape
-// group-by and the cofactor projections.
-func radixSort(keys, buf []uint64, vals, vbuf []int32) ([]uint64, []int32) {
-	var hi uint64
-	for _, k := range keys {
-		hi |= k
-	}
-	var cnt [1 << radixBits]int
-	for shift := 0; shift < bits.Len64(hi); shift += radixBits {
-		clear(cnt[:])
-		for _, k := range keys {
-			cnt[k>>shift&radixMask]++
-		}
-		sum := 0
-		for d, c := range cnt {
-			cnt[d] = sum
-			sum += c
-		}
-		if vals == nil {
-			for _, k := range keys {
-				d := k >> shift & radixMask
-				buf[cnt[d]] = k
-				cnt[d]++
-			}
-		} else {
-			for i, k := range keys {
-				d := k >> shift & radixMask
-				buf[cnt[d]] = k
-				vbuf[cnt[d]] = vals[i]
-				cnt[d]++
-			}
-			vals, vbuf = vbuf, vals
-		}
-		keys, buf = buf, keys
-	}
-	return keys, vals
 }
 
 // corrsAxis computes the paper's Corrs statistic (Eq. 11) generalized to

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"d2t2/internal/checked"
+	"d2t2/internal/radix"
 	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
@@ -235,7 +236,7 @@ func (sh *ShapeStats) project(shared, extras []int) *Projection {
 		oc := sh.TileOuter(t)
 		pairs[t] = ProjKey(oc, shared)<<extBits | ProjKey(oc, extras)
 	}
-	pairs, _ = radixSort(pairs, make([]uint64, len(pairs)), nil, nil)
+	pairs, _ = radix.Sort(pairs, make([]uint64, len(pairs)), nil, nil)
 	keys := countRuns(pairs, extBits)
 	p := &Projection{Keys: make([]uint64, 0, keys), Count: make([]int32, 0, keys)}
 	for i, v := range pairs {
@@ -470,7 +471,7 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		keys[i] = g
 		idx[i] = int32(i)
 	}
-	keys, idx = radixSort(keys, make([]uint64, len(keys)), idx, make([]int32, len(idx)))
+	keys, idx = radix.Sort(keys, make([]uint64, len(keys)), idx, make([]int32, len(idx)))
 
 	tiles := countRuns(keys, 0)
 	out.NumTiles = tiles
@@ -534,7 +535,7 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 			oc := out.TileOuter(t)
 			pks[t] = uint64(oc[o0])*uint64(out.OuterDims[o1]) + uint64(oc[o1])
 		}
-		pks, _ = radixSort(pks, make([]uint64, tiles), nil, nil)
+		pks, _ = radix.Sort(pks, make([]uint64, tiles), nil, nil)
 		out.PrefixOccupied[1] = countRuns(pks, 0)
 	}
 
