@@ -3,15 +3,25 @@ package snapshot
 import (
 	"bytes"
 	"testing"
+
+	"d2t2/internal/stats"
 )
 
 // FuzzSnapshotDecode checks the decoder never panics on arbitrary input
 // and that anything it accepts is canonical: re-encoding an accepted
 // artifact must itself decode, and re-encoding *that* is a fixed point
-// (the first re-encode may legitimately drop unknown sections).
+// (the first re-encode may legitimately drop unknown sections). An
+// accepted statistics accumulator must also Finalize without panicking:
+// d2t2d finalizes stored partials on pool workers that do not recover.
 func FuzzSnapshotDecode(f *testing.F) {
-	if full, err := EncodeBytes(testArtifact(f)); err == nil {
-		f.Add(full)
+	full := testArtifact(f)
+	if b, err := EncodeBytes(full); err == nil {
+		f.Add(b)
+	}
+	if p, err := stats.CollectPartial(full.Tensor, []int{16, 16}, []int{1, 0}, &stats.Options{MicroDiv: 4}); err == nil {
+		if b, err := EncodeBytes(&Artifact{Partial: p}); err == nil {
+			f.Add(b)
+		}
 	}
 	empty, _ := EncodeBytes(&Artifact{})
 	f.Add(empty)
@@ -24,6 +34,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		a, err := DecodeBytes(b)
 		if err != nil {
 			return
+		}
+		if a.Partial != nil {
+			_, _ = a.Partial.Finalize()
 		}
 		enc, err := EncodeBytes(a)
 		if err != nil {

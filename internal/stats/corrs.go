@@ -179,20 +179,6 @@ type posMult struct {
 	pos, mult int
 }
 
-// corrsAxis computes the paper's Corrs statistic (Eq. 11) generalized to
-// arbitrary-order tensors, as one plan → gather → finalize composition.
-//
-// The paper averages within sampled tiles; we compute against the full
-// coordinate range with sampled source positions, which measures the same
-// reduction potential (overlaps produce output reuse wherever they fall)
-// while bounding cost by one sort of the gathered entries plus the rest
-// keys the sampled positions share within maxShift.
-func corrsAxis(t *tensor.COO, axis, maxShift, sampleTarget int) []float64 {
-	pl := newCorrPlan(t.Dims[axis], maxShift, sampleTarget)
-	off, flat := pl.gather(t, axis)
-	return pl.finalize(off, flat)
-}
-
 // tileCorrs computes the paper's TileCorrs statistic (Eq. 12) with the
 // conditional normalization of DESIGN.md §4: TileCorrs[s] is the
 // probability that slice i+s is occupied given slice i is, so shift 0 is

@@ -70,7 +70,7 @@ func ApplyDeltaCtx(ctx context.Context, p *Partial, old, delta *tensor.COO, work
 
 	// Entry-granularity accumulators are append-only: gather the delta
 	// alone in the partial's exact frame and merge additively.
-	dp, err := collectPartial(ctx, delta, paramsFromPartial(p), workers)
+	dp, err := collectPartial(ctx, delta, paramsFromPartial(p), workers, nil)
 	if err != nil {
 		return nil, nil, err
 	}

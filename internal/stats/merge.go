@@ -3,6 +3,7 @@ package stats
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -18,10 +19,10 @@ import (
 // division or averaging. Two partials over entry-disjoint pieces of the
 // same tensor Merge into exactly the partial a from-scratch collection
 // over the combined entries would produce, and Finalize turns a partial
-// into the same Stats CollectFromTiled computes: every final float is a
-// ratio of exactly-merged integers or a deterministic replay over
-// identically-sorted data, so the Portable/snapshot bytes match a serial
-// collection byte for byte.
+// into its Stats — the only way a Stats is built from collected counts:
+// every final float is a ratio of exactly-merged integers or a
+// deterministic replay over identically-sorted data, so the
+// Portable/snapshot bytes match a serial collection byte for byte.
 //
 // The parameter fields (Dims through SkipExtensions) pin the collection
 // frame; Merge refuses partials whose frames differ. The table fields
@@ -102,13 +103,22 @@ func CollectPartial(t *tensor.COO, baseTileDims, order []int, opts *Options) (*P
 
 // CollectPartialCtx collects the mergeable accumulator form of the
 // statistics for t at the given conservative tiling, under the same
-// options Collect takes. Finalize on the result reproduces CollectCtx's
-// Stats byte-identically (Portable/snapshot bytes equal) at any worker
-// count; partials over entry-disjoint chunks of a tensor Merge into the
-// partial of the whole. An empty tensor yields the monoid identity for
-// its frame.
+// options Collect takes. Finalize on the result is CollectCtx's Stats
+// (Portable/snapshot bytes equal) at any worker count; partials over
+// entry-disjoint chunks of a tensor Merge into the partial of the whole.
+// An empty tensor yields the monoid identity for its frame.
 func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order []int, opts *Options) (*Partial, error) {
 	o := opts.withDefaults()
+	prm, err := o.frame(t, baseTileDims, order)
+	if err != nil {
+		return nil, err
+	}
+	return collectPartial(ctx, t, prm, o.Workers, nil)
+}
+
+// frame resolves the options into the collection frame of t at the
+// given base tiling (level order nil = natural).
+func (o *Options) frame(t *tensor.COO, baseTileDims, order []int) (*partialParams, error) {
 	n := t.Order()
 	if len(baseTileDims) != n {
 		return nil, fmt.Errorf("stats: %d tile dims for order-%d tensor", len(baseTileDims), n)
@@ -137,7 +147,7 @@ func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order [
 			maxShifts[i] = 2 * baseTileDims[ax]
 		}
 	}
-	prm := &partialParams{
+	return &partialParams{
 		dims:             append([]int(nil), t.Dims...),
 		tileDims:         append([]int(nil), baseTileDims...),
 		order:            append([]int(nil), order...),
@@ -147,30 +157,31 @@ func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order [
 		corrSampleTarget: o.CorrSampleTarget,
 		tileCorrMaxShift: o.TileCorrMaxShift,
 		skipExtensions:   o.SkipExtensions,
-	}
-	return collectPartial(ctx, t, prm, o.Workers)
+	}, nil
 }
 
 // collectPartial runs the accumulator-form collection in a fully
-// resolved frame. The entry pass mirrors CollectFromTiledCtx's exactly
-// (same scratch discipline, same pair-key construction), and the tile
-// and micro tables come from the summary-only tiler, which task-for-task
-// matches what NewCtx materializes (see TestSummarizeMatchesNew).
-func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, workers int) (*Partial, error) {
+// resolved frame. The base-tile table is base when the caller already
+// tiled t (see tiledSummary), else the summary-only tiler's; the micro
+// table is the base table itself when the micro tile equals the base
+// tile.
+func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, workers int, base *tiling.TileSummary) (*Partial, error) {
 	n := len(prm.dims)
 	if len(prm.corrAxes) > 0 {
 		if _, err := corrKeySpace(prm.dims); err != nil {
 			return nil, err
 		}
 	}
-	tsum, err := tiling.SummarizeCtx(ctx, t, prm.tileDims, prm.order, workers)
-	if err != nil {
-		return nil, err
+	var err error
+	tsum := base
+	if tsum == nil {
+		if tsum, err = tiling.SummarizeCtx(ctx, t, prm.tileDims, prm.order, workers); err != nil {
+			return nil, err
+		}
 	}
 	msum := tsum
 	if !slices.Equal(prm.microDims, prm.tileDims) {
-		msum, err = tiling.SummarizeCtx(ctx, t, prm.microDims, prm.order, workers)
-		if err != nil {
+		if msum, err = tiling.SummarizeCtx(ctx, t, prm.microDims, prm.order, workers); err != nil {
 			return nil, err
 		}
 	}
@@ -459,12 +470,16 @@ func mergeCorrAccum(offA []int32, flatA []uint64, offB []int32, flatB []uint64) 
 }
 
 // Validate checks the cross-field invariants every consumer of a Partial
-// assumes — arities, key ordering, offset monotonicity, entry-count
-// conservation — so a decoded artifact is safe to Merge and Finalize.
+// assumes — arities, key ordering and range, offset monotonicity,
+// entry-count conservation — so a decoded artifact is safe to Merge and
+// Finalize.
 func (p *Partial) Validate() error {
 	n := len(p.Dims)
 	if n == 0 {
 		return fmt.Errorf("stats: partial has no dimensions")
+	}
+	if n > tiling.MaxOrder {
+		return fmt.Errorf("stats: order-%d partial exceeds the order-%d tile-key limit", n, tiling.MaxOrder)
 	}
 	if len(p.TileDims) != n || len(p.Order) != n || len(p.MicroDims) != n {
 		return fmt.Errorf("stats: partial arity mismatch: %d dims, %d tile dims, %d order, %d micro dims",
@@ -477,9 +492,17 @@ func (p *Partial) Validate() error {
 		}
 		seen[a] = true
 	}
+	baseGrid, microGrid := make([]int, n), make([]int, n)
 	for a := 0; a < n; a++ {
-		if p.Dims[a] < 0 || p.TileDims[a] < 1 || p.MicroDims[a] < 1 {
-			return fmt.Errorf("stats: partial axis %d: dim %d, tile %d, micro %d", a, p.Dims[a], p.TileDims[a], p.MicroDims[a])
+		d, td, md := p.Dims[a], p.TileDims[a], p.MicroDims[a]
+		// The tiler's bounds: int32 coordinates and tile sizes, and every
+		// tile coordinate inside one Key field.
+		if d < 0 || d > math.MaxInt32 || td < 1 || td > math.MaxInt32 || md < 1 || md > math.MaxInt32 {
+			return fmt.Errorf("stats: partial axis %d: dim %d, tile %d, micro %d", a, d, td, md)
+		}
+		baseGrid[a], microGrid[a] = (d+td-1)/td, (d+md-1)/md
+		if max(baseGrid[a], microGrid[a]) > 1<<tiling.KeyShift {
+			return fmt.Errorf("stats: partial axis %d: %d-tile grid exceeds the tile-key field", a, max(baseGrid[a], microGrid[a]))
 		}
 	}
 	if len(p.CorrMaxShift) != len(p.CorrAxes) || len(p.CorrOff) != len(p.CorrAxes) || len(p.CorrRest) != len(p.CorrAxes) {
@@ -542,7 +565,8 @@ func (p *Partial) Validate() error {
 			}
 		}
 	}
-	checkTable := func(what string, keys []uint64, nnz, fp []int32, fibers [][]int32) error {
+	oc := make([]int, n)
+	checkTable := func(what string, grid []int, keys []uint64, nnz, fp []int32, fibers [][]int32) error {
 		if len(nnz) != len(keys) || len(fp) != len(keys) {
 			return fmt.Errorf("stats: partial %s table: %d keys, %d nnz, %d footprints", what, len(keys), len(nnz), len(fp))
 		}
@@ -550,6 +574,18 @@ func (p *Partial) Validate() error {
 		for i, k := range keys {
 			if i > 0 && keys[i-1] >= k {
 				return fmt.Errorf("stats: partial %s keys not strictly ascending at %d", what, i)
+			}
+			// Finalize and EvalShape index grid-sized tables by the decoded
+			// coordinates, so each key must decode inside the grid and
+			// carry no bits outside its coordinate fields.
+			tiling.UnkeyInto(oc, k)
+			for a, c := range oc {
+				if c >= grid[a] {
+					return fmt.Errorf("stats: partial %s tile %#x: coordinate %d on axis %d outside the %d-tile grid", what, k, c, a, grid[a])
+				}
+			}
+			if tiling.Key(oc) != k {
+				return fmt.Errorf("stats: partial %s tile key %#x has bits outside its coordinate fields", what, k)
 			}
 			if nnz[i] < 1 || fp[i] < 1 {
 				return fmt.Errorf("stats: partial %s tile %#x: nnz %d, footprint %d", what, k, nnz[i], fp[i])
@@ -571,21 +607,29 @@ func (p *Partial) Validate() error {
 		}
 		return nil
 	}
-	if err := checkTable("base", p.TileKeys, p.TileNNZ, p.TileFP, p.TileFibers); err != nil {
+	if err := checkTable("base", baseGrid, p.TileKeys, p.TileNNZ, p.TileFP, p.TileFibers); err != nil {
 		return err
 	}
-	return checkTable("micro", p.MicroKeys, p.MicroNNZ, p.MicroFP, nil)
+	return checkTable("micro", microGrid, p.MicroKeys, p.MicroNNZ, p.MicroFP, nil)
 }
 
-// Finalize normalizes the accumulators into the Stats bundle
-// CollectFromTiled computes, byte-identically: occupancy probabilities
-// and fiber densities as ratios of the merged integer tables, sketches
-// deduplicated into their set form, corr curves replayed over the merged
-// multisets by the same plan the gathers used.
+// Finalize validates the accumulators and normalizes them into the
+// Stats bundle: occupancy probabilities and fiber densities as ratios of
+// the merged integer tables, sketches deduplicated into their set form,
+// corr curves replayed over the merged multisets by the same plan the
+// gathers used. The per-axis corr replays run concurrently, each into
+// its own slot, so the bundle does not depend on the schedule.
 func (p *Partial) Finalize() (*Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return p.finalize(0)
+}
+
+// finalize is Finalize without the validation, for a partial this
+// package has just collected; workers bounds the corr replay fan-out
+// (0 = all cores).
+func (p *Partial) finalize(workers int) (*Stats, error) {
 	n := len(p.Dims)
 	outerDims := make([]int, n)
 	for a := range outerDims {
@@ -698,9 +742,15 @@ func (p *Partial) Finalize() (*Stats, error) {
 		}
 	}
 
+	corrs, err := par.Map(workers, len(p.CorrAxes), func(i int) ([]float64, error) {
+		pl := newCorrPlan(p.Dims[p.CorrAxes[i]], p.CorrMaxShift[i], p.CorrSampleTarget)
+		return pl.finalize(p.CorrOff[i], p.CorrRest[i]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	for i, ax := range p.CorrAxes {
-		pl := newCorrPlan(p.Dims[ax], p.CorrMaxShift[i], p.CorrSampleTarget)
-		s.Corrs[ax] = pl.finalize(p.CorrOff[i], p.CorrRest[i])
+		s.Corrs[ax] = corrs[i]
 	}
 
 	microFP := 0

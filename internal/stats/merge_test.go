@@ -68,6 +68,15 @@ func mergeCases(t *testing.T) []mergeCase {
 			order:    nil,
 			opts:     &stats.Options{SkipExtensions: true},
 		},
+		{
+			// Micro tile = base tile: the micro table is the base table
+			// (the Fig. 7 collection setting).
+			name:     "2d-micro-is-base",
+			t:        gen.PowerLawGraph(r, 192, 3000, 1.4),
+			tileDims: []int{16, 16},
+			order:    []int{0, 1},
+			opts:     &stats.Options{MicroDiv: 1},
+		},
 	}
 }
 
@@ -93,8 +102,9 @@ func splitByTileParity(m *tensor.COO, tileDims []int) (*tensor.COO, *tensor.COO)
 	return a, b
 }
 
-// TestPartialFinalizeMatchesCollect pins the accumulator path to the
-// direct collector: CollectPartial → Finalize must reproduce Collect's
+// TestPartialFinalizeMatchesCollect pins the collector to the direct
+// reducer oracle: both CollectPartial → Finalize and Collect (Finalize
+// over the materialized tiling's base table) must reproduce the oracle's
 // statistics bundle byte-identically on the snapshot wire, at worker
 // counts 1 and 8.
 func TestPartialFinalizeMatchesCollect(t *testing.T) {
@@ -105,7 +115,11 @@ func TestPartialFinalizeMatchesCollect(t *testing.T) {
 				o = *tc.opts
 			}
 			o.Workers = 1
-			direct, _, err := stats.Collect(tc.t, tc.tileDims, tc.order, &o)
+			tt, err := tiling.New(tc.t, tc.tileDims, tc.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := stats.CollectDirect(tc.t, tt, &o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,6 +142,13 @@ func TestPartialFinalizeMatchesCollect(t *testing.T) {
 				}
 				if !bytes.Equal(want, statsBytes(t, s)) {
 					t.Fatalf("workers=%d: finalized partial differs from direct collection", workers)
+				}
+				c, _, err := stats.Collect(tc.t, tc.tileDims, tc.order, &o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, statsBytes(t, c)) {
+					t.Fatalf("workers=%d: Collect differs from direct collection", workers)
 				}
 			}
 		})
@@ -439,6 +460,51 @@ func TestPartialRejectsBadRestKeys(t *testing.T) {
 	}
 }
 
+// TestPartialRejectsKeysOutsideGrid: Finalize indexes grid-sized tables
+// by each tile key's decoded coordinates, so a decoded partial whose
+// keys still ascend but fall outside the tile grid, or carry bits
+// outside their coordinate fields, must fail Validate — in Finalize and
+// in the snapshot decoder — instead of panicking in Finalize.
+func TestPartialRejectsKeysOutsideGrid(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	m := gen.PowerLawGraph(r, 80, 900, 1.5)
+	p, err := stats.CollectPartial(m, []int{16, 16}, []int{0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lowField = 1<<tiling.KeyShift - 1
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(*stats.Partial)
+	}{
+		{"base-low-field", "outside the", func(q *stats.Partial) {
+			q.TileKeys = append([]uint64(nil), q.TileKeys...)
+			last := len(q.TileKeys) - 1
+			q.TileKeys[last] = q.TileKeys[last]&^lowField | 1<<20
+		}},
+		{"micro-low-field", "outside the", func(q *stats.Partial) {
+			q.MicroKeys = append([]uint64(nil), q.MicroKeys...)
+			last := len(q.MicroKeys) - 1
+			q.MicroKeys[last] = q.MicroKeys[last]&^lowField | 1<<20
+		}},
+		{"stray-high-bits", "bits outside", func(q *stats.Partial) {
+			q.TileKeys = append([]uint64(nil), q.TileKeys...)
+			q.TileKeys[len(q.TileKeys)-1] |= 1 << 62
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *p
+			tc.corrupt(&bad)
+			if _, err := bad.Finalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Finalize accepted corrupted tile keys: %v", err)
+			}
+			if _, err := snapshot.DecodeBytes(partialBytes(t, &bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decoder accepted corrupted tile keys: %v", err)
+			}
+		})
+	}
+}
+
 // TestPartialKeyDistinct pins the content-address separation between
 // finalized and accumulator artifacts for identical parameters.
 func TestPartialKeyDistinct(t *testing.T) {
@@ -455,7 +521,7 @@ func TestPartialKeyDistinct(t *testing.T) {
 
 // TestSummarizeFibersMatchCSF cross-checks, through the public stats
 // path, that the fiber counts the merge path sums are the CSF's: the
-// finalized ProbIndex of a partial must equal the collector's on a
+// finalized ProbIndex of a partial must equal the direct reducer's on a
 // tensor where every level has non-trivial fan-out.
 func TestSummarizeFibersMatchCSF(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -464,7 +530,7 @@ func TestSummarizeFibersMatchCSF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := stats.CollectFromTiled(m, tt, nil)
+	direct, err := stats.CollectDirect(m, tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

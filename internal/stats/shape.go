@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -11,7 +10,6 @@ import (
 
 	"d2t2/internal/checked"
 	"d2t2/internal/radix"
-	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
 
@@ -32,70 +30,6 @@ type microSummary struct {
 	// retiled CSF's footprint. The scale is fit once against the exact
 	// base tiling and applied to every candidate shape.
 	fpScale float64
-}
-
-func buildMicroSummary(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, microDiv, workers int) (*microSummary, error) {
-	if microDiv < 1 {
-		microDiv = 1
-	}
-	md := make([]int, len(tt.TileDims))
-	for a, td := range tt.TileDims {
-		md[a] = td / microDiv
-		if md[a] < 1 {
-			md[a] = 1
-		}
-	}
-	ms := &microSummary{
-		dims:      append([]int(nil), t.Dims...),
-		microDims: md,
-	}
-	// Keys are stored in ascending order. The consumers aggregate the
-	// micro entries order-insensitively (integer sums, maxima, set
-	// counts), but the Portable encoding serializes this table verbatim —
-	// a canonical order keeps the portable bytes byte-identical across
-	// runs and worker counts.
-	estBase := 0
-	if microDiv == 1 {
-		// Fast path: at micro = base the existing tiling IS the summary; no
-		// second tiling pass is needed (this keeps MicroDiv=1 collection at
-		// CSF-traversal cost, the regime of the paper's Fig. 7 overheads).
-		ms.outerDims = append([]int(nil), tt.OuterDims...)
-		ms.keys = make([]uint64, 0, len(tt.Tiles))
-		for k := range tt.Tiles {
-			ms.keys = append(ms.keys, k)
-		}
-		sort.Slice(ms.keys, func(i, j int) bool { return ms.keys[i] < ms.keys[j] })
-		ms.nnz = make([]int32, len(ms.keys))
-		ms.footprint = make([]int32, len(ms.keys))
-		for i, k := range ms.keys {
-			tile := tt.Tiles[k]
-			ms.nnz[i] = checked.Int32(tile.NNZ())
-			ms.footprint[i] = checked.Int32(tile.Footprint)
-			estBase += tile.Footprint
-		}
-	} else {
-		// The micro pass only needs per-tile entry counts and footprints,
-		// so it runs the tiler's summary mode: same radix group-by, same
-		// footprint words, no short-lived CSF per micro tile. The keys come
-		// back sorted ascending already.
-		sum, err := tiling.SummarizeCtx(ctx, t, md, tt.Order, workers)
-		if err != nil {
-			return nil, err
-		}
-		ms.outerDims = sum.OuterDims
-		ms.keys = sum.Keys
-		ms.nnz = sum.NNZ
-		ms.footprint = sum.Footprint
-		estBase = sum.TotalFootprint
-	}
-
-	// Fit the footprint calibration at the base shape, where the exact
-	// retiled footprint is known from the initial tiling.
-	ms.fpScale = 1
-	if estBase > 0 && tt.TotalFootprint > 0 {
-		ms.fpScale = float64(tt.TotalFootprint) / float64(estBase)
-	}
-	return ms, nil
 }
 
 // ShapeStats summarizes the tensor's occupancy under one candidate tile

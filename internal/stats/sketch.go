@@ -82,8 +82,8 @@ func (b *bottomK) multiset() []uint64 {
 }
 
 // dedupSorted removes adjacent duplicates from a sorted slice in place —
-// the final step turning a k-smallest multiset into the set form values
-// returns and SketchJaccard consumes.
+// the final step turning a k-smallest multiset into the set form
+// PairSketch holds and SketchJaccard consumes.
 func dedupSorted(s []uint64) []uint64 {
 	w := 0
 	for i, v := range s {
@@ -94,12 +94,6 @@ func dedupSorted(s []uint64) []uint64 {
 		w++
 	}
 	return s[:w]
-}
-
-// values returns the sketch contents sorted ascending (duplicates
-// removed: the pair sets the sketch summarizes are sets).
-func (b *bottomK) values() []uint64 {
-	return dedupSorted(b.multiset())
 }
 
 // SketchJaccard estimates the Jaccard similarity of the sets two sorted

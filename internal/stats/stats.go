@@ -20,9 +20,10 @@ package stats
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
-	"d2t2/internal/par"
+	"d2t2/internal/checked"
 	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
@@ -206,228 +207,57 @@ func CollectFromTiled(t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*St
 }
 
 // CollectFromTiledCtx is CollectFromTiled with cooperative cancellation
-// (see CollectCtx).
+// (see CollectCtx). It is CollectPartialCtx at tt's tiling followed by
+// Finalize, except that the base-tile table is read off tt instead of
+// being grouped again from t, and the partial it has just built is not
+// validated again.
 func CollectFromTiledCtx(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*Stats, error) {
+	if !slices.Equal(t.Dims, tt.Dims) || t.NNZ() != tt.NNZ {
+		return nil, fmt.Errorf("stats: tiling of a %v tensor with %d entries does not match the %v tensor with %d",
+			tt.Dims, tt.NNZ, t.Dims, t.NNZ())
+	}
 	o := opts.withDefaults()
-	n := len(tt.Dims)
-	axes, err := o.corrAxes(n)
+	prm, err := o.frame(t, tt.TileDims, tt.Order)
 	if err != nil {
 		return nil, err
 	}
-	if len(axes) > 0 {
-		if _, err := corrKeySpace(tt.Dims); err != nil {
-			return nil, err
-		}
-	}
-	s := &Stats{
-		Dims:         append([]int(nil), tt.Dims...),
-		BaseTileDims: append([]int(nil), tt.TileDims...),
-		Order:        append([]int(nil), tt.Order...),
-		NNZ:          tt.NNZ,
-		SizeTile:     tt.MeanFootprint(),
-		MaxTile:      tt.MaxFootprint,
-		NumTiles:     tt.NumTiles(),
-		Corrs:        make(map[int][]float64),
-	}
-
-	// PrTileIdx: level-conditional occupancy from the outer CSF.
-	oc := tt.OuterCSF
-	s.PrTileIdx = make([]float64, n)
-	for l := 0; l < n; l++ {
-		ax := tt.Order[l]
-		dim := tt.OuterDims[ax]
-		parents := 1
-		if l > 0 {
-			parents = oc.FiberCount(l - 1)
-		}
-		if parents == 0 || dim == 0 {
-			s.PrTileIdx[l] = 0
-			continue
-		}
-		s.PrTileIdx[l] = float64(oc.FiberCount(l)) / (float64(parents) * float64(dim))
-	}
-
-	// Snapshot the tiles into a slice for range partitioning. The map
-	// iteration order varies run to run, but every per-tile reduction
-	// below is a commutative integer sum or boolean OR, so the collected
-	// statistics do not depend on it (or on the worker count).
-	tilesArr := make([]*tiling.Tile, 0, len(tt.Tiles))
-	for _, tile := range tt.Tiles {
-		tilesArr = append(tilesArr, tile)
-	}
-	tileChunks := par.Chunks(o.Workers, len(tilesArr))
-
-	// One parallel pass over tile ranges: per-level fiber totals (for
-	// ProbIndex) and outer-slice occupancy. Each worker accumulates into
-	// one lazily-created scratch aggregate across every chunk it claims
-	// (per-worker arenas, not per-chunk allocations); the scratches are
-	// registered under a mutex and merged afterwards. Registration order
-	// varies run to run, but the merge is a commutative integer sum and
-	// boolean OR, so the result is byte-identical at any worker count.
-	type tileAgg struct {
-		fibers []int
-		occ    [][]bool
-	}
-	var tmu sync.Mutex
-	var taggs []*tileAgg
-	newTileAgg := func() *tileAgg {
-		a := &tileAgg{fibers: make([]int, n), occ: make([][]bool, n)}
-		for ax := 0; ax < n; ax++ {
-			a.occ[ax] = make([]bool, tt.OuterDims[ax])
-		}
-		tmu.Lock()
-		taggs = append(taggs, a)
-		tmu.Unlock()
-		return a
-	}
-	if err := par.ForEachScratchCtx(ctx, o.Workers, len(tileChunks), newTileAgg, func(c int, a *tileAgg) error {
-		for _, tile := range tilesArr[tileChunks[c][0]:tileChunks[c][1]] {
-			for l := 0; l < n; l++ {
-				a.fibers[l] += tile.CSF.FiberCount(l)
-			}
-			for ax, crd := range tile.Outer {
-				a.occ[ax][crd] = true
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	fiberTotals := make([]int, n)
-	s.occupancy = make([][]bool, n)
-	for ax := 0; ax < n; ax++ {
-		s.occupancy[ax] = make([]bool, tt.OuterDims[ax])
-	}
-	for _, a := range taggs {
-		for l, v := range a.fibers {
-			fiberTotals[l] += v
-		}
-		for ax := range a.occ {
-			for i, b := range a.occ[ax] {
-				if b {
-					s.occupancy[ax][i] = true
-				}
-			}
-		}
-	}
-
-	// ProbIndex: level-conditional fiber densities aggregated over tiles.
-	s.ProbIndex = make([]float64, n)
-	for l := 0; l < n; l++ {
-		ax := tt.Order[l]
-		parents := len(tt.Tiles)
-		if l > 0 {
-			parents = fiberTotals[l-1]
-		}
-		if parents == 0 {
-			s.ProbIndex[l] = 0
-			continue
-		}
-		s.ProbIndex[l] = float64(fiberTotals[l]) / (float64(parents) * float64(tt.TileDims[ax]))
-	}
-
-	// Per-element slice histograms and pair sketches (one pass over the
-	// raw entries, partitioned into disjoint entry ranges) — extension
-	// statistics beyond the paper's collector. Per-chunk histograms sum
-	// elementwise; per-chunk bottom-k sketches merge into the k-smallest
-	// multiset of all hashes, so both match the serial pass exactly.
-	if !o.SkipExtensions {
-		entryChunks := par.Chunks(o.Workers, t.NNZ())
-		type entryAgg struct {
-			counts   [][]int32
-			sketches []*bottomK
-		}
-		var emu sync.Mutex
-		var eaggs []*entryAgg
-		newEntryAgg := func() *entryAgg {
-			ea := &entryAgg{counts: make([][]int32, n), sketches: make([]*bottomK, n)}
-			for a := 0; a < n; a++ {
-				ea.counts[a] = make([]int32, t.Dims[a])
-				ea.sketches[a] = newBottomK(sketchSize)
-			}
-			emu.Lock()
-			eaggs = append(eaggs, ea)
-			emu.Unlock()
-			return ea
-		}
-		// Same per-worker scratch discipline as the tile pass: histograms
-		// sum elementwise and bottom-k sketches merge into the k-smallest
-		// multiset, both order-independent, so accumulating across whichever
-		// chunks a worker happens to claim matches the serial pass exactly.
-		if err := par.ForEachScratchCtx(ctx, o.Workers, len(entryChunks), newEntryAgg, func(c int, ea *entryAgg) error {
-			for p := entryChunks[c][0]; p < entryChunks[c][1]; p++ {
-				for a := 0; a < n; a++ {
-					ea.counts[a][t.Crds[a][p]]++
-					// Pair key: axis coordinate × coarse bucket of the rest.
-					var rest uint64
-					for b := 0; b < n; b++ {
-						if b == a {
-							continue
-						}
-						bucket := t.Crds[b][p] / tt.TileDims[b]
-						rest = rest*uint64(tt.OuterDims[b]+1) + uint64(bucket)
-					}
-					ea.sketches[a].add(hash64(uint64(t.Crds[a][p])<<26 ^ rest))
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		s.ElemCounts = make([][]int32, n)
-		sketches := make([]*bottomK, n)
-		for a := 0; a < n; a++ {
-			s.ElemCounts[a] = make([]int32, t.Dims[a])
-			sketches[a] = newBottomK(sketchSize)
-		}
-		for _, ea := range eaggs {
-			for a := 0; a < n; a++ {
-				for v, c := range ea.counts[a] {
-					s.ElemCounts[a][v] += c
-				}
-				sketches[a].merge(ea.sketches[a])
-			}
-		}
-		s.PairSketch = make([][]uint64, n)
-		for a := 0; a < n; a++ {
-			s.PairSketch[a] = sketches[a].values()
-		}
-	}
-
-	// TileCorrs per axis (occupancy was reduced above; read-only here).
-	s.TileCorrs = make([][]float64, n)
-	if err := par.ForEachCtx(ctx, o.Workers, n, func(a int) error {
-		s.TileCorrs[a] = tileCorrs(s.occupancy[a], o.TileCorrMaxShift)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Element-granularity Corrs along the requested axes, one worker per
-	// axis (each axis reads the raw tensor independently and the result
-	// lands in its own slot).
-	corrs, err := par.MapCtx(ctx, o.Workers, len(axes), func(i int) ([]float64, error) {
-		ax := axes[i]
-		maxShift := o.CorrMaxShift
-		if maxShift == 0 {
-			maxShift = 2 * tt.TileDims[ax]
-		}
-		return corrsAxis(t, ax, maxShift, o.CorrSampleTarget), nil
-	})
+	p, err := collectPartial(ctx, t, prm, o.Workers, tiledSummary(tt))
 	if err != nil {
 		return nil, err
 	}
-	for i, ax := range axes {
-		s.Corrs[ax] = corrs[i]
-	}
+	return p.finalize(o.Workers)
+}
 
-	// Micro-tile occupancy summary for exact shape re-evaluation.
-	micro, err := buildMicroSummary(ctx, t, tt, o.MicroDiv, o.Workers)
-	if err != nil {
-		return nil, err
+// tiledSummary reads the base-tile table off a materialized tiling: the
+// records SummarizeCtx computes for the same tiling (pinned by
+// TestSummarizeMatchesNew), with keys ascending.
+func tiledSummary(tt *tiling.TiledTensor) *tiling.TileSummary {
+	n, m := len(tt.Dims), len(tt.Tiles)
+	sum := &tiling.TileSummary{
+		OuterDims:      tt.OuterDims,
+		Keys:           make([]uint64, 0, m),
+		NNZ:            make([]int32, m),
+		Footprint:      make([]int32, m),
+		Fibers:         make([][]int32, n),
+		TotalFootprint: tt.TotalFootprint,
 	}
-	s.micro = micro
-	return s, nil
+	for k := range tt.Tiles {
+		sum.Keys = append(sum.Keys, k)
+	}
+	slices.Sort(sum.Keys)
+	back := make([]int32, n*m)
+	for l := range sum.Fibers {
+		sum.Fibers[l] = back[l*m : (l+1)*m : (l+1)*m]
+	}
+	for i, k := range sum.Keys {
+		tile := tt.Tiles[k]
+		sum.NNZ[i] = checked.Int32(tile.NNZ())
+		sum.Footprint[i] = checked.Int32(tile.Footprint)
+		for l := range sum.Fibers {
+			sum.Fibers[l][i] = checked.Int32(tile.CSF.FiberCount(l))
+		}
+	}
+	return sum
 }
 
 // CorrSum returns Σ_{s=0}^{limit} Corrs(axis, s), the output-reuse proxy

@@ -8,6 +8,7 @@ import (
 
 	"d2t2/internal/gen"
 	"d2t2/internal/tensor"
+	"d2t2/internal/tiling"
 )
 
 func denseMatrix(n int) *tensor.COO {
@@ -331,6 +332,73 @@ func TestCollect3DTensor(t *testing.T) {
 		}
 	}
 	if _, err := s.EvalShape([]int{16, 8, 4}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRejectsNonPermutationOrder: a level order that repeats an axis
+// keys every tile by that axis twice and never by the missing one, so
+// the tiler used to merge distinct tiles and drop entries without an
+// error. Every tiling and collection entry point must refuse it.
+func TestRejectsNonPermutationOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	m := gen.PowerLawGraph(r, 100, 800, 1.5)
+	tile := []int{8, 8}
+	entry := map[string]func(order []int) error{
+		"tiling.New": func(order []int) error {
+			_, err := tiling.New(m, tile, order)
+			return err
+		},
+		"tiling.Summarize": func(order []int) error {
+			_, err := tiling.Summarize(m, tile, order, 2)
+			return err
+		},
+		"stats.Collect": func(order []int) error {
+			_, _, err := Collect(m, tile, order, nil)
+			return err
+		},
+		"stats.CollectPartial": func(order []int) error {
+			_, err := CollectPartial(m, tile, order, nil)
+			return err
+		},
+	}
+	for _, order := range [][]int{{0, 0}, {1, 1}, {0, 2}, {-1, 0}} {
+		for name, run := range entry {
+			if err := run(order); err == nil {
+				t.Errorf("%s accepted level order %v", name, order)
+			}
+		}
+	}
+	for name, run := range entry {
+		if err := run([]int{1, 0}); err != nil {
+			t.Errorf("%s rejected the permutation [1 0]: %v", name, err)
+		}
+	}
+}
+
+// TestCollectFromTiledRejectsMismatchedTensor: CollectFromTiled reads
+// the tile tables off tt and the entry statistics off t, so a tiling of
+// another tensor must be refused rather than mixed into one bundle.
+func TestCollectFromTiledRejectsMismatchedTensor(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	m := gen.PowerLawGraph(r, 64, 500, 1.5)
+	m.Dedup()
+	tt, err := tiling.New(m, []int{8, 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewer := tensor.New(m.Dims...)
+	fewer.Append([]int{0, 0}, 1)
+	wider := tensor.New(m.Dims[0], 2*m.Dims[1])
+	for p := 0; p < m.NNZ(); p++ {
+		wider.Append(m.At(p), m.Vals[p])
+	}
+	for name, x := range map[string]*tensor.COO{"fewer entries": fewer, "other dims": wider} {
+		if _, err := CollectFromTiled(x, tt, nil); err == nil {
+			t.Errorf("%s: CollectFromTiled accepted a tiling of another tensor", name)
+		}
+	}
+	if _, err := CollectFromTiled(m, tt, nil); err != nil {
 		t.Fatal(err)
 	}
 }

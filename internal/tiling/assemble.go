@@ -16,12 +16,8 @@ func FromTiles(dims, tileDims, order []int, tiles []*Tile) (*TiledTensor, error)
 	if len(tileDims) != n || len(order) != n {
 		return nil, fmt.Errorf("tiling: arity mismatch: %d dims, %d tile dims, %d order", n, len(tileDims), len(order))
 	}
-	seen := make([]bool, n)
-	for _, a := range order {
-		if a < 0 || a >= n || seen[a] {
-			return nil, fmt.Errorf("tiling: order %v is not a permutation of 0..%d", order, n-1)
-		}
-		seen[a] = true
+	if err := checkPermutation(order); err != nil {
+		return nil, err
 	}
 	tt := &TiledTensor{
 		Dims:      append([]int(nil), dims...),

@@ -289,11 +289,11 @@ func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, wor
 	return tt, nil
 }
 
-// validateTiling checks the order limit, the tile-dims/order arity and
-// the coordinate width bounds shared by NewCtx and SummarizeCtx,
-// returning the resolved level order (natural when nil). The
-// math.MaxInt32 guard here bounds every outer/inner conversion
-// downstream of both entry points.
+// validateTiling checks the order limit, the tile-dims/order arity, the
+// order's permutation property and the coordinate width bounds shared by
+// NewCtx and SummarizeCtx, returning the resolved level order (natural
+// when nil). The math.MaxInt32 guard here bounds every outer/inner
+// conversion downstream of both entry points.
 func validateTiling(t *tensor.COO, tileDims, order []int) ([]int, error) {
 	n := t.Order()
 	if n > MaxOrder {
@@ -311,6 +311,9 @@ func validateTiling(t *tensor.COO, tileDims, order []int) ([]int, error) {
 	if len(order) != n {
 		return nil, fmt.Errorf("tiling: order arity %d != %d", len(order), n)
 	}
+	if err := checkPermutation(order); err != nil {
+		return nil, err
+	}
 	for a, td := range tileDims {
 		if td < 1 {
 			return nil, fmt.Errorf("tiling: tile dim %d on axis %d", td, a)
@@ -326,6 +329,20 @@ func validateTiling(t *tensor.COO, tileDims, order []int) ([]int, error) {
 		}
 	}
 	return order, nil
+}
+
+// checkPermutation rejects a level order that is not a permutation of
+// the axes: a repeated axis would key every tile by one coordinate twice
+// and never by the missing one, silently merging distinct tiles.
+func checkPermutation(order []int) error {
+	seen := make([]bool, len(order))
+	for _, a := range order {
+		if a < 0 || a >= len(order) || seen[a] {
+			return fmt.Errorf("tiling: order %v is not a permutation of 0..%d", order, len(order)-1)
+		}
+		seen[a] = true
+	}
+	return nil
 }
 
 // grouping is the output of the radix group-by passes shared by the full

@@ -175,8 +175,12 @@ func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, 
 			return st, nil
 		}
 	}
-	st, _, err := stats.CollectCtx(ctx, t.coo, tileDims, order,
+	p, err := stats.CollectPartialCtx(ctx, t.coo, tileDims, order,
 		&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
+	if err != nil {
+		return nil, err
+	}
+	st, err := p.Finalize()
 	if err != nil {
 		return nil, err
 	}
