@@ -20,6 +20,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,17 +157,50 @@ func optimizeKeyFor(t testing.TB, kernel string, inputs map[string]string, tile 
 	return snapshot.ResponseKey("optimize", canon)
 }
 
+// predictConfig is the tile configuration the e2e predict requests
+// price.
+var predictConfig = map[string]int{"i": 16, "k": 16, "j": 16}
+
+// predictKeyFor mirrors the server's canonical predict request the way
+// optimizeKeyFor mirrors optimize: normalized kernel, the request's
+// inputs and config, and the statistics tile.
+func predictKeyFor(t testing.TB, kernel string, inputs map[string]string, statsTile int) string {
+	t.Helper()
+	k, err := d2t2.ParseKernel(kernel)
+	if err != nil {
+		t.Fatalf("parse kernel: %v", err)
+	}
+	canon, err := json.Marshal(struct {
+		Kernel    string            `json:"kernel"`
+		Inputs    map[string]string `json:"inputs"`
+		Config    map[string]int    `json:"config"`
+		StatsTile int               `json:"statsTile,omitempty"`
+	}{k.String(), inputs, predictConfig, statsTile})
+	if err != nil {
+		t.Fatalf("marshal canonical request: %v", err)
+	}
+	return snapshot.ResponseKey("predict", canon)
+}
+
 // optimizeVia sends one optimize request to node and returns the cache
 // state header, the response key header, and the body.
 func optimizeVia(t testing.TB, node *testNode, inputs map[string]string, tile int) (state, key string, body []byte) {
 	t.Helper()
-	resp, body := postJSON(t, node.url+"/v1/optimize", map[string]any{
+	return postVia(t, node, "/v1/optimize", map[string]any{
 		"kernel": e2eKernel,
 		"inputs": inputs,
 		"tile":   tile,
 	})
+}
+
+// postVia sends one single request to node's path, requires a 200, and
+// returns the cache state header, the response key header, and the
+// body.
+func postVia(t testing.TB, node *testNode, path string, req map[string]any) (state, key string, body []byte) {
+	t.Helper()
+	resp, body := postJSON(t, node.url+path, req)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("optimize via %s: status %d: %s", node.url, resp.StatusCode, body)
+		t.Fatalf("POST %s via %s: status %d: %s", path, node.url, resp.StatusCode, body)
 	}
 	return resp.Header.Get("X-D2T2-Cache"), resp.Header.Get("X-D2T2-Key"), body
 }
@@ -302,96 +336,160 @@ func holdsArtifact(t testing.TB, node *testNode, key string) bool {
 }
 
 // TestClusterCacheStateLadder walks keys through every X-D2T2-Cache
-// state deterministically: forwarded (cold on a non-owner), hit (warm
-// on the owner), replica (warm local copy on a non-owner — landed via
-// replication or a forward's cache-fill), peer (read-through on a
-// non-owner that holds nothing locally).
+// state deterministically, for both single-request endpoints: forwarded
+// (cold on a non-owner), hit (warm on the owner), replica (warm local
+// copy on a non-owner — landed via replication or a forward's
+// cache-fill), peer (read-through on a non-owner that holds nothing
+// locally). Every state serves byte-identical bodies.
 func TestClusterCacheStateLadder(t *testing.T) {
+	for _, ep := range []struct {
+		path string
+		// req builds the endpoint's request at one size (a tile or a
+		// statistics tile), key mirrors the response key it derives.
+		req func(inputs map[string]string, size int) map[string]any
+		key func(t testing.TB, inputs map[string]string, size int) string
+	}{
+		{
+			path: "/v1/optimize",
+			req: func(inputs map[string]string, tile int) map[string]any {
+				return map[string]any{"kernel": e2eKernel, "inputs": inputs, "tile": tile}
+			},
+			key: func(t testing.TB, inputs map[string]string, tile int) string {
+				return optimizeKeyFor(t, e2eKernel, inputs, tile)
+			},
+		},
+		{
+			path: "/v1/predict",
+			req: func(inputs map[string]string, statsTile int) map[string]any {
+				return map[string]any{"kernel": e2eKernel, "inputs": inputs, "config": predictConfig, "statsTile": statsTile}
+			},
+			key: func(t testing.TB, inputs map[string]string, statsTile int) string {
+				return predictKeyFor(t, e2eKernel, inputs, statsTile)
+			},
+		},
+	} {
+		t.Run(strings.TrimPrefix(ep.path, "/v1/"), func(t *testing.T) {
+			nodes := newTestCluster(t, 3, 1)
+			inputs := map[string]string{
+				"A": ingestGen(t, nodes[0], "C", 32),
+				"B": ingestGen(t, nodes[0], "D", 32),
+			}
+			via := func(node *testNode, size int) (state, key string, body []byte) {
+				return postVia(t, node, ep.path, ep.req(inputs, size))
+			}
+			const size = 96
+			key := ep.key(t, inputs, size)
+			owner, others := ownerAndOthers(t, nodes, key)
+
+			state, gotKey, cold := via(others[0], size)
+			if gotKey != key {
+				t.Fatalf("served key %s, want %s", gotKey, key)
+			}
+			if state != "forwarded" {
+				t.Fatalf("cold non-owner request: state %q, want \"forwarded\"", state)
+			}
+			if owner.srv.Metric("singleflight_leader") != 1 {
+				t.Fatalf("forward did not run the flight on the owner")
+			}
+
+			state, _, body := via(owner, size)
+			if state != "hit" || !bytes.Equal(body, cold) {
+				t.Fatalf("warm owner request: state %q (want \"hit\"), bytes equal %v", state, bytes.Equal(body, cold))
+			}
+
+			// The forwarder cache-filled from the owner's bytes: local copy
+			// of a key it does not own.
+			state, _, body = via(others[0], size)
+			if state != "replica" || !bytes.Equal(body, cold) {
+				t.Fatalf("forwarder warm request: state %q (want \"replica\"), bytes equal %v", state, bytes.Equal(body, cold))
+			}
+
+			// The other non-owner serves "peer" on its first warm request if
+			// the async replica push has not reached it, "replica" if it has
+			// — observe which (via the side-effect-free internal route) and
+			// assert the matching state, then "replica" ever after.
+			wantFirst := "peer"
+			if holdsArtifact(t, others[1], key) {
+				wantFirst = "replica"
+			}
+			state, _, body = via(others[1], size)
+			if state != wantFirst || !bytes.Equal(body, cold) {
+				t.Fatalf("first warm request on %s: state %q (want %q), bytes equal %v", others[1].url, state, wantFirst, bytes.Equal(body, cold))
+			}
+			state, _, body = via(others[1], size)
+			if state != "replica" || !bytes.Equal(body, cold) {
+				t.Fatalf("locally filled non-owner: state %q (want \"replica\"), bytes equal %v", state, bytes.Equal(body, cold))
+			}
+
+			// Force a guaranteed read-through "peer": a fresh key computed on
+			// the owner with the other nodes untouched; the non-successor
+			// non-owner (whichever holds nothing after replication quiesces)
+			// must fetch.
+			const size2 = 112
+			key2 := ep.key(t, inputs, size2)
+			owner2, others2 := ownerAndOthers(t, nodes, key2)
+			state, _, cold2 := via(owner2, size2)
+			if state != "miss" {
+				t.Fatalf("cold owner request for key2: state %q, want \"miss\"", state)
+			}
+			// Wait until the single replica push lands (exactly one
+			// non-owner holds key2), then the other one is guaranteed empty.
+			var empty *testNode
+			deadline := time.Now().Add(10 * time.Second)
+			for empty == nil {
+				if holdsArtifact(t, others2[0], key2) {
+					empty = others2[1]
+				} else if holdsArtifact(t, others2[1], key2) {
+					empty = others2[0]
+				} else if time.Now().After(deadline) {
+					t.Fatalf("replica push for key2 never landed on either non-owner")
+				} else {
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			if holdsArtifact(t, empty, key2) {
+				t.Fatalf("both non-owners hold key2; replication factor 1 should leave one empty")
+			}
+			state, _, body = via(empty, size2)
+			if state != "peer" || !bytes.Equal(body, cold2) {
+				t.Fatalf("read-through on empty non-owner: state %q (want \"peer\"), bytes equal %v", state, bytes.Equal(body, cold2))
+			}
+			if hits := sumMetric(nodes, "replica_hits"); hits < 2 {
+				t.Fatalf("replica_hits = %d, want >= 2", hits)
+			}
+		})
+	}
+}
+
+// TestClusterForwardedCalibratedNotCached posts one calibrated optimize
+// to every node. Calibrated responses are stateful — the calibration
+// store advances on every run — so a non-owner still forwards to the
+// owner ("forwarded"), but must not cache-fill the owner's bytes, and
+// the owner must not persist its own.
+func TestClusterForwardedCalibratedNotCached(t *testing.T) {
 	nodes := newTestCluster(t, 3, 1)
-	inputs := map[string]string{
-		"A": ingestGen(t, nodes[0], "C", 32),
-		"B": ingestGen(t, nodes[0], "D", 32),
+	id := ingestGen(t, nodes[0], "C", 32)
+	req := map[string]any{
+		"kernel":    e2eKernel,
+		"inputs":    map[string]string{"A": id, "B": id},
+		"tile":      32,
+		"calibrate": true,
 	}
-	const tile = 96
-	key := optimizeKeyFor(t, e2eKernel, inputs, tile)
+	_, key, _ := postVia(t, nodes[0], "/v1/optimize", req)
 	owner, others := ownerAndOthers(t, nodes, key)
-
-	state, gotKey, cold := optimizeVia(t, others[0], inputs, tile)
-	if gotKey != key {
-		t.Fatalf("served key %s, want %s", gotKey, key)
-	}
-	if state != "forwarded" {
-		t.Fatalf("cold non-owner request: state %q, want \"forwarded\"", state)
-	}
-	if owner.srv.Metric("singleflight_leader") != 1 {
-		t.Fatalf("forward did not run the flight on the owner")
-	}
-
-	state, _, body := optimizeVia(t, owner, inputs, tile)
-	if state != "hit" || !bytes.Equal(body, cold) {
-		t.Fatalf("warm owner request: state %q (want \"hit\"), bytes equal %v", state, bytes.Equal(body, cold))
-	}
-
-	// The forwarder cache-filled from the owner's bytes: local copy of a
-	// key it does not own.
-	state, _, body = optimizeVia(t, others[0], inputs, tile)
-	if state != "replica" || !bytes.Equal(body, cold) {
-		t.Fatalf("forwarder warm request: state %q (want \"replica\"), bytes equal %v", state, bytes.Equal(body, cold))
-	}
-
-	// The other non-owner serves "peer" on its first warm request if the
-	// async replica push has not reached it, "replica" if it has —
-	// observe which (via the side-effect-free internal route) and assert
-	// the matching state, then "replica" ever after.
-	wantFirst := "peer"
-	if holdsArtifact(t, others[1], key) {
-		wantFirst = "replica"
-	}
-	state, _, body = optimizeVia(t, others[1], inputs, tile)
-	if state != wantFirst || !bytes.Equal(body, cold) {
-		t.Fatalf("first warm request on %s: state %q (want %q), bytes equal %v", others[1].url, state, wantFirst, bytes.Equal(body, cold))
-	}
-	state, _, body = optimizeVia(t, others[1], inputs, tile)
-	if state != "replica" || !bytes.Equal(body, cold) {
-		t.Fatalf("locally filled non-owner: state %q (want \"replica\"), bytes equal %v", state, bytes.Equal(body, cold))
-	}
-
-	// Force a guaranteed read-through "peer": a fresh key computed on the
-	// owner with the other nodes untouched; the non-successor non-owner
-	// (whichever holds nothing after replication quiesces) must fetch.
-	const tile2 = 112
-	key2 := optimizeKeyFor(t, e2eKernel, inputs, tile2)
-	owner2, others2 := ownerAndOthers(t, nodes, key2)
-	if state, _, _ := optimizeVia(t, owner2, inputs, tile2); state != "miss" {
-		t.Fatalf("cold owner request for key2: state %q, want \"miss\"", state)
-	}
-	// Wait until the single replica push lands (exactly one non-owner
-	// holds key2), then the other one is guaranteed empty.
-	var empty *testNode
-	deadline := time.Now().Add(10 * time.Second)
-	for empty == nil {
-		if holdsArtifact(t, others2[0], key2) {
-			empty = others2[1]
-		} else if holdsArtifact(t, others2[1], key2) {
-			empty = others2[0]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("replica push for key2 never landed on either non-owner")
-		} else {
-			time.Sleep(5 * time.Millisecond)
+	for _, nd := range others {
+		state, gotKey, _ := postVia(t, nd, "/v1/optimize", req)
+		if gotKey != key {
+			t.Fatalf("non-owner %s served key %s, want %s", nd.url, gotKey, key)
+		}
+		if state != "forwarded" {
+			t.Fatalf("calibrated request on non-owner %s: state %q, want \"forwarded\"", nd.url, state)
 		}
 	}
-	if holdsArtifact(t, empty, key2) {
-		t.Fatalf("both non-owners hold key2; replication factor 1 should leave one empty")
-	}
-	state, _, body = optimizeVia(t, empty, inputs, tile2)
-	if state != "peer" {
-		t.Fatalf("read-through on empty non-owner: state %q, want \"peer\"", state)
-	}
-	if body == nil {
-		t.Fatalf("read-through served no body")
-	}
-	if hits := sumMetric(nodes, "replica_hits"); hits < 2 {
-		t.Fatalf("replica_hits = %d, want >= 2", hits)
+	for _, nd := range nodes {
+		if holdsArtifact(t, nd, key) {
+			t.Fatalf("node %s (owner %v) holds the calibrated response artifact", nd.url, nd == owner)
+		}
 	}
 }
 

@@ -128,39 +128,35 @@ func (s *Server) peerFetch(ctx context.Context, key string) []byte {
 	return nil
 }
 
-// forwardToOwner relays one cold request to key's owner so the owner's
-// singleflight coalesces identical cold work fleet-wide. Returns true
-// when the response was fully served from the owner's bytes (which are
-// also cache-filled locally). Transport failures and owner 5xx retry
-// once; a 4xx from the owner — a deterministic domain failure — and
-// exhausted retries both fall back to local compute, so a dead or
-// degraded owner costs latency, never availability.
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, endpoint, key string, canonical []byte) bool {
+// forwardToOwner relays one cold single request to its key's owner,
+// so the owner's singleflight coalesces identical cold work fleet-wide,
+// and returns the owner's exact bytes (cache-filled locally, see
+// persist). Transport failures and owner 5xx retry once; a 4xx from the
+// owner — a deterministic domain failure — and exhausted retries both
+// return ok=false for local compute, so a dead or degraded owner costs
+// latency, never availability.
+func (s *Server) forwardToOwner(ctx context.Context, j *keyedJob) (body []byte, ok bool) {
 	cl := s.cluster
-	owner := cl.ring.Owner(key)
-	ctx := r.Context()
+	owner := cl.ring.Owner(j.key)
 	const attempts = 2
 	for i := 0; i < attempts && ctx.Err() == nil; i++ {
 		s.metrics.add("forward_attempts", 1)
-		res, err := cl.client.Forward(ctx, owner, endpoint, canonical)
+		res, err := cl.client.Forward(ctx, owner, j.endpoint, j.canon)
 		if err != nil {
 			continue // transport failure: retry, then local fallback
 		}
 		if res.Status == http.StatusOK {
 			s.metrics.add("forward_success", 1)
 			s.metrics.addPeer(cl.peerIndex(owner), peerForwards, 1)
-			// Cache-fill with the owner's exact bytes (no re-replication:
-			// the owner already drives placement for this key).
-			s.persistResponseBytes(key, res.Body, false)
-			s.writeBody(w, "forwarded", res.Body)
-			return true
+			s.persist(j, res.Body, false)
+			return res.Body, true
 		}
 		if res.Status < http.StatusInternalServerError {
 			break // owner answered authoritatively with a domain failure
 		}
 	}
 	s.metrics.add("forward_fallback_local", 1)
-	return false
+	return nil, false
 }
 
 // maybeReplicate pushes one freshly produced artifact toward its ring

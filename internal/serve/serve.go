@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -264,12 +263,21 @@ func New(cfg Config) (*Server, error) {
 	s.flights = newFlightGroup(s.metrics)
 	s.session = d2t2.NewSession(&storeCache{s: s})
 	s.session.Workers = cfg.Workers
+	// The /internal/ twins (internal=true) serve requests a non-owner
+	// forwarded: their forward rung is off, so a request hops at most
+	// once even if ring views disagree.
+	optimize := func(internal bool) http.HandlerFunc {
+		return s.timed(single(s, internal, "optimize_total", "optimize_cache_hits", s.optimizeJob))
+	}
+	predict := func(internal bool) http.HandlerFunc {
+		return single(s, internal, "predict_total", "predict_cache_hits", s.predictJob)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tensors", s.handleIngest)
 	mux.HandleFunc("POST /v1/tensors/{id}/delta", s.handleDelta)
-	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	mux.HandleFunc("POST /v1/predict", s.handlePredict)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	mux.HandleFunc("POST /v1/optimize", optimize(false))
+	mux.HandleFunc("POST /v1/predict", predict(false))
+	mux.HandleFunc("POST /v1/batch", s.batch(false))
 	mux.HandleFunc("GET /v1/tensors/{id}/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -277,9 +285,9 @@ func New(cfg Config) (*Server, error) {
 	if s.cluster != nil {
 		mux.HandleFunc("GET /internal/v1/artifact/{key}", s.requireClusterAuth(s.handleInternalArtifactGet))
 		mux.HandleFunc("PUT /internal/v1/artifact/{key}", s.requireClusterAuth(s.handleInternalArtifactPut))
-		mux.HandleFunc("POST /internal/v1/optimize", s.requireClusterAuth(s.handleInternalOptimize))
-		mux.HandleFunc("POST /internal/v1/predict", s.requireClusterAuth(s.handleInternalPredict))
-		mux.HandleFunc("POST /internal/v1/batch", s.requireClusterAuth(s.handleInternalBatch))
+		mux.HandleFunc("POST /internal/v1/optimize", s.requireClusterAuth(optimize(true)))
+		mux.HandleFunc("POST /internal/v1/predict", s.requireClusterAuth(predict(true)))
+		mux.HandleFunc("POST /internal/v1/batch", s.requireClusterAuth(s.batch(true)))
 		mux.HandleFunc("GET /internal/v1/ping", s.requireClusterAuth(s.handleInternalPing))
 	}
 	s.mux = mux
@@ -392,26 +400,13 @@ type storeCache struct {
 }
 
 func (c *storeCache) LoadStats(ctx context.Context, key string) (*stats.Stats, bool) {
-	b, _ := c.s.storeGet(ctx, key)
-	if b == nil {
-		return nil, false
-	}
-	a, err := snapshot.DecodeBytes(b)
-	if err != nil || a.Stats == nil {
-		return nil, false
-	}
-	return a.Stats, true
+	a, _ := c.s.loadArtifact(ctx, key)
+	return a.Stats, a.Stats != nil
 }
 
 func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_collect_total", 1)
-	b, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st})
-	if err != nil {
-		return
-	}
-	// Best effort: a failed persist only costs a future re-collection.
-	_ = c.s.store.Put(key, b)
-	c.s.maybeReplicate(key, b)
+	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
 
 // LoadPartial / StorePartial / StoreMergedStats implement the session's
@@ -421,34 +416,45 @@ func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats
 // its own counter — stats_collect_total keeps meaning "an actual
 // tile-and-collect ran", the invariant the e2e tests difference.
 func (c *storeCache) LoadPartial(ctx context.Context, key string) (*stats.Partial, bool) {
-	b, _ := c.s.storeGet(ctx, key)
-	if b == nil {
-		return nil, false
-	}
-	a, err := snapshot.DecodeBytes(b)
-	if err != nil || a.Partial == nil {
-		return nil, false
-	}
-	return a.Partial, true
+	a, _ := c.s.loadArtifact(ctx, key)
+	return a.Partial, a.Partial != nil
 }
 
 func (c *storeCache) StorePartial(ctx context.Context, key string, p *stats.Partial) {
-	b, err := snapshot.EncodeBytes(&snapshot.Artifact{Partial: p})
-	if err != nil {
-		return
-	}
-	_ = c.s.store.Put(key, b)
-	c.s.maybeReplicate(key, b)
+	c.s.putArtifact(key, &snapshot.Artifact{Partial: p}, true)
 }
 
 func (c *storeCache) StoreMergedStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_merge_total", 1)
-	b, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st})
+	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
+}
+
+// loadArtifact reads and decodes key's artifact through storeGet's
+// ladder. Missing or undecodable bytes yield an empty artifact.
+func (s *Server) loadArtifact(ctx context.Context, key string) (*snapshot.Artifact, Source) {
+	b, src := s.storeGet(ctx, key)
+	if b != nil {
+		if a, err := snapshot.DecodeBytes(b); err == nil {
+			return a, src
+		}
+	}
+	return &snapshot.Artifact{}, src
+}
+
+// putArtifact persists an artifact under key, best effort: a failed
+// persist only costs a future recompute or forward. replicate pushes
+// it toward its ring placement and is set only by producers — cache
+// fills from a forward must not re-push, or every read would re-fan
+// the artifact out.
+func (s *Server) putArtifact(key string, a *snapshot.Artifact, replicate bool) {
+	b, err := snapshot.EncodeBytes(a)
 	if err != nil {
 		return
 	}
-	_ = c.s.store.Put(key, b)
-	c.s.maybeReplicate(key, b)
+	_ = s.store.Put(key, b)
+	if replicate {
+		s.maybeReplicate(key, b)
+	}
 }
 
 // ---- request/response shapes ----
@@ -615,25 +621,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // request's context, carried for the cache ladder only.
 func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestResponse, error) {
 	var t *d2t2.Tensor
+	var err error
 	if asJSON {
 		var req ingestRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return ingestResponse{}, fmt.Errorf("decode request: %w", err)
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+			return ingestResponse{}, err
 		}
 		if req.Gen == nil {
 			return ingestResponse{}, fmt.Errorf("JSON ingest requires a \"gen\" spec")
 		}
-		var err error
 		t, err = d2t2.Dataset(req.Gen.Label, req.Gen.Scale)
-		if err != nil {
-			return ingestResponse{}, err
-		}
 	} else {
-		var err error
 		t, err = d2t2.FromStream(bytes.NewReader(body))
-		if err != nil {
-			return ingestResponse{}, err
-		}
+	}
+	if err != nil {
+		return ingestResponse{}, err
 	}
 	// A tensor every later tiling would refuse is a bad upload, not a
 	// resident that fails each optimize.
@@ -698,235 +700,6 @@ func (s *Server) jsonBodyLimit() int64 {
 		return s.cfg.MaxUploadBytes
 	}
 	return structuredLimit
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	s.optimize(w, r, false)
-}
-
-// handleInternalOptimize serves a forwarded optimize on the key's
-// owner: the same pipeline as the public route, but the forward rung is
-// disabled, so a forward terminates here even if ring views disagree —
-// a request can hop at most once.
-func (s *Server) handleInternalOptimize(w http.ResponseWriter, r *http.Request) {
-	s.optimize(w, r, true)
-}
-
-// optimize is the shared optimize pipeline. internal marks a forwarded
-// request arriving on the authenticated peer route. The ladder per key:
-// local cache (mem → disk → peer read-through), then — public route on
-// a non-owner only — forward to the owner so its singleflight coalesces
-// the cold run fleet-wide, then local compute as the always-available
-// fallback.
-func (s *Server) optimize(w http.ResponseWriter, r *http.Request, internal bool) {
-	start := time.Now()
-	defer func() { s.metrics.observeLatency(time.Since(start)) }()
-	s.metrics.add("optimize_total", 1)
-
-	var req optimizeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.jsonBodyLimit())).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	k, err := d2t2.ParseKernel(req.Kernel)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.OverflowTarget < 0 || req.OverflowTarget >= 1 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("overflow_target %v outside [0, 1)", req.OverflowTarget))
-		return
-	}
-	orders := k.InputOrders()
-	if req.BufferWords <= 0 {
-		tile := req.Tile
-		if tile <= 0 {
-			tile = s.cfg.DefaultStatsTile
-		}
-		req.BufferWords = denseSquareWords(tile, maxOrder(orders))
-	}
-	req.Tile = 0
-	req.Kernel = k.String()
-	if req.OverflowTarget > 0 {
-		s.metrics.add("optimize_overbooked", 1)
-	}
-
-	key, canon, err := responseKey("optimize", req)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("X-D2T2-Key", key)
-	// The risk header is derived from the request knobs alone, so warm,
-	// coalesced and cold responses all advertise the same risk point.
-	if h := riskHeader(req.OverflowTarget, req.Calibrate); h != "" {
-		w.Header().Set("X-D2T2-Risk", h)
-	}
-	// Calibrated responses are stateful (the class bias advances on every
-	// run), so they never serve from — or land in — the response cache.
-	if !req.Calibrate && s.serveCachedResponse(r.Context(), w, key, "optimize_cache_hits") {
-		return
-	}
-	if !internal && s.cluster != nil && !s.cluster.owns(key) {
-		if s.forwardToOwner(w, r, "optimize", key, canon) {
-			return
-		}
-	}
-
-	inputs, err := s.resolveInputs(r.Context(), orders, req.Inputs)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
-		return
-	}
-	// The cold pipeline runs once per distinct request content: identical
-	// concurrent requests coalesce onto one flight and share the leader's
-	// bytes. The pipeline itself runs on the bounded pool under the
-	// FLIGHT context — cancelled only when every coalesced participant
-	// has left — so a deadline or disconnect still stops abandoned
-	// compute at its next work-item boundary, but one follower hanging
-	// up never kills the run for the rest.
-	body, coalesced, err := s.flights.do(r.Context(), key, func(fctx context.Context) ([]byte, error) {
-		var resp optimizeResponse
-		var jobErr error
-		job := func() {
-			plan, err := s.session.OptimizeCtx(fctx, k, inputs, d2t2.Options{
-				BufferWords:    req.BufferWords,
-				Analytic:       req.Analytic,
-				DisableCorrs:   req.DisableCorrs,
-				SkipResize:     req.SkipResize,
-				OverflowTarget: req.OverflowTarget,
-				Calibrate:      req.Calibrate,
-			})
-			if err != nil {
-				jobErr = err
-				return
-			}
-			resp = optimizeResponse{
-				Kernel:      req.Kernel,
-				Config:      plan.Config,
-				BaseTile:    plan.BaseTile,
-				RF:          plan.RF,
-				TileFactor:  plan.TileFactor,
-				PredictedMB: plan.PredictedMB,
-				Risk:        riskOf(plan),
-			}
-			if plan.Risk != nil && plan.Risk.Calibration != nil {
-				s.metrics.add("calibration_runs", 1)
-			}
-			if req.Measure {
-				report, err := plan.MeasureCtx(fctx)
-				if err != nil {
-					jobErr = err
-					return
-				}
-				mb := report.TotalMB()
-				resp.MeasuredMB = &mb
-				if resp.Risk != nil {
-					rate := report.OverflowRate()
-					resp.Risk.MeasuredOverflowRate = &rate
-				}
-			}
-		}
-		if err := s.runCompute(fctx, job); err != nil {
-			return nil, err
-		}
-		if jobErr != nil {
-			return nil, &pipelineError{err: jobErr}
-		}
-		if req.Calibrate {
-			return marshalBody(resp)
-		}
-		return s.marshalAndPersist(key, resp)
-	})
-	if err != nil {
-		s.writeFlightError(w, err)
-		return
-	}
-	s.writeBody(w, cacheStatus(coalesced), body)
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.predict(w, r, false)
-}
-
-// handleInternalPredict serves a forwarded predict on the key's owner;
-// like handleInternalOptimize it never forwards again.
-func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
-	s.predict(w, r, true)
-}
-
-// predict is the shared predict pipeline; see optimize for the ladder.
-func (s *Server) predict(w http.ResponseWriter, r *http.Request, internal bool) {
-	s.metrics.add("predict_total", 1)
-	var req predictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.jsonBodyLimit())).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	k, err := d2t2.ParseKernel(req.Kernel)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.OverflowTarget < 0 || req.OverflowTarget >= 1 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("overflow_target %v outside [0, 1)", req.OverflowTarget))
-		return
-	}
-	if req.StatsTile <= 0 {
-		req.StatsTile = s.cfg.DefaultStatsTile
-	}
-	req.Kernel = k.String()
-
-	key, canon, err := responseKey("predict", req)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("X-D2T2-Key", key)
-	if h := riskHeader(req.OverflowTarget, req.Calibrate); h != "" {
-		w.Header().Set("X-D2T2-Risk", h)
-	}
-	// Bias-adjusted predictions are stateful like calibrated optimizes:
-	// never served from or persisted to the response cache.
-	if !req.Calibrate && s.serveCachedResponse(r.Context(), w, key, "predict_cache_hits") {
-		return
-	}
-	if !internal && s.cluster != nil && !s.cluster.owns(key) {
-		if s.forwardToOwner(w, r, "predict", key, canon) {
-			return
-		}
-	}
-
-	inputs, err := s.resolveInputs(r.Context(), k.InputOrders(), req.Inputs)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
-		return
-	}
-	body, coalesced, err := s.flights.do(r.Context(), key, func(fctx context.Context) ([]byte, error) {
-		var mb float64
-		var jobErr error
-		job := func() {
-			mb, jobErr = s.session.PredictCtx(fctx, k, inputs, d2t2.TileConfig(req.Config), req.StatsTile)
-		}
-		if err := s.runCompute(fctx, job); err != nil {
-			return nil, err
-		}
-		if jobErr != nil {
-			return nil, &pipelineError{err: jobErr}
-		}
-		if req.Calibrate {
-			bias := s.session.CalibrationBias(k, false)
-			return marshalBody(predictResponse{PredictedMB: mb * bias, CalibrationBias: &bias})
-		}
-		return s.marshalAndPersist(key, predictResponse{PredictedMB: mb})
-	})
-	if err != nil {
-		s.writeFlightError(w, err)
-		return
-	}
-	s.writeBody(w, cacheStatus(coalesced), body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1027,19 +800,6 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ----
 
-// responseKey derives the content address of a canonical request: the
-// struct is re-marshaled after defaults are applied and the kernel is
-// normalized, so equivalent requests collide onto one cached response.
-// The canonical bytes are returned too — they are the exact body a
-// non-owner forwards, so the owner derives the identical key.
-func responseKey(endpoint string, req any) (string, []byte, error) {
-	canon, err := json.Marshal(req)
-	if err != nil {
-		return "", nil, err
-	}
-	return snapshot.ResponseKey(endpoint, canon), canon, nil
-}
-
 // riskHeader renders the X-D2T2-Risk header value for a request's risk
 // knobs, "" when the request is purely conservative. Derived from the
 // request, not the computation, so all cache states agree.
@@ -1075,119 +835,23 @@ func riskOf(plan *d2t2.Plan) *riskResponse {
 	return resp
 }
 
-// marshalBody marshals a response without persisting it — the stateful
-// (calibrated) variant of marshalAndPersist.
-func marshalBody(resp any) ([]byte, error) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
-}
-
-// serveCachedResponse replies with the cached response body for key when
-// present. Cache state travels in the X-D2T2-Cache header, never in the
-// body, so every state serves byte-identical bodies.
-func (s *Server) serveCachedResponse(ctx context.Context, w http.ResponseWriter, key, counter string) bool {
-	b, src := s.storeGet(ctx, key)
-	if b == nil {
-		return false
-	}
-	body, ok := decodeResponseArtifact(b)
-	if !ok {
-		return false
-	}
-	s.metrics.add(counter, 1)
-	s.writeBody(w, s.cacheStateFor(key, src), body)
-	return true
-}
-
-// decodeResponseArtifact extracts the response body from an artifact's
-// bytes; ok is false when the bytes don't decode or hold no RESP
-// section.
-func decodeResponseArtifact(b []byte) ([]byte, bool) {
-	a, err := snapshot.DecodeBytes(b)
-	if err != nil || a.Response == nil {
-		return nil, false
-	}
-	return a.Response, true
-}
-
-// cacheStateFor names a warm artifact hit for the X-D2T2-Cache header:
-// "peer" when the bytes were read through from a cluster peer just now,
-// "replica" for a local hit on a key this node does not own (the copy
-// landed here via replication or an earlier read-through), and "hit"
-// for a local hit on an owned key or any unclustered hit.
-func (s *Server) cacheStateFor(key string, src Source) string {
-	if src == SourcePeer {
-		return "peer"
-	}
-	if s.cluster != nil && !s.cluster.owns(key) {
-		s.metrics.add("replica_hits", 1)
-		return "replica"
-	}
-	return "hit"
-}
-
-// marshalAndPersist marshals resp once, persists it as a RESP artifact
-// under key, and returns the exact bytes every coalesced participant is
-// served. Runs inside the flight (before the flight detaches from its
-// key), so a request arriving after the flight lands always finds the
-// artifact — there is no window where it would re-run the pipeline.
-func (s *Server) marshalAndPersist(key string, resp any) ([]byte, error) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	body = append(body, '\n')
-	s.persistResponseBytes(key, body, true)
-	return body, nil
-}
-
-// persistResponseBytes persists one response body as a RESP artifact
-// under key, best-effort (a failed persist only costs a future re-run
-// or forward). replicate pushes the artifact toward its ring placement
-// and is set only by producers — cache fills from forwards and peer
-// fetches must not re-push, or every read would re-fan the artifact
-// out.
-func (s *Server) persistResponseBytes(key string, body []byte, replicate bool) {
-	b, err := snapshot.EncodeBytes(&snapshot.Artifact{Response: body})
-	if err != nil {
-		return
-	}
-	_ = s.store.Put(key, b)
-	if replicate {
-		s.maybeReplicate(key, b)
-	}
-}
-
-// cacheStatus names how a coalesced response was produced for the
-// X-D2T2-Cache header: the flight leader reports "miss" (it ran the
-// pipeline), followers report "coalesced" (they shared the leader's
-// run). Warm requests report "hit" via serveCachedResponse.
-func cacheStatus(coalesced bool) string {
-	if coalesced {
-		return "coalesced"
-	}
-	return "miss"
-}
-
 // writeBody serves one JSON body with its cache-status header; every
 // cache state serves byte-identical bodies, only the header differs.
-func (s *Server) writeBody(w http.ResponseWriter, status string, body []byte) {
-	w.Header().Set("X-D2T2-Cache", status)
-	w.Header().Set("Content-Type", "application/json")
-	s.metrics.add("bytes_served", int64(len(body)))
-	w.Write(body)
+func (s *Server) writeBody(w http.ResponseWriter, cache string, body []byte) {
+	w.Header().Set("X-D2T2-Cache", cache)
+	s.writeBytes(w, http.StatusOK, body)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
+	body, err := marshalBody(v)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	body = append(body, '\n')
+	s.writeBytes(w, status, body)
+}
+
+func (s *Server) writeBytes(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	s.metrics.add("bytes_served", int64(len(body)))
@@ -1269,35 +933,7 @@ func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, err error, 
 	if countErr {
 		s.metrics.add("http_errors", 1)
 	}
-	body, merr := json.Marshal(map[string]string{"error": err.Error()})
-	if merr != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	s.metrics.add("bytes_served", int64(len(body)))
-	w.Write(body)
-}
-
-// resolveInputs maps operand names to registered tensors, loading tensor
-// artifacts from the store for addresses registered by an earlier
-// process life — or, clustered, ingested on a different node.
-func (s *Server) resolveInputs(ctx context.Context, orders map[string]int, ids map[string]string) (d2t2.Inputs, error) {
-	inputs := make(d2t2.Inputs, len(ids))
-	for name := range orders {
-		id, ok := ids[name]
-		if !ok {
-			return nil, fmt.Errorf("missing input %q", name)
-		}
-		t, err := s.tensorByID(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		inputs[name] = t
-	}
-	return inputs, nil
+	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // tensorByID returns the registered tensor for a content address,

@@ -301,6 +301,10 @@ func TestIngestRejectsOrderAboveTilingLimit(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	// A resolvable request, so the strict-decoding rows below fail on
+	// their body alone: a lenient decoder would answer it 200.
+	id := ingestGen(t, ts.URL, "C", 1<<20)
+	good := `{"kernel":"` + testKernel + `","inputs":{"A":"` + id + `","B":"` + id + `"}`
 	cases := []struct {
 		name   string
 		path   string
@@ -317,6 +321,12 @@ func TestErrorPaths(t *testing.T) {
 			http.StatusNotFound},
 		{"bad gen label", "/v1/tensors", `{"gen":{"label":"no-such-label","scale":1}}`, http.StatusBadRequest},
 		{"no gen spec", "/v1/tensors", `{}`, http.StatusBadRequest},
+		// Request bodies decode strictly: a misspelled knob (the response
+		// spelling of overflow_target) or trailing bytes are 400s, never
+		// silently ignored.
+		{"unknown field", "/v1/optimize", good + `,"overflowTarget":0.2}`, http.StatusBadRequest},
+		{"trailing data", "/v1/optimize", good + `} trailing garbage`, http.StatusBadRequest},
+		{"batch trailing data", "/v1/batch", `{"jobs":[` + good + `}]} trailing garbage`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
