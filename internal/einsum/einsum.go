@@ -285,9 +285,13 @@ func (e *Expr) Validate() error {
 		}
 		inOrder[ix] = true
 	}
-	for ix := range all {
-		if !inOrder[ix] {
-			return fmt.Errorf("einsum: index %q missing from dataflow order", ix)
+	// Walk the inputs, not the set, so the error names the same index
+	// on every run.
+	for _, r := range e.Inputs() {
+		for _, ix := range r.Indices {
+			if !inOrder[ix] {
+				return fmt.Errorf("einsum: index %q missing from dataflow order", ix)
+			}
 		}
 	}
 	return nil

@@ -237,9 +237,11 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 		ctx := r.Context()
 		var cold []*keyedJob
 		for _, j := range distinct {
-			if body, state, ok := s.cachedResponse(ctx, j); ok {
-				settle(j, jobResult{body: body}, state, "batch_cache_hits")
-				continue
+			if !j.calibrate {
+				if body, state, ok := s.cachedResponse(ctx, j.key); ok {
+					settle(j, jobResult{body: body}, state, "batch_cache_hits")
+					continue
+				}
 			}
 			cold = append(cold, j)
 		}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +40,7 @@ func FuzzCanonicalRequest(f *testing.F) {
 		{false, `{"kernel":"X(i,j,k) = C(i,j,l) * B(k,l)","inputs":{"C":` + id + `},"analytic":true,"disableCorrs":true,"skipResize":true}`},
 		{false, `{"kernel":"` + testKernel + `",` + inputs + `,"tile":2324526529}`},
 		{false, `{"kernel":"X(i,j,k) = C(i,j,l) * B(k,l)","inputs":{"C":` + id + `,"B":` + id + `},"tile":3538948}`},
+		{false, `{"kernel":"` + testKernel + `",` + inputs + `,"bufferWords":9223372036854775807}`},
 		{false, `{"kernel":"nonsense","inputs":{}}`},
 		{false, `{`},
 		{true, `{"kernel":"` + testKernel + `",` + inputs + `,"config":{"i":16,"k":16,"j":16},"statsTile":32}`},
@@ -112,6 +116,52 @@ func FuzzCanonicalRequest(f *testing.F) {
 			key := rekey(func(tgt *float64, _ *bool) { old, *tgt = *tgt, target })
 			if old != target && key == j.key {
 				t.Fatalf("overflow_target %v shares the key of %s", target, j.canon)
+			}
+		}
+	})
+}
+
+// FuzzRawRequestRung checks that the raw-request rung never serves
+// bytes that differ from the canonical path. Each body goes twice to
+// one long-lived server — the repeat of a cacheable request is a raw
+// hit — and once to a fresh server. All three answers agree on status,
+// body bytes and every X-D2T2-* header but X-D2T2-Cache. A calibrated
+// request is stateful (its bias advances on every run), so only its
+// status and headers are compared, and its repeat must never be served
+// from a cache.
+func FuzzRawRequestRung(f *testing.F) {
+	shared, id := newRungServer(f)
+	for _, seed := range rungBodies(id) {
+		f.Add(seed.path == "/v1/predict", seed.body)
+	}
+	headers := []string{"Content-Type", "X-D2T2-Key", "X-D2T2-Risk", "X-D2T2-Version"}
+	f.Fuzz(func(t *testing.T, predict bool, body string) {
+		path := "/v1/optimize"
+		if predict {
+			path = "/v1/predict"
+		}
+		fresh, _ := newRungServer(t)
+		first := serveRaw(shared, path, "application/json", body)
+		repeat := serveRaw(shared, path, "application/json", body)
+		cold := serveRaw(fresh, path, "application/json", body)
+		calibrated := strings.HasSuffix(first.Header().Get("X-D2T2-Risk"), "calibrate")
+		for _, got := range []*httptest.ResponseRecorder{repeat, cold} {
+			if got.Code != first.Code {
+				t.Fatalf("status %d vs %d for %q", got.Code, first.Code, body)
+			}
+			for _, h := range headers {
+				if a, b := got.Header().Get(h), first.Header().Get(h); a != b {
+					t.Fatalf("%s %q vs %q for %q", h, a, b, body)
+				}
+			}
+			if !calibrated && !bytes.Equal(got.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("body differs for %q:\n%s\n%s", body, got.Body, first.Body)
+			}
+		}
+		if repeat.Code == http.StatusOK {
+			cache := repeat.Header().Get("X-D2T2-Cache")
+			if calibrated != (cache != "hit") {
+				t.Fatalf("repeat X-D2T2-Cache %q (calibrated %v) for %q", cache, calibrated, body)
 			}
 		}
 	})

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"sort"
+	"sync"
 	"time"
 
 	"d2t2"
@@ -183,17 +186,50 @@ func (s *Server) planResponse(ctx context.Context, kernel string, plan *d2t2.Pla
 	return resp, nil
 }
 
-// single is the single-request ladder of one endpoint: decode,
-// canonicalize, then per key the local cache (mem → disk → peer
-// read-through), then — public route on a non-owner only — a forward to
-// the owner so its singleflight coalesces the cold run fleet-wide, then
-// local compute as the always-available fallback. total and hits are
-// the endpoint's request and cache-hit counters.
-func single[R any](s *Server, internal bool, total, hits string, canonicalize func(R) (*keyedJob, error)) http.HandlerFunc {
+// single is the single-request ladder of one endpoint: the raw rung
+// (exact body bytes to the key canonicalization produced for them),
+// else decode and canonicalize; then per key the local cache (mem →
+// disk → peer read-through), then — public route on a non-owner only —
+// a forward to the owner so its singleflight coalesces the cold run
+// fleet-wide, then local compute as the always-available fallback. A
+// raw hit whose artifact is gone falls through to the full decode path
+// without re-reading the cache or re-counting anything.
+func single[R any](s *Server, internal bool, endpoint string, canonicalize func(R) (*keyedJob, error)) http.HandlerFunc {
+	total, hits := endpoint+"_total", endpoint+"_cache_hits"
+	route := endpoint + "\n"
+	if internal {
+		route = "internal/" + route
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.add(total, 1)
+		ctx := r.Context()
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.jsonBodyLimit()))
+		var raw string
+		skipWarm := false
+		if err == nil {
+			raw = route + string(body)
+			if e, ok := s.raw.get(raw); ok {
+				if resp, state, ok := s.cachedResponse(ctx, e.key); ok {
+					if e.overbooked {
+						s.metrics.add("optimize_overbooked", 1)
+					}
+					setKeyHeaders(w, e.key, e.risk)
+					s.metrics.add(hits, 1)
+					s.writeBody(w, state, resp)
+					return
+				}
+				skipWarm = true // the warm rung just missed this key
+			}
+		}
+		// Decode from the bytes already read; a body cut at the size limit
+		// replays its read error, so the decoder answers as it would have
+		// streaming the body.
+		var src io.Reader = bytes.NewReader(body)
+		if err != nil {
+			src = io.MultiReader(src, errReader{err})
+		}
 		var req R
-		if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.jsonBodyLimit()), &req); err != nil {
+		if err := decodeJSON(src, &req); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -202,17 +238,18 @@ func single[R any](s *Server, internal bool, total, hits string, canonicalize fu
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		w.Header().Set("X-D2T2-Key", j.key)
-		// The risk header derives from the request knobs alone, so warm,
-		// coalesced and cold responses all advertise the same risk point.
-		if j.risk != "" {
-			w.Header().Set("X-D2T2-Risk", j.risk)
+		setKeyHeaders(w, j.key, j.risk)
+		if j.calibrate {
+			skipWarm = true // stateful: never served from the cache
+		} else {
+			s.raw.put(raw, rawEntry{key: j.key, risk: j.risk, overbooked: j.opts != nil && j.opts.OverflowTarget > 0})
 		}
-		ctx := r.Context()
-		if body, state, ok := s.cachedResponse(ctx, j); ok {
-			s.metrics.add(hits, 1)
-			s.writeBody(w, state, body)
-			return
+		if !skipWarm {
+			if resp, state, ok := s.cachedResponse(ctx, j.key); ok {
+				s.metrics.add(hits, 1)
+				s.writeBody(w, state, resp)
+				return
+			}
 		}
 		if !internal && s.cluster != nil && !s.cluster.owns(j.key) {
 			if body, ok := s.forwardToOwner(ctx, j); ok {
@@ -252,6 +289,85 @@ func single[R any](s *Server, internal bool, total, hits string, canonicalize fu
 		}
 		s.writeBody(w, state, body)
 	}
+}
+
+// setKeyHeaders names a request's response key and risk point. The risk
+// header derives from the request knobs alone, so raw, warm, coalesced
+// and cold responses all advertise the same risk point.
+func setKeyHeaders(w http.ResponseWriter, key, risk string) {
+	w.Header().Set("X-D2T2-Key", key)
+	if risk != "" {
+		w.Header().Set("X-D2T2-Risk", risk)
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// rawRungBudget bounds the raw rung: the route-prefixed request bytes
+// and canonical results it holds, plus rawEntryOverhead per entry. An
+// entry above 1/64 of it never enters, so a few padded bodies cannot
+// flush the rung.
+const (
+	rawRungBudget    = 4 << 20
+	rawEntryOverhead = 128
+)
+
+// rawRung maps (route, exact request body bytes) to what
+// canonicalization produced for them, so a repeat request serves its
+// cached response without decoding, parsing or re-keying. Entries are
+// per process and never persisted or shared: canonicalization reads
+// this server's configuration (the default statistics tile). Exact
+// bytes key the map, so no hash collision can alias two requests. A
+// full rung evicts arbitrary entries.
+type rawRung struct {
+	mu      sync.Mutex
+	entries map[string]rawEntry
+	bytes   int
+}
+
+// rawEntry is what canonicalization produced for one raw request.
+type rawEntry struct {
+	key, risk string
+	// overbooked replays optimizeJob's optimize_overbooked count.
+	overbooked bool
+}
+
+func (e rawEntry) size(raw string) int {
+	return len(raw) + len(e.key) + len(e.risk) + rawEntryOverhead
+}
+
+func (r *rawRung) get(raw string) (rawEntry, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[raw]
+	return e, ok
+}
+
+func (r *rawRung) put(raw string, e rawEntry) {
+	n := e.size(raw)
+	if n > rawRungBudget/64 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[raw]; ok {
+		return // the same bytes always canonicalize the same way
+	}
+	if r.entries == nil {
+		r.entries = make(map[string]rawEntry)
+	}
+	for k, old := range r.entries {
+		if r.bytes+n <= rawRungBudget {
+			break
+		}
+		delete(r.entries, k)
+		r.bytes -= old.size(k)
+	}
+	r.entries[raw] = e
+	r.bytes += n
 }
 
 // timed observes a handler's latency in the optimize latency histogram.
@@ -334,8 +450,14 @@ func (s *Server) resolveInputs(ctx context.Context, j *keyedJob) error {
 		return nil
 	}
 	orders := j.k.InputOrders()
-	inputs := make(d2t2.Inputs, len(orders))
+	names := make([]string, 0, len(orders))
 	for name := range orders {
+		names = append(names, name)
+	}
+	// Sorted, so a request missing several operands always names the same one.
+	sort.Strings(names)
+	inputs := make(d2t2.Inputs, len(orders))
+	for _, name := range names {
 		id, ok := j.inputIDs[name]
 		if !ok {
 			return fmt.Errorf("missing input %q", name)
@@ -350,19 +472,16 @@ func (s *Server) resolveInputs(ctx context.Context, j *keyedJob) error {
 	return nil
 }
 
-// cachedResponse is the warm rung: the response body held for j's key —
+// cachedResponse is the warm rung: the response body held for key —
 // locally, or read through from a cluster peer — and its X-D2T2-Cache
 // state. Cache state travels in the header, never in the body, so every
-// state serves byte-identical bodies. Calibrated jobs never hit.
-func (s *Server) cachedResponse(ctx context.Context, j *keyedJob) (body []byte, state string, ok bool) {
-	if j.calibrate {
-		return nil, "", false
-	}
-	a, src := s.loadArtifact(ctx, j.key)
+// state serves byte-identical bodies. Calibrated jobs never ask.
+func (s *Server) cachedResponse(ctx context.Context, key string) (body []byte, state string, ok bool) {
+	a, src := s.loadArtifact(ctx, key)
 	if a.Response == nil {
 		return nil, "", false
 	}
-	return a.Response, s.cacheStateFor(j.key, src), true
+	return a.Response, s.cacheStateFor(key, src), true
 }
 
 // cacheStateFor names a warm artifact hit for the X-D2T2-Cache header:

@@ -222,6 +222,7 @@ type Server struct {
 	flights *flightGroup
 	metrics *metrics
 	cluster *clusterState // nil when unclustered
+	raw     rawRung
 	mux     *http.ServeMux
 
 	// draining flips at the top of Shutdown, before in-flight requests
@@ -267,10 +268,10 @@ func New(cfg Config) (*Server, error) {
 	// forwarded: their forward rung is off, so a request hops at most
 	// once even if ring views disagree.
 	optimize := func(internal bool) http.HandlerFunc {
-		return s.timed(single(s, internal, "optimize_total", "optimize_cache_hits", s.optimizeJob))
+		return s.timed(single(s, internal, "optimize", s.optimizeJob))
 	}
 	predict := func(internal bool) http.HandlerFunc {
-		return single(s, internal, "predict_total", "predict_cache_hits", s.predictJob)
+		return single(s, internal, "predict", s.predictJob)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tensors", s.handleIngest)

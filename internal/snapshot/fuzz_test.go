@@ -22,6 +22,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if b, err := EncodeBytes(&Artifact{Partial: p}); err == nil {
 			f.Add(b)
 		}
+		// A shift far past the grid: Finalize's tile correlations would
+		// run O(grid × shift) if the decoder let it through.
+		huge := *p
+		huge.TileCorrMaxShift = 1 << 40
+		if b, err := EncodeBytes(&Artifact{Partial: &huge}); err == nil {
+			f.Add(b)
+		}
 	}
 	empty, _ := EncodeBytes(&Artifact{})
 	f.Add(empty)

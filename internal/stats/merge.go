@@ -471,8 +471,8 @@ func mergeCorrAccum(offA []int32, flatA []uint64, offB []int32, flatB []uint64) 
 
 // Validate checks the cross-field invariants every consumer of a Partial
 // assumes — arities, key ordering and range, offset monotonicity,
-// entry-count conservation — so a decoded artifact is safe to Merge and
-// Finalize.
+// entry-count conservation, the tile-corr shift cap — so a decoded
+// artifact is safe to Merge and Finalize in bounded time.
 func (p *Partial) Validate() error {
 	n := len(p.Dims)
 	if n == 0 {
@@ -504,6 +504,9 @@ func (p *Partial) Validate() error {
 		if max(baseGrid[a], microGrid[a]) > 1<<tiling.KeyShift {
 			return fmt.Errorf("stats: partial axis %d: %d-tile grid exceeds the tile-key field", a, max(baseGrid[a], microGrid[a]))
 		}
+	}
+	if p.TileCorrMaxShift < 0 || p.TileCorrMaxShift > maxTileCorrShift {
+		return fmt.Errorf("stats: partial tile corr shift %d outside [0, %d]", p.TileCorrMaxShift, maxTileCorrShift)
 	}
 	if len(p.CorrMaxShift) != len(p.CorrAxes) || len(p.CorrOff) != len(p.CorrAxes) || len(p.CorrRest) != len(p.CorrAxes) {
 		return fmt.Errorf("stats: partial corr tables: %d axes, %d shifts, %d offsets, %d rests",

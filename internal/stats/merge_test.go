@@ -505,6 +505,32 @@ func TestPartialRejectsKeysOutsideGrid(t *testing.T) {
 	}
 }
 
+// TestPartialRejectsUnboundedTileCorrShift: Finalize's tile correlations
+// cost O(grid × shift) per axis, so a decoded partial naming a huge (or
+// negative) shift must fail Validate — in Finalize and in the snapshot
+// decoder — rather than pin a pool worker.
+func TestPartialRejectsUnboundedTileCorrShift(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	m := gen.PowerLawGraph(r, 80, 900, 1.5)
+	p, err := stats.CollectPartial(m, []int{16, 16}, []int{0, 1}, &stats.Options{TileCorrMaxShift: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.TileCorrMaxShift > 1<<10 {
+		t.Fatalf("collection kept tile corr shift %d", p.TileCorrMaxShift)
+	}
+	for _, shift := range []int{1 << 21, 1 << 40, -1} {
+		bad := *p
+		bad.TileCorrMaxShift = shift
+		if _, err := bad.Finalize(); err == nil || !strings.Contains(err.Error(), "tile corr shift") {
+			t.Fatalf("Finalize accepted tile corr shift %d: %v", shift, err)
+		}
+		if _, err := snapshot.DecodeBytes(partialBytes(t, &bad)); err == nil || !strings.Contains(err.Error(), "tile corr shift") {
+			t.Fatalf("decoder accepted tile corr shift %d: %v", shift, err)
+		}
+	}
+}
+
 // TestPartialKeyDistinct pins the content-address separation between
 // finalized and accumulator artifacts for identical parameters.
 func TestPartialKeyDistinct(t *testing.T) {

@@ -43,7 +43,7 @@ type Options struct {
 	// samples 1% of tiles).
 	CorrSampleTarget int
 	// TileCorrMaxShift bounds the shift range of TileCorrs in base-tile
-	// units (default 64).
+	// units (default 64, at most maxTileCorrShift).
 	TileCorrMaxShift int
 	// CorrAxes lists the original axes for which Corrs is computed
 	// (default: every axis).
@@ -61,6 +61,11 @@ type Options struct {
 	Workers int
 }
 
+// maxTileCorrShift caps TileCorrMaxShift, four times its default.
+// Finalize's tileCorrs costs O(grid × shift) per axis, so the cap keeps a
+// decoded partial with a 2^21-tile grid to about 2^29 steps per axis.
+const maxTileCorrShift = 256
+
 func (o *Options) withDefaults() Options {
 	out := Options{MicroDiv: 8, CorrSampleTarget: 512, TileCorrMaxShift: 64}
 	if o != nil {
@@ -74,7 +79,7 @@ func (o *Options) withDefaults() Options {
 			out.CorrSampleTarget = o.CorrSampleTarget
 		}
 		if o.TileCorrMaxShift > 0 {
-			out.TileCorrMaxShift = o.TileCorrMaxShift
+			out.TileCorrMaxShift = min(o.TileCorrMaxShift, maxTileCorrShift)
 		}
 		out.CorrAxes = o.CorrAxes
 		out.SkipExtensions = o.SkipExtensions

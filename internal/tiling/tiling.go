@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -679,14 +680,34 @@ func DenseFootprintWords(tileDims []int) int {
 // given order. This is the paper's Conservative scheme tile dimension.
 func ConservativeSquare(bufferWords, order int) int {
 	t := 1
-	for {
-		dims := make([]int, order)
-		for a := range dims {
-			dims[a] = t * 2
-		}
-		if DenseFootprintWords(dims) > bufferWords {
-			return t
-		}
+	for t <= math.MaxInt/2 && denseSquareFits(2*t, order, bufferWords) {
 		t *= 2
 	}
+	return t
+}
+
+// denseSquareFits reports whether DenseFootprintWords of a side^order
+// tile is at most limit. It sums in uint64 and stops once past the
+// limit, so a side whose footprint would overflow int never fits.
+func denseSquareFits(side, order, limit int) bool {
+	if limit < 0 {
+		return false
+	}
+	lim, s := uint64(limit), uint64(side)
+	words, prod := uint64(0), uint64(1)
+	for range order {
+		hi, level := bits.Mul64(prod, s)
+		if hi != 0 || level > lim {
+			return false
+		}
+		// Each level stores prod*side coordinates and prod+1 segment bounds.
+		if words += level; words > lim {
+			return false
+		}
+		if words += prod + 1; words > lim {
+			return false
+		}
+		prod = level
+	}
+	return words+prod <= lim // values
 }

@@ -1,9 +1,11 @@
 package tiling
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"d2t2/internal/gen"
 	"d2t2/internal/tensor"
@@ -194,6 +196,31 @@ func TestConservativeSquare(t *testing.T) {
 	buf3 := DenseFootprintWords([]int{16, 16, 16})
 	if got := ConservativeSquare(buf3, 3); got != 16 {
 		t.Fatalf("conservative 3-d tile = %d, want 16", got)
+	}
+}
+
+// TestConservativeSquareHugeBuffer: near MaxInt the dense footprint of
+// the next doubling overflows int. The search must stop at the largest
+// side whose footprint still fits instead of wrapping and looping
+// forever, so it runs under a watchdog.
+func TestConservativeSquareHugeBuffer(t *testing.T) {
+	for _, tc := range []struct{ buf, order, want int }{
+		{math.MaxInt, 2, 1 << 30}, // 2·2^62 + … overflows at side 2^31
+		{math.MaxInt, 3, 1 << 20},
+		{math.MaxInt, 4, 1 << 15},
+		{DenseFootprintWords([]int{1 << 30, 1 << 30}), 2, 1 << 30},
+		{DenseFootprintWords([]int{1 << 30, 1 << 30}) - 1, 2, 1 << 29},
+	} {
+		done := make(chan int, 1)
+		go func() { done <- ConservativeSquare(tc.buf, tc.order) }()
+		select {
+		case got := <-done:
+			if got != tc.want {
+				t.Errorf("ConservativeSquare(%d, %d) = %d, want %d", tc.buf, tc.order, got, tc.want)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("ConservativeSquare(%d, %d) did not return", tc.buf, tc.order)
+		}
 	}
 }
 
