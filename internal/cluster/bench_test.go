@@ -1,11 +1,11 @@
 package cluster_test
 
 // Benchmarks for the three rungs of the cluster read ladder, measured
-// through real loopback HTTP on a three-node in-process cluster. The
-// numbers land in BENCH_cluster.json; on a 1-core CI runner all three
-// servers and the client share one CPU, so treat the absolute values as
-// upper bounds — the *ratios* (local hit vs peer fetch vs forward hop)
-// are the signal.
+// through real loopback HTTP on a three-node in-process cluster; run
+// them with `go test -run '^$' -bench Cluster ./internal/cluster`. On a
+// 1-core CI runner all three servers and the client share one CPU, so
+// treat the absolute values as upper bounds — the *ratios* (local hit
+// vs peer fetch vs forward hop) are the signal.
 
 import (
 	"context"

@@ -12,8 +12,8 @@ import (
 )
 
 // OverbookTargets are the overflow-probability sweep points ExtOverbook
-// reports and CI records in BENCH_overbook.json. 0 is the conservative
-// baseline every other point is compared against.
+// reports (`go run ./cmd/expbench -quick -exp ext-overbook`). 0 is the
+// conservative baseline every other point is compared against.
 var OverbookTargets = []float64{0, 0.01, 0.05, 0.1}
 
 // OverbookPoint is one (kernel, target) measurement of the sweep. All

@@ -14,11 +14,14 @@
 //
 // The result is a static, non-uniform rectangular configuration that is
 // guaranteed to fit the input buffer — no specialized hardware needed.
+// Under a positive Options.OverflowTarget, steps 3 and 4 run the
+// risk-aware sizing rule instead (type sizing, DESIGN.md §18).
 package optimizer
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -190,7 +193,7 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 			return nil, fmt.Errorf("optimizer: missing input %q", ref.Name)
 		}
 	}
-	baseTile, err := o.ConservativeBase(e)
+	baseTile, err := o.BaseTileFor(e, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -247,17 +250,11 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 		}
 	}
 
-	pred, err := model.New(e, res.Stats)
+	pred, err := newPredictor(e, res.Stats, o)
 	if err != nil {
 		return nil, err
 	}
-	pred.Mode = o.Mode
-	pred.UseCorrs = !o.DisableCorrs
-	pred.DisableRefinement = o.DisableRefinement
-	if o.Calibration != nil {
-		pred.Calib = o.Calibration
-		pred.CalibClass = CalibClass(e, o.Mode)
-	}
+	sz := sizing{pred: pred, e: e, o: o}
 
 	// 3. Shape optimization.
 	upIdx, downIdxs := shapeAxes(e)
@@ -316,47 +313,25 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 	type swept struct {
 		fits bool
 		p    *model.Prediction
-		cost float64 // overflow-adjusted total; only set under a positive OverflowTarget
+		cost float64
 	}
 	sweeps, err := par.MapCtx(ctx, o.Workers, len(uniq), func(i int) (swept, error) {
 		uc := uniq[i]
 		// Area-preserving reshapes still change the CSF *metadata*
 		// footprint (tall tiles carry more fibers and segment bounds), so
-		// the fit guarantee must be re-checked per candidate against the
-		// conservative upper bound — or, under a positive OverflowTarget,
-		// against the predicted per-operand overflow rate.
-		fitsShape := true
-		for _, ref := range e.Inputs() {
-			sh, err := pred.EvalRef(ref, uc.cfg)
-			if err != nil {
-				return swept{}, err
-			}
-			if o.OverflowTarget > 0 {
-				if rate, _ := sh.OverflowStats(float64(o.BufferWords)); rate > o.OverflowTarget {
-					fitsShape = false
-					break
-				}
-			} else if sh.MaxTileBound > o.BufferWords {
-				fitsShape = false
-				break
-			}
-		}
-		if !fitsShape && uc.rf1Idx < 0 {
-			return swept{}, nil // dropped: no RF keeps a non-fitting config
-		}
-		p, err := pred.Predict(uc.cfg)
+		// admission is re-checked per candidate.
+		fits, err := sz.admits(uc.cfg)
 		if err != nil {
 			return swept{}, err
 		}
-		sw := swept{fits: fitsShape, p: p}
-		if o.OverflowTarget > 0 {
-			rk, err := evalRisk(pred, e, uc.cfg, p, o)
-			if err != nil {
-				return swept{}, err
-			}
-			sw.cost = p.Total() + rk.premium
+		if !fits && uc.rf1Idx < 0 {
+			return swept{}, nil // dropped: no RF keeps a non-fitting config
 		}
-		return sw, nil
+		p, cost, err := sz.predict(uc.cfg)
+		if err != nil {
+			return swept{}, err
+		}
+		return swept{fits: fits, p: p, cost: cost}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -385,14 +360,9 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 	bestCost := 0.0
 	for _, kc := range kept {
 		res.Candidates = append(res.Candidates, kc.cand)
-		if o.OverflowTarget > 0 {
-			// First strict minimum of the overflow-adjusted total.
-			if best < 0 || kc.cost < bestCost {
-				best = len(res.Candidates) - 1
-				bestCost = kc.cost
-			}
-		} else if best < 0 || kc.cand.Predicted.Total() < res.Candidates[best].Predicted.Total() {
+		if best < 0 || kc.cost < bestCost { // first strict minimum
 			best = len(res.Candidates) - 1
+			bestCost = kc.cost
 		}
 	}
 	chosen := res.Candidates[best]
@@ -401,13 +371,9 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 	res.Predicted = chosen.Predicted
 
 	// 4. Size optimization.
+	seedTile := 0.0
 	if !o.SkipResize {
-		if o.OverflowTarget > 0 {
-			err = res.growRisk(ctx, pred, upIdx, o)
-		} else {
-			err = res.grow(ctx, pred, upIdx, o)
-		}
-		if err != nil {
+		if seedTile, err = res.grow(ctx, sz, upIdx); err != nil {
 			return nil, err
 		}
 		p, err := pred.Predict(res.Config)
@@ -425,7 +391,7 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 		if err != nil {
 			return nil, err
 		}
-		res.Risk = rk.report(o, res.Risk)
+		res.Risk = rk.report(o, int(math.Ceil(seedTile)))
 	}
 	if o.Calibrate {
 		if err := res.calibrate(ctx, pred, inputs, o); err != nil {
@@ -459,6 +425,36 @@ func (o Options) ConservativeBase(e *einsum.Expr) (int, error) {
 		return 0, fmt.Errorf("optimizer: buffer of %d words cannot hold any tile", o.BufferWords)
 	}
 	return baseTile, nil
+}
+
+// BaseTileFor is the base tile Optimize tiles and collects e's inputs
+// at: ConservativeBase, with a derived base capped at the smallest power
+// of two covering the largest input dimension. A larger square holds no
+// more of the tensor, but the micro tiles and the growth derived from it
+// would outgrow the tensor and inflate the predicted output traffic.
+// Dimensions come from the raw inputs, or from Precollected statistics
+// for inputs given only as stats. Callers that collect statistics ahead
+// of Optimize key them by this tile.
+func (o Options) BaseTileFor(e *einsum.Expr, inputs map[string]*tensor.COO) (int, error) {
+	base, err := o.ConservativeBase(e)
+	if err != nil || o.BaseTile != 0 {
+		return base, err
+	}
+	cover := 1
+	for _, ref := range e.Inputs() {
+		var dims []int
+		if t := inputs[ref.Name]; t != nil {
+			dims = t.Dims
+		} else if st := o.Precollected[ref.Name]; st != nil {
+			dims = st.Dims
+		}
+		for _, d := range dims {
+			for cover < d && cover < base {
+				cover *= 2
+			}
+		}
+	}
+	return min(base, cover), nil
 }
 
 // precollectedMatches verifies supplied statistics were collected at the
@@ -537,55 +533,126 @@ func corrsOnlyRF(e *einsum.Expr, st map[string]*stats.Stats, baseTile int, o Opt
 	return 1 // square
 }
 
-// grow implements the size optimization: seed with the Eq. 22 TileFactor
-// on the primary output index, then greedily double output-index tile
-// dimensions while every input's largest actual tile fits the buffer.
-// ctx is consulted once per candidate doubling — each candidate costs a
-// model prediction, the growth loop's unit of work.
-func (r *Result) grow(ctx context.Context, pred *model.Predictor, upIdx string, o Options) error {
-	// Eq. 22: TileFactor = BufferSize / MaxTiles at the chosen shape.
-	maxTile := 0
-	for _, ref := range r.Expr.Inputs() {
-		sh, err := pred.EvalRef(ref, r.Config)
-		if err != nil {
-			return err
-		}
-		if sh.MaxTile > maxTile {
-			maxTile = sh.MaxTile
-		}
+// newPredictor builds the model the sweep and the growth query, with
+// the options' evaluation mode, ablations and calibration store.
+func newPredictor(e *einsum.Expr, st map[string]*stats.Stats, o Options) (*model.Predictor, error) {
+	pred, err := model.New(e, st)
+	if err != nil {
+		return nil, err
 	}
-	r.TileFactor = 1
-	if maxTile > 0 {
-		r.TileFactor = o.BufferWords / maxTile
+	pred.Mode = o.Mode
+	pred.UseCorrs = !o.DisableCorrs
+	pred.DisableRefinement = o.DisableRefinement
+	if o.Calibration != nil {
+		pred.Calib = o.Calibration
+		pred.CalibClass = CalibClass(e, o.Mode)
 	}
-	if r.TileFactor < 1 {
-		r.TileFactor = 1
-	}
+	return pred, nil
+}
 
-	fits := func(cfg model.Config) (bool, error) {
-		for _, ref := range r.Expr.Inputs() {
-			sh, err := pred.EvalRef(ref, cfg)
-			if err != nil {
-				return false, err
-			}
-			// The conservative upper bound keeps D2T2's guarantee: the
-			// retiled footprint never exceeds the member-sum estimate.
-			if sh.MaxTileBound > o.BufferWords {
+// sizing is the rule one optimization sizes tiles by (DESIGN.md §18),
+// fixed by Options.OverflowTarget. The RF sweep and grow both run
+// through it:
+//
+//	              conservative (target 0)   risk-aware (target > 0)
+//	admission     MaxTileBound ≤ buffer      overflow rate ≤ target
+//	Eq. 22 seed   MaxTile                    (1−target) footprint quantile
+//	cost          predicted total            total + overflow premium
+type sizing struct {
+	pred *model.Predictor
+	e    *einsum.Expr
+	o    Options
+}
+
+func (s sizing) risky() bool { return s.o.OverflowTarget > 0 }
+
+// admits reports whether every input operand fits the buffer at cfg.
+func (s sizing) admits(cfg model.Config) (bool, error) {
+	for _, ref := range s.e.Inputs() {
+		sh, err := s.pred.EvalRef(ref, cfg)
+		if err != nil {
+			return false, err
+		}
+		if s.risky() {
+			if rate, _ := sh.OverflowStats(float64(s.o.BufferWords)); rate > s.o.OverflowTarget {
 				return false, nil
 			}
+		} else if sh.MaxTileBound > s.o.BufferWords {
+			// The conservative upper bound keeps D2T2's guarantee: the
+			// retiled footprint never exceeds the member-sum estimate.
+			return false, nil
 		}
-		return true, nil
 	}
+	return true, nil
+}
+
+// predict returns the model's prediction for cfg and the cost the
+// sweep and the growth minimize.
+func (s sizing) predict(cfg model.Config) (*model.Prediction, float64, error) {
+	p, err := s.pred.Predict(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !s.risky() {
+		return p, p.Total(), nil
+	}
+	rk, err := evalRisk(s.pred, s.e, cfg, p, s.o)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, p.Total() + rk.premium, nil
+}
+
+// tileFactor is Eq. 22 at cfg: BufferWords over the largest operand's
+// seed footprint, at least 1. It also returns that footprint.
+func (s sizing) tileFactor(cfg model.Config) (int, float64, error) {
+	seed := 0.0
+	for _, ref := range s.e.Inputs() {
+		sh, err := s.pred.EvalRef(ref, cfg)
+		if err != nil {
+			return 0, 0, err
+		}
+		fp := float64(sh.MaxTile)
+		if s.risky() {
+			fp = sh.OverflowQuantile(s.o.OverflowTarget)
+		}
+		if fp > seed {
+			seed = fp
+		}
+	}
+	tf := 1
+	if seed > 0 {
+		if s.risky() {
+			tf = int(float64(s.o.BufferWords) / seed)
+		} else {
+			tf = s.o.BufferWords / int(seed) // MaxTile is exact: stay in integers
+		}
+	}
+	return max(tf, 1), seed, nil
+}
+
+// grow implements the size optimization: seed the primary output index
+// with the Eq. 22 TileFactor, backing off until the sizing rule admits
+// it, then greedily double tile dimensions while the rule admits them
+// and the cost does not regress. It returns the seed footprint. ctx is
+// consulted once per candidate doubling — each candidate costs a model
+// prediction, the growth loop's unit of work.
+func (r *Result) grow(ctx context.Context, s sizing, upIdx string) (float64, error) {
+	tf, seed, err := s.tileFactor(r.Config)
+	if err != nil {
+		return 0, err
+	}
+	r.TileFactor = tf
 
 	// Seed: scale the primary output index by the TileFactor, backing off
 	// until it fits (the Eq. 22 estimate is conservative but the footprint
 	// aggregation is approximate).
 	for tf := r.TileFactor; tf > 1; tf /= 2 {
 		cand := r.Config.Clone()
-		cand[upIdx] = r.snapIdx(upIdx, cand[upIdx]*tf)
-		ok, err := fits(cand)
+		cand[upIdx] = r.snapIdx(upIdx, satMul(cand[upIdx], tf))
+		ok, err := s.admits(cand)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if ok {
 			r.Config = cand
@@ -594,42 +661,42 @@ func (r *Result) grow(ctx context.Context, pred *model.Predictor, upIdx string, 
 	}
 
 	// Greedy doubling over every index variable, round-robin: accept a
-	// doubling when the grown tiles still fit and the model predicts no
-	// traffic regression (ties go to the larger tile — fewer tile
-	// iterations for free). Growing contracted indices matters for
-	// high-reuse data such as diagonal matrices, where the contracted
-	// span bounds the iteration count.
+	// doubling when the grown tiles are admitted and the cost does not
+	// regress (ties go to the larger tile — fewer tile iterations for
+	// free). Growing contracted indices matters for high-reuse data such
+	// as diagonal matrices, where the contracted span bounds the
+	// iteration count.
 	idxs := append([]string(nil), r.Expr.Order...)
 	sort.Strings(idxs)
-	cur, err := pred.Predict(r.Config)
+	_, cur, err := s.predict(r.Config)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	for pass := 0; pass < o.MaxGrowthDoublings; pass++ {
+	for pass := 0; pass < s.o.MaxGrowthDoublings; pass++ {
 		improved := false
 		for _, ix := range idxs {
 			if err := ctx.Err(); err != nil {
-				return err
+				return 0, err
 			}
 			cand := r.Config.Clone()
 			cand[ix] = r.snapIdx(ix, cand[ix]*2)
 			if cand[ix] == r.Config[ix] {
 				continue
 			}
-			ok, err := fits(cand)
+			ok, err := s.admits(cand)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if !ok {
 				continue
 			}
-			p, err := pred.Predict(cand)
+			_, c, err := s.predict(cand)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			if p.Total() <= cur.Total()*1.001 {
+			if c <= cur*1.001 {
 				r.Config = cand
-				cur = p
+				cur = c
 				improved = true
 			}
 		}
@@ -637,7 +704,17 @@ func (r *Result) grow(ctx context.Context, pred *model.Predictor, upIdx string, 
 			break
 		}
 	}
-	return nil
+	return seed, nil
+}
+
+// satMul returns a·b for non-negative operands, saturated at
+// math.MaxInt: a TileFactor from a huge buffer times a tile dimension
+// can exceed int.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // snapIdx rounds a single index's tile size to the micro granularity of
@@ -650,7 +727,7 @@ func (r *Result) snapIdx(ix string, v int) int {
 			}
 			st := r.Stats[ref.Name]
 			m := st.MicroDims()[a]
-			q := (v + m/2) / m
+			q := v/m + (v%m+m/2)/m // (v + m/2) / m without overflow
 			if q < 1 {
 				q = 1
 			}

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -371,4 +372,34 @@ func TestOptimizeSDDMM(t *testing.T) {
 	if m.OutputNNZ > int64(s.NNZ())*int64(res.Config["k"]+1) {
 		t.Fatalf("SDDMM output nnz %d implausible vs mask %d", m.OutputNNZ, s.NNZ())
 	}
+}
+
+// TestHugeBufferStable: once the buffer exceeds the whole tensor, a
+// larger buffer must not change the plan. The derived base tile is
+// capped at the tensor's power-of-two cover, so the micro tiles and the
+// growth cannot outgrow the matrix and inflate the output prediction,
+// and the Eq. 22 seed product saturates instead of overflowing.
+func TestHugeBufferStable(t *testing.T) {
+	a := gen.PowerLawGraph(rand.New(rand.NewSource(3)), 3000, 30000, 1.6)
+	inputs := map[string]*tensor.COO{"A": a, "B": a.Transpose()}
+	e := einsum.SpMSpMIKJ()
+	var first *Result
+	for _, shift := range []int{40, 50, 62} {
+		res, err := Optimize(e, inputs, Options{BufferWords: 1 << shift})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BaseTile != 4096 {
+			t.Errorf("buffer 2^%d: base tile %d, want the 4096 cover of a 3000-row matrix", shift, res.BaseTile)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Config, first.Config) || res.Predicted.Total() != first.Predicted.Total() {
+			t.Fatalf("buffer 2^%d: config %v, predicted %.0f words; at 2^40: %v, %.0f",
+				shift, res.Config, res.Predicted.Total(), first.Config, first.Predicted.Total())
+		}
+	}
+	t.Logf("config %v, predicted %.0f words", first.Config, first.Predicted.Total())
 }

@@ -10,14 +10,15 @@
 // predicted per-operand overflow rate against the target, and every
 // candidate is costed with overflow-adjusted traffic — the model-side
 // mirror of exec's OverflowExtra×(footprint−buffer) per-fetch charge —
-// so the sweep's first-strict-minimum rule carries over unchanged.
+// so the sweep's first-strict-minimum rule carries over unchanged. Those
+// three parts are the risk-aware sizing rule (sizing, in optimizer.go);
+// this file prices overflow, reports it, and runs calibration.
 package optimizer
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"d2t2/internal/einsum"
 	"d2t2/internal/exec"
@@ -130,133 +131,17 @@ func evalRisk(pred *model.Predictor, e *einsum.Expr, cfg model.Config, p *model.
 	return rk, nil
 }
 
-// report folds this evaluation into a RiskReport, preserving the
-// PercentileTile recorded by the growth seed (prev may be nil).
-func (rk riskEval) report(o Options, prev *RiskReport) *RiskReport {
-	r := &RiskReport{
+// report folds this evaluation into a RiskReport with the growth
+// seed's percentile footprint (0 when resizing was skipped).
+func (rk riskEval) report(o Options, percentileTile int) *RiskReport {
+	return &RiskReport{
 		OverflowTarget:         o.OverflowTarget,
 		OverflowExtra:          o.OverflowExtra,
+		PercentileTile:         percentileTile,
 		PredictedOverflowRate:  maxF(rk.fetchRate, rk.tileRate),
 		PredictedOverflowWords: rk.premium,
 		BufferUtilization:      rk.util,
 	}
-	if prev != nil {
-		r.PercentileTile = prev.PercentileTile
-		r.Calibration = prev.Calibration
-	}
-	return r
-}
-
-// growRisk is grow's risk-aware variant: the Eq. 22 seed uses the
-// (1−target) footprint quantile instead of the maximum, admission
-// requires every operand's predicted overflow rate within the target,
-// and the greedy doubling compares overflow-adjusted totals.
-func (r *Result) growRisk(ctx context.Context, pred *model.Predictor, upIdx string, o Options) error {
-	// Percentile seed: TileFactor = BufferWords / quantile.
-	qTile := 0.0
-	for _, ref := range r.Expr.Inputs() {
-		sh, err := pred.EvalRef(ref, r.Config)
-		if err != nil {
-			return err
-		}
-		if q := sh.OverflowQuantile(o.OverflowTarget); q > qTile {
-			qTile = q
-		}
-	}
-	r.TileFactor = 1
-	if qTile > 0 {
-		r.TileFactor = int(float64(o.BufferWords) / qTile)
-	}
-	if r.TileFactor < 1 {
-		r.TileFactor = 1
-	}
-	r.Risk = &RiskReport{
-		OverflowTarget: o.OverflowTarget,
-		OverflowExtra:  o.OverflowExtra,
-		PercentileTile: int(math.Ceil(qTile)),
-	}
-
-	fits := func(cfg model.Config) (bool, error) {
-		for _, ref := range r.Expr.Inputs() {
-			sh, err := pred.EvalRef(ref, cfg)
-			if err != nil {
-				return false, err
-			}
-			if rate, _ := sh.OverflowStats(float64(o.BufferWords)); rate > o.OverflowTarget {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	cost := func(cfg model.Config) (float64, error) {
-		p, err := pred.Predict(cfg)
-		if err != nil {
-			return 0, err
-		}
-		rk, err := evalRisk(pred, r.Expr, cfg, p, o)
-		if err != nil {
-			return 0, err
-		}
-		return p.Total() + rk.premium, nil
-	}
-
-	// Seed: scale the primary output index by the percentile TileFactor,
-	// backing off until the overflow rate is within target.
-	for tf := r.TileFactor; tf > 1; tf /= 2 {
-		cand := r.Config.Clone()
-		cand[upIdx] = r.snapIdx(upIdx, cand[upIdx]*tf)
-		ok, err := fits(cand)
-		if err != nil {
-			return err
-		}
-		if ok {
-			r.Config = cand
-			break
-		}
-	}
-
-	// Greedy doubling, round-robin over all index variables, accepting a
-	// doubling when the overflow rate stays within target and the
-	// overflow-adjusted total does not regress.
-	idxs := append([]string(nil), r.Expr.Order...)
-	sort.Strings(idxs)
-	cur, err := cost(r.Config)
-	if err != nil {
-		return err
-	}
-	for pass := 0; pass < o.MaxGrowthDoublings; pass++ {
-		improved := false
-		for _, ix := range idxs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			cand := r.Config.Clone()
-			cand[ix] = r.snapIdx(ix, cand[ix]*2)
-			if cand[ix] == r.Config[ix] {
-				continue
-			}
-			ok, err := fits(cand)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			c, err := cost(cand)
-			if err != nil {
-				return err
-			}
-			if c <= cur*1.001 {
-				r.Config = cand
-				cur = c
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return nil
 }
 
 // calibrate closes the loop: tile the inputs at the final config, run

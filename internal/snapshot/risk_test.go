@@ -111,5 +111,5 @@ func encodeRisk2(m *RiskMeta) []byte {
 	b := wire.AppendU64(nil, riskMetaVersion+1)
 	b = wire.AppendF64(b, m.OverflowTarget)
 	b = wire.AppendF64(b, m.PredictedOverflowRate)
-	return appendOptional(b, m.Calibrated)
+	return wire.AppendBool(b, m.Calibrated)
 }

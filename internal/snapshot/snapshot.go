@@ -363,14 +363,14 @@ func encodeStats(s *stats.Stats) []byte {
 		b = wire.AppendF64s(b, tc)
 	}
 
-	b = appendOptional(b, p.ElemCounts != nil)
+	b = wire.AppendBool(b, p.ElemCounts != nil)
 	if p.ElemCounts != nil {
 		b = wire.AppendU64(b, uint64(len(p.ElemCounts)))
 		for _, ec := range p.ElemCounts {
 			b = wire.AppendI32s(b, ec)
 		}
 	}
-	b = appendOptional(b, p.PairSketch != nil)
+	b = wire.AppendBool(b, p.PairSketch != nil)
 	if p.PairSketch != nil {
 		b = wire.AppendU64(b, uint64(len(p.PairSketch)))
 		for _, ps := range p.PairSketch {
@@ -383,7 +383,7 @@ func encodeStats(s *stats.Stats) []byte {
 		b = wire.AppendBools(b, occ)
 	}
 
-	b = appendOptional(b, p.Micro != nil)
+	b = wire.AppendBool(b, p.Micro != nil)
 	if m := p.Micro; m != nil {
 		b = wire.AppendInts(b, m.Dims)
 		b = wire.AppendInts(b, m.MicroDims)
@@ -394,13 +394,6 @@ func encodeStats(s *stats.Stats) []byte {
 		b = wire.AppendF64(b, m.FPScale)
 	}
 	return b
-}
-
-func appendOptional(b []byte, present bool) []byte {
-	if present {
-		return wire.AppendU8(b, 1)
-	}
-	return wire.AppendU8(b, 0)
 }
 
 func decodeStats(payload []byte) (*stats.Stats, error) {
@@ -446,7 +439,7 @@ func decodeStats(payload []byte) (*stats.Stats, error) {
 		p.TileCorrs = append(p.TileCorrs, r.F64s())
 	}
 
-	if r.U8() == 1 {
+	if r.Bool() {
 		n := r.U64()
 		if n > uint64(maxCodecOrder) {
 			return nil, fmt.Errorf("snapshot: %d element-count axes exceeds %d", n, maxCodecOrder)
@@ -456,7 +449,7 @@ func decodeStats(payload []byte) (*stats.Stats, error) {
 			p.ElemCounts = append(p.ElemCounts, r.I32s())
 		}
 	}
-	if r.U8() == 1 {
+	if r.Bool() {
 		n := r.U64()
 		if n > uint64(maxCodecOrder) {
 			return nil, fmt.Errorf("snapshot: %d pair-sketch axes exceeds %d", n, maxCodecOrder)
@@ -476,7 +469,7 @@ func decodeStats(payload []byte) (*stats.Stats, error) {
 		p.Occupancy = append(p.Occupancy, r.Bools())
 	}
 
-	if r.U8() == 1 {
+	if r.Bool() {
 		p.Micro = &stats.PortableMicro{
 			Dims:      r.Ints(),
 			MicroDims: r.Ints(),
@@ -507,17 +500,17 @@ func encodePartial(p *stats.Partial) []byte {
 	b = wire.AppendInts(b, p.CorrMaxShift)
 	b = wire.AppendI64(b, int64(p.CorrSampleTarget))
 	b = wire.AppendI64(b, int64(p.TileCorrMaxShift))
-	b = appendOptional(b, p.SkipExtensions)
+	b = wire.AppendBool(b, p.SkipExtensions)
 	b = wire.AppendI64(b, int64(p.NNZ))
 
-	b = appendOptional(b, p.ElemCounts != nil)
+	b = wire.AppendBool(b, p.ElemCounts != nil)
 	if p.ElemCounts != nil {
 		b = wire.AppendU64(b, uint64(len(p.ElemCounts)))
 		for _, ec := range p.ElemCounts {
 			b = wire.AppendI32s(b, ec)
 		}
 	}
-	b = appendOptional(b, p.Sketches != nil)
+	b = wire.AppendBool(b, p.Sketches != nil)
 	if p.Sketches != nil {
 		b = wire.AppendU64(b, uint64(len(p.Sketches)))
 		for _, sk := range p.Sketches {
@@ -554,7 +547,7 @@ func decodePartial(payload []byte) (*stats.Partial, error) {
 		CorrMaxShift:     r.Ints(),
 		CorrSampleTarget: int(r.I64()),
 		TileCorrMaxShift: int(r.I64()),
-		SkipExtensions:   r.U8() == 1,
+		SkipExtensions:   r.Bool(),
 		NNZ:              int(r.I64()),
 	}
 	if err := r.Err(); err != nil {
@@ -564,7 +557,7 @@ func decodePartial(payload []byte) (*stats.Partial, error) {
 		return nil, fmt.Errorf("snapshot: partial order %d exceeds %d", len(p.Dims), maxCodecOrder)
 	}
 
-	if r.U8() == 1 {
+	if r.Bool() {
 		n := r.U64()
 		if n > uint64(maxCodecOrder) {
 			return nil, fmt.Errorf("snapshot: %d element-count axes exceeds %d", n, maxCodecOrder)
@@ -574,7 +567,7 @@ func decodePartial(payload []byte) (*stats.Partial, error) {
 			p.ElemCounts = append(p.ElemCounts, r.I32s())
 		}
 	}
-	if r.U8() == 1 {
+	if r.Bool() {
 		n := r.U64()
 		if n > uint64(maxCodecOrder) {
 			return nil, fmt.Errorf("snapshot: %d sketch axes exceeds %d", n, maxCodecOrder)
@@ -631,7 +624,7 @@ func encodeRisk(m *RiskMeta) []byte {
 	b := wire.AppendU64(nil, riskMetaVersion)
 	b = wire.AppendF64(b, m.OverflowTarget)
 	b = wire.AppendF64(b, m.PredictedOverflowRate)
-	return appendOptional(b, m.Calibrated)
+	return wire.AppendBool(b, m.Calibrated)
 }
 
 func decodeRisk(payload []byte) (*RiskMeta, error) {
@@ -646,7 +639,7 @@ func decodeRisk(payload []byte) (*RiskMeta, error) {
 	m := &RiskMeta{
 		OverflowTarget:        r.F64(),
 		PredictedOverflowRate: r.F64(),
-		Calibrated:            r.U8() == 1,
+		Calibrated:            r.Bool(),
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

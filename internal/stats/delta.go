@@ -26,12 +26,13 @@ func ApplyDelta(p *Partial, old, delta *tensor.COO, workers int) (*Partial, *Del
 }
 
 // ApplyDeltaCtx folds a coordinate delta into an existing partial
-// without re-collecting the base tensor: entry-granularity accumulators
-// (histograms, sketches, corr multisets) merge additively from a
-// delta-only gather, while the per-tile tables are re-summarized only
-// for the base and micro tiles the delta touches and spliced over the
-// old records. The result equals CollectPartialCtx on the concatenated
-// tensor byte for byte (and so does its Finalize), at any worker count.
+// without re-collecting the base tensor: it is Merge of the old partial,
+// minus the base and micro tiles the delta touches, with the delta's own
+// partial, whose entry-granularity accumulators (histograms, sketches,
+// corr multisets) come from a delta-only gather and whose tile tables
+// are the touched tiles re-summarized. The result equals
+// CollectPartialCtx on the concatenated tensor byte for byte (and so
+// does its Finalize), at any worker count.
 //
 // old must be the Normalized (sorted, duplicate-free) tensor p was
 // collected from, and delta must not collide with old's coordinates or
@@ -68,73 +69,45 @@ func ApplyDeltaCtx(ctx context.Context, p *Partial, old, delta *tensor.COO, work
 		return nil, nil, fmt.Errorf("stats: delta contains %d duplicate coordinates", delta.NNZ()-dd.NNZ())
 	}
 
-	// Entry-granularity accumulators are append-only: gather the delta
-	// alone in the partial's exact frame and merge additively.
-	dp, err := collectPartial(ctx, delta, paramsFromPartial(p), workers, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	out := &Partial{
-		Dims:             p.Dims,
-		TileDims:         p.TileDims,
-		Order:            p.Order,
-		MicroDims:        p.MicroDims,
-		CorrAxes:         p.CorrAxes,
-		CorrMaxShift:     p.CorrMaxShift,
-		CorrSampleTarget: p.CorrSampleTarget,
-		TileCorrMaxShift: p.TileCorrMaxShift,
-		SkipExtensions:   p.SkipExtensions,
-		NNZ:              p.NNZ + delta.NNZ(),
-	}
-	if !p.SkipExtensions {
-		out.ElemCounts = make([][]int32, n)
-		out.Sketches = make([][]uint64, n)
-		for ax := 0; ax < n; ax++ {
-			cnt := make([]int32, len(p.ElemCounts[ax]))
-			copy(cnt, p.ElemCounts[ax])
-			for v, c := range dp.ElemCounts[ax] {
-				cnt[v] += c
-			}
-			out.ElemCounts[ax] = cnt
-			out.Sketches[ax] = mergeSortedBounded(p.Sketches[ax], dp.Sketches[ax], sketchSize)
-		}
-	}
-	out.CorrOff = make([][]int32, len(p.CorrAxes))
-	out.CorrRest = make([][]uint64, len(p.CorrAxes))
-	for i := range p.CorrAxes {
-		out.CorrOff[i], out.CorrRest[i] = mergeCorrAccum(p.CorrOff[i], p.CorrRest[i], dp.CorrOff[i], dp.CorrRest[i])
-	}
-
-	// Per-tile tables cannot merge additively — a touched tile's fiber
-	// counts and footprint depend on the union of its entries — so the
-	// touched tiles are re-summarized from (old entries in those tiles) +
-	// delta and spliced over the old records. Touched base and micro key
-	// sets are computed separately: micro tiles need not nest in base
-	// tiles when TileDims is not a micro multiple.
-	rep := &DeltaReport{}
+	// The per-tile tables cannot merge additively — a touched tile's
+	// fiber counts and footprint depend on the union of its entries — so
+	// the touched tiles are re-summarized from (old entries in those
+	// tiles) + delta. Touched base and micro key sets are computed
+	// separately: micro tiles need not nest in base tiles when TileDims
+	// is not a micro multiple.
 	touchedT := touchedKeys(delta, p.TileDims)
-	subT := filterPlus(old, p.TileDims, touchedT, delta)
-	sumT, err := tiling.SummarizeCtx(ctx, subT, p.TileDims, p.Order, workers)
+	sumT, err := tiling.SummarizeCtx(ctx, filterPlus(old, p.TileDims, touchedT, delta), p.TileDims, p.Order, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	out.TileKeys, out.TileNNZ, out.TileFP, out.TileFibers =
-		spliceTable(p.TileKeys, p.TileNNZ, p.TileFP, p.TileFibers, touchedT, sumT.Keys, sumT.NNZ, sumT.Footprint, sumT.Fibers)
-	rep.TouchedTiles = len(sumT.Keys)
-	rep.TotalTiles = len(out.TileKeys)
-
 	touchedM := touchedKeys(delta, p.MicroDims)
-	subM := filterPlus(old, p.MicroDims, touchedM, delta)
-	sumM, err := tiling.SummarizeCtx(ctx, subM, p.MicroDims, p.Order, workers)
+	sumM, err := tiling.SummarizeCtx(ctx, filterPlus(old, p.MicroDims, touchedM, delta), p.MicroDims, p.Order, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	out.MicroKeys, out.MicroNNZ, out.MicroFP, _ =
-		spliceTable(p.MicroKeys, p.MicroNNZ, p.MicroFP, nil, touchedM, sumM.Keys, sumM.NNZ, sumM.Footprint, nil)
-	rep.TouchedMicro = len(sumM.Keys)
-	rep.TotalMicro = len(out.MicroKeys)
-	return out, rep, nil
+
+	// The delta's own partial carries its entry-granularity accumulators
+	// (gathered in the partial's exact frame) and the re-summarized
+	// touched tiles; the old partial keeps every untouched tile. The two
+	// are tile-disjoint by construction, so Merge — whose shared-key
+	// check still guards the result — is the whole fold.
+	dp, err := collectPartial(ctx, delta, paramsFromPartial(p), workers, sumT, sumM)
+	if err != nil {
+		return nil, nil, err
+	}
+	rest := *p
+	rest.TileKeys, rest.TileNNZ, rest.TileFP, rest.TileFibers = dropKeys(p.TileKeys, p.TileNNZ, p.TileFP, p.TileFibers, touchedT)
+	rest.MicroKeys, rest.MicroNNZ, rest.MicroFP, _ = dropKeys(p.MicroKeys, p.MicroNNZ, p.MicroFP, nil, touchedM)
+	out, err := Merge(&rest, dp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, &DeltaReport{
+		TouchedTiles: len(sumT.Keys),
+		TotalTiles:   len(out.TileKeys),
+		TouchedMicro: len(sumM.Keys),
+		TotalMicro:   len(out.MicroKeys),
+	}, nil
 }
 
 // touchedKeys returns the set of tile keys (at the given grid) that hold
@@ -182,50 +155,28 @@ func filterPlus(old *tensor.COO, tileDims []int, touched map[uint64]struct{}, de
 	return sub
 }
 
-// spliceTable replaces the touched keys' records in a key-ascending
-// table with freshly summarized ones (whose key set is exactly the
-// non-empty touched keys) and returns the merged table, still
-// ascending. fibers is nil for micro tables.
-func spliceTable(oldKeys []uint64, oldNNZ, oldFP []int32, oldFib [][]int32, touched map[uint64]struct{}, newKeys []uint64, newNNZ, newFP []int32, newFib [][]int32) ([]uint64, []int32, []int32, [][]int32) {
-	total := len(oldKeys) + len(newKeys)
-	keys := make([]uint64, 0, total)
-	nnz := make([]int32, 0, total)
-	fp := make([]int32, 0, total)
+// dropKeys returns a key-ascending tile table without the touched
+// keys' records. fibers is nil for micro tables.
+func dropKeys(keys []uint64, nnz, fp []int32, fibers [][]int32, touched map[uint64]struct{}) ([]uint64, []int32, []int32, [][]int32) {
+	k := make([]uint64, 0, len(keys))
+	nz, f := make([]int32, 0, len(keys)), make([]int32, 0, len(keys))
 	var fib [][]int32
-	if oldFib != nil {
-		fib = make([][]int32, len(oldFib))
-		back := make([]int32, len(oldFib)*total)
+	if fibers != nil {
+		fib = make([][]int32, len(fibers))
 		for l := range fib {
-			fib[l] = back[l*total : l*total : (l+1)*total]
+			fib[l] = make([]int32, 0, len(keys))
 		}
 	}
-	take := func(k []uint64, nz, f []int32, fbs [][]int32, i int) {
-		keys = append(keys, k[i])
-		nnz = append(nnz, nz[i])
-		fp = append(fp, f[i])
+	for i, key := range keys {
+		if _, drop := touched[key]; drop {
+			continue
+		}
+		k = append(k, key)
+		nz = append(nz, nnz[i])
+		f = append(f, fp[i])
 		for l := range fib {
-			fib[l] = append(fib[l], fbs[l][i])
+			fib[l] = append(fib[l], fibers[l][i])
 		}
 	}
-	i, j := 0, 0
-	for i < len(oldKeys) || j < len(newKeys) {
-		if i < len(oldKeys) {
-			if _, drop := touched[oldKeys[i]]; drop {
-				i++
-				continue
-			}
-		}
-		switch {
-		case j >= len(newKeys):
-			take(oldKeys, oldNNZ, oldFP, oldFib, i)
-			i++
-		case i >= len(oldKeys) || newKeys[j] < oldKeys[i]:
-			take(newKeys, newNNZ, newFP, newFib, j)
-			j++
-		default:
-			take(oldKeys, oldNNZ, oldFP, oldFib, i)
-			i++
-		}
-	}
-	return keys, nnz, fp, fib
+	return k, nz, f, fib
 }

@@ -113,7 +113,7 @@ func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order [
 	if err != nil {
 		return nil, err
 	}
-	return collectPartial(ctx, t, prm, o.Workers, nil)
+	return collectPartial(ctx, t, prm, o.Workers, nil, nil)
 }
 
 // frame resolves the options into the collection frame of t at the
@@ -162,10 +162,10 @@ func (o *Options) frame(t *tensor.COO, baseTileDims, order []int) (*partialParam
 
 // collectPartial runs the accumulator-form collection in a fully
 // resolved frame. The base-tile table is base when the caller already
-// tiled t (see tiledSummary), else the summary-only tiler's; the micro
-// table is the base table itself when the micro tile equals the base
-// tile.
-func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, workers int, base *tiling.TileSummary) (*Partial, error) {
+// has it (see tiledSummary), else the summary-only tiler's; the micro
+// table is micro when given, else the base table itself when the micro
+// tile equals the base tile.
+func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, workers int, base, micro *tiling.TileSummary) (*Partial, error) {
 	n := len(prm.dims)
 	if len(prm.corrAxes) > 0 {
 		if _, err := corrKeySpace(prm.dims); err != nil {
@@ -179,10 +179,13 @@ func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, work
 			return nil, err
 		}
 	}
-	msum := tsum
-	if !slices.Equal(prm.microDims, prm.tileDims) {
-		if msum, err = tiling.SummarizeCtx(ctx, t, prm.microDims, prm.order, workers); err != nil {
-			return nil, err
+	msum := micro
+	if msum == nil {
+		msum = tsum
+		if !slices.Equal(prm.microDims, prm.tileDims) {
+			if msum, err = tiling.SummarizeCtx(ctx, t, prm.microDims, prm.order, workers); err != nil {
+				return nil, err
+			}
 		}
 	}
 

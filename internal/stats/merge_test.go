@@ -339,6 +339,71 @@ func TestApplyDeltaMatchesConcat(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaMatchesConcatEveryFrame is the delta property over every
+// mergeCases frame — 3-D, paper-only (SkipExtensions) and micro-is-base
+// included: a random split of the tensor into a base and a delta at
+// fractions 1%, 10%, 50% and 90%, over several seeds, must fold back
+// into exactly CollectPartial of the whole tensor, and its Finalize into
+// exactly Collect.
+func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
+	for _, tc := range mergeCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			var o stats.Options
+			if tc.opts != nil {
+				o = *tc.opts
+			}
+			o.Workers = 4
+			whole := tc.t.Clone()
+			whole.Dedup()
+			pWhole, err := stats.CollectPartial(whole, tc.tileDims, tc.order, &o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sWhole, _, err := stats.Collect(whole, tc.tileDims, tc.order, &o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantP, wantS := partialBytes(t, pWhole), statsBytes(t, sWhole)
+			coord := make([]int, whole.Order())
+			for seed := int64(1); seed <= 3; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				for _, frac := range []float64{0.01, 0.1, 0.5, 0.9} {
+					old, delta := tensor.New(whole.Dims...), tensor.New(whole.Dims...)
+					for _, pos := range r.Perm(whole.NNZ()) {
+						for a := range coord {
+							coord[a] = whole.Crds[a][pos]
+						}
+						if float64(delta.NNZ()) < frac*float64(whole.NNZ()) {
+							delta.Append(coord, whole.Vals[pos])
+						} else {
+							old.Append(coord, whole.Vals[pos])
+						}
+					}
+					old.Dedup()
+					pOld, err := stats.CollectPartial(old, tc.tileDims, tc.order, &o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					merged, _, err := stats.ApplyDelta(pOld, old, delta, o.Workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(partialBytes(t, merged), wantP) {
+						t.Fatalf("seed %d, delta %v: delta-applied partial differs from the whole collection", seed, frac)
+					}
+					s, err := merged.Finalize()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(statsBytes(t, s), wantS) {
+						t.Fatalf("seed %d, delta %v: finalized delta stats differ from Collect", seed, frac)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestApplyDeltaRejects covers the guarded failure modes: duplicate
 // coordinates inside the delta, out-of-range coordinates, and a base
 // tensor that does not match the partial.

@@ -226,7 +226,7 @@ func CollectFromTiledCtx(ctx context.Context, t *tensor.COO, tt *tiling.TiledTen
 	if err != nil {
 		return nil, err
 	}
-	p, err := collectPartial(ctx, t, prm, o.Workers, tiledSummary(tt))
+	p, err := collectPartial(ctx, t, prm, o.Workers, tiledSummary(tt), nil)
 	if err != nil {
 		return nil, err
 	}

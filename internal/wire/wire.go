@@ -76,15 +76,19 @@ func AppendBytes(b []byte, xs []byte) []byte {
 	return append(b, xs...)
 }
 
+// AppendBool appends one byte: 1 for true, 0 for false.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 // AppendBools appends a u64 count followed by one byte per element.
 func AppendBools(b []byte, xs []bool) []byte {
 	b = AppendU64(b, uint64(len(xs)))
 	for _, x := range xs {
-		v := uint8(0)
-		if x {
-			v = 1
-		}
-		b = append(b, v)
+		b = AppendBool(b, x)
 	}
 	return b
 }
@@ -132,6 +136,17 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
+}
+
+// Bool reads a byte written by AppendBool. Any byte but 0 or 1 is
+// rejected: it would decode to a value that re-encodes to other bytes.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.fail("wire: bool byte %d at offset %d is neither 0 nor 1", v, r.off-1)
+		return false
+	}
+	return v == 1
 }
 
 // U32 reads a little-endian uint32.
@@ -253,7 +268,10 @@ func (r *Reader) Bools() []bool {
 	}
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = r.U8() != 0
+		out[i] = r.Bool()
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }

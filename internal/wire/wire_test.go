@@ -112,3 +112,17 @@ func TestI32sRejectsNegativeEncodings(t *testing.T) {
 		t.Fatalf("negative int32 encoding accepted")
 	}
 }
+
+// TestBoolRejectsNonCanonicalBytes: a flag byte other than 0 or 1 is
+// corruption, alone or inside a Bools slice.
+func TestBoolRejectsNonCanonicalBytes(t *testing.T) {
+	for _, v := range []byte{2, 0xff} {
+		if r := NewReader([]byte{v}); r.Bool() || r.Err() == nil {
+			t.Errorf("Bool accepted byte %d", v)
+		}
+		b := append(AppendU64(nil, 2), 1, v)
+		if r := NewReader(b); r.Bools() != nil || r.Err() == nil {
+			t.Errorf("Bools accepted element byte %d", v)
+		}
+	}
+}

@@ -225,7 +225,8 @@ func (s *Session) optimize(ctx context.Context, b *Batch, k *Kernel, inputs Inpu
 		// requests stay pure functions of their inputs (cacheable).
 		o.Calibration = s.calib
 	}
-	base, err := o.ConservativeBase(k.expr)
+	raw := inputs.lower()
+	base, err := o.BaseTileFor(k.expr, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +235,7 @@ func (s *Session) optimize(ctx context.Context, b *Batch, k *Kernel, inputs Inpu
 		return nil, err
 	}
 	o.Precollected = pre
-	res, err := optimizer.OptimizeCtx(ctx, k.expr, inputs.lower(), o)
+	res, err := optimizer.OptimizeCtx(ctx, k.expr, raw, o)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +268,7 @@ func (s *Session) NewBatch() *Batch {
 // job before the searches fan out, so each distinct bundle is loaded,
 // decoded or collected once per batch however many jobs share it.
 func (b *Batch) PrecollectCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) error {
-	base, err := opts.lower().ConservativeBase(k.expr)
+	base, err := opts.lower().BaseTileFor(k.expr, inputs.lower())
 	if err != nil {
 		return err
 	}
