@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"d2t2"
+	"d2t2/internal/cluster"
 	"d2t2/internal/serve"
 	"d2t2/internal/snapshot"
 )
@@ -66,7 +67,12 @@ func newTestCluster(t testing.TB, n, replication int) []*testNode {
 	const secret = "e2e-cluster-secret"
 	nodes := make([]*testNode, n)
 	urls := make([]string, n)
+	dirs := make([]string, n)
 	for i := range nodes {
+		// Cleanups run last-in first-out: making the cache directory
+		// before the server closes the server, and so finishes every
+		// in-flight push into the directory, before the directory goes.
+		dirs[i] = t.TempDir()
 		p := &handlerProxy{}
 		p.h.Store(http.NotFoundHandler())
 		ts := httptest.NewServer(p)
@@ -82,7 +88,7 @@ func newTestCluster(t testing.TB, n, replication int) []*testNode {
 			}
 		}
 		s, err := serve.New(serve.Config{
-			CacheDir:      t.TempDir(),
+			CacheDir:      dirs[i],
 			Peers:         peers,
 			SelfURL:       nd.url,
 			ClusterSecret: secret,
@@ -238,6 +244,36 @@ func sumMetric(nodes []*testNode, name string) int64 {
 		total += nd.srv.Metric(name)
 	}
 	return total
+}
+
+// ringSuccessor returns the member a key's owner pushes its one replica
+// to at replication factor 1: the ring is a pure function of the
+// membership, so a ring over the same URLs places keys as the nodes do.
+func ringSuccessor(t testing.TB, nodes []*testNode, key string) string {
+	t.Helper()
+	urls := make([]string, len(nodes))
+	for i, nd := range nodes {
+		urls[i] = nd.url
+	}
+	ring, err := cluster.NewRing(urls, 0)
+	if err != nil {
+		t.Fatalf("NewRing: %v", err)
+	}
+	succ := ring.Successors(key, 1)
+	if len(succ) != 1 {
+		t.Fatalf("key %s has %d successors, want 1", key, len(succ))
+	}
+	return succ[0]
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // TestClusterColdOptimizeOncePerKey fires identical cold optimize
@@ -404,13 +440,15 @@ func TestClusterCacheStateLadder(t *testing.T) {
 				t.Fatalf("forwarder warm request: state %q (want \"replica\"), bytes equal %v", state, bytes.Equal(body, cold))
 			}
 
-			// The other non-owner serves "peer" on its first warm request if
-			// the async replica push has not reached it, "replica" if it has
-			// — observe which (via the side-effect-free internal route) and
-			// assert the matching state, then "replica" ever after.
+			// The owner's one replica push goes to key's ring successor. When
+			// that is the other non-owner, wait for the push to land and
+			// expect "replica"; otherwise nothing ever pushes key there and
+			// its first warm request reads through: "peer". Then "replica"
+			// ever after.
 			wantFirst := "peer"
-			if holdsArtifact(t, others[1], key) {
+			if ringSuccessor(t, nodes, key) == others[1].url {
 				wantFirst = "replica"
+				waitFor(t, "the replica push to "+others[1].url, func() bool { return holdsArtifact(t, others[1], key) })
 			}
 			state, _, body = via(others[1], size)
 			if state != wantFirst || !bytes.Equal(body, cold) {

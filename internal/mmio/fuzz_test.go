@@ -65,3 +65,27 @@ func FuzzReadTNS(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadersMatchOracle is the differential check of the byte-level
+// readers against the line-oriented oracle they replaced: on every
+// input each reader returns the oracle's tensor bit for bit, or its
+// error message.
+func FuzzReadersMatchOracle(f *testing.F) {
+	seeds := []string{
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.5\n",
+		"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n",
+		"%%MatrixMarket matrix coordinate real skew-symmetric\r\n3 3 1\r\n2 1 4\r\n",
+		"%%MatrixMarket matrix coordinate integer general\n% c\n2 2 2\n2 2 1\n1 1 -2\n2 2 5\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n+1\u00a02 1e3\n",
+		"1 1 1 5.0\n2 3 4 1.5\n1 1 1 2\n",
+		"# comment\n1 2 3\n",
+		"1 2\u20283 4\n",
+		"garbage",
+	}
+	for i, s := range seeds {
+		f.Add(s, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, s string, dim uint8) {
+		assertMatchesOracle(t, s, int(dim%6)+1)
+	})
+}

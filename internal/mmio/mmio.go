@@ -5,131 +5,204 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"d2t2/internal/tensor"
 )
 
+// maxLine caps one input line, newline included, at 16 MiB.
+const maxLine = 1 << 24
+
+// lineReader yields an input's lines, without their "\n" or "\r\n"
+// ending, straight from the bufio.Reader's buffer (a longer line is
+// gathered into long), and splits them into fields in place. A line and
+// its fields are valid until the next call to next.
+type lineReader struct {
+	br     *bufio.Reader
+	long   []byte
+	fields [][]byte
+}
+
+// next returns the next line, or io.EOF after the last one.
+func (l *lineReader) next() ([]byte, error) {
+	line, err := l.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		l.long = append(l.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(l.long) <= maxLine {
+			line, err = l.br.ReadSlice('\n')
+			l.long = append(l.long, line...)
+		}
+		if len(l.long) > maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		line = l.long
+	}
+	if err != nil && (err != io.EOF || len(line) == 0) {
+		return nil, err
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r")), nil
+}
+
+// split returns line's fields as strings.Fields would: runs separated
+// by ASCII white space, or by Unicode white space when the line holds a
+// non-ASCII byte.
+func (l *lineReader) split(line []byte) [][]byte {
+	f := l.fields[:0]
+	for i := 0; i < len(line); {
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		j := i
+		for ; j < len(line) && !isSpace(line[j]); j++ {
+			if line[j] >= utf8.RuneSelf {
+				return bytes.Fields(line)
+			}
+		}
+		if j > i {
+			f = append(f, line[i:j])
+		}
+		i = j
+	}
+	l.fields = f
+	return f
+}
+
+func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// atoi parses f as strconv.Atoi does: an optional sign and base-10
+// digits. Fields short enough that they cannot overflow an int are
+// parsed in place; longer ones go through strconv.
+func atoi(f []byte) (int, bool) {
+	d := f
+	if len(d) > 0 && (d[0] == '+' || d[0] == '-') {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 9*strconv.IntSize/32 {
+		n, err := strconv.Atoi(string(f))
+		return n, err == nil
+	}
+	n := 0
+	for _, c := range d {
+		if c-'0' > 9 {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	if f[0] == '-' {
+		n = -n
+	}
+	return n, true
+}
+
 // ReadMatrixMarket parses a Matrix Market coordinate-format stream into a
 // COO matrix. Supported qualifiers: real/integer/pattern and
-// general/symmetric. Symmetric inputs are expanded to full storage.
+// general/symmetric/skew-symmetric. Symmetric inputs are expanded to full
+// storage; a skew-symmetric mirror entry holds the negated value.
 func ReadMatrixMarket(r io.Reader) (*tensor.COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-
-	if !sc.Scan() {
+	lr := &lineReader{br: bufio.NewReaderSize(r, 1<<16)}
+	first, err := lr.next()
+	if err != nil {
 		return nil, fmt.Errorf("mmio: empty input")
 	}
-	header := strings.Fields(strings.ToLower(sc.Text()))
+	header := strings.Fields(strings.ToLower(string(first)))
 	if len(header) < 4 || header[0] != "%%matrixmarket" || header[1] != "matrix" {
-		return nil, fmt.Errorf("mmio: bad MatrixMarket header %q", sc.Text())
+		return nil, fmt.Errorf("mmio: bad MatrixMarket header %q", first)
 	}
 	if header[2] != "coordinate" {
 		return nil, fmt.Errorf("mmio: only coordinate format is supported, got %q", header[2])
 	}
 	pattern := false
 	symmetric := false
+	mirror := 1.0
 	for _, q := range header[3:] {
 		switch q {
 		case "real", "integer", "general":
 		case "pattern":
 			pattern = true
-		case "symmetric", "skew-symmetric":
+		case "symmetric":
 			symmetric = true
+		case "skew-symmetric":
+			symmetric = true
+			mirror = -1
 		default:
 			return nil, fmt.Errorf("mmio: unsupported qualifier %q", q)
 		}
 	}
+	want := 3
+	if pattern {
+		want = 2
+	}
 
 	var m *tensor.COO
-	declared := -1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+	declared, stored := -1, 0
+	add := func(i, j int, v float64) {
+		m.Crds[0] = append(m.Crds[0], i)
+		m.Crds[1] = append(m.Crds[1], j)
+		m.Vals = append(m.Vals, v)
+	}
+	for {
+		line, err := lr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		f := lr.split(line)
+		if len(f) == 0 || f[0][0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
 		if m == nil {
 			if len(f) != 3 {
-				return nil, fmt.Errorf("mmio: bad size line %q", line)
+				return nil, fmt.Errorf("mmio: bad size line %q", bytes.TrimSpace(line))
 			}
-			rows, err1 := strconv.Atoi(f[0])
-			cols, err2 := strconv.Atoi(f[1])
-			nnz, err3 := strconv.Atoi(f[2])
-			if err1 != nil || err2 != nil || err3 != nil || rows <= 0 || cols <= 0 || nnz < 0 {
-				return nil, fmt.Errorf("mmio: bad size line %q", line)
+			rows, ok1 := atoi(f[0])
+			cols, ok2 := atoi(f[1])
+			nnz, ok3 := atoi(f[2])
+			if !ok1 || !ok2 || !ok3 || rows <= 0 || cols <= 0 || nnz < 0 {
+				return nil, fmt.Errorf("mmio: bad size line %q", bytes.TrimSpace(line))
 			}
 			m = tensor.New(rows, cols)
 			declared = nnz
 			continue
 		}
-		want := 3
-		if pattern {
-			want = 2
-		}
 		if len(f) < want {
-			return nil, fmt.Errorf("mmio: bad entry line %q", line)
+			return nil, fmt.Errorf("mmio: bad entry line %q", bytes.TrimSpace(line))
 		}
-		i, err1 := strconv.Atoi(f[0])
-		j, err2 := strconv.Atoi(f[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("mmio: bad entry line %q", line)
+		i, ok1 := atoi(f[0])
+		j, ok2 := atoi(f[1])
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("mmio: bad entry line %q", bytes.TrimSpace(line))
 		}
 		v := 1.0
 		if !pattern {
-			var err error
-			v, err = strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: bad value in %q: %v", line, err)
+			if v, err = strconv.ParseFloat(string(f[2]), 64); err != nil {
+				return nil, fmt.Errorf("mmio: bad value in %q: %v", bytes.TrimSpace(line), err)
 			}
 		}
 		if i < 1 || i > m.Dims[0] || j < 1 || j > m.Dims[1] {
 			return nil, fmt.Errorf("mmio: entry (%d,%d) out of bounds %v", i, j, m.Dims)
 		}
-		m.Append([]int{i - 1, j - 1}, v)
+		add(i-1, j-1, v)
 		if symmetric && i != j {
-			m.Append([]int{j - 1, i - 1}, v)
+			add(j-1, i-1, mirror*v)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		stored++
 	}
 	if m == nil {
 		return nil, fmt.Errorf("mmio: missing size line")
-	}
-	stored := m.NNZ()
-	if symmetric {
-		// Off-diagonal entries were mirrored; count the originals only.
-		stored = 0
-		for p := 0; p < m.NNZ(); p++ {
-			if m.Crds[0][p] <= m.Crds[1][p] {
-				stored++
-			}
-		}
-		// Symmetric inputs store one triangle; mirroring can make either
-		// triangle the "original", so accept a count match on either side.
-		if stored != declared {
-			stored = m.NNZ() - stored + countDiagonal(m)
-		}
 	}
 	if stored != declared {
 		return nil, fmt.Errorf("mmio: header declares %d entries, found %d", declared, stored)
 	}
 	m.Dedup()
 	return m, nil
-}
-
-func countDiagonal(m *tensor.COO) int {
-	n := 0
-	for p := 0; p < m.NNZ(); p++ {
-		if m.Crds[0][p] == m.Crds[1][p] {
-			n++
-		}
-	}
-	return n
 }
 
 // WriteMatrixMarket writes a COO matrix in general real coordinate format.
@@ -150,69 +223,67 @@ func WriteMatrixMarket(w io.Writer, m *tensor.COO) error {
 // followed by a value. Dimensions are inferred as the per-axis maxima
 // unless dims is non-nil.
 func ReadTNS(r io.Reader, dims []int) (*tensor.COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var coords [][]int
+	lr := &lineReader{br: bufio.NewReaderSize(r, 1<<16)}
+	var crds [][]int
 	var vals []float64
 	order := -1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+	for {
+		line, err := lr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		f := lr.split(line)
+		if len(f) == 0 || f[0][0] == '#' || f[0][0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
 		if order == -1 {
 			order = len(f) - 1
 			if order < 1 {
-				return nil, fmt.Errorf("mmio: bad tns line %q", line)
+				return nil, fmt.Errorf("mmio: bad tns line %q", bytes.TrimSpace(line))
 			}
+			crds = make([][]int, order)
 		}
 		if len(f) != order+1 {
-			return nil, fmt.Errorf("mmio: inconsistent arity in tns line %q", line)
+			return nil, fmt.Errorf("mmio: inconsistent arity in tns line %q", bytes.TrimSpace(line))
 		}
-		c := make([]int, order)
 		for a := 0; a < order; a++ {
-			v, err := strconv.Atoi(f[a])
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("mmio: bad coordinate in %q", line)
+			c, ok := atoi(f[a])
+			if !ok || c < 1 {
+				return nil, fmt.Errorf("mmio: bad coordinate in %q", bytes.TrimSpace(line))
 			}
-			c[a] = v - 1
+			crds[a] = append(crds[a], c-1)
 		}
-		v, err := strconv.ParseFloat(f[order], 64)
+		v, err := strconv.ParseFloat(string(f[order]), 64)
 		if err != nil {
-			return nil, fmt.Errorf("mmio: bad value in %q", line)
+			return nil, fmt.Errorf("mmio: bad value in %q", bytes.TrimSpace(line))
 		}
-		coords = append(coords, c)
 		vals = append(vals, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if order == -1 {
 		return nil, fmt.Errorf("mmio: empty tns input")
 	}
 	if dims == nil {
 		dims = make([]int, order)
-		for _, c := range coords {
-			for a, v := range c {
-				if v+1 > dims[a] {
-					dims[a] = v + 1
-				}
+		for a, crd := range crds {
+			for _, c := range crd {
+				dims[a] = max(dims[a], c+1)
 			}
 		}
 	} else if len(dims) != order {
 		return nil, fmt.Errorf("mmio: dims arity %d != tensor order %d", len(dims), order)
 	}
-	t := tensor.New(dims...)
-	for i, c := range coords {
-		for a, v := range c {
-			if v >= dims[a] {
-				return nil, fmt.Errorf("mmio: coordinate %d exceeds dim %d on axis %d", v+1, dims[a], a)
+	for p := range vals {
+		for a, crd := range crds {
+			if crd[p] >= dims[a] {
+				return nil, fmt.Errorf("mmio: coordinate %d exceeds dim %d on axis %d", crd[p]+1, dims[a], a)
 			}
-			_ = v
 		}
-		t.Append(c, vals[i])
 	}
+	t := tensor.New(dims...)
+	t.Crds, t.Vals = crds, vals
 	t.Dedup()
 	return t, nil
 }

@@ -656,11 +656,12 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 // clustered, peers) can resolve the address. Returns the canonical
 // registered tensor — the first registration wins so the session memo
 // stays keyed to one value — and whether the content was already known.
+// The ID and the stored artifact come from one encode of the tensor.
 // A failed store write is counted and skips replication: pushing an
 // artifact the local node could not durably hold would advertise state
 // it cannot back.
 func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d2t2.Tensor, bool, error) {
-	id, err := s.session.TensorID(t)
+	id, artifact, err := s.session.TensorArtifact(t)
 	if err != nil {
 		return "", nil, false, err
 	}
@@ -680,12 +681,10 @@ func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d
 	if !cached {
 		if b, _ := s.storeGet(ctx, id); b != nil {
 			cached = true
-		} else if b, err := snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.COO()}); err == nil {
-			if perr := s.store.Put(id, b); perr != nil {
-				s.metrics.add("store_put_errors", 1)
-			} else {
-				s.maybeReplicate(id, b)
-			}
+		} else if perr := s.store.Put(id, artifact); perr != nil {
+			s.metrics.add("store_put_errors", 1)
+		} else {
+			s.maybeReplicate(id, artifact)
 		}
 	}
 	return id, t, cached, nil

@@ -12,7 +12,9 @@
 // a 4-byte tag, a u64 little-endian payload length, the payload, and a
 // u32 CRC32 (IEEE) of the payload. Unknown tags are skipped (their CRC
 // is still verified), so newer writers stay readable by older readers.
-// The encoding is canonical: decode followed by encode is byte-identical.
+// The encoding is canonical for streams whose sections are all known:
+// decode followed by encode is byte-identical. An unknown section is
+// dropped by that round trip, since an Artifact has nowhere to keep it.
 //
 // The package also defines the service's content addresses: TensorID is
 // the SHA-256 of the canonical (sorted, deduplicated) COO encoding, and
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
 	"d2t2/internal/formats"
@@ -42,7 +45,8 @@ const (
 	Version = 1
 )
 
-// Section tags. Each may appear at most once per snapshot.
+// Section tags. Each may appear at most once per snapshot, and known
+// sections only in sectionOrder, the order EncodeBytes writes them.
 const (
 	tagTensor   = "TENS"
 	tagTiled    = "TILE"
@@ -51,6 +55,8 @@ const (
 	tagResponse = "RESP"
 	tagRisk     = "RISK"
 )
+
+var sectionOrder = []string{tagTensor, tagTiled, tagStats, tagPartial, tagResponse, tagRisk}
 
 // ErrTruncated is wrapped by decode errors caused by input ending inside
 // a frame — the signature of a torn write or a short read.
@@ -92,16 +98,12 @@ const riskMetaVersion = 1
 
 // EncodeBytes serializes the artifact.
 func EncodeBytes(a *Artifact) ([]byte, error) {
-	buf := make([]byte, 0, 1<<12)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = binary.LittleEndian.AppendUint16(buf, 0)
+	buf := appendHeader(make([]byte, 0, 1<<12))
 	if a.Tensor != nil {
-		payload, err := encodeTensor(a.Tensor)
-		if err != nil {
+		var err error
+		if buf, _, err = appendTensorSection(buf, a.Tensor); err != nil {
 			return nil, err
 		}
-		buf = appendSection(buf, tagTensor, payload)
 	}
 	if a.Tiled != nil {
 		payload, err := encodeTiled(a.Tiled)
@@ -149,8 +151,12 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 	if ver != Version {
 		return nil, fmt.Errorf("snapshot: unsupported format version %d (have %d)", ver, Version)
 	}
+	if res := binary.LittleEndian.Uint16(b[len(Magic)+2:]); res != 0 {
+		return nil, fmt.Errorf("snapshot: reserved header field is %d, want 0", res)
+	}
 	a := &Artifact{}
 	seen := map[string]bool{}
+	last := -1 // position in sectionOrder of the last known section
 	off := len(Magic) + 4
 	for off < len(b) {
 		if len(b)-off < 12 {
@@ -177,6 +183,12 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 			return nil, fmt.Errorf("snapshot: duplicate section %q", tag)
 		}
 		seen[tag] = true
+		if i := slices.Index(sectionOrder, tag); i >= 0 {
+			if i < last {
+				return nil, fmt.Errorf("snapshot: section %q out of order", tag)
+			}
+			last = i
+		}
 		var err error
 		switch tag {
 		case tagTensor:
@@ -211,6 +223,13 @@ func Decode(r io.Reader) (*Artifact, error) {
 	return DecodeBytes(b)
 }
 
+// appendHeader appends the stream header: magic, version, reserved.
+func appendHeader(buf []byte) []byte {
+	buf = append(buf, Magic...)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	return binary.LittleEndian.AppendUint16(buf, 0)
+}
+
 func appendSection(buf []byte, tag string, payload []byte) []byte {
 	buf = append(buf, tag...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
@@ -224,16 +243,33 @@ const maxCodecOrder = 16
 
 // --- TENS ---------------------------------------------------------------
 
-func encodeTensor(t *tensor.COO) ([]byte, error) {
+// appendTensor appends t's TENS payload to b, growing b once to fit it
+// and extra more bytes.
+func appendTensor(b []byte, t *tensor.COO, extra int) ([]byte, error) {
 	n := t.Order()
 	if n < 1 || n > maxCodecOrder {
 		return nil, fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, maxCodecOrder)
 	}
-	b := wire.AppendInts(nil, t.Dims)
+	b = slices.Grow(b, 8*(2+2*n+(n+1)*t.NNZ())+extra)
+	b = wire.AppendInts(b, t.Dims)
 	for a := 0; a < n; a++ {
 		b = wire.AppendInts(b, t.Crds[a])
 	}
 	return wire.AppendF64s(b, t.Vals), nil
+}
+
+// appendTensorSection appends t's TENS section to buf with the payload
+// encoded in place, and returns where the payload starts.
+func appendTensorSection(buf []byte, t *tensor.COO) ([]byte, int, error) {
+	buf = append(buf, tagTensor...)
+	start := len(buf) + 8
+	buf, err := appendTensor(binary.LittleEndian.AppendUint64(buf, 0), t, 4)
+	if err != nil {
+		return nil, 0, err
+	}
+	payload := buf[start:]
+	binary.LittleEndian.PutUint64(buf[start-8:], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), start, nil
 }
 
 func decodeTensor(payload []byte) (*tensor.COO, error) {
@@ -253,6 +289,9 @@ func decodeTensor(payload []byte) (*tensor.COO, error) {
 	vals := r.F64s()
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("snapshot: %d stray bytes after tensor section", r.Remaining())
 	}
 	for a := 0; a < n; a++ {
 		if len(crds[a]) != len(vals) {
@@ -661,14 +700,38 @@ func decodeRisk(payload []byte) (*RiskMeta, error) {
 // clone first, so equal tensor *contents* always produce equal IDs
 // regardless of entry order or pending duplicates.
 func TensorID(t *tensor.COO) (string, error) {
-	c := t.Clone()
-	c.Dedup()
-	payload, err := encodeTensor(c)
+	if !t.Canonical() {
+		t = t.Clone()
+		t.Dedup()
+	}
+	payload, err := appendTensor(nil, t, 0)
 	if err != nil {
 		return "", err
 	}
+	return contentID(payload), nil
+}
+
+// TensorArtifact returns TensorID(t) and EncodeBytes(&Artifact{Tensor:
+// t}) together. For a canonical t — every tensor a Session registers —
+// the tensor is encoded once: the ID hashes the payload the artifact
+// frames.
+func TensorArtifact(t *tensor.COO) (id string, artifact []byte, err error) {
+	b := appendHeader(nil)
+	b, start, err := appendTensorSection(b, t)
+	if err != nil {
+		return "", nil, err
+	}
+	if t.Canonical() {
+		id = contentID(b[start : len(b)-4])
+	} else if id, err = TensorID(t); err != nil {
+		return "", nil, err
+	}
+	return id, b, nil
+}
+
+func contentID(payload []byte) string {
 	sum := sha256.Sum256(payload)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // StatsKey derives the content address of a statistics artifact from the

@@ -9,7 +9,11 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
+
+	"d2t2/internal/radix"
 )
 
 // COO is an order-N sparse tensor in coordinate format. Crds holds one
@@ -166,9 +170,12 @@ func (t *COO) applyPermutation(idx []int) {
 // Dedup sorts the tensor in natural axis order and combines duplicate
 // coordinates by summing their values. Entries whose combined value is
 // exactly zero are retained (structural nonzeros), matching sparse-format
-// convention.
+// convention. A canonical tensor is left as it is. Otherwise a stable
+// radix sort of each entry's row-major position orders the entries, so
+// duplicates are summed in input order; only a tensor whose dense size
+// overflows 64 bits falls back to a comparison sort.
 func (t *COO) Dedup() {
-	if t.NNZ() == 0 {
+	if t.Canonical() || t.dedupRadix() {
 		return
 	}
 	t.Sort(nil)
@@ -184,7 +191,78 @@ func (t *COO) Dedup() {
 		}
 		t.Vals[w] = t.Vals[r]
 	}
-	n := w + 1
+	t.truncate(w + 1)
+}
+
+// Canonical reports whether the entries are in strictly increasing
+// natural axis order: sorted, with no duplicate coordinates, as Dedup
+// leaves them.
+func (t *COO) Canonical() bool {
+next:
+	for p := 1; p < t.NNZ(); p++ {
+		for _, crd := range t.Crds {
+			if crd[p] != crd[p-1] {
+				if crd[p] < crd[p-1] {
+					return false
+				}
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// dedupRadix is Dedup keyed by each entry's row-major position in the
+// dense grid. It reports false, leaving t untouched, when that position
+// or the entry count does not fit the sort's 64-bit keys and int32
+// permutation.
+func (t *COO) dedupRadix() bool {
+	n := t.NNZ()
+	if n > math.MaxInt32 {
+		return false
+	}
+	size := uint64(1)
+	for _, d := range t.Dims {
+		hi, lo := bits.Mul64(size, uint64(d))
+		if hi != 0 {
+			return false
+		}
+		size = lo
+	}
+	keys := make([]uint64, n)
+	for a, crd := range t.Crds {
+		d := uint64(t.Dims[a])
+		for p, c := range crd {
+			keys[p] = keys[p]*d + uint64(c)
+		}
+	}
+	idx := make([]int32, n)
+	for p := range idx {
+		idx[p] = int32(p)
+	}
+	keys, idx = radix.Sort(keys, make([]uint64, n), idx, make([]int32, n))
+	vals := make([]float64, 0, n)
+	for r, k := range keys {
+		if r > 0 && k == keys[r-1] {
+			vals[len(vals)-1] += t.Vals[idx[r]]
+			continue
+		}
+		w := len(vals)
+		for a := len(t.Crds) - 1; a >= 0; a-- {
+			d := uint64(t.Dims[a])
+			t.Crds[a][w] = int(k % d)
+			k /= d
+		}
+		vals = append(vals, t.Vals[idx[r]])
+	}
+	t.Vals = vals
+	t.truncate(len(vals))
+	return true
+}
+
+// truncate keeps the first n entries.
+func (t *COO) truncate(n int) {
 	for a := range t.Crds {
 		t.Crds[a] = t.Crds[a][:n]
 	}

@@ -129,6 +129,26 @@ func (s *Session) TensorID(t *Tensor) (string, error) {
 	return id, nil
 }
 
+// TensorArtifact returns the tensor's content address, as TensorID does,
+// together with its encoded snapshot tensor artifact; an unmemoized ID
+// comes from the same single encode as the artifact, and is memoized.
+func (s *Session) TensorArtifact(t *Tensor) (id string, artifact []byte, err error) {
+	s.mu.Lock()
+	id, ok := s.ids[t]
+	s.mu.Unlock()
+	if ok {
+		artifact, err = snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.coo})
+		return id, artifact, err
+	}
+	if id, artifact, err = snapshot.TensorArtifact(t.coo); err != nil {
+		return "", nil, err
+	}
+	s.mu.Lock()
+	s.ids[t] = id
+	s.mu.Unlock()
+	return id, artifact, nil
+}
+
 // statsFor returns the statistics for t at the given base tiling and
 // level order, consulting the batch scope (when b is non-nil), then the
 // session memo or external cache, before collecting. A cancelled ctx
