@@ -321,7 +321,6 @@ func cmdMeasure(args []string) error {
 	fs.Var(files, "input", "NAME=FILE (repeatable)")
 	kernel := fs.String("kernel", "C(i,j) = A(i,k) * B(k,j) | order: i,k,j", "TIN kernel")
 	config := fs.String("config", "", "tile config, e.g. i=512,k=32,j=512")
-	trace := fs.String("trace", "", "write a CSV tile-event trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -340,24 +339,9 @@ func cmdMeasure(args []string) error {
 	if err != nil {
 		return err
 	}
-	var rep *d2t2.TrafficReport
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rep, err = d2t2.MeasureConfigTraced(k, inputs, cfg, f)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s\n", *trace)
-	} else {
-		var err error
-		rep, err = d2t2.MeasureConfig(k, inputs, cfg)
-		if err != nil {
-			return err
-		}
+	rep, err := d2t2.MeasureConfig(k, inputs, cfg)
+	if err != nil {
+		return err
 	}
 	printReport(rep)
 	return nil

@@ -127,21 +127,3 @@ func TestCmdGenAndOptimizeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCmdMeasureTrace(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.csv")
-	if err := cmdMeasure([]string{
-		"-input", "A=dataset:Q:96", "-input", "B=dataset:Q:96",
-		"-config", "i=32,k=32,j=32", "-trace", tracePath,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty trace")
-	}
-}

@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"d2t2/internal/accel"
 	"d2t2/internal/einsum"
@@ -50,6 +51,9 @@ import (
 // Tensor is a sparse tensor in coordinate form.
 type Tensor struct {
 	coo *tensor.COO
+	// id memoizes the content address (Session.TensorID) on the tensor,
+	// so the memo lives exactly as long as the tensor; Set clears it.
+	id atomic.Pointer[string]
 }
 
 // NewTensor creates an empty sparse tensor with the given dimensions.
@@ -59,7 +63,10 @@ func NewTensor(dims ...int) *Tensor {
 
 // Set appends a nonzero entry. Duplicate coordinates are summed when the
 // tensor is next normalized (any library call normalizes as needed).
-func (t *Tensor) Set(coord []int, val float64) { t.coo.Append(coord, val) }
+func (t *Tensor) Set(coord []int, val float64) {
+	t.coo.Append(coord, val)
+	t.id.Store(nil)
+}
 
 // Dims returns the dimension sizes.
 func (t *Tensor) Dims() []int { return append([]int(nil), t.coo.Dims...) }
@@ -509,19 +516,4 @@ func (k *Kernel) Validate(cfg TileConfig) error {
 		}
 	}
 	return nil
-}
-
-// MeasureConfigTraced is MeasureConfig with a CSV tile-event trace
-// written to w (one line per fetch/write: event, tensor, outer
-// coordinates, words).
-func MeasureConfigTraced(k *Kernel, inputs Inputs, cfg TileConfig, w io.Writer) (*TrafficReport, error) {
-	tiled, err := optimizer.TileAll(k.expr, inputs.lower(), model.Config(cfg))
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.Measure(k.expr, tiled, &exec.Options{Trace: w})
-	if err != nil {
-		return nil, err
-	}
-	return newReport(&res.Traffic), nil
 }

@@ -123,11 +123,11 @@ type enginePlan struct {
 
 // compileEngine builds the specialized engine for a runner's kernel, or
 // returns nil when the kernel is outside the engine's envelope (multiple
-// summands, tracing, ForceGeneric, or scratch caps exceeded) — the
-// caller then falls back to the generic walker.
+// summands, ForceGeneric, or scratch caps exceeded) — the caller then
+// falls back to the generic walker.
 func compileEngine(r *runner) *enginePlan {
 	o := &r.opts
-	if o.Trace != nil || o.ForceGeneric {
+	if o.ForceGeneric {
 		return nil
 	}
 	if len(r.prods) != 1 || len(r.refs) > maxEngineRefs {

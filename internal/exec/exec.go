@@ -21,9 +21,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 
 	"d2t2/internal/einsum"
 	"d2t2/internal/tensor"
@@ -89,11 +87,6 @@ type Options struct {
 	// separate partial write whose fragments accumulate in main memory.
 	// The extra cost is the re-written metadata of the extra partials.
 	OutputBufferWords int
-	// Trace receives one CSV line per memory event — useful for driving
-	// external simulators. Columns: event (fetch/write), tensor name or
-	// "OUT", outer coordinates joined by ';', words moved. Tracing forces
-	// serial execution on the generic walker.
-	Trace io.Writer
 	// ForceGeneric disables the specialized engine and measures on the
 	// generic tree-walking interpreter — the reference oracle the
 	// differential suite compares the engine against.
@@ -599,9 +592,6 @@ func (r *runner) walk(d int, cursors []int32) bool {
 						r.traffic.OverflowFetches++
 					}
 					r.traffic.Input[st.ref.Name] += cost
-					if r.opts.Trace != nil {
-						r.trace("fetch", st.ref.Name, tile.Outer, cost)
-					}
 				}
 			}
 		}
@@ -646,24 +636,6 @@ func (r *runner) tileOf(st *refState) *tiling.Tile {
 		outer[a] = int(r.bound[d])
 	}
 	return st.tt.Lookup(outer...)
-}
-
-// trace emits one CSV event line; errors are ignored (tracing is a
-// diagnostic facility).
-func (r *runner) trace(event, name string, outer []int, words int64) {
-	var sb strings.Builder
-	sb.WriteString(event)
-	sb.WriteByte(',')
-	sb.WriteString(name)
-	sb.WriteByte(',')
-	for i, c := range outer {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		fmt.Fprintf(&sb, "%d", c)
-	}
-	fmt.Fprintf(&sb, ",%d\n", words)
-	io.WriteString(r.opts.Trace, sb.String())
 }
 
 func contains(s []int, v int) bool {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -745,53 +744,5 @@ func TestPackedTilesExecution(t *testing.T) {
 	// retiled configuration's.
 	if got.InputTotal() < want.InputTotal() {
 		t.Fatalf("packed input traffic %d below retiled %d", got.InputTotal(), want.InputTotal())
-	}
-}
-
-// TestTraceEvents: the trace facility emits one CSV line per fetch and
-// write, totals matching the traffic counters.
-func TestTraceEvents(t *testing.T) {
-	a := tensor.New(4, 4)
-	a.Append([]int{0, 0}, 1)
-	a.Append([]int{2, 2}, 1)
-	e := einsum.SpMSpMIKJ()
-	tiles := map[string]int{"i": 2, "k": 2, "j": 2}
-	tens := map[string]*tiling.TiledTensor{
-		"A": tileFor(t, e, "A", a, tiles),
-		"B": tileFor(t, e, "B", a.Transpose(), tiles),
-	}
-	var buf strings.Builder
-	res, err := Measure(e, tens, &Options{Trace: &buf, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	fetches, writes := 0, 0
-	var fetchWords, writeWords int64
-	for _, line := range lines {
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			t.Fatalf("bad trace line %q", line)
-		}
-		w, err := strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			t.Fatalf("bad words in %q", line)
-		}
-		switch parts[0] {
-		case "fetch":
-			fetches++
-			fetchWords += w
-		case "write":
-			writes++
-			writeWords += w
-		default:
-			t.Fatalf("unknown event %q", parts[0])
-		}
-	}
-	if fetchWords != res.InputTotal() {
-		t.Fatalf("trace fetch words %d != input traffic %d", fetchWords, res.InputTotal())
-	}
-	if writeWords != res.Output || int64(writes) != res.OutputWrites {
-		t.Fatalf("trace writes %d/%d != output %d/%d", writes, writeWords, res.OutputWrites, res.Output)
 	}
 }

@@ -283,11 +283,4 @@ func (r *runner) flushOutput() {
 	r.traffic.Output += int64(words)
 	r.traffic.OutputWrites += writes
 	r.traffic.OutputNNZ += int64(nnz)
-	if r.opts.Trace != nil {
-		outOuter := make([]int, len(r.e.Out.Indices))
-		for a, oix := range r.e.Out.Indices {
-			outOuter[a] = int(r.bound[r.e.OrderPos(oix)])
-		}
-		r.trace("write", "OUT", outOuter, int64(words))
-	}
 }

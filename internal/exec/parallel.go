@@ -14,10 +14,9 @@ import (
 // for pure measurement. With CollectOutput the outermost loop index
 // must additionally appear in the output, so every worker's collected
 // coordinates are disjoint and the per-key float sums are byte-identical
-// to the serial pass. Tracing interleaves a shared writer and forces
-// serial execution.
+// to the serial pass.
 func workersFor(e *einsum.Expr, opts *Options) int {
-	if opts == nil || opts.Workers <= 1 || opts.Trace != nil {
+	if opts == nil || opts.Workers <= 1 {
 		return 1
 	}
 	if !opts.CollectOutput {

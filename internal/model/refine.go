@@ -132,7 +132,7 @@ func (p *Predictor) refinedInputTraffic(vi int, views []*tensorView) (float64, b
 		oc := v.sh.TileOuter(t)
 		mult := 1.0
 		for i, c := range plan.cofactors {
-			mult *= float64(projs[i].Lookup(stats.ProjKey(oc, c.sharedV)))
+			mult *= float64(projs[i].Lookup(oc, c.sharedV))
 			if mult <= 0 {
 				break
 			}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,16 @@ import (
 	"d2t2/internal/stats"
 	"d2t2/internal/tensor"
 )
+
+// tupleKey keys the outer coordinates at the given axis positions by the
+// tuple itself, so the oracle shares no key layout with the projections.
+func tupleKey(oc []int32, axes []int) string {
+	c := make([]int32, len(axes))
+	for i, a := range axes {
+		c[i] = oc[a]
+	}
+	return fmt.Sprint(c)
+}
 
 // refinedInputTrafficMap is the map-building refinedInputTraffic the
 // memoized projections replaced: per call it derives the cofactor plans
@@ -51,8 +62,8 @@ func (p *Predictor) refinedInputTrafficMap(vi int, views []*tensorView, prod []i
 	}
 	type mapPlan struct {
 		sharedV []int
-		count   map[uint64]int
-		exists  map[uint64]struct{}
+		count   map[string]int
+		exists  map[string]struct{}
 	}
 	var plans []mapPlan
 	for _, wi := range prod {
@@ -77,25 +88,25 @@ func (p *Predictor) refinedInputTrafficMap(vi int, views []*tensorView, prod []i
 			}
 		}
 		if len(wExtras) > 0 {
-			plan.count = make(map[uint64]int)
-			seen := make(map[uint64]map[uint64]struct{})
+			plan.count = make(map[string]int)
+			seen := make(map[string]map[string]struct{})
 			for t := range w.sh.GroupFP {
 				oc := w.sh.TileOuter(t)
-				key := stats.ProjKey(oc, sharedW)
+				key := tupleKey(oc, sharedW)
 				s := seen[key]
 				if s == nil {
-					s = make(map[uint64]struct{})
+					s = make(map[string]struct{})
 					seen[key] = s
 				}
-				s[stats.ProjKey(oc, wExtras)] = struct{}{}
+				s[tupleKey(oc, wExtras)] = struct{}{}
 			}
 			for key, s := range seen {
 				plan.count[key] = len(s)
 			}
 		} else {
-			plan.exists = make(map[uint64]struct{})
+			plan.exists = make(map[string]struct{})
 			for t := range w.sh.GroupFP {
-				plan.exists[stats.ProjKey(w.sh.TileOuter(t), sharedW)] = struct{}{}
+				plan.exists[tupleKey(w.sh.TileOuter(t), sharedW)] = struct{}{}
 			}
 		}
 		plans = append(plans, plan)
@@ -105,7 +116,7 @@ func (p *Predictor) refinedInputTrafficMap(vi int, views []*tensorView, prod []i
 		oc := v.sh.TileOuter(t)
 		mult := 1.0
 		for _, plan := range plans {
-			key := stats.ProjKey(oc, plan.sharedV)
+			key := tupleKey(oc, plan.sharedV)
 			if plan.count != nil {
 				mult *= float64(plan.count[key])
 			} else if _, ok := plan.exists[key]; !ok {

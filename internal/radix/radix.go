@@ -1,7 +1,7 @@
-// Package radix holds the one integer sort the statistics and the
-// measurement engine share: a stable least-significant-digit radix sort
-// of uint64 keys into caller-owned scratch, so hot loops sort without
-// allocating and without a comparison callback.
+// Package radix holds the one key layout of coordinate grids (Codec) and
+// the one integer sort its keys feed: a stable least-significant-digit
+// radix sort of uint64 keys into caller-owned scratch, so hot loops sort
+// without allocating and without a comparison callback.
 package radix
 
 import "math/bits"

@@ -19,9 +19,9 @@ import (
 
 	"d2t2"
 	"d2t2/internal/buildinfo"
+	"d2t2/internal/radix"
 	"d2t2/internal/snapshot"
 	"d2t2/internal/stats"
-	"d2t2/internal/tiling"
 )
 
 // Config tunes a Server. The zero value is usable: in-memory cache only,
@@ -638,10 +638,11 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 	if err != nil {
 		return ingestResponse{}, err
 	}
-	// A tensor every later tiling would refuse is a bad upload, not a
-	// resident that fails each optimize.
-	if t.Order() > tiling.MaxOrder {
-		return ingestResponse{}, fmt.Errorf("order-%d tensor: tiling supports order ≤ %d", t.Order(), tiling.MaxOrder)
+	// The statistics key the tensor's coordinate grid: a tensor whose grid
+	// has no 64-bit keys is a bad upload, not a resident that fails each
+	// optimize.
+	if _, err := radix.NewCodec(t.Dims()); err != nil {
+		return ingestResponse{}, fmt.Errorf("%v tensor: %w", t.Dims(), err)
 	}
 	t.Normalize()
 	id, t, cached, err := s.registerTensor(ctx, t)
@@ -654,8 +655,8 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 // registerTensor registers a normalized tensor under its content address
 // and persists the tensor artifact so later process lives (and, when
 // clustered, peers) can resolve the address. Returns the canonical
-// registered tensor — the first registration wins so the session memo
-// stays keyed to one value — and whether the content was already known.
+// registered tensor — the first registration wins, so a content address
+// names one resident tensor — and whether the content was already known.
 // The ID and the stored artifact come from one encode of the tensor.
 // A failed store write is counted and skips replication: pushing an
 // artifact the local node could not durably hold would advertise state

@@ -6,12 +6,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"d2t2"
+	"d2t2/internal/einsum"
+	"d2t2/internal/exec"
+	"d2t2/internal/mmio"
+	"d2t2/internal/model"
+	"d2t2/internal/optimizer"
+	"d2t2/internal/tensor"
 )
 
 const testKernel = "C(i,j) = A(i,k) * B(k,j) | order: i,k,j"
@@ -273,12 +284,14 @@ func TestRawUploadIngest(t *testing.T) {
 	}
 }
 
-// TestIngestRejectsOrderAboveTilingLimit: a 4-way .tns upload parses,
-// but its tile keys would wrap, so ingest answers 400 and counts the
-// failure instead of registering a tensor whose plans would be wrong.
+// TestIngestRejectsOrderAboveTilingLimit: the one limit on an upload's
+// order is that its coordinate grid has 64-bit keys. A 4-way tensor of
+// 2^16 per axis has exactly 2^64 cells, so ingest answers 400 naming
+// the bound and counts the failure instead of registering a tensor
+// every optimize would refuse; one cell fewer per axis is accepted.
 func TestIngestRejectsOrderAboveTilingLimit(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	tns := "1 1 1 1 1.0\n3 1 1 1 2.0\n5 1 1 1 3.0\n8 2 2 2 4.0\n"
+	tns := "1 1 1 1 1.0\n65536 65536 65536 65536 2.0\n"
 	resp, err := http.Post(ts.URL+"/v1/tensors", "text/plain", strings.NewReader(tns))
 	if err != nil {
 		t.Fatalf("upload: %v", err)
@@ -286,10 +299,10 @@ func TestIngestRejectsOrderAboveTilingLimit(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("order-4 upload: status %d, want 400: %s", resp.StatusCode, body)
+		t.Fatalf("2^64-cell upload: status %d, want 400: %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), "order") {
-		t.Fatalf("order-4 upload: error does not name the limit: %s", body)
+	if !strings.Contains(string(body), "2^64") {
+		t.Fatalf("2^64-cell upload: error does not name the bound: %s", body)
 	}
 	if got := s.Metric("ingest_errors"); got != 1 {
 		t.Fatalf("ingest_errors = %d, want 1", got)
@@ -297,6 +310,140 @@ func TestIngestRejectsOrderAboveTilingLimit(t *testing.T) {
 	if got := s.Metric("tensors_registered"); got != 0 {
 		t.Fatalf("tensors_registered = %d, want 0", got)
 	}
+	below := "1 1 1 1 1.0\n65535 65535 65535 65535 2.0\n"
+	resp, err = http.Post(ts.URL+"/v1/tensors", "text/plain", strings.NewReader(below))
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("(2^16-1)^4-cell upload: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestOrder4OptimizeAndMeasure: d2t2d ingests a 4-way .tns and answers
+// optimize with measure for a TTM-style kernel over it, and the measured
+// traffic is the compiled engine's, equal to the generic walker's on the
+// returned configuration.
+func TestOrder4OptimizeAndMeasure(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	r := rand.New(rand.NewSource(4))
+	var c, b strings.Builder
+	for p := 0; p < 400; p++ {
+		fmt.Fprintf(&c, "%d %d %d %d %d\n", 1+r.Intn(24), 1+r.Intn(20), 1+r.Intn(12), 1+r.Intn(16), 1+r.Intn(9))
+	}
+	for p := 0; p < 60; p++ {
+		fmt.Fprintf(&b, "%d %d %d\n", 1+r.Intn(10), 1+r.Intn(16), 1+r.Intn(9))
+	}
+	upload := func(text string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/tensors", "text/plain", strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("upload: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload: status %d: %s", resp.StatusCode, body)
+		}
+		var ir struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(body, &ir); err != nil {
+			t.Fatal(err)
+		}
+		return ir.ID
+	}
+	const kernel = "X(i,j,k,m) = C(i,j,k,l) * B(m,l) | order: i,j,k,l,m"
+	resp, body := postJSON(t, ts.URL+"/v1/optimize", map[string]any{
+		"kernel":      kernel,
+		"inputs":      map[string]string{"C": upload(c.String()), "B": upload(b.String())},
+		"bufferWords": 600,
+		"measure":     true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("optimize: status %d: %s", resp.StatusCode, body)
+	}
+	var or optimizeResponse
+	if err := json.Unmarshal(body, &or); err != nil {
+		t.Fatal(err)
+	}
+	if or.MeasuredMB == nil {
+		t.Fatalf("optimize with measure returned no measuredMB: %s", body)
+	}
+
+	inputs := map[string]*tensor.COO{}
+	for name, text := range map[string]string{"C": c.String(), "B": b.String()} {
+		x, err := mmio.ReadAny(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Dedup()
+		inputs[name] = x
+	}
+	e := einsum.MustParse(kernel)
+	tiled, err := optimizer.TileAll(e, inputs, model.Config(or.Config))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := exec.Measure(e, tiled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walker, err := exec.Measure(e, tiled, &exec.Options{ForceGeneric: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !engine.Specialized {
+		t.Fatal("order-4 TTM did not run on the compiled engine")
+	}
+	if !reflect.DeepEqual(engine.Traffic, walker.Traffic) {
+		t.Fatalf("engine traffic %+v != walker traffic %+v", engine.Traffic, walker.Traffic)
+	}
+	if got := engine.Traffic.TotalMB(); got != *or.MeasuredMB {
+		t.Fatalf("measuredMB %v, engine recount %v", *or.MeasuredMB, got)
+	}
+}
+
+// TestDuplicateUploadNotPinned: registering content the server already
+// holds keeps the first tensor, and the duplicate upload's tensor becomes
+// garbage — the content-address memo must not keep it reachable.
+func TestDuplicateUploadNotPinned(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	const tns = "1 1 2.0\n3 2 1.0\n2 4 5.0\n"
+	upload := func() *d2t2.Tensor {
+		x, err := d2t2.FromStream(strings.NewReader(tns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Normalize()
+		return x
+	}
+	first := upload()
+	id, kept, _, err := s.registerTensor(context.Background(), first)
+	if err != nil || kept != first {
+		t.Fatalf("first registration: %v", err)
+	}
+	collected := make(chan struct{})
+	func() {
+		dup := upload()
+		dupID, got, cached, err := s.registerTensor(context.Background(), dup)
+		if err != nil || dupID != id || got != first || !cached {
+			t.Fatalf("duplicate registration: id %s, cached %v, kept first %v, err %v", dupID, cached, got == first, err)
+		}
+		runtime.SetFinalizer(dup, func(*d2t2.Tensor) { close(collected) })
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(first)
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("the duplicate upload's tensor is still reachable after registration")
 }
 
 func TestErrorPaths(t *testing.T) {

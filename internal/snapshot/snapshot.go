@@ -734,12 +734,19 @@ func contentID(payload []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
+// tileKeyLayout names the layout of the tile keys STAT and PART sections
+// store (radix.Codec's row-major keys). It is part of every stats and
+// partial address, so an artifact written under an earlier layout (21
+// bits per axis) is never addressed, and never decoded under this one.
+const tileKeyLayout = "keys=row-major"
+
 // StatsKey derives the content address of a statistics artifact from the
 // tensor ID and the collection parameters that shape it: the base tile
-// dimensions, the CSF level order, and the micro-summary divisor.
+// dimensions, the CSF level order, and the micro-summary divisor, under
+// the tile-key layout.
 func StatsKey(tensorID string, tileDims, order []int, microDiv int) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "stats|%s|%v|%v|%d", tensorID, tileDims, order, microDiv)
+	fmt.Fprintf(&b, "stats|%s|%s|%v|%v|%d", tileKeyLayout, tensorID, tileDims, order, microDiv)
 	sum := sha256.Sum256(b.Bytes())
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
@@ -750,7 +757,7 @@ func StatsKey(tensorID string, tileDims, order []int, microDiv int) string {
 // distinct prefix so finalized and accumulator artifacts never collide.
 func PartialKey(tensorID string, tileDims, order []int, microDiv int) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "partial|%s|%v|%v|%d", tensorID, tileDims, order, microDiv)
+	fmt.Fprintf(&b, "partial|%s|%s|%v|%v|%d", tileKeyLayout, tensorID, tileDims, order, microDiv)
 	sum := sha256.Sum256(b.Bytes())
 	return "sha256:" + hex.EncodeToString(sum[:])
 }

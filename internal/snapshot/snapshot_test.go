@@ -2,8 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -211,6 +214,24 @@ func TestKeysDiffer(t *testing.T) {
 	}
 	if len(keys) != 6 {
 		t.Fatalf("key collision: %d distinct keys, want 6", len(keys))
+	}
+}
+
+// TestStatsKeysNameTheKeyLayout: stats and partial addresses changed
+// with the tile-key layout, so an artifact stored under the 21-bit
+// layout's addresses is never looked up, and never decoded as row-major
+// keys.
+func TestStatsKeysNameTheKeyLayout(t *testing.T) {
+	id := "sha256:0000000000000000000000000000000000000000000000000000000000000000"
+	legacy := func(kind string) string {
+		sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%v|%v|%d", kind, id, []int{16, 16}, []int{0, 1}, 8)))
+		return "sha256:" + hex.EncodeToString(sum[:])
+	}
+	if StatsKey(id, []int{16, 16}, []int{0, 1}, 8) == legacy("stats") {
+		t.Fatal("StatsKey still addresses 21-bit-layout artifacts")
+	}
+	if PartialKey(id, []int{16, 16}, []int{0, 1}, 8) == legacy("partial") {
+		t.Fatal("PartialKey still addresses 21-bit-layout artifacts")
 	}
 }
 

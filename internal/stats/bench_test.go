@@ -41,8 +41,12 @@ func BenchmarkCorrsFinalize(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m := gen.PowerLawGraph(r, 1200, 100_000, 1.7)
 	for ax := range m.Dims {
+		rest, err := corrRestGrid(m.Dims, ax)
+		if err != nil {
+			b.Fatal(err)
+		}
 		pl := newCorrPlan(m.Dims[ax], 128, 512)
-		off, flat := pl.gather(m, ax)
+		off, flat := pl.gather(m, ax, rest)
 		for _, k := range []struct {
 			name string
 			run  func(*corrPlan, []int32, []uint64) []float64

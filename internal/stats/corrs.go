@@ -2,9 +2,9 @@ package stats
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
+	"d2t2/internal/checked"
 	"d2t2/internal/radix"
 	"d2t2/internal/tensor"
 )
@@ -52,29 +52,23 @@ func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
 	return pl
 }
 
-// corrKeySpace bounds the rest-key range for a tensor of the given dims:
-// finalize packs each entry as rest·dim + position, so Corrs needs
-// Π dims < 2^64 or distinct coordinates would collide. It returns the
-// product of dims, or an error when that product does not fit a uint64.
-func corrKeySpace(dims []int) (uint64, error) {
-	prod := uint64(1)
-	for _, d := range dims {
-		hi, lo := bits.Mul64(prod, uint64(d))
-		if hi != 0 {
-			return 0, fmt.Errorf("stats: corr keys overflow: product of dims %v reaches 2^64", dims)
-		}
-		prod = lo
+// corrRestGrid returns the grid of an entry's rest key along axis (its
+// coordinates on the other axes). Rest key and position are the halves
+// of its key in the tensor's grid with axis moved last, which must exist.
+func corrRestGrid(dims []int, axis int) (*radix.Codec, error) {
+	if _, err := radix.NewCodec(dims); err != nil {
+		return nil, fmt.Errorf("stats: corr keys overflow: %w", err)
 	}
-	return prod, nil
+	return radix.NewCodec(slices.Delete(slices.Clone(dims), axis, axis+1))
 }
 
 // gather groups the needed entries by coordinate along axis; the "rest"
-// of each entry (all other axes) is encoded into a single uint64 key.
+// of each entry (all other axes) is its key in the rest grid.
 // Count-then-fill into one flat backing array instead of a map of
 // growing slices: two passes over the entries, a handful of allocations
 // total. Each position's slice flat[off[k]:off[k+1]] comes back sorted —
 // the canonical accumulator form Partial serializes and Merge merges.
-func (pl *corrPlan) gather(t *tensor.COO, axis int) (off []int32, flat []uint64) {
+func (pl *corrPlan) gather(t *tensor.COO, axis int, rest *radix.Codec) (off []int32, flat []uint64) {
 	dim := pl.dim
 	cnt := make([]int32, dim+1)
 	for p := 0; p < t.NNZ(); p++ {
@@ -89,19 +83,19 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int) (off []int32, flat []uint64)
 	flat = make([]uint64, off[dim])
 	cur := make([]int32, dim)
 	copy(cur, off[:dim])
+	rc := make([]int, 0, t.Order())
 	for p := 0; p < t.NNZ(); p++ {
 		k := t.Crds[axis][p]
 		if !pl.needed[k] {
 			continue
 		}
-		var key uint64
-		for a := 0; a < t.Order(); a++ {
-			if a == axis {
-				continue
+		rc = rc[:0]
+		for a, crd := range t.Crds {
+			if a != axis {
+				rc = append(rc, crd[p])
 			}
-			key = key*uint64(t.Dims[a]) + uint64(t.Crds[a][p])
 		}
-		flat[cur[k]] = key
+		flat[cur[k]], _ = rest.Encode(rc)
 		cur[k]++
 	}
 	for k := 0; k < dim; k++ {
@@ -115,9 +109,10 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int) (off []int32, flat []uint64)
 // between the rest-key multisets of their entries, summed over sampled k
 // and normalized so shift 0 is 1.
 //
-// The count runs over an inverted index rather than per (k, s) pair:
-// every entry becomes the packed key rest·dim + position, and one sort
-// groups the entries by rest key with positions ascending. Inside a rest
+// The count runs over an inverted index rather than per (k, s) pair: one
+// stable sort of the rest keys, carrying each entry's position, groups
+// the entries by rest key with positions ascending (the accumulator
+// lists positions in order). Inside a rest
 // key's run, each sampled source p meets every later position q within
 // maxShift and adds min(mult_p, mult_q) to overlap[q−p] — exactly what a
 // sorted-merge intersection of the two positions' multisets counts. The
@@ -125,27 +120,27 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int) (off []int32, flat []uint64)
 // the plan spans. Sums are exact integers, so identical accumulators
 // yield bit-identical curves regardless of how they were assembled.
 func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
-	dim := uint64(pl.dim)
-	keys := make([]uint64, len(flat))
+	keys := slices.Clone(flat)
+	pos := make([]int32, len(flat))
 	for k := 0; k < pl.dim; k++ {
 		for i := off[k]; i < off[k+1]; i++ {
-			keys[i] = flat[i]*dim + uint64(k)
+			pos[i] = checked.Int32(k)
 		}
 	}
-	keys, _ = radix.Sort(keys, make([]uint64, len(keys)), nil, nil)
+	keys, pos = radix.Sort(keys, make([]uint64, len(keys)), pos, make([]int32, len(pos)))
 
 	overlap := make([]int64, pl.maxShift+1)
 	var run []posMult
 	for i := 0; i < len(keys); {
 		// One rest key's run, run-length encoded by position.
-		lo := keys[i] / dim * dim
+		rest := keys[i]
 		run = run[:0]
-		for i < len(keys) && keys[i]-lo < dim {
+		for i < len(keys) && keys[i] == rest {
 			j := i + 1
-			for j < len(keys) && keys[j] == keys[i] {
+			for j < len(keys) && keys[j] == rest && pos[j] == pos[i] {
 				j++
 			}
-			run = append(run, posMult{int(keys[i] - lo), j - i})
+			run = append(run, posMult{int(pos[i]), j - i})
 			i = j
 		}
 		for a, src := range run {

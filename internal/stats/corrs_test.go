@@ -171,8 +171,12 @@ func TestCorrsAxisMatchesPairwise(t *testing.T) {
 	}
 	for _, x := range []*tensor.COO{m, t3} {
 		for ax := range x.Dims {
+			rest, err := corrRestGrid(x.Dims, ax)
+			if err != nil {
+				t.Fatal(err)
+			}
 			pl := newCorrPlan(x.Dims[ax], 32, 64)
-			off, flat := pl.gather(x, ax)
+			off, flat := pl.gather(x, ax, rest)
 			if got, want := pl.finalize(off, flat), finalizePairwise(pl, off, flat); !sameBits(got, want) {
 				t.Fatalf("dims %v axis %d: finalize %v, pairwise oracle %v", x.Dims, ax, got, want)
 			}

@@ -3,7 +3,9 @@ package stats
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"d2t2/internal/radix"
 	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
@@ -72,16 +74,14 @@ func ApplyDeltaCtx(ctx context.Context, p *Partial, old, delta *tensor.COO, work
 	// The per-tile tables cannot merge additively — a touched tile's
 	// fiber counts and footprint depend on the union of its entries — so
 	// the touched tiles are re-summarized from (old entries in those
-	// tiles) + delta. Touched base and micro key sets are computed
-	// separately: micro tiles need not nest in base tiles when TileDims
-	// is not a micro multiple.
-	touchedT := touchedKeys(delta, p.TileDims)
-	sumT, err := tiling.SummarizeCtx(ctx, filterPlus(old, p.TileDims, touchedT, delta), p.TileDims, p.Order, workers)
+	// tiles) + delta. Touched base and micro tiles are found separately:
+	// micro tiles need not nest in base tiles when TileDims is not a
+	// micro multiple.
+	sumT, err := touchedSummary(ctx, old, delta, p.TileDims, p.Order, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	touchedM := touchedKeys(delta, p.MicroDims)
-	sumM, err := tiling.SummarizeCtx(ctx, filterPlus(old, p.MicroDims, touchedM, delta), p.MicroDims, p.Order, workers)
+	sumM, err := touchedSummary(ctx, old, delta, p.MicroDims, p.Order, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -96,8 +96,8 @@ func ApplyDeltaCtx(ctx context.Context, p *Partial, old, delta *tensor.COO, work
 		return nil, nil, err
 	}
 	rest := *p
-	rest.TileKeys, rest.TileNNZ, rest.TileFP, rest.TileFibers = dropKeys(p.TileKeys, p.TileNNZ, p.TileFP, p.TileFibers, touchedT)
-	rest.MicroKeys, rest.MicroNNZ, rest.MicroFP, _ = dropKeys(p.MicroKeys, p.MicroNNZ, p.MicroFP, nil, touchedM)
+	rest.TileKeys, rest.TileNNZ, rest.TileFP, rest.TileFibers = dropKeys(p.TileKeys, p.TileNNZ, p.TileFP, p.TileFibers, sumT.Keys)
+	rest.MicroKeys, rest.MicroNNZ, rest.MicroFP, _ = dropKeys(p.MicroKeys, p.MicroNNZ, p.MicroFP, nil, sumM.Keys)
 	out, err := Merge(&rest, dp)
 	if err != nil {
 		return nil, nil, err
@@ -110,54 +110,48 @@ func ApplyDeltaCtx(ctx context.Context, p *Partial, old, delta *tensor.COO, work
 	}, nil
 }
 
-// touchedKeys returns the set of tile keys (at the given grid) that hold
-// at least one delta entry.
-func touchedKeys(delta *tensor.COO, tileDims []int) map[uint64]struct{} {
-	n := delta.Order()
-	oc := make([]int, n)
-	set := make(map[uint64]struct{})
-	for pos := 0; pos < delta.NNZ(); pos++ {
-		for a := 0; a < n; a++ {
-			oc[a] = delta.Crds[a][pos] / tileDims[a]
-		}
-		set[tiling.Key(oc)] = struct{}{}
-	}
-	return set
-}
-
-// filterPlus builds the sub-tensor holding every old entry that falls in
-// a touched tile, plus every delta entry (all of which do by
-// construction) — exactly the touched tiles' entry population in the
-// concatenated tensor.
-func filterPlus(old *tensor.COO, tileDims []int, touched map[uint64]struct{}, delta *tensor.COO) *tensor.COO {
+// touchedSummary re-summarizes, in the tiling by tileDims, the tiles that
+// hold a delta entry, from their entries in the concatenated tensor:
+// every old entry in such a tile, then the delta.
+func touchedSummary(ctx context.Context, old, delta *tensor.COO, tileDims, order []int, workers int) (*tiling.TileSummary, error) {
 	n := old.Order()
-	sub := tensor.New(old.Dims...)
+	outer := make([]int, n)
+	for a := range outer {
+		outer[a] = (old.Dims[a] + tileDims[a] - 1) / tileDims[a]
+	}
+	grid, err := radix.NewCodec(outer)
+	if err != nil {
+		return nil, fmt.Errorf("stats: delta tile grid: %w", err)
+	}
 	oc := make([]int, n)
-	coord := make([]int, n)
-	for pos := 0; pos < old.NNZ(); pos++ {
-		for a := 0; a < n; a++ {
-			oc[a] = old.Crds[a][pos] / tileDims[a]
+	tileOf := func(t *tensor.COO, pos int) uint64 {
+		for a, crd := range t.Crds {
+			oc[a] = crd[pos] / tileDims[a]
 		}
-		if _, ok := touched[tiling.Key(oc)]; !ok {
-			continue
-		}
-		for a := 0; a < n; a++ {
-			coord[a] = old.Crds[a][pos]
-		}
-		sub.Append(coord, old.Vals[pos])
+		k, _ := grid.Encode(oc)
+		return k
 	}
+	touched := make(map[uint64]struct{})
 	for pos := 0; pos < delta.NNZ(); pos++ {
-		for a := 0; a < n; a++ {
-			coord[a] = delta.Crds[a][pos]
-		}
-		sub.Append(coord, delta.Vals[pos])
+		touched[tileOf(delta, pos)] = struct{}{}
 	}
-	return sub
+	sub := tensor.New(old.Dims...)
+	for _, t := range []*tensor.COO{old, delta} {
+		for pos := 0; pos < t.NNZ(); pos++ {
+			if _, ok := touched[tileOf(t, pos)]; ok {
+				for a, crd := range t.Crds {
+					oc[a] = crd[pos]
+				}
+				sub.Append(oc, t.Vals[pos])
+			}
+		}
+	}
+	return tiling.SummarizeCtx(ctx, sub, tileDims, order, workers)
 }
 
-// dropKeys returns a key-ascending tile table without the touched
-// keys' records. fibers is nil for micro tables.
-func dropKeys(keys []uint64, nnz, fp []int32, fibers [][]int32, touched map[uint64]struct{}) ([]uint64, []int32, []int32, [][]int32) {
+// dropKeys returns a key-ascending tile table without the records of the
+// ascending touched keys. fibers is nil for micro tables.
+func dropKeys(keys []uint64, nnz, fp []int32, fibers [][]int32, touched []uint64) ([]uint64, []int32, []int32, [][]int32) {
 	k := make([]uint64, 0, len(keys))
 	nz, f := make([]int32, 0, len(keys)), make([]int32, 0, len(keys))
 	var fib [][]int32
@@ -168,7 +162,7 @@ func dropKeys(keys []uint64, nnz, fp []int32, fibers [][]int32, touched map[uint
 		}
 	}
 	for i, key := range keys {
-		if _, drop := touched[key]; drop {
+		if _, drop := slices.BinarySearch(touched, key); drop {
 			continue
 		}
 		k = append(k, key)

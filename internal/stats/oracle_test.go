@@ -28,8 +28,8 @@ func collectDirect(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, o
 	if err != nil {
 		return nil, err
 	}
-	if len(axes) > 0 {
-		if _, err := corrKeySpace(tt.Dims); err != nil {
+	for _, ax := range axes {
+		if _, err := corrRestGrid(tt.Dims, ax); err != nil {
 			return nil, err
 		}
 	}
@@ -226,7 +226,7 @@ func collectDirect(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, o
 		if maxShift == 0 {
 			maxShift = 2 * tt.TileDims[ax]
 		}
-		return corrsAxis(t, ax, maxShift, o.CorrSampleTarget), nil
+		return corrsAxis(t, ax, maxShift, o.CorrSampleTarget)
 	})
 	if err != nil {
 		return nil, err
@@ -252,10 +252,14 @@ func collectDirect(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, o
 // reduction potential (overlaps produce output reuse wherever they fall)
 // while bounding cost by one sort of the gathered entries plus the rest
 // keys the sampled positions share within maxShift.
-func corrsAxis(t *tensor.COO, axis, maxShift, sampleTarget int) []float64 {
+func corrsAxis(t *tensor.COO, axis, maxShift, sampleTarget int) ([]float64, error) {
+	rest, err := corrRestGrid(t.Dims, axis)
+	if err != nil {
+		return nil, err
+	}
 	pl := newCorrPlan(t.Dims[axis], maxShift, sampleTarget)
-	off, flat := pl.gather(t, axis)
-	return pl.finalize(off, flat)
+	off, flat := pl.gather(t, axis, rest)
+	return pl.finalize(off, flat), nil
 }
 
 func buildMicroSummary(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, microDiv, workers int) (*microSummary, error) {

@@ -4,19 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/gen"
+	"d2t2/internal/radix"
 	"d2t2/internal/tensor"
-	"d2t2/internal/tiling"
 )
 
 // evalShapeMap is the hash-map group-by evalShape replaced by the radix
-// sort: a map from tile key to group, a permutation sort of the group
-// keys, and one prefix set per middle level. It is the reference oracle
-// of TestEvalShapeMatchesMapOracle and FuzzEvalShape.
+// sort: a map from tile tuple to group, a comparison sort of the group
+// tuples, and one prefix set per level. It is the reference oracle of
+// TestEvalShapeMatchesMapOracle and FuzzEvalShape, and keys tiles and
+// prefixes by their coordinate tuples, so it shares no code with the
+// key codec it checks: it only decodes the micro keys, by its own
+// arithmetic (row-major, last axis least significant).
 func (s *Stats) evalShapeMap(tileDims []int) (*ShapeStats, error) {
 	ms := s.micro
 	n := len(ms.dims)
@@ -39,37 +43,39 @@ func (s *Stats) evalShapeMap(tileDims []int) (*ShapeStats, error) {
 		area *= float64(tileDims[a])
 	}
 	type agg struct{ nnz, fp int }
-	gid := make(map[uint64]int)
+	gid := make(map[string]int)
 	var aggs []agg
-	var gkeys []uint64
+	var gtuples [][]int
 	axisOcc := make([][]bool, n)
 	for a := range axisOcc {
 		axisOcc[a] = make([]bool, out.OuterDims[a])
 	}
-	prefixOcc := make([]map[uint64]struct{}, n)
+	prefixOcc := make([]map[string]struct{}, n)
 	for l := range prefixOcc {
-		prefixOcc[l] = make(map[uint64]struct{})
+		prefixOcc[l] = make(map[string]struct{})
 	}
-	mc := make([]int, n)
-	oc := make([]int, n)
 	for idx, k := range ms.keys {
-		tiling.UnkeyInto(mc, k)
+		oc := make([]int, n)
+		for a := n - 1; a >= 0; a-- {
+			d := uint64(ms.outerDims[a])
+			oc[a] = int(k%d) / factors[a]
+			k /= d
+		}
+		var prefix []int
+		for l := 0; l < n; l++ {
+			prefix = append(prefix, oc[s.Order[l]])
+			prefixOcc[l][fmt.Sprint(prefix)] = struct{}{}
+		}
 		for a := range oc {
-			oc[a] = mc[a] / factors[a]
 			axisOcc[a][oc[a]] = true
 		}
-		var pk uint64
-		for l := 0; l < n; l++ {
-			pk = pk<<21 | uint64(oc[s.Order[l]])
-			prefixOcc[l][pk] = struct{}{}
-		}
-		gk := tiling.Key(oc)
+		gk := fmt.Sprint(oc)
 		g, ok := gid[gk]
 		if !ok {
 			g = len(aggs)
 			gid[gk] = g
 			aggs = append(aggs, agg{})
-			gkeys = append(gkeys, gk)
+			gtuples = append(gtuples, oc)
 		}
 		aggs[g].nnz += int(ms.nnz[idx])
 		aggs[g].fp += int(ms.footprint[idx])
@@ -88,11 +94,11 @@ func (s *Stats) evalShapeMap(tileDims []int) (*ShapeStats, error) {
 	}
 	out.NumTiles = len(aggs)
 	out.FPScale = ms.fpScale
-	perm := make([]int, len(gkeys))
+	perm := make([]int, len(gtuples))
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.Slice(perm, func(x, y int) bool { return gkeys[perm[x]] < gkeys[perm[y]] })
+	sort.Slice(perm, func(x, y int) bool { return slices.Compare(gtuples[perm[x]], gtuples[perm[y]]) < 0 })
 	out.GroupOuter = make([]int32, 0, n*len(aggs))
 	out.GroupFP = make([]float64, 0, len(aggs))
 	totalFP, totalNNZ := 0, 0
@@ -103,8 +109,7 @@ func (s *Stats) evalShapeMap(tileDims []int) (*ShapeStats, error) {
 		if g.fp > out.MaxTile {
 			out.MaxTile = g.fp
 		}
-		tiling.UnkeyInto(mc, gkeys[pi])
-		for _, v := range mc {
+		for _, v := range gtuples[pi] {
 			out.GroupOuter = append(out.GroupOuter, checked.Int32(v))
 		}
 		out.GroupFP = append(out.GroupFP, float64(g.fp))
@@ -153,7 +158,7 @@ func checkShapeOracle(t *testing.T, s *Stats, shape []int) {
 }
 
 // TestEvalShapeMatchesMapOracle pins the radix group-by to the map
-// oracle, field for field, over matrices and 3-tensors, identity and
+// oracle, field for field, over matrices, 3- and 4-tensors, identity and
 // permuted level orders, MicroDiv 1/4/8 and random micro-multiple
 // shapes (including shapes past the tensor extent).
 func TestEvalShapeMatchesMapOracle(t *testing.T) {
@@ -168,6 +173,8 @@ func TestEvalShapeMatchesMapOracle(t *testing.T) {
 		{"rect", gen.UniformRandom(r, 70, 500, 900), []int{16, 64}, [][]int{{0, 1}, {1, 0}}},
 		{"tensor3", gen.RandomTensor3(r, 48, 40, 56, 3000, [3]float64{0.5, 0, 1}), []int{8, 8, 8},
 			[][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}},
+		{"tensor4", random4(rand.New(rand.NewSource(4)), 20, 16, 24, 12, 2500), []int{4, 4, 4, 4},
+			[][]int{{0, 1, 2, 3}, {3, 1, 0, 2}}},
 	}
 	for _, tc := range tensors {
 		for _, order := range tc.order {
@@ -190,9 +197,20 @@ func TestEvalShapeMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// random4 draws nnz uniform entries (duplicates summed) of a
+// d0×d1×d2×d3 tensor.
+func random4(r *rand.Rand, d0, d1, d2, d3, nnz int) *tensor.COO {
+	m := tensor.New(d0, d1, d2, d3)
+	for p := 0; p < nnz; p++ {
+		m.Append([]int{r.Intn(d0), r.Intn(d1), r.Intn(d2), r.Intn(d3)}, 1)
+	}
+	m.Dedup()
+	return m
+}
+
 // FuzzEvalShape decodes a micro summary from the fuzz bytes and checks
 // the radix group-by against the map oracle. The first byte picks the
-// order (2 or 3) and level order, the next three bytes per axis the
+// order (2 to 4) and level order, the next three bytes per axis the
 // micro grid extent, the micro dimension and the tile factor, one byte
 // the footprint scale; each later triple is one micro tile (its
 // coordinates from the first two bytes, nnz and footprint from the
@@ -205,12 +223,13 @@ func FuzzEvalShape(f *testing.F) {
 		if len(data) < 1 {
 			return
 		}
-		n := 2 + int(data[0]&1)
-		orders := [][]int{{0, 1}, {1, 0}}
-		if n == 3 {
-			orders = [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}
-		}
-		order := orders[int(data[0]>>1)%len(orders)]
+		n := 2 + int(data[0]%3)
+		orders := map[int][][]int{
+			2: {{0, 1}, {1, 0}},
+			3: {{0, 1, 2}, {2, 0, 1}, {1, 2, 0}},
+			4: {{0, 1, 2, 3}, {3, 1, 0, 2}, {2, 0, 3, 1}},
+		}[n]
+		order := orders[int(data[0]/3)%len(orders)]
 		data = data[1:]
 		if len(data) < 3*n+1 {
 			return
@@ -225,6 +244,10 @@ func FuzzEvalShape(f *testing.F) {
 		}
 		ms.fpScale = 0.5 + float64(data[3*n])/128
 		data = data[3*n+1:]
+		micro, err := radix.NewCodec(ms.outerDims)
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := make(map[uint64]bool)
 		mc := make([]int, n)
 		for i := 0; i+2 < len(data); i += 3 {
@@ -233,7 +256,7 @@ func FuzzEvalShape(f *testing.F) {
 				mc[a] = x % ms.outerDims[a]
 				x /= ms.outerDims[a]
 			}
-			k := tiling.Key(mc)
+			k, _ := micro.Encode(mc)
 			if seen[k] {
 				continue
 			}

@@ -10,7 +10,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"d2t2/internal/radix"
@@ -213,32 +212,30 @@ next:
 	return true
 }
 
-// dedupRadix is Dedup keyed by each entry's row-major position in the
-// dense grid. It reports false, leaving t untouched, when that position
-// or the entry count does not fit the sort's 64-bit keys and int32
-// permutation.
+// dedupRadix is Dedup keyed by each entry's key in the tensor's
+// coordinate grid (radix.Codec). It reports false, leaving t untouched,
+// when the grid has no 64-bit keys, a coordinate lies outside it, or the
+// entry count does not fit the sort's int32 permutation.
 func (t *COO) dedupRadix() bool {
 	n := t.NNZ()
 	if n > math.MaxInt32 {
 		return false
 	}
-	size := uint64(1)
-	for _, d := range t.Dims {
-		hi, lo := bits.Mul64(size, uint64(d))
-		if hi != 0 {
-			return false
-		}
-		size = lo
+	grid, err := radix.NewCodec(t.Dims)
+	if err != nil {
+		return false
 	}
 	keys := make([]uint64, n)
-	for a, crd := range t.Crds {
-		d := uint64(t.Dims[a])
-		for p, c := range crd {
-			keys[p] = keys[p]*d + uint64(c)
-		}
-	}
 	idx := make([]int32, n)
-	for p := range idx {
+	c := make([]int, len(t.Dims))
+	for p := range keys {
+		for a, crd := range t.Crds {
+			c[a] = crd[p]
+		}
+		var ok bool
+		if keys[p], ok = grid.Encode(c); !ok {
+			return false
+		}
 		idx[p] = int32(p)
 	}
 	keys, idx = radix.Sort(keys, make([]uint64, n), idx, make([]int32, n))
@@ -249,10 +246,9 @@ func (t *COO) dedupRadix() bool {
 			continue
 		}
 		w := len(vals)
-		for a := len(t.Crds) - 1; a >= 0; a-- {
-			d := uint64(t.Dims[a])
-			t.Crds[a][w] = int(k % d)
-			k /= d
+		grid.Decode(c, k)
+		for a, crd := range t.Crds {
+			crd[w] = c[a]
 		}
 		vals = append(vals, t.Vals[idx[r]])
 	}

@@ -1,6 +1,10 @@
 package tiling
 
-import "fmt"
+import (
+	"fmt"
+
+	"d2t2/internal/radix"
+)
 
 // PackTiles implements the paper's §6.7 "packed tiles" scheme: instead of
 // retiling the raw data with the optimized configuration, groups of
@@ -35,12 +39,13 @@ func PackTiles(tt *TiledTensor, factors []int) (*TiledTensor, error) {
 		out.TileDims[a] = tt.TileDims[a] * factors[a]
 		out.OuterDims[a] = (tt.Dims[a] + out.TileDims[a] - 1) / out.TileDims[a]
 	}
+	out.grid, _ = radix.NewCodec(out.OuterDims) // coarser than tt's grid
 	for _, tile := range tt.Tiles {
 		oc := make([]int, n)
 		for a := range oc {
 			oc[a] = tile.Outer[a] / factors[a]
 		}
-		k := Key(oc)
+		k, _ := out.grid.Encode(oc)
 		packed := out.Tiles[k]
 		if packed == nil {
 			packed = &Tile{Outer: oc}

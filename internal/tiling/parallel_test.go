@@ -94,9 +94,8 @@ func TestSortedKeysOrder(t *testing.T) {
 	if len(keys) != len(tt.Tiles) {
 		t.Fatalf("got %d keys for %d tiles", len(keys), len(tt.Tiles))
 	}
-	n := len(tt.Dims)
 	for i := 1; i < len(keys); i++ {
-		ca, cb := Unkey(keys[i-1], n), Unkey(keys[i], n)
+		ca, cb := tt.Tiles[keys[i-1]].Outer, tt.Tiles[keys[i]].Outer
 		less := false
 		for _, ax := range tt.Order {
 			if ca[ax] != cb[ax] {

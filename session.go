@@ -49,8 +49,9 @@ type PartialCache interface {
 // against the same inputs skip straight to the probabilistic model. With
 // an external StatsCache the memo lives (bounded) in the cache;
 // otherwise the session keeps collected statistics in-process for its
-// lifetime. Tensors handed to a session must not be mutated afterwards —
-// their content address is memoized by identity.
+// lifetime. Tensors handed to a session must not be mutated afterwards
+// except through Set, which clears the content address memoized on the
+// tensor.
 //
 // A Session is safe for concurrent use. Concurrent first requests for
 // the same tensor may collect twice; collection is deterministic, so
@@ -72,7 +73,6 @@ type Session struct {
 	mu    sync.Mutex
 	memo  map[string]*stats.Stats
 	pmemo map[string]*stats.Partial
-	ids   map[*Tensor]string
 }
 
 // NewSession returns a session backed by the given cache (nil for a
@@ -83,7 +83,6 @@ func NewSession(cache StatsCache) *Session {
 		calib: model.NewCalibration(),
 		memo:  make(map[string]*stats.Stats),
 		pmemo: make(map[string]*stats.Partial),
-		ids:   make(map[*Tensor]string),
 	}
 }
 
@@ -111,21 +110,16 @@ func (s *Session) CalibrationBias(k *Kernel, analytic bool) float64 {
 }
 
 // TensorID returns the tensor's content address ("sha256:..." of the
-// canonical COO encoding), memoized per tensor.
+// canonical COO encoding), memoized on the tensor.
 func (s *Session) TensorID(t *Tensor) (string, error) {
-	s.mu.Lock()
-	if id, ok := s.ids[t]; ok {
-		s.mu.Unlock()
-		return id, nil
+	if id := t.id.Load(); id != nil {
+		return *id, nil
 	}
-	s.mu.Unlock()
 	id, err := snapshot.TensorID(t.coo)
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.ids[t] = id
-	s.mu.Unlock()
+	t.id.Store(&id)
 	return id, nil
 }
 
@@ -133,19 +127,14 @@ func (s *Session) TensorID(t *Tensor) (string, error) {
 // together with its encoded snapshot tensor artifact; an unmemoized ID
 // comes from the same single encode as the artifact, and is memoized.
 func (s *Session) TensorArtifact(t *Tensor) (id string, artifact []byte, err error) {
-	s.mu.Lock()
-	id, ok := s.ids[t]
-	s.mu.Unlock()
-	if ok {
+	if p := t.id.Load(); p != nil {
 		artifact, err = snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.coo})
-		return id, artifact, err
+		return *p, artifact, err
 	}
 	if id, artifact, err = snapshot.TensorArtifact(t.coo); err != nil {
 		return "", nil, err
 	}
-	s.mu.Lock()
-	s.ids[t] = id
-	s.mu.Unlock()
+	t.id.Store(&id)
 	return id, artifact, nil
 }
 
