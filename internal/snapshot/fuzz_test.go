@@ -34,6 +34,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	// A tableless partial claiming 2^31-tile axes: past the per-axis tile
+	// cap, Finalize would size its occupancy and tileCorrs by the grid.
+	wide := &stats.Partial{
+		Dims: []int{1<<31 - 1, 1<<31 - 1}, TileDims: []int{1, 1}, Order: []int{0, 1}, MicroDims: []int{1, 1},
+		TileCorrMaxShift: 64, SkipExtensions: true, TileFibers: [][]int32{{}, {}},
+	}
+	if b, err := EncodeBytes(&Artifact{Partial: wide}); err == nil {
+		f.Add(b)
+	}
 	empty, _ := EncodeBytes(&Artifact{})
 	f.Add(empty)
 	resp, _ := EncodeBytes(&Artifact{Response: []byte(`{"ok":true}`)})
