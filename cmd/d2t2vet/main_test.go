@@ -23,8 +23,8 @@ func TestParseArgs(t *testing.T) {
 		if cfg.list || cfg.fix || cfg.format != "text" {
 			t.Fatalf("defaults wrong: %+v", cfg)
 		}
-		if len(cfg.checks) != 9 {
-			t.Fatalf("default suite has %d analyzers, want 9: %v", len(cfg.checks), names(cfg))
+		if len(cfg.checks) != 10 {
+			t.Fatalf("default suite has %d analyzers, want 10: %v", len(cfg.checks), names(cfg))
 		}
 		if len(cfg.patterns) != 1 || cfg.patterns[0] != "./..." {
 			t.Fatalf("patterns = %v", cfg.patterns)
@@ -64,8 +64,8 @@ func TestParseArgs(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := names(cfg)
-		if len(got) != 7 {
-			t.Fatalf("-skip left %d analyzers, want 7: %v", len(got), got)
+		if len(got) != 8 {
+			t.Fatalf("-skip left %d analyzers, want 8: %v", len(got), got)
 		}
 		for _, n := range got {
 			if n == "coordwidth" || n == "panicpolicy" {
@@ -124,7 +124,7 @@ func TestListOutput(t *testing.T) {
 	for _, want := range []string{
 		"coordwidth", "countername", "csfmutation", "ctxpropagation",
 		"floatdeterminism", "goroutinehygiene", "panicpolicy",
-		"reductionorder", "scratchescape",
+		"reductionorder", "scratchescape", "stdversion",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %s:\n%s", want, out.String())

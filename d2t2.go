@@ -54,6 +54,10 @@ type Tensor struct {
 	// id memoizes the content address (Session.TensorID) on the tensor,
 	// so the memo lives exactly as long as the tensor; Set clears it.
 	id atomic.Pointer[string]
+	// artifact holds the encoded snapshot tensor artifact Session.DeltaCtx
+	// produced with the ID, until Session.TensorArtifact takes it; Set
+	// clears it.
+	artifact atomic.Pointer[[]byte]
 }
 
 // NewTensor creates an empty sparse tensor with the given dimensions.
@@ -66,6 +70,7 @@ func NewTensor(dims ...int) *Tensor {
 func (t *Tensor) Set(coord []int, val float64) {
 	t.coo.Append(coord, val)
 	t.id.Store(nil)
+	t.artifact.Store(nil)
 }
 
 // Dims returns the dimension sizes.

@@ -29,7 +29,8 @@ func (s *Session) Delta(t, delta *Tensor, tile int) (*Tensor, *stats.DeltaReport
 // statistics — and, like every tensor handed to a session, neither may
 // be mutated afterwards. The returned report says how many tiles the
 // delta touched out of the total, i.e. how much re-collection the merge
-// avoided.
+// avoided. The combined tensor's ID is memoized, and its encoded
+// artifact is kept on it until the first TensorArtifact call takes it.
 func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Tensor, *stats.DeltaReport, error) {
 	n := t.Order()
 	if delta.Order() != n {
@@ -87,11 +88,15 @@ func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Te
 		return nil, nil, err
 	}
 
-	nt := FromCOO(concat)
-	newID, err := s.TensorID(nt)
+	// One encode gives the new version's ID and its artifact, which the
+	// tensor keeps for the caller that registers it (TensorArtifact).
+	newID, artifact, err := snapshot.TensorArtifact(concat)
 	if err != nil {
 		return nil, nil, err
 	}
+	nt := FromCOO(concat)
+	nt.id.Store(&newID)
+	nt.artifact.Store(&artifact)
 	s.storePartial(ctx, snapshot.PartialKey(newID, dims, order, sessionMicroDiv), merged)
 	s.storeMergedStats(ctx, snapshot.StatsKey(newID, dims, order, sessionMicroDiv), st)
 	return nt, rep, nil

@@ -53,8 +53,11 @@ type Pass struct {
 	// that scope themselves to parts of the tree (csfmutation,
 	// floatdeterminism) match on prefixes of this path.
 	Path string
-	Pkg  *types.Package
-	Info *types.Info
+	// GoVersion is the module's go directive ("1.22"), the API level the
+	// stdversion analyzer holds the package to.
+	GoVersion string
+	Pkg       *types.Package
+	Info      *types.Info
 	// Graph is the call graph over every package of the current run
 	// (not just this one), so callee lookups cross package boundaries.
 	Graph *CallGraph
@@ -137,6 +140,7 @@ func Analyzers() []*Analyzer {
 		ScratchEscape,
 		ReductionOrder,
 		CounterName,
+		StdVersion,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
@@ -230,14 +234,15 @@ func RunGraph(pkg *Package, graph *CallGraph, analyzers []*Analyzer) []Diagnosti
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Fset:  pkg.Fset,
-			Files: pkg.Files,
-			Path:  pkg.Path,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-			Graph: graph,
-			check: a.Name,
-			diags: &diags,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Path:      pkg.Path,
+			GoVersion: pkg.GoVersion,
+			Pkg:       pkg.Types,
+			Info:      pkg.Info,
+			Graph:     graph,
+			check:     a.Name,
+			diags:     &diags,
 		}
 		a.Run(pass)
 	}

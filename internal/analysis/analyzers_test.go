@@ -78,6 +78,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "reductionorder-suppressed", dir: "reductionorder_ok", loadAs: "d2t2/internal/fixture_redorder_ok", analyzer: ReductionOrder, wantZero: true},
 		{name: "countername", dir: "countername", loadAs: "d2t2/internal/fixture_countername", analyzer: CounterName},
 		{name: "countername-suppressed", dir: "countername_ok", loadAs: "d2t2/internal/fixture_countername_ok", analyzer: CounterName, wantZero: true},
+		{name: "stdversion", dir: "stdversion", loadAs: "d2t2/internal/fixture_stdversion", analyzer: StdVersion},
+		{name: "stdversion-build-constraint", dir: "stdversion_ok", loadAs: "d2t2/internal/fixture_stdversion_ok", analyzer: StdVersion, wantZero: true},
 	}
 
 	for _, tc := range cases {

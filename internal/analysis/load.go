@@ -19,12 +19,15 @@ import (
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	Path  string // import path it was loaded under
-	Dir   string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Path string // import path it was loaded under
+	// GoVersion is the module's go directive ("1.22"), empty when
+	// go.mod has none.
+	GoVersion string
+	Dir       string
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // Loader parses and type-checks packages of this module from source.
@@ -35,6 +38,8 @@ type Package struct {
 type Loader struct {
 	ModulePath string
 	ModuleRoot string
+	// GoVersion is go.mod's go directive ("1.22"), empty when absent.
+	GoVersion string
 	// IncludeTests adds _test.go files of the package itself (not
 	// external _test packages) to the load. d2t2vet leaves this off:
 	// the suite's checks target library code, and panicpolicy exempts
@@ -68,12 +73,13 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath := ""
+	modPath, goVersion := "", ""
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
+		if rest, ok := strings.CutPrefix(line, "module "); ok && modPath == "" {
 			modPath = strings.TrimSpace(rest)
-			break
+		} else if rest, ok := strings.CutPrefix(line, "go "); ok && goVersion == "" {
+			goVersion = strings.TrimSpace(rest)
 		}
 	}
 	if modPath == "" {
@@ -83,6 +89,7 @@ func NewLoader(dir string) (*Loader, error) {
 	return &Loader{
 		ModulePath: modPath,
 		ModuleRoot: root,
+		GoVersion:  goVersion,
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil),
 		cache:      map[string]*Package{},
@@ -293,7 +300,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, GoVersion: l.GoVersion, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.cache[path] = p
 	return p, nil
 }

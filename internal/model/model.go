@@ -23,10 +23,13 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 
 	"d2t2/internal/einsum"
+	"d2t2/internal/par"
 	"d2t2/internal/stats"
 )
 
@@ -51,6 +54,9 @@ func (c Config) Clone() Config {
 }
 
 // Predictor predicts traffic for one kernel over fixed input statistics.
+// Predictions are memoized on the predictor (see Predict), so Expr and
+// Stats must not change once it has predicted; Mode, the ablation flags
+// and the calibration may.
 type Predictor struct {
 	Expr  *einsum.Expr
 	Stats map[string]*stats.Stats // keyed by input occurrence name
@@ -74,7 +80,16 @@ type Predictor struct {
 	// refinement plans of refine.go.
 	prods  [][]int
 	refine []*refinePlan
+
+	// preds memoizes uncalibrated predictions, one flight per key (see
+	// Predict).
+	preds par.Memo[string, *Prediction]
 }
+
+// predictMemoCap bounds one predictor's prediction memo. An optimize
+// asks a few dozen configs and a batch group's jobs ask mostly the same
+// ones; past the cap, predictions are computed without being kept.
+const predictMemoCap = 1024
 
 // EvalRef evaluates the shape statistics of one input occurrence under
 // cfg: tile dims are read off the config in the ref's index order,
@@ -289,7 +304,65 @@ func (p *Predictor) SnapConfigInPlace(cfg Config) Config {
 }
 
 // Predict estimates traffic for one tile configuration.
+//
+// The estimate is a pure function of the statistics and the raw config
+// values of the kernel's index variables — the model snaps the tile
+// dimensions itself but reads the raw ones in the output terms — so
+// the predictor memoizes it per (raw config, Mode, UseCorrs,
+// DisableRefinement), one flight per key: concurrent askers of a config
+// (the jobs of a batch sharing the predictor) wait for its one
+// computation. The memo holds the uncalibrated estimate; the
+// calibration bias is applied to the returned copy, so the memo stays
+// valid as the bias moves. The caller owns the returned Prediction.
 func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
+	var buf [64]byte
+	kb := buf[:0]
+	for _, ix := range p.Expr.Order {
+		kb = binary.AppendVarint(kb, int64(cfg[ix]))
+	}
+	kb = binary.AppendVarint(kb, int64(p.Mode))
+	kb = append(kb, flagByte(p.UseCorrs), flagByte(p.DisableRefinement))
+	raw, err := p.preds.Do(string(kb), predictMemoCap, func() (*Prediction, error) {
+		return p.predict(cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	pred := &Prediction{Input: maps.Clone(raw.Input), Output: raw.Output}
+
+	// Per-workload-class calibration bias (refine.go): a uniform scale on
+	// every traffic term, so rankings between configs are unchanged while
+	// the absolute level converges toward the measurement backend. The
+	// nil/unseen case multiplies by exactly 1 and is skipped, keeping the
+	// uncalibrated path byte-identical.
+	if p.Calib != nil {
+		//d2t2:ignore floatdeterminism Bias returns the exact literal 1 for nil/unseen classes; skipping that neutral multiply keeps uncalibrated predictions byte-identical
+		if f := p.Calib.Bias(p.CalibClass); f != 1 {
+			for k := range pred.Input {
+				pred.Input[k] *= f
+			}
+			pred.Output *= f
+		}
+	}
+	return pred, nil
+}
+
+// Computed reports how many predictions the predictor has computed
+// rather than served from its memo, and Kept how many it holds: a
+// predictor whose askers never raced past the single flight computed
+// each kept config once.
+func (p *Predictor) Computed() int64 { return p.preds.Runs() }
+func (p *Predictor) Kept() int       { return p.preds.Len() }
+
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// predict is Predict without the memo and the calibration bias.
+func (p *Predictor) predict(cfg Config) (*Prediction, error) {
 	e := p.Expr
 	views := make([]*tensorView, 0, len(e.Inputs()))
 	for _, ref := range e.Inputs() {
@@ -361,21 +434,6 @@ func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
 	}
 	if !refined {
 		pred.Output = p.predictOutput(cfg, views, prods, outerN)
-	}
-
-	// Per-workload-class calibration bias (refine.go): a uniform scale on
-	// every traffic term, so rankings between configs are unchanged while
-	// the absolute level converges toward the measurement backend. The
-	// nil/unseen case multiplies by exactly 1 and is skipped, keeping the
-	// uncalibrated path byte-identical.
-	if p.Calib != nil {
-		//d2t2:ignore floatdeterminism Bias returns the exact literal 1 for nil/unseen classes; skipping that neutral multiply keeps uncalibrated predictions byte-identical
-		if f := p.Calib.Bias(p.CalibClass); f != 1 {
-			for k := range pred.Input {
-				pred.Input[k] *= f
-			}
-			pred.Output *= f
-		}
 	}
 	return pred, nil
 }

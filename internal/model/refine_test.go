@@ -230,35 +230,39 @@ func predictBench(t testing.TB, n, edges int) (*Predictor, Config) {
 	return p, cfg
 }
 
-// TestPredictAllocs gates the allocation count of a Predict whose
+// TestPredictAllocs gates the allocation count of a prediction whose
 // shapes and projections are already memoized: the refinement must read
 // the shared tables, not rebuild per-call maps (several hundred
-// allocations per call).
+// allocations per call). It gates the computation itself (predict) and
+// a Predict served from the prediction memo.
 func TestPredictAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
 	p, cfg := predictBench(t, 512, 20_000)
 	const ceiling = 80
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := p.Predict(cfg); err != nil {
-			t.Fatal(err)
+	for name, fn := range map[string]func(Config) (*Prediction, error){"predict": p.predict, "Predict": p.Predict} {
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := fn(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s allocs/op: %.0f", name, avg)
+		if avg > ceiling {
+			t.Errorf("memoized %s allocates %.0f times per call, ceiling %d", name, avg, ceiling)
 		}
-	})
-	t.Logf("allocs/op: %.0f", avg)
-	if avg > ceiling {
-		t.Errorf("memoized Predict allocates %.0f times per call, ceiling %d", avg, ceiling)
 	}
 }
 
-// BenchmarkPredict measures a memoized Predict on a 2048² power-law
-// SpMSpM-ikj.
+// BenchmarkPredict measures a prediction at memoized shapes on a 2048²
+// power-law SpMSpM-ikj, computed each time (predict: a Predict of a
+// repeated config is a prediction-memo hit).
 func BenchmarkPredict(b *testing.B) {
 	p, cfg := predictBench(b, 2048, 200_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Predict(cfg); err != nil {
+		if _, err := p.predict(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

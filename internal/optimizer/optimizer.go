@@ -105,6 +105,15 @@ type Options struct {
 	// model; d2t2.Session supplies a session-lifetime store so repeated
 	// calibrated optimizes converge.
 	Calibration *model.Calibration
+	// Predictor supplies the model the search queries, built earlier by
+	// NewPredictor for the same kernel and options over the same
+	// statistics bundles, so optimizations of one group share its
+	// prediction memo (d2t2.Batch shares one per group of jobs). It must
+	// answer for this optimization — the same expression, Mode,
+	// ablations and, per input, the very bundle the optimization uses —
+	// and neither it nor the optimization may be calibrated; mismatches
+	// are an error. Nil builds a private predictor.
+	Predictor *model.Predictor
 }
 
 func (o Options) withDefaults() Options {
@@ -250,7 +259,12 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 		}
 	}
 
-	pred, err := newPredictor(e, res.Stats, o)
+	pred := o.Predictor
+	if pred == nil {
+		pred, err = o.NewPredictor(e, res.Stats)
+	} else {
+		err = predictorMatches(pred, e, res.Stats, o)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -533,9 +547,11 @@ func corrsOnlyRF(e *einsum.Expr, st map[string]*stats.Stats, baseTile int, o Opt
 	return 1 // square
 }
 
-// newPredictor builds the model the sweep and the growth query, with
-// the options' evaluation mode, ablations and calibration store.
-func newPredictor(e *einsum.Expr, st map[string]*stats.Stats, o Options) (*model.Predictor, error) {
+// NewPredictor builds the model an optimization of e with these
+// options queries for the sweep and the growth: the options' evaluation
+// mode, ablations and calibration store over the statistics st, keyed
+// by input name.
+func (o Options) NewPredictor(e *einsum.Expr, st map[string]*stats.Stats) (*model.Predictor, error) {
 	pred, err := model.New(e, st)
 	if err != nil {
 		return nil, err
@@ -548,6 +564,29 @@ func newPredictor(e *einsum.Expr, st map[string]*stats.Stats, o Options) (*model
 		pred.CalibClass = CalibClass(e, o.Mode)
 	}
 	return pred, nil
+}
+
+// predictorMatches verifies a supplied Options.Predictor answers for
+// this optimization: the expression, mode and ablations it was built
+// with, and the very bundles st holds. Calibrated predictions move with
+// the residual store, so they are never shared.
+func predictorMatches(p *model.Predictor, e *einsum.Expr, st map[string]*stats.Stats, o Options) error {
+	switch {
+	case o.Calibrate || o.Calibration != nil || p.Calib != nil:
+		return fmt.Errorf("optimizer: a calibrated optimization cannot share a predictor")
+	case p.Expr.String() != e.String():
+		return fmt.Errorf("optimizer: shared predictor is for %s, not %s", p.Expr, e)
+	case p.Mode != o.Mode || p.UseCorrs == o.DisableCorrs || p.DisableRefinement != o.DisableRefinement:
+		return fmt.Errorf("optimizer: shared predictor was built for another mode or ablation")
+	case len(p.Stats) != len(st):
+		return fmt.Errorf("optimizer: shared predictor holds %d bundles, the optimization %d", len(p.Stats), len(st))
+	}
+	for name, s := range st {
+		if p.Stats[name] != s {
+			return fmt.Errorf("optimizer: shared predictor holds another bundle for %q", name)
+		}
+	}
+	return nil
 }
 
 // sizing is the rule one optimization sizes tiles by (DESIGN.md §18),

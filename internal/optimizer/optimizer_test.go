@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -402,4 +403,63 @@ func TestHugeBufferStable(t *testing.T) {
 		}
 	}
 	t.Logf("config %v, predicted %.0f words", first.Config, first.Predicted.Total())
+}
+
+// TestSharedPredictor runs optimizations through one Options.Predictor:
+// a matching one gives the result a private predictor gives and serves
+// the repeat from its memo, and one built for another expression, mode,
+// ablation or bundle, or any calibrated use, is an error.
+func TestSharedPredictor(t *testing.T) {
+	inputs := gustavsonInputs(37, func(r *rand.Rand) *tensor.COO {
+		return gen.PowerLawGraph(r, 384, 3000, 1.6)
+	})
+	e := einsum.SpMSpMIKJ()
+	base := Options{BufferWords: buf32()}
+	plain, err := Optimize(e, inputs, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := base
+	o.Precollected = plain.Stats
+	pred, err := o.NewPredictor(e, plain.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Predictor = pred
+	for run := 0; run < 2; run++ {
+		res, err := Optimize(e, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Config, plain.Config) || !reflect.DeepEqual(res.Predicted, plain.Predicted) ||
+			!reflect.DeepEqual(res.Candidates, plain.Candidates) {
+			t.Fatalf("run %d: shared-predictor result differs from a private predictor's", run)
+		}
+		if run == 0 {
+			continue
+		}
+		if pred.Computed() != int64(pred.Kept()) {
+			t.Fatalf("the repeat computed again: %d predictions for %d configs", pred.Computed(), pred.Kept())
+		}
+	}
+
+	other, err := Optimize(e, inputs, base) // equal statistics, other bundles
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(o *Options){
+		"expression":  func(o *Options) { o.Predictor, _ = o.NewPredictor(einsum.SpMSpMIJK(), plain.Stats) },
+		"mode":        func(o *Options) { o.Mode = model.ModeAnalytic },
+		"corrs":       func(o *Options) { o.DisableCorrs = true },
+		"refinement":  func(o *Options) { o.DisableRefinement = true },
+		"bundle":      func(o *Options) { o.Precollected = other.Stats },
+		"calibrate":   func(o *Options) { o.Calibrate = true },
+		"calibration": func(o *Options) { o.Calibration = model.NewCalibration() },
+	} {
+		bad := o
+		mutate(&bad)
+		if _, err := Optimize(e, inputs, bad); err == nil || !strings.Contains(err.Error(), "predictor") {
+			t.Errorf("%s mismatch: got %v, want the shared predictor refused", name, err)
+		}
+	}
 }

@@ -71,7 +71,7 @@ func TestRiskSizingMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pred, err := newPredictor(tc.e, swept.Stats, o)
+					pred, err := o.NewPredictor(tc.e, swept.Stats)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -6,7 +6,9 @@
 // wall clock) wins, and worker panics surface as errors rather than
 // crashing sibling goroutines mid-merge. Every goroutine is joined
 // before a call returns — no launch here outlives its caller (the
-// goroutinehygiene analyzer checks the join signals).
+// goroutinehygiene analyzer checks the join signals). Memo (memo.go) is
+// the single-flight memo the search's shape, projection and prediction
+// caches share.
 //
 // Two closure contracts are machine-checked by cmd/d2t2vet: the
 // reductionorder analyzer flags schedule-dependent writes to captured

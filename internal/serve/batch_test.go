@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"d2t2/internal/snapshot"
 )
 
 // postBatch submits jobs to /v1/batch and decodes the per-job results.
@@ -343,6 +346,49 @@ func TestDeltaMergeMatchesScratch(t *testing.T) {
 	}
 	if !bytes.Equal(mergedStats, scratchStats) {
 		t.Fatalf("merged statistics differ from scratch collection:\nmerged:  %s\nscratch: %s", mergedStats, scratchStats)
+	}
+}
+
+// TestDeltaStoresNewVersionArtifact checks the artifact persisted for a
+// delta version — encoded once, with its content address — equals a
+// separate encode of the registered tensor, and that repeating the
+// delta finds the version already registered.
+func TestDeltaStoresNewVersionArtifact(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	baseID := uploadMTX(t, ts.URL, deltaBaseMTX)
+	req := map[string]any{"crds": [][]int{{0, 1}, {6, 0}}, "vals": []float64{4, 5}, "tile": 4}
+	var ids []string
+	for i, wantCached := range []bool{false, true} {
+		resp, body := postJSON(t, ts.URL+"/v1/tensors/"+baseID+"/delta", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var dr struct {
+			ID     string `json:"id"`
+			Cached bool   `json:"cached"`
+		}
+		if err := json.Unmarshal(body, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if dr.Cached != wantCached {
+			t.Fatalf("delta %d: cached %v, want %v", i, dr.Cached, wantCached)
+		}
+		ids = append(ids, dr.ID)
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("one delta gave two addresses %v", ids)
+	}
+	ctx := context.Background()
+	nt, err := s.tensorByID(ctx, ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := snapshot.EncodeBytes(&snapshot.Artifact{Tensor: nt.COO()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.storeGet(ctx, ids[0]); !bytes.Equal(got, want) {
+		t.Fatalf("stored artifact (%d bytes) differs from EncodeBytes of the new version (%d bytes)", len(got), len(want))
 	}
 }
 

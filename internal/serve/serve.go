@@ -657,7 +657,8 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 // clustered, peers) can resolve the address. Returns the canonical
 // registered tensor — the first registration wins, so a content address
 // names one resident tensor — and whether the content was already known.
-// The ID and the stored artifact come from one encode of the tensor.
+// The ID and the stored artifact come from one encode of the tensor —
+// for a delta version, the encode DeltaCtx made when it hashed it.
 // A failed store write is counted and skips replication: pushing an
 // artifact the local node could not durably hold would advertise state
 // it cannot back.

@@ -11,11 +11,12 @@ import (
 const ShapeMemoCap = shapeMemoCap
 
 // ShapeMemoLen reports how many shapes s's memo holds.
-func ShapeMemoLen(s *Stats) int {
-	s.shapeMu.Lock()
-	defer s.shapeMu.Unlock()
-	return len(s.shapes)
-}
+func ShapeMemoLen(s *Stats) int { return s.shapes.Len() }
+
+// EvalShapeRuns reports how many shape evaluations s's memo ran, and
+// ProjectRuns how many projections sh's did (memo hits excluded).
+func EvalShapeRuns(s *Stats) int64     { return s.shapes.Runs() }
+func ProjectRuns(sh *ShapeStats) int64 { return sh.projs.Runs() }
 
 // CollectDirect runs the direct reducer (oracle_test.go), the reference
 // the accumulator path's Finalize is checked against.

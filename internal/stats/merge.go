@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -210,6 +211,7 @@ func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, work
 		for a := range outerDims {
 			outerDims[a] = (prm.dims[a] + prm.tileDims[a] - 1) / prm.tileDims[a]
 		}
+		pairRadix, pairNarrow := pairKeyRadixes(prm.dims, outerDims)
 		entryChunks := par.Chunks(workers, t.NNZ())
 		type entryAgg struct {
 			counts   [][]int32
@@ -234,14 +236,12 @@ func collectPartial(ctx context.Context, t *tensor.COO, prm *partialParams, work
 					ea.counts[a][t.Crds[a][pos]]++
 					// Pair key: axis coordinate × coarse bucket of the rest.
 					var rest uint64
-					for b := 0; b < n; b++ {
-						if b == a {
-							continue
+					for b, r := range pairRadix[a] {
+						if b != a {
+							rest = rest*r + uint64(t.Crds[b][pos]/prm.tileDims[b])
 						}
-						bucket := t.Crds[b][pos] / prm.tileDims[b]
-						rest = rest*uint64(outerDims[b]+1) + uint64(bucket)
 					}
-					ea.sketches[a].add(hash64(uint64(t.Crds[a][pos])<<26 ^ rest))
+					ea.sketches[a].add(pairHash(uint64(t.Crds[a][pos]), rest, pairNarrow[a]))
 				}
 			}
 			return nil
@@ -758,4 +758,55 @@ func (p *Partial) finalize(workers int) (*Stats, error) {
 		fpScale:   fpScale,
 	}
 	return s, nil
+}
+
+// pairKeyRadixes returns, per axis a, the radixes that pack the
+// base-tile buckets of the other axes into axis a's pair-sketch rest key
+// (radix[a][a] is unused), and whether axis a keeps the narrow key.
+//
+// The narrow key, coordinate<<26 ^ rest with radix outerDims[b]+1, is
+// the original one: it is kept wherever it is exact — the radixes'
+// product at most 2^26 and the coordinate below 2^38 — so the sketches
+// of every matrix (its tile grid is at most 2^21 per axis) and of every
+// narrow tensor are unchanged. Elsewhere rest is the exact row-major key
+// of the rest grid (radix outerDims[b]; the tile grid has 64-bit keys,
+// so its rest grid does too), and pairHash mixes the two words.
+func pairKeyRadixes(dims, outerDims []int) (radix [][]uint64, narrow []bool) {
+	n := len(dims)
+	radix = make([][]uint64, n)
+	narrow = make([]bool, n)
+	for a := range radix {
+		size, fits := uint64(1), uint64(dims[a]) < 1<<38
+		for b := 0; b < n && fits; b++ {
+			if b != a {
+				var hi uint64
+				hi, size = bits.Mul64(size, uint64(outerDims[b]+1))
+				fits = hi == 0 && size <= 1<<26
+			}
+		}
+		narrow[a] = fits
+		radix[a] = make([]uint64, n)
+		for b := range radix[a] {
+			if b != a {
+				radix[a][b] = uint64(outerDims[b])
+				if fits {
+					radix[a][b]++
+				}
+			}
+		}
+	}
+	return radix, narrow
+}
+
+// pairHash is the pair-sketch hash of (coordinate, rest key): the
+// original coordinate<<26 ^ rest for a narrow key, a two-word mix
+// otherwise. Either way distinct pairs feed distinct inputs to the
+// final hash64 except by chance: hash64 is a bijection, so pairs with
+// one coordinate never meet, and pairs with two meet only where their
+// rest keys differ by the xor of two coordinate hashes.
+func pairHash(coord, rest uint64, narrow bool) uint64 {
+	if narrow {
+		return hash64(coord<<26 ^ rest)
+	}
+	return hash64(hash64(coord) ^ rest)
 }

@@ -6,9 +6,9 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"d2t2/internal/checked"
+	"d2t2/internal/par"
 	"d2t2/internal/radix"
 	"d2t2/internal/tiling"
 )
@@ -77,13 +77,7 @@ type ShapeStats struct {
 	// projs memoizes Project per (shared, extras) axis-set pair; the
 	// shape is shared through the bundle's shape memo, so every
 	// consumer of the bundle shares these tables too.
-	projMu sync.Mutex
-	projs  []projEntry
-}
-
-type projEntry struct {
-	shared, extras []int
-	p              *Projection
+	projs par.Memo[string, *Projection]
 }
 
 // TileOuter returns tile t's outer coordinates in axis order, a view
@@ -124,38 +118,24 @@ func (p *Projection) Lookup(oc []int32, axes []int) int32 {
 }
 
 // Project returns the shape's Projection over the disjoint axis lists
-// shared and extras. Results are memoized on the shape, one per axis-set
-// pair, so repeated predictions at a memoized shape (the optimizer's
-// sweep, every job of a batch sharing the bundle) read a sorted table
-// instead of rebuilding it. The result is shared and read-only; the
-// argument slices are copied into the memo key.
+// shared and extras. Results are memoized on the shape, one flight per
+// axis-set pair, so repeated predictions at a memoized shape (the
+// optimizer's sweep, every job of a batch sharing the bundle) read a
+// sorted table instead of rebuilding it. The result is shared and
+// read-only.
 func (sh *ShapeStats) Project(shared, extras []int) *Projection {
-	sh.projMu.Lock()
-	p := sh.lookupProj(shared, extras)
-	sh.projMu.Unlock()
-	if p != nil {
-		return p
+	var buf [16]byte
+	kb := append(buf[:0], byte(len(shared)))
+	for _, a := range shared {
+		kb = binary.AppendUvarint(kb, uint64(a))
 	}
-	p = sh.project(shared, extras)
-	sh.projMu.Lock()
-	defer sh.projMu.Unlock()
-	if prev := sh.lookupProj(shared, extras); prev != nil {
-		// A concurrent projection won the race; both are identical —
-		// keep the first for stability.
-		return prev
+	for _, a := range extras {
+		kb = binary.AppendUvarint(kb, uint64(a))
 	}
-	sh.projs = append(sh.projs, projEntry{slices.Clone(shared), slices.Clone(extras), p})
+	p, _ := sh.projs.Do(string(kb), 0, func() (*Projection, error) {
+		return sh.project(shared, extras), nil
+	})
 	return p
-}
-
-// lookupProj finds a memoized projection; the caller holds projMu.
-func (sh *ShapeStats) lookupProj(shared, extras []int) *Projection {
-	for _, e := range sh.projs {
-		if slices.Equal(e.shared, shared) && slices.Equal(e.extras, extras) {
-			return e.p
-		}
-	}
-	return nil
 }
 
 // project is Project without the memo: it keys each tile's (shared,
@@ -290,41 +270,22 @@ const shapeMemoCap = 256
 // across candidates.
 //
 // Results are memoized on the bundle per tile shape (up to shapeMemoCap
-// shapes): the optimizer's sweep re-derives the same shapes for many
-// candidates, and every job holding the same *Stats shares them.
-// EvalShape is deterministic and the returned ShapeStats is shared, so
-// callers must treat it as read-only. The memo key is tileDims' bytes,
-// so every order and shape is memoized and callers may reuse the slice.
+// shapes), one flight per shape: the optimizer's sweep re-derives the
+// same shapes for many candidates, and every job holding the same
+// *Stats shares them, so concurrent askers of a shape wait for its one
+// evaluation. A failed evaluation is not kept. EvalShape is
+// deterministic and the returned ShapeStats is shared, so callers must
+// treat it as read-only. The memo key is tileDims' bytes, so every order
+// and shape is memoized and callers may reuse the slice.
 func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 	var buf [64]byte
 	kb := buf[:0]
 	for _, v := range tileDims {
 		kb = binary.LittleEndian.AppendUint64(kb, uint64(v))
 	}
-	s.shapeMu.Lock()
-	sh, ok := s.shapes[string(kb)]
-	s.shapeMu.Unlock()
-	if ok {
-		return sh, nil
-	}
-	sh, err := s.evalShape(tileDims)
-	if err != nil {
-		return nil, err
-	}
-	s.shapeMu.Lock()
-	defer s.shapeMu.Unlock()
-	if prev, ok := s.shapes[string(kb)]; ok {
-		// A concurrent evaluation won the race; both results are
-		// identical — keep the first for stability.
-		return prev, nil
-	}
-	if len(s.shapes) < shapeMemoCap {
-		if s.shapes == nil {
-			s.shapes = make(map[string]*ShapeStats)
-		}
-		s.shapes[string(kb)] = sh
-	}
-	return sh, nil
+	return s.shapes.Do(string(kb), shapeMemoCap, func() (*ShapeStats, error) {
+		return s.evalShape(tileDims)
+	})
 }
 
 // evalShape is EvalShape without the memo.

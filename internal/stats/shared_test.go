@@ -6,6 +6,7 @@ package stats_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -225,5 +226,82 @@ func TestEvalShapeMemoCapped(t *testing.T) {
 	}
 	if kept != stats.ShapeMemoCap {
 		t.Fatalf("%d shapes returned their memoized value on a repeat call, want %d", kept, stats.ShapeMemoCap)
+	}
+}
+
+// TestEvalShapeOneFlightPerShape asks the same shapes, and the same
+// projections of them, from concurrent goroutines over one bundle:
+// each distinct shape is evaluated once and each distinct (shape,
+// axis-set pair) projected once, however many goroutines ask at the
+// same moment. A failing shape reaches every asker, is not kept, and
+// is evaluated again on the next ask.
+func TestEvalShapeOneFlightPerShape(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	m := gen.PowerLawGraph(r, 256, 3000, 1.5)
+	st, _, err := stats.Collect(m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := decoder(t, st)()
+	var shapes [][]int
+	for a := 1; a <= 8; a++ {
+		for b := 1; b <= 5; b++ {
+			shapes = append(shapes, []int{4 * a, 8 * b})
+		}
+	}
+	pairs := [][2][]int{{{0}, {1}}, {{1}, {0}}, {{0}, nil}, {{0, 1}, nil}}
+	const goroutines = 8
+	ask := func(fn func(g int) error) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if err := fn(g); err != nil {
+					t.Error(err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	ask(func(g int) error {
+		for k := range shapes {
+			sh, err := shared.EvalShape(shapes[(k+g)%len(shapes)])
+			if err != nil {
+				return err
+			}
+			for _, p := range pairs {
+				sh.Project(p[0], p[1])
+			}
+		}
+		return nil
+	})
+	if n := stats.EvalShapeRuns(shared); n != int64(len(shapes)) {
+		t.Fatalf("%d shape evaluations for %d distinct shapes", n, len(shapes))
+	}
+	for _, shape := range shapes {
+		sh, _ := shared.EvalShape(shape)
+		if n := stats.ProjectRuns(sh); n != int64(len(pairs)) {
+			t.Fatalf("shape %v: %d projections for %d distinct axis-set pairs", shape, n, len(pairs))
+		}
+	}
+
+	bad := []int{5, 8} // off the micro grid
+	ask(func(int) error {
+		if _, err := shared.EvalShape(bad); err == nil {
+			return fmt.Errorf("tile dims %v off the micro grid evaluated", bad)
+		}
+		return nil
+	})
+	if n := stats.ShapeMemoLen(shared); n != len(shapes) {
+		t.Fatalf("memo holds %d shapes, want the %d valid ones", n, len(shapes))
+	}
+	evals := stats.EvalShapeRuns(shared)
+	if _, err := shared.EvalShape(bad); err == nil || stats.EvalShapeRuns(shared) != evals+1 {
+		t.Fatalf("a failed shape was not evaluated again on the next ask (err %v)", err)
 	}
 }

@@ -21,9 +21,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"d2t2/internal/checked"
+	"d2t2/internal/par"
 	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
@@ -144,9 +144,8 @@ type Stats struct {
 	micro *microSummary
 
 	// shapes memoizes EvalShape per tile shape for the bundle's
-	// lifetime, guarded by shapeMu.
-	shapeMu sync.Mutex
-	shapes  map[string]*ShapeStats
+	// lifetime, one flight per shape.
+	shapes par.Memo[string, *ShapeStats]
 }
 
 // PTileBase returns the product of PrTileIdx over all outer levels: the

@@ -2,6 +2,7 @@ package d2t2
 
 import (
 	"context"
+	"strings"
 	"sync"
 
 	"d2t2/internal/model"
@@ -126,8 +127,13 @@ func (s *Session) TensorID(t *Tensor) (string, error) {
 // TensorArtifact returns the tensor's content address, as TensorID does,
 // together with its encoded snapshot tensor artifact; an unmemoized ID
 // comes from the same single encode as the artifact, and is memoized.
+// A tensor DeltaCtx returned hands over the artifact encoded with its
+// ID on the first call, so it is not encoded again.
 func (s *Session) TensorArtifact(t *Tensor) (id string, artifact []byte, err error) {
 	if p := t.id.Load(); p != nil {
+		if a := t.artifact.Swap(nil); a != nil {
+			return *p, *a, nil
+		}
 		artifact, err = snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.coo})
 		return *p, artifact, err
 	}
@@ -139,19 +145,20 @@ func (s *Session) TensorArtifact(t *Tensor) (id string, artifact []byte, err err
 }
 
 // statsFor returns the statistics for t at the given base tiling and
-// level order, consulting the batch scope (when b is non-nil), then the
-// session memo or external cache, before collecting. A cancelled ctx
-// aborts the collection (the context's error is returned) without
-// storing anything — the memo and cache only ever hold completed
-// collections.
-func (s *Session) statsFor(ctx context.Context, b *Batch, t *Tensor, tileDims, order []int) (*stats.Stats, error) {
+// level order, and their content address, consulting the batch scope
+// (when b is non-nil), then the session memo or external cache, before
+// collecting. A cancelled ctx aborts the collection (the context's error
+// is returned) without storing anything — the memo and cache only ever
+// hold completed collections.
+func (s *Session) statsFor(ctx context.Context, b *Batch, t *Tensor, tileDims, order []int) (*stats.Stats, string, error) {
 	id, err := s.TensorID(t)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	key := snapshot.StatsKey(id, tileDims, order, sessionMicroDiv)
 	if b == nil {
-		return s.resolve(ctx, key, t, tileDims, order)
+		st, err := s.resolve(ctx, key, t, tileDims, order)
+		return st, key, err
 	}
 	// Holding the lock across the resolve makes it exactly once per key;
 	// it only serializes this batch's own misses, which resolve
@@ -159,14 +166,14 @@ func (s *Session) statsFor(ctx context.Context, b *Batch, t *Tensor, tileDims, o
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if st := b.bundles[key]; st != nil {
-		return st, nil
+		return st, key, nil
 	}
 	st, err := s.resolve(ctx, key, t, tileDims, order)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	b.bundles[key] = st
-	return st, nil
+	return st, key, nil
 }
 
 // resolve returns the bundle stored under key from the session memo or
@@ -239,11 +246,16 @@ func (s *Session) optimize(ctx context.Context, b *Batch, k *Kernel, inputs Inpu
 	if err != nil {
 		return nil, err
 	}
-	pre, err := s.precollect(ctx, b, k, inputs, base)
+	pre, bundles, err := s.precollect(ctx, b, k, inputs, base)
 	if err != nil {
 		return nil, err
 	}
 	o.Precollected = pre
+	if b != nil && !o.Calibrate {
+		if o.Predictor, err = b.predictor(k, pre, bundles, o); err != nil {
+			return nil, err
+		}
+	}
 	res, err := optimizer.OptimizeCtx(ctx, k.expr, raw, o)
 	if err != nil {
 		return nil, err
@@ -252,23 +264,37 @@ func (s *Session) optimize(ctx context.Context, b *Batch, k *Kernel, inputs Inpu
 }
 
 // Batch scopes a group of optimize calls on one Session so they share
-// statistics bundles: each distinct (tensor, base tile, level order)
-// bundle is resolved — session memo, external cache or a fresh
-// collection — at most once per Batch, and every job in the group gets
-// the same decoded *stats.Stats, so the jobs' shape searches share its
-// EvalShape memo too. A Batch keeps its bundles until it is dropped:
-// scope one to a single request, never to the process. It is safe for
-// concurrent use; resolve its bundles with PrecollectCtx before fanning
-// out, since concurrent misses queue behind one another.
+// statistics bundles and predictors: each distinct (tensor, base tile,
+// level order) bundle is resolved — session memo, external cache or a
+// fresh collection — at most once per Batch, and every job in the group
+// gets the same decoded *stats.Stats, so the jobs' shape searches share
+// its EvalShape memo too. Jobs of one kernel over the same bundles, in
+// the same mode and ablations, share one model predictor and so its
+// prediction memo: a config any of them prices is priced once for all.
+// Calibrated jobs never share a predictor. A Batch keeps its bundles and
+// predictors until it is dropped: scope one to a single request, never
+// to the process. It is safe for concurrent use; resolve its bundles
+// with PrecollectCtx before fanning out, since concurrent misses queue
+// behind one another.
 type Batch struct {
 	s       *Session
 	mu      sync.Mutex
 	bundles map[string]*stats.Stats
+	preds   map[predictorKey]*model.Predictor
+}
+
+// predictorKey names a batch group: the kernel, its input bundles'
+// content addresses in input order, and the options the predictor is
+// built with.
+type predictorKey struct {
+	kernel, bundles                 string
+	mode                            model.Mode
+	disableCorrs, disableRefinement bool
 }
 
 // NewBatch returns an empty batch scope on the session.
 func (s *Session) NewBatch() *Batch {
-	return &Batch{s: s, bundles: make(map[string]*stats.Stats)}
+	return &Batch{s: s, bundles: make(map[string]*stats.Stats), preds: make(map[predictorKey]*model.Predictor)}
 }
 
 // PrecollectCtx resolves the statistics bundles OptimizeCtx would use
@@ -281,7 +307,7 @@ func (b *Batch) PrecollectCtx(ctx context.Context, k *Kernel, inputs Inputs, opt
 	if err != nil {
 		return err
 	}
-	_, err = b.s.precollect(ctx, b, k, inputs, base)
+	_, _, err = b.s.precollect(ctx, b, k, inputs, base)
 	return err
 }
 
@@ -293,28 +319,56 @@ func (b *Batch) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts 
 
 // precollect warms and returns the statistics for every distinct input
 // of k at an order-matched square base tiling, in the kernel's level
-// order for each reference — the exact frame OptimizeCtx consumes.
-func (s *Session) precollect(ctx context.Context, b *Batch, k *Kernel, inputs Inputs, base int) (map[string]*stats.Stats, error) {
+// order for each reference — the exact frame OptimizeCtx consumes — and
+// their content addresses, joined in input order.
+func (s *Session) precollect(ctx context.Context, b *Batch, k *Kernel, inputs Inputs, base int) (map[string]*stats.Stats, string, error) {
 	pre := make(map[string]*stats.Stats)
+	var keys strings.Builder
 	for _, ref := range k.expr.Inputs() {
 		if _, done := pre[ref.Name]; done {
 			continue
 		}
 		t, ok := inputs[ref.Name]
 		if !ok {
-			return nil, errMissing(ref.Name)
+			return nil, "", errMissing(ref.Name)
 		}
 		dims := make([]int, len(ref.Indices))
 		for a := range dims {
 			dims[a] = base
 		}
-		st, err := s.statsFor(ctx, b, t, dims, k.expr.LevelOrder(ref))
+		st, key, err := s.statsFor(ctx, b, t, dims, k.expr.LevelOrder(ref))
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		pre[ref.Name] = st
+		keys.WriteString(key)
+		keys.WriteByte('\n')
 	}
-	return pre, nil
+	return pre, keys.String(), nil
+}
+
+// predictor returns the batch group's shared predictor for an
+// uncalibrated optimization of k over the bundles pre, whose content
+// addresses are bundles, building it on the group's first ask.
+func (b *Batch) predictor(k *Kernel, pre map[string]*stats.Stats, bundles string, o optimizer.Options) (*model.Predictor, error) {
+	key := predictorKey{
+		kernel:            k.String(),
+		bundles:           bundles,
+		mode:              o.Mode,
+		disableCorrs:      o.DisableCorrs,
+		disableRefinement: o.DisableRefinement,
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if p := b.preds[key]; p != nil {
+		return p, nil
+	}
+	p, err := o.NewPredictor(k.expr, pre)
+	if err != nil {
+		return nil, err
+	}
+	b.preds[key] = p
+	return p, nil
 }
 
 // Predict runs the probabilistic traffic model for one tile
@@ -338,7 +392,7 @@ func (s *Session) PredictCtx(ctx context.Context, k *Kernel, inputs Inputs, cfg 
 			return 0, errMissing(ref.Name)
 		}
 		dims := clampedSquare(t, statsTile, len(ref.Indices))
-		one, err := s.statsFor(ctx, nil, t, dims, k.expr.LevelOrder(ref))
+		one, _, err := s.statsFor(ctx, nil, t, dims, k.expr.LevelOrder(ref))
 		if err != nil {
 			return 0, err
 		}
@@ -362,7 +416,7 @@ func (s *Session) StatsCtx(ctx context.Context, t *Tensor, tile int) (*StatsSumm
 	for a := range order {
 		order[a] = a
 	}
-	st, err := s.statsFor(ctx, nil, t, dims, order)
+	st, _, err := s.statsFor(ctx, nil, t, dims, order)
 	if err != nil {
 		return nil, err
 	}
