@@ -45,14 +45,13 @@ func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Te
 	// Build the combined tensor first: the Dedup shrink check catches any
 	// coordinate collision — delta vs base, intra-delta, or a base that
 	// was never Normalized — before statistics work starts.
-	concat := t.coo.Clone()
-	coord := make([]int, n)
-	for pos := 0; pos < delta.coo.NNZ(); pos++ {
-		for a := 0; a < n; a++ {
-			coord[a] = delta.coo.Crds[a][pos]
-		}
-		concat.Append(coord, delta.coo.Vals[pos])
+	// One copy of the base, sized for the delta too; the delta's
+	// coordinates were range-checked when they were set.
+	concat := t.coo.CloneGrow(delta.coo.NNZ())
+	for a := 0; a < n; a++ {
+		concat.Crds[a] = append(concat.Crds[a], delta.coo.Crds[a]...)
 	}
+	concat.Vals = append(concat.Vals, delta.coo.Vals...)
 	concat.Dedup()
 	if concat.NNZ() != t.coo.NNZ()+delta.coo.NNZ() {
 		return nil, nil, fmt.Errorf("d2t2: delta collides on %d coordinates (or an input was not Normalized)",

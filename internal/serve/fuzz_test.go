@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"d2t2"
 )
 
 // FuzzCanonicalRequest decodes arbitrary bytes as an optimize or a
@@ -163,6 +165,96 @@ func FuzzRawRequestRung(f *testing.F) {
 			if calibrated != (cache != "hit") {
 				t.Fatalf("repeat X-D2T2-Cache %q (calibrated %v) for %q", cache, calibrated, body)
 			}
+		}
+	})
+}
+
+// newDeltaServer starts an in-process memory-only server with a small
+// body limit and uploads deltaBaseMTX, returning the server and the
+// matrix's content address.
+func newDeltaServer(t testing.TB) (*Server, string) {
+	t.Helper()
+	s, err := New(Config{Workers: 1, MaxUploadBytes: rungUploadLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	code, id := uploadRaw(s, deltaBaseMTX)
+	if code != http.StatusOK {
+		t.Fatalf("upload: status %d: %s", code, id)
+	}
+	return s, id
+}
+
+// FuzzDeltaRequest posts arbitrary bodies to POST /v1/tensors/{id}/delta
+// against one small ingested matrix. No body may panic the handler or
+// answer 5xx; a 200 must name the content address of base+delta built
+// locally; and a 4xx must repeat byte for byte on a fresh server.
+func FuzzDeltaRequest(f *testing.F) {
+	shared, id := newDeltaServer(f)
+	base, err := d2t2.FromStream(strings.NewReader(deltaBaseMTX))
+	if err != nil {
+		f.Fatal(err)
+	}
+	base.Normalize()
+	for _, seed := range []string{
+		`{"crds":[[0,1],[6,0]],"vals":[4,5],"tile":4}`,
+		`{"crds":[[3,3]],"vals":[-0.5]}`,
+		`{"crds":[],"vals":[]}`,
+		`{"crds":[[7,7],[0,7]],"vals":[1e308,2],"tile":9223372036854775807}`,
+		`{"crds":[[0,0]],"vals":[1]}`,
+		`{"crds":[[3,3],[3,3]],"vals":[1,1]}`,
+		`{"crds":[[1,2,3]],"vals":[1]}`,
+		`{"crds":[[0,8]],"vals":[1]}`,
+		`{"crds":[[-1,0]],"vals":[1]}`,
+		`{"crds":[[3,3]],"vals":[1,2]}`,
+		`{"crds":[[3,3]],"vals":[1],"tile":-1}`,
+		`{"crds":[[3,3]],"vals":[1],"tlie":4}`,
+		`{"crds":[[3.5,3]],"vals":[1]}`,
+		`{"crds":[[3,3]],"vals":[1]} trailing`,
+		`{"crds":[[3,3]],"vals":[1]}` + strings.Repeat(" ", rungUploadLimit),
+	} {
+		f.Add(seed)
+	}
+	path := "/v1/tensors/" + id + "/delta"
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := serveRaw(shared, path, "application/json", body)
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code == http.StatusOK {
+			var req deltaRequest
+			var resp deltaResponse
+			if err := json.Unmarshal([]byte(body), &req); err != nil {
+				t.Fatalf("accepted a body that does not decode: %q", body)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			want := base.Clone()
+			for e, crd := range req.Crds {
+				if len(crd) != 2 || crd[0] < 0 || crd[0] >= 8 || crd[1] < 0 || crd[1] >= 8 {
+					t.Fatalf("accepted entry %v of %q", crd, body)
+				}
+				want.Set(crd, req.Vals[e])
+			}
+			want.Normalize()
+			if want.NNZ() != base.NNZ()+len(req.Crds) {
+				t.Fatalf("accepted a colliding delta %q", body)
+			}
+			wantID, err := d2t2.NewSession(nil).TensorID(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.ID != wantID || resp.NNZ != want.NNZ() {
+				t.Fatalf("delta %q: id %s nnz %d, built locally %s nnz %d", body, resp.ID, resp.NNZ, wantID, want.NNZ())
+			}
+			return
+		}
+		fresh, _ := newDeltaServer(t)
+		again := serveRaw(fresh, path, "application/json", body)
+		if again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("4xx not repeatable for %q: %d %s vs %d %s", body, rec.Code, rec.Body, again.Code, again.Body)
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"d2t2"
@@ -208,7 +207,8 @@ func single[R any](s *Server, internal bool, endpoint string, canonicalize func(
 		skipWarm := false
 		if err == nil {
 			raw = route + string(body)
-			if e, ok := s.raw.get(raw); ok {
+			v, _ := s.store.Value(raw)
+			if e, ok := v.(rawEntry); ok {
 				if resp, state, ok := s.cachedResponse(ctx, e.key); ok {
 					if e.overbooked {
 						s.metrics.add("optimize_overbooked", 1)
@@ -242,7 +242,8 @@ func single[R any](s *Server, internal bool, endpoint string, canonicalize func(
 		if j.calibrate {
 			skipWarm = true // stateful: never served from the cache
 		} else {
-			s.raw.put(raw, rawEntry{key: j.key, risk: j.risk, overbooked: j.opts != nil && j.opts.OverflowTarget > 0})
+			e := rawEntry{key: j.key, risk: j.risk, overbooked: j.opts != nil && j.opts.OverflowTarget > 0}
+			s.store.Keep(raw, nil, e, int64(len(raw)+len(e.key)+len(e.risk)))
 		}
 		if !skipWarm {
 			if resp, state, ok := s.cachedResponse(ctx, j.key); ok {
@@ -306,68 +307,15 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// rawRungBudget bounds the raw rung: the route-prefixed request bytes
-// and canonical results it holds, plus rawEntryOverhead per entry. An
-// entry above 1/64 of it never enters, so a few padded bodies cannot
-// flush the rung.
-const (
-	rawRungBudget    = 4 << 20
-	rawEntryOverhead = 128
-)
-
-// rawRung maps (route, exact request body bytes) to what
-// canonicalization produced for them, so a repeat request serves its
-// cached response without decoding, parsing or re-keying. Entries are
-// per process and never persisted or shared: canonicalization reads
-// this server's configuration (the default statistics tile). Exact
-// bytes key the map, so no hash collision can alias two requests. A
-// full rung evicts arbitrary entries.
-type rawRung struct {
-	mu      sync.Mutex
-	entries map[string]rawEntry
-	bytes   int
-}
-
-// rawEntry is what canonicalization produced for one raw request.
+// rawEntry is what canonicalization produced for one raw request: the
+// raw rung's value-only store entry under the route-prefixed exact body
+// bytes (never a content address, so never on disk or peers, whose
+// canonicalization may differ), so a repeat request serves its cached
+// response without decoding, parsing or re-keying.
 type rawEntry struct {
 	key, risk string
 	// overbooked replays optimizeJob's optimize_overbooked count.
 	overbooked bool
-}
-
-func (e rawEntry) size(raw string) int {
-	return len(raw) + len(e.key) + len(e.risk) + rawEntryOverhead
-}
-
-func (r *rawRung) get(raw string) (rawEntry, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[raw]
-	return e, ok
-}
-
-func (r *rawRung) put(raw string, e rawEntry) {
-	n := e.size(raw)
-	if n > rawRungBudget/64 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[raw]; ok {
-		return // the same bytes always canonicalize the same way
-	}
-	if r.entries == nil {
-		r.entries = make(map[string]rawEntry)
-	}
-	for k, old := range r.entries {
-		if r.bytes+n <= rawRungBudget {
-			break
-		}
-		delete(r.entries, k)
-		r.bytes -= old.size(k)
-	}
-	r.entries[raw] = e
-	r.bytes += n
 }
 
 // timed observes a handler's latency in the optimize latency histogram.

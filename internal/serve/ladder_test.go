@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -180,35 +181,6 @@ func TestRawRungCounters(t *testing.T) {
 	}
 }
 
-// TestRawRungBudget: the raw rung never holds more than its byte
-// budget, its byte count matches its entries across evictions, a
-// repeated fill is a no-op, and an entry above 1/64 of the budget never
-// enters.
-func TestRawRungBudget(t *testing.T) {
-	var r rawRung
-	e := rawEntry{key: "sha256:" + strings.Repeat("0", 64), risk: "target=0.05"}
-	for i := 0; i < 40000; i++ {
-		raw := fmt.Sprintf("optimize\n{\"n\":%d}", i) + strings.Repeat(" ", i%300)
-		r.put(raw, e)
-		r.put(raw, e)
-	}
-	huge := "predict\n" + strings.Repeat(" ", rawRungBudget/64)
-	r.put(huge, e)
-	if _, ok := r.get(huge); ok {
-		t.Errorf("an entry above 1/64 of the budget entered the rung")
-	}
-	total := 0
-	for k, v := range r.entries {
-		total += v.size(k)
-	}
-	if total != r.bytes || r.bytes > rawRungBudget {
-		t.Fatalf("rung holds %d bytes in %d entries, counts %d, budget %d", total, len(r.entries), r.bytes, rawRungBudget)
-	}
-	if r.bytes < rawRungBudget*3/4 {
-		t.Errorf("rung holds only %d of %d bytes after filling past its budget", r.bytes, rawRungBudget)
-	}
-}
-
 // TestRawRungConcurrent hammers one server's rung from several
 // goroutines at once — raw hits on filled bodies and fills of new ones —
 // and requires every answer to match the sequential one (run it under
@@ -274,8 +246,44 @@ func evict(st *Store, key string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if el, ok := st.idx[key]; ok {
-		st.ll.Remove(el)
-		delete(st.idx, key)
-		st.cur -= int64(len(el.Value.(*storeEntry).data))
+		st.remove(el)
+	}
+}
+
+// TestRawKeyIsNoTensor: the raw rung's store key for a served request
+// body, sent back as a tensor ID, names no tensor on any route that
+// resolves one — 404, or a failed job inside a batch — and the server
+// keeps serving.
+func TestRawKeyIsNoTensor(t *testing.T) {
+	s, id := newRungServer(t)
+	body := `{"kernel":"` + testKernel + `","inputs":{"A":"` + id + `","B":"` + id + `"},"tile":8}`
+	if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+		t.Fatalf("optimize: status %d: %s", rec.Code, rec.Body)
+	}
+	raw := "optimize\n" + body
+	if v, _ := s.store.Value(raw); v == nil {
+		t.Fatal("the served body left no raw-rung entry")
+	}
+	job, _ := json.Marshal(map[string]any{"kernel": testKernel, "inputs": map[string]string{"A": raw, "B": raw}})
+	if rec := serveRaw(s, "/v1/optimize", "application/json", string(job)); rec.Code != http.StatusNotFound {
+		t.Errorf("optimize naming a raw key: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := serveRaw(s, "/v1/batch", "application/json", `{"jobs":[`+string(job)+`]}`)
+	var br batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); rec.Code != http.StatusOK || err != nil || len(br.Jobs) != 1 ||
+		!strings.Contains(br.Jobs[0].Error, "unknown tensor") {
+		t.Errorf("batch naming a raw key: status %d: %s", rec.Code, rec.Body)
+	}
+	path := "/v1/tensors/" + url.PathEscape(raw)
+	get := httptest.NewRecorder()
+	s.Handler().ServeHTTP(get, httptest.NewRequest(http.MethodGet, path+"/stats?tile=8", nil))
+	if get.Code != http.StatusNotFound {
+		t.Errorf("stats of a raw key: status %d: %s", get.Code, get.Body)
+	}
+	if rec := serveRaw(s, path+"/delta", "application/json", `{"crds":[[0,1]],"vals":[1]}`); rec.Code != http.StatusNotFound {
+		t.Errorf("delta on a raw key: status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+		t.Fatalf("optimize after the raw-key requests: status %d: %s", rec.Code, rec.Body)
 	}
 }

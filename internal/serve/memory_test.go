@@ -1,0 +1,286 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+
+	"d2t2"
+	"d2t2/internal/snapshot"
+)
+
+// tnsBody renders nnz random entries of a dims-shaped tensor as a .tns
+// upload (duplicates are summed by ingest).
+func tnsBody(r *rand.Rand, dims []int, nnz int) string {
+	var b strings.Builder
+	for p := 0; p < nnz; p++ {
+		for _, d := range dims {
+			fmt.Fprintf(&b, "%d ", 1+r.Intn(d))
+		}
+		fmt.Fprintf(&b, "%d.5\n", 1+r.Intn(9))
+	}
+	return b.String()
+}
+
+// uploadRaw ingests body in process and returns the response status
+// and the content address (or error text).
+func uploadRaw(s *Server, body string) (int, string) {
+	rec := serveRaw(s, "/v1/tensors", "text/plain", body)
+	var ir struct {
+		ID    string `json:"id"`
+		Error string `json:"error"`
+	}
+	json.Unmarshal(rec.Body.Bytes(), &ir)
+	if rec.Code != http.StatusOK {
+		return rec.Code, ir.Error
+	}
+	return rec.Code, ir.ID
+}
+
+func heapInuse() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapInuse
+}
+
+// TestResidentHeapBounded ingests N distinct tensors into a server with
+// an 8 MiB budget, at two values of N 4× apart, both several times past
+// the budget. The store's charge never exceeds the budget, and the live
+// heap the server adds stays under the budget plus residentSlack, so
+// what d2t2d keeps does not grow with the number of uploads.
+func TestResidentHeapBounded(t *testing.T) {
+	const (
+		budget = 8 << 20
+		// residentSlack covers what the budget does not: the server's own
+		// structures, the allocator's partly used spans, and the last
+		// upload's garbage that a single GC cycle may not return.
+		residentSlack = 4 << 20
+	)
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{24, 96} {
+		base := heapInuse()
+		s, err := New(Config{MemCacheBytes: budget, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			// About 400 KiB charged each: 20 fill the budget.
+			if code, msg := uploadRaw(s, tnsBody(r, []int{2000, 2000}, 8000)); code != http.StatusOK {
+				t.Fatalf("N=%d upload %d: status %d: %s", n, i, code, msg)
+			}
+			if mb := s.store.MemBytes(); mb > budget {
+				t.Fatalf("N=%d upload %d: MemBytes %d past the budget %d", n, i, mb, budget)
+			}
+		}
+		if got := s.Metric("tensors_registered"); got != int64(n) {
+			t.Fatalf("N=%d: tensors_registered = %d", n, got)
+		}
+		grown := int64(heapInuse()) - int64(base)
+		t.Logf("N=%d: heap in use grew %.1f MiB, store charges %.1f MiB", n, float64(grown)/(1<<20), float64(s.store.MemBytes())/(1<<20))
+		if grown > budget+residentSlack {
+			t.Errorf("N=%d: heap in use grew %d bytes, over the %d-byte budget plus %d slack", n, grown, budget, residentSlack)
+		}
+		runtime.KeepAlive(s)
+		s.Shutdown(context.Background())
+	}
+}
+
+// TestTensorChargeCoversHeap: what the store charges for a tensor beside
+// its artifact (COO.HeapBytes plus valueOverhead) is not below the heap
+// the tensor really holds, for orders 2–4, both for a tensor decoded
+// from its artifact (tensorByID's reload) and for one parsed from an
+// upload (registerTensor). The heap is the minimum over three
+// measurements, so other goroutines' allocations cannot inflate it.
+func TestTensorChargeCoversHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for _, dims := range [][]int{{3000, 2000}, {200, 150, 100}, {60, 50, 40, 30}} {
+		body := tnsBody(r, dims, 5000+r.Intn(5000))
+		x, err := d2t2.FromStream(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Normalize()
+		artifact, err := snapshot.EncodeBytes(&snapshot.Artifact{Tensor: x.COO()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{"decoded", "parsed"} {
+			var heap uint64 = 1 << 62
+			var charge int64
+			for rep := 0; rep < 3; rep++ {
+				runtime.GC()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				var v *d2t2.Tensor
+				if kind == "decoded" {
+					a, err := snapshot.DecodeBytes(artifact)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v = d2t2.FromCOO(a.Tensor)
+				} else {
+					if v, err = d2t2.FromStream(strings.NewReader(body)); err != nil {
+						t.Fatal(err)
+					}
+					v.Normalize()
+				}
+				if _, err := d2t2.NewSession(nil).TensorID(v); err != nil {
+					t.Fatal(err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&m1)
+				heap = min(heap, m1.HeapAlloc-m0.HeapAlloc)
+				charge = v.COO().HeapBytes() + valueOverhead
+				runtime.KeepAlive(v)
+			}
+			t.Logf("order %d %s: heap %d bytes, charged %d", len(dims), kind, heap, charge)
+			if charge < int64(heap) {
+				t.Errorf("order %d %s tensor: charged %d bytes, holds %d", len(dims), kind, charge, heap)
+			}
+		}
+	}
+}
+
+// resident reports whether a value is kept under key, without marking
+// the entry used.
+func resident(st *Store, key string) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	el, ok := st.idx[key]
+	return ok && el.Value.(*storeEntry).value != nil
+}
+
+// evictByFilling uploads distinct small tensors until id's tensor is no
+// longer resident in s's store.
+func evictByFilling(t *testing.T, s *Server, id string) {
+	t.Helper()
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		if !resident(s.store, id) {
+			return
+		}
+		if code, msg := uploadRaw(s, tnsBody(r, []int{32, 32}, 96)); code != http.StatusOK {
+			t.Fatalf("filler upload: status %d: %s", code, msg)
+		}
+	}
+	t.Fatalf("tensor %s still resident after 1000 uploads", id)
+}
+
+// TestEvictedTensorReloads: with a disk layer, a tensor the LRU evicted
+// reloads from disk, and the optimize response is byte-identical to a
+// fresh server's.
+func TestEvictedTensorReloads(t *testing.T) {
+	fresh, id := newRungServer(t)
+	body := `{"kernel":"` + testKernel + `","inputs":{"A":"` + id + `","B":"` + id + `"},"tile":8}`
+	want := serveRaw(fresh, "/v1/optimize", "application/json", body)
+	if want.Code != http.StatusOK {
+		t.Fatalf("fresh optimize: status %d: %s", want.Code, want.Body)
+	}
+
+	s, _ := newTestServer(t, Config{MemCacheBytes: 64 << 10})
+	if code, got := uploadRaw(s, rungMTX); code != http.StatusOK || got != id {
+		t.Fatalf("upload: status %d, id %s", code, got)
+	}
+	evictByFilling(t, s, id)
+	disk := s.Metric("artifact_disk_hits")
+	got := serveRaw(s, "/v1/optimize", "application/json", body)
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+		t.Fatalf("optimize after eviction: status %d:\n%s\nwant\n%s", got.Code, got.Body, want.Body)
+	}
+	if s.Metric("artifact_disk_hits") == disk {
+		t.Fatal("the evicted tensor was not read from disk")
+	}
+	if !resident(s.store, id) {
+		t.Fatal("the reloaded tensor is not resident")
+	}
+}
+
+// TestEvictedTensorMemoryOnly: without a disk layer an evicted tensor is
+// unknown — 404 naming the eviction, counted in artifact_misses — until
+// it is uploaded again.
+func TestEvictedTensorMemoryOnly(t *testing.T) {
+	s, err := New(Config{MemCacheBytes: 64 << 10, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	_, id := uploadRaw(s, rungMTX)
+	evictByFilling(t, s, id)
+
+	misses := s.Metric("artifact_misses")
+	req := httptest.NewRecorder()
+	s.Handler().ServeHTTP(req, httptest.NewRequest(http.MethodGet, "/v1/tensors/"+id+"/stats?tile=8", nil))
+	if req.Code != http.StatusNotFound || !strings.Contains(req.Body.String(), "evicted") {
+		t.Fatalf("stats of an evicted tensor: status %d: %s", req.Code, req.Body)
+	}
+	if got := s.Metric("artifact_misses") - misses; got != 1 {
+		t.Fatalf("artifact_misses moved by %d, want 1", got)
+	}
+	body := `{"kernel":"` + testKernel + `","inputs":{"A":"` + id + `","B":"` + id + `"},"tile":8}`
+	if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusNotFound {
+		t.Fatalf("optimize of an evicted tensor: status %d: %s", rec.Code, rec.Body)
+	}
+	if code, again := uploadRaw(s, rungMTX); code != http.StatusOK || again != id {
+		t.Fatalf("re-upload: status %d, id %s", code, again)
+	}
+	if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+		t.Fatalf("optimize after re-upload: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestOverBudgetUpload: a memory-only server refuses with 413 an upload
+// it could not keep resident, instead of accepting it and answering 404
+// for it; with a disk layer the same upload is accepted.
+func TestOverBudgetUpload(t *testing.T) {
+	const budget = 32 << 10
+	big := tnsBody(rand.New(rand.NewSource(4)), []int{500, 500}, 2000)
+	s, err := New(Config{MemCacheBytes: budget, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	if code, msg := uploadRaw(s, big); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "memory budget") {
+		t.Fatalf("over-budget upload: status %d: %s", code, msg)
+	}
+	if s.Metric("ingest_too_large") != 1 || s.Metric("ingest_errors") != 1 || s.Metric("tensors_registered") != 0 {
+		t.Fatalf("ingest_too_large %d, ingest_errors %d, tensors_registered %d",
+			s.Metric("ingest_too_large"), s.Metric("ingest_errors"), s.Metric("tensors_registered"))
+	}
+	if mb := s.store.MemBytes(); mb != 0 {
+		t.Fatalf("a refused upload left %d bytes resident", mb)
+	}
+	// A delta whose combined tensor outgrows the budget is refused too.
+	_, id := uploadRaw(s, rungMTX)
+	base, err := d2t2.FromStream(strings.NewReader(rungMTX))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[[2]int]bool{}
+	for p := 0; p < base.NNZ(); p++ {
+		crd, _ := base.Entry(p)
+		held[[2]int{crd[0], crd[1]}] = true
+	}
+	var delta deltaRequest
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 32; j++ {
+			if !held[[2]int{i, j}] {
+				delta.Crds, delta.Vals = append(delta.Crds, []int{i, j}), append(delta.Vals, 1)
+			}
+		}
+	}
+	body, _ := json.Marshal(delta)
+	if rec := serveRaw(s, "/v1/tensors/"+id+"/delta", "application/json", string(body)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-budget delta: status %d: %s", rec.Code, rec.Body)
+	}
+	disk, _ := newTestServer(t, Config{MemCacheBytes: budget})
+	if code, msg := uploadRaw(disk, big); code != http.StatusOK {
+		t.Fatalf("over-budget upload with a disk layer: status %d: %s", code, msg)
+	}
+}

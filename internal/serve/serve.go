@@ -30,7 +30,9 @@ type Config struct {
 	// CacheDir roots the on-disk artifact cache; "" keeps artifacts in
 	// memory only.
 	CacheDir string
-	// MemCacheBytes bounds the in-memory artifact layer (default 64 MiB).
+	// MemCacheBytes bounds all the server keeps in memory (default 64
+	// MiB): artifacts, decoded tensors and the raw rung share one LRU.
+	// Without CacheDir an evicted tensor must be uploaded again.
 	MemCacheBytes int64
 	// Workers bounds how many requests run compute at once — every
 	// CPU-heavy job (ingest parsing, the optimize/predict/stats cold
@@ -211,9 +213,9 @@ func (c Config) validate() error {
 
 // Server is the d2t2d optimizer service. Create one with New, mount
 // Handler on an HTTP server (or call ListenAndServe), and stop it with
-// Shutdown. All state — the tensor registry, the artifact store, the
-// statistics session — is per-Server, so tests can run many in one
-// process.
+// Shutdown. All state — the store (artifacts, resident tensors, the raw
+// rung), the statistics session — is per-Server, so tests can run many
+// in one process.
 type Server struct {
 	cfg     Config
 	store   *Store
@@ -222,7 +224,6 @@ type Server struct {
 	flights *flightGroup
 	metrics *metrics
 	cluster *clusterState // nil when unclustered
-	raw     rawRung
 	mux     *http.ServeMux
 
 	// draining flips at the top of Shutdown, before in-flight requests
@@ -230,7 +231,6 @@ type Server struct {
 	draining atomic.Bool
 
 	mu      sync.Mutex
-	tensors map[string]*d2t2.Tensor // content address -> registered tensor
 	httpSrv *http.Server
 }
 
@@ -252,7 +252,6 @@ func New(cfg Config) (*Server, error) {
 		store:   store,
 		pool:    newPool(cfg.Workers),
 		metrics: newMetrics(),
-		tensors: make(map[string]*d2t2.Tensor),
 	}
 	if len(cfg.Peers) > 0 {
 		s.cluster, err = newClusterState(cfg)
@@ -607,7 +606,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if jobErr != nil {
 		s.metrics.add("ingest_errors", 1)
-		s.writeError(w, http.StatusBadRequest, jobErr)
+		if errors.Is(jobErr, errOverBudget) {
+			s.metrics.add("ingest_too_large", 1)
+		}
+		s.writeComputeError(w, jobErr, http.StatusBadRequest)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -652,44 +654,53 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 	return ingestResponse{ID: id, Dims: t.Dims(), NNZ: t.NNZ(), Cached: cached}, nil
 }
 
+// errOverBudget refuses a tensor a memory-only server cannot keep (see
+// Store.Keep): it would be unknown before any request could use it.
+var errOverBudget = errors.New("tensor exceeds the memory budget")
+
 // registerTensor registers a normalized tensor under its content address
 // and persists the tensor artifact so later process lives (and, when
 // clustered, peers) can resolve the address. Returns the canonical
-// registered tensor — the first registration wins, so a content address
-// names one resident tensor — and whether the content was already known.
-// The ID and the stored artifact come from one encode of the tensor —
-// for a delta version, the encode DeltaCtx made when it hashed it.
-// A failed store write is counted and skips replication: pushing an
-// artifact the local node could not durably hold would advertise state
-// it cannot back.
+// registered tensor — the first one kept in the store, so a content
+// address names one resident tensor — and whether the content was
+// already known. The ID and the stored artifact come from one encode of
+// the tensor — for a delta version, the encode DeltaCtx made when it
+// hashed it. A failed store write is counted and skips replication:
+// pushing an artifact the local node could not durably hold would
+// advertise state it cannot back.
 func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d2t2.Tensor, bool, error) {
 	id, artifact, err := s.session.TensorArtifact(t)
 	if err != nil {
 		return "", nil, false, err
 	}
-	s.mu.Lock()
-	existing, ok := s.tensors[id]
-	if !ok {
-		s.tensors[id] = t
+	if v, ok := s.store.Value(id); ok {
+		return id, v.(*d2t2.Tensor), true, nil
 	}
-	s.mu.Unlock()
-	if ok {
-		t = existing
-	} else {
-		s.metrics.add("tensors_registered", 1)
+	b, _ := s.storeGet(ctx, id)
+	size := t.COO().HeapBytes()
+	kept, ok := s.keepTensor(id, artifact, t, size)
+	if !ok && s.cfg.CacheDir == "" {
+		return "", nil, false, fmt.Errorf("%w: a %d-byte artifact and %d decoded bytes, budget %d",
+			errOverBudget, len(artifact), size, s.cfg.MemCacheBytes)
 	}
-
-	cached := ok
-	if !cached {
-		if b, _ := s.storeGet(ctx, id); b != nil {
-			cached = true
-		} else if perr := s.store.Put(id, artifact); perr != nil {
+	if b == nil {
+		if perr := s.store.Put(id, artifact); perr != nil {
 			s.metrics.add("store_put_errors", 1)
 		} else {
 			s.maybeReplicate(id, artifact)
 		}
 	}
-	return id, t, cached, nil
+	return id, kept, b != nil, nil
+}
+
+// keepTensor keeps t beside its artifact bytes, charged at size, and
+// returns the tensor resident under id (t if not kept) and whether kept.
+func (s *Server) keepTensor(id string, artifact []byte, t *d2t2.Tensor, size int64) (*d2t2.Tensor, bool) {
+	v, ok := s.store.Keep(id, artifact, t, size)
+	if ok && v == t {
+		s.metrics.add("tensors_registered", 1)
+	}
+	return v.(*d2t2.Tensor), ok
 }
 
 // jsonBodyLimit bounds a structured (JSON) request body: 1 MiB — far
@@ -746,13 +757,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	n := len(s.tensors)
-	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "ok",
-		"version": buildinfo.Version,
-		"tensors": n,
+		"status":         "ok",
+		"version":        buildinfo.Version,
+		"resident_bytes": s.store.MemBytes(),
 	})
 }
 
@@ -922,6 +930,8 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error, fallback in
 		s.writeErrorStatus(w, http.StatusGatewayTimeout, err, true)
 	case errors.Is(err, ErrShuttingDown):
 		s.writeErrorStatus(w, http.StatusServiceUnavailable, err, true)
+	case errors.Is(err, errOverBudget):
+		s.writeErrorStatus(w, http.StatusRequestEntityTooLarge, err, true)
 	default:
 		s.writeErrorStatus(w, fallback, err, true)
 	}
@@ -938,20 +948,21 @@ func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, err error, 
 	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// tensorByID returns the registered tensor for a content address,
-// falling back to the artifact store (a persisted ingest from a previous
-// run of the daemon, or — through the peer rung — an ingest that landed
-// on another cluster node).
+// tensorByID returns the tensor registered under a content address:
+// the one resident in the store (a raw-rung value under a request body
+// is no tensor), else its artifact read through storeGet's ladder — an
+// ingest persisted by a previous run of the daemon or evicted from
+// memory, or, through the peer rung, an ingest that landed on another
+// cluster node — decoded and kept. Without a disk layer or a peer
+// holding it, an evicted tensor is unknown.
 func (s *Server) tensorByID(ctx context.Context, id string) (*d2t2.Tensor, error) {
-	s.mu.Lock()
-	t, ok := s.tensors[id]
-	s.mu.Unlock()
-	if ok {
+	v, _ := s.store.Value(id)
+	if t, ok := v.(*d2t2.Tensor); ok {
 		return t, nil
 	}
 	b, _ := s.storeGet(ctx, id)
 	if b == nil {
-		return nil, fmt.Errorf("unknown tensor %q", id)
+		return nil, fmt.Errorf("unknown tensor %q: never uploaded here, or evicted from memory; upload it again", id)
 	}
 	a, err := snapshot.DecodeBytes(b)
 	if err != nil {
@@ -960,15 +971,7 @@ func (s *Server) tensorByID(ctx context.Context, id string) (*d2t2.Tensor, error
 	if a.Tensor == nil {
 		return nil, fmt.Errorf("artifact %q holds no tensor", id)
 	}
-	t = d2t2.FromCOO(a.Tensor)
-	s.mu.Lock()
-	if prior, ok := s.tensors[id]; ok {
-		t = prior // lost the reload race; keep one canonical value
-	} else {
-		s.tensors[id] = t
-		s.metrics.add("tensors_registered", 1)
-	}
-	s.mu.Unlock()
+	t, _ := s.keepTensor(id, b, d2t2.FromCOO(a.Tensor), a.Tensor.HeapBytes())
 	return t, nil
 }
 

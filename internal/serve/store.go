@@ -31,11 +31,11 @@ const (
 	SourcePeer
 )
 
-// Store is a two-layer content-addressed artifact cache: a bounded
-// in-memory LRU of encoded snapshot bytes in front of an optional
-// on-disk layer. Keys are content addresses of the form
-// "sha256:<64 hex digits>" (snapshot.TensorID / StatsKey / ResponseKey);
-// the disk layout shards on the first two hex digits:
+// Store is everything d2t2d keeps resident: a two-layer
+// content-addressed cache, a bounded in-memory LRU in front of an
+// optional on-disk layer. Keys of artifacts are content addresses of the
+// form "sha256:<64 hex digits>" (snapshot.TensorID / StatsKey /
+// ResponseKey); the disk layout shards on the first two hex digits:
 //
 //	<dir>/<hex[:2]>/<hex>.d2t2snap
 //
@@ -44,6 +44,13 @@ const (
 // keys are content addresses the store never overwrites meaningfully
 // different data: a second Put for a key is by construction the same
 // bytes (responses are canonical, snapshots deterministic).
+//
+// A memory entry holds artifact bytes and, optionally, a decoded value
+// beside them (Keep); a value-only entry's key is not a content address,
+// so it never reaches disk or peers. An entry is charged len(bytes) plus
+// its value's estimated size and valueOverhead; the least recently used
+// entries go until the sum fits maxBytes, and an entry charged above the
+// whole budget, or a value-only one above valueOnlyMax, never enters.
 //
 // A Store is safe for concurrent use.
 type Store struct {
@@ -57,9 +64,20 @@ type Store struct {
 }
 
 type storeEntry struct {
-	key  string
-	data []byte
+	key   string
+	data  []byte
+	value any   // decoded value beside data; nil for a bytes-only entry
+	size  int64 // the entry's charge against maxBytes
 }
+
+// valueOverhead is what an entry carrying a value costs beyond the
+// value's own estimate: its list element, index slot, entry struct and
+// interface header.
+const valueOverhead = 128
+
+// valueOnlyMax caps a value-only (raw-rung) entry's charge, so padded
+// repeats of one request body cannot flush the artifacts and tensors.
+const valueOnlyMax = 64 << 10
 
 // NewStore opens a store rooted at dir (created if missing; "" for a
 // purely in-memory store) holding at most maxBytes of artifact bytes in
@@ -132,8 +150,22 @@ func (s *Store) Get(key string) ([]byte, Source, error) {
 	if err != nil {
 		return nil, SourceNone, err
 	}
-	s.admit(key, data)
+	s.Keep(key, data, nil, 0)
 	return data, SourceDisk, nil
+}
+
+// Value returns the decoded value resident beside key, if any, and
+// marks the entry recently used. It never reads disk.
+func (s *Store) Value(key string) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.idx[key]
+	if !ok {
+		return nil, false
+	}
+	s.ll.MoveToFront(el)
+	v := el.Value.(*storeEntry).value
+	return v, v != nil
 }
 
 // Put stores the artifact bytes under key in both layers. The slice is
@@ -165,37 +197,52 @@ func (s *Store) Put(key string, data []byte) error {
 			return err
 		}
 	}
-	s.admit(key, data)
+	s.Keep(key, data, nil, 0)
 	return nil
 }
 
-// admit inserts data into the memory layer, evicting least-recently-used
-// entries until the byte budget holds. Artifacts larger than the whole
-// budget bypass the memory layer (they would only thrash it).
-func (s *Store) admit(key string, data []byte) {
-	if s.maxBytes <= 0 || int64(len(data)) > s.maxBytes {
-		return
-	}
+// Keep admits key to the memory layer only: its artifact bytes (nil for
+// a value-only entry) and, when v is non-nil, the decoded value, charged
+// at size bytes. A resident key keeps its bytes, and its value if it has
+// one — keys are content addresses, so the first value is the value.
+// Keep returns the value now resident for key and true, or v and false
+// when the entry is not kept: charged above the whole budget, or, for a
+// value-only entry, above valueOnlyMax.
+func (s *Store) Keep(key string, data []byte, v any, size int64) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.idx[key]; ok {
-		// Content-addressed: same key implies same bytes; just refresh.
+	el, resident := s.idx[key]
+	e := &storeEntry{key: key, data: data}
+	if resident {
 		s.ll.MoveToFront(el)
-		return
-	}
-	el := s.ll.PushFront(&storeEntry{key: key, data: data})
-	s.idx[key] = el
-	s.cur += int64(len(data))
-	for s.cur > s.maxBytes {
-		back := s.ll.Back()
-		if back == nil {
-			break
+		if e = el.Value.(*storeEntry); e.value != nil || v == nil {
+			return e.value, true
 		}
-		ent := back.Value.(*storeEntry)
-		s.ll.Remove(back)
-		delete(s.idx, ent.key)
-		s.cur -= int64(len(ent.data))
 	}
+	charge := int64(len(e.data))
+	if v != nil {
+		charge += size + valueOverhead
+	}
+	if charge > s.maxBytes || s.maxBytes <= 0 || e.data == nil && charge > valueOnlyMax {
+		return v, false
+	}
+	if !resident {
+		s.idx[key] = s.ll.PushFront(e)
+	}
+	s.cur += charge - e.size
+	e.value, e.size = v, charge
+	for s.cur > s.maxBytes {
+		s.remove(s.ll.Back())
+	}
+	return v, true
+}
+
+// remove drops one entry from the memory layer. s.mu must be held.
+func (s *Store) remove(el *list.Element) {
+	e := el.Value.(*storeEntry)
+	s.ll.Remove(el)
+	delete(s.idx, e.key)
+	s.cur -= e.size
 }
 
 // Writable probes the store's write path for the readiness check: a
@@ -221,7 +268,8 @@ func (s *Store) Writable() error {
 	return nil
 }
 
-// MemBytes reports the bytes currently held by the memory layer.
+// MemBytes reports the bytes currently charged to the memory layer:
+// artifact bytes plus the estimated size of every resident value.
 func (s *Store) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

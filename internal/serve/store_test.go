@@ -125,12 +125,24 @@ func TestPoolShutdown(t *testing.T) {
 }
 
 // TestStoreConcurrentLRU hammers one small-budget store from many
-// goroutines mixing Put, Get and re-admission, with the memory budget
-// checked continuously: MemBytes must never exceed the configured
-// bound, no operation may error, and after the dust settles every
-// artifact must still be readable byte-identically from disk even when
-// the memory layer evicted it.
+// goroutines with the memory budget checked continuously: MemBytes must
+// never exceed the configured bound, no operation may error, and after
+// the dust settles every artifact must still be readable
+// byte-identically from disk even when the memory layer evicted it. The
+// "bytes" input mixes Put, Get and re-admission; "mixed" also keeps
+// decoded values beside artifacts and value-only raw-rung entries, as
+// the server does, so all three kinds share one byte account.
 func TestStoreConcurrentLRU(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		name := "bytes"
+		if mixed {
+			name = "mixed"
+		}
+		t.Run(name, func(t *testing.T) { testStoreConcurrentLRU(t, mixed) })
+	}
+}
+
+func testStoreConcurrentLRU(t *testing.T, mixed bool) {
 	const (
 		maxBytes   = 8 << 10
 		entryBytes = 1 << 10
@@ -169,6 +181,25 @@ func TestStoreConcurrentLRU(t *testing.T) {
 					errs <- fmt.Errorf("Get %d: corrupted bytes from %v", i, src)
 					return
 				}
+				if mixed {
+					// A decoded value beside the artifact, first value
+					// winning, and a value-only entry under a raw key.
+					if v, _ := s.Keep(k, payload(i), i, 512); v != i {
+						errs <- fmt.Errorf("Keep %d: resident value %v", i, v)
+						return
+					}
+					if v, ok := s.Value(k); ok && v != i {
+						errs <- fmt.Errorf("Value %d: %v", i, v)
+						return
+					}
+					raw := fmt.Sprintf("optimize\n{\"n\":%d}", w*rounds+r)
+					e := rawEntry{key: k}
+					s.Keep(raw, nil, e, int64(len(raw)+len(e.key)))
+					if v, ok := s.Value(raw); ok && v != e {
+						errs <- fmt.Errorf("raw entry %q: %v", raw, v)
+						return
+					}
+				}
 				if mb := s.MemBytes(); mb > maxBytes {
 					errs <- fmt.Errorf("memory budget exceeded: %d > %d", mb, maxBytes)
 					return
@@ -183,6 +214,9 @@ func TestStoreConcurrentLRU(t *testing.T) {
 	}
 	if mb := s.MemBytes(); mb > maxBytes {
 		t.Fatalf("final memory budget exceeded: %d > %d", mb, maxBytes)
+	}
+	if got := storeCharge(s); got != s.MemBytes() {
+		t.Fatalf("entries are charged %d bytes, MemBytes %d", got, s.MemBytes())
 	}
 	// Every key must read back byte-identical — most from disk, since 48
 	// KiB of artifacts cannot fit an 8 KiB memory layer.
@@ -202,6 +236,114 @@ func TestStoreConcurrentLRU(t *testing.T) {
 	}
 	if fromDisk == 0 {
 		t.Fatalf("no key was served from disk; eviction never happened?")
+	}
+}
+
+// storeCharge recounts what the resident entries are charged: bytes,
+// plus the estimate and valueOverhead for each value.
+func storeCharge(s *Store) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for el := s.ll.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*storeEntry).size
+	}
+	return n
+}
+
+// TestStoreRawEntryBudget fills a store with raw-rung entries the way
+// the server does: the store never holds more than its byte budget,
+// its byte count matches its entries across evictions, a repeated fill
+// is a no-op that keeps the first value, and an entry whose charge is
+// above the whole budget, or above valueOnlyMax, never enters — while
+// an artifact of that size does.
+func TestStoreRawEntryBudget(t *testing.T) {
+	const budget = 1 << 20
+	s, err := NewStore("", budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := rawEntry{key: "sha256:" + strings.Repeat("0", 64), risk: "target=0.05"}
+	keep := func(raw string, e rawEntry) {
+		s.Keep(raw, nil, e, int64(len(raw)+len(e.key)+len(e.risk)))
+	}
+	for i := 0; i < 10000; i++ {
+		raw := fmt.Sprintf("optimize\n{\"n\":%d}", i) + strings.Repeat(" ", i%300)
+		keep(raw, e)
+		keep(raw, rawEntry{key: "other"})
+		if v, ok := s.Value(raw); !ok || v != e {
+			t.Fatalf("entry %d: resident value %v, want the first %v", i, v, e)
+		}
+	}
+	huge := "predict\n" + strings.Repeat(" ", budget)
+	keep(huge, e)
+	if _, ok := s.Value(huge); ok {
+		t.Errorf("an entry above the whole budget entered the store")
+	}
+	padded := "optimize\n{}" + strings.Repeat(" ", valueOnlyMax)
+	keep(padded, e)
+	if _, ok := s.Value(padded); ok {
+		t.Errorf("a %d-byte raw entry, above valueOnlyMax, entered the store", len(padded))
+	}
+	if _, ok := s.Keep(key("padded"), []byte(padded), nil, 0); !ok {
+		t.Errorf("a %d-byte artifact was refused under a %d-byte budget", len(padded), budget)
+	}
+	evict(s, key("padded"))
+	if got, mb := storeCharge(s), s.MemBytes(); got != mb || mb > budget {
+		t.Fatalf("store holds %d bytes in %d entries, counts %d, budget %d", got, len(s.idx), mb, budget)
+	}
+	if mb := s.MemBytes(); mb < budget*3/4 {
+		t.Errorf("store holds only %d of %d bytes after filling past its budget", mb, budget)
+	}
+}
+
+// TestStoreKeepFirstValue: a value kept beside resident bytes is charged
+// on top of them, a second value for the same key is refused in favour
+// of the first, a value that would take the entry past the whole budget
+// is not attached, and evicting the entry releases its whole charge.
+func TestStoreKeepFirstValue(t *testing.T) {
+	s, err := NewStore("", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key("tensor")
+	if err := s.Put(k, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Value(k); ok {
+		t.Fatalf("bytes-only entry reports value %v", v)
+	}
+	first, second := new(int), new(int)
+	if v, ok := s.Keep(k, make([]byte, 100), first, 1000); v != first || !ok {
+		t.Fatalf("Keep returned %v, %v, want the first value kept", v, ok)
+	}
+	if got, want := s.MemBytes(), int64(100+1000+valueOverhead); got != want {
+		t.Fatalf("MemBytes %d after attaching a value, want %d", got, want)
+	}
+	if v, ok := s.Keep(k, nil, second, 10); v != first || !ok {
+		t.Fatalf("a second value replaced the first")
+	}
+	if v, ok := s.Value(k); !ok || v != first {
+		t.Fatalf("Value = %v, %v", v, ok)
+	}
+	if b, src, _ := s.Get(k); src != SourceMem || len(b) != 100 {
+		t.Fatalf("the artifact bytes changed: %d bytes from %v", len(b), src)
+	}
+
+	k2 := key("too big")
+	if err := s.Put(k2, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Keep(k2, nil, second, 4096); v != second || ok {
+		t.Fatalf("Keep of an unfit value returned %v, %v", v, ok)
+	}
+	if _, ok := s.Value(k2); ok {
+		t.Fatal("a value past the whole budget was attached")
+	}
+	evict(s, k)
+	evict(s, k2)
+	if got := s.MemBytes(); got != 0 {
+		t.Fatalf("MemBytes %d after evicting everything", got)
 	}
 }
 

@@ -96,33 +96,50 @@ type RiskMeta struct {
 // riskMetaVersion is the RISK payload format version.
 const riskMetaVersion = 1
 
-// EncodeBytes serializes the artifact.
+// EncodeBytes serializes the artifact into a buffer of exactly its
+// length: stores charge an artifact at len(bytes), so spare capacity
+// would be heap that no budget counts.
 func EncodeBytes(a *Artifact) ([]byte, error) {
-	buf := appendHeader(make([]byte, 0, 1<<12))
+	type section struct {
+		tag     string
+		payload []byte
+	}
+	var sections []section
+	if a.Tiled != nil {
+		payload, err := encodeTiled(a.Tiled)
+		if err != nil {
+			return nil, err
+		}
+		sections = append(sections, section{tagTiled, payload})
+	}
+	if a.Stats != nil {
+		sections = append(sections, section{tagStats, encodeStats(a.Stats)})
+	}
+	if a.Partial != nil {
+		sections = append(sections, section{tagPartial, encodePartial(a.Partial)})
+	}
+	if a.Response != nil {
+		sections = append(sections, section{tagResponse, a.Response})
+	}
+	if a.Risk != nil {
+		sections = append(sections, section{tagRisk, encodeRisk(a.Risk)})
+	}
+	size := len(Magic) + 4
+	if a.Tensor != nil {
+		size += len(tagTensor) + 12 + tensorSize(a.Tensor)
+	}
+	for _, sec := range sections {
+		size += len(sec.tag) + 12 + len(sec.payload) // tag, length, payload, CRC
+	}
+	buf := appendHeader(make([]byte, 0, size))
 	if a.Tensor != nil {
 		var err error
 		if buf, _, err = appendTensorSection(buf, a.Tensor); err != nil {
 			return nil, err
 		}
 	}
-	if a.Tiled != nil {
-		payload, err := encodeTiled(a.Tiled)
-		if err != nil {
-			return nil, err
-		}
-		buf = appendSection(buf, tagTiled, payload)
-	}
-	if a.Stats != nil {
-		buf = appendSection(buf, tagStats, encodeStats(a.Stats))
-	}
-	if a.Partial != nil {
-		buf = appendSection(buf, tagPartial, encodePartial(a.Partial))
-	}
-	if a.Response != nil {
-		buf = appendSection(buf, tagResponse, a.Response)
-	}
-	if a.Risk != nil {
-		buf = appendSection(buf, tagRisk, encodeRisk(a.Risk))
+	for _, sec := range sections {
+		buf = appendSection(buf, sec.tag, sec.payload)
 	}
 	return buf, nil
 }
@@ -250,13 +267,16 @@ func appendTensor(b []byte, t *tensor.COO, extra int) ([]byte, error) {
 	if n < 1 || n > maxCodecOrder {
 		return nil, fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, maxCodecOrder)
 	}
-	b = slices.Grow(b, 8*(2+2*n+(n+1)*t.NNZ())+extra)
+	b = slices.Grow(b, tensorSize(t)+extra)
 	b = wire.AppendInts(b, t.Dims)
 	for a := 0; a < n; a++ {
 		b = wire.AppendInts(b, t.Crds[a])
 	}
 	return wire.AppendF64s(b, t.Vals), nil
 }
+
+// tensorSize is the length of t's TENS payload.
+func tensorSize(t *tensor.COO) int { return 8 * (2 + 2*t.Order() + (t.Order()+1)*t.NNZ()) }
 
 // appendTensorSection appends t's TENS section to buf with the payload
 // encoded in place, and returns where the payload starts.

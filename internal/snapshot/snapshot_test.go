@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -69,6 +70,43 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		len(got.Tiled.Tiles) != len(a.Tiled.Tiles) {
 		t.Errorf("tiled tensor did not round-trip: nnz %d/%d tiles %d/%d",
 			got.Tiled.NNZ, a.Tiled.NNZ, len(got.Tiled.Tiles), len(a.Tiled.Tiles))
+	}
+}
+
+// TestEncodeSizedExactly: EncodeBytes returns a buffer with no spare
+// capacity, since a store charges an artifact at its length — for every
+// section kind, alone and together, including a partial with every
+// optional field.
+func TestEncodeSizedExactly(t *testing.T) {
+	full := testArtifact(t)
+	p, err := stats.CollectPartialCtx(context.Background(), full.Tensor, []int{16, 16}, []int{0, 1}, &stats.Options{MicroDiv: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ElemCounts == nil || p.Sketches == nil || len(p.CorrOff) == 0 || len(p.TileFibers) == 0 {
+		t.Fatal("the partial leaves an optional field empty")
+	}
+	if full.Stats.ElemCounts == nil || full.Stats.PairSketch == nil || len(full.Stats.Corrs) == 0 {
+		t.Fatal("the statistics leave an optional field empty")
+	}
+	risk := &RiskMeta{OverflowTarget: 0.05, PredictedOverflowRate: 0.01}
+	all := *full
+	all.Partial, all.Risk = p, risk
+	for name, a := range map[string]*Artifact{
+		"tensor":   {Tensor: full.Tensor},
+		"tiled":    {Tiled: full.Tiled},
+		"stats":    {Stats: full.Stats},
+		"partial":  {Partial: p},
+		"response": {Response: full.Response, Risk: risk},
+		"all":      &all,
+	} {
+		b, err := EncodeBytes(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != cap(b) {
+			t.Errorf("%s: encoded %d bytes into a %d-byte buffer", name, len(b), cap(b))
+		}
 	}
 }
 

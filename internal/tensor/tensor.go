@@ -82,13 +82,31 @@ func (t *COO) At(p int) []int {
 }
 
 // Clone returns a deep copy of the tensor.
-func (t *COO) Clone() *COO {
+func (t *COO) Clone() *COO { return t.CloneGrow(0) }
+
+// CloneGrow returns a deep copy of the tensor with room for extra more
+// entries, so appending them copies nothing again.
+func (t *COO) CloneGrow(extra int) *COO {
 	c := New(t.Dims...)
+	n := t.NNZ()
 	for a := range t.Crds {
-		c.Crds[a] = append([]int(nil), t.Crds[a]...)
+		c.Crds[a] = append(make([]int, 0, n+extra), t.Crds[a]...)
 	}
-	c.Vals = append([]float64(nil), t.Vals...)
+	c.Vals = append(make([]float64, 0, n+extra), t.Vals...)
 	return c
+}
+
+// HeapBytes bounds the heap the tensor's storage occupies: every slice at
+// its capacity, rounded up as the Go allocator rounds (size classes of at
+// most 25% spacing below 32 KiB, whole 8 KiB pages above), plus the
+// headers. It is the size a cache charges for holding the tensor.
+func (t *COO) HeapBytes() int64 {
+	alloc := func(n int) int64 { return int64(n + min(n/4, 8<<10) + 16) }
+	b := alloc(72) + alloc(8*cap(t.Dims)) + alloc(24*cap(t.Crds)) + alloc(8*cap(t.Vals))
+	for _, c := range t.Crds {
+		b += alloc(8 * cap(c))
+	}
+	return b
 }
 
 // Permute returns a new tensor whose axes are reordered so that new axis a
