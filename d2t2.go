@@ -337,17 +337,14 @@ func OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*
 }
 
 // OptimizeDataflow extends Optimize by also choosing the dataflow order:
-// every permutation of the kernel's index variables is priced with the
-// traffic model and the cheapest optimized plan is returned, along with
-// the chosen order. The returned plan measures and executes under that
-// order.
+// every permutation of the kernel's index variables is optimized, and
+// the plan with the least predicted traffic (the first such, in
+// permutation order) is returned along with its order. The orders share
+// one Batch on a fresh Session, so orders that store an input in the
+// same level order share its statistics. The returned plan measures and
+// executes under the chosen order.
 func OptimizeDataflow(k *Kernel, inputs Inputs, opts Options) (*Plan, []string, error) {
-	res, _, err := optimizer.SelectDataflow(k.expr, inputs.lower(), nil, opts.lower())
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := newPlan(res, &Kernel{expr: res.Expr}, inputs, opts.Workers, opts.BufferWords)
-	return plan, append([]string(nil), res.Expr.Order...), nil
+	return NewSession(nil).NewBatch().optimizeDataflow(context.Background(), k, inputs, opts)
 }
 
 // TrafficReport is the measured cost of executing a tiled kernel.

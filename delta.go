@@ -58,24 +58,19 @@ func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Te
 			t.coo.NNZ()+delta.coo.NNZ()-concat.NNZ())
 	}
 
-	dims := clampedSquare(t, tile, n)
-	order := make([]int, n)
-	for a := range order {
-		order[a] = a
-	}
+	dims := squareTiling(t, tile, n, true)
+	order := naturalOrder(n)
 	oldID, err := s.TensorID(t)
 	if err != nil {
 		return nil, nil, err
 	}
 	oldKey := snapshot.PartialKey(oldID, dims, order, sessionMicroDiv)
-	p := s.loadPartial(ctx, oldKey)
-	if p == nil {
-		p, err = stats.CollectPartialCtx(ctx, t.coo, dims, order,
-			&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
-		if err != nil {
+	p, ok := s.cache.LoadPartial(ctx, oldKey)
+	if !ok {
+		if p, err = s.collect(ctx, t, dims, order); err != nil {
 			return nil, nil, err
 		}
-		s.storePartial(ctx, oldKey, p)
+		s.cache.StorePartial(ctx, oldKey, p)
 	}
 
 	merged, rep, err := stats.ApplyDeltaCtx(ctx, p, t.coo, delta.coo, s.Workers)
@@ -96,49 +91,7 @@ func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Te
 	nt := FromCOO(concat)
 	nt.id.Store(&newID)
 	nt.artifact.Store(&artifact)
-	s.storePartial(ctx, snapshot.PartialKey(newID, dims, order, sessionMicroDiv), merged)
-	s.storeMergedStats(ctx, snapshot.StatsKey(newID, dims, order, sessionMicroDiv), st)
+	s.cache.StorePartial(ctx, snapshot.PartialKey(newID, dims, order, sessionMicroDiv), merged)
+	s.cache.StoreMergedStats(ctx, snapshot.StatsKey(newID, dims, order, sessionMicroDiv), st)
 	return nt, rep, nil
-}
-
-// loadPartial consults the cache's PartialCache extension when present,
-// the in-process partial memo otherwise. A nil return is a miss.
-func (s *Session) loadPartial(ctx context.Context, key string) *stats.Partial {
-	if pc, ok := s.cache.(PartialCache); ok {
-		if p, ok := pc.LoadPartial(ctx, key); ok {
-			return p
-		}
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pmemo[key]
-}
-
-func (s *Session) storePartial(ctx context.Context, key string, p *stats.Partial) {
-	if pc, ok := s.cache.(PartialCache); ok {
-		pc.StorePartial(ctx, key, p)
-		return
-	}
-	s.mu.Lock()
-	s.pmemo[key] = p
-	s.mu.Unlock()
-}
-
-// storeMergedStats records finalized merged statistics so later lookups
-// at the same frame are warm. It routes through StoreMergedStats when
-// the cache offers it (so stores metering fresh collections don't count
-// a merge), plain StoreStats otherwise.
-func (s *Session) storeMergedStats(ctx context.Context, key string, st *stats.Stats) {
-	if pc, ok := s.cache.(PartialCache); ok {
-		pc.StoreMergedStats(ctx, key, st)
-		return
-	}
-	if s.cache != nil {
-		s.cache.StoreStats(ctx, key, st)
-		return
-	}
-	s.mu.Lock()
-	s.memo[key] = st
-	s.mu.Unlock()
 }

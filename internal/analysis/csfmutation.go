@@ -10,10 +10,8 @@ import (
 // the backing-array fields whose invariants (sortedness, segment/crd
 // consistency, Seg[l] boundaries) only the builders may re-establish.
 var csfOwnerFields = map[string]map[string]bool{
-	"CSF":  {"Seg": true, "Crd": true, "Vals": true, "Dims": true, "Order": true},
-	"CSR":  {"RowPtr": true, "ColIdx": true, "Vals": true},
-	"CSC":  {"ColPtr": true, "RowIdx": true, "Vals": true},
-	"DCSR": {"Rows": true, "RowPtr": true, "ColIdx": true, "Vals": true},
+	"CSF": {"Seg": true, "Crd": true, "Vals": true, "Dims": true, "Order": true},
+	"CSR": {"RowPtr": true, "ColIdx": true, "Vals": true},
 }
 
 // csfAllowedPrefixes are the packages allowed to mutate format backing
@@ -32,7 +30,7 @@ var csfAllowedPrefixes = []string{
 // footprint accounting and traffic measurement.
 var CSFMutation = &Analyzer{
 	Name: "csfmutation",
-	Doc:  "flags writes to CSF/CSR/CSC/DCSR backing arrays outside internal/formats and internal/tiling",
+	Doc:  "flags writes to CSF/CSR backing arrays outside internal/formats and internal/tiling",
 	Run:  runCSFMutation,
 }
 
@@ -101,7 +99,7 @@ func (p *Pass) formatFieldBase(expr ast.Expr) (typeName, fieldName string) {
 	}
 }
 
-// formatTypeName returns "CSF", "CSR", "CSC" or "DCSR" when t (possibly
+// formatTypeName returns "CSF" or "CSR" when t (possibly
 // behind pointers) is the corresponding type of d2t2/internal/formats.
 func formatTypeName(t types.Type) string {
 	for {

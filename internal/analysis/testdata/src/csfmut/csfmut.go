@@ -9,11 +9,11 @@ import (
 	"d2t2/internal/tensor"
 )
 
-func mutate(csf *formats.CSF, csr *formats.CSR, dcsr *formats.DCSR) int32 {
+func mutate(csf *formats.CSF, csr *formats.CSR) int32 {
 	csf.Seg[0][0] = 7                  // want "write to CSF.Seg"
 	csf.Crd[0] = append(csf.Crd[0], 1) // want "write to CSF.Crd"
 	csr.RowPtr[0]++                    // want "write to CSR.RowPtr"
-	dcsr.Rows = nil                    // want "write to DCSR.Rows"
+	csr.ColIdx = nil                   // want "write to CSR.ColIdx"
 	copy(csf.Vals, []float64{1})       // want "copy into CSF.Vals"
 
 	// Reads of the same fields are fine.

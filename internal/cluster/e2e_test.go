@@ -805,6 +805,20 @@ func TestClusterBatchRoutesToOwners(t *testing.T) {
 	if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(results[0].Response)) {
 		t.Fatalf("single optimize body differs from the batch's response")
 	}
+	// The entry node cache-filled each forwarded body: a single optimize
+	// there answers from that copy ("replica") with exactly the owner's
+	// bytes.
+	for i, tile := range tiles {
+		if owners[i] == nodes[0] {
+			continue
+		}
+		_, _, ownerBody := optimizeVia(t, owners[i], inputs, tile)
+		state, _, entryBody := optimizeVia(t, nodes[0], inputs, tile)
+		if state != "replica" || !bytes.Equal(entryBody, ownerBody) {
+			t.Fatalf("job %d on the entry node: state %q, %d bytes; the owner serves %d bytes",
+				i, state, len(entryBody), len(ownerBody))
+		}
+	}
 
 	// A dead owner degrades its group to local compute — latency, never
 	// availability. Find a fresh key owned by a peer, kill that peer,

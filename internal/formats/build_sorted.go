@@ -2,15 +2,20 @@ package formats
 
 import "d2t2/internal/checked"
 
-// BuildSortedUniqueShared is BuildSortedUnique under the tiler's
-// allocation discipline: dims and order are retained by the CSF without
-// copying — a caller building thousands of inner CSFs per tiling shares
-// one dims/order slice across all of them and must not mutate either
-// afterwards — and the Seg/Crd arrays are exactly sized by a counting
-// pre-pass (one backing array per kind, subsliced per level) instead of
-// grown with append. crds[l][:n] and vals[:n] are only read, so callers
-// may reuse them as per-worker scratch between calls. The resulting CSF
-// is structurally identical to BuildSortedUnique's.
+// BuildSortedUniqueShared constructs a CSF directly from coordinate
+// arrays that are already in level order, lexicographically sorted and
+// duplicate-free, without re-sorting: the tiler's fast path for one
+// inner CSF per tile. crds[l][p] is the level-l coordinate of entry p;
+// dims are the per-level dimension sizes and order records which
+// original axis each level stores.
+//
+// It keeps the tiler's allocation discipline: dims and order are
+// retained by the CSF without copying — a caller building thousands of
+// inner CSFs per tiling shares one dims/order slice across all of them
+// and must not mutate either afterwards — and the Seg/Crd arrays are
+// exactly sized by a counting pre-pass (one backing array per kind,
+// subsliced per level). crds[l][:n] and vals[:n] are only read, so
+// callers may reuse them as per-worker scratch between calls.
 func BuildSortedUniqueShared(dims []int, order []int, crds [][]int32, vals []float64) *CSF {
 	lv := len(dims)
 	c := &CSF{
@@ -72,7 +77,7 @@ func BuildSortedUniqueShared(dims []int, order []int, crds [][]int32, vals []flo
 
 	// Pass 2: fill. cur[l] is the next write position in Crd[l]; a new
 	// node at level l records the current length of level l+1 as the
-	// start of its child fiber, exactly as BuildSortedUnique's appends do.
+	// start of its child fiber.
 	cur := make([]int32, lv)
 	seg := make([]int32, lv) // next write position in Seg[l]
 	for p := 0; p < n; p++ {
@@ -97,59 +102,6 @@ func BuildSortedUniqueShared(dims []int, order []int, crds [][]int32, vals []flo
 	for l := 0; l < lv; l++ {
 		last := len(c.Seg[l]) - 1
 		c.Seg[l][last] = checked.Int32(len(c.Crd[l]))
-	}
-	return c
-}
-
-// BuildSortedUnique constructs a CSF directly from coordinate arrays that
-// are already in level order, lexicographically sorted and duplicate-free.
-// crds[l][p] is the level-l coordinate of entry p. It is the fast path the
-// tiler uses to build one inner CSF per tile without re-sorting.
-//
-// dims are the per-level dimension sizes; order records which original
-// axis each level stores (used only for bookkeeping and may be nil for
-// "level l is axis l").
-func BuildSortedUnique(dims []int, order []int, crds [][]int32, vals []float64) *CSF {
-	lv := len(dims)
-	if order == nil {
-		order = make([]int, lv)
-		for l := range order {
-			order[l] = l
-		}
-	}
-	c := &CSF{
-		Dims:  append([]int(nil), dims...),
-		Order: append([]int(nil), order...),
-		Seg:   make([][]int32, lv),
-		Crd:   make([][]int32, lv),
-		Vals:  append([]float64(nil), vals...),
-	}
-	n := len(vals)
-	if n == 0 {
-		for l := 0; l < lv; l++ {
-			c.Seg[l] = []int32{0}
-		}
-		return c
-	}
-	c.Seg[0] = append(c.Seg[0], 0)
-	for p := 0; p < n; p++ {
-		div := 0
-		if p > 0 {
-			for div = 0; div < lv; div++ {
-				if crds[div][p] != crds[div][p-1] {
-					break
-				}
-			}
-		}
-		for l := div; l < lv; l++ {
-			c.Crd[l] = append(c.Crd[l], crds[l][p])
-			if l+1 < lv {
-				c.Seg[l+1] = append(c.Seg[l+1], checked.Int32(len(c.Crd[l+1])))
-			}
-		}
-	}
-	for l := 0; l < lv; l++ {
-		c.Seg[l] = append(c.Seg[l], checked.Int32(len(c.Crd[l])))
 	}
 	return c
 }

@@ -174,17 +174,6 @@ func (c *CSF) SubtreeNNZ(level, node int) int {
 	return hi - lo
 }
 
-// LeafSpan returns the [start,end) range of leaf (value) positions under
-// node p at the given level.
-func (c *CSF) LeafSpan(level, node int) (int, int) {
-	lo, hi := node, node+1
-	for l := level + 1; l < c.Levels(); l++ {
-		lo = int(c.Seg[l][lo])
-		hi = int(c.Seg[l][hi])
-	}
-	return lo, hi
-}
-
 // Walk invokes fn for every node in depth-first order with its level,
 // node position (index into Crd[level]) and coordinate. Returning false
 // from fn prunes the subtree.

@@ -109,12 +109,3 @@ func MulGustavson(a, b *CSR) (*CSR, error) {
 	}
 	return out, nil
 }
-
-// RowNNZHistogram returns, for each row, the number of stored entries.
-func (m *CSR) RowNNZHistogram() []int {
-	h := make([]int, m.R)
-	for i := 0; i < m.R; i++ {
-		h[i] = int(m.RowPtr[i+1] - m.RowPtr[i])
-	}
-	return h
-}

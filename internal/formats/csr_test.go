@@ -65,14 +65,19 @@ func TestMulGustavsonDimMismatch(t *testing.T) {
 	}
 }
 
-func TestRowNNZHistogram(t *testing.T) {
-	m := tensor.New(3, 3)
-	m.Append([]int{0, 0}, 1)
-	m.Append([]int{0, 1}, 1)
-	m.Append([]int{2, 2}, 1)
-	h := MustBuildCSR(m).RowNNZHistogram()
-	if h[0] != 2 || h[1] != 0 || h[2] != 1 {
-		t.Fatalf("histogram = %v", h)
+func TestQuickFormatRoundTrips(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 10 + r.Intn(30)
+		m := tensor.New(n, n)
+		for i := 0; i < 3*n; i++ {
+			m.Append([]int{r.Intn(n), r.Intn(n)}, float64(1+r.Intn(9)))
+		}
+		m.Dedup()
+		return tensor.Equal(m, MustBuildCSR(m).ToCOO())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -256,44 +256,6 @@ func TestQuickFitGuarantee(t *testing.T) {
 	}
 }
 
-func TestSelectDataflow(t *testing.T) {
-	inputs := gustavsonInputs(91, func(r *rand.Rand) *tensor.COO {
-		return gen.Banded(r, 256, 6, 8)
-	})
-	e := einsum.SpMSpMIKJ()
-	best, cands, err := SelectDataflow(e, inputs,
-		[][]string{{"i", "k", "j"}, {"i", "j", "k"}, {"k", "i", "j"}},
-		Options{BufferWords: buf32()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 3 {
-		t.Fatalf("candidates = %d", len(cands))
-	}
-	for _, c := range cands {
-		if c.Predicted <= 0 || c.Result == nil {
-			t.Fatalf("bad candidate %+v", c)
-		}
-		if best.Predicted.Total() > c.Predicted {
-			t.Fatalf("best %v worse than candidate %v", best.Predicted.Total(), c.Predicted)
-		}
-	}
-	// Each candidate executes correctly under its own order.
-	for _, c := range cands {
-		variant, err := e.WithOrder(c.Order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tiled, err := TileAll(variant, inputs, c.Result.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := exec.Measure(variant, tiled, nil); err != nil {
-			t.Fatalf("order %v fails to execute: %v", c.Order, err)
-		}
-	}
-}
-
 func TestOrderPermutations(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	perms := e.OrderPermutations()

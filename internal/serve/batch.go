@@ -324,8 +324,12 @@ func (s *Server) forwardBatch(ctx context.Context, owner string, group []*keyedJ
 			out[i].err = fmt.Errorf("owner %s: %s", owner, jr.Error)
 			continue
 		}
-		s.persist(j, jr.Response, false)
-		out[i].body = jr.Response
+		// The batch envelope compacts each body, which drops the newline
+		// marshalBody ended it with; put it back, so the bytes cached here
+		// are the owner's exactly.
+		body := append(jr.Response[:len(jr.Response):len(jr.Response)], '\n')
+		s.persist(j, body, false)
+		out[i].body = body
 	}
 	return out, true
 }

@@ -96,8 +96,10 @@ func TestResidentHeapBounded(t *testing.T) {
 // its artifact (COO.HeapBytes plus valueOverhead) is not below the heap
 // the tensor really holds, for orders 2–4, both for a tensor decoded
 // from its artifact (tensorByID's reload) and for one parsed from an
-// upload (registerTensor). The heap is the minimum over three
-// measurements, so other goroutines' allocations cannot inflate it.
+// upload (parseUpload, then registerTensor), and the two are charged
+// alike: parsing leaves no spare capacity behind. The heap is the
+// minimum over three measurements, so other goroutines' allocations
+// cannot inflate it.
 func TestTensorChargeCoversHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, dims := range [][]int{{3000, 2000}, {200, 150, 100}, {60, 50, 40, 30}} {
@@ -111,6 +113,7 @@ func TestTensorChargeCoversHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		charges := map[string]int64{}
 		for _, kind := range []string{"decoded", "parsed"} {
 			var heap uint64 = 1 << 62
 			var charge int64
@@ -125,11 +128,8 @@ func TestTensorChargeCoversHeap(t *testing.T) {
 						t.Fatal(err)
 					}
 					v = d2t2.FromCOO(a.Tensor)
-				} else {
-					if v, err = d2t2.FromStream(strings.NewReader(body)); err != nil {
-						t.Fatal(err)
-					}
-					v.Normalize()
+				} else if v, err = parseUpload(false, []byte(body)); err != nil {
+					t.Fatal(err)
 				}
 				if _, err := d2t2.NewSession(nil).TensorID(v); err != nil {
 					t.Fatal(err)
@@ -144,6 +144,11 @@ func TestTensorChargeCoversHeap(t *testing.T) {
 			if charge < int64(heap) {
 				t.Errorf("order %d %s tensor: charged %d bytes, holds %d", len(dims), kind, charge, heap)
 			}
+			charges[kind] = charge
+		}
+		if charges["parsed"] != charges["decoded"] {
+			t.Errorf("order %d: a parsed upload is charged %d bytes, its artifact-decoded twin %d",
+				len(dims), charges["parsed"], charges["decoded"])
 		}
 	}
 }

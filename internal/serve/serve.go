@@ -390,11 +390,14 @@ func (s *Server) storeGet(ctx context.Context, key string) ([]byte, Source) {
 }
 
 // storeCache plugs the artifact store into the d2t2 Session as its
-// statistics cache. StoreStats only runs after an actual collection, so
+// StatsCache: bundles, and the mergeable accumulators delta requests
+// reuse (PART sections), ride the same content-addressed artifact
+// ladder. StoreStats only runs after an actual collection, so
 // stats_collect_total counts real tile-and-collect work — the counter
-// the e2e test asserts stays flat across warm requests. The request
-// context rides through LoadStats so a statistics miss can try the
-// key's owner peer before the session re-collects.
+// the e2e tests difference across warm requests — while merged
+// statistics land through StoreMergedStats under stats_merge_total. The
+// request context rides through the loads so a miss can try the key's
+// owner peer before the session re-collects.
 type storeCache struct {
 	s *Server
 }
@@ -409,12 +412,6 @@ func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
 
-// LoadPartial / StorePartial / StoreMergedStats implement the session's
-// PartialCache extension: mergeable statistics accumulators ride the
-// same content-addressed artifact ladder (as PART snapshot sections).
-// StoreMergedStats lands finalized statistics produced by a merge under
-// its own counter — stats_collect_total keeps meaning "an actual
-// tile-and-collect ran", the invariant the e2e tests difference.
 func (c *storeCache) LoadPartial(ctx context.Context, key string) (*stats.Partial, bool) {
 	a, _ := c.s.loadArtifact(ctx, key)
 	return a.Partial, a.Partial != nil
@@ -623,35 +620,47 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // worker and must not touch the originating request — ctx is the
 // request's context, carried for the cache ladder only.
 func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestResponse, error) {
+	t, err := parseUpload(asJSON, body)
+	if err != nil {
+		return ingestResponse{}, err
+	}
+	id, t, cached, err := s.registerTensor(ctx, t)
+	if err != nil {
+		return ingestResponse{}, err
+	}
+	return ingestResponse{ID: id, Dims: t.Dims(), NNZ: t.NNZ(), Cached: cached}, nil
+}
+
+// parseUpload builds the Normalized tensor an upload describes. Its
+// slices hold exactly its entries: parsing grows them by append, and a
+// resident tensor is charged by capacity, so the one copy here keeps
+// the charge to what the entries need.
+func parseUpload(asJSON bool, body []byte) (*d2t2.Tensor, error) {
 	var t *d2t2.Tensor
 	var err error
 	if asJSON {
 		var req ingestRequest
 		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
-			return ingestResponse{}, err
+			return nil, err
 		}
 		if req.Gen == nil {
-			return ingestResponse{}, fmt.Errorf("JSON ingest requires a \"gen\" spec")
+			return nil, fmt.Errorf("JSON ingest requires a \"gen\" spec")
 		}
 		t, err = d2t2.Dataset(req.Gen.Label, req.Gen.Scale)
 	} else {
 		t, err = d2t2.FromStream(bytes.NewReader(body))
 	}
 	if err != nil {
-		return ingestResponse{}, err
+		return nil, err
 	}
 	// The statistics key the tensor's coordinate grid: a tensor whose grid
 	// has no 64-bit keys is a bad upload, not a resident that fails each
 	// optimize.
 	if _, err := radix.NewCodec(t.Dims()); err != nil {
-		return ingestResponse{}, fmt.Errorf("%v tensor: %w", t.Dims(), err)
+		return nil, fmt.Errorf("%v tensor: %w", t.Dims(), err)
 	}
 	t.Normalize()
-	id, t, cached, err := s.registerTensor(ctx, t)
-	if err != nil {
-		return ingestResponse{}, err
-	}
-	return ingestResponse{ID: id, Dims: t.Dims(), NNZ: t.NNZ(), Cached: cached}, nil
+	return t.Clone(), nil
 }
 
 // errOverBudget refuses a tensor a memory-only server cannot keep (see

@@ -53,10 +53,9 @@ const (
 	tagStats    = "STAT"
 	tagPartial  = "PART"
 	tagResponse = "RESP"
-	tagRisk     = "RISK"
 )
 
-var sectionOrder = []string{tagTensor, tagTiled, tagStats, tagPartial, tagResponse, tagRisk}
+var sectionOrder = []string{tagTensor, tagTiled, tagStats, tagPartial, tagResponse}
 
 // ErrTruncated is wrapped by decode errors caused by input ending inside
 // a frame — the signature of a torn write or a short read.
@@ -72,29 +71,7 @@ type Artifact struct {
 	Stats    *stats.Stats
 	Partial  *stats.Partial
 	Response []byte
-	// Risk annotates a response produced under risk-aware optimization
-	// (DESIGN.md §18). Nil — every conservative artifact — omits the
-	// section, so those artifacts stay byte-identical to pre-risk
-	// encoders; pre-risk readers skip the tag via the unknown-section
-	// rule.
-	Risk *RiskMeta
 }
-
-// RiskMeta is the RISK section: the risk point a cached response was
-// computed at. It carries its own payload version so risk fields can
-// evolve without a codec-wide version bump.
-type RiskMeta struct {
-	// OverflowTarget is the requested overflow probability;
-	// PredictedOverflowRate the model's estimate at the chosen config.
-	OverflowTarget        float64
-	PredictedOverflowRate float64
-	// Calibrated reports whether a measurement-backend calibration run
-	// contributed to the response.
-	Calibrated bool
-}
-
-// riskMetaVersion is the RISK payload format version.
-const riskMetaVersion = 1
 
 // EncodeBytes serializes the artifact into a buffer of exactly its
 // length: stores charge an artifact at len(bytes), so spare capacity
@@ -121,9 +98,6 @@ func EncodeBytes(a *Artifact) ([]byte, error) {
 	if a.Response != nil {
 		sections = append(sections, section{tagResponse, a.Response})
 	}
-	if a.Risk != nil {
-		sections = append(sections, section{tagRisk, encodeRisk(a.Risk)})
-	}
 	size := len(Magic) + 4
 	if a.Tensor != nil {
 		size += len(tagTensor) + 12 + tensorSize(a.Tensor)
@@ -142,16 +116,6 @@ func EncodeBytes(a *Artifact) ([]byte, error) {
 		buf = appendSection(buf, sec.tag, sec.payload)
 	}
 	return buf, nil
-}
-
-// Encode writes the artifact to w.
-func Encode(w io.Writer, a *Artifact) error {
-	b, err := EncodeBytes(a)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // DecodeBytes parses a snapshot, verifying the magic, version, framing
@@ -218,8 +182,6 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 			a.Partial, err = decodePartial(payload)
 		case tagResponse:
 			a.Response = append([]byte(nil), payload...)
-		case tagRisk:
-			a.Risk, err = decodeRisk(payload)
 		default:
 			// Forward compatibility: unknown sections are checksummed but
 			// otherwise ignored.
@@ -229,15 +191,6 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 		}
 	}
 	return a, nil
-}
-
-// Decode reads a complete snapshot from r.
-func Decode(r io.Reader) (*Artifact, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(b)
 }
 
 // appendHeader appends the stream header: magic, version, reserved.
@@ -675,41 +628,6 @@ func decodePartial(payload []byte) (*stats.Partial, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// --- RISK ---------------------------------------------------------------
-
-func encodeRisk(m *RiskMeta) []byte {
-	b := wire.AppendU64(nil, riskMetaVersion)
-	b = wire.AppendF64(b, m.OverflowTarget)
-	b = wire.AppendF64(b, m.PredictedOverflowRate)
-	return wire.AppendBool(b, m.Calibrated)
-}
-
-func decodeRisk(payload []byte) (*RiskMeta, error) {
-	r := wire.NewReader(payload)
-	ver := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if ver != riskMetaVersion {
-		return nil, fmt.Errorf("snapshot: RISK section version %d (this reader supports %d)", ver, riskMetaVersion)
-	}
-	m := &RiskMeta{
-		OverflowTarget:        r.F64(),
-		PredictedOverflowRate: r.F64(),
-		Calibrated:            r.Bool(),
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %d stray bytes after risk section", r.Remaining())
-	}
-	if m.OverflowTarget < 0 || m.OverflowTarget >= 1 {
-		return nil, fmt.Errorf("snapshot: RISK overflow target %v outside [0, 1)", m.OverflowTarget)
-	}
-	return m, nil
 }
 
 // --- Content addresses ---------------------------------------------------

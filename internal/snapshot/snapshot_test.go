@@ -15,6 +15,7 @@ import (
 	"d2t2/internal/gen"
 	"d2t2/internal/stats"
 	"d2t2/internal/tensor"
+	"d2t2/internal/wire"
 )
 
 // testArtifact builds a small deterministic artifact with every section
@@ -89,15 +90,14 @@ func TestEncodeSizedExactly(t *testing.T) {
 	if full.Stats.ElemCounts == nil || full.Stats.PairSketch == nil || len(full.Stats.Corrs) == 0 {
 		t.Fatal("the statistics leave an optional field empty")
 	}
-	risk := &RiskMeta{OverflowTarget: 0.05, PredictedOverflowRate: 0.01}
 	all := *full
-	all.Partial, all.Risk = p, risk
+	all.Partial = p
 	for name, a := range map[string]*Artifact{
 		"tensor":   {Tensor: full.Tensor},
 		"tiled":    {Tiled: full.Tiled},
 		"stats":    {Stats: full.Stats},
 		"partial":  {Partial: p},
-		"response": {Response: full.Response, Risk: risk},
+		"response": {Response: full.Response},
 		"all":      &all,
 	} {
 		b, err := EncodeBytes(a)
@@ -191,16 +191,49 @@ func TestUnknownSectionSkipped(t *testing.T) {
 
 	a, err := DecodeBytes(ext)
 	if err != nil {
-		t.Fatalf("unknown section not skipped: %v", err)
+		t.Fatalf("FUTR section not skipped: %v", err)
 	}
 	if string(a.Response) != "keep" {
-		t.Fatalf("known section lost while skipping unknown one")
+		t.Fatal("known section lost while skipping FUTR")
 	}
 
 	// The unknown section's CRC is still verified.
-	ext[len(ext)-6] ^= 1 // inside FUTR payload
+	ext[len(ext)-6] ^= 1 // inside the payload
 	if _, err := DecodeBytes(ext); err == nil {
-		t.Fatalf("corrupted unknown section decoded without error")
+		t.Fatal("corrupted FUTR section decoded without error")
+	}
+}
+
+// TestRiskSectionSkippedByPreRiskReaders: artifacts written by earlier
+// risk-aware writers carry a RISK section (payload version 1, overflow
+// target, predicted overflow rate, calibrated flag) after the known
+// sections. Nothing reads RISK any more, so such an artifact, even with
+// a further future section after it, must decode to exactly the
+// artifact without it.
+func TestRiskSectionSkippedByPreRiskReaders(t *testing.T) {
+	plain, err := EncodeBytes(testArtifact(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	risk := wire.AppendBool(wire.AppendF64(wire.AppendF64(wire.AppendU64(nil, 1), 0.01), 0.003), true)
+	b := appendSection(append([]byte(nil), plain...), "RISK", risk)
+	b = appendSection(b, "ZZZZ", []byte("future payload"))
+	got, err := DecodeBytes(b)
+	if err != nil {
+		t.Fatalf("artifact with a RISK section did not decode: %v", err)
+	}
+	reenc, err := EncodeBytes(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reenc, plain) {
+		t.Fatal("skipping RISK changed the known sections")
+	}
+
+	// A corrupted RISK payload still fails its CRC.
+	b[len(plain)+12] ^= 1 // first payload byte
+	if _, err := DecodeBytes(b); err == nil {
+		t.Fatal("corrupted RISK section decoded without error")
 	}
 }
 

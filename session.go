@@ -7,6 +7,7 @@ import (
 
 	"d2t2/internal/model"
 	"d2t2/internal/optimizer"
+	"d2t2/internal/par"
 	"d2t2/internal/snapshot"
 	"d2t2/internal/stats"
 )
@@ -16,47 +17,68 @@ import (
 // for Optimize.
 const sessionMicroDiv = 8
 
-// StatsCache is an optional external artifact store a Session consults
-// before collecting statistics and updates after — d2t2d plugs its
-// content-addressed snapshot cache in here. Keys are content addresses
-// (snapshot.StatsKey); implementations must be safe for concurrent use.
-// The context is the calling request's: cache implementations that
+// StatsCache is the store a Session resolves statistics through: it
+// consults the store before collecting and updates it after. d2t2d plugs
+// its content-addressed snapshot store in here; NewSession(nil) keeps
+// everything in process. Keys are content addresses (snapshot.StatsKey
+// for finalized bundles, snapshot.PartialKey for the mergeable
+// accumulators Delta reuses); implementations must be safe for
+// concurrent use. The context is the calling request's: stores that
 // reach the network (d2t2d's cluster read-through) bound their I/O with
 // it, and must treat a dead context as a miss rather than an error.
+//
 // A bundle holds statistics only: the conservative tiling they were
-// collected from is never needed again, so it is not handed to the store.
+// collected from is never needed again, so it is not handed to the
+// store. StoreStats follows a fresh collection and StoreMergedStats a
+// Delta merge, so stores that meter collections (d2t2d's
+// stats_collect_total counter) do not count a merge as one.
 type StatsCache interface {
 	LoadStats(ctx context.Context, key string) (*stats.Stats, bool)
 	StoreStats(ctx context.Context, key string, s *stats.Stats)
-}
-
-// PartialCache is an optional extension of StatsCache for stores that
-// can hold mergeable statistics accumulators (stats.Partial) alongside
-// finalized bundles. Sessions type-assert their StatsCache against it:
-// when present, Delta loads the base tensor's partial instead of
-// re-collecting, and stores merged results through StoreMergedStats —
-// a distinct entry point from StoreStats so stores that meter fresh
-// collections (d2t2d's stats_collect_total counter) do not count a
-// merge as a collection. Keys are content addresses
-// (snapshot.PartialKey / snapshot.StatsKey).
-type PartialCache interface {
 	LoadPartial(ctx context.Context, key string) (*stats.Partial, bool)
 	StorePartial(ctx context.Context, key string, p *stats.Partial)
 	StoreMergedStats(ctx context.Context, key string, s *stats.Stats)
 }
 
+// memCache is the StatsCache of NewSession(nil): every bundle and
+// partial the session produced, kept for its lifetime. Bundle and
+// partial keys never collide, so one map holds both.
+type memCache struct{ m sync.Map }
+
+func (c *memCache) LoadStats(_ context.Context, key string) (*stats.Stats, bool) {
+	v, _ := c.m.Load(key)
+	st, ok := v.(*stats.Stats)
+	return st, ok
+}
+
+func (c *memCache) LoadPartial(_ context.Context, key string) (*stats.Partial, bool) {
+	v, _ := c.m.Load(key)
+	p, ok := v.(*stats.Partial)
+	return p, ok
+}
+
+func (c *memCache) StoreStats(_ context.Context, key string, st *stats.Stats) {
+	c.m.Store(key, st)
+}
+
+func (c *memCache) StoreMergedStats(_ context.Context, key string, st *stats.Stats) {
+	c.m.Store(key, st)
+}
+
+func (c *memCache) StorePartial(_ context.Context, key string, p *stats.Partial) {
+	c.m.Store(key, p)
+}
+
 // Session is a reusable optimizer context: it memoizes the per-tensor
-// tile-and-collect phase so repeated Optimize, Predict and Stats calls
-// against the same inputs skip straight to the probabilistic model. With
-// an external StatsCache the memo lives (bounded) in the cache;
-// otherwise the session keeps collected statistics in-process for its
-// lifetime. Tensors handed to a session must not be mutated afterwards
-// except through Set, which clears the content address memoized on the
-// tensor.
+// tile-and-collect phase in its StatsCache, so repeated Optimize,
+// Predict and Stats calls against the same inputs skip straight to the
+// probabilistic model. Tensors handed to a session must not be mutated
+// afterwards except through Set, which clears the content address
+// memoized on the tensor.
 //
 // A Session is safe for concurrent use. Concurrent first requests for
-// the same tensor may collect twice; collection is deterministic, so
-// both arrive at identical statistics.
+// the same tensor outside one Batch may collect twice; collection is
+// deterministic, so both arrive at identical statistics.
 type Session struct {
 	// Workers bounds the worker pool the session's cold pipeline uses for
 	// tiling, statistics collection and the shape sweep (0 = all cores).
@@ -70,21 +92,15 @@ type Session struct {
 	// shared across the session so repeated Optimize calls with
 	// Options.Calibrate converge on the measurement backend.
 	calib *model.Calibration
-
-	mu    sync.Mutex
-	memo  map[string]*stats.Stats
-	pmemo map[string]*stats.Partial
 }
 
-// NewSession returns a session backed by the given cache (nil for a
-// purely in-process memo).
+// NewSession returns a session backed by the given cache (nil for an
+// in-process store that lives as long as the session).
 func NewSession(cache StatsCache) *Session {
-	return &Session{
-		cache: cache,
-		calib: model.NewCalibration(),
-		memo:  make(map[string]*stats.Stats),
-		pmemo: make(map[string]*stats.Partial),
+	if cache == nil {
+		cache = &memCache{}
 	}
+	return &Session{cache: cache, calib: model.NewCalibration()}
 }
 
 // CalibrationRuns reports how many calibration runs the session has
@@ -144,55 +160,15 @@ func (s *Session) TensorArtifact(t *Tensor) (id string, artifact []byte, err err
 	return id, artifact, nil
 }
 
-// statsFor returns the statistics for t at the given base tiling and
-// level order, and their content address, consulting the batch scope
-// (when b is non-nil), then the session memo or external cache, before
-// collecting. A cancelled ctx aborts the collection (the context's error
-// is returned) without storing anything — the memo and cache only ever
-// hold completed collections.
-func (s *Session) statsFor(ctx context.Context, b *Batch, t *Tensor, tileDims, order []int) (*stats.Stats, string, error) {
-	id, err := s.TensorID(t)
-	if err != nil {
-		return nil, "", err
-	}
-	key := snapshot.StatsKey(id, tileDims, order, sessionMicroDiv)
-	if b == nil {
-		st, err := s.resolve(ctx, key, t, tileDims, order)
-		return st, key, err
-	}
-	// Holding the lock across the resolve makes it exactly once per key;
-	// it only serializes this batch's own misses, which resolve
-	// sequentially anyway.
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if st := b.bundles[key]; st != nil {
-		return st, key, nil
-	}
-	st, err := s.resolve(ctx, key, t, tileDims, order)
-	if err != nil {
-		return nil, "", err
-	}
-	b.bundles[key] = st
-	return st, key, nil
-}
-
-// resolve returns the bundle stored under key from the session memo or
-// external cache, collecting (and storing) it on a miss.
+// resolve returns the bundle stored under key in the session's store,
+// collecting (and storing) it on a miss. A cancelled ctx aborts the
+// collection (the context's error is returned) without storing
+// anything: the store only ever holds completed collections.
 func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, order []int) (*stats.Stats, error) {
-	if s.cache != nil {
-		if st, ok := s.cache.LoadStats(ctx, key); ok {
-			return st, nil
-		}
-	} else {
-		s.mu.Lock()
-		st := s.memo[key]
-		s.mu.Unlock()
-		if st != nil {
-			return st, nil
-		}
+	if st, ok := s.cache.LoadStats(ctx, key); ok {
+		return st, nil
 	}
-	p, err := stats.CollectPartialCtx(ctx, t.coo, tileDims, order,
-		&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
+	p, err := s.collect(ctx, t, tileDims, order)
 	if err != nil {
 		return nil, err
 	}
@@ -200,14 +176,15 @@ func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, 
 	if err != nil {
 		return nil, err
 	}
-	if s.cache != nil {
-		s.cache.StoreStats(ctx, key, st)
-	} else {
-		s.mu.Lock()
-		s.memo[key] = st
-		s.mu.Unlock()
-	}
+	s.cache.StoreStats(ctx, key, st)
 	return st, nil
+}
+
+// collect gathers t's mergeable statistics at the given base tiling and
+// level order, in the session's collection frame.
+func (s *Session) collect(ctx context.Context, t *Tensor, tileDims, order []int) (*stats.Partial, error) {
+	return stats.CollectPartialCtx(ctx, t.coo, tileDims, order,
+		&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
 }
 
 // Optimize runs the D2T2 pipeline like the package-level Optimize, but
@@ -226,61 +203,25 @@ func (s *Session) Optimize(k *Kernel, inputs Inputs, opts Options) (*Plan, error
 // contexts through here so an abandoned request stops claiming CPU. A
 // never-cancelled ctx yields exactly Optimize's byte-identical plan.
 func (s *Session) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
-	return s.optimize(ctx, nil, k, inputs, opts)
-}
-
-// optimize is OptimizeCtx with bundles resolved through b (nil for the
-// session alone).
-func (s *Session) optimize(ctx context.Context, b *Batch, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
-	o := opts.lower()
-	if o.Workers == 0 {
-		o.Workers = s.Workers
-	}
-	if o.Calibrate {
-		// Only calibrated optimizes see the shared residual store: plain
-		// requests stay pure functions of their inputs (cacheable).
-		o.Calibration = s.calib
-	}
-	raw := inputs.lower()
-	base, err := o.BaseTileFor(k.expr, raw)
-	if err != nil {
-		return nil, err
-	}
-	pre, bundles, err := s.precollect(ctx, b, k, inputs, base)
-	if err != nil {
-		return nil, err
-	}
-	o.Precollected = pre
-	if b != nil && !o.Calibrate {
-		if o.Predictor, err = b.predictor(k, pre, bundles, o); err != nil {
-			return nil, err
-		}
-	}
-	res, err := optimizer.OptimizeCtx(ctx, k.expr, raw, o)
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(res, k, inputs, o.Workers, o.BufferWords), nil
+	return s.NewBatch().OptimizeCtx(ctx, k, inputs, opts)
 }
 
 // Batch scopes a group of optimize calls on one Session so they share
 // statistics bundles and predictors: each distinct (tensor, base tile,
-// level order) bundle is resolved — session memo, external cache or a
-// fresh collection — at most once per Batch, and every job in the group
-// gets the same decoded *stats.Stats, so the jobs' shape searches share
-// its EvalShape memo too. Jobs of one kernel over the same bundles, in
-// the same mode and ablations, share one model predictor and so its
+// level order) bundle is resolved — session store or a fresh
+// collection — at most once per Batch, and every job in the group gets
+// the same decoded *stats.Stats, so the jobs' shape searches share its
+// EvalShape memo too. Jobs of one kernel over the same bundles, in the
+// same mode and ablations, share one model predictor and so its
 // prediction memo: a config any of them prices is priced once for all.
 // Calibrated jobs never share a predictor. A Batch keeps its bundles and
 // predictors until it is dropped: scope one to a single request, never
-// to the process. It is safe for concurrent use; resolve its bundles
-// with PrecollectCtx before fanning out, since concurrent misses queue
-// behind one another.
+// to the process. It is safe for concurrent use: concurrent askers of
+// one bundle or predictor wait for a single resolve.
 type Batch struct {
 	s       *Session
-	mu      sync.Mutex
-	bundles map[string]*stats.Stats
-	preds   map[predictorKey]*model.Predictor
+	bundles par.Memo[string, *stats.Stats]
+	preds   par.Memo[predictorKey, *model.Predictor]
 }
 
 // predictorKey names a batch group: the kernel, its input bundles'
@@ -293,9 +234,7 @@ type predictorKey struct {
 }
 
 // NewBatch returns an empty batch scope on the session.
-func (s *Session) NewBatch() *Batch {
-	return &Batch{s: s, bundles: make(map[string]*stats.Stats), preds: make(map[predictorKey]*model.Predictor)}
-}
+func (s *Session) NewBatch() *Batch { return &Batch{s: s} }
 
 // PrecollectCtx resolves the statistics bundles OptimizeCtx would use
 // for k's inputs into the batch — warming the session (and its cache)
@@ -307,21 +246,72 @@ func (b *Batch) PrecollectCtx(ctx context.Context, k *Kernel, inputs Inputs, opt
 	if err != nil {
 		return err
 	}
-	_, _, err = b.s.precollect(ctx, b, k, inputs, base)
+	_, _, err = b.precollect(ctx, k, inputs, base, false)
 	return err
 }
 
-// OptimizeCtx is Session.OptimizeCtx with bundles resolved through the
-// batch; the plan is byte-identical to the session's.
+// OptimizeCtx is Session.OptimizeCtx with bundles and predictors shared
+// through the batch; the plan is byte-identical to the session's.
 func (b *Batch) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
-	return b.s.optimize(ctx, b, k, inputs, opts)
+	o := opts.lower()
+	if o.Workers == 0 {
+		o.Workers = b.s.Workers
+	}
+	if o.Calibrate {
+		// Only calibrated optimizes see the shared residual store: plain
+		// requests stay pure functions of their inputs (cacheable).
+		o.Calibration = b.s.calib
+	}
+	raw := inputs.lower()
+	base, err := o.BaseTileFor(k.expr, raw)
+	if err != nil {
+		return nil, err
+	}
+	pre, bundles, err := b.precollect(ctx, k, inputs, base, false)
+	if err != nil {
+		return nil, err
+	}
+	o.Precollected = pre
+	if !o.Calibrate {
+		if o.Predictor, err = b.predictor(k, pre, bundles, o); err != nil {
+			return nil, err
+		}
+	}
+	res, err := optimizer.OptimizeCtx(ctx, k.expr, raw, o)
+	if err != nil {
+		return nil, err
+	}
+	return newPlan(res, k, inputs, o.Workers, o.BufferWords), nil
 }
 
-// precollect warms and returns the statistics for every distinct input
-// of k at an order-matched square base tiling, in the kernel's level
-// order for each reference — the exact frame OptimizeCtx consumes — and
-// their content addresses, joined in input order.
-func (s *Session) precollect(ctx context.Context, b *Batch, k *Kernel, inputs Inputs, base int) (map[string]*stats.Stats, string, error) {
+// optimizeDataflow is OptimizeDataflow on the batch: every order runs
+// through it, so orders that store an input in the same level order
+// share that input's bundle.
+func (b *Batch) optimizeDataflow(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, []string, error) {
+	var best *Plan
+	for _, order := range k.expr.OrderPermutations() {
+		e, err := k.expr.WithOrder(order)
+		if err != nil {
+			return nil, nil, err
+		}
+		p, err := b.OptimizeCtx(ctx, &Kernel{expr: e}, inputs, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		if best == nil || p.PredictedMB < best.PredictedMB { // first strict minimum
+			best = p
+		}
+	}
+	return best, append([]string(nil), best.kernel.expr.Order...), nil
+}
+
+// precollect resolves into the batch, and returns, the statistics of
+// every distinct input of k in the kernel's level order for its first
+// reference, at a square base tiling of side tile (clamped per axis to
+// the tensor when clamp is set), together with their content addresses
+// joined in input order. Unclamped is the exact frame OptimizeCtx
+// consumes.
+func (b *Batch) precollect(ctx context.Context, k *Kernel, inputs Inputs, tile int, clamp bool) (map[string]*stats.Stats, string, error) {
 	pre := make(map[string]*stats.Stats)
 	var keys strings.Builder
 	for _, ref := range k.expr.Inputs() {
@@ -332,11 +322,7 @@ func (s *Session) precollect(ctx context.Context, b *Batch, k *Kernel, inputs In
 		if !ok {
 			return nil, "", errMissing(ref.Name)
 		}
-		dims := make([]int, len(ref.Indices))
-		for a := range dims {
-			dims[a] = base
-		}
-		st, key, err := s.statsFor(ctx, b, t, dims, k.expr.LevelOrder(ref))
+		st, key, err := b.statsFor(ctx, t, squareTiling(t, tile, len(ref.Indices), clamp), k.expr.LevelOrder(ref))
 		if err != nil {
 			return nil, "", err
 		}
@@ -345,6 +331,21 @@ func (s *Session) precollect(ctx context.Context, b *Batch, k *Kernel, inputs In
 		keys.WriteByte('\n')
 	}
 	return pre, keys.String(), nil
+}
+
+// statsFor returns the statistics for t at the given base tiling and
+// level order, and their content address, resolved through the
+// session's store once per batch.
+func (b *Batch) statsFor(ctx context.Context, t *Tensor, tileDims, order []int) (*stats.Stats, string, error) {
+	id, err := b.s.TensorID(t)
+	if err != nil {
+		return nil, "", err
+	}
+	key := snapshot.StatsKey(id, tileDims, order, sessionMicroDiv)
+	st, err := b.bundles.Do(key, 0, func() (*stats.Stats, error) {
+		return b.s.resolve(ctx, key, t, tileDims, order)
+	})
+	return st, key, err
 }
 
 // predictor returns the batch group's shared predictor for an
@@ -358,23 +359,15 @@ func (b *Batch) predictor(k *Kernel, pre map[string]*stats.Stats, bundles string
 		disableCorrs:      o.DisableCorrs,
 		disableRefinement: o.DisableRefinement,
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p := b.preds[key]; p != nil {
-		return p, nil
-	}
-	p, err := o.NewPredictor(k.expr, pre)
-	if err != nil {
-		return nil, err
-	}
-	b.preds[key] = p
-	return p, nil
+	return b.preds.Do(key, 0, func() (*model.Predictor, error) { return o.NewPredictor(k.expr, pre) })
 }
 
 // Predict runs the probabilistic traffic model for one tile
 // configuration, like the package-level PredictConfig, with statistics
 // sourced through the session. Statistics are collected at a
-// conservative square tiling of dimension statsTile.
+// conservative square tiling of dimension statsTile, clamped per axis to
+// each tensor; an input referenced twice is collected in the level
+// order of its first reference.
 func (s *Session) Predict(k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
 	return s.PredictCtx(context.Background(), k, inputs, cfg, statsTile)
 }
@@ -382,23 +375,19 @@ func (s *Session) Predict(k *Kernel, inputs Inputs, cfg TileConfig, statsTile in
 // PredictCtx is Predict with cooperative cancellation of the underlying
 // statistics collection (see OptimizeCtx).
 func (s *Session) PredictCtx(ctx context.Context, k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
-	st := make(map[string]*stats.Stats)
-	for _, ref := range k.expr.Inputs() {
-		if _, done := st[ref.Name]; done {
-			continue
-		}
-		t, ok := inputs[ref.Name]
-		if !ok {
-			return 0, errMissing(ref.Name)
-		}
-		dims := clampedSquare(t, statsTile, len(ref.Indices))
-		one, _, err := s.statsFor(ctx, nil, t, dims, k.expr.LevelOrder(ref))
-		if err != nil {
-			return 0, err
-		}
-		st[ref.Name] = one
+	st, _, err := s.NewBatch().precollect(ctx, k, inputs, statsTile, true)
+	if err != nil {
+		return 0, err
 	}
-	return predictWithStats(k, cfg, st)
+	pred, err := model.New(k.expr, st)
+	if err != nil {
+		return 0, err
+	}
+	p, err := pred.Predict(model.Config(cfg))
+	if err != nil {
+		return 0, err
+	}
+	return p.Total() * 4 / (1 << 20), nil
 }
 
 // Stats returns the collected statistics summary for one tensor at a
@@ -411,27 +400,32 @@ func (s *Session) Stats(t *Tensor, tile int) (*StatsSummary, error) {
 // StatsCtx is Stats with cooperative cancellation of the underlying
 // collection (see OptimizeCtx).
 func (s *Session) StatsCtx(ctx context.Context, t *Tensor, tile int) (*StatsSummary, error) {
-	dims := clampedSquare(t, tile, t.Order())
-	order := make([]int, t.Order())
-	for a := range order {
-		order[a] = a
-	}
-	st, _, err := s.statsFor(ctx, nil, t, dims, order)
+	dims := squareTiling(t, tile, t.Order(), true)
+	st, _, err := s.NewBatch().statsFor(ctx, t, dims, naturalOrder(t.Order()))
 	if err != nil {
 		return nil, err
 	}
 	return summarize(st, dims), nil
 }
 
-// clampedSquare returns an order-n square tiling of side tile, clamped
-// per axis to the tensor's dimensions.
-func clampedSquare(t *Tensor, tile, n int) []int {
+// squareTiling returns an order-n square tiling of side tile, clamped
+// per axis to the tensor's dimensions when clamp is set.
+func squareTiling(t *Tensor, tile, n int, clamp bool) []int {
 	dims := make([]int, n)
 	for a := range dims {
 		dims[a] = tile
-		if a < len(t.coo.Dims) && dims[a] > t.coo.Dims[a] {
-			dims[a] = t.coo.Dims[a]
+		if clamp && a < len(t.coo.Dims) {
+			dims[a] = min(tile, t.coo.Dims[a])
 		}
 	}
 	return dims
+}
+
+// naturalOrder is the level order 0, 1, ..., n-1.
+func naturalOrder(n int) []int {
+	order := make([]int, n)
+	for a := range order {
+		order[a] = a
+	}
+	return order
 }

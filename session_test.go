@@ -13,26 +13,47 @@ import (
 	"d2t2/internal/stats"
 )
 
-// countingCache is a StatsCache that counts its traffic.
+// countingCache is the in-process StatsCache, counting its bundle
+// traffic.
 type countingCache struct {
+	memCache
 	mu            sync.Mutex
-	m             map[string]*stats.Stats
 	loads, stores int
 }
 
-func (c *countingCache) LoadStats(_ context.Context, key string) (*stats.Stats, bool) {
+func (c *countingCache) LoadStats(ctx context.Context, key string) (*stats.Stats, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.loads++
-	st, ok := c.m[key]
-	return st, ok
+	c.mu.Unlock()
+	return c.memCache.LoadStats(ctx, key)
 }
 
-func (c *countingCache) StoreStats(_ context.Context, key string, st *stats.Stats) {
+func (c *countingCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stores++
-	c.m[key] = st
+	c.mu.Unlock()
+	c.memCache.StoreStats(ctx, key, st)
+}
+
+// groupPredictor returns the batch's shared predictor for the group of
+// an uncalibrated optimization of k under opts — a memo hit once a job
+// of the group has run.
+func groupPredictor(t *testing.T, b *Batch, k *Kernel, inputs Inputs, opts Options) *model.Predictor {
+	t.Helper()
+	o := opts.lower()
+	base, err := o.BaseTileFor(k.expr, inputs.lower())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, bundles, err := b.precollect(context.Background(), k, inputs, base, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.predictor(k, pre, bundles, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestBatchSharesBundles checks that a Batch consults the cache once
@@ -53,7 +74,7 @@ func TestBatchSharesBundles(t *testing.T) {
 	}
 	const bundles = 2
 
-	cache := &countingCache{m: make(map[string]*stats.Stats)}
+	cache := &countingCache{}
 	batch := NewSession(cache).NewBatch()
 	ctx := context.Background()
 	for _, o := range opts {
@@ -143,9 +164,7 @@ func TestBatchSharesPredictors(t *testing.T) {
 			t.Fatal(err)
 		}
 		alone[i] = planBytes(t, p)
-		for _, pred := range b.preds {
-			soloComputed[ks[i].String()] += pred.Computed()
-		}
+		soloComputed[ks[i].String()] += groupPredictor(t, b, ks[i], inputs, opts[i]).Computed()
 	}
 
 	for _, workers := range []int{1, 8} {
@@ -176,15 +195,16 @@ func TestBatchSharesPredictors(t *testing.T) {
 				t.Fatalf("workers=%d job %d: batch plan %s, alone %s", workers, i, got, alone[i])
 			}
 		}
-		if len(b.preds) != 2 {
-			t.Fatalf("workers=%d: %d predictors for two groups", workers, len(b.preds))
+		if n := b.preds.Len(); n != 2 {
+			t.Fatalf("workers=%d: %d predictors for two groups", workers, n)
 		}
-		for key, pred := range b.preds {
+		for _, i := range []int{0, len(ks) - 1} { // one job of each group
+			pred, kernel := groupPredictor(t, b, ks[i], inputs, opts[i]), ks[i].String()
 			if pred.Computed() != int64(pred.Kept()) {
-				t.Fatalf("workers=%d %s: %d predictions computed for %d configs", workers, key.kernel, pred.Computed(), pred.Kept())
+				t.Fatalf("workers=%d %s: %d predictions computed for %d configs", workers, kernel, pred.Computed(), pred.Kept())
 			}
-			if solo := soloComputed[key.kernel]; pred.Computed() >= solo {
-				t.Fatalf("workers=%d %s: the group computed %d predictions, its jobs alone %d", workers, key.kernel, pred.Computed(), solo)
+			if solo := soloComputed[kernel]; pred.Computed() >= solo {
+				t.Fatalf("workers=%d %s: the group computed %d predictions, its jobs alone %d", workers, kernel, pred.Computed(), solo)
 			}
 		}
 	}
@@ -233,13 +253,10 @@ func TestBatchCalibratedJobsDoNotShare(t *testing.T) {
 	if got := run(plain); !bytes.Equal(got, planBytes(t, wantPlain)) {
 		t.Fatalf("plain job: %s, want %s", got, planBytes(t, wantPlain))
 	}
-	if len(b.preds) != 1 {
-		t.Fatalf("%d predictors after one plain job", len(b.preds))
+	if n := b.preds.Len(); n != 1 {
+		t.Fatalf("%d predictors after one plain job", n)
 	}
-	var shared *model.Predictor
-	for _, p := range b.preds {
-		shared = p
-	}
+	shared := groupPredictor(t, b, k, inputs, plain)
 	computed, kept := shared.Computed(), shared.Kept()
 	for i := 0; i < 2; i++ {
 		if got := run(calib); !bytes.Equal(got, wantCalib[i]) {
@@ -249,9 +266,9 @@ func TestBatchCalibratedJobsDoNotShare(t *testing.T) {
 	if s.CalibrationBias(k, false) == 1 {
 		t.Fatal("the calibrated jobs did not move the bias; the test shows nothing")
 	}
-	if len(b.preds) != 1 || shared.Computed() != computed || shared.Kept() != kept {
+	if b.preds.Len() != 1 || shared.Computed() != computed || shared.Kept() != kept {
 		t.Fatalf("calibrated jobs reached the shared predictor: %d predictors, %d/%d computed, %d/%d kept",
-			len(b.preds), shared.Computed(), computed, shared.Kept(), kept)
+			b.preds.Len(), shared.Computed(), computed, shared.Kept(), kept)
 	}
 	if got := run(plain); !bytes.Equal(got, planBytes(t, wantPlain)) || shared.Computed() != computed {
 		t.Fatalf("plain job after calibration: %s (computed %d, was %d), want %s from the memo",
@@ -319,4 +336,100 @@ func hasEntry(t *Tensor, c []int) bool {
 		}
 	}
 	return false
+}
+
+// collectOracle collects each input of k straight from stats.Collect at
+// a square tiling of side tile clamped per axis, in the level order of
+// the input's first reference — the frame CollectStats and
+// PredictConfig resolve through a Session.
+func collectOracle(t *testing.T, k *Kernel, inputs Inputs, tile int) map[string]*stats.Stats {
+	t.Helper()
+	out := make(map[string]*stats.Stats)
+	for _, ref := range k.expr.Inputs() {
+		if out[ref.Name] != nil {
+			continue
+		}
+		x := inputs[ref.Name]
+		dims := make([]int, x.Order())
+		for a := range dims {
+			dims[a] = min(tile, x.Dims()[a])
+		}
+		st, _, err := stats.Collect(x.coo, dims, k.expr.LevelOrder(ref), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ref.Name] = st
+	}
+	return out
+}
+
+// TestCollectStatsAndPredictConfigMatchCollect: the package-level
+// CollectStats and PredictConfig, which run on a fresh Session, return
+// what direct stats.Collect statistics give — for kernels without a
+// repeated operand and, for an operand referenced in two level orders,
+// with the first reference's bundle.
+func TestCollectStatsAndPredictConfigMatchCollect(t *testing.T) {
+	a, err := Dataset("Q", 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Dataset("U", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewTensor(24, x.Dims()[2])
+	for p := 0; p < x.Dims()[2]; p += 3 {
+		b.Set([]int{p % 24, p}, float64(1+p%5))
+	}
+	b.Normalize()
+	squared, err := ParseKernel("C(i,j) = A(i,k) * A(k,j) | order: i,j,k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		k      *Kernel
+		inputs Inputs
+		cfg    TileConfig
+	}{
+		{Gustavson(), Inputs{"A": a, "B": a.Transpose()}, TileConfig{"i": 32, "k": 16, "j": 64}},
+		{InnerProduct(), Inputs{"A": a, "B": a}, TileConfig{"i": 16, "j": 16, "k": 32}},
+		{TTM(), Inputs{"C": x, "B": b}, TileConfig{"i": 8, "j": 8, "l": 16, "k": 8}},
+		{squared, Inputs{"A": a}, TileConfig{"i": 32, "j": 32, "k": 32}},
+	} {
+		for _, tile := range []int{16, 64, 1 << 20} {
+			st := collectOracle(t, tc.k, tc.inputs, tile)
+			pred, err := model.New(tc.k.expr, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := pred.Predict(model.Config(tc.cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PredictConfig(tc.k, tc.inputs, tc.cfg, tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := p.Total() * 4 / (1 << 20); got != want {
+				t.Fatalf("%s tile %d: PredictConfig %v MB, stats.Collect oracle %v MB", tc.k, tile, got, want)
+			}
+			for name, in := range tc.inputs {
+				dims := make([]int, in.Order())
+				for a := range dims {
+					dims[a] = min(tile, in.Dims()[a])
+				}
+				one, _, err := stats.Collect(in.coo, dims, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := CollectStats(in, tile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := summarize(one, dims); !reflect.DeepEqual(sum, want) {
+					t.Fatalf("%s tile %d: CollectStats(%s) %+v, stats.Collect oracle %+v", tc.k, tile, name, sum, want)
+				}
+			}
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package d2t2
 
-import (
-	"d2t2/internal/einsum"
-	"d2t2/internal/model"
-	"d2t2/internal/stats"
-)
+import "d2t2/internal/stats"
 
 // StatsSummary exposes the Tile Statistics Collector's outputs for one
 // tensor at a conservative square tiling (paper §4.3–4.4).
@@ -24,20 +20,10 @@ type StatsSummary struct {
 }
 
 // CollectStats tiles the tensor with square tiles of the given dimension
-// and returns the collected statistics.
+// (clamped per axis to the tensor) and returns the collected statistics:
+// Session.Stats on a fresh session.
 func CollectStats(t *Tensor, tile int) (*StatsSummary, error) {
-	dims := make([]int, t.Order())
-	for a := range dims {
-		dims[a] = tile
-		if dims[a] > t.coo.Dims[a] {
-			dims[a] = t.coo.Dims[a]
-		}
-	}
-	s, _, err := stats.Collect(t.coo, dims, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return summarize(s, dims), nil
+	return NewSession(nil).Stats(t, tile)
 }
 
 // summarize flattens collected statistics into the public summary.
@@ -56,51 +42,11 @@ func summarize(s *stats.Stats, dims []int) *StatsSummary {
 }
 
 // PredictConfig runs the probabilistic traffic model for one tile
-// configuration and returns the predicted total traffic in megabytes.
-// Statistics are collected at a conservative square tiling of dimension
-// statsTile.
+// configuration and returns the predicted total traffic in megabytes:
+// Session.Predict on a fresh session. Statistics are collected at a
+// conservative square tiling of dimension statsTile.
 func PredictConfig(k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
-	st, err := collectKernelStats(k.expr, inputs, statsTile)
-	if err != nil {
-		return 0, err
-	}
-	return predictWithStats(k, cfg, st)
-}
-
-// predictWithStats prices one configuration given collected statistics.
-func predictWithStats(k *Kernel, cfg TileConfig, st map[string]*stats.Stats) (float64, error) {
-	pred, err := model.New(k.expr, st)
-	if err != nil {
-		return 0, err
-	}
-	p, err := pred.Predict(model.Config(cfg))
-	if err != nil {
-		return 0, err
-	}
-	return p.Total() * 4 / (1 << 20), nil
-}
-
-func collectKernelStats(e *einsum.Expr, inputs Inputs, tile int) (map[string]*stats.Stats, error) {
-	out := make(map[string]*stats.Stats)
-	for _, ref := range e.Inputs() {
-		t, ok := inputs[ref.Name]
-		if !ok {
-			return nil, errMissing(ref.Name)
-		}
-		dims := make([]int, len(ref.Indices))
-		for a := range dims {
-			dims[a] = tile
-			if dims[a] > t.coo.Dims[a] {
-				dims[a] = t.coo.Dims[a]
-			}
-		}
-		s, _, err := stats.Collect(t.coo, dims, e.LevelOrder(ref), nil)
-		if err != nil {
-			return nil, err
-		}
-		out[ref.Name] = s
-	}
-	return out, nil
+	return NewSession(nil).Predict(k, inputs, cfg, statsTile)
 }
 
 type missingError string
