@@ -83,7 +83,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("d2t2d", flag.ExitOnError)
 	addr := fs.String("addr", ":8421", "listen address")
 	cacheDir := fs.String("cache-dir", "d2t2d-cache", "artifact cache directory (empty = memory only)")
-	memMB := fs.Int("mem-cache-mb", 64, "budget in MiB for everything kept in memory: artifacts, decoded tensors and the raw request rung, in one LRU; without -cache-dir an evicted tensor must be uploaded again")
+	memMB := fs.Int("mem-cache-mb", 64, "budget in MiB for everything kept in memory: artifacts, decoded tensors, decoded statistics bundles with their shape memos, and the raw request rung, in one LRU; without -cache-dir an evicted tensor must be uploaded again")
 	workers := fs.Int("workers", 0, "ingest + cold-pipeline worker count (0 = all cores)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request compute deadline (queue wait + pipeline)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 0, "time allowed to read request headers (0 = default 5s)")

@@ -58,6 +58,9 @@ type Tensor struct {
 	// produced with the ID, until Session.TensorArtifact takes it; Set
 	// clears it.
 	artifact atomic.Pointer[[]byte]
+	// canon memoizes the canonical view (canonical) that the ID, the
+	// statistics and every kernel run read; Set clears it.
+	canon atomic.Pointer[tensor.COO]
 }
 
 // NewTensor creates an empty sparse tensor with the given dimensions.
@@ -66,11 +69,30 @@ func NewTensor(dims ...int) *Tensor {
 }
 
 // Set appends a nonzero entry. Duplicate coordinates are summed when the
-// tensor is next normalized (any library call normalizes as needed).
+// tensor is next normalized; every library call reads the tensor as if
+// it were normalized (the tensor itself is left as it is).
 func (t *Tensor) Set(coord []int, val float64) {
 	t.coo.Append(coord, val)
 	t.id.Store(nil)
 	t.artifact.Store(nil)
+	t.canon.Store(nil)
+}
+
+// canonical returns the tensor's canonical view, sorted with duplicates
+// summed: its own storage when that is canonical already, else one
+// Dedup'ed clone, memoized until Set. Concurrent first callers may each
+// build a clone; the clones are equal.
+func (t *Tensor) canonical() *tensor.COO {
+	if c := t.canon.Load(); c != nil {
+		return c
+	}
+	c := t.coo
+	if !c.Canonical() {
+		c = c.Clone()
+		c.Dedup()
+	}
+	t.canon.Store(c)
+	return c
 }
 
 // Dims returns the dimension sizes.
@@ -208,7 +230,7 @@ type Inputs map[string]*Tensor
 func (in Inputs) lower() map[string]*tensor.COO {
 	out := make(map[string]*tensor.COO, len(in))
 	for name, t := range in {
-		out[name] = t.coo
+		out[name] = t.canonical()
 	}
 	return out
 }

@@ -31,6 +31,8 @@ type memoEntry[V any] struct {
 	// pending counts the askers inside Do for this entry; it is back to
 	// zero whenever no flight is in progress.
 	pending atomic.Int32
+	// landed is set once v holds a computed value.
+	landed atomic.Bool
 }
 
 // Do returns the value kept under key, computing it with fn on the
@@ -43,6 +45,15 @@ type memoEntry[V any] struct {
 // panic in fn propagates to the asker that ran it; its waiters get an
 // error saying the computation panicked.
 func (m *Memo[K, V]) Do(key K, limit int, fn func() (V, error)) (V, error) {
+	return m.DoKeep(key, limit, fn, nil)
+}
+
+// DoKeep is Do that also hands each value the memo keeps to kept (when
+// non-nil): once per kept key, inside the key's flight, so kept's effects
+// happen before any asker reads the value. A value computed past the
+// limit, or a failed one, is never passed to kept. Callers use it to
+// account for what the memo holds.
+func (m *Memo[K, V]) DoKeep(key K, limit int, fn func() (V, error), kept func(V)) (V, error) {
 	m.mu.Lock()
 	e, ok := m.m[key]
 	if !ok {
@@ -69,6 +80,12 @@ func (m *Memo[K, V]) Do(key K, limit int, fn func() (V, error)) (V, error) {
 		}()
 		m.runs.Add(1)
 		e.v, e.err = fn()
+		if e.err == nil {
+			if kept != nil {
+				kept(e.v)
+			}
+			e.landed.Store(true)
+		}
 	})
 	if e.err != nil {
 		var zero V
@@ -89,6 +106,18 @@ func (m *Memo[K, V]) forget(key K, e *memoEntry[V]) {
 // Runs reports how many computations the memo has run: the keys it
 // computed once, failed flights, and asks past its limit.
 func (m *Memo[K, V]) Runs() int64 { return m.runs.Load() }
+
+// Range calls f on every value the memo keeps whose computation has
+// finished, in no particular order. f must not call into the memo.
+func (m *Memo[K, V]) Range(f func(V)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.m {
+		if e.landed.Load() {
+			f(e.v)
+		}
+	}
+}
 
 // Len reports how many keys the memo holds, flights in progress
 // included.

@@ -151,6 +151,63 @@ func TestMemoLimit(t *testing.T) {
 	}
 }
 
+// TestMemoKeepHook: DoKeep hands kept exactly the values the memo keeps,
+// once per key however many askers share the flight, and never a value
+// computed past the limit or a failed one.
+func TestMemoKeepHook(t *testing.T) {
+	var m Memo[int, int]
+	var mu sync.Mutex
+	kept := map[int]int{}
+	hook := func(v int) {
+		mu.Lock()
+		kept[v]++
+		mu.Unlock()
+	}
+	// A failed key, then three keys that fill the limit, then one past
+	// it; eight concurrent askers each.
+	for _, keys := range [][]int{{9}, {0, 1, 2}, {3}} {
+		var wg sync.WaitGroup
+		for _, k := range keys {
+			for asker := 0; asker < 8; asker++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					m.DoKeep(k, 3, func() (int, error) {
+						if k == 9 {
+							return 0, errors.New("boom")
+						}
+						return 10 + k, nil
+					}, hook)
+				}(k)
+			}
+		}
+		wg.Wait()
+	}
+	if want := map[int]int{10: 1, 11: 1, 12: 1}; !reflect.DeepEqual(kept, want) || m.Len() != 3 {
+		t.Fatalf("hook saw %v with %d keys kept; want %v", kept, m.Len(), want)
+	}
+}
+
+// TestMemoRange: Range visits exactly the kept values whose flights have
+// landed, not a flight still in the air.
+func TestMemoRange(t *testing.T) {
+	var m Memo[string, int]
+	m.Do("a", 0, func() (int, error) { return 1, nil })
+	m.Do("b", 0, func() (int, error) { return 0, errors.New("boom") })
+	land := flight(t, &m, "c", 2, func() (int, error) { return 3, nil })
+	sum := func() (n, total int) {
+		m.Range(func(v int) { n, total = n+1, total+v })
+		return n, total
+	}
+	if n, total := sum(); n != 1 || total != 1 {
+		t.Fatalf("in flight: Range visited %d values summing to %d, want the one landed value 1", n, total)
+	}
+	land()
+	if n, total := sum(); n != 2 || total != 4 {
+		t.Fatalf("landed: Range visited %d values summing to %d, want 2 summing to 4", n, total)
+	}
+}
+
 // TestMemoDeepEqual checks that two memos that kept the same values
 // compare equal, so results embedding landed memos can be compared
 // whole.

@@ -113,7 +113,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 
 	var resp deltaResponse
 	var jobErr error
-	job := func() {
+	job := func(ctx context.Context) {
 		newT, rep, err := s.session.DeltaCtx(ctx, t, delta, tile)
 		if err != nil {
 			jobErr = err
@@ -280,7 +280,7 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 
 		if len(local) > 0 {
 			var res []jobResult
-			if err := s.runCompute(ctx, func() { res = s.runLocal(ctx, local) }); err != nil {
+			if err := s.runCompute(ctx, func(ctx context.Context) { res = s.runLocal(ctx, local) }); err != nil {
 				s.writeComputeError(w, err, http.StatusInternalServerError)
 				return
 			}

@@ -271,7 +271,7 @@ func single[R any](s *Server, internal bool, endpoint string, canonicalize func(
 		// up never kills the run for the rest.
 		body, coalesced, err := s.flights.do(ctx, j.key, func(fctx context.Context) ([]byte, error) {
 			var res []jobResult
-			if err := s.runCompute(fctx, func() { res = s.runLocal(fctx, []*keyedJob{j}) }); err != nil {
+			if err := s.runCompute(fctx, func(ctx context.Context) { res = s.runLocal(ctx, []*keyedJob{j}) }); err != nil {
 				return nil, err
 			}
 			if res[0].err != nil {

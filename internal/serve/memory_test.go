@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"d2t2"
 	"d2t2/internal/snapshot"
+	"d2t2/internal/stats"
 )
 
 // tnsBody renders nnz random entries of a dims-shaped tensor as a .tns
@@ -52,9 +54,13 @@ func heapInuse() uint64 {
 
 // TestResidentHeapBounded ingests N distinct tensors into a server with
 // an 8 MiB budget, at two values of N 4× apart, both several times past
-// the budget. The store's charge never exceeds the budget, and the live
-// heap the server adds stays under the budget plus residentSlack, so
-// what d2t2d keeps does not grow with the number of uploads.
+// the budget, and optimizes every sixth one at three buffers in one
+// band: the first collects its statistics bundle, the second loads it,
+// the third loads it again, keeps it and fills its shape memo. The
+// store's charge never exceeds the budget after any request, and the
+// live heap the server adds stays under the budget plus residentSlack,
+// so what d2t2d keeps — tensors, bundles and their memos — does not
+// grow with the number of requests.
 func TestResidentHeapBounded(t *testing.T) {
 	const (
 		budget = 8 << 20
@@ -72,12 +78,26 @@ func TestResidentHeapBounded(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			// About 400 KiB charged each: 20 fill the budget.
-			if code, msg := uploadRaw(s, tnsBody(r, []int{2000, 2000}, 8000)); code != http.StatusOK {
-				t.Fatalf("N=%d upload %d: status %d: %s", n, i, code, msg)
+			code, id := uploadRaw(s, tnsBody(r, []int{2000, 2000}, 8000))
+			if code != http.StatusOK {
+				t.Fatalf("N=%d upload %d: status %d: %s", n, i, code, id)
 			}
 			if mb := s.store.MemBytes(); mb > budget {
 				t.Fatalf("N=%d upload %d: MemBytes %d past the budget %d", n, i, mb, budget)
 			}
+			for b := 0; i%6 == 0 && b < 3; b++ {
+				body := fmt.Sprintf(`{"kernel":%q,"inputs":{"A":%q,"B":%q},"bufferWords":%d}`,
+					testKernel, id, id, denseSquareWords(32, 2)+97*b)
+				if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+					t.Fatalf("N=%d optimize %d: status %d: %s", n, i, rec.Code, rec.Body)
+				}
+				if mb := s.store.MemBytes(); mb > budget {
+					t.Fatalf("N=%d optimize %d: MemBytes %d past the budget %d", n, i, mb, budget)
+				}
+			}
+		}
+		if len(residentBundles(s.store)) == 0 {
+			t.Fatalf("N=%d: no statistics bundle is resident", n)
 		}
 		if got := s.Metric("tensors_registered"); got != int64(n) {
 			t.Fatalf("N=%d: tensors_registered = %d", n, got)
@@ -151,6 +171,194 @@ func TestTensorChargeCoversHeap(t *testing.T) {
 				len(dims), charges["parsed"], charges["decoded"])
 		}
 	}
+}
+
+// chargedBundle is a statistics bundle resident in a store: its
+// artifact bytes, the bundle, and the entry's charge beside the bytes.
+type chargedBundle struct {
+	data   []byte
+	st     *stats.Stats
+	charge int64
+}
+
+// residentBundles returns the statistics bundles resident in st by key.
+func residentBundles(st *Store) map[string]chargedBundle {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := map[string]chargedBundle{}
+	for k, el := range st.idx {
+		e := el.Value.(*storeEntry)
+		if b, ok := e.value.(*stats.Stats); ok {
+			out[k] = chargedBundle{data: e.data, st: b, charge: e.size - int64(len(e.data))}
+		}
+	}
+	return out
+}
+
+// twinCache is a StatsCache holding fixed bundles; it fails the test if
+// a session asks for any other bundle.
+type twinCache struct {
+	t   *testing.T
+	sts map[string]*stats.Stats
+}
+
+func (c twinCache) LoadStats(_ context.Context, key string) (*stats.Stats, bool) {
+	st, ok := c.sts[key]
+	if !ok {
+		c.t.Errorf("twin session asked for bundle %s, which no server kept", key)
+	}
+	return st, ok
+}
+func (c twinCache) StoreStats(context.Context, string, *stats.Stats)           {}
+func (c twinCache) LoadPartial(context.Context, string) (*stats.Partial, bool) { return nil, false }
+func (c twinCache) StorePartial(context.Context, string, *stats.Partial)       {}
+func (c twinCache) StoreMergedStats(context.Context, string, *stats.Stats)     {}
+
+// TestStatsChargeCoversHeap: what the store charges for a statistics
+// bundle beside its artifact is not below the heap the bundle holds, at
+// orders 2–4, both fresh from a load (a stats query's bundle, whose
+// shape memo stays empty) and after optimize requests at distinct
+// buffers in one band have filled its shape and projection memos. The
+// heap is measured on twins: bundles decoded from the same artifacts,
+// their memos filled by the same optimizations in a session of their
+// own; the least growth over three tries is taken, so other goroutines'
+// allocations cannot inflate it.
+func TestStatsChargeCoversHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for _, tc := range []struct {
+		kernel string
+		big    string // the order-n operand, whose natural-order bundle a stats query loads
+		dims   map[string][]int
+		nnz    map[string]int
+	}{
+		{testKernel, "A", map[string][]int{"A": {900, 900}, "B": {900, 900}}, map[string]int{"A": 7000, "B": 7000}},
+		{"X(i,j,k) = C(i,j,l) * B(k,l) | order: i,j,l,k", "C",
+			map[string][]int{"C": {90, 80, 70}, "B": {60, 70}}, map[string]int{"C": 7000, "B": 900}},
+		{"X(i,j,k,m) = C(i,j,k,l) * B(m,l) | order: i,j,k,l,m", "C",
+			map[string][]int{"C": {36, 32, 30, 28}, "B": {24, 28}}, map[string]int{"C": 7000, "B": 300}},
+	} {
+		order := len(tc.dims[tc.big])
+		s, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := map[string]string{}
+		inputs := d2t2.Inputs{}
+		for name, dims := range tc.dims {
+			body := tnsBody(r, dims, tc.nnz[name])
+			code, id := uploadRaw(s, body)
+			if code != http.StatusOK {
+				t.Fatalf("order %d upload %s: status %d: %s", order, name, code, id)
+			}
+			if inputs[name], err = parseUpload(false, []byte(body)); err != nil {
+				t.Fatal(err)
+			}
+			ids[name] = id
+		}
+		k, err := d2t2.ParseKernel(tc.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fresh: the first stats query collects the bundle, the second
+		// loads it, and the third loads it again and keeps it.
+		for i := 0; i < 3; i++ {
+			req := httptest.NewRequest(http.MethodGet, "/v1/tensors/"+ids[tc.big]+"/stats?tile=8", nil)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("order %d stats: status %d: %s", order, rec.Code, rec.Body)
+			}
+		}
+		checkBundleCharges(t, fmt.Sprintf("order %d fresh", order), residentBundles(s.store), nil)
+		for key := range residentBundles(s.store) {
+			evict(s.store, key)
+		}
+
+		// Filled: the first optimize collects, the second loads, and the
+		// rest load, keep and price shapes on the kept bundles.
+		var jobs []d2t2.Options
+		for i := 0; i < 7; i++ {
+			bw := denseSquareWords(16, order) + 97*i
+			body := fmt.Sprintf(`{"kernel":%q,"inputs":%s,"bufferWords":%d}`, tc.kernel, mustJSON(t, ids), bw)
+			if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+				t.Fatalf("order %d optimize: status %d: %s", order, rec.Code, rec.Body)
+			}
+			if i > 1 {
+				jobs = append(jobs, d2t2.Options{BufferWords: bw, Workers: 1})
+			}
+		}
+		if s.Metric("stats_resident_hits") == 0 {
+			t.Fatalf("order %d: no optimize served a resident bundle", order)
+		}
+		checkBundleCharges(t, fmt.Sprintf("order %d filled", order), residentBundles(s.store), func(twins map[string]*stats.Stats) {
+			sess := d2t2.NewSession(twinCache{t: t, sts: twins})
+			for _, o := range jobs {
+				if _, err := sess.Optimize(k, inputs, o); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		s.Shutdown(context.Background())
+	}
+}
+
+// checkBundleCharges fails unless the summed charge of the resident
+// bundles covers the heap of their decoded twins, after fill (when
+// non-nil) has run on the twins.
+func checkBundleCharges(t *testing.T, what string, resident map[string]chargedBundle, fill func(map[string]*stats.Stats)) {
+	t.Helper()
+	if len(resident) == 0 {
+		t.Fatalf("%s: no bundle resident", what)
+	}
+	var charge int64
+	for _, b := range resident {
+		charge += b.charge
+	}
+	decode := func() map[string]*stats.Stats {
+		twins := map[string]*stats.Stats{}
+		for key, b := range resident {
+			a, err := snapshot.DecodeBytes(b.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twins[key] = a.Stats
+		}
+		return twins
+	}
+	if fill != nil {
+		fill(decode()) // first use: lazy set-up outside the measurement
+	}
+	var heap uint64 = 1 << 62
+	for rep := 0; rep < 3; rep++ {
+		runtime.GC()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		twins := decode()
+		if fill != nil {
+			fill(twins)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		if m1.HeapAlloc > m0.HeapAlloc {
+			heap = min(heap, m1.HeapAlloc-m0.HeapAlloc)
+		}
+		runtime.KeepAlive(twins)
+	}
+	t.Logf("%s: %d bundles hold %d heap bytes, charged %d", what, len(resident), heap, charge)
+	if charge < int64(heap) {
+		t.Errorf("%s: %d bundles charged %d bytes, hold %d", what, len(resident), charge, heap)
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // resident reports whether a value is kept under key, without marking
@@ -287,5 +495,94 @@ func TestOverBudgetUpload(t *testing.T) {
 	disk, _ := newTestServer(t, Config{MemCacheBytes: budget})
 	if code, msg := uploadRaw(disk, big); code != http.StatusOK {
 		t.Fatalf("over-budget upload with a disk layer: status %d: %s", code, msg)
+	}
+}
+
+// TestSharedResidentBundleConcurrent: a bundle is kept from its second
+// load on; then concurrent optimize requests, measured and not, at
+// distinct buffers in one band price shapes on the one resident bundle,
+// at 1 and 8 workers. Every response is byte-identical
+// to the same request on a fresh server; afterwards each resident
+// bundle is charged what it holds, and MemBytes is the sum of the
+// entries' charges.
+func TestSharedResidentBundleConcurrent(t *testing.T) {
+	tns := tnsBody(rand.New(rand.NewSource(7)), []int{400, 400}, 3000)
+	request := func(id string, i int, measure bool) string {
+		return fmt.Sprintf(`{"kernel":%q,"inputs":{"A":%q,"B":%q},"bufferWords":%d,"measure":%t}`,
+			testKernel, id, id, denseSquareWords(16, 2)+97*i, measure)
+	}
+	upload := func(s *Server) string {
+		t.Helper()
+		code, id := uploadRaw(s, tns)
+		if code != http.StatusOK {
+			t.Fatalf("upload: status %d: %s", code, id)
+		}
+		return id
+	}
+	var bodies []string
+	want := map[string]string{}
+	for i := 0; i < 6; i++ {
+		for _, measure := range []bool{false, true} {
+			fresh, err := New(Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := request(upload(fresh), i, measure)
+			rec := serveRaw(fresh, "/v1/optimize", "application/json", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("fresh optimize: status %d: %s", rec.Code, rec.Body)
+			}
+			bodies, want[body] = append(bodies, body), rec.Body.String()
+			fresh.Shutdown(context.Background())
+		}
+	}
+
+	for _, workers := range []int{1, 8} {
+		s, err := New(Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := upload(s)
+		// The first request collects the bundle, the second loads it once
+		// and leaves it, the third loads it again and keeps it.
+		for n, i := range []int{6, 7, 8} {
+			if rec := serveRaw(s, "/v1/optimize", "application/json", request(id, i, false)); rec.Code != http.StatusOK {
+				t.Fatalf("workers=%d warm-up: status %d: %s", workers, rec.Code, rec.Body)
+			}
+			if got, want := len(residentBundles(s.store)), n/2; got != want {
+				t.Fatalf("workers=%d: %d bundles resident after warm-up request %d, want %d", workers, got, n+1, want)
+			}
+		}
+		hits := s.Metric("stats_resident_hits")
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			wg.Add(1)
+			go func(body string) {
+				defer wg.Done()
+				rec := serveRaw(s, "/v1/optimize", "application/json", body)
+				if rec.Code != http.StatusOK || rec.Body.String() != want[body] {
+					t.Errorf("workers=%d %s: status %d:\n%s\nwant (fresh server)\n%s", workers, body, rec.Code, rec.Body, want[body])
+				}
+			}(body)
+		}
+		wg.Wait()
+		if got := s.Metric("stats_resident_hits") - hits; got != int64(len(bodies)) {
+			t.Errorf("workers=%d: %d of %d requests were served the resident bundle", workers, got, len(bodies))
+		}
+		for key, b := range residentBundles(s.store) {
+			if want := b.st.HeapBytes() + valueOverhead; b.charge != want {
+				t.Errorf("workers=%d bundle %s: charged %d bytes, holds %d", workers, key, b.charge, want)
+			}
+		}
+		s.store.mu.Lock()
+		var sum int64
+		for _, el := range s.store.idx {
+			sum += el.Value.(*storeEntry).size
+		}
+		if sum != s.store.cur {
+			t.Errorf("workers=%d: MemBytes %d, entries charged %d", workers, s.store.cur, sum)
+		}
+		s.store.mu.Unlock()
+		s.Shutdown(context.Background())
 	}
 }

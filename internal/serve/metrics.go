@@ -26,6 +26,7 @@ var counterNames = []string{
 	"batch_local_jobs",
 	"stats_merge_total",
 	"artifact_mem_hits",
+	"stats_resident_hits",
 	"artifact_disk_hits",
 	"artifact_misses",
 	"stats_collect_total",

@@ -31,8 +31,9 @@ type Config struct {
 	// memory only.
 	CacheDir string
 	// MemCacheBytes bounds all the server keeps in memory (default 64
-	// MiB): artifacts, decoded tensors and the raw rung share one LRU.
-	// Without CacheDir an evicted tensor must be uploaded again.
+	// MiB): artifacts, decoded tensors and statistics bundles, and the
+	// raw rung share one LRU. Without CacheDir an evicted tensor must be
+	// uploaded again.
 	MemCacheBytes int64
 	// Workers bounds how many requests run compute at once — every
 	// CPU-heavy job (ingest parsing, the optimize/predict/stats cold
@@ -213,9 +214,9 @@ func (c Config) validate() error {
 
 // Server is the d2t2d optimizer service. Create one with New, mount
 // Handler on an HTTP server (or call ListenAndServe), and stop it with
-// Shutdown. All state — the store (artifacts, resident tensors, the raw
-// rung), the statistics session — is per-Server, so tests can run many
-// in one process.
+// Shutdown. All state — the store (artifacts, resident tensors and
+// statistics bundles, the raw rung), the statistics session — is
+// per-Server, so tests can run many in one process.
 type Server struct {
 	cfg     Config
 	store   *Store
@@ -331,7 +332,8 @@ func (s *Server) ListenAndServe(addr string) error {
 // Shutdown drains the service gracefully: readiness flips to 503 first
 // (load balancers stop routing here while in-flight work is still
 // finishing), then the HTTP server (when started via ListenAndServe)
-// stops accepting and drains in-flight handlers bounded by ctx, then
+// stops accepting and drains in-flight handlers bounded by ctx (an
+// inbound replica push still reading its body among them), then
 // the ingest pool stops and every worker is joined, then every
 // coalescing flight runner is joined (after the pool refuses work, a
 // straggling flight terminates promptly with ErrShuttingDown), and
@@ -402,9 +404,72 @@ type storeCache struct {
 	s *Server
 }
 
+// LoadStats serves a bundle resident in the store, else decodes its
+// artifact. A bundle is kept beside its bytes from its second load on,
+// never when stored: a fresh collection or merge, or a bundle loaded
+// once, is often never read again (every delta makes a new version, and
+// a request's other bundles may be shared with no later one). A kept
+// bundle is noted on ctx's job, which charges it again when the job is
+// done with it (runCompute), so what its memos gained is counted.
 func (c *storeCache) LoadStats(ctx context.Context, key string) (*stats.Stats, bool) {
-	a, _ := c.s.loadArtifact(ctx, key)
-	return a.Stats, a.Stats != nil
+	if v, ok := c.s.store.Value(key); ok {
+		if st, ok := v.(*stats.Stats); ok {
+			c.s.metrics.add("artifact_mem_hits", 1)
+			c.s.metrics.add("stats_resident_hits", 1)
+			noteBundle(ctx, key, st)
+			return st, true
+		}
+	}
+	b, _ := c.s.storeGet(ctx, key)
+	if b == nil {
+		return nil, false
+	}
+	a, err := snapshot.DecodeBytes(b)
+	if err != nil || a.Stats == nil {
+		return nil, false
+	}
+	if !c.s.store.Seen(key) {
+		return a.Stats, true
+	}
+	v, _ := c.s.store.Keep(key, b, a.Stats, a.Stats.HeapBytes())
+	st := v.(*stats.Stats)
+	noteBundle(ctx, key, st)
+	return st, true
+}
+
+// jobBundles lists the kept bundles LoadStats handed to one compute
+// job, so runCompute can charge each again at its grown size once the
+// job ends.
+type jobBundles struct {
+	mu      sync.Mutex
+	bundles []keptBundle
+}
+
+type keptBundle struct {
+	key string
+	st  *stats.Stats
+}
+
+type jobBundlesKey struct{}
+
+// noteBundle records st under key on ctx's job, if ctx carries one.
+func noteBundle(ctx context.Context, key string, st *stats.Stats) {
+	if jb, ok := ctx.Value(jobBundlesKey{}).(*jobBundles); ok {
+		jb.mu.Lock()
+		jb.bundles = append(jb.bundles, keptBundle{key, st})
+		jb.mu.Unlock()
+	}
+}
+
+// rekeep charges every noted bundle again at what it holds now. A bundle
+// evicted meanwhile stays out: Keep refuses a value-only entry under a
+// content address.
+func (jb *jobBundles) rekeep(st *Store) {
+	jb.mu.Lock()
+	defer jb.mu.Unlock()
+	for _, b := range jb.bundles {
+		st.Keep(b.key, nil, b.st, b.st.HeapBytes())
+	}
 }
 
 func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
@@ -590,8 +655,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp ingestResponse
 	var jobErr error
-	ctx := r.Context()
-	job := func() { resp, jobErr = s.ingest(ctx, asJSON, body) }
+	job := func(ctx context.Context) { resp, jobErr = s.ingest(ctx, asJSON, body) }
 	if err := s.runCompute(r.Context(), job); err != nil {
 		// Abandoned while queued (never ran) or at the deadline after
 		// hand-off — in the latter case the worker finishes the buffered
@@ -744,7 +808,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	var sum *d2t2.StatsSummary
 	var jobErr error
-	job := func() { sum, jobErr = s.session.StatsCtx(ctx, t, tile) }
+	job := func(ctx context.Context) { sum, jobErr = s.session.StatsCtx(ctx, t, tile) }
 	if err := s.runCompute(ctx, job); err != nil {
 		s.writeComputeError(w, err, http.StatusInternalServerError)
 		return
@@ -886,9 +950,16 @@ const statusClientClosedRequest = 499
 // the two abandonment modes the pool distinguishes: expired while still
 // queued (the job never ran) vs. expired after a worker took it (the
 // worker winds the job down on its own ctx check; its outputs must not
-// be read).
-func (s *Server) runCompute(ctx context.Context, job func()) error {
-	started, err := s.pool.run(ctx, job)
+// be read). The job runs under ctx carrying its bundle list: when it
+// ends, abandoned or not, every statistics bundle it loaded is charged
+// again at what its memos hold.
+func (s *Server) runCompute(ctx context.Context, job func(ctx context.Context)) error {
+	jb := &jobBundles{}
+	ctx = context.WithValue(ctx, jobBundlesKey{}, jb)
+	started, err := s.pool.run(ctx, func() {
+		job(ctx)
+		jb.rekeep(s.store)
+	})
 	if err != nil && !errors.Is(err, ErrShuttingDown) {
 		if started {
 			s.metrics.add("pool_abandoned_running", 1)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,11 +19,13 @@ import (
 	"time"
 
 	"d2t2"
+	"d2t2/internal/cluster"
 	"d2t2/internal/einsum"
 	"d2t2/internal/exec"
 	"d2t2/internal/mmio"
 	"d2t2/internal/model"
 	"d2t2/internal/optimizer"
+	"d2t2/internal/snapshot"
 	"d2t2/internal/tensor"
 )
 
@@ -607,6 +611,113 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestShutdownWaitsForInboundPush: Shutdown drains an inbound replica
+// push still sending its body, so the artifact lands whole or not at
+// all. With a push stalled mid-body, Shutdown waits; once the body
+// finishes, the push is answered 204, the store holds exactly the
+// pushed bytes, and Shutdown returns nil within its context. A push
+// whose body never finishes leaves Shutdown to return its context's
+// error at the deadline, and the artifact absent.
+func TestShutdownWaitsForInboundPush(t *testing.T) {
+	for _, finish := range []bool{true, false} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		s, err := New(Config{CacheDir: t.TempDir(), Workers: 1, Peers: []string{"http://127.0.0.1:1"},
+			SelfURL: "http://" + addr, ClusterSecret: "secret"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.ListenAndServe(addr) }()
+		for {
+			resp, err := http.Get("http://" + addr + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		payload, err := snapshot.EncodeBytes(&snapshot.Artifact{Response: []byte("{\"pushed\":true}\n")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := snapshot.ResponseKey("optimize", []byte("shutdown push"))
+		frame := cluster.EncodeFrame(key, payload)
+		pr, pw := io.Pipe()
+		req, err := http.NewRequest(http.MethodPut, "http://"+addr+"/internal/v1/artifact/"+key, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(cluster.SecretHeader, "secret")
+		req.ContentLength = int64(len(frame))
+		status := make(chan int, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				status <- 0
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		if _, err := pw.Write(frame[:len(frame)/2]); err != nil {
+			t.Fatal(err)
+		}
+		for s.Metric("internal_requests_total") == 0 {
+			time.Sleep(time.Millisecond)
+		}
+
+		wait := 10 * time.Second
+		if !finish {
+			wait = 200 * time.Millisecond
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		done := make(chan error, 1)
+		go func() { done <- s.Shutdown(ctx) }()
+		for !s.draining.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		if finish {
+			select {
+			case err := <-done:
+				t.Fatalf("Shutdown returned %v while a push was still sending its body", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			pw.Write(frame[len(frame)/2:])
+			pw.Close()
+			if code := <-status; code != http.StatusNoContent {
+				t.Fatalf("the drained push was answered %d, want 204", code)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			if b, _, _ := s.store.Get(key); !bytes.Equal(b, payload) {
+				t.Fatalf("the store holds %d bytes for the pushed %d-byte artifact", len(b), len(payload))
+			}
+		} else {
+			if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Shutdown with a push that never finishes returned %v, want the context's deadline", err)
+			}
+			pw.CloseWithError(errors.New("pusher gave up"))
+			if code := <-status; code == http.StatusNoContent {
+				t.Fatal("a push cut mid-body was answered 204")
+			}
+			if b, _, _ := s.store.Get(key); b != nil {
+				t.Fatalf("a push cut mid-body left %d bytes in the store", len(b))
+			}
+		}
+		cancel()
+		if err := <-served; err != nil {
+			t.Fatalf("ListenAndServe: %v", err)
+		}
+	}
 }
 
 // BenchmarkServeOptimizeCached measures the warm /v1/optimize path: a

@@ -48,9 +48,10 @@ const (
 // A memory entry holds artifact bytes and, optionally, a decoded value
 // beside them (Keep); a value-only entry's key is not a content address,
 // so it never reaches disk or peers. An entry is charged len(bytes) plus
-// its value's estimated size and valueOverhead; the least recently used
-// entries go until the sum fits maxBytes, and an entry charged above the
-// whole budget, or a value-only one above valueOnlyMax, never enters.
+// its value's estimated size and valueOverhead, re-charged when a value
+// that grows in use is kept again; the least recently used entries go
+// until the sum fits maxBytes, and an entry charged above the whole
+// budget, or a value-only one above valueOnlyMax, never enters.
 //
 // A Store is safe for concurrent use.
 type Store struct {
@@ -68,6 +69,7 @@ type storeEntry struct {
 	data  []byte
 	value any   // decoded value beside data; nil for a bytes-only entry
 	size  int64 // the entry's charge against maxBytes
+	seen  bool  // Seen asked for the entry before
 }
 
 // valueOverhead is what an entry carrying a value costs beyond the
@@ -205,9 +207,16 @@ func (s *Store) Put(key string, data []byte) error {
 // a value-only entry) and, when v is non-nil, the decoded value, charged
 // at size bytes. A resident key keeps its bytes, and its value if it has
 // one — keys are content addresses, so the first value is the value.
+// Keeping the resident value again re-charges it at size, evicting
+// until the budget fits: a value that grows while in use (a statistics
+// bundle's shape memo) is charged what it holds when its user is done.
+// Values must be comparable.
+//
 // Keep returns the value now resident for key and true, or v and false
-// when the entry is not kept: charged above the whole budget, or, for a
-// value-only entry, above valueOnlyMax.
+// when the entry is not kept: charged above the whole budget (a resident
+// value re-charged past it leaves with its entry), or, for a value-only
+// entry, above valueOnlyMax or under a content address, where it would
+// hide the artifact's bytes from Get.
 func (s *Store) Keep(key string, data []byte, v any, size int64) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -215,15 +224,20 @@ func (s *Store) Keep(key string, data []byte, v any, size int64) (any, bool) {
 	e := &storeEntry{key: key, data: data}
 	if resident {
 		s.ll.MoveToFront(el)
-		if e = el.Value.(*storeEntry); e.value != nil || v == nil {
+		if e = el.Value.(*storeEntry); v == nil || e.value != nil && e.value != v {
 			return e.value, true
 		}
+	} else if data == nil && IsContentAddress(key) {
+		return v, false
 	}
 	charge := int64(len(e.data))
 	if v != nil {
 		charge += size + valueOverhead
 	}
 	if charge > s.maxBytes || s.maxBytes <= 0 || e.data == nil && charge > valueOnlyMax {
+		if resident && e.value != nil {
+			s.remove(el)
+		}
 		return v, false
 	}
 	if !resident {
@@ -235,6 +249,23 @@ func (s *Store) Keep(key string, data []byte, v any, size int64) (any, bool) {
 		s.remove(s.ll.Back())
 	}
 	return v, true
+}
+
+// Seen marks key's memory entry as seen and reports whether it was
+// already; false when key is not resident. A caller that decodes an
+// artifact keeps the decoded value only from the second decode on, so a
+// value read once is not kept. The mark leaves with the entry.
+func (s *Store) Seen(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.idx[key]
+	if !ok {
+		return false
+	}
+	e := el.Value.(*storeEntry)
+	seen := e.seen
+	e.seen = true
+	return seen
 }
 
 // remove drops one entry from the memory layer. s.mu must be held.

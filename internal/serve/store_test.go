@@ -299,8 +299,12 @@ func TestStoreRawEntryBudget(t *testing.T) {
 
 // TestStoreKeepFirstValue: a value kept beside resident bytes is charged
 // on top of them, a second value for the same key is refused in favour
-// of the first, a value that would take the entry past the whole budget
-// is not attached, and evicting the entry releases its whole charge.
+// of the first, keeping the first again re-charges it (evicting older
+// entries to fit, and dropping the entry once it outgrows the whole
+// budget), a value that would take the entry past the whole budget is
+// not attached, a value-only entry under a content address is refused,
+// Seen reports a resident key's second ask, and evicting the entry
+// releases its whole charge.
 func TestStoreKeepFirstValue(t *testing.T) {
 	s, err := NewStore("", 4096)
 	if err != nil {
@@ -328,6 +332,35 @@ func TestStoreKeepFirstValue(t *testing.T) {
 	}
 	if b, src, _ := s.Get(k); src != SourceMem || len(b) != 100 {
 		t.Fatalf("the artifact bytes changed: %d bytes from %v", len(b), src)
+	}
+	if s.Seen(k) || !s.Seen(k) || s.Seen(key("absent")) {
+		t.Fatal("Seen does not report the second ask of a resident key alone")
+	}
+	older := key("older")
+	if err := s.Put(older, make([]byte, 1500)); err != nil {
+		t.Fatal(err)
+	}
+	s.Value(k) // k is the most recently used entry
+	if v, ok := s.Keep(k, nil, first, 2500); v != first || !ok {
+		t.Fatalf("re-charging the first value returned %v, %v", v, ok)
+	}
+	if got, want := s.MemBytes(), int64(100+2500+valueOverhead); got != want {
+		t.Fatalf("MemBytes %d after re-charging, want %d with the older entry evicted", got, want)
+	}
+	if b, _, _ := s.Get(older); b != nil {
+		t.Fatal("re-charging evicted nothing")
+	}
+	if v, ok := s.Keep(k, nil, first, 4096); v != first || ok {
+		t.Fatalf("re-charging past the whole budget returned %v, %v", v, ok)
+	}
+	if b, _, _ := s.Get(k); b != nil || s.MemBytes() != 0 {
+		t.Fatalf("an entry re-charged past the budget stayed: %d bytes, MemBytes %d", len(b), s.MemBytes())
+	}
+	if _, ok := s.Keep(k, nil, first, 10); ok {
+		t.Fatal("a value-only entry was kept under a content address")
+	}
+	if err := s.Put(k, make([]byte, 100)); err != nil {
+		t.Fatal(err)
 	}
 
 	k2 := key("too big")

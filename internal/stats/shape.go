@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/par"
@@ -78,6 +79,9 @@ type ShapeStats struct {
 	// shape is shared through the bundle's shape memo, so every
 	// consumer of the bundle shares these tables too.
 	projs par.Memo[string, *Projection]
+	// projBytes accounts for what projs holds: each projection's size
+	// is added when the memo keeps it.
+	projBytes atomic.Int64
 }
 
 // TileOuter returns tile t's outer coordinates in axis order, a view
@@ -132,8 +136,11 @@ func (sh *ShapeStats) Project(shared, extras []int) *Projection {
 	for _, a := range extras {
 		kb = binary.AppendUvarint(kb, uint64(a))
 	}
-	p, _ := sh.projs.Do(string(kb), 0, func() (*Projection, error) {
+	key := string(kb)
+	p, _ := sh.projs.DoKeep(key, 0, func() (*Projection, error) {
 		return sh.project(shared, extras), nil
+	}, func(p *Projection) {
+		sh.projBytes.Add(p.heapBytes(len(shared)) + memoKeyBytes(key))
 	})
 	return p
 }
@@ -276,15 +283,20 @@ const shapeMemoCap = 256
 // evaluation. A failed evaluation is not kept. EvalShape is
 // deterministic and the returned ShapeStats is shared, so callers must
 // treat it as read-only. The memo key is tileDims' bytes, so every order
-// and shape is memoized and callers may reuse the slice.
+// and shape is memoized and callers may reuse the slice. What the memo
+// keeps, and what kept shapes' projection memos keep, counts toward
+// HeapBytes.
 func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 	var buf [64]byte
 	kb := buf[:0]
 	for _, v := range tileDims {
 		kb = binary.LittleEndian.AppendUint64(kb, uint64(v))
 	}
-	return s.shapes.Do(string(kb), shapeMemoCap, func() (*ShapeStats, error) {
+	key := string(kb)
+	return s.shapes.DoKeep(key, shapeMemoCap, func() (*ShapeStats, error) {
 		return s.evalShape(tileDims)
+	}, func(sh *ShapeStats) {
+		s.memoBytes.Add(sh.heapBytes() + memoKeyBytes(key))
 	})
 }
 

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/par"
@@ -146,6 +147,10 @@ type Stats struct {
 	// shapes memoizes EvalShape per tile shape for the bundle's
 	// lifetime, one flight per shape.
 	shapes par.Memo[string, *ShapeStats]
+	// memoBytes accounts for what shapes holds: each shape's size is
+	// added when the memo keeps it. The kept shapes' projection memos
+	// keep accounts of their own (ShapeStats.projBytes).
+	memoBytes atomic.Int64
 }
 
 // PTileBase returns the product of PrTileIdx over all outer levels: the

@@ -96,15 +96,18 @@ func (t *COO) CloneGrow(extra int) *COO {
 	return c
 }
 
+// AllocBytes bounds the heap one allocation of n bytes occupies: n
+// rounded up as the Go allocator rounds (size classes of at most 25%
+// spacing below 32 KiB, whole 8 KiB pages above), plus a header's worth.
+func AllocBytes(n int) int64 { return int64(n + min(n/4, 8<<10) + 16) }
+
 // HeapBytes bounds the heap the tensor's storage occupies: every slice at
-// its capacity, rounded up as the Go allocator rounds (size classes of at
-// most 25% spacing below 32 KiB, whole 8 KiB pages above), plus the
-// headers. It is the size a cache charges for holding the tensor.
+// its capacity (AllocBytes), plus the headers. It is the size a cache
+// charges for holding the tensor.
 func (t *COO) HeapBytes() int64 {
-	alloc := func(n int) int64 { return int64(n + min(n/4, 8<<10) + 16) }
-	b := alloc(72) + alloc(8*cap(t.Dims)) + alloc(24*cap(t.Crds)) + alloc(8*cap(t.Vals))
+	b := AllocBytes(72) + AllocBytes(8*cap(t.Dims)) + AllocBytes(24*cap(t.Crds)) + AllocBytes(8*cap(t.Vals))
 	for _, c := range t.Crds {
-		b += alloc(8 * cap(c))
+		b += AllocBytes(8 * cap(c))
 	}
 	return b
 }

@@ -73,8 +73,11 @@ func (c *memCache) StorePartial(_ context.Context, key string, p *stats.Partial)
 // tile-and-collect phase in its StatsCache, so repeated Optimize,
 // Predict and Stats calls against the same inputs skip straight to the
 // probabilistic model. Tensors handed to a session must not be mutated
-// afterwards except through Set, which clears the content address
-// memoized on the tensor.
+// afterwards except through Set, which clears the content address and
+// the canonical view memoized on the tensor. A session reads every
+// tensor through its canonical view, so a tensor holding duplicate
+// coordinates and its Normalized clone share one content address and
+// give identical statistics, predictions and plans.
 //
 // A Session is safe for concurrent use. Concurrent first requests for
 // the same tensor outside one Batch may collect twice; collection is
@@ -132,7 +135,7 @@ func (s *Session) TensorID(t *Tensor) (string, error) {
 	if id := t.id.Load(); id != nil {
 		return *id, nil
 	}
-	id, err := snapshot.TensorID(t.coo)
+	id, err := snapshot.TensorID(t.canonical())
 	if err != nil {
 		return "", err
 	}
@@ -150,10 +153,10 @@ func (s *Session) TensorArtifact(t *Tensor) (id string, artifact []byte, err err
 		if a := t.artifact.Swap(nil); a != nil {
 			return *p, *a, nil
 		}
-		artifact, err = snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.coo})
+		artifact, err = snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.canonical()})
 		return *p, artifact, err
 	}
-	if id, artifact, err = snapshot.TensorArtifact(t.coo); err != nil {
+	if id, artifact, err = snapshot.TensorArtifact(t.canonical()); err != nil {
 		return "", nil, err
 	}
 	t.id.Store(&id)
@@ -183,7 +186,7 @@ func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, 
 // collect gathers t's mergeable statistics at the given base tiling and
 // level order, in the session's collection frame.
 func (s *Session) collect(ctx context.Context, t *Tensor, tileDims, order []int) (*stats.Partial, error) {
-	return stats.CollectPartialCtx(ctx, t.coo, tileDims, order,
+	return stats.CollectPartialCtx(ctx, t.canonical(), tileDims, order,
 		&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -431,5 +432,112 @@ func TestCollectStatsAndPredictConfigMatchCollect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRawTensorCanonicalView: a tensor holding duplicate coordinates
+// (dataset Q with every third entry Set twice) and its Normalized clone
+// are one tensor to a Session. In one shared Session, whichever is
+// asked first and also when both are asked at once, they give the IDs,
+// statistics, predictions, plans and measured traffic a fresh Session
+// gives the Normalized clone.
+func TestRawTensorCanonicalView(t *testing.T) {
+	q, err := Dataset("Q", 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRaw := func() *Tensor {
+		raw := NewTensor(q.Dims()...)
+		for p := q.NNZ() - 1; p >= 0; p-- { // reversed: unsorted too
+			crd, v := q.Entry(p)
+			raw.Set(crd, v)
+			if p%3 == 0 {
+				raw.Set(crd, v)
+			}
+		}
+		return raw
+	}
+	norm := newRaw().Clone()
+	norm.Normalize()
+	k := Gustavson()
+	type result struct {
+		id        string
+		stats     *StatsSummary
+		predicted float64
+		plan      string
+		measured  float64
+	}
+	run := func(sess *Session, x *Tensor) (r result, err error) {
+		if r.id, err = sess.TensorID(x); err != nil {
+			return r, err
+		}
+		if r.stats, err = sess.Stats(x, 16); err != nil {
+			return r, err
+		}
+		in := Inputs{"A": x, "B": x}
+		if r.predicted, err = sess.Predict(k, in, TileConfig{"i": 32, "j": 32, "k": 32}, 16); err != nil {
+			return r, err
+		}
+		plan, err := sess.Optimize(k, in, Options{BufferWords: DenseTileWords(32, 32)})
+		if err != nil {
+			return r, err
+		}
+		b, err := json.Marshal(plan)
+		if err != nil {
+			return r, err
+		}
+		r.plan = string(b)
+		rep, err := plan.Measure()
+		if err != nil {
+			return r, err
+		}
+		r.measured = rep.TotalMB()
+		return r, nil
+	}
+	want, err := run(NewSession(nil), norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, got result) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %+v\nwant (Normalized clone, fresh Session) %+v", what, got, want)
+		}
+	}
+	for _, rawFirst := range []bool{true, false} {
+		sess, raw := NewSession(nil), newRaw()
+		order := []*Tensor{norm, raw}
+		if rawFirst {
+			order = []*Tensor{raw, norm}
+		}
+		for _, x := range order {
+			got, err := run(sess, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("raw first %v, raw %v", rawFirst, x == raw), got)
+		}
+	}
+	sess, raw := NewSession(nil), newRaw()
+	got := make([]result, 4)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			x := raw
+			if i%2 == 1 {
+				x = norm
+			}
+			got[i], errs[i] = run(sess, x)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		check(fmt.Sprintf("concurrent asker %d", i), got[i])
 	}
 }
