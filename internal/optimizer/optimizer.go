@@ -601,12 +601,17 @@ type sizing struct {
 	pred *model.Predictor
 	e    *einsum.Expr
 	o    Options
+	// checked, when set, is called with every config admits checks.
+	checked func(model.Config)
 }
 
 func (s sizing) risky() bool { return s.o.OverflowTarget > 0 }
 
 // admits reports whether every input operand fits the buffer at cfg.
 func (s sizing) admits(cfg model.Config) (bool, error) {
+	if s.checked != nil {
+		s.checked(cfg)
+	}
 	for _, ref := range s.e.Inputs() {
 		sh, err := s.pred.EvalRef(ref, cfg)
 		if err != nil {
@@ -705,8 +710,16 @@ func (r *Result) grow(ctx context.Context, s sizing, upIdx string) (float64, err
 	// free). Growing contracted indices matters for high-reuse data such
 	// as diagonal matrices, where the contracted span bounds the
 	// iteration count.
+	//
+	// On the conservative path a rejected doubling stays rejected, so its
+	// index is not checked again. Doublings and clamps to the full axis
+	// keep the tile grids nested: each tile of the rejected candidate for
+	// ix lies inside one tile of any later candidate for ix, whose
+	// largest member sum is therefore at least as large. The risky
+	// path's overflow rate is not monotone that way.
 	idxs := append([]string(nil), r.Expr.Order...)
 	sort.Strings(idxs)
+	rejected := make(map[string]bool, len(idxs))
 	_, cur, err := s.predict(r.Config)
 	if err != nil {
 		return 0, err
@@ -716,6 +729,9 @@ func (r *Result) grow(ctx context.Context, s sizing, upIdx string) (float64, err
 		for _, ix := range idxs {
 			if err := ctx.Err(); err != nil {
 				return 0, err
+			}
+			if rejected[ix] {
+				continue
 			}
 			cand := r.Config.Clone()
 			cand[ix] = r.snapIdx(ix, cand[ix]*2)
@@ -727,6 +743,7 @@ func (r *Result) grow(ctx context.Context, s sizing, upIdx string) (float64, err
 				return 0, err
 			}
 			if !ok {
+				rejected[ix] = !s.risky()
 				continue
 			}
 			_, c, err := s.predict(cand)

@@ -82,12 +82,12 @@ func TestRiskSizingMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantPct := 0
+					wantPct, checks := 0, 0
 					if target > 0 {
-						err = want.growRiskOracle(context.Background(), pred, upIdx, o)
+						err = want.growRiskOracle(context.Background(), pred, upIdx, o, &checks)
 						wantPct = want.Risk.PercentileTile
 					} else {
-						err = want.growOracle(context.Background(), pred, upIdx, o)
+						err = want.growOracle(context.Background(), pred, upIdx, o, &checks)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -106,14 +106,78 @@ func TestRiskSizingMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestGrowSkipsRejectedChecks counts grow's admission checks against
+// the oracles' on fixed inputs. On the conservative path grow must land
+// on the oracle's config with fewer checks in all (a rejected index is
+// not checked again); on the risk-aware path, where the overflow rate
+// is not monotone, it must make exactly the oracle's checks.
+func TestGrowSkipsRejectedChecks(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	a := gen.PowerLawGraph(r, 1024, 12000, 1.7)
+	c := gen.CircuitLike(r, 1024, 4, 3)
+	inputs := []map[string]*tensor.COO{
+		{"A": a, "B": a.Transpose()},
+		{"A": c, "B": c.Transpose()},
+	}
+	for _, target := range []float64{0, 0.05} {
+		got, want := 0, 0
+		for _, in := range inputs {
+			for _, e := range []*einsum.Expr{einsum.SpMSpMIKJ(), einsum.SpMSpMIJK()} {
+				for _, d := range []int{16, 32, 64} {
+					o := Options{
+						BufferWords:    tiling.DenseFootprintWords([]int{d, d}),
+						OverflowTarget: target,
+						SkipResize:     true,
+						Workers:        2,
+					}.withDefaults()
+					swept, err := Optimize(e, in, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pred, err := o.NewPredictor(e, swept.Stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					upIdx, _ := shapeAxes(e)
+					g, w := *swept, *swept
+					g.Config, w.Config = swept.Config.Clone(), swept.Config.Clone()
+					count := func(model.Config) { got++ }
+					if _, err := g.grow(context.Background(), sizing{pred: pred, e: e, o: o, checked: count}, upIdx); err != nil {
+						t.Fatal(err)
+					}
+					if target > 0 {
+						err = w.growRiskOracle(context.Background(), pred, upIdx, o, &want)
+					} else {
+						err = w.growOracle(context.Background(), pred, upIdx, o, &want)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(g.Config, w.Config) {
+						t.Fatalf("%s d=%d target=%v: grow gave %v, oracle %v", e, d, target, g.Config, w.Config)
+					}
+				}
+			}
+		}
+		t.Logf("target=%v: grow made %d admission checks, the oracle %d", target, got, want)
+		if target > 0 && got != want {
+			t.Fatalf("target=%v: grow made %d admission checks, the oracle %d", target, got, want)
+		}
+		if target == 0 && got >= want {
+			t.Fatalf("grow made %d admission checks, the oracle %d: rejected indices were checked again", got, want)
+		}
+	}
+}
+
 // growOracle is the reference grow must reproduce under the
-// conservative sizing rule. It implements the size optimization: seed
+// conservative sizing rule; it counts its admission checks in checks
+// (grow skips the ones that cannot pass). It implements the size optimization: seed
 // with the Eq. 22 TileFactor on the primary output index, then greedily
 // double output-index tile dimensions while every input's largest
 // actual tile fits the buffer.
 // ctx is consulted once per candidate doubling — each candidate costs a
 // model prediction, the growth loop's unit of work.
-func (r *Result) growOracle(ctx context.Context, pred *model.Predictor, upIdx string, o Options) error {
+func (r *Result) growOracle(ctx context.Context, pred *model.Predictor, upIdx string, o Options, checks *int) error {
 	// Eq. 22: TileFactor = BufferSize / MaxTiles at the chosen shape.
 	maxTile := 0
 	for _, ref := range r.Expr.Inputs() {
@@ -134,6 +198,7 @@ func (r *Result) growOracle(ctx context.Context, pred *model.Predictor, upIdx st
 	}
 
 	fits := func(cfg model.Config) (bool, error) {
+		*checks++
 		for _, ref := range r.Expr.Inputs() {
 			sh, err := pred.EvalRef(ref, cfg)
 			if err != nil {
@@ -212,11 +277,11 @@ func (r *Result) growOracle(ctx context.Context, pred *model.Predictor, upIdx st
 }
 
 // growRiskOracle is the reference grow must reproduce under the
-// risk-aware sizing rule: the Eq. 22 seed uses the (1−target) footprint
+// risk-aware sizing rule (counting its admission checks in checks): the Eq. 22 seed uses the (1−target) footprint
 // quantile instead of the maximum, admission requires every operand's
 // predicted overflow rate within the target, and the greedy doubling
 // compares overflow-adjusted totals.
-func (r *Result) growRiskOracle(ctx context.Context, pred *model.Predictor, upIdx string, o Options) error {
+func (r *Result) growRiskOracle(ctx context.Context, pred *model.Predictor, upIdx string, o Options, checks *int) error {
 	// Percentile seed: TileFactor = BufferWords / quantile.
 	qTile := 0.0
 	for _, ref := range r.Expr.Inputs() {
@@ -242,6 +307,7 @@ func (r *Result) growRiskOracle(ctx context.Context, pred *model.Predictor, upId
 	}
 
 	fits := func(cfg model.Config) (bool, error) {
+		*checks++
 		for _, ref := range r.Expr.Inputs() {
 			sh, err := pred.EvalRef(ref, cfg)
 			if err != nil {

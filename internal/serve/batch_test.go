@@ -193,6 +193,51 @@ func TestBatchBundleOncePerFrame(t *testing.T) {
 	}
 }
 
+// TestBatchShapeEvalsDerived checks that d2t2d prices grown tile shapes
+// from memoized ones: a cold batch of 16 Gustavson jobs over one bundle
+// (distinct buffers inside one Conservative band) evaluates from the
+// micro summary at most the RF sweep's distinct shapes, which every job
+// shares, and derives the rest (the Eq. 22 seeds and the doublings).
+func TestBatchShapeEvalsDerived(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	id := ingestGen(t, ts.URL, "C", 1<<20)
+	const base = 32
+	var jobs []map[string]any
+	for i := 0; i < 16; i++ {
+		jobs = append(jobs, map[string]any{
+			"kernel":      testKernel,
+			"inputs":      map[string]string{"A": id, "B": id},
+			"bufferWords": denseSquareWords(base, 2) + 97*i,
+		})
+	}
+	_, results := postBatch(t, ts.URL, jobs)
+	for i, r := range results {
+		if r.Error != "" || r.Cache != "miss" {
+			t.Fatalf("job %d: cache %q error %q", i, r.Cache, r.Error)
+		}
+	}
+	if got := s.Metric("stats_collect_total"); got != 1 {
+		t.Fatalf("stats_collect_total = %d, want one bundle", got)
+	}
+	// The sweep scales i up and k down by each default reorder factor
+	// from the square base: A(i,k) and B(k,j) take these shapes before
+	// snapping, which can only merge them.
+	scale := func(rf float64) int { return max(int(base*rf+0.5), 1) }
+	sweep := map[[2]int]bool{}
+	for _, rf := range []float64{0.25, 0.5, 1, 2, 4, 8} {
+		sweep[[2]int{scale(rf), scale(1 / rf)}] = true
+		sweep[[2]int{scale(1 / rf), base}] = true
+	}
+	micro, derived := s.Metric("shape_evals_micro"), s.Metric("shape_evals_derived")
+	t.Logf("%d shapes priced from the micro summary, %d derived", micro, derived)
+	if derived == 0 {
+		t.Fatal("no shape was derived from a memoized one")
+	}
+	if micro > int64(len(sweep)) {
+		t.Fatalf("%d shapes priced from the micro summary, want at most the sweep's %d", micro, len(sweep))
+	}
+}
+
 // TestBatchValidationAndPartialFailure covers the request surface: empty
 // and oversized batches refuse outright, a bad job fails in its own
 // result slot without sinking its batchmates, and duplicate jobs

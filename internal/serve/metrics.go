@@ -30,6 +30,8 @@ var counterNames = []string{
 	"artifact_disk_hits",
 	"artifact_misses",
 	"stats_collect_total",
+	"shape_evals_micro",
+	"shape_evals_derived",
 	"optimize_total",
 	"optimize_cache_hits",
 	"optimize_overbooked",

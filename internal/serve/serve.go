@@ -428,6 +428,7 @@ func (c *storeCache) LoadStats(ctx context.Context, key string) (*stats.Stats, b
 	if err != nil || a.Stats == nil {
 		return nil, false
 	}
+	a.Stats.ObserveShapeEvals(c.s.countShapeEval)
 	if !c.s.store.Seen(key) {
 		return a.Stats, true
 	}
@@ -472,8 +473,20 @@ func (jb *jobBundles) rekeep(st *Store) {
 	}
 }
 
+// countShapeEval is the observer every bundle the server hands out
+// carries: shape_evals_micro and shape_evals_derived count the shapes
+// priced on them by source (stats.Stats.ObserveShapeEvals).
+func (s *Server) countShapeEval(derived bool) {
+	if derived {
+		s.metrics.add("shape_evals_derived", 1)
+	} else {
+		s.metrics.add("shape_evals_micro", 1)
+	}
+}
+
 func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_collect_total", 1)
+	st.ObserveShapeEvals(c.s.countShapeEval)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
 
@@ -488,6 +501,7 @@ func (c *storeCache) StorePartial(ctx context.Context, key string, p *stats.Part
 
 func (c *storeCache) StoreMergedStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_merge_total", 1)
+	st.ObserveShapeEvals(c.s.countShapeEval)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
 

@@ -63,21 +63,34 @@ func BenchmarkCorrsFinalize(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalShape measures one unmemoized shape evaluation — the
-// micro-key group-by — on a 2048² power-law matrix at MicroDiv 8, for a
-// square and a skewed shape.
+// BenchmarkEvalShape measures one unmemoized shape evaluation on a
+// 2048² power-law matrix at MicroDiv 8: the micro-key group-by at a
+// square and a skewed shape, and the same shapes' coarsenings derived
+// from them once they are memoized.
 func BenchmarkEvalShape(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m := gen.PowerLawGraph(r, 2048, 200_000, 1.7)
-	s, _, err := Collect(m, []int{64, 64}, []int{0, 1}, &Options{MicroDiv: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shape := range [][]int{{64, 64}, {16, 256}} {
-		b.Run(fmt.Sprintf("shape=%dx%d", shape[0], shape[1]), func(b *testing.B) {
+	for _, c := range []struct{ parent, shape []int }{
+		{nil, []int{64, 64}},
+		{nil, []int{16, 256}},
+		{[]int{64, 64}, []int{128, 128}},
+		{[]int{16, 256}, []int{32, 512}},
+	} {
+		s, _, err := Collect(m, []int{64, 64}, []int{0, 1}, &Options{MicroDiv: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("micro/shape=%dx%d", c.shape[0], c.shape[1])
+		if c.parent != nil {
+			if _, err := s.EvalShape(c.parent); err != nil {
+				b.Fatal(err)
+			}
+			name = fmt.Sprintf("derived/shape=%dx%d", c.shape[0], c.shape[1])
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if sh, err := s.evalShape(shape); err != nil || sh.NumTiles == 0 {
+				if sh, err := s.evalShape(c.shape); err != nil || sh.NumTiles == 0 {
 					b.Fatalf("evalShape: %v", err)
 				}
 			}

@@ -77,7 +77,7 @@ func (sh *ShapeStats) heapBytes() int64 {
 	return alloc(shapeBytes) + memoMapBytes +
 		alloc(8*cap(sh.TileDims)) + alloc(8*cap(sh.OuterDims)) + alloc(8*cap(sh.Marginal)) +
 		alloc(8*cap(sh.Occupied)) + alloc(8*cap(sh.PrefixOccupied)) + alloc(8*cap(sh.Order)) +
-		alloc(4*cap(sh.GroupOuter)) + alloc(8*cap(sh.GroupFP))
+		alloc(4*cap(sh.GroupOuter)) + alloc(8*cap(sh.GroupFP)) + alloc(8*cap(sh.fp))
 }
 
 // heapBytes bounds the heap a kept projection over shared axes

@@ -748,7 +748,7 @@ func (p *Partial) finalize(workers int) (*Stats, error) {
 	if microFP > 0 && totalFP > 0 {
 		fpScale = float64(totalFP) / float64(microFP)
 	}
-	s.micro = &microSummary{
+	s.micro = (&microSummary{
 		dims:      s.Dims,
 		microDims: append([]int(nil), p.MicroDims...),
 		outerDims: microOuter,
@@ -756,7 +756,7 @@ func (p *Partial) finalize(workers int) (*Stats, error) {
 		nnz:       p.MicroNNZ,
 		footprint: p.MicroFP,
 		fpScale:   fpScale,
-	}
+	}).withTotals()
 	return s, nil
 }
 

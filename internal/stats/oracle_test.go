@@ -323,7 +323,7 @@ func buildMicroSummary(ctx context.Context, t *tensor.COO, tt *tiling.TiledTenso
 	if estBase > 0 && tt.TotalFootprint > 0 {
 		ms.fpScale = float64(tt.TotalFootprint) / float64(estBase)
 	}
-	return ms, nil
+	return ms.withTotals(), nil
 }
 
 // values returns the sketch contents sorted ascending (duplicates

@@ -138,7 +138,7 @@ func FromPortable(p *Portable) (*Stats, error) {
 				return nil, fmt.Errorf("stats: portable micro dimension %d on axis %d", m.MicroDims[a], a)
 			}
 		}
-		s.micro = &microSummary{
+		s.micro = (&microSummary{
 			dims:      m.Dims,
 			microDims: m.MicroDims,
 			outerDims: m.OuterDims,
@@ -146,7 +146,7 @@ func FromPortable(p *Portable) (*Stats, error) {
 			nnz:       m.NNZ,
 			footprint: m.Footprint,
 			fpScale:   m.FPScale,
-		}
+		}).withTotals()
 	}
 	return s, nil
 }

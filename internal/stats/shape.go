@@ -31,6 +31,21 @@ type microSummary struct {
 	// retiled CSF's footprint. The scale is fit once against the exact
 	// base tiling and applied to every candidate shape.
 	fpScale float64
+	// totalNNZ and totalFP sum nnz and footprint over every micro tile:
+	// every tile shape partitions the same members, so these are its
+	// totals too, summed once per summary (withTotals).
+	totalNNZ, totalFP int
+}
+
+// withTotals sums ms's totals and returns ms. Every constructor of a
+// summary calls it once its columns are set.
+func (ms *microSummary) withTotals() *microSummary {
+	ms.totalNNZ, ms.totalFP = 0, 0
+	for i := range ms.nnz {
+		ms.totalNNZ += int(ms.nnz[i])
+		ms.totalFP += int(ms.footprint[i])
+	}
+	return ms
 }
 
 // ShapeStats summarizes the tensor's occupancy under one candidate tile
@@ -74,6 +89,12 @@ type ShapeStats struct {
 	// under-predicts (the calibrated estimate can sit below a tile's
 	// real footprint at shapes far from the statistics frame).
 	FPScale float64
+
+	// fp holds each tile's uncalibrated member-sum footprint, in GroupFP's
+	// order: the exact integers GroupFP, MaxTile, MaxTileBound and
+	// SizeTile are derived from, and what a coarser shape sums when it is
+	// evaluated from this one (Stats.evalShape).
+	fp []int
 
 	// projs memoizes Project per (shared, extras) axis-set pair; the
 	// shape is shared through the bundle's shape memo, so every
@@ -300,16 +321,28 @@ func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 	})
 }
 
-// evalShape is EvalShape without the memo.
+// ObserveShapeEvals has f called once per shape EvalShape evaluates on
+// the bundle (memo hits excluded), with derived reporting whether the
+// shape was coarsened from a memoized shape rather than from the micro
+// summary. A later call replaces f.
+func (s *Stats) ObserveShapeEvals(f func(derived bool)) {
+	s.evalObserver.Store(&f)
+}
+
+// evalShape is EvalShape without the memo: one coarsening group-by over
+// a source. The source is the cheapest exact one: the memoized shape
+// with the fewest tiles that refines tileDims (refiner), else the micro
+// summary, which refines every shape.
 //
-// It groups the micro keys by sorting instead of hashing: each micro key
-// decodes to its micro coordinates, which map to its tile's key in the
-// shape's outer grid (the same row-major layout, so ascending keys are
-// the tiles' lexicographic order), one radix sort brings each tile's
-// members together, and a run-length pass sums them. Tiles come out in
-// canonical key order with no hash map and no comparison sort. This is
-// the optimizer's hottest loop: EvalShape runs per (ref, candidate
-// shape) and ms.keys is the full micro-tile population.
+// The group-by sorts instead of hashing: each source entry maps to its
+// tile's key in the shape's outer grid (the same row-major layout, so
+// ascending keys are the tiles' lexicographic order), one radix sort
+// carrying the entry index brings each tile's members together, and a
+// run-length pass sums their footprints. Tiles come out in canonical key
+// order with no hash map and no comparison sort. Every footprint is an
+// integer member sum and the nnz and footprint totals are the
+// summary's, so the result is the same from either source. This is the
+// optimizer's hottest loop: EvalShape runs per (ref, candidate shape).
 func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	ms := s.micro
 	if ms == nil {
@@ -322,10 +355,9 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	if len(ms.keys) > math.MaxInt32 {
 		return nil, fmt.Errorf("stats: %d micro keys exceed the int32 entry index", len(ms.keys))
 	}
-	// factors[a] is the micro tiles per tile on axis a. A decoded micro
-	// grid must be the one its dims imply, within the tiler's per-axis
-	// cap: the occupancy tables below are sized by the grid.
-	factors := make([]uint64, n)
+	// A decoded micro grid must be the one its dims imply, within the
+	// tiler's per-axis cap: the occupancy tables below are sized by the
+	// grid.
 	for a, td := range tileDims {
 		if td < 1 {
 			return nil, fmt.Errorf("stats: tile dim %d on axis %d", td, a)
@@ -337,7 +369,6 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		if md := ms.microDims[a]; ms.outerDims[a] != (ms.dims[a]+md-1)/md || ms.outerDims[a] > tiling.MaxAxisTiles {
 			return nil, fmt.Errorf("stats: micro grid extent %d on axis %d for dim %d", ms.outerDims[a], a, ms.dims[a])
 		}
-		factors[a] = uint64(td / ms.microDims[a])
 	}
 
 	out := &ShapeStats{
@@ -359,24 +390,52 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	}
 	grid, _ := radix.NewCodec(out.OuterDims)
 
-	// Outer key per micro entry, then one stable radix sort carrying the
-	// entry index.
-	keys := make([]uint64, len(ms.keys))
-	idx := make([]int32, len(ms.keys))
-	size := micro.Size()
-	for i, k := range ms.keys {
-		if k >= size {
-			return nil, fmt.Errorf("stats: micro key %d outside the %v grid", k, ms.outerDims)
+	// Outer key per source entry, then the footprint sum of each run of
+	// equal keys. factors[a] is the source cells per tile on axis a.
+	factors := make([]uint64, n)
+	var keys []uint64
+	var fp []int
+	src := s.refiner(out)
+	if src == nil {
+		for a, td := range tileDims {
+			factors[a] = uint64(td / ms.microDims[a])
 		}
-		keys[i] = micro.Coarsen(k, factors, grid)
-		idx[i] = int32(i)
+		keys = make([]uint64, len(ms.keys))
+		size := micro.Size()
+		for i, k := range ms.keys {
+			if k >= size {
+				return nil, fmt.Errorf("stats: micro key %d outside the %v grid", k, ms.outerDims)
+			}
+			keys[i] = micro.Coarsen(k, factors, grid)
+		}
+		keys, fp = groupSums(keys, ms.footprint)
+	} else {
+		for a, td := range tileDims {
+			if td%src.TileDims[a] == 0 {
+				factors[a] = uint64(td / src.TileDims[a])
+			} else {
+				factors[a] = uint64(src.OuterDims[a]) // the tile spans the axis
+			}
+		}
+		keys = make([]uint64, len(src.fp))
+		c := make([]int, n)
+		for t := range keys {
+			for a, v := range src.TileOuter(t) {
+				c[a] = int(uint64(v) / factors[a])
+			}
+			keys[t], _ = grid.Encode(c)
+		}
+		keys, fp = groupSums(keys, src.fp)
 	}
-	keys, idx = radix.Sort(keys, make([]uint64, len(keys)), idx, make([]int32, len(idx)))
+	if h := s.evalObserver.Load(); h != nil {
+		(*h)(src != nil)
+	}
 
-	tiles := countRuns(keys)
+	tiles := len(keys)
 	mc := make([]int, n)
 	out.NumTiles = tiles
 	out.FPScale = ms.fpScale
+	out.fp = fp
 	out.GroupOuter = make([]int32, tiles*n)
 	out.GroupFP = make([]float64, tiles)
 	occTotal := 0
@@ -389,19 +448,9 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		axisOcc[a] = occBack[off : off+out.OuterDims[a] : off+out.OuterDims[a]]
 		off += out.OuterDims[a]
 	}
-	totalFP, totalNNZ := 0, 0
-	for i, t := 0, 0; i < len(keys); t++ {
-		k := keys[i]
-		keys[t] = k // keys[:tiles] becomes the tiles' keys
-		nnz, fp := 0, 0
-		for ; i < len(keys) && keys[i] == k; i++ {
-			nnz += int(ms.nnz[idx[i]])
-			fp += int(ms.footprint[idx[i]])
-		}
-		totalFP += fp
-		totalNNZ += nnz
-		out.MaxTile = max(out.MaxTile, fp)
-		out.GroupFP[t] = float64(fp)
+	for t, k := range keys {
+		out.MaxTileBound = max(out.MaxTileBound, fp[t])
+		out.GroupFP[t] = ms.fpScale * float64(fp[t])
 		oc := out.TileOuter(t)
 		grid.Decode(mc, k)
 		for a, c := range mc {
@@ -424,21 +473,17 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 	out.Order = append([]int(nil), s.Order...)
 	out.PrefixOccupied = make([]int, n)
 	if n > 2 {
-		out.PrefixOccupied = prefixCounts(grid, s.Order, keys[:tiles])
+		out.PrefixOccupied = prefixCounts(grid, s.Order, keys)
 	} else if n > 0 {
 		out.PrefixOccupied[0] = out.Occupied[s.Order[0]]
 		out.PrefixOccupied[n-1] = tiles
 	}
 
 	if out.NumTiles > 0 {
-		out.MaxTileBound = out.MaxTile
-		out.SizeTile = ms.fpScale * float64(totalFP) / float64(out.NumTiles)
-		out.MaxTile = int(ms.fpScale * float64(out.MaxTile))
-		out.MeanNNZ = float64(totalNNZ) / float64(out.NumTiles)
+		out.SizeTile = ms.fpScale * float64(ms.totalFP) / float64(out.NumTiles)
+		out.MaxTile = int(ms.fpScale * float64(out.MaxTileBound))
+		out.MeanNNZ = float64(ms.totalNNZ) / float64(out.NumTiles)
 		out.Density = out.MeanNNZ / area
-		for i := range out.GroupFP {
-			out.GroupFP[i] *= ms.fpScale
-		}
 	}
 	domain := 1.0
 	for _, d := range out.OuterDims {
@@ -453,6 +498,51 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 		}
 	}
 	return out, nil
+}
+
+// refiner returns the memoized shape with the fewest tiles whose grid
+// refines sh's, or nil when none does. A shape refines sh when, on every
+// axis, sh's tile dim is a multiple of its tile dim or sh's one tile
+// spans the axis: each of its tiles then lies inside one of sh's. Which
+// of several equally small shapes wins does not matter, as every source
+// gives the same integers.
+func (s *Stats) refiner(sh *ShapeStats) *ShapeStats {
+	var best *ShapeStats
+	s.shapes.Range(func(src *ShapeStats) {
+		if best != nil && src.NumTiles >= best.NumTiles {
+			return
+		}
+		for a, td := range sh.TileDims {
+			if td%src.TileDims[a] != 0 && sh.OuterDims[a] != 1 {
+				return
+			}
+		}
+		best = src
+	})
+	return best
+}
+
+// groupSums sorts keys, entry i's key, and folds each run of equal keys
+// into one key and the sum of w over the run's entries. It reuses keys'
+// storage. The sort is one stable radix sort carrying the entry index.
+func groupSums[W int32 | int](keys []uint64, w []W) ([]uint64, []int) {
+	idx := make([]int32, len(keys))
+	for i := range idx {
+		idx[i] = checked.Int32(i)
+	}
+	keys, idx = radix.Sort(keys, make([]uint64, len(keys)), idx, make([]int32, len(idx)))
+	sums := make([]int, 0, countRuns(keys))
+	t := 0
+	for i := 0; i < len(keys); t++ {
+		k := keys[i]
+		keys[t] = k
+		sum := 0
+		for ; i < len(keys) && keys[i] == k; i++ {
+			sum += int(w[idx[i]])
+		}
+		sums = append(sums, sum)
+	}
+	return keys[:t], sums
 }
 
 // countRuns returns the number of distinct values in ascending keys.

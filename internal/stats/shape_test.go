@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"d2t2/internal/checked"
@@ -101,6 +103,7 @@ func (s *Stats) evalShapeMap(tileDims []int) (*ShapeStats, error) {
 	sort.Slice(perm, func(x, y int) bool { return slices.Compare(gtuples[perm[x]], gtuples[perm[y]]) < 0 })
 	out.GroupOuter = make([]int32, 0, n*len(aggs))
 	out.GroupFP = make([]float64, 0, len(aggs))
+	out.fp = make([]int, 0, len(aggs))
 	totalFP, totalNNZ := 0, 0
 	for _, pi := range perm {
 		g := aggs[pi]
@@ -113,6 +116,7 @@ func (s *Stats) evalShapeMap(tileDims []int) (*ShapeStats, error) {
 			out.GroupOuter = append(out.GroupOuter, checked.Int32(v))
 		}
 		out.GroupFP = append(out.GroupFP, float64(g.fp))
+		out.fp = append(out.fp, g.fp)
 	}
 	if out.NumTiles > 0 {
 		out.MaxTileBound = out.MaxTile
@@ -147,6 +151,14 @@ func checkShapeOracle(t *testing.T, s *Stats, shape []int) {
 	if err != nil {
 		t.Fatalf("shape %v: %v", shape, err)
 	}
+	checkAgainstOracle(t, s, shape, got)
+}
+
+// checkAgainstOracle fails unless got deep-equals the map oracle's
+// evaluation of shape: every exported field, and the integer footprint
+// column against the oracle's member sums.
+func checkAgainstOracle(t testing.TB, s *Stats, shape []int, got *ShapeStats) {
+	t.Helper()
 	want, err := s.evalShapeMap(shape)
 	if err != nil {
 		t.Fatalf("shape %v: oracle: %v", shape, err)
@@ -197,6 +209,71 @@ func TestEvalShapeMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestEvalShapeDeriveConcurrent prices overlapping sets of nested and
+// non-nested shapes on one bundle from many goroutines, so shapes are
+// derived from whichever refining shapes happen to have landed: every
+// result must deep-equal the map oracle, and some must be derived.
+func TestEvalShapeDeriveConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	tensors := []struct {
+		m     *tensor.COO
+		base  []int
+		order []int
+	}{
+		{gen.PowerLawGraph(r, 400, 6000, 1.6), []int{32, 32}, []int{1, 0}},
+		{gen.RandomTensor3(r, 48, 40, 56, 3000, [3]float64{0.5, 0, 1}), []int{8, 8, 8}, []int{2, 0, 1}},
+	}
+	for _, tc := range tensors {
+		s, _, err := Collect(tc.m, tc.base, tc.order, &Options{MicroDiv: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		micro := s.MicroDims()
+		var shapes [][]int
+		for i := 0; i < 40; i++ {
+			shape := make([]int, len(micro))
+			for a, md := range micro {
+				shape[a] = md * []int{1, 2, 3, 4, 6, 8, 12, 16, 64, 1 << 10}[r.Intn(10)]
+			}
+			shapes = append(shapes, shape)
+		}
+		want := make([]*ShapeStats, len(shapes))
+		for i, shape := range shapes {
+			if want[i], err = s.evalShapeMap(shape); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var derived atomic.Int64
+		s.ObserveShapeEvals(func(d bool) {
+			if d {
+				derived.Add(1)
+			}
+		})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(shapes)) {
+					got, err := s.EvalShape(shapes[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("shape %v: concurrent evaluation differs from the map oracle", shapes[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if derived.Load() == 0 {
+			t.Fatalf("order-%d tensor: no shape was derived from a memoized one", len(micro))
+		}
+	}
+}
+
 // random4 draws nnz uniform entries (duplicates summed) of a
 // d0×d1×d2×d3 tensor.
 func random4(r *rand.Rand, d0, d1, d2, d3, nnz int) *tensor.COO {
@@ -209,12 +286,14 @@ func random4(r *rand.Rand, d0, d1, d2, d3, nnz int) *tensor.COO {
 }
 
 // FuzzEvalShape decodes a micro summary from the fuzz bytes and checks
-// the radix group-by against the map oracle. The first byte picks the
-// order (2 to 4) and level order, the next three bytes per axis the
-// micro grid extent, the micro dimension and the tile factor, one byte
-// the footprint scale; each later triple is one micro tile (its
-// coordinates from the first two bytes, nnz and footprint from the
-// third). Duplicate micro tiles keep the first.
+// the radix group-by against the map oracle, first from the micro
+// summary, then derived from a memoized parent shape that refines the
+// target. The first byte picks the order (2 to 4) and level order, the
+// next three bytes per axis the micro grid extent, the micro dimension
+// and the tile factor (its high part the parent's), one byte the
+// footprint scale; each later triple is one micro tile (its coordinates
+// from the first two bytes, nnz and footprint from the third). Duplicate
+// micro tiles keep the first.
 func FuzzEvalShape(f *testing.F) {
 	f.Add([]byte{0, 4, 2, 2, 3, 1, 1, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{5, 9, 1, 3, 7, 2, 1, 5, 4, 4, 16, 200, 17, 33, 90, 250, 11, 0, 0, 255, 128, 3})
@@ -241,6 +320,24 @@ func FuzzEvalShape(f *testing.F) {
 			ms.microDims[a] = 1 + int(data[3*a+1])%4
 			ms.dims[a] = ms.outerDims[a] * ms.microDims[a]
 			shape[a] = ms.microDims[a] * (1 + int(data[3*a+2])%10)
+		}
+		// The tile factor byte's high part picks a parent shape that
+		// refines the target: a divisor of the target's factor, or any
+		// factor on an axis the target covers with one tile.
+		parent := make([]int, n)
+		for a := 0; a < n; a++ {
+			f, pick := shape[a]/ms.microDims[a], int(data[3*a+2])/10
+			if shape[a] >= ms.dims[a] {
+				parent[a] = ms.microDims[a] * (1 + pick%10)
+				continue
+			}
+			var divs []int
+			for d := 1; d <= f; d++ {
+				if f%d == 0 {
+					divs = append(divs, d)
+				}
+			}
+			parent[a] = ms.microDims[a] * divs[pick%len(divs)]
 		}
 		ms.fpScale = 0.5 + float64(data[3*n])/128
 		data = data[3*n+1:]
@@ -276,6 +373,26 @@ func FuzzEvalShape(f *testing.F) {
 			sorted.nnz = append(sorted.nnz, ms.nnz[p])
 			sorted.footprint = append(sorted.footprint, ms.footprint[p])
 		}
-		checkShapeOracle(t, &Stats{Dims: ms.dims, Order: order, micro: sorted}, shape)
+		st := &Stats{Dims: ms.dims, Order: order, micro: sorted.withTotals()}
+		checkShapeOracle(t, st, shape)
+
+		// Price the parent, then the target from it.
+		if _, err := st.EvalShape(parent); err != nil {
+			t.Fatalf("parent %v: %v", parent, err)
+		}
+		derived := 0
+		st.ObserveShapeEvals(func(d bool) {
+			if d {
+				derived++
+			}
+		})
+		got, err := st.EvalShape(shape)
+		if err != nil {
+			t.Fatalf("shape %v from parent %v: %v", shape, parent, err)
+		}
+		if want := 1; !slices.Equal(parent, shape) && derived != want {
+			t.Fatalf("shape %v from parent %v: %d derived evaluations, want %d", shape, parent, derived, want)
+		}
+		checkAgainstOracle(t, st, shape, got)
 	})
 }

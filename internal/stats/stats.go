@@ -151,6 +151,8 @@ type Stats struct {
 	// added when the memo keeps it. The kept shapes' projection memos
 	// keep accounts of their own (ShapeStats.projBytes).
 	memoBytes atomic.Int64
+	// evalObserver is told of each shape evaluation (ObserveShapeEvals).
+	evalObserver atomic.Pointer[func(derived bool)]
 }
 
 // PTileBase returns the product of PrTileIdx over all outer levels: the
