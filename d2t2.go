@@ -33,6 +33,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"d2t2/internal/accel"
@@ -427,6 +430,50 @@ func (p *Plan) MeasureCtx(ctx context.Context) (*TrafficReport, error) {
 		return nil, err
 	}
 	return newReport(&res.Traffic), nil
+}
+
+// MeasureKey names the plan's measurement by exactly what MeasureCtx
+// reads: the kernel (its loop order included), each operand's name and
+// content address, the chosen Config and — for an overbooked plan only —
+// the buffer model it measures under. The measured traffic is a pure
+// function of the key, so plans with equal keys measure identical
+// reports whatever buffer or worker count chose them, and a caller may
+// measure each key once. A tensor that changes gets a new content
+// address, and so a new key.
+func (p *Plan) MeasureKey() (string, error) {
+	var b strings.Builder
+	b.WriteString(p.kernel.String())
+	orders := p.kernel.InputOrders()
+	names := make([]string, 0, len(orders))
+	for name := range orders {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t := p.inputs[name]
+		if t == nil {
+			return "", fmt.Errorf("d2t2: missing input %q", name)
+		}
+		id, err := t.contentID()
+		if err != nil {
+			return "", err
+		}
+		b.WriteString("\n" + name + "=" + id)
+	}
+	ixs := make([]string, 0, len(p.Config))
+	for ix := range p.Config {
+		ixs = append(ixs, ix)
+	}
+	sort.Strings(ixs)
+	b.WriteString("\nconfig")
+	for _, ix := range ixs {
+		b.WriteString(" " + ix + "=" + strconv.Itoa(p.Config[ix]))
+	}
+	if p.Risk != nil && p.Risk.OverflowTarget > 0 {
+		b.WriteString("\nbuffer=" + strconv.Itoa(p.bufferWords) +
+			" overflowExtra=" + strconv.FormatFloat(p.Risk.OverflowExtra, 'g', -1, 64))
+	}
+	return b.String(), nil
 }
 
 // Execute runs the kernel and returns the result tensor along with the

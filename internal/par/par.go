@@ -3,12 +3,12 @@
 // collector and the optimizer's shape sweep. Its contract is the one the
 // pipeline's determinism gate enforces: for any worker count, results
 // are delivered in item order, the first error (by item index, not by
-// wall clock) wins, and worker panics surface as errors rather than
-// crashing sibling goroutines mid-merge. Every goroutine is joined
-// before a call returns — no launch here outlives its caller (the
-// goroutinehygiene analyzer checks the join signals). Memo (memo.go) is
-// the single-flight memo the search's shape, projection and prediction
-// caches share.
+// wall clock; an item's own error before a context error) wins, and
+// worker panics surface as errors rather than crashing sibling
+// goroutines mid-merge. Every goroutine is joined before a call returns
+// — no launch here outlives its caller (the goroutinehygiene analyzer
+// checks the join signals). Memo (memo.go) is the single-flight memo the
+// search's shape, projection and prediction caches share.
 //
 // Two closure contracts are machine-checked by cmd/d2t2vet: the
 // reductionorder analyzer flags schedule-dependent writes to captured
@@ -20,6 +20,7 @@ package par
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -60,13 +61,15 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // consults ctx.Err() before claiming the next index, so a cancelled or
 // deadline-expired context stops the fan-out at the next item boundary
 // instead of running the remaining items to completion. The item a
-// worker observed the cancellation at records ctx.Err() as its error and
-// competes for lowest-index like any other failure — so a cancelled call
-// returns the context's error (wrapped results must test with
-// errors.Is). Items that completed before the cancellation keep their
-// outcomes; in-flight items are never interrupted mid-fn. With a
-// never-cancelled context the semantics — and the results written by fn
-// — are exactly ForEach's, byte-identical at any worker count.
+// worker observed the cancellation at records ctx.Err() as its error —
+// so a cancelled call returns the context's error (wrapped results must
+// test with errors.Is) — but any item's own error outranks a context
+// error at any index: an item that cancels the context and fails is
+// the root cause the caller sees. Items that completed before the
+// cancellation keep their outcomes; in-flight items are never
+// interrupted mid-fn. With a never-cancelled context the semantics —
+// and the results written by fn — are exactly ForEach's, byte-identical
+// at any worker count.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return forEachScratchCtx(ctx, workers, n, nopScratch, func(i int, _ struct{}) error {
 		return fn(i)
@@ -106,8 +109,8 @@ func ForEachScratchCtx[S any](ctx context.Context, workers, n int, newScratch fu
 
 // forEachScratchCtx is the shared fan-out core: ForEachCtx is the S =
 // struct{} instantiation, so the semantics documented there (lowest-index
-// error wins, panics captured per item, ctx checked before each claim)
-// hold for every variant by construction.
+// item error wins over any context error, panics captured per item, ctx
+// checked before each claim) hold for every variant by construction.
 func forEachScratchCtx[S any](ctx context.Context, workers, n int, newScratch func() S, fn func(i int, scratch S) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -165,12 +168,29 @@ func forEachScratchCtx[S any](ctx context.Context, workers, n int, newScratch fu
 		}()
 	}
 	wg.Wait()
+	return firstError(errs)
+}
+
+// firstError is the fan-out's verdict over its per-index errors: the
+// lowest-index item error, else the lowest-index context error. A
+// cancellation an item error caused can land at a lower index than the
+// item — a worker that claimed it before the cancel and stalled records
+// ctx.Err() there, or its fn returns it — so a context error must not
+// outrank the root cause.
+func firstError(errs []error) error {
+	var ctxErr error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			if ctxErr == nil {
+				ctxErr = err
+			}
+		default:
 			return err
 		}
 	}
-	return nil
+	return ctxErr
 }
 
 // runItem invokes fn(i, scratch), converting a panic into a *PanicError.

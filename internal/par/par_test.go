@@ -136,16 +136,39 @@ func TestForEachCtxPreCancelledRunsNothing(t *testing.T) {
 }
 
 // TestForEachCtxFnErrorBeatsCancellation pins the interaction of the
-// lowest-index-wins rule with cancellation: a worker records ctx.Err()
-// at the index it claimed, and the claim counter is monotonic, so every
-// cancellation triggered BY an item error lands at a higher index than
-// the error itself — callers always see the root cause, never the
-// secondary context error.
+// lowest-index-wins rule with cancellation: an item error outranks the
+// context errors its cancellation leaves at other indices, so callers
+// always see the root cause, never the secondary context error.
 func TestForEachCtxFnErrorBeatsCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		ctx, cancel := context.WithCancel(context.Background())
 		err := ForEachCtx(ctx, workers, 256, func(i int) error {
 			if i == 3 {
+				cancel()
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		cancel()
+		if err == nil || err.Error() != "item 3" {
+			t.Fatalf("workers=%d: want \"item 3\", got %v", workers, err)
+		}
+	}
+}
+
+// TestForEachCtxStalledLowIndexCancellation pins the schedule the test
+// above hits only by chance: item 0 is in flight when item 3 fails and
+// cancels, and returns the context's error. The context error sits at
+// the lower index, and the caller must still get item 3's error.
+func TestForEachCtxStalledLowIndexCancellation(t *testing.T) {
+	for _, workers := range []int{2, 4, 16} {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := ForEachCtx(ctx, workers, 8, func(i int) error {
+			switch i {
+			case 0:
+				<-ctx.Done()
+				return ctx.Err()
+			case 3:
 				cancel()
 				return fmt.Errorf("item %d", i)
 			}

@@ -171,18 +171,47 @@ func (s *Server) planResponse(ctx context.Context, kernel string, plan *d2t2.Pla
 		s.metrics.add("calibration_runs", 1)
 	}
 	if measure {
-		report, err := plan.MeasureCtx(ctx)
+		m, err := s.measure(ctx, plan)
 		if err != nil {
 			return nil, err
 		}
-		mb := report.TotalMB()
-		resp.MeasuredMB = &mb
+		resp.MeasuredMB = &m.totalMB
 		if resp.Risk != nil {
-			rate := report.OverflowRate()
-			resp.Risk.MeasuredOverflowRate = &rate
+			resp.Risk.MeasuredOverflowRate = &m.overflowRate
 		}
 	}
 	return resp, nil
+}
+
+// measurement is the measurement rung's value: what a response reads
+// of one plan's measured traffic.
+type measurement struct{ totalMB, overflowRate float64 }
+
+// measure is the measurement rung: a plan's measured traffic is pure in
+// its MeasureKey, so it runs once per key while the value-only entry
+// "measure\n"+key stays resident (charged like a raw-rung entry, never a
+// content address, evicted by the same LRU). Requests at different
+// buffers that choose one config share it; a new tensor version has a
+// new address, so it can never hit a stale entry.
+func (s *Server) measure(ctx context.Context, plan *d2t2.Plan) (measurement, error) {
+	key, err := plan.MeasureKey()
+	if err != nil {
+		return measurement{}, err
+	}
+	key = "measure\n" + key
+	v, _ := s.store.Value(key)
+	if m, ok := v.(measurement); ok {
+		s.metrics.add("measure_memo_hits", 1)
+		return m, nil
+	}
+	report, err := plan.MeasureCtx(ctx)
+	if err != nil {
+		return measurement{}, err
+	}
+	s.metrics.add("measure_runs", 1)
+	m := measurement{totalMB: report.TotalMB(), overflowRate: report.OverflowRate()}
+	s.store.Keep(key, nil, m, int64(len(key))+16) // the key and two float64s
+	return m, nil
 }
 
 // single is the single-request ladder of one endpoint: the raw rung

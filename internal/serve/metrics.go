@@ -36,6 +36,8 @@ var counterNames = []string{
 	"optimize_cache_hits",
 	"optimize_overbooked",
 	"calibration_runs",
+	"measure_runs",
+	"measure_memo_hits",
 	"predict_total",
 	"predict_cache_hits",
 	"stats_queries_total",

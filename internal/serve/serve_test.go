@@ -542,7 +542,7 @@ func TestHealthzAndVars(t *testing.T) {
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, body)
 	}
-	for _, name := range []string{"ingest_total", "stats_collect_total", "optimize_cache_hits", "bytes_served"} {
+	for _, name := range []string{"ingest_total", "stats_collect_total", "optimize_cache_hits", "bytes_served", "measure_runs", "measure_memo_hits"} {
 		if _, ok := vars.D2t2d[name]; !ok {
 			t.Errorf("counter %q missing from /debug/vars", name)
 		}

@@ -76,34 +76,36 @@ type Artifact struct {
 // EncodeBytes serializes the artifact into a buffer of exactly its
 // length: stores charge an artifact at len(bytes), so spare capacity
 // would be heap that no budget counts.
+//
+// Every section but TILE is sized from its fields' lengths and encoded
+// in place, so the buffer is allocated once and no payload is copied.
 func EncodeBytes(a *Artifact) ([]byte, error) {
-	type section struct {
-		tag     string
-		payload []byte
-	}
-	var sections []section
+	var tiled []byte
 	if a.Tiled != nil {
-		payload, err := encodeTiled(a.Tiled)
-		if err != nil {
+		var err error
+		if tiled, err = encodeTiled(a.Tiled); err != nil {
 			return nil, err
 		}
-		sections = append(sections, section{tagTiled, payload})
 	}
+	var sp *stats.Portable
 	if a.Stats != nil {
-		sections = append(sections, section{tagStats, encodeStats(a.Stats)})
-	}
-	if a.Partial != nil {
-		sections = append(sections, section{tagPartial, encodePartial(a.Partial)})
-	}
-	if a.Response != nil {
-		sections = append(sections, section{tagResponse, a.Response})
+		sp = a.Stats.Portable()
 	}
 	size := len(Magic) + 4
 	if a.Tensor != nil {
-		size += len(tagTensor) + 12 + tensorSize(a.Tensor)
+		size += sectionOverhead + tensorSize(a.Tensor)
 	}
-	for _, sec := range sections {
-		size += len(sec.tag) + 12 + len(sec.payload) // tag, length, payload, CRC
+	if tiled != nil {
+		size += sectionOverhead + len(tiled)
+	}
+	if sp != nil {
+		size += sectionOverhead + statsSize(sp)
+	}
+	if a.Partial != nil {
+		size += sectionOverhead + partialSize(a.Partial)
+	}
+	if a.Response != nil {
+		size += sectionOverhead + len(a.Response)
 	}
 	buf := appendHeader(make([]byte, 0, size))
 	if a.Tensor != nil {
@@ -112,8 +114,17 @@ func EncodeBytes(a *Artifact) ([]byte, error) {
 			return nil, err
 		}
 	}
-	for _, sec := range sections {
-		buf = appendSection(buf, sec.tag, sec.payload)
+	if tiled != nil {
+		buf = appendSection(buf, tagTiled, tiled)
+	}
+	if sp != nil {
+		buf, _ = appendFramed(buf, tagStats, func(b []byte) []byte { return appendStats(b, sp) })
+	}
+	if a.Partial != nil {
+		buf, _ = appendFramed(buf, tagPartial, func(b []byte) []byte { return appendPartial(b, a.Partial) })
+	}
+	if a.Response != nil {
+		buf = appendSection(buf, tagResponse, a.Response)
 	}
 	return buf, nil
 }
@@ -200,12 +211,32 @@ func appendHeader(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint16(buf, 0)
 }
 
+// sectionOverhead is what a section frames beyond its payload: the tag,
+// the payload length and the CRC.
+const sectionOverhead = 4 + 8 + 4
+
 func appendSection(buf []byte, tag string, payload []byte) []byte {
-	buf = append(buf, tag...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	buf, _ = appendFramed(buf, tag, func(b []byte) []byte { return append(b, payload...) })
+	return buf
 }
+
+// appendFramed appends one section to buf, its payload written in place
+// by appendPayload, and returns where the payload starts.
+func appendFramed(buf []byte, tag string, appendPayload func([]byte) []byte) ([]byte, int) {
+	buf = append(buf, tag...)
+	start := len(buf) + 8
+	buf = appendPayload(binary.LittleEndian.AppendUint64(buf, 0))
+	payload := buf[start:]
+	binary.LittleEndian.PutUint64(buf[start-8:], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), start
+}
+
+// Encoded lengths of the wire package's length-prefixed slices: a u64
+// count, then n elements of 8 (Ints, U64s, F64s), 4 (I32s) or 1 (Bools)
+// bytes.
+func size8(n int) int { return 8 + 8*n }
+func size4(n int) int { return 8 + 4*n }
+func size1(n int) int { return 8 + n }
 
 // maxCodecOrder bounds the tensor order accepted by decoders, matching
 // the formats codec.
@@ -213,36 +244,35 @@ const maxCodecOrder = 16
 
 // --- TENS ---------------------------------------------------------------
 
-// appendTensor appends t's TENS payload to b, growing b once to fit it
-// and extra more bytes.
-func appendTensor(b []byte, t *tensor.COO, extra int) ([]byte, error) {
-	n := t.Order()
-	if n < 1 || n > maxCodecOrder {
-		return nil, fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, maxCodecOrder)
+// checkTensorOrder rejects a tensor whose order the codec cannot frame.
+func checkTensorOrder(t *tensor.COO) error {
+	if n := t.Order(); n < 1 || n > maxCodecOrder {
+		return fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, maxCodecOrder)
 	}
-	b = slices.Grow(b, tensorSize(t)+extra)
+	return nil
+}
+
+// appendTensor appends t's TENS payload to b.
+func appendTensor(b []byte, t *tensor.COO) []byte {
 	b = wire.AppendInts(b, t.Dims)
-	for a := 0; a < n; a++ {
+	for a := 0; a < t.Order(); a++ {
 		b = wire.AppendInts(b, t.Crds[a])
 	}
-	return wire.AppendF64s(b, t.Vals), nil
+	return wire.AppendF64s(b, t.Vals)
 }
 
 // tensorSize is the length of t's TENS payload.
 func tensorSize(t *tensor.COO) int { return 8 * (2 + 2*t.Order() + (t.Order()+1)*t.NNZ()) }
 
-// appendTensorSection appends t's TENS section to buf with the payload
-// encoded in place, and returns where the payload starts.
+// appendTensorSection appends t's TENS section to buf, growing buf once
+// to fit it, and returns where the payload starts.
 func appendTensorSection(buf []byte, t *tensor.COO) ([]byte, int, error) {
-	buf = append(buf, tagTensor...)
-	start := len(buf) + 8
-	buf, err := appendTensor(binary.LittleEndian.AppendUint64(buf, 0), t, 4)
-	if err != nil {
+	if err := checkTensorOrder(t); err != nil {
 		return nil, 0, err
 	}
-	payload := buf[start:]
-	binary.LittleEndian.PutUint64(buf[start-8:], uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), start, nil
+	buf, start := appendFramed(slices.Grow(buf, sectionOverhead+tensorSize(t)), tagTensor,
+		func(b []byte) []byte { return appendTensor(b, t) })
+	return buf, start, nil
 }
 
 func decodeTensor(payload []byte) (*tensor.COO, error) {
@@ -347,9 +377,47 @@ func decodeTiled(payload []byte) (*tiling.TiledTensor, error) {
 
 // --- STAT ---------------------------------------------------------------
 
-func encodeStats(s *stats.Stats) []byte {
-	p := s.Portable()
-	b := wire.AppendInts(nil, p.Dims)
+// statsSize is the length of p's STAT payload.
+func statsSize(p *stats.Portable) int {
+	n := size8(len(p.Dims)) + size8(len(p.BaseTileDims)) + size8(len(p.Order)) + 4*8 +
+		size8(len(p.PrTileIdx)) + size8(len(p.ProbIndex))
+	n += 8
+	for _, c := range p.Corrs {
+		n += 8 + size8(len(c))
+	}
+	n += 8
+	for _, tc := range p.TileCorrs {
+		n += size8(len(tc))
+	}
+	n++
+	if p.ElemCounts != nil {
+		n += 8
+		for _, ec := range p.ElemCounts {
+			n += size4(len(ec))
+		}
+	}
+	n++
+	if p.PairSketch != nil {
+		n += 8
+		for _, ps := range p.PairSketch {
+			n += size8(len(ps))
+		}
+	}
+	n += 8
+	for _, occ := range p.Occupancy {
+		n += size1(len(occ))
+	}
+	n++
+	if m := p.Micro; m != nil {
+		n += size8(len(m.Dims)) + size8(len(m.MicroDims)) + size8(len(m.OuterDims)) + size8(len(m.Keys)) +
+			size4(len(m.NNZ)) + size4(len(m.Footprint)) + 8
+	}
+	return n
+}
+
+// appendStats appends p's STAT payload to b.
+func appendStats(b []byte, p *stats.Portable) []byte {
+	b = wire.AppendInts(b, p.Dims)
 	b = wire.AppendInts(b, p.BaseTileDims)
 	b = wire.AppendInts(b, p.Order)
 	b = wire.AppendI64(b, int64(p.NNZ))
@@ -503,8 +571,38 @@ func decodeStats(payload []byte) (*stats.Stats, error) {
 
 // --- PART ---------------------------------------------------------------
 
-func encodePartial(p *stats.Partial) []byte {
-	b := wire.AppendInts(nil, p.Dims)
+// partialSize is the length of p's PART payload.
+func partialSize(p *stats.Partial) int {
+	n := size8(len(p.Dims)) + size8(len(p.TileDims)) + size8(len(p.Order)) + size8(len(p.MicroDims)) +
+		size8(len(p.CorrAxes)) + size8(len(p.CorrMaxShift)) + 8 + 8 + 1 + 8
+	n++
+	if p.ElemCounts != nil {
+		n += 8
+		for _, ec := range p.ElemCounts {
+			n += size4(len(ec))
+		}
+	}
+	n++
+	if p.Sketches != nil {
+		n += 8
+		for _, sk := range p.Sketches {
+			n += size8(len(sk))
+		}
+	}
+	n += 8
+	for i := range p.CorrOff {
+		n += size4(len(p.CorrOff[i])) + size8(len(p.CorrRest[i]))
+	}
+	n += size8(len(p.TileKeys)) + size4(len(p.TileNNZ)) + size4(len(p.TileFP)) + 8
+	for _, f := range p.TileFibers {
+		n += size4(len(f))
+	}
+	return n + size8(len(p.MicroKeys)) + size4(len(p.MicroNNZ)) + size4(len(p.MicroFP))
+}
+
+// appendPartial appends p's PART payload to b.
+func appendPartial(b []byte, p *stats.Partial) []byte {
+	b = wire.AppendInts(b, p.Dims)
 	b = wire.AppendInts(b, p.TileDims)
 	b = wire.AppendInts(b, p.Order)
 	b = wire.AppendInts(b, p.MicroDims)
@@ -642,11 +740,10 @@ func TensorID(t *tensor.COO) (string, error) {
 		t = t.Clone()
 		t.Dedup()
 	}
-	payload, err := appendTensor(nil, t, 0)
-	if err != nil {
+	if err := checkTensorOrder(t); err != nil {
 		return "", err
 	}
-	return contentID(payload), nil
+	return contentID(appendTensor(make([]byte, 0, tensorSize(t)), t)), nil
 }
 
 // TensorArtifact returns TensorID(t) and EncodeBytes(&Artifact{Tensor:

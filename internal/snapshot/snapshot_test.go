@@ -108,6 +108,14 @@ func TestEncodeSizedExactly(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes into a %d-byte buffer", name, len(b), cap(b))
 		}
 	}
+	// The in-place sections are sized from their fields alone.
+	sp := full.Stats.Portable()
+	if got, want := statsSize(sp), len(appendStats(nil, sp)); got != want {
+		t.Errorf("statsSize %d, STAT payload %d bytes", got, want)
+	}
+	if got, want := partialSize(p), len(appendPartial(nil, p)); got != want {
+		t.Errorf("partialSize %d, PART payload %d bytes", got, want)
+	}
 }
 
 // TestPrefixes checks the framing invariant: any strict prefix of a

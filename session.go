@@ -131,7 +131,11 @@ func (s *Session) CalibrationBias(k *Kernel, analytic bool) float64 {
 
 // TensorID returns the tensor's content address ("sha256:..." of the
 // canonical COO encoding), memoized on the tensor.
-func (s *Session) TensorID(t *Tensor) (string, error) {
+func (s *Session) TensorID(t *Tensor) (string, error) { return t.contentID() }
+
+// contentID is TensorID without a session: the address depends on the
+// tensor alone.
+func (t *Tensor) contentID() (string, error) {
 	if id := t.id.Load(); id != nil {
 		return *id, nil
 	}
