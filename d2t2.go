@@ -167,8 +167,16 @@ func (t *Tensor) COO() *tensor.COO { return t.coo }
 
 // FromCOO wraps coordinate storage decoded from a snapshot artifact as a
 // public Tensor. The storage is shared, not copied, and must not be
-// mutated afterwards.
-func FromCOO(c *tensor.COO) *Tensor { return &Tensor{coo: c} }
+// mutated afterwards. A non-empty id is the tensor's content address,
+// which the caller has already derived (snapshot.DecodeTensor,
+// snapshot.TensorArtifact), so TensorID does not encode the tensor again.
+func FromCOO(c *tensor.COO, id string) *Tensor {
+	t := &Tensor{coo: c}
+	if id != "" {
+		t.id.Store(&id)
+	}
+	return t
+}
 
 // Dataset synthesizes the named stand-in for one of the paper's
 // evaluation datasets (labels A..W of Table 2, or Table 5 names such as
@@ -343,22 +351,21 @@ func newPlan(res *optimizer.Result, k *Kernel, inputs Inputs, workers, bufferWor
 	}
 }
 
-// Optimize runs the D2T2 pipeline and returns the chosen plan.
+// Optimize runs the D2T2 pipeline and returns the chosen plan. It runs
+// on a fresh Session, so it takes the path d2t2d's optimizes take.
 func Optimize(k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
 	return OptimizeCtx(context.Background(), k, inputs, opts)
 }
 
 // OptimizeCtx is Optimize with cooperative cancellation: a cancelled or
 // deadline-expired ctx stops the pipeline at its next work-item
-// boundary (tile group, collection chunk, sweep candidate, growth
-// doubling) and returns the context's error. A never-cancelled ctx
-// yields exactly Optimize's byte-identical plan.
+// boundary (collection chunk, sweep candidate, growth doubling) and
+// returns the context's error. A never-cancelled ctx yields exactly
+// Optimize's byte-identical plan.
 func OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
-	res, err := optimizer.OptimizeCtx(ctx, k.expr, inputs.lower(), opts.lower())
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(res, k, inputs, opts.Workers, opts.BufferWords), nil
+	s := NewSession(nil)
+	s.Workers = opts.Workers
+	return s.OptimizeCtx(ctx, k, inputs, opts)
 }
 
 // OptimizeDataflow extends Optimize by also choosing the dataflow order:

@@ -64,7 +64,7 @@ func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Te
 	if err != nil {
 		return nil, nil, err
 	}
-	oldKey := snapshot.PartialKey(oldID, dims, order, sessionMicroDiv)
+	oldKey := snapshot.PartialKey(oldID, dims, order, stats.DefaultMicroDiv)
 	p, ok := s.cache.LoadPartial(ctx, oldKey)
 	if !ok {
 		if p, err = s.collect(ctx, t, dims, order); err != nil {
@@ -88,10 +88,9 @@ func (s *Session) DeltaCtx(ctx context.Context, t, delta *Tensor, tile int) (*Te
 	if err != nil {
 		return nil, nil, err
 	}
-	nt := FromCOO(concat)
-	nt.id.Store(&newID)
+	nt := FromCOO(concat, newID)
 	nt.artifact.Store(&artifact)
-	s.cache.StorePartial(ctx, snapshot.PartialKey(newID, dims, order, sessionMicroDiv), merged)
-	s.cache.StoreMergedStats(ctx, snapshot.StatsKey(newID, dims, order, sessionMicroDiv), st)
+	s.cache.StorePartial(ctx, snapshot.PartialKey(newID, dims, order, stats.DefaultMicroDiv), merged)
+	s.cache.StoreMergedStats(ctx, snapshot.StatsKey(newID, dims, order, stats.DefaultMicroDiv), st)
 	return nt, rep, nil
 }

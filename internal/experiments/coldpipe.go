@@ -10,11 +10,12 @@ import (
 )
 
 // ColdPipe measures the wall-clock of the full cold pipeline —
-// conservative tiling, statistics collection, shape sweep, size growth,
-// final retiling — serially and at the suite's worker count, on the same
-// code path the d2t2d service runs for a cold ingest. The configurations
-// chosen at both worker counts must agree exactly (the pipeline's
-// determinism gate); the table reports the speedup.
+// summary-only statistics collection at the conservative base tile (no
+// base tiling is materialized), shape sweep, size growth, final
+// retiling — serially and at the suite's worker count, on the
+// collection and search code the d2t2d service runs for a cold ingest.
+// The configurations chosen at both worker counts must agree exactly
+// (the pipeline's determinism gate); the table reports the speedup.
 func ColdPipe(s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	workers := s.Workers

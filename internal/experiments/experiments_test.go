@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,6 +100,7 @@ func TestFig6cQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var means [4]float64
 	for r := range tbl.Rows {
 		d2 := cell(t, tbl, r, 1)
 		cons := cell(t, tbl, r, 3)
@@ -110,6 +112,15 @@ func TestFig6cQuick(t *testing.T) {
 		if cons > 1.1 {
 			t.Fatalf("conservative beats prescient: %v", tbl.Rows[r])
 		}
+		for c := 1; c < len(means); c++ {
+			means[c] += cell(t, tbl, r, c) / float64(len(tbl.Rows))
+		}
+	}
+	// The paper's order of the means (Fig. 6c: D2T2 1.83x > DRT 1.29x >
+	// Conservative ~0.44x). On A and I the means read 1.09x > 0.97x > 0.67x.
+	if !(means[1] > means[2] && means[2] > means[3]) {
+		t.Fatalf("mean improvements D2T2 %.2fx, DRT %.2fx, Conservative %.2fx: want D2T2 > DRT > Conservative",
+			means[1], means[2], means[3])
 	}
 }
 
@@ -224,12 +235,11 @@ func TestSec67Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range tbl.Rows {
-		big := cell(t, tbl, r, 1)
-		small := cell(t, tbl, r, 2)
-		if big <= 0 || small <= 0 {
-			t.Fatalf("bad packed ratios: %v", tbl.Rows[r])
-		}
+	// Packed tiles cost more traffic than retiling, more so from the
+	// smaller base tile (§6.7). The quick values are pinned.
+	want := [][]string{{"A", "1.09", "1.20"}, {"Q", "1.66", "2.20"}}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Fatalf("packed/retiled traffic rows %v, want %v", tbl.Rows, want)
 	}
 }
 

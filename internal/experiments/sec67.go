@@ -67,10 +67,17 @@ func packedRatio(s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, buffer
 	}
 
 	// Normalize the D2T2 configuration to multiples of the base tile and
-	// pack the original tiles accordingly.
+	// pack the original conservative tiles accordingly.
 	packed := make(map[string]*tiling.TiledTensor)
 	for _, ref := range e.Inputs() {
-		base := opt.BaseTiling[ref.Name]
+		dims := make([]int, len(ref.Indices))
+		for a := range dims {
+			dims[a] = opt.BaseTile
+		}
+		base, err := tiling.New(inputs[ref.Name], dims, e.LevelOrder(ref))
+		if err != nil {
+			return 0, err
+		}
 		factors := make([]int, len(ref.Indices))
 		for a, ix := range ref.Indices {
 			f := (opt.Config[ix] + baseSide/2) / baseSide

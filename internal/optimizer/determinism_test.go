@@ -40,8 +40,7 @@ func TestOptimizeWorkersByteIdentical(t *testing.T) {
 	res8, tiled8 := run(8)
 
 	// Result equality covers Config, RF, TileFactor, every candidate's
-	// prediction (float bit patterns included), and the collected Stats
-	// and BaseTiling maps.
+	// prediction (float bit patterns included), and the collected Stats.
 	if !reflect.DeepEqual(res1, res8) {
 		t.Fatal("optimizer results differ between Workers=1 and Workers=8")
 	}

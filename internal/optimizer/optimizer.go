@@ -21,9 +21,10 @@ package optimizer
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 
 	"d2t2/internal/einsum"
 	"d2t2/internal/model"
@@ -38,47 +39,35 @@ type Options struct {
 	// BufferWords is the accelerator input-buffer capacity in 4-byte
 	// words. Required.
 	BufferWords int
-	// RFs are the candidate reorder factors (default ¼, ½, 1, 2, 4, 8).
-	// Values > 1 grow the primary output index and shrink the contracted
-	// index; values < 1 do the opposite.
-	RFs []float64
 	// Mode selects the statistics evaluation mode (default ModeExact).
 	Mode model.Mode
 	// DisableCorrs turns off the Corrs output-reuse discount (Fig. 9
 	// ablation "w/o Correlations").
 	DisableCorrs bool
 	// CorrsOnly picks the tile shape from the Corrs sum alone — square
-	// when ΣCorrs ≥ CorrsThreshold, outer-product-like otherwise (Fig. 9
+	// when ΣCorrs ≥ corrsThreshold, outer-product-like otherwise (Fig. 9
 	// ablation "Using Correlations only", threshold from Fig. 8).
 	CorrsOnly bool
-	// CorrsThreshold is the Fig. 8 decision boundary (default 1.6).
-	CorrsThreshold float64
 	// DisableRefinement turns off the model's exact cross-operand
 	// input-traffic computation, leaving the paper's pure mean-field
 	// estimates (ablated in experiment ext-refine).
 	DisableRefinement bool
 	// SkipResize stops after shape optimization (no TileFactor growth).
 	SkipResize bool
-	// MicroDiv is forwarded to the statistics collector (default 8).
-	MicroDiv int
 	// BaseTile overrides the conservative square tile dimension used for
 	// the initial tiling (0 = derive from BufferWords). Used by the §6.7
 	// packed-tiles study, which varies the initial tile size.
 	BaseTile int
-	// MaxGrowthDoublings bounds the greedy size growth (default 10).
-	MaxGrowthDoublings int
 	// Precollected supplies per-input statistics collected earlier (e.g.
 	// restored from a d2t2d snapshot artifact). An entry must have been
 	// collected at this optimization's conservative base tile and the
 	// kernel's level order for its input — mismatches are an error.
-	// Matching inputs skip the tile-and-collect phase entirely;
-	// Result.BaseTiling then has no entry for them.
+	// Matching inputs skip the collection phase entirely.
 	Precollected map[string]*stats.Stats
 	// Workers bounds the worker pool for the cold pipeline: per-input
-	// tiling + statistics collection run concurrently, and the RF shape
-	// sweep evaluates candidates in parallel against the read-only
-	// predictor (0 = all cores). Results are byte-identical at any
-	// worker count.
+	// statistics collection runs concurrently, and the RF shape sweep
+	// evaluates candidates in parallel against the read-only predictor
+	// (0 = all cores). Results are byte-identical at any worker count.
 	Workers int
 	// OverflowTarget enables risk-aware sizing (Tailors-style
 	// overbooking, DESIGN.md §18): the acceptable predicted probability
@@ -116,20 +105,19 @@ type Options struct {
 	Predictor *model.Predictor
 }
 
+// The search's fixed parameters (paper §5.2). The reorder factors are
+// the RF sweep's candidates: values > 1 grow the primary output index and
+// shrink the contracted index, values < 1 do the opposite.
+var reorderFactors = []float64{0.25, 0.5, 1, 2, 4, 8}
+
+const (
+	// corrsThreshold is the Fig. 8 decision boundary of CorrsOnly.
+	corrsThreshold = 1.6
+	// maxGrowthDoublings bounds the greedy size growth's passes.
+	maxGrowthDoublings = 10
+)
+
 func (o Options) withDefaults() Options {
-	if o.RFs == nil {
-		o.RFs = []float64{0.25, 0.5, 1, 2, 4, 8}
-	}
-	//d2t2:ignore floatdeterminism zero-value sentinel for an unset Options field, not a computed float
-	if o.CorrsThreshold == 0 {
-		o.CorrsThreshold = 1.6
-	}
-	if o.MicroDiv == 0 {
-		o.MicroDiv = 8
-	}
-	if o.MaxGrowthDoublings == 0 {
-		o.MaxGrowthDoublings = 10
-	}
 	//d2t2:ignore floatdeterminism zero-value sentinel for an unset Options field, not a computed float
 	if o.OverflowExtra == 0 {
 		o.OverflowExtra = 1
@@ -160,9 +148,9 @@ type Result struct {
 	// run. Nil on the conservative path (OverflowTarget 0, Calibrate
 	// off), keeping that Result byte-identical to previous releases.
 	Risk *RiskReport
-	// Stats and BaseTiling are reusable byproducts of the initial pass.
-	Stats      map[string]*stats.Stats
-	BaseTiling map[string]*tiling.TiledTensor
+	// Stats are the collected statistics, a reusable byproduct of the
+	// initial pass.
+	Stats map[string]*stats.Stats
 	// Predicted is the model's estimate for Config.
 	Predicted  *model.Prediction
 	Candidates []Candidate
@@ -174,12 +162,12 @@ func Optimize(e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Res
 }
 
 // OptimizeCtx is Optimize with cooperative cancellation: the per-input
-// tile-and-collect fan-out, the RF shape sweep and the greedy size
-// growth all consult ctx between work items, so a cancelled or
-// deadline-expired context stops the pipeline near the cancellation
-// point and returns the context's error instead of running the
-// remaining compute to completion. A never-cancelled ctx yields exactly
-// Optimize's byte-identical result at any worker count.
+// collection fan-out, the RF shape sweep and the greedy size growth all
+// consult ctx between work items, so a cancelled or deadline-expired
+// context stops the pipeline near the cancellation point and returns
+// the context's error instead of running the remaining compute to
+// completion. A never-cancelled ctx yields exactly Optimize's
+// byte-identical result at any worker count.
 func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	if o.BufferWords <= 0 {
@@ -207,56 +195,41 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 		return nil, err
 	}
 
-	// 2. Initial tiling + statistics collection.
-	res := &Result{
-		Expr:       e,
-		BaseTile:   baseTile,
-		Stats:      make(map[string]*stats.Stats),
-		BaseTiling: make(map[string]*tiling.TiledTensor),
-	}
-	// Unique inputs tile-and-collect concurrently; the result maps are
-	// filled serially in input order afterwards, and the lowest-index
-	// error wins, so the outcome matches the old serial loop exactly.
-	type collected struct {
-		s  *stats.Stats
-		tt *tiling.TiledTensor
-	}
+	// 2. Statistics collection at the base tile, summary-only: the
+	// conservative tiling itself is never needed. Unique inputs collect
+	// concurrently; the result map is filled serially in input order
+	// afterwards, and the lowest-index error wins.
+	res := &Result{Expr: e, BaseTile: baseTile, Stats: make(map[string]*stats.Stats)}
 	var work []einsum.Ref
-	seen := make(map[string]bool)
 	for _, ref := range e.Inputs() {
-		if seen[ref.Name] {
-			continue
+		if !slices.ContainsFunc(work, func(w einsum.Ref) bool { return w.Name == ref.Name }) {
+			work = append(work, ref)
 		}
-		seen[ref.Name] = true
-		work = append(work, ref)
 	}
-	cols, err := par.MapCtx(ctx, o.Workers, len(work), func(i int) (collected, error) {
+	cols, err := par.MapCtx(ctx, o.Workers, len(work), func(i int) (*stats.Stats, error) {
 		ref := work[i]
 		base := make([]int, len(ref.Indices))
 		for a := range base {
 			base[a] = baseTile
 		}
 		if st := o.Precollected[ref.Name]; st != nil {
-			if err := precollectedMatches(st, base, e.LevelOrder(ref)); err != nil {
-				return collected{}, fmt.Errorf("optimizer: precollected stats for %q: %w", ref.Name, err)
+			if !slices.Equal(st.BaseTileDims, base) || !slices.Equal(st.Order, e.LevelOrder(ref)) {
+				return nil, fmt.Errorf("optimizer: precollected stats for %q collected at base tile %v in level order %v, need %v in %v",
+					ref.Name, st.BaseTileDims, st.Order, base, e.LevelOrder(ref))
 			}
-			return collected{s: st}, nil
+			return st, nil
 		}
-		s, tt, err := stats.CollectCtx(ctx, inputs[ref.Name], base, e.LevelOrder(ref),
-			&stats.Options{MicroDiv: o.MicroDiv, Workers: o.Workers})
+		p, err := stats.CollectPartialCtx(ctx, inputs[ref.Name], base, e.LevelOrder(ref), &stats.Options{Workers: o.Workers})
 		if err != nil {
-			return collected{}, err
+			return nil, err
 		}
-		return collected{s: s, tt: tt}, nil
+		return p.Finalize()
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, ref := range work {
-		res.Stats[ref.Name] = cols[i].s
-		if cols[i].tt != nil {
-			res.BaseTiling[ref.Name] = cols[i].tt
-		}
+		res.Stats[ref.Name] = cols[i]
 	}
 
 	pred := o.Predictor
@@ -270,31 +243,24 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 	}
 	sz := sizing{pred: pred, e: e, o: o}
 
-	// 3. Shape optimization.
+	// 3. Shape optimization. Every RF is evaluated concurrently. RFs
+	// that snap to one config ask the predictor's shape and prediction
+	// memos the same questions, so a duplicate costs two memo hits. The
+	// serial pass then keeps a fitting config under its first RF, and a
+	// non-fitting one only under the literal RF 1 (the base shape), and
+	// picks the first strict minimum.
 	upIdx, downIdxs := shapeAxes(e)
-	best := -1
-	rfs := o.RFs
+	rfs := reorderFactors
 	if o.CorrsOnly {
-		rfs = []float64{corrsOnlyRF(e, res.Stats, baseTile, o)}
+		rfs = []float64{corrsOnlyRF(e, res.Stats, baseTile)}
 	}
-	// Several RFs snap to the same config, and each evaluation is a full
-	// shape pass per input plus a prediction — so configs are built and
-	// snapped serially (cheap), deduped on a canonical key, and only the
-	// unique survivors evaluate concurrently against the read-only
-	// predictor. The representative RF of a merged group reproduces the
-	// serial sweep's keep rules: a fitting config is kept under its first
-	// RF; a non-fitting config is kept only when one of its RFs is exactly
-	// the base shape's 1.
-	type uniqueCand struct {
-		cfg      model.Config
-		firstRF  float64
-		firstIdx int // position of firstRF in rfs
-		rf1Idx   int // position of the literal RF 1, or -1
+	type swept struct {
+		cand Candidate
+		fits bool
+		cost float64
 	}
-	var uniq []*uniqueCand
-	seenCfg := make(map[string]int, len(rfs))
-	var keyBuf []byte
-	for i, rf := range rfs {
+	sweeps, err := par.MapCtx(ctx, o.Workers, len(rfs), func(i int) (swept, error) {
+		rf := rfs[i]
 		cfg := make(model.Config, len(e.Order))
 		for _, ix := range e.Order {
 			cfg[ix] = baseTile
@@ -304,80 +270,37 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 			cfg[ix] = scaleDim(baseTile, 1/rf)
 		}
 		cfg = pred.SnapConfigInPlace(cfg)
-		keyBuf = keyBuf[:0]
-		for _, ix := range e.Order {
-			keyBuf = strconv.AppendInt(keyBuf, int64(cfg[ix]), 10)
-			keyBuf = append(keyBuf, ',')
-		}
-		//d2t2:ignore floatdeterminism rf ranges over the literal RFs slice; matching the literal 1 exactly is intended
-		isOne := rf == 1
-		if j, ok := seenCfg[string(keyBuf)]; ok {
-			if isOne && uniq[j].rf1Idx < 0 {
-				uniq[j].rf1Idx = i
-			}
-			continue
-		}
-		seenCfg[string(keyBuf)] = len(uniq)
-		uc := &uniqueCand{cfg: cfg, firstRF: rf, firstIdx: i, rf1Idx: -1}
-		if isOne {
-			uc.rf1Idx = i
-		}
-		uniq = append(uniq, uc)
-	}
-	type swept struct {
-		fits bool
-		p    *model.Prediction
-		cost float64
-	}
-	sweeps, err := par.MapCtx(ctx, o.Workers, len(uniq), func(i int) (swept, error) {
-		uc := uniq[i]
 		// Area-preserving reshapes still change the CSF *metadata*
 		// footprint (tall tiles carry more fibers and segment bounds), so
 		// admission is re-checked per candidate.
-		fits, err := sz.admits(uc.cfg)
+		fits, err := sz.admits(cfg)
+		//d2t2:ignore floatdeterminism rf ranges over the literal RFs; matching the literal 1 exactly is intended
+		if err != nil || !fits && rf != 1 {
+			return swept{}, err
+		}
+		p, cost, err := sz.predict(cfg)
 		if err != nil {
 			return swept{}, err
 		}
-		if !fits && uc.rf1Idx < 0 {
-			return swept{}, nil // dropped: no RF keeps a non-fitting config
-		}
-		p, cost, err := sz.predict(uc.cfg)
-		if err != nil {
-			return swept{}, err
-		}
-		return swept{fits: fits, p: p, cost: cost}, nil
+		return swept{cand: Candidate{RF: rf, Config: cfg, Predicted: p}, fits: fits, cost: cost}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Survivors append in the order of the RF that kept them (the first
-	// RF for fitting configs, the literal 1 otherwise), so the
-	// first-strict-minimum pick is byte-identical to the pre-dedupe sweep.
-	type keptCand struct {
-		pos  int
-		cost float64
-		cand Candidate
-	}
-	kept := make([]keptCand, 0, len(uniq))
-	for i, sw := range sweeps {
-		if sw.p == nil {
+	best, bestCost := -1, 0.0
+	for _, sw := range sweeps {
+		if sw.cand.Predicted == nil || sw.fits && slices.ContainsFunc(res.Candidates, func(c Candidate) bool {
+			return maps.Equal(c.Config, sw.cand.Config)
+		}) {
 			continue
 		}
-		uc := uniq[i]
-		pos, rf := uc.firstIdx, uc.firstRF
-		if !sw.fits {
-			pos, rf = uc.rf1Idx, 1
+		res.Candidates = append(res.Candidates, sw.cand)
+		if best < 0 || sw.cost < bestCost { // first strict minimum
+			best, bestCost = len(res.Candidates)-1, sw.cost
 		}
-		kept = append(kept, keptCand{pos: pos, cost: sw.cost, cand: Candidate{RF: rf, Config: uc.cfg, Predicted: sw.p}})
 	}
-	sort.Slice(kept, func(x, y int) bool { return kept[x].pos < kept[y].pos })
-	bestCost := 0.0
-	for _, kc := range kept {
-		res.Candidates = append(res.Candidates, kc.cand)
-		if best < 0 || kc.cost < bestCost { // first strict minimum
-			best = len(res.Candidates) - 1
-			bestCost = kc.cost
-		}
+	if best < 0 { // CorrsOnly's one shape does not fit
+		return nil, fmt.Errorf("optimizer: RF %v does not fit a %d-word buffer", rfs[0], o.BufferWords)
 	}
 	chosen := res.Candidates[best]
 	res.RF = chosen.RF
@@ -471,28 +394,6 @@ func (o Options) BaseTileFor(e *einsum.Expr, inputs map[string]*tensor.COO) (int
 	return min(base, cover), nil
 }
 
-// precollectedMatches verifies supplied statistics were collected at the
-// base tiling and level order this optimization requires.
-func precollectedMatches(st *stats.Stats, base, order []int) error {
-	if len(st.BaseTileDims) != len(base) {
-		return fmt.Errorf("collected for an order-%d tensor, need order %d", len(st.BaseTileDims), len(base))
-	}
-	for a := range base {
-		if st.BaseTileDims[a] != base[a] {
-			return fmt.Errorf("collected at base tile %v, need %v", st.BaseTileDims, base)
-		}
-	}
-	if len(st.Order) != len(order) {
-		return fmt.Errorf("collected with %d levels, need %d", len(st.Order), len(order))
-	}
-	for l := range order {
-		if st.Order[l] != order[l] {
-			return fmt.Errorf("collected in level order %v, need %v", st.Order, order)
-		}
-	}
-	return nil
-}
-
 // shapeAxes picks the index scaled up (the outermost output index in the
 // dataflow order) and the indices scaled down (the contracted indices) by
 // the RF sweep.
@@ -521,7 +422,7 @@ func scaleDim(base int, rf float64) int {
 
 // corrsOnlyRF implements the Fig. 8 heuristic: low ΣCorrs (little output
 // reuse) prefers outer-product-like tiles; high ΣCorrs prefers square.
-func corrsOnlyRF(e *einsum.Expr, st map[string]*stats.Stats, baseTile int, o Options) float64 {
+func corrsOnlyRF(e *einsum.Expr, st map[string]*stats.Stats, baseTile int) float64 {
 	contracted := e.Contracted()
 	if len(contracted) == 0 {
 		return 1
@@ -541,7 +442,7 @@ func corrsOnlyRF(e *einsum.Expr, st map[string]*stats.Stats, baseTile int, o Opt
 	if n > 0 {
 		sum /= float64(n)
 	}
-	if sum < o.CorrsThreshold {
+	if sum < corrsThreshold {
 		return 8 // outer-product-like
 	}
 	return 1 // square
@@ -724,7 +625,7 @@ func (r *Result) grow(ctx context.Context, s sizing, upIdx string) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	for pass := 0; pass < s.o.MaxGrowthDoublings; pass++ {
+	for pass := 0; pass < maxGrowthDoublings; pass++ {
 		improved := false
 		for _, ix := range idxs {
 			if err := ctx.Err(); err != nil {

@@ -48,8 +48,8 @@ func TestOptimizeBasics(t *testing.T) {
 	if res.Predicted == nil || res.Predicted.Total() <= 0 {
 		t.Fatal("no prediction for final config")
 	}
-	if res.Stats["A"] == nil || res.BaseTiling["B"] == nil {
-		t.Fatal("stats/base tiling not returned")
+	if res.Stats["A"] == nil || res.Stats["B"] == nil {
+		t.Fatal("stats not returned")
 	}
 }
 
@@ -106,7 +106,11 @@ func TestOptimizeReducesTrafficVsConservative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseRes, err := exec.Measure(e, res.BaseTiling, nil)
+		base, err := TileAll(e, inputs, model.Config{"i": res.BaseTile, "k": res.BaseTile, "j": res.BaseTile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRes, err := exec.Measure(e, base, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,6 +156,10 @@ func TestOptionsVariants(t *testing.T) {
 	}
 	if resU.RF != 8 {
 		t.Fatalf("CorrsOnly on uniform data chose RF=%v, want outer-product", resU.RF)
+	}
+	// An outer-product shape that does not fit is an error, not a panic.
+	if _, err := Optimize(e, inputsU, Options{BufferWords: tiling.DenseFootprintWords([]int{2, 2}), CorrsOnly: true}); err == nil {
+		t.Fatal("CorrsOnly with a non-fitting outer-product shape: no error")
 	}
 
 	// DisableCorrs still optimizes.

@@ -241,7 +241,7 @@ func (r *Result) growOracle(ctx context.Context, pred *model.Predictor, upIdx st
 	if err != nil {
 		return err
 	}
-	for pass := 0; pass < o.MaxGrowthDoublings; pass++ {
+	for pass := 0; pass < maxGrowthDoublings; pass++ {
 		improved := false
 		for _, ix := range idxs {
 			if err := ctx.Err(); err != nil {
@@ -355,7 +355,7 @@ func (r *Result) growRiskOracle(ctx context.Context, pred *model.Predictor, upId
 	if err != nil {
 		return err
 	}
-	for pass := 0; pass < o.MaxGrowthDoublings; pass++ {
+	for pass := 0; pass < maxGrowthDoublings; pass++ {
 		improved := false
 		for _, ix := range idxs {
 			if err := ctx.Err(); err != nil {

@@ -147,7 +147,7 @@ func TestTensorChargeCoversHeap(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					v = d2t2.FromCOO(a.Tensor)
+					v = d2t2.FromCOO(a.Tensor, "")
 				} else if v, err = parseUpload(false, []byte(body)); err != nil {
 					t.Fatal(err)
 				}
@@ -445,6 +445,60 @@ func TestEvictedTensorMemoryOnly(t *testing.T) {
 	}
 	if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
 		t.Fatalf("optimize after re-upload: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestTensorArtifactUnderForeignAddress: a well-framed tensor artifact
+// stored under another tensor's content address is refused, not served
+// (and kept) under that address; the same bytes under their own address
+// load.
+func TestTensorArtifactUnderForeignAddress(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	r := rand.New(rand.NewSource(5))
+	x, err := parseUpload(false, []byte(tnsBody(r, []int{32, 32}, 96)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := parseUpload(false, []byte(tnsBody(r, []int{32, 32}, 96)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := d2t2.NewSession(nil)
+	idX, artX, err := sess.TensorArtifact(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idY, err := sess.TensorID(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimize := func(id string) *httptest.ResponseRecorder {
+		return serveRaw(s, "/v1/optimize", "application/json",
+			`{"kernel":"`+testKernel+`","inputs":{"A":"`+id+`","B":"`+id+`"},"tile":8}`)
+	}
+
+	if err := s.store.Put(idY, artX); err != nil {
+		t.Fatal(err)
+	}
+	if rec := optimize(idY); rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), idX) {
+		t.Fatalf("optimize of %s holding %s: status %d: %s", idY, idX, rec.Code, rec.Body)
+	}
+	if resident(s.store, idY) {
+		t.Fatal("the foreign tensor was kept under the address it does not hash to")
+	}
+
+	if err := s.store.Put(idX, artX); err != nil {
+		t.Fatal(err)
+	}
+	if rec := optimize(idX); rec.Code != http.StatusOK {
+		t.Fatalf("optimize of %s from its own artifact: status %d: %s", idX, rec.Code, rec.Body)
+	}
+	if !resident(s.store, idX) {
+		t.Fatal("the reloaded tensor is not resident")
 	}
 }
 

@@ -1047,8 +1047,10 @@ func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, err error, 
 // is no tensor), else its artifact read through storeGet's ladder — an
 // ingest persisted by a previous run of the daemon or evicted from
 // memory, or, through the peer rung, an ingest that landed on another
-// cluster node — decoded and kept. Without a disk layer or a peer
-// holding it, an evicted tensor is unknown.
+// cluster node — decoded and kept under the address its payload hashes
+// to. An artifact holding another tensor than the address names is
+// refused. Without a disk layer or a peer holding it, an evicted tensor
+// is unknown.
 func (s *Server) tensorByID(ctx context.Context, id string) (*d2t2.Tensor, error) {
 	v, _ := s.store.Value(id)
 	if t, ok := v.(*d2t2.Tensor); ok {
@@ -1058,14 +1060,14 @@ func (s *Server) tensorByID(ctx context.Context, id string) (*d2t2.Tensor, error
 	if b == nil {
 		return nil, fmt.Errorf("unknown tensor %q: never uploaded here, or evicted from memory; upload it again", id)
 	}
-	a, err := snapshot.DecodeBytes(b)
+	c, got, err := snapshot.DecodeTensor(b)
 	if err != nil {
 		return nil, fmt.Errorf("tensor artifact %q: %w", id, err)
 	}
-	if a.Tensor == nil {
-		return nil, fmt.Errorf("artifact %q holds no tensor", id)
+	if got != id {
+		return nil, fmt.Errorf("tensor artifact %q holds tensor %q", id, got)
 	}
-	t, _ := s.keepTensor(id, b, d2t2.FromCOO(a.Tensor), a.Tensor.HeapBytes())
+	t, _ := s.keepTensor(id, b, d2t2.FromCOO(c, id), c.HeapBytes())
 	return t, nil
 }
 

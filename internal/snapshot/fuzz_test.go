@@ -68,6 +68,14 @@ func checkCanonical(t *testing.T, b []byte) {
 	if a.Partial != nil {
 		_, _ = a.Partial.Finalize()
 	}
+	if a.Tensor != nil {
+		// The address DecodeTensor reads off the payload is TensorID's.
+		_, id, err := DecodeTensor(b)
+		want, werr := TensorID(a.Tensor)
+		if err != nil || werr != nil || id != want {
+			t.Fatalf("DecodeTensor address %q (%v), TensorID %q (%v)", id, err, want, werr)
+		}
+	}
 	enc, err := EncodeBytes(a)
 	if err != nil {
 		t.Fatalf("accepted artifact cannot re-encode: %v", err)

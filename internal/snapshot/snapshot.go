@@ -133,26 +133,51 @@ func EncodeBytes(a *Artifact) ([]byte, error) {
 // and every section CRC. Unknown sections are skipped; duplicate known
 // sections are an error.
 func DecodeBytes(b []byte) (*Artifact, error) {
+	a, _, err := decode(b)
+	return a, err
+}
+
+// DecodeTensor decodes a tensor artifact and returns its tensor with its
+// content address, TensorID of the tensor. For a canonical tensor, as
+// TensorArtifact writes it, the address hashes the TENS payload in b, so
+// nothing is encoded again.
+func DecodeTensor(b []byte) (*tensor.COO, string, error) {
+	a, payload, err := decode(b)
+	switch {
+	case err != nil:
+		return nil, "", err
+	case a.Tensor == nil:
+		return nil, "", fmt.Errorf("snapshot: artifact holds no tensor")
+	case !a.Tensor.Canonical():
+		id, err := TensorID(a.Tensor)
+		return a.Tensor, id, err
+	}
+	return a.Tensor, contentID(payload), nil
+}
+
+// decode is DecodeBytes that also returns the TENS payload, if any.
+func decode(b []byte) (*Artifact, []byte, error) {
 	if len(b) < len(Magic)+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrTruncated, len(b))
+		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrTruncated, len(b))
 	}
 	if string(b[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", b[:len(Magic)])
+		return nil, nil, fmt.Errorf("snapshot: bad magic %q", b[:len(Magic)])
 	}
 	ver := binary.LittleEndian.Uint16(b[len(Magic):])
 	if ver != Version {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (have %d)", ver, Version)
+		return nil, nil, fmt.Errorf("snapshot: unsupported format version %d (have %d)", ver, Version)
 	}
 	if res := binary.LittleEndian.Uint16(b[len(Magic)+2:]); res != 0 {
-		return nil, fmt.Errorf("snapshot: reserved header field is %d, want 0", res)
+		return nil, nil, fmt.Errorf("snapshot: reserved header field is %d, want 0", res)
 	}
 	a := &Artifact{}
+	var tens []byte
 	seen := map[string]bool{}
 	last := -1 // position in sectionOrder of the last known section
 	off := len(Magic) + 4
 	for off < len(b) {
 		if len(b)-off < 12 {
-			return nil, fmt.Errorf("%w: %d trailing bytes cannot frame a section", ErrTruncated, len(b)-off)
+			return nil, nil, fmt.Errorf("%w: %d trailing bytes cannot frame a section", ErrTruncated, len(b)-off)
 		}
 		tag := string(b[off : off+4])
 		plen := binary.LittleEndian.Uint64(b[off+4 : off+12])
@@ -162,28 +187,29 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 		// wrapped bound admits any length (the slice below could then read
 		// past len(b) into spare capacity of a shared backing array).
 		if rem := uint64(len(b) - off); rem < 4 || plen > rem-4 {
-			return nil, fmt.Errorf("%w: section %q declares %d payload bytes, %d remain", ErrTruncated, tag, plen, len(b)-off)
+			return nil, nil, fmt.Errorf("%w: section %q declares %d payload bytes, %d remain", ErrTruncated, tag, plen, len(b)-off)
 		}
 		payload := b[off : off+int(plen)]
 		off += int(plen)
 		sum := binary.LittleEndian.Uint32(b[off : off+4])
 		off += 4
 		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return nil, fmt.Errorf("snapshot: section %q CRC mismatch: stored %08x, computed %08x", tag, sum, got)
+			return nil, nil, fmt.Errorf("snapshot: section %q CRC mismatch: stored %08x, computed %08x", tag, sum, got)
 		}
 		if seen[tag] {
-			return nil, fmt.Errorf("snapshot: duplicate section %q", tag)
+			return nil, nil, fmt.Errorf("snapshot: duplicate section %q", tag)
 		}
 		seen[tag] = true
 		if i := slices.Index(sectionOrder, tag); i >= 0 {
 			if i < last {
-				return nil, fmt.Errorf("snapshot: section %q out of order", tag)
+				return nil, nil, fmt.Errorf("snapshot: section %q out of order", tag)
 			}
 			last = i
 		}
 		var err error
 		switch tag {
 		case tagTensor:
+			tens = payload
 			a.Tensor, err = decodeTensor(payload)
 		case tagTiled:
 			a.Tiled, err = decodeTiled(payload)
@@ -198,10 +224,10 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 			// otherwise ignored.
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return a, nil
+	return a, tens, nil
 }
 
 // appendHeader appends the stream header: magic, version, reserved.

@@ -33,8 +33,8 @@ import (
 // defaults documented on each field.
 type Options struct {
 	// MicroDiv is the number of micro tiles per base tile along every
-	// axis (default 8). Candidate tile shapes evaluated by EvalShape must
-	// be multiples of baseTile/MicroDiv.
+	// axis (default DefaultMicroDiv). Candidate tile shapes evaluated by
+	// EvalShape must be multiples of baseTile/MicroDiv.
 	MicroDiv int
 	// CorrMaxShift bounds the shift range of Corrs in element units
 	// (default 2× the base tile dimension of the axis).
@@ -62,6 +62,11 @@ type Options struct {
 	Workers int
 }
 
+// DefaultMicroDiv is the micro-tile divisor of a zero Options.MicroDiv.
+// The optimizer and d2t2.Session collect at it, so a bundle either one
+// collected serves the other.
+const DefaultMicroDiv = 8
+
 // maxTileCorrShift caps TileCorrMaxShift, four times its default.
 // Finalize's tileCorrs costs O(grid × shift) per axis, so with the
 // tiling.MaxAxisTiles (2^21) grid cap a decoded partial costs at most
@@ -69,7 +74,7 @@ type Options struct {
 const maxTileCorrShift = 256
 
 func (o *Options) withDefaults() Options {
-	out := Options{MicroDiv: 8, CorrSampleTarget: 512, TileCorrMaxShift: 64}
+	out := Options{MicroDiv: DefaultMicroDiv, CorrSampleTarget: 512, TileCorrMaxShift: 64}
 	if o != nil {
 		if o.MicroDiv > 0 {
 			out.MicroDiv = o.MicroDiv

@@ -2,20 +2,17 @@ package d2t2
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 
+	"d2t2/internal/einsum"
 	"d2t2/internal/model"
 	"d2t2/internal/optimizer"
 	"d2t2/internal/par"
 	"d2t2/internal/snapshot"
 	"d2t2/internal/stats"
 )
-
-// sessionMicroDiv is the micro-summary divisor every session collection
-// uses — the optimizer's default, so cached statistics are always valid
-// for Optimize.
-const sessionMicroDiv = 8
 
 // StatsCache is the store a Session resolves statistics through: it
 // consults the store before collecting and updates it after. d2t2d plugs
@@ -190,8 +187,7 @@ func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, 
 // collect gathers t's mergeable statistics at the given base tiling and
 // level order, in the session's collection frame.
 func (s *Session) collect(ctx context.Context, t *Tensor, tileDims, order []int) (*stats.Partial, error) {
-	return stats.CollectPartialCtx(ctx, t.canonical(), tileDims, order,
-		&stats.Options{MicroDiv: sessionMicroDiv, Workers: s.Workers})
+	return stats.CollectPartialCtx(ctx, t.canonical(), tileDims, order, &stats.Options{Workers: s.Workers})
 }
 
 // Optimize runs the D2T2 pipeline like the package-level Optimize, but
@@ -312,32 +308,37 @@ func (b *Batch) optimizeDataflow(ctx context.Context, k *Kernel, inputs Inputs, 
 	return best, append([]string(nil), best.kernel.expr.Order...), nil
 }
 
-// precollect resolves into the batch, and returns, the statistics of
-// every distinct input of k in the kernel's level order for its first
-// reference, at a square base tiling of side tile (clamped per axis to
-// the tensor when clamp is set), together with their content addresses
-// joined in input order. Unclamped is the exact frame OptimizeCtx
-// consumes.
+// precollect resolves into the batch, concurrently, and returns the
+// statistics of every distinct input of k in the kernel's level order
+// for its first reference, at a square base tiling of side tile
+// (clamped per axis to the tensor when clamp is set), together with
+// their content addresses joined in input order. Unclamped is the exact
+// frame OptimizeCtx consumes.
 func (b *Batch) precollect(ctx context.Context, k *Kernel, inputs Inputs, tile int, clamp bool) (map[string]*stats.Stats, string, error) {
-	pre := make(map[string]*stats.Stats)
-	var keys strings.Builder
+	var refs []einsum.Ref
 	for _, ref := range k.expr.Inputs() {
-		if _, done := pre[ref.Name]; done {
-			continue
+		if !slices.ContainsFunc(refs, func(r einsum.Ref) bool { return r.Name == ref.Name }) {
+			refs = append(refs, ref)
 		}
-		t, ok := inputs[ref.Name]
-		if !ok {
-			return nil, "", errMissing(ref.Name)
-		}
-		st, key, err := b.statsFor(ctx, t, squareTiling(t, tile, len(ref.Indices), clamp), k.expr.LevelOrder(ref))
-		if err != nil {
-			return nil, "", err
-		}
-		pre[ref.Name] = st
-		keys.WriteString(key)
-		keys.WriteByte('\n')
 	}
-	return pre, keys.String(), nil
+	keys := make([]string, len(refs))
+	sts, err := par.MapCtx(ctx, b.s.Workers, len(refs), func(i int) (*stats.Stats, error) {
+		t, ok := inputs[refs[i].Name]
+		if !ok {
+			return nil, errMissing(refs[i].Name)
+		}
+		st, key, err := b.statsFor(ctx, t, squareTiling(t, tile, len(refs[i].Indices), clamp), k.expr.LevelOrder(refs[i]))
+		keys[i] = key
+		return st, err
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	pre := make(map[string]*stats.Stats, len(refs))
+	for i, ref := range refs {
+		pre[ref.Name] = sts[i]
+	}
+	return pre, strings.Join(keys, "\n") + "\n", nil
 }
 
 // statsFor returns the statistics for t at the given base tiling and
@@ -348,7 +349,7 @@ func (b *Batch) statsFor(ctx context.Context, t *Tensor, tileDims, order []int) 
 	if err != nil {
 		return nil, "", err
 	}
-	key := snapshot.StatsKey(id, tileDims, order, sessionMicroDiv)
+	key := snapshot.StatsKey(id, tileDims, order, stats.DefaultMicroDiv)
 	st, err := b.bundles.Do(key, 0, func() (*stats.Stats, error) {
 		return b.s.resolve(ctx, key, t, tileDims, order)
 	})
