@@ -6,59 +6,38 @@ import (
 	"d2t2/internal/wire"
 )
 
-// maxCodecLevels bounds the tensor order accepted by the decoder; far
-// above any real kernel, it keeps corrupted inputs from driving huge
-// per-level allocations.
-const maxCodecLevels = 16
-
-// AppendBinary appends the CSF's snapshot wire encoding to buf and
-// returns the extended slice. This is the encode hook the snapshot codec
-// uses; DecodeCSF reverses it. The encoding is canonical — encoding a
-// decoded CSF reproduces the input bytes exactly.
-func (c *CSF) AppendBinary(buf []byte) []byte {
-	buf = wire.AppendU8(buf, uint8(c.Levels()))
-	buf = wire.AppendInts(buf, c.Dims)
-	buf = wire.AppendInts(buf, c.Order)
-	for l := 0; l < c.Levels(); l++ {
-		buf = wire.AppendI32s(buf, c.Seg[l])
-		buf = wire.AppendI32s(buf, c.Crd[l])
+// Code walks the CSF's snapshot layout with w — sizing, appending or
+// reading it by w's mode: the level count, Dims, Order, each level's
+// segment and coordinate arrays, then the values. The encoding is
+// canonical: encoding a read CSF reproduces the input bytes exactly.
+// Reading validates the trie invariants, so a read CSF is safe to
+// traverse even when the input is corrupted or adversarial.
+func (c *CSF) Code(w *wire.Coder) {
+	lv := uint8(c.Levels())
+	w.U8(&lv)
+	if lv < 1 || lv > wire.MaxOrder {
+		w.Fail(fmt.Errorf("formats: CSF has %d levels, want 1..%d", lv, wire.MaxOrder))
+		return
 	}
-	return wire.AppendF64s(buf, c.Vals)
-}
-
-// DecodeCSF reads one CSF from r (as written by AppendBinary) and
-// validates the trie invariants, so a decoded CSF is safe to traverse
-// even when the input is corrupted or adversarial.
-func DecodeCSF(r *wire.Reader) (*CSF, error) {
-	lv := int(r.U8())
-	if err := r.Err(); err != nil {
-		return nil, err
+	w.Ints(&c.Dims)
+	w.Ints(&c.Order)
+	if w.Reading() {
+		c.Seg, c.Crd = make([][]int32, lv), make([][]int32, lv)
 	}
-	if lv < 1 || lv > maxCodecLevels {
-		return nil, fmt.Errorf("formats: decoded CSF has %d levels, want 1..%d", lv, maxCodecLevels)
+	for l := range c.Seg {
+		w.I32s(&c.Seg[l])
+		w.I32s(&c.Crd[l])
 	}
-	c := &CSF{
-		Dims:  r.Ints(),
-		Order: r.Ints(),
-		Seg:   make([][]int32, lv),
-		Crd:   make([][]int32, lv),
+	w.F64s(&c.Vals)
+	if !w.Reading() || w.Err() != nil {
+		return
 	}
-	for l := 0; l < lv; l++ {
-		c.Seg[l] = r.I32s()
-		c.Crd[l] = r.I32s()
+	if len(c.Dims) != int(lv) || len(c.Order) != int(lv) {
+		w.Fail(fmt.Errorf("formats: decoded CSF arity mismatch: %d levels, %d dims, %d order",
+			lv, len(c.Dims), len(c.Order)))
+		return
 	}
-	c.Vals = r.F64s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(c.Dims) != lv || len(c.Order) != lv {
-		return nil, fmt.Errorf("formats: decoded CSF arity mismatch: %d levels, %d dims, %d order",
-			lv, len(c.Dims), len(c.Order))
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	w.Fail(c.Validate())
 }
 
 // Validate checks the CSF trie invariants: Order is a permutation of the

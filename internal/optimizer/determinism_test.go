@@ -45,7 +45,7 @@ func TestOptimizeWorkersByteIdentical(t *testing.T) {
 		t.Fatal("optimizer results differ between Workers=1 and Workers=8")
 	}
 
-	// Portable statistics bytes via the snapshot codec.
+	// Statistics bytes via the snapshot codec.
 	for name, st := range res1.Stats {
 		b1, err := snapshot.EncodeBytes(&snapshot.Artifact{Stats: st})
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"d2t2/internal/einsum"
+	"d2t2/internal/model"
 	"d2t2/internal/stats"
 )
 
@@ -15,8 +17,10 @@ import (
 // all known re-encodes to exactly its own bytes, and for any accepted
 // stream re-encoding is a fixed point (the first re-encode may
 // legitimately drop unknown sections). An
-// accepted statistics accumulator must also Finalize without panicking:
-// d2t2d finalizes stored partials on pool workers that do not recover.
+// accepted statistics accumulator must also Finalize without panicking,
+// and an accepted statistics bundle must price without panicking (see
+// priceStats): d2t2d finalizes and prices stored artifacts on pool
+// workers that do not recover.
 func FuzzSnapshotDecode(f *testing.F) {
 	full := testArtifact(f)
 	if b, err := EncodeBytes(full); err == nil {
@@ -43,6 +47,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if b, err := EncodeBytes(&Artifact{Partial: wide}); err == nil {
 		f.Add(b)
 	}
+	// A bundle with Dims [0, 64] (STAT opens with Dims: a count, then
+	// Dims[0]): the analytic model divides by the tile dimension it
+	// clamps to the zero-length axis.
+	if b, err := EncodeBytes(&Artifact{Stats: full.Stats}); err == nil {
+		binary.LittleEndian.PutUint64(b[headerLen+12+8:], 0)
+		f.Add(withValidCRCs(b))
+	}
 	empty, _ := EncodeBytes(&Artifact{})
 	f.Add(empty)
 	resp, _ := EncodeBytes(&Artifact{Response: []byte(`{"ok":true}`)})
@@ -67,6 +78,9 @@ func checkCanonical(t *testing.T, b []byte) {
 	}
 	if a.Partial != nil {
 		_, _ = a.Partial.Finalize()
+	}
+	if a.Stats != nil {
+		priceStats(a.Stats)
 	}
 	if a.Tensor != nil {
 		// The address DecodeTensor reads off the payload is TensorID's.
@@ -93,6 +107,36 @@ func checkCanonical(t *testing.T, b []byte) {
 	}
 	if !bytes.Equal(enc, enc2) {
 		t.Fatalf("encoding is not a fixed point: %d vs %d bytes", len(enc), len(enc2))
+	}
+}
+
+// priceStats prices a decoded bundle the way d2t2d does: its heap
+// charge, shapes at the micro dims and at 2x and 4x them, a projection,
+// and for a matrix an exact and an analytic SpMSpM prediction with the
+// bundle as both operands. Errors are fine; panics are not.
+func priceStats(st *stats.Stats) {
+	_ = st.HeapBytes()
+	micro := st.MicroDims()
+	shape := make([]int, len(micro))
+	for _, f := range []int{1, 2, 4} {
+		for a, m := range micro {
+			shape[a] = f * m
+		}
+		if sh, err := st.EvalShape(shape); err == nil && len(shape) > 1 {
+			sh.Project([]int{0}, []int{len(shape) - 1})
+		}
+	}
+	if len(st.Dims) != 2 {
+		return
+	}
+	p, err := model.New(einsum.MustParse("C(i,j) = A(i,k) * B(k,j)"), map[string]*stats.Stats{"A": st, "B": st})
+	if err != nil {
+		return
+	}
+	cfg := model.Config{"i": st.BaseTileDims[0], "k": st.BaseTileDims[1], "j": st.BaseTileDims[1]}
+	for _, mode := range []model.Mode{model.ModeExact, model.ModeAnalytic} {
+		p.Mode = mode
+		_, _ = p.Predict(cfg)
 	}
 }
 

@@ -16,6 +16,12 @@
 // decode followed by encode is byte-identical. An unknown section is
 // dropped by that round trip, since an Artifact has nowhere to keep it.
 //
+// Each section's payload layout is written once, as a walk over its
+// fields with a wire.Coder: codeTensor and codeTiled here, and
+// formats.CSF.Code, stats.Stats.Code and stats.Partial.Code beside
+// their types. The walk sizes, writes and reads the payload, and reading
+// validates what it read.
+//
 // The package also defines the service's content addresses: TensorID is
 // the SHA-256 of the canonical (sorted, deduplicated) COO encoding, and
 // StatsKey/ResponseKey derive artifact keys from it.
@@ -30,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
 
 	"d2t2/internal/formats"
 	"d2t2/internal/stats"
@@ -75,56 +80,25 @@ type Artifact struct {
 
 // EncodeBytes serializes the artifact into a buffer of exactly its
 // length: stores charge an artifact at len(bytes), so spare capacity
-// would be heap that no budget counts.
-//
-// Every section but TILE is sized from its fields' lengths and encoded
-// in place, so the buffer is allocated once and no payload is copied.
+// would be heap that no budget counts. Each section is sized by the walk
+// that then writes it in place, so the buffer is allocated once.
 func EncodeBytes(a *Artifact) ([]byte, error) {
-	var tiled []byte
-	if a.Tiled != nil {
-		var err error
-		if tiled, err = encodeTiled(a.Tiled); err != nil {
-			return nil, err
+	size := headerLen
+	for _, tag := range sectionOrder {
+		if a.has(tag) {
+			c := wire.Sizer()
+			a.code(tag, &c)
+			if err := c.Err(); err != nil {
+				return nil, err
+			}
+			size += sectionOverhead + c.Size()
 		}
-	}
-	var sp *stats.Portable
-	if a.Stats != nil {
-		sp = a.Stats.Portable()
-	}
-	size := len(Magic) + 4
-	if a.Tensor != nil {
-		size += sectionOverhead + tensorSize(a.Tensor)
-	}
-	if tiled != nil {
-		size += sectionOverhead + len(tiled)
-	}
-	if sp != nil {
-		size += sectionOverhead + statsSize(sp)
-	}
-	if a.Partial != nil {
-		size += sectionOverhead + partialSize(a.Partial)
-	}
-	if a.Response != nil {
-		size += sectionOverhead + len(a.Response)
 	}
 	buf := appendHeader(make([]byte, 0, size))
-	if a.Tensor != nil {
-		var err error
-		if buf, _, err = appendTensorSection(buf, a.Tensor); err != nil {
-			return nil, err
+	for _, tag := range sectionOrder {
+		if a.has(tag) {
+			buf = a.appendSection(buf, tag)
 		}
-	}
-	if tiled != nil {
-		buf = appendSection(buf, tagTiled, tiled)
-	}
-	if sp != nil {
-		buf, _ = appendFramed(buf, tagStats, func(b []byte) []byte { return appendStats(b, sp) })
-	}
-	if a.Partial != nil {
-		buf, _ = appendFramed(buf, tagPartial, func(b []byte) []byte { return appendPartial(b, a.Partial) })
-	}
-	if a.Response != nil {
-		buf = appendSection(buf, tagResponse, a.Response)
 	}
 	return buf, nil
 }
@@ -157,7 +131,7 @@ func DecodeTensor(b []byte) (*tensor.COO, string, error) {
 
 // decode is DecodeBytes that also returns the TENS payload, if any.
 func decode(b []byte) (*Artifact, []byte, error) {
-	if len(b) < len(Magic)+4 {
+	if len(b) < headerLen {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrTruncated, len(b))
 	}
 	if string(b[:len(Magic)]) != Magic {
@@ -174,7 +148,7 @@ func decode(b []byte) (*Artifact, []byte, error) {
 	var tens []byte
 	seen := map[string]bool{}
 	last := -1 // position in sectionOrder of the last known section
-	off := len(Magic) + 4
+	off := headerLen
 	for off < len(b) {
 		if len(b)-off < 12 {
 			return nil, nil, fmt.Errorf("%w: %d trailing bytes cannot frame a section", ErrTruncated, len(b)-off)
@@ -200,37 +174,35 @@ func decode(b []byte) (*Artifact, []byte, error) {
 			return nil, nil, fmt.Errorf("snapshot: duplicate section %q", tag)
 		}
 		seen[tag] = true
-		if i := slices.Index(sectionOrder, tag); i >= 0 {
-			if i < last {
-				return nil, nil, fmt.Errorf("snapshot: section %q out of order", tag)
-			}
-			last = i
-		}
-		var err error
-		switch tag {
-		case tagTensor:
-			tens = payload
-			a.Tensor, err = decodeTensor(payload)
-		case tagTiled:
-			a.Tiled, err = decodeTiled(payload)
-		case tagStats:
-			a.Stats, err = decodeStats(payload)
-		case tagPartial:
-			a.Partial, err = decodePartial(payload)
-		case tagResponse:
-			a.Response = append([]byte(nil), payload...)
-		default:
+		i := slices.Index(sectionOrder, tag)
+		if i < 0 {
 			// Forward compatibility: unknown sections are checksummed but
 			// otherwise ignored.
+			continue
 		}
-		if err != nil {
+		if i < last {
+			return nil, nil, fmt.Errorf("snapshot: section %q out of order", tag)
+		}
+		last = i
+		c := wire.Decoder(payload)
+		a.code(tag, &c)
+		if err := c.Err(); err != nil {
 			return nil, nil, err
+		}
+		if c.Remaining() != 0 {
+			return nil, nil, fmt.Errorf("snapshot: %d stray bytes after section %q", c.Remaining(), tag)
+		}
+		if tag == tagTensor {
+			tens = payload
 		}
 	}
 	return a, tens, nil
 }
 
-// appendHeader appends the stream header: magic, version, reserved.
+// headerLen is the stream header's length: magic, version, reserved.
+const headerLen = len(Magic) + 4
+
+// appendHeader appends the stream header.
 func appendHeader(buf []byte) []byte {
 	buf = append(buf, Magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, Version)
@@ -241,518 +213,152 @@ func appendHeader(buf []byte) []byte {
 // the payload length and the CRC.
 const sectionOverhead = 4 + 8 + 4
 
-func appendSection(buf []byte, tag string, payload []byte) []byte {
-	buf, _ = appendFramed(buf, tag, func(b []byte) []byte { return append(b, payload...) })
-	return buf
+// appendSection appends a's section tag to buf, its payload written in
+// place by the section's walk.
+func (a *Artifact) appendSection(buf []byte, tag string) []byte {
+	start := len(buf) + 12
+	c := wire.Appender(binary.LittleEndian.AppendUint64(append(buf, tag...), 0))
+	a.code(tag, &c)
+	buf = c.Bytes()
+	binary.LittleEndian.PutUint64(buf[start-8:], uint64(len(buf)-start))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// appendFramed appends one section to buf, its payload written in place
-// by appendPayload, and returns where the payload starts.
-func appendFramed(buf []byte, tag string, appendPayload func([]byte) []byte) ([]byte, int) {
-	buf = append(buf, tag...)
-	start := len(buf) + 8
-	buf = appendPayload(binary.LittleEndian.AppendUint64(buf, 0))
-	payload := buf[start:]
-	binary.LittleEndian.PutUint64(buf[start-8:], uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), start
+// has reports whether a holds section tag.
+func (a *Artifact) has(tag string) bool {
+	switch tag {
+	case tagTensor:
+		return a.Tensor != nil
+	case tagTiled:
+		return a.Tiled != nil
+	case tagStats:
+		return a.Stats != nil
+	case tagPartial:
+		return a.Partial != nil
+	}
+	return a.Response != nil
 }
 
-// Encoded lengths of the wire package's length-prefixed slices: a u64
-// count, then n elements of 8 (Ints, U64s, F64s), 4 (I32s) or 1 (Bools)
-// bytes.
-func size8(n int) int { return 8 + 8*n }
-func size4(n int) int { return 8 + 4*n }
-func size1(n int) int { return 8 + n }
-
-// maxCodecOrder bounds the tensor order accepted by decoders, matching
-// the formats codec.
-const maxCodecOrder = 16
-
-// --- TENS ---------------------------------------------------------------
-
-// checkTensorOrder rejects a tensor whose order the codec cannot frame.
-func checkTensorOrder(t *tensor.COO) error {
-	if n := t.Order(); n < 1 || n > maxCodecOrder {
-		return fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, maxCodecOrder)
+// code walks the payload of section tag with c over a's field for it.
+// Reading allocates the field first.
+func (a *Artifact) code(tag string, c *wire.Coder) {
+	read := c.Reading()
+	switch tag {
+	case tagTensor:
+		if read {
+			a.Tensor = new(tensor.COO)
+		}
+		codeTensor(c, a.Tensor)
+	case tagTiled:
+		if read {
+			a.Tiled = new(tiling.TiledTensor)
+		}
+		codeTiled(c, a.Tiled)
+	case tagStats:
+		if read {
+			a.Stats = new(stats.Stats)
+		}
+		a.Stats.Code(c)
+	case tagPartial:
+		if read {
+			a.Partial = new(stats.Partial)
+		}
+		a.Partial.Code(c)
+	case tagResponse:
+		c.Rest(&a.Response)
 	}
-	return nil
 }
 
-// appendTensor appends t's TENS payload to b.
-func appendTensor(b []byte, t *tensor.COO) []byte {
-	b = wire.AppendInts(b, t.Dims)
-	for a := 0; a < t.Order(); a++ {
-		b = wire.AppendInts(b, t.Crds[a])
+// codeTensor walks t's TENS layout: Dims, each axis's coordinates, then
+// the values. Reading checks every coordinate against its dimension.
+func codeTensor(c *wire.Coder, t *tensor.COO) {
+	c.Ints(&t.Dims)
+	n := len(t.Dims)
+	if n < 1 || n > wire.MaxOrder {
+		c.Fail(fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, wire.MaxOrder))
+		return
 	}
-	return wire.AppendF64s(b, t.Vals)
-}
-
-// tensorSize is the length of t's TENS payload.
-func tensorSize(t *tensor.COO) int { return 8 * (2 + 2*t.Order() + (t.Order()+1)*t.NNZ()) }
-
-// appendTensorSection appends t's TENS section to buf, growing buf once
-// to fit it, and returns where the payload starts.
-func appendTensorSection(buf []byte, t *tensor.COO) ([]byte, int, error) {
-	if err := checkTensorOrder(t); err != nil {
-		return nil, 0, err
-	}
-	buf, start := appendFramed(slices.Grow(buf, sectionOverhead+tensorSize(t)), tagTensor,
-		func(b []byte) []byte { return appendTensor(b, t) })
-	return buf, start, nil
-}
-
-func decodeTensor(payload []byte) (*tensor.COO, error) {
-	r := wire.NewReader(payload)
-	dims := r.Ints()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	n := len(dims)
-	if n < 1 || n > maxCodecOrder {
-		return nil, fmt.Errorf("snapshot: tensor order %d outside 1..%d", n, maxCodecOrder)
-	}
-	crds := make([][]int, n)
-	for a := 0; a < n; a++ {
-		crds[a] = r.Ints()
-	}
-	vals := r.F64s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %d stray bytes after tensor section", r.Remaining())
+	if c.Reading() {
+		t.Crds = make([][]int, n)
 	}
 	for a := 0; a < n; a++ {
-		if len(crds[a]) != len(vals) {
-			return nil, fmt.Errorf("snapshot: axis %d has %d coordinates for %d values", a, len(crds[a]), len(vals))
+		c.Ints(&t.Crds[a])
+	}
+	c.F64s(&t.Vals)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	for a, crd := range t.Crds {
+		if len(crd) != len(t.Vals) {
+			c.Fail(fmt.Errorf("snapshot: axis %d has %d coordinates for %d values", a, len(crd), len(t.Vals)))
+			return
 		}
-		if dims[a] < 1 {
-			return nil, fmt.Errorf("snapshot: tensor dimension %d on axis %d", dims[a], a)
+		if t.Dims[a] < 1 {
+			c.Fail(fmt.Errorf("snapshot: tensor dimension %d on axis %d", t.Dims[a], a))
+			return
 		}
-		for _, c := range crds[a] {
-			if c < 0 || c >= dims[a] {
-				return nil, fmt.Errorf("snapshot: coordinate %d out of range [0,%d) on axis %d", c, dims[a], a)
+		for _, x := range crd {
+			if x < 0 || x >= t.Dims[a] {
+				c.Fail(fmt.Errorf("snapshot: coordinate %d out of range [0,%d) on axis %d", x, t.Dims[a], a))
+				return
 			}
 		}
 	}
-	t := tensor.New(dims...)
-	t.Crds = crds
-	t.Vals = vals
-	return t, nil
 }
 
-// --- TILE ---------------------------------------------------------------
-
-func encodeTiled(tt *tiling.TiledTensor) ([]byte, error) {
+// codeTiled walks tt's TILE layout: Dims, TileDims, Order, then the
+// tile count and each tile in key order, its outer coordinates then its
+// CSF. Reading reassembles the tensor from its tiles (tiling.FromTiles),
+// which recomputes and validates every derived field.
+func codeTiled(c *wire.Coder, tt *tiling.TiledTensor) {
 	if tt.PackedFrom != nil {
-		return nil, fmt.Errorf("snapshot: packed super-tiles are not serializable")
+		c.Fail(errPacked)
+		return
 	}
-	b := wire.AppendInts(nil, tt.Dims)
-	b = wire.AppendInts(b, tt.TileDims)
-	b = wire.AppendInts(b, tt.Order)
-	keys := tt.SortedKeys()
-	b = wire.AppendU64(b, uint64(len(keys)))
-	for _, k := range keys {
-		tile := tt.Tiles[k]
-		if tile.Members != nil || tile.CSF == nil {
-			return nil, fmt.Errorf("snapshot: packed super-tiles are not serializable")
+	c.Ints(&tt.Dims)
+	c.Ints(&tt.TileDims)
+	c.Ints(&tt.Order)
+	if n := len(tt.Dims); n < 1 || n > wire.MaxOrder {
+		c.Fail(fmt.Errorf("snapshot: tiled tensor order %d outside 1..%d", n, wire.MaxOrder))
+		return
+	}
+	var keys []uint64
+	if !c.Reading() {
+		keys = tt.SortedKeys()
+	}
+	// Every tile frames more than a byte, so the bytes that remain bound
+	// a read count before it sizes the tile list.
+	tiles := make([]*tiling.Tile, c.Len(len(keys), c.Remaining()))
+	for i := 0; i < len(tiles) && c.Err() == nil; i++ {
+		if c.Reading() {
+			tiles[i] = &tiling.Tile{CSF: new(formats.CSF)}
+		} else if tiles[i] = tt.Tiles[keys[i]]; tiles[i].Members != nil || tiles[i].CSF == nil {
+			c.Fail(errPacked)
+			return
 		}
-		b = wire.AppendInts(b, tile.Outer)
-		b = tile.CSF.AppendBinary(b)
+		c.Ints(&tiles[i].Outer)
+		tiles[i].CSF.Code(c)
 	}
-	return b, nil
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	read, err := tiling.FromTiles(tt.Dims, tt.TileDims, tt.Order, tiles)
+	if err != nil {
+		c.Fail(err)
+		return
+	}
+	// Writing walks the tiles in key order, so reading demands it: a
+	// stream in any other order would decode to bytes it is not.
+	for i, k := range read.SortedKeys() {
+		if read.Tiles[k] != tiles[i] {
+			c.Fail(fmt.Errorf("snapshot: tile %d at %v is out of key order", i, tiles[i].Outer))
+			return
+		}
+	}
+	*tt = *read
 }
 
-func decodeTiled(payload []byte) (*tiling.TiledTensor, error) {
-	r := wire.NewReader(payload)
-	dims := r.Ints()
-	tileDims := r.Ints()
-	order := r.Ints()
-	numTiles := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(dims) < 1 || len(dims) > maxCodecOrder {
-		return nil, fmt.Errorf("snapshot: tiled tensor order %d outside 1..%d", len(dims), maxCodecOrder)
-	}
-	// A tile frames at least a few dozen bytes; this cheap bound keeps a
-	// corrupted count from preallocating an absurd slice.
-	if numTiles > uint64(len(payload)) {
-		return nil, fmt.Errorf("snapshot: tile count %d exceeds payload size", numTiles)
-	}
-	tiles := make([]*tiling.Tile, 0, numTiles)
-	for i := uint64(0); i < numTiles; i++ {
-		outer := r.Ints()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		csf, err := formats.DecodeCSF(r)
-		if err != nil {
-			return nil, err
-		}
-		tiles = append(tiles, &tiling.Tile{Outer: outer, CSF: csf})
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %d stray bytes after tiled section", r.Remaining())
-	}
-	return tiling.FromTiles(dims, tileDims, order, tiles)
-}
-
-// --- STAT ---------------------------------------------------------------
-
-// statsSize is the length of p's STAT payload.
-func statsSize(p *stats.Portable) int {
-	n := size8(len(p.Dims)) + size8(len(p.BaseTileDims)) + size8(len(p.Order)) + 4*8 +
-		size8(len(p.PrTileIdx)) + size8(len(p.ProbIndex))
-	n += 8
-	for _, c := range p.Corrs {
-		n += 8 + size8(len(c))
-	}
-	n += 8
-	for _, tc := range p.TileCorrs {
-		n += size8(len(tc))
-	}
-	n++
-	if p.ElemCounts != nil {
-		n += 8
-		for _, ec := range p.ElemCounts {
-			n += size4(len(ec))
-		}
-	}
-	n++
-	if p.PairSketch != nil {
-		n += 8
-		for _, ps := range p.PairSketch {
-			n += size8(len(ps))
-		}
-	}
-	n += 8
-	for _, occ := range p.Occupancy {
-		n += size1(len(occ))
-	}
-	n++
-	if m := p.Micro; m != nil {
-		n += size8(len(m.Dims)) + size8(len(m.MicroDims)) + size8(len(m.OuterDims)) + size8(len(m.Keys)) +
-			size4(len(m.NNZ)) + size4(len(m.Footprint)) + 8
-	}
-	return n
-}
-
-// appendStats appends p's STAT payload to b.
-func appendStats(b []byte, p *stats.Portable) []byte {
-	b = wire.AppendInts(b, p.Dims)
-	b = wire.AppendInts(b, p.BaseTileDims)
-	b = wire.AppendInts(b, p.Order)
-	b = wire.AppendI64(b, int64(p.NNZ))
-	b = wire.AppendF64(b, p.SizeTile)
-	b = wire.AppendI64(b, int64(p.MaxTile))
-	b = wire.AppendI64(b, int64(p.NumTiles))
-	b = wire.AppendF64s(b, p.PrTileIdx)
-	b = wire.AppendF64s(b, p.ProbIndex)
-
-	axes := make([]int, 0, len(p.Corrs))
-	for ax := range p.Corrs {
-		axes = append(axes, ax)
-	}
-	sort.Ints(axes)
-	b = wire.AppendU64(b, uint64(len(axes)))
-	for _, ax := range axes {
-		b = wire.AppendI64(b, int64(ax))
-		b = wire.AppendF64s(b, p.Corrs[ax])
-	}
-
-	b = wire.AppendU64(b, uint64(len(p.TileCorrs)))
-	for _, tc := range p.TileCorrs {
-		b = wire.AppendF64s(b, tc)
-	}
-
-	b = wire.AppendBool(b, p.ElemCounts != nil)
-	if p.ElemCounts != nil {
-		b = wire.AppendU64(b, uint64(len(p.ElemCounts)))
-		for _, ec := range p.ElemCounts {
-			b = wire.AppendI32s(b, ec)
-		}
-	}
-	b = wire.AppendBool(b, p.PairSketch != nil)
-	if p.PairSketch != nil {
-		b = wire.AppendU64(b, uint64(len(p.PairSketch)))
-		for _, ps := range p.PairSketch {
-			b = wire.AppendU64s(b, ps)
-		}
-	}
-
-	b = wire.AppendU64(b, uint64(len(p.Occupancy)))
-	for _, occ := range p.Occupancy {
-		b = wire.AppendBools(b, occ)
-	}
-
-	b = wire.AppendBool(b, p.Micro != nil)
-	if m := p.Micro; m != nil {
-		b = wire.AppendInts(b, m.Dims)
-		b = wire.AppendInts(b, m.MicroDims)
-		b = wire.AppendInts(b, m.OuterDims)
-		b = wire.AppendU64s(b, m.Keys)
-		b = wire.AppendI32s(b, m.NNZ)
-		b = wire.AppendI32s(b, m.Footprint)
-		b = wire.AppendF64(b, m.FPScale)
-	}
-	return b
-}
-
-func decodeStats(payload []byte) (*stats.Stats, error) {
-	r := wire.NewReader(payload)
-	p := &stats.Portable{
-		Dims:         r.Ints(),
-		BaseTileDims: r.Ints(),
-		Order:        r.Ints(),
-		NNZ:          int(r.I64()),
-		SizeTile:     r.F64(),
-		MaxTile:      int(r.I64()),
-		NumTiles:     int(r.I64()),
-		PrTileIdx:    r.F64s(),
-		ProbIndex:    r.F64s(),
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(p.Dims) > maxCodecOrder {
-		return nil, fmt.Errorf("snapshot: stats order %d exceeds %d", len(p.Dims), maxCodecOrder)
-	}
-
-	nCorrs := r.U64()
-	if nCorrs > uint64(maxCodecOrder) {
-		return nil, fmt.Errorf("snapshot: %d corr axes exceeds %d", nCorrs, maxCodecOrder)
-	}
-	p.Corrs = make(map[int][]float64, nCorrs)
-	for i := uint64(0); i < nCorrs && r.Err() == nil; i++ {
-		ax := int(r.I64())
-		curve := r.F64s()
-		if _, dup := p.Corrs[ax]; dup {
-			return nil, fmt.Errorf("snapshot: duplicate corr axis %d", ax)
-		}
-		p.Corrs[ax] = curve
-	}
-
-	nTC := r.U64()
-	if nTC > uint64(maxCodecOrder) {
-		return nil, fmt.Errorf("snapshot: %d tile-corr axes exceeds %d", nTC, maxCodecOrder)
-	}
-	p.TileCorrs = make([][]float64, 0, nTC)
-	for i := uint64(0); i < nTC && r.Err() == nil; i++ {
-		p.TileCorrs = append(p.TileCorrs, r.F64s())
-	}
-
-	if r.Bool() {
-		n := r.U64()
-		if n > uint64(maxCodecOrder) {
-			return nil, fmt.Errorf("snapshot: %d element-count axes exceeds %d", n, maxCodecOrder)
-		}
-		p.ElemCounts = make([][]int32, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			p.ElemCounts = append(p.ElemCounts, r.I32s())
-		}
-	}
-	if r.Bool() {
-		n := r.U64()
-		if n > uint64(maxCodecOrder) {
-			return nil, fmt.Errorf("snapshot: %d pair-sketch axes exceeds %d", n, maxCodecOrder)
-		}
-		p.PairSketch = make([][]uint64, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			p.PairSketch = append(p.PairSketch, r.U64s())
-		}
-	}
-
-	nOcc := r.U64()
-	if nOcc > uint64(maxCodecOrder) {
-		return nil, fmt.Errorf("snapshot: %d occupancy axes exceeds %d", nOcc, maxCodecOrder)
-	}
-	p.Occupancy = make([][]bool, 0, nOcc)
-	for i := uint64(0); i < nOcc && r.Err() == nil; i++ {
-		p.Occupancy = append(p.Occupancy, r.Bools())
-	}
-
-	if r.Bool() {
-		p.Micro = &stats.PortableMicro{
-			Dims:      r.Ints(),
-			MicroDims: r.Ints(),
-			OuterDims: r.Ints(),
-			Keys:      r.U64s(),
-			NNZ:       r.I32s(),
-			Footprint: r.I32s(),
-			FPScale:   r.F64(),
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %d stray bytes after stats section", r.Remaining())
-	}
-	return stats.FromPortable(p)
-}
-
-// --- PART ---------------------------------------------------------------
-
-// partialSize is the length of p's PART payload.
-func partialSize(p *stats.Partial) int {
-	n := size8(len(p.Dims)) + size8(len(p.TileDims)) + size8(len(p.Order)) + size8(len(p.MicroDims)) +
-		size8(len(p.CorrAxes)) + size8(len(p.CorrMaxShift)) + 8 + 8 + 1 + 8
-	n++
-	if p.ElemCounts != nil {
-		n += 8
-		for _, ec := range p.ElemCounts {
-			n += size4(len(ec))
-		}
-	}
-	n++
-	if p.Sketches != nil {
-		n += 8
-		for _, sk := range p.Sketches {
-			n += size8(len(sk))
-		}
-	}
-	n += 8
-	for i := range p.CorrOff {
-		n += size4(len(p.CorrOff[i])) + size8(len(p.CorrRest[i]))
-	}
-	n += size8(len(p.TileKeys)) + size4(len(p.TileNNZ)) + size4(len(p.TileFP)) + 8
-	for _, f := range p.TileFibers {
-		n += size4(len(f))
-	}
-	return n + size8(len(p.MicroKeys)) + size4(len(p.MicroNNZ)) + size4(len(p.MicroFP))
-}
-
-// appendPartial appends p's PART payload to b.
-func appendPartial(b []byte, p *stats.Partial) []byte {
-	b = wire.AppendInts(b, p.Dims)
-	b = wire.AppendInts(b, p.TileDims)
-	b = wire.AppendInts(b, p.Order)
-	b = wire.AppendInts(b, p.MicroDims)
-	b = wire.AppendInts(b, p.CorrAxes)
-	b = wire.AppendInts(b, p.CorrMaxShift)
-	b = wire.AppendI64(b, int64(p.CorrSampleTarget))
-	b = wire.AppendI64(b, int64(p.TileCorrMaxShift))
-	b = wire.AppendBool(b, p.SkipExtensions)
-	b = wire.AppendI64(b, int64(p.NNZ))
-
-	b = wire.AppendBool(b, p.ElemCounts != nil)
-	if p.ElemCounts != nil {
-		b = wire.AppendU64(b, uint64(len(p.ElemCounts)))
-		for _, ec := range p.ElemCounts {
-			b = wire.AppendI32s(b, ec)
-		}
-	}
-	b = wire.AppendBool(b, p.Sketches != nil)
-	if p.Sketches != nil {
-		b = wire.AppendU64(b, uint64(len(p.Sketches)))
-		for _, sk := range p.Sketches {
-			b = wire.AppendU64s(b, sk)
-		}
-	}
-
-	b = wire.AppendU64(b, uint64(len(p.CorrOff)))
-	for i := range p.CorrOff {
-		b = wire.AppendI32s(b, p.CorrOff[i])
-		b = wire.AppendU64s(b, p.CorrRest[i])
-	}
-
-	b = wire.AppendU64s(b, p.TileKeys)
-	b = wire.AppendI32s(b, p.TileNNZ)
-	b = wire.AppendI32s(b, p.TileFP)
-	b = wire.AppendU64(b, uint64(len(p.TileFibers)))
-	for _, f := range p.TileFibers {
-		b = wire.AppendI32s(b, f)
-	}
-	b = wire.AppendU64s(b, p.MicroKeys)
-	b = wire.AppendI32s(b, p.MicroNNZ)
-	return wire.AppendI32s(b, p.MicroFP)
-}
-
-func decodePartial(payload []byte) (*stats.Partial, error) {
-	r := wire.NewReader(payload)
-	p := &stats.Partial{
-		Dims:             r.Ints(),
-		TileDims:         r.Ints(),
-		Order:            r.Ints(),
-		MicroDims:        r.Ints(),
-		CorrAxes:         r.Ints(),
-		CorrMaxShift:     r.Ints(),
-		CorrSampleTarget: int(r.I64()),
-		TileCorrMaxShift: int(r.I64()),
-		SkipExtensions:   r.Bool(),
-		NNZ:              int(r.I64()),
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(p.Dims) > maxCodecOrder {
-		return nil, fmt.Errorf("snapshot: partial order %d exceeds %d", len(p.Dims), maxCodecOrder)
-	}
-
-	if r.Bool() {
-		n := r.U64()
-		if n > uint64(maxCodecOrder) {
-			return nil, fmt.Errorf("snapshot: %d element-count axes exceeds %d", n, maxCodecOrder)
-		}
-		p.ElemCounts = make([][]int32, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			p.ElemCounts = append(p.ElemCounts, r.I32s())
-		}
-	}
-	if r.Bool() {
-		n := r.U64()
-		if n > uint64(maxCodecOrder) {
-			return nil, fmt.Errorf("snapshot: %d sketch axes exceeds %d", n, maxCodecOrder)
-		}
-		p.Sketches = make([][]uint64, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			p.Sketches = append(p.Sketches, r.U64s())
-		}
-	}
-
-	nCorr := r.U64()
-	if nCorr > uint64(maxCodecOrder) {
-		return nil, fmt.Errorf("snapshot: %d corr accumulators exceeds %d", nCorr, maxCodecOrder)
-	}
-	p.CorrOff = make([][]int32, 0, nCorr)
-	p.CorrRest = make([][]uint64, 0, nCorr)
-	for i := uint64(0); i < nCorr && r.Err() == nil; i++ {
-		p.CorrOff = append(p.CorrOff, r.I32s())
-		p.CorrRest = append(p.CorrRest, r.U64s())
-	}
-
-	p.TileKeys = r.U64s()
-	p.TileNNZ = r.I32s()
-	p.TileFP = r.I32s()
-	nFib := r.U64()
-	if nFib > uint64(maxCodecOrder) {
-		return nil, fmt.Errorf("snapshot: %d fiber levels exceeds %d", nFib, maxCodecOrder)
-	}
-	p.TileFibers = make([][]int32, 0, nFib)
-	for i := uint64(0); i < nFib && r.Err() == nil; i++ {
-		p.TileFibers = append(p.TileFibers, r.I32s())
-	}
-	p.MicroKeys = r.U64s()
-	p.MicroNNZ = r.I32s()
-	p.MicroFP = r.I32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %d stray bytes after partial section", r.Remaining())
-	}
-	// Validate enforces every cross-field invariant (key ordering, offset
-	// monotonicity, entry-count conservation), so a decoded partial is
-	// safe to Merge and Finalize without re-deriving anything.
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+var errPacked = fmt.Errorf("snapshot: packed super-tiles are not serializable")
 
 // --- Content addresses ---------------------------------------------------
 
@@ -766,10 +372,11 @@ func TensorID(t *tensor.COO) (string, error) {
 		t = t.Clone()
 		t.Dedup()
 	}
-	if err := checkTensorOrder(t); err != nil {
+	b, err := EncodeBytes(&Artifact{Tensor: t})
+	if err != nil {
 		return "", err
 	}
-	return contentID(appendTensor(make([]byte, 0, tensorSize(t)), t)), nil
+	return contentID(tensorPayload(b)), nil
 }
 
 // TensorArtifact returns TensorID(t) and EncodeBytes(&Artifact{Tensor:
@@ -777,18 +384,19 @@ func TensorID(t *tensor.COO) (string, error) {
 // the tensor is encoded once: the ID hashes the payload the artifact
 // frames.
 func TensorArtifact(t *tensor.COO) (id string, artifact []byte, err error) {
-	b := appendHeader(nil)
-	b, start, err := appendTensorSection(b, t)
-	if err != nil {
+	if artifact, err = EncodeBytes(&Artifact{Tensor: t}); err != nil {
 		return "", nil, err
 	}
 	if t.Canonical() {
-		id = contentID(b[start : len(b)-4])
+		id = contentID(tensorPayload(artifact))
 	} else if id, err = TensorID(t); err != nil {
 		return "", nil, err
 	}
-	return id, b, nil
+	return id, artifact, nil
 }
+
+// tensorPayload returns the TENS payload of a tensor-only artifact.
+func tensorPayload(b []byte) []byte { return b[headerLen+12 : len(b)-4] }
 
 func contentID(payload []byte) string {
 	sum := sha256.Sum256(payload)

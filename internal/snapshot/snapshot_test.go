@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,9 +9,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 
 	"d2t2/internal/gen"
+	"d2t2/internal/raceflag"
 	"d2t2/internal/stats"
 	"d2t2/internal/tensor"
 	"d2t2/internal/wire"
@@ -64,7 +65,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	if !bytes.Equal(got.Response, a.Response) {
 		t.Errorf("response did not round-trip")
 	}
-	if !reflect.DeepEqual(got.Stats.Portable(), a.Stats.Portable()) {
+	if !reflect.DeepEqual(got.Stats, a.Stats) {
 		t.Errorf("statistics bundle did not round-trip")
 	}
 	if got.Tiled.NNZ != a.Tiled.NNZ || got.Tiled.MaxFootprint != a.Tiled.MaxFootprint ||
@@ -74,32 +75,71 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEncodeSizedExactly: EncodeBytes returns a buffer with no spare
-// capacity, since a store charges an artifact at its length — for every
-// section kind, alone and together, including a partial with every
-// optional field.
-func TestEncodeSizedExactly(t *testing.T) {
+// goldenArtifacts returns one artifact per section kind and one with
+// every section: testArtifact plus a partial collected at [16,16],
+// order [1,0], MicroDiv 4, which fills every optional partial field.
+func goldenArtifacts(t testing.TB) map[string]*Artifact {
+	t.Helper()
 	full := testArtifact(t)
-	p, err := stats.CollectPartialCtx(context.Background(), full.Tensor, []int{16, 16}, []int{0, 1}, &stats.Options{MicroDiv: 8})
+	p, err := stats.CollectPartial(full.Tensor, []int{16, 16}, []int{1, 0}, &stats.Options{MicroDiv: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.ElemCounts == nil || p.Sketches == nil || len(p.CorrOff) == 0 || len(p.TileFibers) == 0 {
 		t.Fatal("the partial leaves an optional field empty")
 	}
-	if full.Stats.ElemCounts == nil || full.Stats.PairSketch == nil || len(full.Stats.Corrs) == 0 {
+	if full.Stats.ElemCounts == nil || full.Stats.PairSketch == nil || len(full.Stats.Corrs) == 0 ||
+		full.Stats.MicroDims() == nil {
 		t.Fatal("the statistics leave an optional field empty")
 	}
 	all := *full
 	all.Partial = p
-	for name, a := range map[string]*Artifact{
-		"tensor":   {Tensor: full.Tensor},
-		"tiled":    {Tiled: full.Tiled},
-		"stats":    {Stats: full.Stats},
-		"partial":  {Partial: p},
-		"response": {Response: full.Response},
-		"all":      &all,
-	} {
+	return map[string]*Artifact{
+		"TENS": {Tensor: full.Tensor},
+		"TILE": {Tiled: full.Tiled},
+		"STAT": {Stats: full.Stats},
+		"PART": {Partial: p},
+		"RESP": {Response: full.Response},
+		"all":  &all,
+	}
+}
+
+// TestEncodeGolden pins the bytes of every section kind, alone and
+// together: content addresses and peers depend on them, so a codec
+// change that moved one byte fails here. Each decodes back to the value
+// it encodes, unexported statistics fields included.
+func TestEncodeGolden(t *testing.T) {
+	golden := map[string]struct {
+		n   int
+		sum string
+	}{
+		"TENS": {6220, "c1282b2a37638b1c46cf29611637921bc00803ca862c90ebdb517fd6be0791fa"},
+		"TILE": {4192, "d9bcb14d89dacb84bcfd136fc92e1e4ac98ce9303795c11505dd790eebbe9e74"},
+		"STAT": {3583, "9cf2e9ec10a652a8d2081fb70ca4f5d28ea6c849dd97540f1603daa6b62a0acf"},
+		"PART": {9935, "10c31ea62a12beb56ba0fb19a2df2a29a093738aca0e8f5f47ee96e48a0585a7"},
+		"RESP": {48, "0f61cefc91b0b6181942b8ccd5c3d01a3da6563a6ebbc76405df0e2f67ef330c"},
+		"all":  {23930, "819cac9b70b7f0075b601f9003633bd587ab2c139cb48096eb213475d5cc9367"},
+	}
+	for name, a := range goldenArtifacts(t) {
+		b, err := EncodeBytes(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(b)
+		if got, want := hex.EncodeToString(sum[:]), golden[name]; len(b) != want.n || got != want.sum {
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s", name, len(b), got, want.n, want.sum)
+		}
+		if got, err := DecodeBytes(b); err != nil || !reflect.DeepEqual(got, a) {
+			t.Errorf("%s does not decode to the encoded artifact (%v)", name, err)
+		}
+	}
+}
+
+// TestEncodeSizedExactly: EncodeBytes returns a buffer with no spare
+// capacity, since a store charges an artifact at its length — for every
+// section kind, alone and together.
+func TestEncodeSizedExactly(t *testing.T) {
+	for name, a := range goldenArtifacts(t) {
 		b, err := EncodeBytes(a)
 		if err != nil {
 			t.Fatal(err)
@@ -108,19 +148,142 @@ func TestEncodeSizedExactly(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes into a %d-byte buffer", name, len(b), cap(b))
 		}
 	}
-	// The in-place sections are sized from their fields alone.
-	sp := full.Stats.Portable()
-	if got, want := statsSize(sp), len(appendStats(nil, sp)); got != want {
-		t.Errorf("statsSize %d, STAT payload %d bytes", got, want)
+}
+
+// TestEncodeAllocs is the allocation gate for the encoder: TENS, STAT
+// and PART are sized by a walk over their fields and written in place,
+// so each costs the output buffer alone.
+func TestEncodeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
 	}
-	if got, want := partialSize(p), len(appendPartial(nil, p)); got != want {
-		t.Errorf("partialSize %d, PART payload %d bytes", got, want)
+	arts := goldenArtifacts(t)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+	}{{"TENS", 1}, {"STAT", 2}, {"PART", 1}, {"RESP", 1}} {
+		a := arts[tc.name]
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := EncodeBytes(a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.ceiling {
+			t.Errorf("%s: %v allocations per EncodeBytes, ceiling %v", tc.name, got, tc.ceiling)
+		}
 	}
 }
 
 // TestPrefixes checks the framing invariant: any strict prefix of a
 // snapshot either fails to decode or — when it ends exactly on a section
 // boundary — decodes to an artifact whose re-encoding is that prefix.
+// TestDecodeRejectsAxesOutOfBounds: a statistics bundle with a 0 in Dims
+// or BaseTileDims, or a base grid past the tiler's per-axis cap, is
+// rejected. The analytic model divides by the tile dimension it clamps
+// to an axis (a panic on a zero-length axis) and walks up to the grid's
+// extent (seconds on a 2^34-long axis).
+func TestDecodeRejectsAxesOutOfBounds(t *testing.T) {
+	b, err := EncodeBytes(&Artifact{Stats: testArtifact(t).Stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The STAT payload opens with Dims then BaseTileDims, each a count
+	// and two i64s.
+	payload := headerLen + 12
+	for _, c := range []struct {
+		name string
+		off  int
+		v    uint64
+	}{
+		{"Dims[0] = 0", payload + 8, 0},
+		{"BaseTileDims[1] = 0", payload + 24 + 16, 0},
+		{"Dims[0] = 2^34", payload + 8, 1 << 34},
+	} {
+		bad := slices.Clone(b)
+		binary.LittleEndian.PutUint64(bad[c.off:], c.v)
+		if _, err := DecodeBytes(withValidCRCs(bad)); err == nil {
+			t.Errorf("a bundle with %s decoded", c.name)
+		}
+	}
+}
+
+// TestDecodeRejectsMicrolessStats: a statistics bundle without its micro
+// summary is rejected. Every collection keeps one, and the exact model
+// snaps tile shapes to it, so such a bundle would panic there.
+func TestDecodeRejectsMicrolessStats(t *testing.T) {
+	st := testArtifact(t).Stats
+	b, err := EncodeBytes(&Artifact{Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := st.EvalShape(st.MicroDims())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload ends with the micro summary: its presence flag, three
+	// per-axis Ints, the keys (U64s), nnz and footprints (I32s), and the
+	// footprint scale. Clear the flag and drop the rest.
+	n, k := len(st.Dims), sh.NumTiles
+	micro := 1 + 3*(8+8*n) + (8 + 8*k) + 2*(8+4*k) + 8
+	payload := b[headerLen+12 : len(b)-4]
+	cut := append(slices.Clone(payload[:len(payload)-micro]), 0)
+	if _, err := DecodeBytes(appendSection(appendHeader(nil), tagStats, cut)); err == nil {
+		t.Fatal("a bundle without its micro summary decoded")
+	}
+	// The same cut with the flag set and the summary kept is the input.
+	if _, err := DecodeBytes(appendSection(appendHeader(nil), tagStats, append(cut[:len(cut)-1], payload[len(payload)-micro:]...))); err != nil {
+		t.Fatalf("the uncut bundle does not decode: %v", err)
+	}
+}
+
+// TestDecodeRejectsUnsortedLists: tiles and Corrs axes are written in
+// ascending order, so a stream holding them in another order is not
+// canonical and is rejected; it used to decode and re-encode to other
+// bytes.
+func TestDecodeRejectsUnsortedLists(t *testing.T) {
+	full := testArtifact(t)
+
+	// TILE with its tiles in descending key order.
+	tt := full.Tiled
+	keys := tt.SortedKeys()
+	c := wire.Appender(nil)
+	c.Ints(&tt.Dims)
+	c.Ints(&tt.TileDims)
+	c.Ints(&tt.Order)
+	c.Len(len(keys), 0)
+	for i := len(keys) - 1; i >= 0; i-- {
+		tile := tt.Tiles[keys[i]]
+		c.Ints(&tile.Outer)
+		tile.CSF.Code(&c)
+	}
+	if _, err := DecodeBytes(appendSection(appendHeader(nil), tagTiled, c.Bytes())); err == nil {
+		t.Error("tiles out of key order decoded")
+	}
+
+	// STAT with its first two Corrs axes, 0 and 1, relabeled 1 and 0.
+	// Corrs follows three per-axis Ints, four scalars and two per-level
+	// F64s, each list a count and two elements.
+	st := full.Stats
+	b, err := EncodeBytes(&Artifact{Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := headerLen + 12 + 3*24 + 4*8 + 2*24 + 8
+	second := first + 16 + 8*len(st.Corrs[0])
+	binary.LittleEndian.PutUint64(b[first:], 1)
+	binary.LittleEndian.PutUint64(b[second:], 0)
+	if _, err := DecodeBytes(withValidCRCs(b)); err == nil {
+		t.Error("Corrs axes out of order decoded")
+	}
+}
+
+// appendSection appends a section framing payload under tag, known or
+// not: the tag, the payload length, the payload and its CRC.
+func appendSection(buf []byte, tag string, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(append(buf, tag...), uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(append(buf, payload...), crc32.ChecksumIEEE(payload))
+}
+
 func TestPrefixes(t *testing.T) {
 	full, err := EncodeBytes(testArtifact(t))
 	if err != nil {

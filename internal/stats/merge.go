@@ -24,7 +24,7 @@ import (
 // into its Stats — the only way a Stats is built from collected counts:
 // every final float is a ratio of exactly-merged integers or a
 // deterministic replay over identically-sorted data, so the
-// Portable/snapshot bytes match a serial collection byte for byte.
+// snapshot bytes match a serial collection byte for byte.
 //
 // The parameter fields (Dims through SkipExtensions) pin the collection
 // frame; Merge refuses partials whose frames differ. The table fields
@@ -106,7 +106,7 @@ func CollectPartial(t *tensor.COO, baseTileDims, order []int, opts *Options) (*P
 // CollectPartialCtx collects the mergeable accumulator form of the
 // statistics for t at the given conservative tiling, under the same
 // options Collect takes. Finalize on the result is CollectCtx's Stats
-// (Portable/snapshot bytes equal) at any worker count; partials over
+// (snapshot bytes equal) at any worker count; partials over
 // entry-disjoint chunks of a tensor Merge into the partial of the whole.
 // An empty tensor yields the monoid identity for its frame.
 func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order []int, opts *Options) (*Partial, error) {

@@ -279,8 +279,8 @@ func buildMicroSummary(ctx context.Context, t *tensor.COO, tt *tiling.TiledTenso
 	}
 	// Keys are stored in ascending order. The consumers aggregate the
 	// micro entries order-insensitively (integer sums, maxima, set
-	// counts), but the Portable encoding serializes this table verbatim —
-	// a canonical order keeps the portable bytes byte-identical across
+	// counts), but the STAT encoding serializes this table verbatim —
+	// a canonical order keeps the snapshot bytes byte-identical across
 	// runs and worker counts.
 	estBase := 0
 	if microDiv == 1 {

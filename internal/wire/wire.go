@@ -5,6 +5,10 @@
 // values and Err() reports the original problem — so decoders can be
 // written as straight-line code and check once at the end.
 //
+// A Coder walks a whole payload layout over these primitives in one of
+// three modes (size, append, read), so each layout is written once and
+// serves as its own sizer, encoder and decoder.
+//
 // Slice length prefixes are validated against the bytes actually
 // remaining in the buffer before allocation, so a corrupted or
 // adversarial length cannot drive a multi-gigabyte allocation (the fuzz
@@ -274,4 +278,180 @@ func (r *Reader) Bools() []bool {
 		return nil
 	}
 	return out
+}
+
+// MaxOrder bounds every per-axis count a walk reads: tensor orders, CSF
+// levels and per-axis table lists. Far above any real kernel, it keeps a
+// corrupted count from driving per-axis allocations.
+const MaxOrder = 16
+
+// Coder walks one payload layout in one of three modes: sizing it,
+// appending it, or reading it. A layout written once as a walk — a
+// function that hands each field to the Coder in order — is then its own
+// sizer, encoder and decoder, so the three cannot drift apart. Every
+// method takes a pointer to its field: sizing and appending read through
+// it, reading stores the decoded value there. Reading latches the first
+// error as Reader does; a walk may also Fail in any mode, and a failed
+// walk's result is discarded.
+type Coder struct {
+	mode mode
+	n    int    // sizing: bytes counted so far
+	b    []byte // appending: the output so far
+	r    Reader // reading: the input; in every mode, the latched error
+}
+
+type mode uint8
+
+const (
+	sizing mode = iota
+	appending
+	reading
+)
+
+// Sizer returns a Coder that counts the bytes a walk would append.
+func Sizer() Coder { return Coder{mode: sizing} }
+
+// Appender returns a Coder that appends a walk's bytes to b.
+func Appender(b []byte) Coder { return Coder{mode: appending, b: b} }
+
+// Decoder returns a Coder that reads a walk's fields from b.
+func Decoder(b []byte) Coder { return Coder{mode: reading, r: Reader{b: b}} }
+
+// Reading reports whether c reads, so a walk can allocate what it reads
+// into and validate what it read.
+func (c *Coder) Reading() bool { return c.mode == reading }
+
+// Size returns the bytes a sizing walk counted.
+func (c *Coder) Size() int { return c.n }
+
+// Bytes returns an appending walk's output.
+func (c *Coder) Bytes() []byte { return c.b }
+
+// Remaining returns the bytes a reading walk left unread.
+func (c *Coder) Remaining() int { return c.r.Remaining() }
+
+// Err returns the walk's first error, or nil.
+func (c *Coder) Err() error { return c.r.err }
+
+// Fail latches err, if non-nil and no error is latched yet.
+func (c *Coder) Fail(err error) {
+	if err != nil && c.r.err == nil {
+		c.r.err = err
+	}
+}
+
+// U8 walks one byte.
+func (c *Coder) U8(v *uint8) { code(c, v, 1, AppendU8, (*Reader).U8) }
+
+// Bool walks a flag byte.
+func (c *Coder) Bool(v *bool) { code(c, v, 1, AppendBool, (*Reader).Bool) }
+
+// F64 walks a float's bits.
+func (c *Coder) F64(v *float64) { code(c, v, 8, AppendF64, (*Reader).F64) }
+
+// Int walks an int as i64.
+func (c *Coder) Int(v *int) {
+	switch c.mode {
+	case sizing:
+		c.n += 8
+	case appending:
+		c.b = AppendI64(c.b, int64(*v))
+	default:
+		*v = int(c.r.I64())
+	}
+}
+
+// Ints walks a slice as AppendInts frames it.
+func (c *Coder) Ints(xs *[]int) { codeSlice(c, xs, 8, AppendInts, (*Reader).Ints) }
+
+// I32s walks a slice as AppendI32s frames it.
+func (c *Coder) I32s(xs *[]int32) { codeSlice(c, xs, 4, AppendI32s, (*Reader).I32s) }
+
+// U64s walks a slice as AppendU64s frames it.
+func (c *Coder) U64s(xs *[]uint64) { codeSlice(c, xs, 8, AppendU64s, (*Reader).U64s) }
+
+// F64s walks a slice as AppendF64s frames it.
+func (c *Coder) F64s(xs *[]float64) { codeSlice(c, xs, 8, AppendF64s, (*Reader).F64s) }
+
+// Bools walks a slice as AppendBools frames it.
+func (c *Coder) Bools(xs *[]bool) { codeSlice(c, xs, 1, AppendBools, (*Reader).Bools) }
+
+// code walks one size-byte value with its Append helper and Reader method.
+func code[T any](c *Coder, v *T, size int, app func([]byte, T) []byte, read func(*Reader) T) {
+	switch c.mode {
+	case sizing:
+		c.n += size
+	case appending:
+		c.b = app(c.b, *v)
+	default:
+		*v = read(&c.r)
+	}
+}
+
+// codeSlice walks a count-prefixed slice of elem-byte elements with its
+// Append helper and Reader method.
+func codeSlice[T any](c *Coder, xs *[]T, elem int, app func([]byte, []T) []byte, read func(*Reader) []T) {
+	code(c, xs, 8+elem*len(*xs), app, read)
+}
+
+// Rest walks raw bytes that run to the end of the payload, unframed.
+// Reading copies them out of the input (nil when none remain).
+func (c *Coder) Rest(xs *[]byte) {
+	switch c.mode {
+	case sizing:
+		c.n += len(*xs)
+	case appending:
+		c.b = append(c.b, *xs...)
+	default:
+		*xs = append([]byte(nil), c.r.take(c.r.Remaining())...)
+	}
+}
+
+// Len walks the u64 count of a list whose elements the walk then walks
+// itself. It returns n, or when reading the stored count, which must be
+// at most max.
+func (c *Coder) Len(n, max int) int {
+	switch c.mode {
+	case sizing:
+		c.n += 8
+	case appending:
+		c.b = AppendU64(c.b, uint64(n))
+	default:
+		u := c.r.U64()
+		if u > uint64(max) {
+			c.r.fail("wire: list of %d exceeds %d at offset %d", u, max, c.r.off-8)
+			return 0
+		}
+		return int(u)
+	}
+	return n
+}
+
+// Has walks the presence flag of an optional part: it returns present,
+// or when reading the stored flag.
+func (c *Coder) Has(present bool) bool {
+	c.Bool(&present)
+	return present
+}
+
+// List walks a list of at most MaxOrder slices: its count, then each
+// slice framed as the matching Coder method frames it. Reading always
+// yields a non-nil list.
+func List[T int32 | uint64 | float64 | bool](c *Coder, xss *[][]T) {
+	n := c.Len(len(*xss), MaxOrder)
+	if c.Reading() {
+		*xss = make([][]T, n)
+	}
+	for i := range *xss {
+		switch xs := any(&(*xss)[i]).(type) {
+		case *[]int32:
+			c.I32s(xs)
+		case *[]uint64:
+			c.U64s(xs)
+		case *[]float64:
+			c.F64s(xs)
+		case *[]bool:
+			c.Bools(xs)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -124,5 +125,87 @@ func TestBoolRejectsNonCanonicalBytes(t *testing.T) {
 		if r := NewReader(b); r.Bools() != nil || r.Err() == nil {
 			t.Errorf("Bools accepted element byte %d", v)
 		}
+	}
+}
+
+// coded holds one field of every kind a Coder walks.
+type coded struct {
+	u8    uint8
+	flag  bool
+	i     int
+	f     float64
+	ints  []int
+	i32s  []int32
+	u64s  []uint64
+	f64s  []float64
+	bools []bool
+	lists [][]uint64
+	opt   [][]int32
+	rest  []byte
+}
+
+func (v *coded) code(c *Coder) {
+	c.U8(&v.u8)
+	c.Bool(&v.flag)
+	c.Int(&v.i)
+	c.F64(&v.f)
+	c.Ints(&v.ints)
+	c.I32s(&v.i32s)
+	c.U64s(&v.u64s)
+	c.F64s(&v.f64s)
+	c.Bools(&v.bools)
+	List(c, &v.lists)
+	if c.Has(v.opt != nil) {
+		List(c, &v.opt)
+	}
+	c.Rest(&v.rest)
+}
+
+// TestCoderModesAgree: one walk sizes exactly what it appends, appends
+// what the primitives frame, and reads back the value it walked.
+func TestCoderModesAgree(t *testing.T) {
+	in := coded{
+		u8: 7, flag: true, i: -42, f: math.Pi,
+		ints: []int{0, -1, math.MaxInt32 + 1}, i32s: []int32{0, math.MaxInt32},
+		u64s: []uint64{1, math.MaxUint64}, f64s: []float64{-0.5}, bools: []bool{true, false},
+		lists: [][]uint64{nil, {3}}, rest: []byte("tail"),
+	}
+	s := Sizer()
+	in.code(&s)
+	a := Appender(nil)
+	in.code(&a)
+	if s.Err() != nil || a.Err() != nil || s.Size() != len(a.Bytes()) {
+		t.Fatalf("sized %d bytes (%v), appended %d (%v)", s.Size(), s.Err(), len(a.Bytes()), a.Err())
+	}
+	want := AppendU64s(AppendU64s(AppendU64(AppendBools(AppendF64s(AppendU64s(AppendI32s(AppendInts(
+		AppendF64(AppendI64(AppendBool(AppendU8(nil, 7), true), -42), math.Pi), in.ints), in.i32s), in.u64s),
+		in.f64s), in.bools), 2), nil), []uint64{3})
+	want = append(AppendBool(want, false), "tail"...)
+	if !reflect.DeepEqual(a.Bytes(), want) {
+		t.Fatalf("appended %x, want %x", a.Bytes(), want)
+	}
+	var out coded
+	d := Decoder(a.Bytes())
+	out.code(&d)
+	if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(out, in) {
+		t.Fatalf("read %+v (%v, %d left), want %+v", out, d.Err(), d.Remaining(), in)
+	}
+}
+
+// TestCoderLenBounded: a read list count above its bound fails, and a
+// Fail in any mode keeps the first error.
+func TestCoderLenBounded(t *testing.T) {
+	d := Decoder(AppendU64(nil, MaxOrder+1))
+	var xss [][]float64
+	if List(&d, &xss); d.Err() == nil || len(xss) != 0 {
+		t.Fatalf("a list of %d accepted (%d read)", MaxOrder+1, len(xss))
+	}
+	s := Sizer()
+	first := errors.New("first")
+	s.Fail(nil)
+	s.Fail(first)
+	s.Fail(errors.New("second"))
+	if s.Err() != first {
+		t.Fatalf("Err = %v, want the first failure", s.Err())
 	}
 }
