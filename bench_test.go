@@ -20,7 +20,6 @@ import (
 	"d2t2/internal/hierarchy"
 	"d2t2/internal/model"
 	"d2t2/internal/optimizer"
-	"d2t2/internal/sparseloop"
 	"d2t2/internal/stats"
 	"d2t2/internal/tiling"
 )
@@ -198,22 +197,6 @@ func BenchmarkCSFBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = tt
-	}
-}
-
-func BenchmarkSparseloopEvaluate(b *testing.B) {
-	mats := benchMatrix(b)
-	e := einsum.SpMSpMIKJ()
-	lowered := Inputs(map[string]*Tensor{"A": mats["A"], "B": mats["B"]}).lower()
-	tiled, err := optimizer.TileAll(e, lowered, model.Config{"i": 64, "k": 64, "j": 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparseloop.Evaluate(e, tiled, sparseloop.Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

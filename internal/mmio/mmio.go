@@ -105,7 +105,22 @@ func atoi(f []byte) (int, bool) {
 // general/symmetric/skew-symmetric. Symmetric inputs are expanded to full
 // storage; a skew-symmetric mirror entry holds the negated value.
 func ReadMatrixMarket(r io.Reader) (*tensor.COO, error) {
-	lr := &lineReader{br: bufio.NewReaderSize(r, 1<<16)}
+	return readMatrixMarket(bufio.NewReaderSize(r, 1<<16), unread(r))
+}
+
+// unread reports how many bytes r has left to read when r can tell (a
+// bytes.Reader, strings.Reader or bytes.Buffer can), else -1.
+func unread(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return -1
+}
+
+// readMatrixMarket is ReadMatrixMarket on a buffered stream of size
+// bytes (-1 when unknown).
+func readMatrixMarket(br *bufio.Reader, size int) (*tensor.COO, error) {
+	lr := &lineReader{br: br}
 	first, err := lr.next()
 	if err != nil {
 		return nil, fmt.Errorf("mmio: empty input")
@@ -170,6 +185,20 @@ func ReadMatrixMarket(r io.Reader) (*tensor.COO, error) {
 			}
 			m = tensor.New(rows, cols)
 			declared = nnz
+			// Presize for the declared entries, but for no more than the
+			// input can hold, so a header cannot make the reader allocate:
+			// an entry line is want fields, each followed by a space or
+			// the line's end. When the size is unknown, only the bytes
+			// already buffered are known to be there.
+			if size < 0 {
+				size = lr.br.Buffered()
+			}
+			if n := min(nnz, (size+1)/(2*want)); n > 0 {
+				if symmetric {
+					n *= 2
+				}
+				m.Crds[0], m.Crds[1], m.Vals = make([]int, 0, n), make([]int, 0, n), make([]float64, 0, n)
+			}
 			continue
 		}
 		if len(f) < want {
@@ -294,6 +323,7 @@ func ReadTNS(r io.Reader, dims []int) (*tensor.COO, error) {
 // entry point for streamed uploads that arrive without a filename — the
 // stream is consumed directly, never spooled to a temporary file.
 func ReadAny(r io.Reader) (*tensor.COO, error) {
+	size := unread(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 	banner := "%%matrixmarket"
 	head, err := br.Peek(len(banner))
@@ -301,7 +331,7 @@ func ReadAny(r io.Reader) (*tensor.COO, error) {
 		return nil, err
 	}
 	if strings.EqualFold(string(head), banner) {
-		return ReadMatrixMarket(br)
+		return readMatrixMarket(br, size)
 	}
 	return ReadTNS(br, nil)
 }

@@ -123,3 +123,66 @@ func TestPredictCalibrationOutsideMemo(t *testing.T) {
 		t.Fatalf("bias %v: %+v (computed %d), want %+v from the one kept estimate", f, got, p.Computed(), want)
 	}
 }
+
+// TestKeepOnSharesPredictions: predictors kept on one bundle under one
+// group share one table, so a config any of them priced is computed
+// once for all, including from concurrent goroutines; a predictor kept
+// under another group, or one left with its own table, computes afresh.
+func TestKeepOnSharesPredictions(t *testing.T) {
+	first, cfgs := memoPredictor(t)
+	host := first.Stats["A"]
+	first.KeepOn(host, "group")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p, err := New(first.Expr, first.Stats)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.KeepOn(host, "group")
+			for k := range cfgs {
+				if _, err := p.Predict(cfgs[(k+g)%len(cfgs)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if first.Computed() != int64(len(cfgs)) || first.Kept() != len(cfgs) {
+		t.Fatalf("%d configs asked by 4 predictors of one group: %d computed, %d kept", len(cfgs), first.Computed(), first.Kept())
+	}
+	for _, cfg := range cfgs {
+		got, err := first.Predict(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := first.predict(cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("config %v: shared %+v, unmemoized %+v", cfg, got, want)
+		}
+	}
+	if first.Computed() != int64(len(cfgs)) {
+		t.Fatalf("asking again computed %d more predictions", first.Computed()-int64(len(cfgs)))
+	}
+
+	other, err := New(first.Expr, first.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := New(first.Expr, first.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.KeepOn(host, "another group")
+	for _, p := range []*Predictor{other, own} {
+		if _, err := p.Predict(cfgs[0]); err != nil || p.Computed() != 1 {
+			t.Fatalf("a predictor outside the group: computed %d (err %v), want 1", p.Computed(), err)
+		}
+	}
+}

@@ -27,10 +27,11 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 
 	"d2t2/internal/einsum"
-	"d2t2/internal/par"
 	"d2t2/internal/stats"
+	"d2t2/internal/tensor"
 )
 
 // Mode selects how statistics respond to candidate shapes.
@@ -82,13 +83,14 @@ type Predictor struct {
 	refine []*refinePlan
 
 	// preds memoizes uncalibrated predictions, one flight per key (see
-	// Predict).
-	preds par.Memo[string, *Prediction]
+	// Predict): the predictor's own table, or the one it shares through
+	// a bundle (KeepOn).
+	preds *stats.Table[*Prediction]
 }
 
-// predictMemoCap bounds one predictor's prediction memo. An optimize
-// asks a few dozen configs and a batch group's jobs ask mostly the same
-// ones; past the cap, predictions are computed without being kept.
+// predictMemoCap bounds one prediction table. An optimize asks a few
+// dozen configs, and the requests sharing a table mostly the same ones;
+// past the cap, predictions are computed without being kept.
 const predictMemoCap = 1024
 
 // EvalRef evaluates the shape statistics of one input occurrence under
@@ -128,17 +130,41 @@ func New(e *einsum.Expr, st map[string]*stats.Stats) (*Predictor, error) {
 				ref, len(ref.Indices), len(s.Dims))
 		}
 	}
-	p := &Predictor{Expr: e, Stats: st, Mode: ModeExact, UseCorrs: true, prods: e.ProductsIdx()}
+	p := &Predictor{Expr: e, Stats: st, Mode: ModeExact, UseCorrs: true, prods: e.ProductsIdx(),
+		preds: new(stats.Table[*Prediction])}
 	if len(p.prods) == 1 {
 		p.refine = refinePlans(e, p.prods[0])
 	}
 	return p, nil
 }
 
+// KeepOn makes the predictor memoize its predictions in the table host
+// keeps under group (stats.KeptTable), in place of its own: predictors
+// of one group share their predictions for as long as host stays
+// resident. host must be one of the predictor's bundles, and group must
+// name by content everything a prediction depends on besides the raw
+// config, mode and ablations its memo key holds: the kernel with its
+// loop order and the content address of every input bundle in input
+// order. Call it before the first Predict.
+func (p *Predictor) KeepOn(host *stats.Stats, group string) {
+	p.preds = stats.KeptTable[*Prediction](host, group)
+}
+
 // Prediction is the model's traffic estimate in words.
 type Prediction struct {
 	Input  map[string]float64
 	Output float64
+}
+
+// predictionBytes is the size of a Prediction's struct.
+var predictionBytes = int(reflect.TypeFor[Prediction]().Size())
+
+// heapBytes bounds the heap a kept prediction occupies: its struct and
+// its input map, a header and one bucket array of string keys and
+// float64 values per eight inputs.
+func (p *Prediction) heapBytes() int64 {
+	return tensor.AllocBytes(predictionBytes) + tensor.AllocBytes(48) +
+		tensor.AllocBytes((len(p.Input)+8)*(1+16+8))
 }
 
 // InputTotal returns the summed predicted input traffic.
@@ -310,7 +336,7 @@ func (p *Predictor) SnapConfigInPlace(cfg Config) Config {
 // dimensions itself but reads the raw ones in the output terms — so
 // the predictor memoizes it per (raw config, Mode, UseCorrs,
 // DisableRefinement), one flight per key: concurrent askers of a config
-// (the jobs of a batch sharing the predictor) wait for its one
+// (the jobs sharing the predictor's table) wait for its one
 // computation. The memo holds the uncalibrated estimate; the
 // calibration bias is applied to the returned copy, so the memo stays
 // valid as the bias moves. The caller owns the returned Prediction.
@@ -324,7 +350,7 @@ func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
 	kb = append(kb, flagByte(p.UseCorrs), flagByte(p.DisableRefinement))
 	raw, err := p.preds.Do(string(kb), predictMemoCap, func() (*Prediction, error) {
 		return p.predict(cfg)
-	})
+	}, (*Prediction).heapBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -347,10 +373,10 @@ func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
 	return pred, nil
 }
 
-// Computed reports how many predictions the predictor has computed
-// rather than served from its memo, and Kept how many it holds: a
-// predictor whose askers never raced past the single flight computed
-// each kept config once.
+// Computed reports how many predictions the predictor's table has
+// computed rather than served from its memo, and Kept how many it holds,
+// for every predictor sharing the table: a table whose askers never
+// raced past the single flight computed each kept config once.
 func (p *Predictor) Computed() int64 { return p.preds.Runs() }
 func (p *Predictor) Kept() int       { return p.preds.Len() }
 

@@ -293,12 +293,27 @@ func single[R any](s *Server, internal bool, endpoint string, canonicalize func(
 		}
 		// The cold pipeline runs once per distinct request content:
 		// identical concurrent requests coalesce onto one flight and share
-		// the leader's bytes. The job runs on the bounded pool under the
-		// FLIGHT context — cancelled only when every coalesced participant
-		// has left — so a deadline or disconnect still stops abandoned
-		// compute at its next work-item boundary, but one follower hanging
-		// up never kills the run for the rest.
-		body, coalesced, err := s.flights.do(ctx, j.key, func(fctx context.Context) ([]byte, error) {
+		// the leader's bytes, and a leader first re-checks the local warm
+		// rung for a flight that landed since its own check. The job runs
+		// on the bounded pool under the FLIGHT context — cancelled only
+		// when every coalesced participant has left — so a deadline or
+		// disconnect still stops abandoned compute at its next work-item
+		// boundary, but one follower hanging up never kills the run for
+		// the rest.
+		var warm func() ([]byte, string, bool)
+		if !j.calibrate {
+			warm = func() ([]byte, string, bool) {
+				resp, state, ok := s.landedResponse(j.key)
+				if ok {
+					s.metrics.add(hits, 1)
+				}
+				return resp, state, ok
+			}
+		}
+		if s.beforeFlight != nil {
+			s.beforeFlight()
+		}
+		body, state, err := s.flights.do(ctx, j.key, warm, func(fctx context.Context) ([]byte, error) {
 			var res []jobResult
 			if err := s.runCompute(fctx, func(ctx context.Context) { res = s.runLocal(ctx, []*keyedJob{j}) }); err != nil {
 				return nil, err
@@ -311,11 +326,6 @@ func single[R any](s *Server, internal bool, endpoint string, canonicalize func(
 		if err != nil {
 			s.writeFlightError(w, err)
 			return
-		}
-		// The flight leader ran the pipeline; followers shared its run.
-		state := "miss"
-		if coalesced {
-			state = "coalesced"
 		}
 		s.writeBody(w, state, body)
 	}
@@ -456,6 +466,21 @@ func (s *Server) resolveInputs(ctx context.Context, j *keyedJob) error {
 func (s *Server) cachedResponse(ctx context.Context, key string) (body []byte, state string, ok bool) {
 	a, src := s.loadArtifact(ctx, key)
 	if a.Response == nil {
+		return nil, "", false
+	}
+	return a.Response, s.cacheStateFor(key, src), true
+}
+
+// landedResponse is cachedResponse on the local layers alone (memory,
+// then disk): a flight that ran on this node persisted its response
+// there before it left the flight group.
+func (s *Server) landedResponse(key string) (body []byte, state string, ok bool) {
+	b, src := s.localGet(key)
+	if b == nil {
+		return nil, "", false
+	}
+	a, err := snapshot.DecodeBytes(b)
+	if err != nil || a.Response == nil {
 		return nil, "", false
 	}
 	return a.Response, s.cacheStateFor(key, src), true

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"d2t2"
@@ -218,7 +219,8 @@ func (c twinCache) StoreMergedStats(context.Context, string, *stats.Stats)     {
 // bundle beside its artifact is not below the heap the bundle holds, at
 // orders 2–4, both fresh from a load (a stats query's bundle, whose
 // shape memo stays empty) and after optimize requests at distinct
-// buffers in one band have filled its shape and projection memos. The
+// buffers in one band have filled its shape and projection memos and
+// its prediction table. The
 // heap is measured on twins: bundles decoded from the same artifacts,
 // their memos filled by the same optimizations in a session of their
 // own; the least growth over three tries is taken, so other goroutines'
@@ -291,11 +293,18 @@ func TestStatsChargeCoversHeap(t *testing.T) {
 			t.Fatalf("order %d: no optimize served a resident bundle", order)
 		}
 		checkBundleCharges(t, fmt.Sprintf("order %d filled", order), residentBundles(s.store), func(twins map[string]*stats.Stats) {
+			var predictions atomic.Int64
+			for _, st := range twins {
+				st.ObserveTableRuns(func() { predictions.Add(1) })
+			}
 			sess := d2t2.NewSession(twinCache{t: t, sts: twins})
 			for _, o := range jobs {
 				if _, err := sess.Optimize(k, inputs, o); err != nil {
 					t.Error(err)
 				}
+			}
+			if predictions.Load() == 0 {
+				t.Errorf("order %d: the twins' prediction tables stayed empty", order)
 			}
 		})
 		s.Shutdown(context.Background())
@@ -554,11 +563,12 @@ func TestOverBudgetUpload(t *testing.T) {
 
 // TestSharedResidentBundleConcurrent: a bundle is kept from its second
 // load on; then concurrent optimize requests, measured and not, at
-// distinct buffers in one band price shapes on the one resident bundle,
-// at 1 and 8 workers. Every response is byte-identical
-// to the same request on a fresh server; afterwards each resident
-// bundle is charged what it holds, and MemBytes is the sum of the
-// entries' charges.
+// distinct buffers in one band price shapes and predict on the one
+// resident bundle, at 1 and 8 workers. Every response is byte-identical
+// to the same request on a fresh server; the requests fill the bundle's
+// one prediction table with as many predictions as the same requests
+// sent one at a time; afterwards each resident bundle is charged what
+// it holds, and MemBytes is the sum of the entries' charges.
 func TestSharedResidentBundleConcurrent(t *testing.T) {
 	tns := tnsBody(rand.New(rand.NewSource(7)), []int{400, 400}, 3000)
 	request := func(id string, i int, measure bool) string {
@@ -591,14 +601,16 @@ func TestSharedResidentBundleConcurrent(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{1, 8} {
+	// warmUp uploads the tensor: the first request collects the bundle,
+	// the second loads it once and leaves it, the third loads it again
+	// and keeps it.
+	warmUp := func(workers int) (*Server, string) {
+		t.Helper()
 		s, err := New(Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		id := upload(s)
-		// The first request collects the bundle, the second loads it once
-		// and leaves it, the third loads it again and keeps it.
 		for n, i := range []int{6, 7, 8} {
 			if rec := serveRaw(s, "/v1/optimize", "application/json", request(id, i, false)); rec.Code != http.StatusOK {
 				t.Fatalf("workers=%d warm-up: status %d: %s", workers, rec.Code, rec.Body)
@@ -607,7 +619,24 @@ func TestSharedResidentBundleConcurrent(t *testing.T) {
 				t.Fatalf("workers=%d: %d bundles resident after warm-up request %d, want %d", workers, got, n+1, want)
 			}
 		}
-		hits := s.Metric("stats_resident_hits")
+		return s, id
+	}
+	serial, _ := warmUp(1)
+	computed := serial.Metric("predictions_computed")
+	for _, body := range bodies {
+		if rec := serveRaw(serial, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+			t.Fatalf("serial %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	computed = serial.Metric("predictions_computed") - computed
+	serial.Shutdown(context.Background())
+	if computed == 0 {
+		t.Fatal("the requests computed no prediction; the test shows nothing")
+	}
+
+	for _, workers := range []int{1, 8} {
+		s, _ := warmUp(workers)
+		hits, predictions := s.Metric("stats_resident_hits"), s.Metric("predictions_computed")
 		var wg sync.WaitGroup
 		for _, body := range bodies {
 			wg.Add(1)
@@ -622,6 +651,9 @@ func TestSharedResidentBundleConcurrent(t *testing.T) {
 		wg.Wait()
 		if got := s.Metric("stats_resident_hits") - hits; got != int64(len(bodies)) {
 			t.Errorf("workers=%d: %d of %d requests were served the resident bundle", workers, got, len(bodies))
+		}
+		if got := s.Metric("predictions_computed") - predictions; got != computed {
+			t.Errorf("workers=%d: the concurrent requests computed %d predictions, sent one at a time %d", workers, got, computed)
 		}
 		for key, b := range residentBundles(s.store) {
 			if want := b.st.HeapBytes() + valueOverhead; b.charge != want {
@@ -638,5 +670,65 @@ func TestSharedResidentBundleConcurrent(t *testing.T) {
 		}
 		s.store.mu.Unlock()
 		s.Shutdown(context.Background())
+	}
+}
+
+// TestResidentPredictionsReused: predictions outlive the request that
+// computed them. Once the bundle is resident, an optimize computes its
+// predictions into the bundle's table, and a second request that runs
+// the same search (the same buffer, now measured) computes none; its
+// response is byte-identical to the same request on a fresh server.
+func TestResidentPredictionsReused(t *testing.T) {
+	tns := tnsBody(rand.New(rand.NewSource(8)), []int{300, 300}, 2500)
+	request := func(id string, bw int, measure bool) string {
+		return fmt.Sprintf(`{"kernel":%q,"inputs":{"A":%q,"B":%q},"bufferWords":%d,"measure":%t}`,
+			testKernel, id, id, bw, measure)
+	}
+	bw := denseSquareWords(16, 2) + 51
+
+	fresh, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, id := uploadRaw(fresh, tns)
+	if code != http.StatusOK {
+		t.Fatalf("upload: status %d: %s", code, id)
+	}
+	want := serveRaw(fresh, "/v1/optimize", "application/json", request(id, bw, true))
+	fresh.Shutdown(context.Background())
+	if want.Code != http.StatusOK {
+		t.Fatalf("fresh optimize: status %d: %s", want.Code, want.Body)
+	}
+
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	uploadRaw(s, tns)
+	// Collect, load, then load and keep the bundle.
+	for i := 1; i <= 3; i++ {
+		if rec := serveRaw(s, "/v1/optimize", "application/json", request(id, bw+97*i, false)); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	if len(residentBundles(s.store)) != 1 {
+		t.Fatal("the warm-up left no bundle resident")
+	}
+	for _, measure := range []bool{false, true} {
+		before := s.Metric("predictions_computed")
+		rec := serveRaw(s, "/v1/optimize", "application/json", request(id, bw, measure))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("measure=%t: status %d: %s", measure, rec.Code, rec.Body)
+		}
+		computed := s.Metric("predictions_computed") - before
+		switch {
+		case !measure && computed == 0:
+			t.Fatal("the first request computed no prediction; the test shows nothing")
+		case measure && computed != 0:
+			t.Errorf("the second request computed %d predictions on the resident bundle", computed)
+		case measure && rec.Body.String() != want.Body.String():
+			t.Errorf("the second request served\n%s\nwant (fresh server)\n%s", rec.Body, want.Body)
+		}
 	}
 }

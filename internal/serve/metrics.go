@@ -32,6 +32,7 @@ var counterNames = []string{
 	"stats_collect_total",
 	"shape_evals_micro",
 	"shape_evals_derived",
+	"predictions_computed",
 	"optimize_total",
 	"optimize_cache_hits",
 	"optimize_overbooked",

@@ -231,6 +231,10 @@ type Server struct {
 	// finish, so /readyz stops advertising the node while it drains.
 	draining atomic.Bool
 
+	// beforeFlight, when set (by tests only), runs in a single-request
+	// handler between its warm check and its flight.
+	beforeFlight func()
+
 	mu      sync.Mutex
 	httpSrv *http.Server
 }
@@ -370,14 +374,7 @@ func (s *Server) Vars() expvar.Var { return s.metrics.vars }
 // by the client and cache-filled locally (without re-replication: the
 // producing node already drove placement for the key).
 func (s *Server) storeGet(ctx context.Context, key string) ([]byte, Source) {
-	b, src, err := s.store.Get(key)
-	if err == nil && b != nil {
-		switch src {
-		case SourceMem:
-			s.metrics.add("artifact_mem_hits", 1)
-		case SourceDisk:
-			s.metrics.add("artifact_disk_hits", 1)
-		}
+	if b, src := s.localGet(key); b != nil {
 		return b, src
 	}
 	if s.cluster != nil {
@@ -389,6 +386,22 @@ func (s *Server) storeGet(ctx context.Context, key string) ([]byte, Source) {
 	}
 	s.metrics.add("artifact_misses", 1)
 	return nil, SourceNone
+}
+
+// localGet is storeGet's local layers: memory, then disk. A miss is
+// not counted.
+func (s *Server) localGet(key string) ([]byte, Source) {
+	b, src, err := s.store.Get(key)
+	if err != nil || b == nil {
+		return nil, SourceNone
+	}
+	switch src {
+	case SourceMem:
+		s.metrics.add("artifact_mem_hits", 1)
+	case SourceDisk:
+		s.metrics.add("artifact_disk_hits", 1)
+	}
+	return b, src
 }
 
 // storeCache plugs the artifact store into the d2t2 Session as its
@@ -428,7 +441,7 @@ func (c *storeCache) LoadStats(ctx context.Context, key string) (*stats.Stats, b
 	if err != nil || a.Stats == nil {
 		return nil, false
 	}
-	a.Stats.ObserveShapeEvals(c.s.countShapeEval)
+	c.s.observe(a.Stats)
 	if !c.s.store.Seen(key) {
 		return a.Stats, true
 	}
@@ -473,9 +486,17 @@ func (jb *jobBundles) rekeep(st *Store) {
 	}
 }
 
-// countShapeEval is the observer every bundle the server hands out
+// observe installs the observers every bundle the server hands out
 // carries: shape_evals_micro and shape_evals_derived count the shapes
-// priced on them by source (stats.Stats.ObserveShapeEvals).
+// priced on it by source (stats.Stats.ObserveShapeEvals), and
+// predictions_computed the predictions its prediction tables compute
+// (stats.Stats.ObserveTableRuns; the model's are the only tables kept
+// on bundles).
+func (s *Server) observe(st *stats.Stats) {
+	st.ObserveShapeEvals(s.countShapeEval)
+	st.ObserveTableRuns(s.countPrediction)
+}
+
 func (s *Server) countShapeEval(derived bool) {
 	if derived {
 		s.metrics.add("shape_evals_derived", 1)
@@ -484,9 +505,11 @@ func (s *Server) countShapeEval(derived bool) {
 	}
 }
 
+func (s *Server) countPrediction() { s.metrics.add("predictions_computed", 1) }
+
 func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_collect_total", 1)
-	st.ObserveShapeEvals(c.s.countShapeEval)
+	c.s.observe(st)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
 
@@ -501,7 +524,7 @@ func (c *storeCache) StorePartial(ctx context.Context, key string, p *stats.Part
 
 func (c *storeCache) StoreMergedStats(ctx context.Context, key string, st *stats.Stats) {
 	c.s.metrics.add("stats_merge_total", 1)
-	st.ObserveShapeEvals(c.s.countShapeEval)
+	c.s.observe(st)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
 

@@ -31,16 +31,18 @@ type flightGroup struct {
 	wg sync.WaitGroup
 }
 
-// flight is one in-air pipeline run. body and err are written by the
-// runner goroutine before done is closed and read by participants only
-// after done is closed, so the channel close is the synchronization
-// point; waiters and shared are guarded by the group mutex.
+// flight is one in-air pipeline run. body, state and err are written by
+// the runner goroutine before done is closed and read by participants
+// only after done is closed, so the channel close is the
+// synchronization point; waiters and shared are guarded by the group
+// mutex.
 type flight struct {
 	done    chan struct{}
 	cancel  context.CancelFunc
 	waiters int
 	shared  bool
 	body    []byte
+	state   string // how the leader was served: "miss", or the warm rung's state
 	err     error
 }
 
@@ -51,11 +53,19 @@ func newFlightGroup(m *metrics) *flightGroup {
 // do runs fn for key, coalescing onto an existing flight when one is in
 // the air. fn receives the flight's context — cancelled only when every
 // participant has left — and its single result is fanned out to all
-// participants: the returned body and error are shared. coalesced
-// reports whether this caller joined an existing flight (a follower)
-// rather than creating it (the leader). When ctx dies first, do returns
-// ctx.Err() and the flight flies on without this participant.
-func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) (body []byte, coalesced bool, err error) {
+// participants: the returned body and error are shared.
+//
+// Before fn, the flight's leader asks warm (nil asks nothing) for a
+// response already kept under key: a flight for key that landed after
+// the caller's own warm check and before this one was created persisted
+// its response first, so a hit here serves it instead of running the
+// pipeline a second time. A warm hit is not counted as a leader.
+//
+// state reports how the caller was served: "coalesced" when it joined
+// an existing flight (a follower); as the flight's leader, warm's state
+// on a warm hit, else "miss". When ctx dies first, do returns ctx.Err()
+// and the flight flies on without this participant.
+func (g *flightGroup) do(ctx context.Context, key string, warm func() ([]byte, string, bool), fn func(ctx context.Context) ([]byte, error)) (body []byte, state string, err error) {
 	g.mu.Lock()
 	if f, ok := g.flights[key]; ok {
 		f.waiters++
@@ -77,11 +87,21 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Co
 	fctx, cancel := context.WithCancel(context.Background())
 	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
 	g.flights[key] = f
-	g.metrics.add("singleflight_leader", 1)
 	g.wg.Add(1)
+	g.mu.Unlock()
+	hit := false
+	if warm != nil {
+		f.body, f.state, hit = warm()
+	}
+	if !hit {
+		g.metrics.add("singleflight_leader", 1)
+		f.state = "miss"
+	}
 	go func() {
 		defer g.wg.Done()
-		f.body, f.err = fn(fctx)
+		if !hit {
+			f.body, f.err = fn(fctx)
+		}
 		g.mu.Lock()
 		// Identity-checked: a late arrival after the last participant
 		// detached this flight may have started a fresh one under the
@@ -93,20 +113,26 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Co
 		close(f.done)
 		cancel()
 	}()
-	g.mu.Unlock()
 	return g.wait(ctx, key, f, false)
 }
 
 // wait blocks one participant on a flight until the result lands or the
 // participant's own context dies, then runs the departure bookkeeping.
-func (g *flightGroup) wait(ctx context.Context, key string, f *flight, follower bool) ([]byte, bool, error) {
+func (g *flightGroup) wait(ctx context.Context, key string, f *flight, follower bool) ([]byte, string, error) {
+	state := "miss"
+	if follower {
+		state = "coalesced"
+	}
 	select {
 	case <-f.done:
 		g.depart(key, f, false)
-		return f.body, follower, f.err
+		if !follower {
+			state = f.state
+		}
+		return f.body, state, f.err
 	case <-ctx.Done():
 		g.depart(key, f, true)
-		return nil, follower, ctx.Err()
+		return nil, state, ctx.Err()
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,8 +60,8 @@ func TestSingleflightGroupCoalesces(t *testing.T) {
 	results := make(chan flightResult, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			b, c, err := g.do(context.Background(), "k", fn)
-			results <- flightResult{b, c, err}
+			b, state, err := g.do(context.Background(), "k", nil, fn)
+			results <- flightResult{b, state == "coalesced", err}
 		}()
 	}
 	waitForWaiters(t, g, "k", n)
@@ -110,16 +113,16 @@ func TestSingleflightFollowerDetach(t *testing.T) {
 	}
 	leaderRes := make(chan flightResult, 1)
 	go func() {
-		b, c, err := g.do(context.Background(), "k", fn)
-		leaderRes <- flightResult{b, c, err}
+		b, state, err := g.do(context.Background(), "k", nil, fn)
+		leaderRes <- flightResult{b, state == "coalesced", err}
 	}()
 	waitForWaiters(t, g, "k", 1)
 
 	fctx, fcancel := context.WithCancel(context.Background())
 	followerRes := make(chan flightResult, 1)
 	go func() {
-		b, c, err := g.do(fctx, "k", fn)
-		followerRes <- flightResult{b, c, err}
+		b, state, err := g.do(fctx, "k", nil, fn)
+		followerRes <- flightResult{b, state == "coalesced", err}
 	}()
 	waitForWaiters(t, g, "k", 2)
 	fcancel()
@@ -157,15 +160,15 @@ func TestSingleflightLeaderFailover(t *testing.T) {
 	lctx, lcancel := context.WithCancel(context.Background())
 	leaderRes := make(chan flightResult, 1)
 	go func() {
-		b, c, err := g.do(lctx, "k", fn)
-		leaderRes <- flightResult{b, c, err}
+		b, state, err := g.do(lctx, "k", nil, fn)
+		leaderRes <- flightResult{b, state == "coalesced", err}
 	}()
 	waitForWaiters(t, g, "k", 1)
 
 	followerRes := make(chan flightResult, 1)
 	go func() {
-		b, c, err := g.do(context.Background(), "k", fn)
-		followerRes <- flightResult{b, c, err}
+		b, state, err := g.do(context.Background(), "k", nil, fn)
+		followerRes <- flightResult{b, state == "coalesced", err}
 	}()
 	waitForWaiters(t, g, "k", 2)
 	lcancel()
@@ -199,8 +202,8 @@ func TestSingleflightAbandonCancelsRun(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	res := make(chan flightResult, 1)
 	go func() {
-		b, c, err := g.do(cctx, "k", fn)
-		res <- flightResult{b, c, err}
+		b, state, err := g.do(cctx, "k", nil, fn)
+		res <- flightResult{b, state == "coalesced", err}
 	}()
 	<-started
 	cancel()
@@ -212,10 +215,10 @@ func TestSingleflightAbandonCancelsRun(t *testing.T) {
 	g.join()
 
 	// A fresh request after the abandonment must start a new flight.
-	b, coalesced, err := g.do(context.Background(), "k",
+	b, state, err := g.do(context.Background(), "k", nil,
 		func(ctx context.Context) ([]byte, error) { return []byte("fresh"), nil })
-	if err != nil || coalesced || string(b) != "fresh" {
-		t.Fatalf("post-abandon do got (%q, coalesced=%v, %v), want a fresh leader run", b, coalesced, err)
+	if err != nil || state != "miss" || string(b) != "fresh" {
+		t.Fatalf("post-abandon do got (%q, %s, %v), want a fresh leader run", b, state, err)
 	}
 	if got := m.get("singleflight_leader"); got != 2 {
 		t.Errorf("singleflight_leader = %d, want 2 (abandoned + fresh)", got)
@@ -416,5 +419,61 @@ func TestSingleflightDeadline(t *testing.T) {
 	}
 	if q, r := s2.Metric("pool_abandoned_queued"), s2.Metric("pool_abandoned_running"); q+r != leaders {
 		t.Errorf("pool_abandoned_queued=%d pool_abandoned_running=%d, want %d (one per abandoned flight)", q, r, leaders)
+	}
+}
+
+// TestSingleflightLateLeaderServesLanded holds one request between its
+// warm check and its flight while an identical request runs the cold
+// pipeline and lands. The held request then leads a flight of its own,
+// whose re-check of the warm rung serves the landed response: the
+// pipeline runs once, singleflight_leader is 1, and the held request is
+// counted and labelled as a warm hit.
+func TestSingleflightLateLeaderServesLanded(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	code, id := uploadRaw(s, tnsBody(rand.New(rand.NewSource(3)), []int{200, 200}, 2000))
+	if code != http.StatusOK {
+		t.Fatalf("upload: status %d: %s", code, id)
+	}
+	body := fmt.Sprintf(`{"kernel":%q,"inputs":{"A":%q,"B":%q},"bufferWords":%d}`,
+		testKernel, id, id, denseSquareWords(16, 2))
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	s.beforeFlight = func() {
+		if calls.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	late := make(chan *httptest.ResponseRecorder, 1)
+	go func() { late <- serveRaw(s, "/v1/optimize", "application/json", body) }()
+	<-held // the late request missed the warm rung and waits before its flight
+	first := serveRaw(s, "/v1/optimize", "application/json", body)
+	close(release)
+	rec := <-late
+
+	for name, r := range map[string]*httptest.ResponseRecorder{"first": first, "late": rec} {
+		if r.Code != http.StatusOK {
+			t.Fatalf("%s request: status %d: %s", name, r.Code, r.Body)
+		}
+	}
+	if rec.Body.String() != first.Body.String() {
+		t.Errorf("late request served\n%s\nthe first\n%s", rec.Body, first.Body)
+	}
+	if got := s.Metric("singleflight_leader"); got != 1 {
+		t.Errorf("singleflight_leader = %d, want 1: the late request computed again", got)
+	}
+	if got := s.Metric("stats_collect_total"); got != 1 {
+		t.Errorf("stats_collect_total = %d, want 1", got)
+	}
+	if got, state := s.Metric("optimize_cache_hits"), rec.Header().Get("X-D2T2-Cache"); got != 1 || state != "hit" {
+		t.Errorf("late request: optimize_cache_hits = %d, X-D2T2-Cache %q; want 1 and hit", got, state)
+	}
+	if state := first.Header().Get("X-D2T2-Cache"); state != "miss" {
+		t.Errorf("first request: X-D2T2-Cache %q, want miss", state)
 	}
 }

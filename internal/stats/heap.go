@@ -33,13 +33,15 @@ func memoKeyBytes(key string) int64 {
 }
 
 // HeapBytes bounds the heap the bundle occupies: every field at its
-// capacity, and what its shape memo and the kept shapes' projection
-// memos hold. It is the size a cache charges for keeping the bundle. It
-// grows as the memos fill, so a cache that keeps a bundle while others
-// price shapes on it charges it again when they are done.
+// capacity, and what its shape memo, the kept shapes' projection memos
+// and the tables it keeps (KeptTable) hold. It is the size a cache
+// charges for keeping the bundle. It grows as the memos fill, so a cache
+// that keeps a bundle while others price shapes or predict on it charges
+// it again when they are done.
 func (s *Stats) HeapBytes() int64 {
 	b := alloc(statsBytes) + memoMapBytes + s.memoBytes.Load()
 	s.shapes.Range(func(sh *ShapeStats) { b += sh.projBytes.Load() })
+	s.tables.Range(func(t heldTable) { b += t.heldBytes() })
 	b += alloc(8*cap(s.Dims)) + alloc(8*cap(s.BaseTileDims)) + alloc(8*cap(s.Order)) +
 		alloc(8*cap(s.PrTileIdx)) + alloc(8*cap(s.ProbIndex))
 	// Corrs: a map of at most one entry per axis, an int key and a slice

@@ -158,6 +158,13 @@ type Stats struct {
 	memoBytes atomic.Int64
 	// evalObserver is told of each shape evaluation (ObserveShapeEvals).
 	evalObserver atomic.Pointer[func(derived bool)]
+	// tables holds the tables other packages keep on the bundle
+	// (KeptTable), up to tableCap; memoBytes accounts for the tables
+	// themselves and each table for the values it holds.
+	tables par.Memo[string, heldTable]
+	// tableObserver is told of each value a table computes
+	// (ObserveTableRuns).
+	tableObserver atomic.Pointer[func()]
 }
 
 // PTileBase returns the product of PrTileIdx over all outer levels: the

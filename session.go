@@ -2,6 +2,7 @@ package d2t2
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -215,25 +216,18 @@ func (s *Session) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opt
 // collection — at most once per Batch, and every job in the group gets
 // the same decoded *stats.Stats, so the jobs' shape searches share its
 // EvalShape memo too. Jobs of one kernel over the same bundles, in the
-// same mode and ablations, share one model predictor and so its
-// prediction memo: a config any of them prices is priced once for all.
-// Calibrated jobs never share a predictor. A Batch keeps its bundles and
-// predictors until it is dropped: scope one to a single request, never
-// to the process. It is safe for concurrent use: concurrent askers of
-// one bundle or predictor wait for a single resolve.
+// same mode and ablations, share one model predictor, whose prediction
+// table the group's first bundle keeps: a config any of them prices is
+// priced once for all, and for every later batch that resolves the same
+// resident bundle. Calibrated jobs never share a predictor. A Batch
+// keeps its bundles and predictors until it is dropped: scope one to a
+// single request, never to the process. It is safe for concurrent use:
+// concurrent askers of one bundle or predictor wait for a single
+// resolve.
 type Batch struct {
 	s       *Session
 	bundles par.Memo[string, *stats.Stats]
-	preds   par.Memo[predictorKey, *model.Predictor]
-}
-
-// predictorKey names a batch group: the kernel, its input bundles'
-// content addresses in input order, and the options the predictor is
-// built with.
-type predictorKey struct {
-	kernel, bundles                 string
-	mode                            model.Mode
-	disableCorrs, disableRefinement bool
+	preds   par.Memo[string, *model.Predictor]
 }
 
 // NewBatch returns an empty batch scope on the session.
@@ -358,16 +352,21 @@ func (b *Batch) statsFor(ctx context.Context, t *Tensor, tileDims, order []int) 
 
 // predictor returns the batch group's shared predictor for an
 // uncalibrated optimization of k over the bundles pre, whose content
-// addresses are bundles, building it on the group's first ask.
+// addresses are bundles, building it on the group's first ask. The
+// group's key names it by content: the kernel with its loop order, the
+// bundles' addresses in input order, and the options the predictor is
+// built with. The predictor keeps its predictions on the group's first
+// input bundle under that key, so they outlive the batch.
 func (b *Batch) predictor(k *Kernel, pre map[string]*stats.Stats, bundles string, o optimizer.Options) (*model.Predictor, error) {
-	key := predictorKey{
-		kernel:            k.String(),
-		bundles:           bundles,
-		mode:              o.Mode,
-		disableCorrs:      o.DisableCorrs,
-		disableRefinement: o.DisableRefinement,
-	}
-	return b.preds.Do(key, 0, func() (*model.Predictor, error) { return o.NewPredictor(k.expr, pre) })
+	key := fmt.Sprintf("%s\n%s%d %t %t", k, bundles, o.Mode, o.DisableCorrs, o.DisableRefinement)
+	return b.preds.Do(key, 0, func() (*model.Predictor, error) {
+		p, err := o.NewPredictor(k.expr, pre)
+		if err != nil {
+			return nil, err
+		}
+		p.KeepOn(pre[k.expr.Inputs()[0].Name], key)
+		return p, nil
+	})
 }
 
 // Predict runs the probabilistic traffic model for one tile

@@ -146,7 +146,9 @@ func planBytes(t *testing.T, p *Plan) []byte {
 // concurrently at 1 and 8 workers. Every plan is byte-identical to the
 // job run alone on a fresh Session; the batch builds one predictor per
 // group; each shared predictor computed every config it kept once, and
-// fewer configs than the group's jobs compute alone.
+// fewer configs than the group's jobs compute alone. The same jobs in a
+// second batch on the session, whose bundles keep the predictions,
+// give the same plans and compute no prediction.
 func TestBatchSharesPredictors(t *testing.T) {
 	a, err := Dataset("Q", 96)
 	if err != nil {
@@ -206,6 +208,99 @@ func TestBatchSharesPredictors(t *testing.T) {
 			}
 			if solo := soloComputed[kernel]; pred.Computed() >= solo {
 				t.Fatalf("workers=%d %s: the group computed %d predictions, its jobs alone %d", workers, kernel, pred.Computed(), solo)
+			}
+		}
+
+		computed := map[string]int64{}
+		for _, i := range []int{0, len(ks) - 1} {
+			computed[ks[i].String()] = groupPredictor(t, b, ks[i], inputs, opts[i]).Computed()
+		}
+		again := s.NewBatch()
+		for i := range ks {
+			p, err := again.OptimizeCtx(ctx, ks[i], inputs, opts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := planBytes(t, p); !bytes.Equal(got, alone[i]) {
+				t.Fatalf("workers=%d job %d in a second batch: plan %s, alone %s", workers, i, got, alone[i])
+			}
+		}
+		for _, i := range []int{0, len(ks) - 1} {
+			pred, kernel := groupPredictor(t, again, ks[i], inputs, opts[i]), ks[i].String()
+			if pred.Computed() != computed[kernel] {
+				t.Fatalf("workers=%d %s: the second batch computed %d predictions again", workers, kernel, pred.Computed()-computed[kernel])
+			}
+		}
+	}
+}
+
+// TestResidentPredictionsKeyedByContent optimizes one kernel over one
+// host bundle with two co-operand bundles in turn, on one session: for
+// SpMSpM ikj with B swapped, and for TTM with another factor. The group
+// of the second shares no prediction with the first: it computes as
+// many predictions as on a fresh session and plans as a fresh session
+// does. Repeated in new batches, neither group computes again.
+func TestResidentPredictionsKeyedByContent(t *testing.T) {
+	a, err := Dataset("Q", 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Dataset("U", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := a.Transpose()
+	for p := 0; p < 96; p += 5 {
+		swapped.Set([]int{p, (7 * p) % 96}, 2)
+	}
+	swapped.Normalize()
+	factor := func(step int) *Tensor {
+		b := NewTensor(24, x.Dims()[2])
+		for p := 0; p < x.Dims()[2]; p += step {
+			b.Set([]int{p % 24, p}, float64(1+p%5))
+		}
+		b.Normalize()
+		return b
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		k        *Kernel
+		opts     Options
+		variants []Inputs
+	}{
+		{Gustavson(), Options{BufferWords: DenseTileWords(32, 32)},
+			[]Inputs{{"A": a, "B": a.Transpose()}, {"A": a, "B": swapped}}},
+		{TTM(), Options{BufferWords: DenseTileWords(16, 16)},
+			[]Inputs{{"C": x, "B": factor(3)}, {"C": x, "B": factor(2)}}},
+	} {
+		wantPlan := make([][]byte, len(tc.variants))
+		wantComputed := make([]int64, len(tc.variants))
+		for i, in := range tc.variants {
+			b := NewSession(nil).NewBatch()
+			p, err := b.OptimizeCtx(ctx, tc.k, in, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPlan[i], wantComputed[i] = planBytes(t, p), groupPredictor(t, b, tc.k, in, tc.opts).Computed()
+		}
+		if bytes.Equal(wantPlan[0], wantPlan[1]) {
+			t.Fatalf("%s: both co-operands give one plan; the test shows nothing", tc.k)
+		}
+		s := NewSession(nil)
+		for round := 0; round < 2; round++ {
+			for i, in := range tc.variants {
+				b := s.NewBatch()
+				p, err := b.OptimizeCtx(ctx, tc.k, in, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := planBytes(t, p); !bytes.Equal(got, wantPlan[i]) {
+					t.Fatalf("%s round %d co-operand %d: plan %s, fresh session %s", tc.k, round, i, got, wantPlan[i])
+				}
+				if got := groupPredictor(t, b, tc.k, in, tc.opts).Computed(); got != wantComputed[i] {
+					t.Fatalf("%s round %d co-operand %d: the group's table computed %d predictions, a fresh session %d",
+						tc.k, round, i, got, wantComputed[i])
+				}
 			}
 		}
 	}
