@@ -4,15 +4,15 @@
 //
 //	go run ./cmd/d2t2vet ./...                  # whole module
 //	go run ./cmd/d2t2vet -list                  # what the suite checks
-//	go run ./cmd/d2t2vet -only ctxpropagation,countername ./internal/serve
+//	go run ./cmd/d2t2vet -only ctxpropagation,goroutinehygiene ./internal/serve
 //	go run ./cmd/d2t2vet -skip coordwidth ./...
 //	go run ./cmd/d2t2vet -format json ./...     # machine-readable findings
 //	go run ./cmd/d2t2vet -format sarif ./...    # CI annotations (upload-sarif)
 //	go run ./cmd/d2t2vet -fix ./...             # apply suggested fixes
 //
-// All packages are loaded before any analyzer runs, and one call graph
-// is built over the whole set, so cross-package checks (ctxpropagation
-// sibling lookups, countername sink discovery) see every edge.
+// All packages are loaded before any analyzer runs, and one call graph's
+// node set is built over the whole set, so ctxpropagation's module
+// membership check sees every function the run declares.
 //
 // Findings are suppressed with an annotation on the offending line or
 // the line above, with a justification:
@@ -121,8 +121,8 @@ func run(args []string, stdout, stderr io.Writer, dir string) int {
 	}
 
 	// Load everything first so the call graph spans the whole run:
-	// ctxpropagation resolves Ctx siblings of callees in other packages,
-	// and countername's sink fixpoint follows wrappers across packages.
+	// ctxpropagation asks whether a callee in another package, or its
+	// Ctx sibling, is declared in the module.
 	pkgs := make([]*analysis.Package, 0, len(paths))
 	for _, path := range paths {
 		pkg, err := loader.Load(path)

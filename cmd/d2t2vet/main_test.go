@@ -23,8 +23,8 @@ func TestParseArgs(t *testing.T) {
 		if cfg.list || cfg.fix || cfg.format != "text" {
 			t.Fatalf("defaults wrong: %+v", cfg)
 		}
-		if len(cfg.checks) != 10 {
-			t.Fatalf("default suite has %d analyzers, want 10: %v", len(cfg.checks), names(cfg))
+		if len(cfg.checks) != 9 {
+			t.Fatalf("default suite has %d analyzers, want 9: %v", len(cfg.checks), names(cfg))
 		}
 		if len(cfg.patterns) != 1 || cfg.patterns[0] != "./..." {
 			t.Fatalf("patterns = %v", cfg.patterns)
@@ -32,12 +32,12 @@ func TestParseArgs(t *testing.T) {
 	})
 
 	t.Run("only", func(t *testing.T) {
-		cfg, err := parseArgs([]string{"-only", "ctxpropagation,countername", "./..."}, &bytes.Buffer{})
+		cfg, err := parseArgs([]string{"-only", "ctxpropagation,coordwidth", "./..."}, &bytes.Buffer{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := names(cfg)
-		if len(got) != 2 || got[0] != "countername" || got[1] != "ctxpropagation" {
+		if len(got) != 2 || got[0] != "coordwidth" || got[1] != "ctxpropagation" {
 			t.Fatalf("-only selection = %v", got)
 		}
 	})
@@ -53,7 +53,7 @@ func TestParseArgs(t *testing.T) {
 	})
 
 	t.Run("only and checks conflict", func(t *testing.T) {
-		if _, err := parseArgs([]string{"-only", "countername", "-checks", "coordwidth"}, &bytes.Buffer{}); err == nil {
+		if _, err := parseArgs([]string{"-only", "stdversion", "-checks", "coordwidth"}, &bytes.Buffer{}); err == nil {
 			t.Fatal("conflicting -only/-checks accepted")
 		}
 	})
@@ -64,8 +64,8 @@ func TestParseArgs(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := names(cfg)
-		if len(got) != 8 {
-			t.Fatalf("-skip left %d analyzers, want 8: %v", len(got), got)
+		if len(got) != 7 {
+			t.Fatalf("-skip left %d analyzers, want 7: %v", len(got), got)
 		}
 		for _, n := range got {
 			if n == "coordwidth" || n == "panicpolicy" {
@@ -75,11 +75,11 @@ func TestParseArgs(t *testing.T) {
 	})
 
 	t.Run("skip beats only", func(t *testing.T) {
-		cfg, err := parseArgs([]string{"-only", "countername,coordwidth", "-skip", "coordwidth"}, &bytes.Buffer{})
+		cfg, err := parseArgs([]string{"-only", "stdversion,coordwidth", "-skip", "coordwidth"}, &bytes.Buffer{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := names(cfg); len(got) != 1 || got[0] != "countername" {
+		if got := names(cfg); len(got) != 1 || got[0] != "stdversion" {
 			t.Fatalf("selection = %v", got)
 		}
 	})
@@ -121,13 +121,18 @@ func TestListOutput(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb, ""); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{
-		"coordwidth", "countername", "csfmutation", "ctxpropagation",
+	want := []string{
+		"coordwidth", "csfmutation", "ctxpropagation",
 		"floatdeterminism", "goroutinehygiene", "panicpolicy",
 		"reductionorder", "scratchescape", "stdversion",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("-list output missing %s:\n%s", want, out.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out.String())
+	}
+	for i, name := range want {
+		if got, _, _ := strings.Cut(lines[i], " "); got != name {
+			t.Errorf("-list line %d names %q, want %s", i+1, got, name)
 		}
 	}
 }

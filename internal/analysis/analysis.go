@@ -58,8 +58,9 @@ type Pass struct {
 	GoVersion string
 	Pkg       *types.Package
 	Info      *types.Info
-	// Graph is the call graph over every package of the current run
-	// (not just this one), so callee lookups cross package boundaries.
+	// Graph is the call graph's node set over every package of the
+	// current run (not just this one), so membership lookups cross
+	// package boundaries.
 	Graph *CallGraph
 
 	check string
@@ -139,7 +140,6 @@ func Analyzers() []*Analyzer {
 		CtxPropagation,
 		ScratchEscape,
 		ReductionOrder,
-		CounterName,
 		StdVersion,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })

@@ -76,8 +76,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "scratchescape-suppressed", dir: "scratchescape_ok", loadAs: "d2t2/internal/fixture_scratch_ok", analyzer: ScratchEscape, wantZero: true},
 		{name: "reductionorder", dir: "reductionorder", loadAs: "d2t2/internal/fixture_redorder", analyzer: ReductionOrder},
 		{name: "reductionorder-suppressed", dir: "reductionorder_ok", loadAs: "d2t2/internal/fixture_redorder_ok", analyzer: ReductionOrder, wantZero: true},
-		{name: "countername", dir: "countername", loadAs: "d2t2/internal/fixture_countername", analyzer: CounterName},
-		{name: "countername-suppressed", dir: "countername_ok", loadAs: "d2t2/internal/fixture_countername_ok", analyzer: CounterName, wantZero: true},
 		{name: "stdversion", dir: "stdversion", loadAs: "d2t2/internal/fixture_stdversion", analyzer: StdVersion},
 		{name: "stdversion-build-constraint", dir: "stdversion_ok", loadAs: "d2t2/internal/fixture_stdversion_ok", analyzer: StdVersion, wantZero: true},
 	}
@@ -241,19 +239,19 @@ func TestIgnoreExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkg, []*Analyzer{CounterName, ReductionOrder})
-	var gotCounter, gotReduction int
+	diags := Run(pkg, []*Analyzer{CtxPropagation, ReductionOrder})
+	var gotCtx, gotReduction int
 	for _, d := range diags {
 		switch d.Check {
-		case "countername":
-			gotCounter++
+		case "ctxpropagation":
+			gotCtx++
 		case "reductionorder":
 			gotReduction++
 		}
 	}
-	if gotCounter != 1 {
-		t.Errorf("want 1 surviving countername finding (covered() suppressed, uncovered() kept), got %d:\n%s",
-			gotCounter, formatDiags(diags))
+	if gotCtx != 1 {
+		t.Errorf("want 1 surviving ctxpropagation finding (covered() suppressed, uncovered() kept), got %d:\n%s",
+			gotCtx, formatDiags(diags))
 	}
 	if gotReduction != 1 {
 		t.Errorf("want 1 surviving reductionorder finding inside the closure body, got %d:\n%s",
@@ -267,8 +265,8 @@ func TestIgnoreExtent(t *testing.T) {
 	}
 	markers := map[string]int{}
 	for i, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, "surviving countername finding") {
-			markers["countername"] = i + 1
+		if strings.Contains(line, "surviving ctxpropagation finding") {
+			markers["ctxpropagation"] = i + 1
 		}
 		if strings.Contains(line, "surviving reductionorder finding") {
 			markers["reductionorder"] = i + 1

@@ -3,48 +3,26 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// CallGraph is a lightweight intra-module call graph built on go/types:
-// one node per function or method *declared* in the loaded packages,
-// with the statically resolvable call sites in its body as edges. It
-// deliberately ignores dynamic dispatch through interfaces and function
-// values — the invariants it serves (ctxpropagation's "thread the
-// context through") are about concrete call sites, where a missed
-// dynamic edge means a missed finding, never a false one.
+// CallGraph is the node set of the run's static call graph: every
+// function or method *declared* (with a body) in the loaded packages.
+// ctxpropagation reads it to decide module membership — whether a
+// callee, or its Ctx sibling, is the module's own code, wherever in the
+// run it is declared. Packages loaded only as type-checked imports (no
+// AST) contribute no nodes.
 //
-// Callee objects are normalized with types.Func.Origin, so calls to
-// generic instantiations (par.MapScratch[T, S]) resolve to the single
-// generic declaration's node.
+// Functions are normalized with types.Func.Origin, so a generic
+// instantiation (par.MapScratch[T, S]) is a member through its single
+// generic declaration.
 type CallGraph struct {
-	nodes   map[*types.Func]*CallNode
-	callers map[*types.Func][]*CallNode
+	funcs map[*types.Func]bool
 }
 
-// CallNode is one declared function with its outgoing static calls.
-type CallNode struct {
-	Func  *types.Func
-	Decl  *ast.FuncDecl
-	Pkg   *Package
-	Sites []CallSite
-}
-
-// CallSite is one call expression with a statically resolved callee.
-type CallSite struct {
-	Call   *ast.CallExpr
-	Callee *types.Func
-}
-
-// BuildCallGraph indexes every function declared in pkgs. Packages
-// loaded only as type-checked imports (no AST) contribute callee
-// identities but no nodes; analyzing them adds their nodes and edges.
+// BuildCallGraph indexes every function declared in pkgs.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{
-		nodes:   map[*types.Func]*CallNode{},
-		callers: map[*types.Func][]*CallNode{},
-	}
+	g := &CallGraph{funcs: map[*types.Func]bool{}}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -52,75 +30,19 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					g.funcs[fn] = true
 				}
-				node := &CallNode{Func: fn, Decl: fd, Pkg: pkg}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if callee := CalleeOf(pkg.Info, call); callee != nil {
-						node.Sites = append(node.Sites, CallSite{Call: call, Callee: callee})
-					}
-					return true
-				})
-				g.nodes[fn] = node
-			}
-		}
-	}
-	for _, node := range g.Nodes() {
-		seen := map[*types.Func]bool{}
-		for _, site := range node.Sites {
-			if !seen[site.Callee] {
-				seen[site.Callee] = true
-				g.callers[site.Callee] = append(g.callers[site.Callee], node)
 			}
 		}
 	}
 	return g
 }
 
-// Node returns the graph node for fn (normalized through Origin), or
-// nil when fn is not declared in the analyzed packages.
-func (g *CallGraph) Node(fn *types.Func) *CallNode {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[fn.Origin()]
-}
-
-// Callers returns the nodes holding at least one static call to fn, in
-// source order.
-func (g *CallGraph) Callers(fn *types.Func) []*CallNode {
-	if fn == nil {
-		return nil
-	}
-	out := append([]*CallNode(nil), g.callers[fn.Origin()]...)
-	sortNodes(out)
-	return out
-}
-
-// Nodes returns every node in deterministic (package path, position)
-// order.
-func (g *CallGraph) Nodes() []*CallNode {
-	out := make([]*CallNode, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
-	}
-	sortNodes(out)
-	return out
-}
-
-func sortNodes(ns []*CallNode) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Pkg.Path != ns[j].Pkg.Path {
-			return ns[i].Pkg.Path < ns[j].Pkg.Path
-		}
-		return ns[i].Decl.Pos() < ns[j].Decl.Pos()
-	})
+// Declares reports whether fn (normalized through Origin) is declared
+// in the analyzed packages.
+func (g *CallGraph) Declares(fn *types.Func) bool {
+	return fn != nil && g.funcs[fn.Origin()]
 }
 
 // CalleeOf resolves the static callee of a call expression: a named

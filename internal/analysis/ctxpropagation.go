@@ -31,7 +31,8 @@ import (
 //
 // Sibling lookups go through go/types (see CtxVariant), so the check
 // crosses package boundaries; module membership of callees is decided by
-// the run's call graph, so d2t2vet over ./... sees every edge.
+// the run's call-graph node set, so d2t2vet over ./... sees every
+// function the module declares.
 var CtxPropagation = &Analyzer{
 	Name: "ctxpropagation",
 	Doc:  "flags dropped contexts: Background()/TODO() outside main/tests/wrappers, and calls that bypass a callee's Ctx sibling",
@@ -132,7 +133,7 @@ func (p *Pass) checkCtxThreading(body *ast.BlockStmt, ctxName string) {
 			}
 			// Module membership: either side of the pair is declared in
 			// the analyzed packages.
-			if p.Graph == nil || (p.Graph.Node(callee) == nil && p.Graph.Node(sib) == nil) {
+			if p.Graph == nil || (!p.Graph.Declares(callee) && !p.Graph.Declares(sib)) {
 				return true
 			}
 			p.ReportFixf(e, p.ctxSiblingFix(e, sib, ctxName),

@@ -4,30 +4,35 @@
 package ignoreext
 
 import (
-	"expvar"
+	"context"
 
 	"d2t2/internal/par"
 )
 
-var kinds = expvar.NewMap("fixture_kinds")
-
-// covered: the ignore sits above a call split across lines; the flagged
-// concatenation is two lines below the annotation but inside the
-// statement's extent, so it is suppressed.
-func covered(kind string) {
-	//d2t2:ignore countername kinds are a closed enum validated upstream
-	kinds.Add(
-		"kind_"+kind,
-		1,
-	)
+func work(ctx context.Context, n int) int {
+	_ = ctx
+	return n
 }
 
-// uncovered: the same write without an annotation must still be flagged.
-func uncovered(kind string) {
-	kinds.Add(
-		"kind_"+kind, // the surviving countername finding
-		1,
+// covered: the ignore sits above a call split across lines; the fresh
+// root context is two lines below the annotation but inside the
+// statement's extent, so it is suppressed.
+func covered(n int) int {
+	//d2t2:ignore ctxpropagation the fixture detaches this call on purpose
+	m := work(
+		context.Background(),
+		n,
 	)
+	return m
+}
+
+// uncovered: the same call without an annotation must still be flagged.
+func uncovered(n int) int {
+	m := work(
+		context.Background(), // the surviving ctxpropagation finding
+		n,
+	)
+	return m
 }
 
 // closureNotBlanketed: the statement extent rule must not let an

@@ -161,6 +161,7 @@ func TestTable5(t *testing.T) {
 		t.Fatalf("rows = %d, want 8 Opal matrices", len(tbl.Rows))
 	}
 	atLeastOne := false
+	var sps []float64
 	for r := range tbl.Rows {
 		sp := cell(t, tbl, r, 3)
 		if sp < 0.8 {
@@ -169,9 +170,14 @@ func TestTable5(t *testing.T) {
 		if sp > 1.2 {
 			atLeastOne = true
 		}
+		sps = append(sps, sp)
 	}
 	if !atLeastOne {
 		t.Fatal("no Opal matrix sped up (paper: 1.23-3.34x)")
+	}
+	// The paper's geomean is ~2x; 1.90x today.
+	if g := geomean(sps); g < 1.5 {
+		t.Fatalf("geomean speedup over Prescient %.2fx, want >= 1.5x (paper: ~2x)", g)
 	}
 }
 
@@ -232,9 +238,14 @@ func TestSec66Quick(t *testing.T) {
 		t.Fatal(err)
 	}
 	// TrafficShare is exhaustive/D2T2 traffic: exhaustive can only be
-	// equal or better (<= 100% + rounding).
-	if v := cell(t, tbl, 0, 3); v > 101 {
+	// equal or better (<= 100% + rounding), and D2T2 reaches most of its
+	// improvement (94.22% today; paper: 92.4%).
+	v := cell(t, tbl, 0, 3)
+	if v > 101 {
 		t.Fatalf("exhaustive worse than D2T2: %v", tbl.Rows[0])
+	}
+	if v < 85 {
+		t.Fatalf("D2T2 reaches %.2f%% of the exhaustive search's traffic, want >= 85%% (paper: 92.4%%)", v)
 	}
 }
 

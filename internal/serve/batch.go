@@ -49,10 +49,10 @@ type deltaResponse struct {
 // address, and its merged statistics are already warm for following
 // stats/predict/optimize requests at the same frame.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	s.metrics.add("delta_total", 1)
+	s.metrics.add(deltaTotal, 1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,
@@ -64,12 +64,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	var req deltaRequest
 	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Crds) != len(req.Vals) {
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Errorf("crds holds %d entries, vals %d", len(req.Crds), len(req.Vals)))
 		return
@@ -79,7 +79,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		tile = s.cfg.DefaultStatsTile
 	}
 	if tile < 1 {
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad tile %d", tile))
 		return
 	}
@@ -87,7 +87,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	t, err := s.tensorByID(ctx, r.PathValue("id"))
 	if err != nil {
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		s.writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -95,14 +95,14 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	delta := d2t2.NewTensor(dims...)
 	for e, crd := range req.Crds {
 		if len(crd) != len(dims) {
-			s.metrics.add("delta_errors", 1)
+			s.metrics.add(deltaErrors, 1)
 			s.writeError(w, http.StatusBadRequest,
 				fmt.Errorf("entry %d has %d coordinates, tensor has order %d", e, len(crd), len(dims)))
 			return
 		}
 		for a, c := range crd {
 			if c < 0 || c >= dims[a] {
-				s.metrics.add("delta_errors", 1)
+				s.metrics.add(deltaErrors, 1)
 				s.writeError(w, http.StatusBadRequest,
 					fmt.Errorf("entry %d: coordinate %d out of range on axis %d (dim %d)", e, c, a, dims[a]))
 				return
@@ -136,17 +136,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := s.runCompute(ctx, job); err != nil {
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		s.writeComputeError(w, err, http.StatusInternalServerError)
 		return
 	}
 	if jobErr != nil {
 		// Collisions, duplicate coordinates: the request's fault.
-		s.metrics.add("delta_errors", 1)
+		s.metrics.add(deltaErrors, 1)
 		s.writeComputeError(w, jobErr, http.StatusUnprocessableEntity)
 		return
 	}
-	s.metrics.add("delta_merges", 1)
+	s.metrics.add(deltaMerges, 1)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -185,7 +185,7 @@ type batchResponse struct {
 // its result slot; it never fails the batch.
 func (s *Server) batch(internal bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.add("batch_total", 1)
+		s.metrics.add(batchTotal, 1)
 		var breq batchRequest
 		if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.jsonBodyLimit()), &breq); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
@@ -200,7 +200,7 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 				fmt.Errorf("batch holds %d jobs, limit is %d", len(breq.Jobs), maxBatchJobs))
 			return
 		}
-		s.metrics.add("batch_jobs_total", int64(len(breq.Jobs)))
+		s.metrics.add(batchJobsTotal, int64(len(breq.Jobs)))
 
 		out := make([]batchJobResult, len(breq.Jobs))
 		slots := make(map[string][]int) // key -> submitted job indexes
@@ -209,7 +209,7 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 			j, err := s.optimizeJob(req)
 			if err != nil {
 				out[i].Error = err.Error()
-				s.metrics.add("batch_job_errors", 1)
+				s.metrics.add(batchJobErrors, 1)
 				continue
 			}
 			out[i].Key = j.key
@@ -219,13 +219,13 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 			slots[j.key] = append(slots[j.key], i)
 		}
 		// settle lands one distinct job's outcome in every slot that
-		// collapsed onto its key, counting successes under counter.
-		settle := func(j *keyedJob, res jobResult, cache, counter string) {
+		// collapsed onto its key, counting successes under c.
+		settle := func(j *keyedJob, res jobResult, cache string, c counter) {
 			idx := slots[j.key]
 			if res.err != nil {
-				cache, counter = "", "batch_job_errors"
+				cache, c = "", batchJobErrors
 			}
-			s.metrics.add(counter, int64(len(idx)))
+			s.metrics.add(c, int64(len(idx)))
 			for _, i := range idx {
 				out[i].Cache, out[i].Response = cache, res.body
 				if res.err != nil {
@@ -239,7 +239,7 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 		for _, j := range distinct {
 			if !j.calibrate {
 				if body, state, ok := s.cachedResponse(ctx, j.key); ok {
-					settle(j, jobResult{body: body}, state, "batch_cache_hits")
+					settle(j, jobResult{body: body}, state, batchCacheHits)
 					continue
 				}
 			}
@@ -273,7 +273,7 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 					continue
 				}
 				for i, j := range groups[owner] {
-					settle(j, res[i], "forwarded", "batch_forwarded_jobs")
+					settle(j, res[i], "forwarded", batchForwardedJobs)
 				}
 			}
 		}
@@ -285,7 +285,7 @@ func (s *Server) batch(internal bool) http.HandlerFunc {
 				return
 			}
 			for i, j := range local {
-				settle(j, res[i], "miss", "batch_local_jobs")
+				settle(j, res[i], "miss", batchLocalJobs)
 			}
 		}
 		s.writeJSON(w, http.StatusOK, batchResponse{Jobs: out})

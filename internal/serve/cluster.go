@@ -115,14 +115,14 @@ func (s *Server) peerFetch(ctx context.Context, key string) []byte {
 		idx := cl.peerIndex(peer)
 		switch {
 		case err == nil:
-			s.metrics.addPeer(idx, peerFetchHits, 1)
+			s.metrics.addPeer(idx, perPeerFetchHits, 1)
 			return b
 		case errors.Is(err, cluster.ErrNotFound):
-			s.metrics.add("peer_fetch_misses", 1)
-			s.metrics.addPeer(idx, peerFetchMisses, 1)
+			s.metrics.add(peerFetchMisses, 1)
+			s.metrics.addPeer(idx, perPeerFetchMisses, 1)
 		default:
-			s.metrics.add("peer_fetch_errors", 1)
-			s.metrics.addPeer(idx, peerFetchErrors, 1)
+			s.metrics.add(peerFetchErrors, 1)
+			s.metrics.addPeer(idx, perPeerFetchErrors, 1)
 		}
 	}
 	return nil
@@ -140,14 +140,14 @@ func (s *Server) forwardToOwner(ctx context.Context, j *keyedJob) (body []byte, 
 	owner := cl.ring.Owner(j.key)
 	const attempts = 2
 	for i := 0; i < attempts && ctx.Err() == nil; i++ {
-		s.metrics.add("forward_attempts", 1)
+		s.metrics.add(forwardAttempts, 1)
 		res, err := cl.client.Forward(ctx, owner, j.endpoint, j.canon)
 		if err != nil {
 			continue // transport failure: retry, then local fallback
 		}
 		if res.Status == http.StatusOK {
-			s.metrics.add("forward_success", 1)
-			s.metrics.addPeer(cl.peerIndex(owner), peerForwards, 1)
+			s.metrics.add(forwardSuccess, 1)
+			s.metrics.addPeer(cl.peerIndex(owner), perPeerForwards, 1)
 			s.persist(j, res.Body, false)
 			return res.Body, true
 		}
@@ -155,7 +155,7 @@ func (s *Server) forwardToOwner(ctx context.Context, j *keyedJob) (body []byte, 
 			break // owner answered authoritatively with a domain failure
 		}
 	}
-	s.metrics.add("forward_fallback_local", 1)
+	s.metrics.add(forwardFallbackLocal, 1)
 	return nil, false
 }
 
@@ -189,11 +189,11 @@ func (s *Server) maybeReplicate(key string, artifact []byte) {
 				return
 			}
 			if err := cl.client.PushArtifact(cl.ctx, peer, key, artifact); err != nil {
-				s.metrics.add("replicate_errors", 1)
+				s.metrics.add(replicateErrors, 1)
 				continue
 			}
-			s.metrics.add("replicate_pushes", 1)
-			s.metrics.addPeer(cl.peerIndex(peer), peerReplicas, 1)
+			s.metrics.add(replicatePushes, 1)
+			s.metrics.addPeer(cl.peerIndex(peer), perPeerReplicas, 1)
 		}
 	}()
 }
@@ -209,11 +209,11 @@ func (s *Server) requireClusterAuth(h http.HandlerFunc) http.HandlerFunc {
 		}
 		got := r.Header.Get(cluster.SecretHeader)
 		if subtle.ConstantTimeCompare([]byte(got), []byte(cl.secret)) != 1 {
-			s.metrics.add("internal_auth_failures", 1)
+			s.metrics.add(internalAuthFailures, 1)
 			s.writeError(w, http.StatusForbidden, fmt.Errorf("cluster secret mismatch"))
 			return
 		}
-		s.metrics.add("internal_requests_total", 1)
+		s.metrics.add(internalRequestsTotal, 1)
 		h(w, r)
 	}
 }
@@ -233,10 +233,10 @@ func (s *Server) handleInternalArtifactGet(w http.ResponseWriter, r *http.Reques
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("artifact %q not held", key))
 		return
 	}
-	s.metrics.add("internal_artifact_serves", 1)
+	s.metrics.add(internalArtifactServes, 1)
 	frame := cluster.EncodeFrame(key, b)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	s.metrics.add("bytes_served", int64(len(frame)))
+	s.metrics.add(bytesServed, int64(len(frame)))
 	w.Write(frame)
 }
 
@@ -272,7 +272,7 @@ func (s *Server) handleInternalArtifactPut(w http.ResponseWriter, r *http.Reques
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.metrics.add("internal_artifact_stores", 1)
+	s.metrics.add(internalArtifactStores, 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 

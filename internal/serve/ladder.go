@@ -98,7 +98,7 @@ func (s *Server) optimizeJob(req optimizeRequest) (*keyedJob, error) {
 	req.Tile = 0
 	req.Kernel = k.String()
 	if req.OverflowTarget > 0 {
-		s.metrics.add("optimize_overbooked", 1)
+		s.metrics.add(optimizeOverbooked, 1)
 	}
 	j, err := newKeyedJob("optimize", req, k, req.Inputs, req.OverflowTarget, req.Calibrate)
 	if err != nil {
@@ -168,7 +168,7 @@ func (s *Server) planResponse(ctx context.Context, kernel string, plan *d2t2.Pla
 		Risk:        riskOf(plan),
 	}
 	if plan.Risk != nil && plan.Risk.Calibration != nil {
-		s.metrics.add("calibration_runs", 1)
+		s.metrics.add(calibrationRuns, 1)
 	}
 	if measure {
 		m, err := s.measure(ctx, plan)
@@ -201,14 +201,14 @@ func (s *Server) measure(ctx context.Context, plan *d2t2.Plan) (measurement, err
 	key = "measure\n" + key
 	v, _ := s.store.Value(key)
 	if m, ok := v.(measurement); ok {
-		s.metrics.add("measure_memo_hits", 1)
+		s.metrics.add(measureMemoHits, 1)
 		return m, nil
 	}
 	report, err := plan.MeasureCtx(ctx)
 	if err != nil {
 		return measurement{}, err
 	}
-	s.metrics.add("measure_runs", 1)
+	s.metrics.add(measureRuns, 1)
 	m := measurement{totalMB: report.TotalMB(), overflowRate: report.OverflowRate()}
 	s.store.Keep(key, nil, m, int64(len(key))+16) // the key and two float64s
 	return m, nil
@@ -221,9 +221,9 @@ func (s *Server) measure(ctx context.Context, plan *d2t2.Plan) (measurement, err
 // a forward to the owner so its singleflight coalesces the cold run
 // fleet-wide, then local compute as the always-available fallback. A
 // raw hit whose artifact is gone falls through to the full decode path
-// without re-reading the cache or re-counting anything.
-func single[R any](s *Server, internal bool, endpoint string, canonicalize func(R) (*keyedJob, error)) http.HandlerFunc {
-	total, hits := endpoint+"_total", endpoint+"_cache_hits"
+// without re-reading the cache or re-counting anything. Every request
+// counts under total, every warm hit under hits.
+func single[R any](s *Server, internal bool, endpoint string, total, hits counter, canonicalize func(R) (*keyedJob, error)) http.HandlerFunc {
 	route := endpoint + "\n"
 	if internal {
 		route = "internal/" + route
@@ -240,7 +240,7 @@ func single[R any](s *Server, internal bool, endpoint string, canonicalize func(
 			if e, ok := v.(rawEntry); ok {
 				if resp, state, ok := s.cachedResponse(ctx, e.key); ok {
 					if e.overbooked {
-						s.metrics.add("optimize_overbooked", 1)
+						s.metrics.add(optimizeOverbooked, 1)
 					}
 					setKeyHeaders(w, e.key, e.risk)
 					s.metrics.add(hits, 1)
@@ -496,7 +496,7 @@ func (s *Server) cacheStateFor(key string, src Source) string {
 		return "peer"
 	}
 	if s.cluster != nil && !s.cluster.owns(key) {
-		s.metrics.add("replica_hits", 1)
+		s.metrics.add(replicaHits, 1)
 		return "replica"
 	}
 	return "hit"

@@ -6,134 +6,192 @@ import (
 	"time"
 )
 
-// counterNames are pre-registered so /debug/vars reports explicit zeros
-// for counters that have not fired yet — dashboards and the e2e tests
-// can difference them without existence checks.
-var counterNames = []string{
-	"ingest_total",
-	"ingest_errors",
-	"ingest_too_large",
-	"store_put_errors",
-	"tensors_registered",
-	"delta_total",
-	"delta_merges",
-	"delta_errors",
-	"batch_total",
-	"batch_jobs_total",
-	"batch_job_errors",
-	"batch_cache_hits",
-	"batch_forwarded_jobs",
-	"batch_local_jobs",
-	"stats_merge_total",
-	"artifact_mem_hits",
-	"stats_resident_hits",
-	"artifact_disk_hits",
-	"artifact_misses",
-	"stats_collect_total",
-	"shape_evals_micro",
-	"shape_evals_derived",
-	"predictions_computed",
-	"optimize_total",
-	"optimize_cache_hits",
-	"optimize_overbooked",
-	"calibration_runs",
-	"measure_runs",
-	"measure_memo_hits",
-	"predict_total",
-	"predict_cache_hits",
-	"stats_queries_total",
-	"bytes_served",
-	"http_errors",
-	"requests_timeout",
-	"requests_cancelled",
-	"pool_abandoned_queued",
-	"pool_abandoned_running",
-	"singleflight_leader",
-	"singleflight_shared",
-	"singleflight_detached",
-	"pool_coalesced",
-	"artifact_peer_hits",
-	"peer_fetch_misses",
-	"peer_fetch_errors",
-	"forward_attempts",
-	"forward_success",
-	"forward_fallback_local",
-	"replicate_pushes",
-	"replicate_errors",
-	"replica_hits",
-	"internal_artifact_serves",
-	"internal_artifact_stores",
-	"internal_requests_total",
-	"internal_auth_failures",
-	"readyz_unready",
-}
+// counter is one of d2t2d's pre-registered counters. Call sites name
+// counters by constant, so the compiler rejects a name computed per
+// call, and /debug/vars reports explicit zeros for counters that have
+// not fired yet — dashboards and the e2e tests can difference them
+// without existence checks.
+type counter int
 
-// Per-peer counter kinds, indexed in lockstep with peerKindNames. The
-// full per-peer name set (peer_<i>_<kind>) is built once at server
-// construction — like latencyBucketNames, names handed to expvar are
-// never computed per call.
 const (
-	peerFetchHits = iota
+	ingestTotal counter = iota
+	ingestErrors
+	ingestTooLarge
+	storePutErrors
+	tensorsRegistered
+	deltaTotal
+	deltaMerges
+	deltaErrors
+	batchTotal
+	batchJobsTotal
+	batchJobErrors
+	batchCacheHits
+	batchForwardedJobs
+	batchLocalJobs
+	statsMergeTotal
+	artifactMemHits
+	statsResidentHits
+	artifactDiskHits
+	artifactMisses
+	statsCollectTotal
+	shapeEvalsMicro
+	shapeEvalsDerived
+	predictionsComputed
+	optimizeTotal
+	optimizeCacheHits
+	optimizeOverbooked
+	calibrationRuns
+	measureRuns
+	measureMemoHits
+	predictTotal
+	predictCacheHits
+	statsQueriesTotal
+	bytesServed
+	httpErrors
+	requestsTimeout
+	requestsCancelled
+	poolAbandonedQueued
+	poolAbandonedRunning
+	singleflightLeader
+	singleflightShared
+	singleflightDetached
+	poolCoalesced
+	artifactPeerHits
 	peerFetchMisses
 	peerFetchErrors
-	peerForwards
-	peerReplicas
-	peerKindCount
+	forwardAttempts
+	forwardSuccess
+	forwardFallbackLocal
+	replicatePushes
+	replicateErrors
+	replicaHits
+	internalArtifactServes
+	internalArtifactStores
+	internalRequestsTotal
+	internalAuthFailures
+	readyzUnready
+	numCounters
 )
 
-var peerKindNames = [peerKindCount]string{
-	"fetch_hits",
-	"fetch_misses",
-	"fetch_errors",
-	"forwards",
-	"replicas",
+// counterNames are the counters' expvar names. The literal is keyed, so
+// the compiler rejects a duplicate index; TestCounterNames rejects a
+// missing, duplicate or non-snake_case name.
+var counterNames = [numCounters]string{
+	ingestTotal:            "ingest_total",
+	ingestErrors:           "ingest_errors",
+	ingestTooLarge:         "ingest_too_large",
+	storePutErrors:         "store_put_errors",
+	tensorsRegistered:      "tensors_registered",
+	deltaTotal:             "delta_total",
+	deltaMerges:            "delta_merges",
+	deltaErrors:            "delta_errors",
+	batchTotal:             "batch_total",
+	batchJobsTotal:         "batch_jobs_total",
+	batchJobErrors:         "batch_job_errors",
+	batchCacheHits:         "batch_cache_hits",
+	batchForwardedJobs:     "batch_forwarded_jobs",
+	batchLocalJobs:         "batch_local_jobs",
+	statsMergeTotal:        "stats_merge_total",
+	artifactMemHits:        "artifact_mem_hits",
+	statsResidentHits:      "stats_resident_hits",
+	artifactDiskHits:       "artifact_disk_hits",
+	artifactMisses:         "artifact_misses",
+	statsCollectTotal:      "stats_collect_total",
+	shapeEvalsMicro:        "shape_evals_micro",
+	shapeEvalsDerived:      "shape_evals_derived",
+	predictionsComputed:    "predictions_computed",
+	optimizeTotal:          "optimize_total",
+	optimizeCacheHits:      "optimize_cache_hits",
+	optimizeOverbooked:     "optimize_overbooked",
+	calibrationRuns:        "calibration_runs",
+	measureRuns:            "measure_runs",
+	measureMemoHits:        "measure_memo_hits",
+	predictTotal:           "predict_total",
+	predictCacheHits:       "predict_cache_hits",
+	statsQueriesTotal:      "stats_queries_total",
+	bytesServed:            "bytes_served",
+	httpErrors:             "http_errors",
+	requestsTimeout:        "requests_timeout",
+	requestsCancelled:      "requests_cancelled",
+	poolAbandonedQueued:    "pool_abandoned_queued",
+	poolAbandonedRunning:   "pool_abandoned_running",
+	singleflightLeader:     "singleflight_leader",
+	singleflightShared:     "singleflight_shared",
+	singleflightDetached:   "singleflight_detached",
+	poolCoalesced:          "pool_coalesced",
+	artifactPeerHits:       "artifact_peer_hits",
+	peerFetchMisses:        "peer_fetch_misses",
+	peerFetchErrors:        "peer_fetch_errors",
+	forwardAttempts:        "forward_attempts",
+	forwardSuccess:         "forward_success",
+	forwardFallbackLocal:   "forward_fallback_local",
+	replicatePushes:        "replicate_pushes",
+	replicateErrors:        "replicate_errors",
+	replicaHits:            "replica_hits",
+	internalArtifactServes: "internal_artifact_serves",
+	internalArtifactStores: "internal_artifact_stores",
+	internalRequestsTotal:  "internal_requests_total",
+	internalAuthFailures:   "internal_auth_failures",
+	readyzUnready:          "readyz_unready",
+}
+
+// peerKind is one per-peer counter; peer i's is named
+// peer_<i>_<peerKindNames[kind]>.
+type peerKind int
+
+const (
+	perPeerFetchHits peerKind = iota
+	perPeerFetchMisses
+	perPeerFetchErrors
+	perPeerForwards
+	perPeerReplicas
+	numPeerKinds
+)
+
+var peerKindNames = [numPeerKinds]string{
+	perPeerFetchHits:   "fetch_hits",
+	perPeerFetchMisses: "fetch_misses",
+	perPeerFetchErrors: "fetch_errors",
+	perPeerForwards:    "forwards",
+	perPeerReplicas:    "replicas",
 }
 
 // latencyBucketsMs are the upper bounds (inclusive, milliseconds) of the
-// optimize-latency histogram; the final bucket is unbounded.
-var latencyBucketsMs = []int64{1, 5, 25, 100, 500, 2500}
+// optimize-latency histogram; a final bucket counts what exceeds them.
+var latencyBucketsMs = [...]int64{1, 5, 25, 100, 500, 2500}
 
-// latencyBucketNames is the fixed counter-name set of the histogram,
-// built once at init and indexed in lockstep with latencyBucketsMs —
-// names handed to expvar are never computed per call (countername
-// enforces this).
-var latencyBucketNames = func() []string {
-	names := make([]string, len(latencyBucketsMs))
-	for i, b := range latencyBucketsMs {
-		names[i] = latencyBucket(b)
-	}
-	return names
-}()
+// latencyNames are the histogram's counter names, in bucket order.
+var latencyNames = [len(latencyBucketsMs) + 1]string{
+	"optimize_latency_ms_le_1",
+	"optimize_latency_ms_le_5",
+	"optimize_latency_ms_le_25",
+	"optimize_latency_ms_le_100",
+	"optimize_latency_ms_le_500",
+	"optimize_latency_ms_le_2500",
+	"optimize_latency_ms_gt_2500",
+}
 
-// metrics is a per-server expvar surface. The map is Init'd but never
-// expvar.Publish'd under a fixed name: tests start many servers in one
-// process and a global Publish of a duplicate name panics. cmd/d2t2d
-// publishes its single server's map explicitly.
+// metrics is a per-server expvar surface: one expvar.Int per counter,
+// latency bucket and (peer, kind), each registered once in vars. The
+// map is Init'd but never expvar.Publish'd under a fixed name: tests
+// start many servers in one process and a global Publish of a duplicate
+// name panics. cmd/d2t2d publishes its single server's map explicitly.
 type metrics struct {
-	vars *expvar.Map
-	// peerNames[i][kind] is the fixed counter name for peer i — built
-	// once by initPeerCounters when the server is clustered, so per-peer
-	// accounting indexes a pre-registered name set.
-	peerNames [][peerKindCount]string
+	vars     *expvar.Map
+	counters [numCounters]expvar.Int
+	latency  [len(latencyNames)]expvar.Int
+	peers    [][numPeerKinds]expvar.Int
 }
 
 func newMetrics() *metrics {
 	m := &metrics{vars: new(expvar.Map).Init()}
-	for _, name := range counterNames {
-		m.vars.Add(name, 0)
+	for c := range m.counters {
+		m.vars.Set(counterNames[c], &m.counters[c])
 	}
-	for _, name := range latencyBucketNames {
-		m.vars.Add(name, 0)
+	for i := range m.latency {
+		m.vars.Set(latencyNames[i], &m.latency[i])
 	}
-	m.vars.Add("optimize_latency_ms_gt_2500", 0)
 	return m
-}
-
-// latencyBucket formats one histogram counter name. Production code
-// goes through latencyBucketNames; this stays exported-to-tests so
-// expectations can name buckets without duplicating the format.
-func latencyBucket(upperMs int64) string {
-	return fmt.Sprintf("optimize_latency_ms_le_%d", upperMs)
 }
 
 // initPeerCounters registers the per-peer counter set for n peers.
@@ -141,53 +199,48 @@ func latencyBucket(upperMs int64) string {
 // exist with explicit zeros before any peer call fires. Peer indexes
 // follow Config.Peers order.
 func (m *metrics) initPeerCounters(n int) {
-	m.peerNames = make([][peerKindCount]string, n)
-	for i := range m.peerNames {
-		for k := 0; k < peerKindCount; k++ {
-			m.peerNames[i][k] = fmt.Sprintf("peer_%d_%s", i, peerKindNames[k])
-			m.vars.Add(m.peerNames[i][k], 0)
+	m.peers = make([][numPeerKinds]expvar.Int, n)
+	for i := range m.peers {
+		for k := range m.peers[i] {
+			m.vars.Set(fmt.Sprintf("peer_%d_%s", i, peerKindNames[k]), &m.peers[i][k])
 		}
 	}
 }
 
-func (m *metrics) add(name string, delta int64) { m.vars.Add(name, delta) }
+func (m *metrics) add(c counter, delta int64) { m.counters[c].Add(delta) }
 
 // addPeer bumps one per-peer counter; peer indexes out of the
 // configured range (never produced by the ring) are dropped.
-func (m *metrics) addPeer(peer, kind int, delta int64) {
-	if peer < 0 || peer >= len(m.peerNames) {
+func (m *metrics) addPeer(peer int, kind peerKind, delta int64) {
+	if peer < 0 || peer >= len(m.peers) {
 		return
 	}
-	m.vars.Add(m.peerNames[peer][kind], delta)
+	m.peers[peer][kind].Add(delta)
 }
 
 // observeLatency records one optimize duration in the histogram.
 // Buckets are cumulative (Prometheus-style): a 3 ms request increments
-// le_5, le_25, ... through the unbounded tail's predecessors.
+// le_5, le_25, ... through le_2500; only a request above every bound
+// increments gt_2500.
 func (m *metrics) observeLatency(d time.Duration) {
 	ms := d.Milliseconds()
 	hit := false
 	for i, b := range latencyBucketsMs {
 		if ms <= b {
-			m.vars.Add(latencyBucketNames[i], 1)
+			m.latency[i].Add(1)
 			hit = true
 		}
 	}
 	if !hit {
-		m.vars.Add("optimize_latency_ms_gt_2500", 1)
+		m.latency[len(latencyBucketsMs)].Add(1)
 	}
 }
 
-// get returns a counter's current value (0 if never touched); tests
-// difference these across requests.
+// get returns a counter's current value by name (0 if the name is not
+// registered); tests difference these across requests.
 func (m *metrics) get(name string) int64 {
-	v := m.vars.Get(name)
-	if v == nil {
-		return 0
+	if i, ok := m.vars.Get(name).(*expvar.Int); ok {
+		return i.Value()
 	}
-	i, ok := v.(*expvar.Int)
-	if !ok {
-		return 0
-	}
-	return i.Value()
+	return 0
 }

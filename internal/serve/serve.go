@@ -272,10 +272,10 @@ func New(cfg Config) (*Server, error) {
 	// forwarded: their forward rung is off, so a request hops at most
 	// once even if ring views disagree.
 	optimize := func(internal bool) http.HandlerFunc {
-		return s.timed(single(s, internal, "optimize", s.optimizeJob))
+		return s.timed(single(s, internal, "optimize", optimizeTotal, optimizeCacheHits, s.optimizeJob))
 	}
 	predict := func(internal bool) http.HandlerFunc {
-		return single(s, internal, "predict", s.predictJob)
+		return single(s, internal, "predict", predictTotal, predictCacheHits, s.predictJob)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tensors", s.handleIngest)
@@ -379,12 +379,12 @@ func (s *Server) storeGet(ctx context.Context, key string) ([]byte, Source) {
 	}
 	if s.cluster != nil {
 		if pb := s.peerFetch(ctx, key); pb != nil {
-			s.metrics.add("artifact_peer_hits", 1)
+			s.metrics.add(artifactPeerHits, 1)
 			_ = s.store.Put(key, pb)
 			return pb, SourcePeer
 		}
 	}
-	s.metrics.add("artifact_misses", 1)
+	s.metrics.add(artifactMisses, 1)
 	return nil, SourceNone
 }
 
@@ -397,9 +397,9 @@ func (s *Server) localGet(key string) ([]byte, Source) {
 	}
 	switch src {
 	case SourceMem:
-		s.metrics.add("artifact_mem_hits", 1)
+		s.metrics.add(artifactMemHits, 1)
 	case SourceDisk:
-		s.metrics.add("artifact_disk_hits", 1)
+		s.metrics.add(artifactDiskHits, 1)
 	}
 	return b, src
 }
@@ -427,8 +427,8 @@ type storeCache struct {
 func (c *storeCache) LoadStats(ctx context.Context, key string) (*stats.Stats, bool) {
 	if v, ok := c.s.store.Value(key); ok {
 		if st, ok := v.(*stats.Stats); ok {
-			c.s.metrics.add("artifact_mem_hits", 1)
-			c.s.metrics.add("stats_resident_hits", 1)
+			c.s.metrics.add(artifactMemHits, 1)
+			c.s.metrics.add(statsResidentHits, 1)
 			noteBundle(ctx, key, st)
 			return st, true
 		}
@@ -499,16 +499,16 @@ func (s *Server) observe(st *stats.Stats) {
 
 func (s *Server) countShapeEval(derived bool) {
 	if derived {
-		s.metrics.add("shape_evals_derived", 1)
+		s.metrics.add(shapeEvalsDerived, 1)
 	} else {
-		s.metrics.add("shape_evals_micro", 1)
+		s.metrics.add(shapeEvalsMicro, 1)
 	}
 }
 
-func (s *Server) countPrediction() { s.metrics.add("predictions_computed", 1) }
+func (s *Server) countPrediction() { s.metrics.add(predictionsComputed, 1) }
 
 func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats) {
-	c.s.metrics.add("stats_collect_total", 1)
+	c.s.metrics.add(statsCollectTotal, 1)
 	c.s.observe(st)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
@@ -523,7 +523,7 @@ func (c *storeCache) StorePartial(ctx context.Context, key string, p *stats.Part
 }
 
 func (c *storeCache) StoreMergedStats(ctx context.Context, key string, st *stats.Stats) {
-	c.s.metrics.add("stats_merge_total", 1)
+	c.s.metrics.add(statsMergeTotal, 1)
 	c.s.observe(st)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
 }
@@ -661,7 +661,7 @@ type statsResponse struct {
 // ---- handlers ----
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.metrics.add("ingest_total", 1)
+	s.metrics.add(ingestTotal, 1)
 	// Buffer the upload on the handler goroutine before hand-off: a
 	// worker must never touch the request (net/http forbids reads after
 	// ServeHTTP returns, so a job abandoned at the deadline would race
@@ -676,13 +676,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		s.metrics.add("ingest_errors", 1)
+		s.metrics.add(ingestErrors, 1)
 		// An over-limit body is the client's size problem, not a malformed
 		// request: report 413 with the limit, distinctly counted, so
 		// operators can tell "uploads too big" from "uploads broken".
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.metrics.add("ingest_too_large", 1)
+			s.metrics.add(ingestTooLarge, 1)
 			s.writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("upload exceeds the %d-byte limit", mbe.Limit))
 			return
@@ -698,14 +698,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// hand-off — in the latter case the worker finishes the buffered
 		// job on its own (the artifact lands in the cache for a retry)
 		// and resp/jobErr must not be read.
-		s.metrics.add("ingest_errors", 1)
+		s.metrics.add(ingestErrors, 1)
 		s.writeComputeError(w, err, http.StatusInternalServerError)
 		return
 	}
 	if jobErr != nil {
-		s.metrics.add("ingest_errors", 1)
+		s.metrics.add(ingestErrors, 1)
 		if errors.Is(jobErr, errOverBudget) {
-			s.metrics.add("ingest_too_large", 1)
+			s.metrics.add(ingestTooLarge, 1)
 		}
 		s.writeComputeError(w, jobErr, http.StatusBadRequest)
 		return
@@ -795,7 +795,7 @@ func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d
 	}
 	if b == nil {
 		if perr := s.store.Put(id, artifact); perr != nil {
-			s.metrics.add("store_put_errors", 1)
+			s.metrics.add(storePutErrors, 1)
 		} else {
 			s.maybeReplicate(id, artifact)
 		}
@@ -808,7 +808,7 @@ func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d
 func (s *Server) keepTensor(id string, artifact []byte, t *d2t2.Tensor, size int64) (*d2t2.Tensor, bool) {
 	v, ok := s.store.Keep(id, artifact, t, size)
 	if ok && v == t {
-		s.metrics.add("tensors_registered", 1)
+		s.metrics.add(tensorsRegistered, 1)
 	}
 	return v.(*d2t2.Tensor), ok
 }
@@ -826,7 +826,7 @@ func (s *Server) jsonBodyLimit() int64 {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.metrics.add("stats_queries_total", 1)
+	s.metrics.add(statsQueriesTotal, 1)
 	id := r.PathValue("id")
 	tile := s.cfg.DefaultStatsTile
 	if q := r.URL.Query().Get("tile"); q != "" {
@@ -882,7 +882,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // configured peer is reachable.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.readiness(r.Context()); err != nil {
-		s.metrics.add("readyz_unready", 1)
+		s.metrics.add(readyzUnready, 1)
 		// Unreadiness is a routing signal, not an error — keep it out of
 		// http_errors so drains don't light up error dashboards.
 		s.writeErrorStatus(w, http.StatusServiceUnavailable, err, false)
@@ -914,7 +914,7 @@ func (s *Server) readiness(ctx context.Context) error {
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	body := fmt.Sprintf("{\"version\": %q, \"d2t2d\": %s}\n", buildinfo.Version, s.metrics.vars.String())
-	s.metrics.add("bytes_served", int64(len(body)))
+	s.metrics.add(bytesServed, int64(len(body)))
 	fmt.Fprint(w, body)
 }
 
@@ -974,7 +974,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) writeBytes(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	s.metrics.add("bytes_served", int64(len(body)))
+	s.metrics.add(bytesServed, int64(len(body)))
 	w.Write(body)
 }
 
@@ -999,9 +999,9 @@ func (s *Server) runCompute(ctx context.Context, job func(ctx context.Context)) 
 	})
 	if err != nil && !errors.Is(err, ErrShuttingDown) {
 		if started {
-			s.metrics.add("pool_abandoned_running", 1)
+			s.metrics.add(poolAbandonedRunning, 1)
 		} else {
-			s.metrics.add("pool_abandoned_queued", 1)
+			s.metrics.add(poolAbandonedQueued, 1)
 		}
 	}
 	return err
@@ -1040,10 +1040,10 @@ func (s *Server) writeFlightError(w http.ResponseWriter, err error) {
 func (s *Server) writeComputeError(w http.ResponseWriter, err error, fallback int) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		s.metrics.add("requests_cancelled", 1)
+		s.metrics.add(requestsCancelled, 1)
 		s.writeErrorStatus(w, statusClientClosedRequest, err, false)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.add("requests_timeout", 1)
+		s.metrics.add(requestsTimeout, 1)
 		s.writeErrorStatus(w, http.StatusGatewayTimeout, err, true)
 	case errors.Is(err, ErrShuttingDown):
 		s.writeErrorStatus(w, http.StatusServiceUnavailable, err, true)
@@ -1060,7 +1060,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, err error, countErr bool) {
 	if countErr {
-		s.metrics.add("http_errors", 1)
+		s.metrics.add(httpErrors, 1)
 	}
 	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -71,10 +71,10 @@ func (g *flightGroup) do(ctx context.Context, key string, warm func() ([]byte, s
 		f.waiters++
 		if !f.shared {
 			f.shared = true
-			g.metrics.add("singleflight_shared", 1)
+			g.metrics.add(singleflightShared, 1)
 		}
 		g.mu.Unlock()
-		g.metrics.add("pool_coalesced", 1)
+		g.metrics.add(poolCoalesced, 1)
 		return g.wait(ctx, key, f, true)
 	}
 
@@ -94,7 +94,7 @@ func (g *flightGroup) do(ctx context.Context, key string, warm func() ([]byte, s
 		f.body, f.state, hit = warm()
 	}
 	if !hit {
-		g.metrics.add("singleflight_leader", 1)
+		g.metrics.add(singleflightLeader, 1)
 		f.state = "miss"
 	}
 	go func() {
@@ -150,7 +150,7 @@ func (g *flightGroup) depart(key string, f *flight, early bool) {
 	}
 	g.mu.Unlock()
 	if early {
-		g.metrics.add("singleflight_detached", 1)
+		g.metrics.add(singleflightDetached, 1)
 	}
 	if last && early {
 		f.cancel()
