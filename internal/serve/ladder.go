@@ -335,9 +335,10 @@ func single[R any](s *Server, internal bool, endpoint string, total, hits counte
 // header derives from the request knobs alone, so raw, warm, coalesced
 // and cold responses all advertise the same risk point.
 func setKeyHeaders(w http.ResponseWriter, key, risk string) {
-	w.Header().Set("X-D2T2-Key", key)
+	h := w.Header()
+	h[headerKey] = []string{key}
 	if risk != "" {
-		w.Header().Set("X-D2T2-Risk", risk)
+		h[headerRisk] = []string{risk}
 	}
 }
 
@@ -464,18 +465,46 @@ func (s *Server) resolveInputs(ctx context.Context, j *keyedJob) error {
 // state. Cache state travels in the header, never in the body, so every
 // state serves byte-identical bodies. Calibrated jobs never ask.
 func (s *Server) cachedResponse(ctx context.Context, key string) (body []byte, state string, ok bool) {
-	a, src := s.loadArtifact(ctx, key)
-	if a.Response == nil {
-		return nil, "", false
+	if body, ok := s.residentResponse(key); ok {
+		return body, s.cacheStateFor(key, SourceMem), true
 	}
-	return a.Response, s.cacheStateFor(key, src), true
+	b, src := s.storeGet(ctx, key)
+	return s.decodeResponse(key, b, src)
 }
 
 // landedResponse is cachedResponse on the local layers alone (memory,
 // then disk): a flight that ran on this node persisted its response
 // there before it left the flight group.
 func (s *Server) landedResponse(key string) (body []byte, state string, ok bool) {
+	if body, ok := s.residentResponse(key); ok {
+		return body, s.cacheStateFor(key, SourceMem), true
+	}
 	b, src := s.localGet(key)
+	return s.decodeResponse(key, b, src)
+}
+
+// residentBody is a response artifact's decoded body, kept beside the
+// artifact's bytes from its first warm read on: a memory hit then serves
+// it with one Store.Value and no decode. Store values must be
+// comparable, so the body rides behind a pointer.
+type residentBody struct{ body []byte }
+
+// residentResponse serves key's resident body, counted as the memory
+// hit its bytes would have been.
+func (s *Server) residentResponse(key string) ([]byte, bool) {
+	v, _ := s.store.Value(key)
+	rb, ok := v.(*residentBody)
+	if !ok {
+		return nil, false
+	}
+	s.metrics.add(artifactMemHits, 1)
+	return rb.body, true
+}
+
+// decodeResponse decodes a response artifact's bytes read from src —
+// verifying its framing and CRCs — and keeps the body resident beside
+// them, charged at its length.
+func (s *Server) decodeResponse(key string, b []byte, src Source) (body []byte, state string, ok bool) {
 	if b == nil {
 		return nil, "", false
 	}
@@ -483,6 +512,7 @@ func (s *Server) landedResponse(key string) (body []byte, state string, ok bool)
 	if err != nil || a.Response == nil {
 		return nil, "", false
 	}
+	s.store.Keep(key, b, &residentBody{a.Response}, int64(len(a.Response)))
 	return a.Response, s.cacheStateFor(key, src), true
 }
 

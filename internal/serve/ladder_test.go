@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"d2t2/internal/raceflag"
 )
 
 // rungUploadLimit clamps the rung servers' JSON body limit, so the
@@ -285,5 +287,69 @@ func TestRawKeyIsNoTensor(t *testing.T) {
 	}
 	if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
 		t.Fatalf("optimize after the raw-key requests: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestHeaderNamesCanonical: the response header names are set by direct
+// header-map assignment, which finds them under Header.Get only if they
+// are in canonical form.
+func TestHeaderNamesCanonical(t *testing.T) {
+	for _, name := range []string{headerVersion, headerKey, headerRisk, headerCache} {
+		if c := http.CanonicalHeaderKey(name); c != name {
+			t.Errorf("header name %q is not canonical (%q)", name, c)
+		}
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps the
+// headers and the status and drops the body.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestWarmHitAllocs pins what one warm memory hit allocates inside
+// Server.Handler, for an optimize and a predict request whose bodies
+// are resident (the second warm read on). The requests are built before
+// counting and the writer is reused, so only the server's allocations
+// count.
+func TestWarmHitAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	const ceiling = 10
+	s, id := newRungServer(t)
+	bodies := rungBodies(id)
+	h := s.Handler()
+	for _, b := range []struct{ path, body string }{bodies[0], bodies[9]} {
+		for i := 0; i < 3; i++ { // the fill, then the warm read that keeps the body
+			if rec := serveRaw(s, b.path, "application/json", b.body); rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", b.path, rec.Code, rec.Body)
+			}
+		}
+		const runs = 50
+		reqs := make([]*http.Request, runs+1) // AllocsPerRun runs once more to warm up
+		for i := range reqs {
+			reqs[i] = httptest.NewRequest(http.MethodPost, b.path, strings.NewReader(b.body))
+			reqs[i].Header.Set("Content-Type", "application/json")
+		}
+		w := &discardWriter{h: make(http.Header)}
+		n := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			clear(w.h)
+			h.ServeHTTP(w, reqs[n])
+			n++
+		})
+		if w.code != http.StatusOK || w.h.Get("X-D2T2-Cache") != "hit" {
+			t.Fatalf("%s: status %d, cache %q, want a 200 hit", b.path, w.code, w.h.Get("X-D2T2-Cache"))
+		}
+		t.Logf("%s: %v allocations per warm hit", b.path, allocs)
+		if allocs > ceiling {
+			t.Errorf("%s: %v allocations per warm hit, ceiling %d", b.path, allocs, ceiling)
+		}
 	}
 }

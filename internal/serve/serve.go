@@ -299,13 +299,30 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// The response headers d2t2d sets, in canonical form (see
+// http.CanonicalHeaderKey) so they are set by direct header-map
+// assignment: Header.Set would canonicalize, and allocate, the name on
+// every request. Header.Get finds them under any spelling.
+const (
+	headerVersion = "X-D2t2-Version"
+	headerKey     = "X-D2t2-Key"
+	headerRisk    = "X-D2t2-Risk"
+	headerCache   = "X-D2t2-Cache"
+)
+
+// versionValue is every response's X-D2T2-Version value, one slice
+// shared by all of them: header values are only read once set.
+var versionValue = []string{buildinfo.Version}
+
 // Handler returns the service's HTTP handler: the route mux wrapped with
-// the version header and the per-request timeout.
+// the version header and the per-request deadline, RequestTimeout from
+// the request's arrival. The deadline's timer is armed only if the
+// request waits on something (see deadlineCtx).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-D2T2-Version", buildinfo.Version)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
+		w.Header()[headerVersion] = versionValue
+		ctx := &deadlineCtx{parent: r.Context(), deadline: time.Now().Add(s.cfg.RequestTimeout)}
+		defer ctx.release()
 		s.mux.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
@@ -514,7 +531,14 @@ func (c *storeCache) StoreStats(ctx context.Context, key string, st *stats.Stats
 }
 
 func (c *storeCache) LoadPartial(ctx context.Context, key string) (*stats.Partial, bool) {
-	a, _ := c.s.loadArtifact(ctx, key)
+	b, _ := c.s.storeGet(ctx, key)
+	if b == nil {
+		return nil, false
+	}
+	a, err := snapshot.DecodeBytes(b)
+	if err != nil {
+		return nil, false
+	}
 	return a.Partial, a.Partial != nil
 }
 
@@ -526,18 +550,6 @@ func (c *storeCache) StoreMergedStats(ctx context.Context, key string, st *stats
 	c.s.metrics.add(statsMergeTotal, 1)
 	c.s.observe(st)
 	c.s.putArtifact(key, &snapshot.Artifact{Stats: st}, true)
-}
-
-// loadArtifact reads and decodes key's artifact through storeGet's
-// ladder. Missing or undecodable bytes yield an empty artifact.
-func (s *Server) loadArtifact(ctx context.Context, key string) (*snapshot.Artifact, Source) {
-	b, src := s.storeGet(ctx, key)
-	if b != nil {
-		if a, err := snapshot.DecodeBytes(b); err == nil {
-			return a, src
-		}
-	}
-	return &snapshot.Artifact{}, src
 }
 
 // putArtifact persists an artifact under key, best effort: a failed
@@ -958,7 +970,7 @@ func riskOf(plan *d2t2.Plan) *riskResponse {
 // writeBody serves one JSON body with its cache-status header; every
 // cache state serves byte-identical bodies, only the header differs.
 func (s *Server) writeBody(w http.ResponseWriter, cache string, body []byte) {
-	w.Header().Set("X-D2T2-Cache", cache)
+	w.Header()[headerCache] = []string{cache}
 	s.writeBytes(w, http.StatusOK, body)
 }
 

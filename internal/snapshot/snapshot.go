@@ -28,7 +28,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -36,6 +35,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"strconv"
 
 	"d2t2/internal/formats"
 	"d2t2/internal/stats"
@@ -398,9 +398,15 @@ func TensorArtifact(t *tensor.COO) (id string, artifact []byte, err error) {
 // tensorPayload returns the TENS payload of a tensor-only artifact.
 func tensorPayload(b []byte) []byte { return b[headerLen+12 : len(b)-4] }
 
-func contentID(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return "sha256:" + hex.EncodeToString(sum[:])
+func contentID(payload []byte) string { return address(sha256.Sum256(payload)) }
+
+// address renders a SHA-256 sum as a content address, "sha256:" + its
+// hex digits, in one allocation.
+func address(sum [sha256.Size]byte) string {
+	var b [len("sha256:") + 2*sha256.Size]byte
+	n := copy(b[:], "sha256:")
+	hex.Encode(b[n:], sum[:])
+	return string(b[:])
 }
 
 // tileKeyLayout names the layout of the tile keys STAT and PART sections
@@ -414,10 +420,7 @@ const tileKeyLayout = "keys=row-major"
 // dimensions, the CSF level order, and the micro-summary divisor, under
 // the tile-key layout.
 func StatsKey(tensorID string, tileDims, order []int, microDiv int) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "stats|%s|%s|%v|%v|%d", tileKeyLayout, tensorID, tileDims, order, microDiv)
-	sum := sha256.Sum256(b.Bytes())
-	return "sha256:" + hex.EncodeToString(sum[:])
+	return frameKey("stats", tensorID, tileDims, order, microDiv)
 }
 
 // PartialKey derives the content address of a mergeable statistics
@@ -425,10 +428,32 @@ func StatsKey(tensorID string, tileDims, order []int, microDiv int) string {
 // collection frame — the same parameters StatsKey hashes, under a
 // distinct prefix so finalized and accumulator artifacts never collide.
 func PartialKey(tensorID string, tileDims, order []int, microDiv int) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "partial|%s|%s|%v|%v|%d", tileKeyLayout, tensorID, tileDims, order, microDiv)
-	sum := sha256.Sum256(b.Bytes())
-	return "sha256:" + hex.EncodeToString(sum[:])
+	return frameKey("partial", tensorID, tileDims, order, microDiv)
+}
+
+// frameKey hashes kind|layout|tensorID|[tileDims]|[order]|microDiv,
+// the lists space-separated in brackets (fmt's %v of an []int), built
+// on the stack.
+func frameKey(kind, tensorID string, tileDims, order []int, microDiv int) string {
+	var buf [256]byte
+	b := append(buf[:0], kind...)
+	b = append(b, '|')
+	b = append(b, tileKeyLayout...)
+	b = append(b, '|')
+	b = append(b, tensorID...)
+	for _, list := range [2][]int{tileDims, order} {
+		b = append(b, "|["...)
+		for i, v := range list {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(microDiv), 10)
+	return address(sha256.Sum256(b))
 }
 
 // ResponseKey derives the content address of a cached service response
@@ -437,5 +462,7 @@ func ResponseKey(endpoint string, canonicalRequest []byte) string {
 	h := sha256.New()
 	io.WriteString(h, "resp|"+endpoint+"|")
 	h.Write(canonicalRequest)
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return address(sum)
 }

@@ -459,6 +459,66 @@ func TestKeysDiffer(t *testing.T) {
 	}
 }
 
+// TestKeysGolden pins the content addresses StatsKey, PartialKey and
+// ResponseKey derive: artifacts on disk and on peers are found by them,
+// so their preimages must not change with how they are built. The
+// values were computed by the fmt-based derivation they replace.
+func TestKeysGolden(t *testing.T) {
+	id := "sha256:9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+	for _, tc := range []struct {
+		tileDims, order []int
+		microDiv        int
+		stats, partial  string
+	}{
+		{[]int{16, 16}, []int{0, 1}, 8,
+			"sha256:80e988f3726d7d0540bf1562c425429c05d8ffb0a9a58a8399cd0543d6800264",
+			"sha256:b916adca7c729b9ce99a0c6097dc825282eb17c8a9b27f9ab7f9c34124b151b9"},
+		{[]int{4, 8, 128}, []int{2, 0, 1}, 16,
+			"sha256:162de0a105adeffdbc5407388711130572648d678821cea3271675e8946ddd83",
+			"sha256:8aad1df2c80c37ad3f9fe1ee894035d1cb049cd18e631c206114eca4e6e46b57"},
+		{[]int{1 << 20, 3}, []int{1, 0}, 0,
+			"sha256:345972dba1132512033c744a71fe08181038c84a7a32502c47ccf803815543d7",
+			"sha256:2a3ecd8c25dd4fbeb3227e8cf379eee1227f47a2984e12ce65234f97408f7bcb"},
+		{nil, []int{}, 1,
+			"sha256:43116f3a7f9167e0c324338ed5910763b78fb4eb6bac409cbe61c0f7354408e8",
+			"sha256:d2fc1a55b3aecd0705b2b5002f4d811e1d5bad055f9cb8a5cc6ab9bb92271274"},
+	} {
+		if got := StatsKey(id, tc.tileDims, tc.order, tc.microDiv); got != tc.stats {
+			t.Errorf("StatsKey(%v, %v, %d) = %s, want %s", tc.tileDims, tc.order, tc.microDiv, got, tc.stats)
+		}
+		if got := PartialKey(id, tc.tileDims, tc.order, tc.microDiv); got != tc.partial {
+			t.Errorf("PartialKey(%v, %v, %d) = %s, want %s", tc.tileDims, tc.order, tc.microDiv, got, tc.partial)
+		}
+	}
+	for _, tc := range []struct {
+		endpoint, canon, want string
+	}{
+		{"optimize", `{"kernel":"C(i,j) = A(i,k) * B(k,j) | order: i,k,j","inputs":{"A":"x","B":"y"},"bufferWords":32768}`,
+			"sha256:6ce5adbaf91b1429151057b3313daf8376f426b10ff97388eaba43d21dfe4c7c"},
+		{"predict", "{}", "sha256:9da958033aa4dd8d1e7493831078203ba6d8554db19d7af8f9be4ed83486b50c"},
+		{"", "", "sha256:17d2af7dc70fb981e58fc30816590b219ff5962827f82193c7d280483e25ee87"},
+	} {
+		if got := ResponseKey(tc.endpoint, []byte(tc.canon)); got != tc.want {
+			t.Errorf("ResponseKey(%q, %q) = %s, want %s", tc.endpoint, tc.canon, got, tc.want)
+		}
+	}
+}
+
+// TestKeyAllocs: deriving a statistics or partial address allocates
+// only the returned string.
+func TestKeyAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	id := "sha256:9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+	dims, order := []int{4, 8, 128}, []int{2, 0, 1}
+	for name, key := range map[string]func(string, []int, []int, int) string{"StatsKey": StatsKey, "PartialKey": PartialKey} {
+		if got := testing.AllocsPerRun(20, func() { key(id, dims, order, 16) }); got > 1 {
+			t.Errorf("%s: %v allocations, ceiling 1", name, got)
+		}
+	}
+}
+
 // TestStatsKeysNameTheKeyLayout: stats and partial addresses changed
 // with the tile-key layout, so an artifact stored under the 21-bit
 // layout's addresses is never looked up, and never decoded as row-major

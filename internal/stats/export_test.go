@@ -10,6 +10,12 @@ import (
 // ShapeMemoCap exposes the shape memo's bound to the external tests.
 const ShapeMemoCap = shapeMemoCap
 
+// ProjMemoCap exposes the projection memo's bound to the external tests.
+const ProjMemoCap = projMemoCap
+
+// ProjMemoLen reports how many projections sh's memo holds.
+func ProjMemoLen(sh *ShapeStats) int { return sh.projs.Len() }
+
 // ShapeMemoLen reports how many shapes s's memo holds.
 func ShapeMemoLen(s *Stats) int { return s.shapes.Len() }
 

@@ -142,12 +142,19 @@ func (p *Projection) Lookup(oc []int32, axes []int) int32 {
 	return 0
 }
 
+// projMemoCap bounds one shape's projection memo. A shape is projected
+// once per cofactor axis-set pair its kernels price it against, a few
+// per kernel; an order-2 shape has 11 such pairs in all, an order-3 one
+// 49. Once full, further pairs are projected without being kept.
+const projMemoCap = 16
+
 // Project returns the shape's Projection over the disjoint axis lists
-// shared and extras. Results are memoized on the shape, one flight per
-// axis-set pair, so repeated predictions at a memoized shape (the
-// optimizer's sweep, every job of a batch sharing the bundle) read a
-// sorted table instead of rebuilding it. The result is shared and
-// read-only.
+// shared and extras. Results are memoized on the shape (up to
+// projMemoCap pairs), one flight per axis-set pair, so repeated
+// predictions at a memoized shape (the optimizer's sweep, every job of a
+// batch sharing the bundle) read a sorted table instead of rebuilding
+// it. A projection past the cap is neither kept nor charged. The result
+// is shared and read-only.
 func (sh *ShapeStats) Project(shared, extras []int) *Projection {
 	var buf [16]byte
 	kb := append(buf[:0], byte(len(shared)))
@@ -158,7 +165,7 @@ func (sh *ShapeStats) Project(shared, extras []int) *Projection {
 		kb = binary.AppendUvarint(kb, uint64(a))
 	}
 	key := string(kb)
-	p, _ := sh.projs.DoKeep(key, 0, func() (*Projection, error) {
+	p, _ := sh.projs.DoKeep(key, projMemoCap, func() (*Projection, error) {
 		return sh.project(shared, extras), nil
 	}, func(p *Projection) {
 		sh.projBytes.Add(p.heapBytes(len(shared)) + memoKeyBytes(key))

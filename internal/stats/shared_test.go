@@ -305,3 +305,103 @@ func TestEvalShapeOneFlightPerShape(t *testing.T) {
 		t.Fatalf("a failed shape was not evaluated again on the next ask (err %v)", err)
 	}
 }
+
+// TestProjectionMemoCapped projects one order-3 shape over every
+// disjoint pair of axis lists — more pairs than a shape's projection
+// memo keeps — from concurrent goroutines: every result equals a fresh
+// shape's, the memo fills to exactly its cap, a repeated ask of a kept
+// pair returns the kept table, and the bundle's charge stops growing
+// once the memo is full.
+func TestProjectionMemoCapped(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	x := gen.RandomTensor3(r, 64, 64, 64, 3000, [3]float64{1.2, 1, 0.8})
+	st, _, err := stats.Collect(x, []int{16, 16, 16}, []int{0, 1, 2}, &stats.Options{MicroDiv: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := decoder(t, st)
+	shape := []int{16, 16, 16}
+	// Every pair of disjoint axis lists: each axis goes to shared,
+	// extras or neither, and each list in every order.
+	var perms func(axes []int) [][]int
+	perms = func(axes []int) [][]int {
+		if len(axes) == 0 {
+			return [][]int{nil}
+		}
+		var out [][]int
+		for i, a := range axes {
+			rest := append(append([]int{}, axes[:i]...), axes[i+1:]...)
+			for _, p := range perms(rest) {
+				out = append(out, append([]int{a}, p...))
+			}
+		}
+		return out
+	}
+	var pairs [][2][]int
+	for code := 0; code < 27; code++ {
+		var shared, extras []int
+		for a, c := 0, code; a < 3; a, c = a+1, c/3 {
+			switch c % 3 {
+			case 1:
+				shared = append(shared, a)
+			case 2:
+				extras = append(extras, a)
+			}
+		}
+		for _, s := range perms(shared) {
+			for _, e := range perms(extras) {
+				pairs = append(pairs, [2][]int{s, e})
+			}
+		}
+	}
+	if len(pairs) <= stats.ProjMemoCap {
+		t.Fatalf("%d axis-set pairs do not overflow the %d-entry memo", len(pairs), stats.ProjMemoCap)
+	}
+	bundle := fresh()
+	sh, err := bundle.EvalShape(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	got := make([][]*stats.Projection, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([]*stats.Projection, len(pairs))
+			for k := range pairs {
+				i := (k + g*len(pairs)/goroutines) % len(pairs)
+				got[g][i] = sh.Project(pairs[i][0], pairs[i][1])
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := stats.ProjMemoLen(sh); n != stats.ProjMemoCap {
+		t.Fatalf("the projection memo holds %d pairs, cap %d", n, stats.ProjMemoCap)
+	}
+	full := bundle.HeapBytes()
+	ref, err := fresh().EvalShape(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for i, p := range pairs {
+		want := ref.Project(p[0], p[1])
+		again := sh.Project(p[0], p[1])
+		for g := range got {
+			if !reflect.DeepEqual(got[g][i], want) {
+				t.Fatalf("pair %v (goroutine %d) differs from a fresh shape's projection", p, g)
+			}
+		}
+		if again == got[0][i] && again == got[goroutines-1][i] {
+			kept++
+		}
+	}
+	if kept != stats.ProjMemoCap {
+		t.Fatalf("%d pairs returned their kept projection on a repeat ask, want %d", kept, stats.ProjMemoCap)
+	}
+	if after := bundle.HeapBytes(); after != full {
+		t.Fatalf("projections past the cap grew the bundle's charge from %d to %d bytes", full, after)
+	}
+}
