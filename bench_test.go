@@ -11,6 +11,7 @@ package d2t2
 // The full-scale evaluation lives in cmd/expbench.
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -50,7 +51,7 @@ func runExperiment(b *testing.B, id string, metricCol int, metricName string) {
 		if !ok {
 			b.Fatalf("unknown experiment %s", id)
 		}
-		tbl, err := e.Run(benchSuite())
+		tbl, err := e.Run(context.Background(), benchSuite())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkSec67PackedTiles(b *testing.B) { runExperiment(b, "sec67", 1, "pac
 func BenchmarkTable4HigherOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := &experiments.Suite{Scale: 48, TileSide: 32}
-		tbl, err := experiments.Table4(s)
+		tbl, err := experiments.Table4(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func BenchmarkTable4HigherOrder(b *testing.B) {
 
 func BenchmarkTable5Opal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Table5()
+		tbl, err := experiments.Table5(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func BenchmarkInitialTiling(b *testing.B) {
 	coo := mats["A"].coo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tiling.New(coo, []int{64, 64}, nil); err != nil {
+		if _, err := tiling.NewCtx(context.Background(), coo, []int{64, 64}, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,13 +121,13 @@ func BenchmarkInitialTiling(b *testing.B) {
 func BenchmarkStatsCollection(b *testing.B) {
 	mats := benchMatrix(b)
 	coo := mats["A"].coo
-	tt, err := tiling.New(coo, []int{64, 64}, nil)
+	tt, err := tiling.NewCtx(context.Background(), coo, []int{64, 64}, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stats.CollectFromTiled(coo, tt, nil); err != nil {
+		if _, err := stats.CollectFromTiledCtx(context.Background(), coo, tt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +139,7 @@ func BenchmarkModelPredict(b *testing.B) {
 	st := make(map[string]*stats.Stats)
 	for _, name := range []string{"A", "B"} {
 		ref, _ := e.Input(name)
-		s, _, err := stats.Collect(mats[name].coo, []int{64, 64}, e.LevelOrder(ref), nil)
+		s, _, err := stats.CollectCtx(context.Background(), mats[name].coo, []int{64, 64}, e.LevelOrder(ref), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func BenchmarkOptimizePipeline(b *testing.B) {
 	buffer := tiling.DenseFootprintWords([]int{64, 64})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := optimizer.Optimize(e, lowered, optimizer.Options{BufferWords: buffer}); err != nil {
+		if _, err := optimizer.OptimizeCtx(context.Background(), e, lowered, optimizer.Options{BufferWords: buffer}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,13 +176,13 @@ func BenchmarkMeasureBackend(b *testing.B) {
 	mats := benchMatrix(b)
 	e := einsum.SpMSpMIKJ()
 	lowered := Inputs(map[string]*Tensor{"A": mats["A"], "B": mats["B"]}).lower()
-	tiled, err := optimizer.TileAll(e, lowered, model.Config{"i": 64, "k": 64, "j": 64})
+	tiled, err := optimizer.TileAllCtx(context.Background(), e, lowered, model.Config{"i": 64, "k": 64, "j": 64}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Measure(e, tiled, nil); err != nil {
+		if _, err := exec.MeasureCtx(context.Background(), e, tiled, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +193,7 @@ func BenchmarkCSFBuild(b *testing.B) {
 	coo := mats["A"].coo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tt, err := tiling.New(coo, []int{coo.Dims[0], coo.Dims[1]}, nil)
+		tt, err := tiling.NewCtx(context.Background(), coo, []int{coo.Dims[0], coo.Dims[1]}, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +211,7 @@ func BenchmarkHierarchyOptimize(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hierarchy.Optimize(e, lowered, opts); err != nil {
+		if _, err := hierarchy.Optimize(context.Background(), e, lowered, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -38,6 +39,7 @@ func cmdCompare(args []string) error {
 		return fmt.Errorf("unknown machine %q", *machine)
 	}
 	buffer := d2t2.DenseTileWords(*tile, *tile)
+	ctx := context.Background()
 
 	type rowT struct {
 		name   string
@@ -47,27 +49,27 @@ func cmdCompare(args []string) error {
 	var rows []rowT
 
 	cons := d2t2.ConservativeConfig(k, buffer)
-	consRep, err := d2t2.MeasureConfig(k, inputs, cons)
+	consRep, err := d2t2.MeasureConfig(ctx, k, inputs, cons)
 	if err != nil {
 		return err
 	}
 	rows = append(rows, rowT{"conservative", cons, consRep})
 
-	pres, err := d2t2.PrescientConfig(k, inputs, buffer)
+	pres, err := d2t2.PrescientConfig(ctx, k, inputs, buffer)
 	if err != nil {
 		return err
 	}
-	presRep, err := d2t2.MeasureConfig(k, inputs, pres)
+	presRep, err := d2t2.MeasureConfig(ctx, k, inputs, pres)
 	if err != nil {
 		return err
 	}
 	rows = append(rows, rowT{"prescient", pres, presRep})
 
-	plan, err := d2t2.Optimize(k, inputs, d2t2.Options{BufferWords: buffer})
+	plan, err := d2t2.OptimizeCtx(ctx, k, inputs, d2t2.Options{BufferWords: buffer})
 	if err != nil {
 		return err
 	}
-	d2Rep, err := plan.Measure()
+	d2Rep, err := plan.MeasureCtx(ctx)
 	if err != nil {
 		return err
 	}

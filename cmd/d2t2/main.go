@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -206,7 +207,7 @@ func cmdStats(args []string) error {
 	sort.Strings(names)
 	for _, name := range names {
 		t := inputs[name]
-		st, err := sess.Stats(t, *tile)
+		st, err := sess.StatsCtx(context.Background(), t, *tile)
 		if err != nil {
 			return err
 		}
@@ -252,7 +253,8 @@ func cmdOptimize(args []string) error {
 		return err
 	}
 	buffer := d2t2.DenseTileWords(*tile, *tile)
-	plan, err := d2t2.Optimize(k, inputs, d2t2.Options{
+	ctx := context.Background()
+	plan, err := d2t2.OptimizeCtx(ctx, k, inputs, d2t2.Options{
 		BufferWords:    buffer,
 		Analytic:       *analytic,
 		Workers:        *workers,
@@ -276,7 +278,7 @@ func cmdOptimize(args []string) error {
 		}
 	}
 	if *measure {
-		rep, err := plan.Measure()
+		rep, err := plan.MeasureCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -339,7 +341,7 @@ func cmdMeasure(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := d2t2.MeasureConfig(k, inputs, cfg)
+	rep, err := d2t2.MeasureConfig(context.Background(), k, inputs, cfg)
 	if err != nil {
 		return err
 	}
@@ -372,7 +374,7 @@ func cmdPredict(args []string) error {
 	}
 	sess := d2t2.NewSession(nil)
 	sess.Workers = *workers
-	pred, err := sess.Predict(k, inputs, cfg, *tile)
+	pred, err := sess.PredictCtx(context.Background(), k, inputs, cfg, *tile)
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,6 @@
 //	go run ./cmd/d2t2vet -skip coordwidth ./...
 //	go run ./cmd/d2t2vet -format json ./...     # machine-readable findings
 //	go run ./cmd/d2t2vet -format sarif ./...    # CI annotations (upload-sarif)
-//	go run ./cmd/d2t2vet -fix ./...             # apply suggested fixes
-//
-// All packages are loaded before any analyzer runs, and one call graph's
-// node set is built over the whole set, so ctxpropagation's module
-// membership check sees every function the run declares.
 //
 // Findings are suppressed with an annotation on the offending line or
 // the line above, with a justification:
@@ -38,7 +33,6 @@ func main() {
 // vetConfig is the parsed command line.
 type vetConfig struct {
 	list     bool
-	fix      bool
 	format   string
 	patterns []string
 	checks   []*analysis.Analyzer
@@ -56,7 +50,6 @@ func parseArgs(args []string, stderr io.Writer) (*vetConfig, error) {
 		onlyFlag   = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 		checksFlag = fs.String("checks", "", "alias of -only (kept for older CI recipes)")
 		skipFlag   = fs.String("skip", "", "comma-separated analyzer names to exclude")
-		fixFlag    = fs.Bool("fix", false, "apply suggested fixes to the source, then report what remains")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -82,7 +75,6 @@ func parseArgs(args []string, stderr io.Writer) (*vetConfig, error) {
 	}
 	return &vetConfig{
 		list:     *listFlag,
-		fix:      *fixFlag,
 		format:   format,
 		patterns: fs.Args(),
 		checks:   checks,
@@ -120,50 +112,14 @@ func run(args []string, stdout, stderr io.Writer, dir string) int {
 		return 2
 	}
 
-	// Load everything first so the call graph spans the whole run:
-	// ctxpropagation asks whether a callee in another package, or its
-	// Ctx sibling, is declared in the module.
-	pkgs := make([]*analysis.Package, 0, len(paths))
+	var findings []analysis.Diagnostic
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
 			fmt.Fprintln(stderr, "d2t2vet:", err)
 			return 2
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	graph := analysis.BuildCallGraph(pkgs)
-
-	var findings []analysis.Diagnostic
-	for _, pkg := range pkgs {
-		findings = append(findings, analysis.RunGraph(pkg, graph, cfg.checks)...)
-	}
-
-	if cfg.fix {
-		changed, applied, skippedFixes, err := analysis.ApplyFixes(findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "d2t2vet:", err)
-			return 2
-		}
-		if applied > 0 {
-			fmt.Fprintf(stderr, "d2t2vet: applied %d fix(es) in %d file(s)", applied, len(changed))
-			if skippedFixes > 0 {
-				fmt.Fprintf(stderr, ", skipped %d conflicting (re-run to apply)", skippedFixes)
-			}
-			fmt.Fprintln(stderr)
-			for _, f := range changed {
-				fmt.Fprintln(stderr, "d2t2vet: rewrote", f)
-			}
-		}
-		// Fixed findings are resolved; keep reporting what -fix could
-		// not rewrite.
-		var remaining []analysis.Diagnostic
-		for _, d := range findings {
-			if d.Fix == nil || len(d.Fix.Edits) == 0 {
-				remaining = append(remaining, d)
-			}
-		}
-		findings = remaining
+		findings = append(findings, analysis.Run(pkg, cfg.checks)...)
 	}
 
 	switch cfg.format {

@@ -20,7 +20,7 @@ func TestParseArgs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.list || cfg.fix || cfg.format != "text" {
+		if cfg.list || cfg.format != "text" {
 			t.Fatalf("defaults wrong: %+v", cfg)
 		}
 		if len(cfg.checks) != 9 {
@@ -49,6 +49,12 @@ func TestParseArgs(t *testing.T) {
 		}
 		if got := names(cfg); len(got) != 1 || got[0] != "scratchescape" {
 			t.Fatalf("-checks selection = %v", got)
+		}
+	})
+
+	t.Run("no fix flag", func(t *testing.T) {
+		if _, err := parseArgs([]string{"-fix", "./..."}, &bytes.Buffer{}); err == nil {
+			t.Fatal("-fix accepted; d2t2vet has no suggested fixes")
 		}
 	})
 

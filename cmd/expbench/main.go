@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -77,7 +78,7 @@ func main() {
 	failed := 0
 	for _, e := range selected {
 		start := time.Now()
-		tbl, err := e.Run(suite)
+		tbl, err := e.Run(context.Background(), suite)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expbench: %s failed: %v\n", e.ID, err)
 			failed++

@@ -23,9 +23,10 @@
 //	a, _ := d2t2.FromMatrixMarket(f)         // or d2t2.Dataset("C", 32)
 //	b := a.Transpose()
 //	k, _ := d2t2.ParseKernel("C(i,j) = A(i,k) * B(k,j) | order: i,k,j")
-//	plan, _ := d2t2.Optimize(k, d2t2.Inputs{"A": a, "B": b},
+//	ctx := context.Background()
+//	plan, _ := d2t2.OptimizeCtx(ctx, k, d2t2.Inputs{"A": a, "B": b},
 //	    d2t2.Options{BufferWords: d2t2.Extensor().InputBufferWords})
-//	report, _ := plan.Measure()
+//	report, _ := plan.MeasureCtx(ctx)
 //	fmt.Println(plan.Config, report.TotalMB())
 package d2t2
 
@@ -308,7 +309,7 @@ type Plan struct {
 	kernel *Kernel
 	inputs Inputs
 	// workers is the worker-pool bound the plan was optimized with
-	// (0 = all cores); Measure reuses it for the measurement backend.
+	// (0 = all cores); MeasureCtx reuses it for the measurement backend.
 	workers int
 	// bufferWords is the optimization's buffer budget; overbooked plans
 	// measure with it so overflow traffic is metered honestly.
@@ -351,32 +352,26 @@ func newPlan(res *optimizer.Result, k *Kernel, inputs Inputs, workers, bufferWor
 	}
 }
 
-// Optimize runs the D2T2 pipeline and returns the chosen plan. It runs
-// on a fresh Session, so it takes the path d2t2d's optimizes take.
-func Optimize(k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
-	return OptimizeCtx(context.Background(), k, inputs, opts)
-}
-
-// OptimizeCtx is Optimize with cooperative cancellation: a cancelled or
-// deadline-expired ctx stops the pipeline at its next work-item
-// boundary (collection chunk, sweep candidate, growth doubling) and
-// returns the context's error. A never-cancelled ctx yields exactly
-// Optimize's byte-identical plan.
+// OptimizeCtx runs the D2T2 pipeline and returns the chosen plan. It
+// runs on a fresh Session, so it takes the path d2t2d's optimizes take.
+// A cancelled or deadline-expired ctx stops the pipeline at its next
+// work-item boundary (collection chunk, sweep candidate, growth
+// doubling) and returns the context's error.
 func OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
 	s := NewSession(nil)
 	s.Workers = opts.Workers
 	return s.OptimizeCtx(ctx, k, inputs, opts)
 }
 
-// OptimizeDataflow extends Optimize by also choosing the dataflow order:
-// every permutation of the kernel's index variables is optimized, and
-// the plan with the least predicted traffic (the first such, in
+// OptimizeDataflow extends OptimizeCtx by also choosing the dataflow
+// order: every permutation of the kernel's index variables is optimized,
+// and the plan with the least predicted traffic (the first such, in
 // permutation order) is returned along with its order. The orders share
 // one Batch on a fresh Session, so orders that store an input in the
 // same level order share its statistics. The returned plan measures and
 // executes under the chosen order.
-func OptimizeDataflow(k *Kernel, inputs Inputs, opts Options) (*Plan, []string, error) {
-	return NewSession(nil).NewBatch().optimizeDataflow(context.Background(), k, inputs, opts)
+func OptimizeDataflow(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, []string, error) {
+	return NewSession(nil).NewBatch().optimizeDataflow(ctx, k, inputs, opts)
 }
 
 // TrafficReport is the measured cost of executing a tiled kernel.
@@ -407,19 +402,15 @@ func (r *TrafficReport) OverflowRate() float64 {
 // TotalMB returns total traffic in megabytes.
 func (r *TrafficReport) TotalMB() float64 { return r.traffic.TotalMB() }
 
-// Measure tiles the plan's inputs with its configuration and executes the
-// kernel on the measurement backend, returning exact traffic.
-func (p *Plan) Measure() (*TrafficReport, error) {
-	return p.MeasureCtx(context.Background())
-}
-
-// MeasureCtx is Measure with cooperative cancellation of both the
-// retiling pass and the measurement itself: the backend checks ctx
-// between outer-tile work units, so a deadline or client disconnect
-// stops an executing measurement at the next tile boundary instead of
-// running it to completion. The measurement runs on the worker pool
-// the plan was optimized with (0 = all cores) — traffic counters are
-// exact integers and merge identically at any worker count.
+// MeasureCtx tiles the plan's inputs with its configuration and
+// executes the kernel on the measurement backend, returning exact
+// traffic. Both the retiling pass and the measurement itself are
+// cancellable: the backend checks ctx between outer-tile work units, so
+// a deadline or client disconnect stops an executing measurement at the
+// next tile boundary instead of running it to completion. The
+// measurement runs on the worker pool the plan was optimized with (0 =
+// all cores) — traffic counters are exact integers and merge
+// identically at any worker count.
 func (p *Plan) MeasureCtx(ctx context.Context) (*TrafficReport, error) {
 	tiled, err := optimizer.TileAllCtx(ctx, p.kernel.expr, p.inputs.lower(), model.Config(p.Config), p.workers)
 	if err != nil {
@@ -485,29 +476,29 @@ func (p *Plan) MeasureKey() (string, error) {
 
 // Execute runs the kernel and returns the result tensor along with the
 // traffic report.
-func (p *Plan) Execute() (*Tensor, *TrafficReport, error) {
-	return executeConfig(p.kernel, p.inputs, p.Config)
+func (p *Plan) Execute(ctx context.Context) (*Tensor, *TrafficReport, error) {
+	return executeConfig(ctx, p.kernel, p.inputs, p.Config)
 }
 
 // MeasureConfig measures an arbitrary tile configuration.
-func MeasureConfig(k *Kernel, inputs Inputs, cfg TileConfig) (*TrafficReport, error) {
-	tiled, err := optimizer.TileAll(k.expr, inputs.lower(), model.Config(cfg))
+func MeasureConfig(ctx context.Context, k *Kernel, inputs Inputs, cfg TileConfig) (*TrafficReport, error) {
+	tiled, err := optimizer.TileAllCtx(ctx, k.expr, inputs.lower(), model.Config(cfg), 0)
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Measure(k.expr, tiled, nil)
+	res, err := exec.MeasureCtx(ctx, k.expr, tiled, nil)
 	if err != nil {
 		return nil, err
 	}
 	return newReport(&res.Traffic), nil
 }
 
-func executeConfig(k *Kernel, inputs Inputs, cfg TileConfig) (*Tensor, *TrafficReport, error) {
-	tiled, err := optimizer.TileAll(k.expr, inputs.lower(), model.Config(cfg))
+func executeConfig(ctx context.Context, k *Kernel, inputs Inputs, cfg TileConfig) (*Tensor, *TrafficReport, error) {
+	tiled, err := optimizer.TileAllCtx(ctx, k.expr, inputs.lower(), model.Config(cfg), 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := exec.Measure(k.expr, tiled, &exec.Options{CollectOutput: true})
+	res, err := exec.MeasureCtx(ctx, k.expr, tiled, &exec.Options{CollectOutput: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -540,8 +531,8 @@ func ConservativeConfig(k *Kernel, bufferWords int) TileConfig {
 
 // PrescientConfig returns the largest square scheme whose actual tiles
 // fit the buffer (the oracle baseline of the paper).
-func PrescientConfig(k *Kernel, inputs Inputs, bufferWords int) (TileConfig, error) {
-	cfg, err := schemes.Prescient(k.expr, inputs.lower(), bufferWords)
+func PrescientConfig(ctx context.Context, k *Kernel, inputs Inputs, bufferWords int) (TileConfig, error) {
+	cfg, err := schemes.Prescient(ctx, k.expr, inputs.lower(), bufferWords)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package d2t2
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -71,7 +72,7 @@ func TestOptimizeMeasureExecute(t *testing.T) {
 	k := Gustavson()
 	buffer := DenseTileWords(32, 32)
 
-	plan, err := Optimize(k, inputs, Options{BufferWords: buffer})
+	plan, err := OptimizeCtx(context.Background(), k, inputs, Options{BufferWords: buffer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestOptimizeMeasureExecute(t *testing.T) {
 		t.Fatalf("plan = %+v", plan)
 	}
 
-	rep, err := plan.Measure()
+	rep, err := plan.MeasureCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestOptimizeMeasureExecute(t *testing.T) {
 		t.Fatalf("report = %+v", rep)
 	}
 
-	out, rep2, err := plan.Execute()
+	out, rep2, err := plan.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestOptimizeMeasureExecute(t *testing.T) {
 	if cons["i"] != 32 {
 		t.Fatalf("conservative = %v", cons)
 	}
-	pres, err := PrescientConfig(k, inputs, buffer)
+	pres, err := PrescientConfig(context.Background(), k, inputs, buffer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	presRep, err := MeasureConfig(k, inputs, pres)
+	presRep, err := MeasureConfig(context.Background(), k, inputs, pres)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestOptionsVariants(t *testing.T) {
 		{BufferWords: buffer, DisableCorrs: true},
 		{BufferWords: buffer, SkipResize: true},
 	} {
-		if _, err := Optimize(Gustavson(), inputs, o); err != nil {
+		if _, err := OptimizeCtx(context.Background(), Gustavson(), inputs, o); err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
 	}
-	if _, err := Optimize(Gustavson(), inputs, Options{}); err == nil {
+	if _, err := OptimizeCtx(context.Background(), Gustavson(), inputs, Options{}); err == nil {
 		t.Fatal("zero buffer accepted")
 	}
 }
@@ -169,7 +170,7 @@ func TestSDDMMAndEnergyAPI(t *testing.T) {
 	if err := k.Validate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := MeasureConfig(k, inputs, cfg)
+	rep, err := MeasureConfig(context.Background(), k, inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestOptimizeEmptyishInput(t *testing.T) {
 	a := NewTensor(256, 256)
 	a.Set([]int{10, 20}, 1)
 	inputs := Inputs{"A": a, "B": a.Transpose()}
-	plan, err := Optimize(Gustavson(), inputs, Options{BufferWords: DenseTileWords(32, 32)})
+	plan, err := OptimizeCtx(context.Background(), Gustavson(), inputs, Options{BufferWords: DenseTileWords(32, 32)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := plan.Measure()
+	rep, err := plan.MeasureCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestVectorKernel(t *testing.T) {
 	for i := 0; i < 100; i += 3 {
 		b.Set([]int{i}, 3)
 	}
-	out, rep, err := executeConfig(k, Inputs{"A": a, "B": b}, TileConfig{"i": 10})
+	out, rep, err := executeConfig(context.Background(), k, Inputs{"A": a, "B": b}, TileConfig{"i": 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +238,14 @@ func TestOptimizeDataflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := Inputs{"A": a, "B": a.Transpose()}
-	plan, order, err := OptimizeDataflow(Gustavson(), inputs, Options{BufferWords: DenseTileWords(32, 32)})
+	plan, order, err := OptimizeDataflow(context.Background(), Gustavson(), inputs, Options{BufferWords: DenseTileWords(32, 32)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	rep, err := plan.Measure()
+	rep, err := plan.MeasureCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestPublicAPIMoreSurface(t *testing.T) {
 	}
 
 	// CollectStats summary.
-	st, err := CollectStats(a, 64)
+	st, err := CollectStats(context.Background(), a, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestPublicAPIMoreSurface(t *testing.T) {
 
 	// PredictConfig.
 	inputs := Inputs{"A": a, "B": a.Transpose()}
-	mb, err := PredictConfig(Gustavson(), inputs, TileConfig{"i": 64, "k": 64, "j": 64}, 64)
+	mb, err := PredictConfig(context.Background(), Gustavson(), inputs, TileConfig{"i": 64, "k": 64, "j": 64}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestPublicAPIMoreSurface(t *testing.T) {
 		t.Fatalf("predicted MB = %v", mb)
 	}
 	// Missing input tensor.
-	if _, err := PredictConfig(Gustavson(), Inputs{"A": a}, TileConfig{"i": 64, "k": 64, "j": 64}, 64); err == nil {
+	if _, err := PredictConfig(context.Background(), Gustavson(), Inputs{"A": a}, TileConfig{"i": 64, "k": 64, "j": 64}, 64); err == nil {
 		t.Fatal("missing input accepted")
 	}
 
@@ -298,7 +299,7 @@ func TestPublicAPIMoreSurface(t *testing.T) {
 	}
 
 	// MeasureConfig error path (bad config).
-	if _, err := MeasureConfig(Gustavson(), inputs, TileConfig{"i": 64}); err == nil {
+	if _, err := MeasureConfig(context.Background(), Gustavson(), inputs, TileConfig{"i": 64}); err == nil {
 		t.Fatal("incomplete measure config accepted")
 	}
 }
@@ -321,7 +322,7 @@ func TestOptimizeHierarchyAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := Inputs{"A": a, "B": a.Transpose()}
-	plan, err := OptimizeHierarchy(Gustavson(), inputs,
+	plan, err := OptimizeHierarchy(context.Background(), Gustavson(), inputs,
 		DenseTileWords(128, 128), DenseTileWords(16, 16))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +330,7 @@ func TestOptimizeHierarchyAPI(t *testing.T) {
 	if plan.L1["i"] < 1 || plan.L2["i"] < plan.L1["i"] {
 		t.Fatalf("plan levels wrong: L1=%v L2=%v", plan.L1, plan.L2)
 	}
-	rep, err := plan.Measure()
+	rep, err := plan.Measure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestOptimizeHierarchyAPI(t *testing.T) {
 		t.Fatalf("report = %+v", rep)
 	}
 	// Errors: bad buffers.
-	if _, err := OptimizeHierarchy(Gustavson(), inputs, 10, 10); err == nil {
+	if _, err := OptimizeHierarchy(context.Background(), Gustavson(), inputs, 10, 10); err == nil {
 		t.Fatal("L1 >= L2 accepted")
 	}
 }

@@ -22,7 +22,7 @@ type dataflowCandidate struct {
 }
 
 // selectDataflow is the sequential dataflow search OptimizeDataflow
-// replaced, kept as its oracle: one full optimizer.Optimize per
+// replaced, kept as its oracle: one full optimizer.OptimizeCtx per
 // candidate order (nil = all permutations of the kernel's indices),
 // each re-collecting its inputs' statistics, and the result with the
 // first strict minimum of predicted traffic.
@@ -37,7 +37,7 @@ func selectDataflow(e *einsum.Expr, inputs map[string]*tensor.COO, orders [][]st
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := optimizer.Optimize(variant, inputs, opts)
+		res, err := optimizer.OptimizeCtx(context.Background(), variant, inputs, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -86,11 +86,11 @@ func TestSelectDataflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiled, err := optimizer.TileAll(variant, inputs, c.Result.Config)
+		tiled, err := optimizer.TileAllCtx(context.Background(), variant, inputs, c.Result.Config, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.Measure(variant, tiled, nil); err != nil {
+		if _, err := exec.MeasureCtx(context.Background(), variant, tiled, nil); err != nil {
 			t.Fatalf("order %v fails to execute: %v", c.Order, err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestOptimizeDataflowMatchesOracle(t *testing.T) {
 				t.Fatalf("%s tile %d: order %v config %v %v MB, oracle %v %v %v MB",
 					label, tile, order, plan.Config, plan.PredictedMB, want.Expr.Order, want.Config, wantMB)
 			}
-			public, publicOrder, err := OptimizeDataflow(k, inputs, opts)
+			public, publicOrder, err := OptimizeDataflow(context.Background(), k, inputs, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

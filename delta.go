@@ -8,11 +8,6 @@ import (
 	"d2t2/internal/stats"
 )
 
-// Delta is DeltaCtx with a background context.
-func (s *Session) Delta(t, delta *Tensor, tile int) (*Tensor, *stats.DeltaReport, error) {
-	return s.DeltaCtx(context.Background(), t, delta, tile)
-}
-
 // DeltaCtx appends a coordinate delta to t and returns the combined
 // tensor, with statistics merged instead of re-collected: the session
 // loads (or collects once, then caches) the mergeable partial for t at

@@ -1,6 +1,7 @@
 package d2t2_test
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2"
@@ -16,8 +17,8 @@ func ExampleParseKernel() {
 	// Output: C(i,j) = A(i,k) * B(k,j) | order: i,k,j
 }
 
-// ExampleOptimize runs the full D2T2 pipeline on a tiny matrix.
-func ExampleOptimize() {
+// ExampleOptimizeCtx runs the full D2T2 pipeline on a tiny matrix.
+func ExampleOptimizeCtx() {
 	// An 8x8 diagonal matrix: every tile on the diagonal, nothing else.
 	a := d2t2.NewTensor(8, 8)
 	for i := 0; i < 8; i++ {
@@ -25,7 +26,7 @@ func ExampleOptimize() {
 	}
 	inputs := d2t2.Inputs{"A": a, "B": a.Transpose()}
 
-	plan, err := d2t2.Optimize(d2t2.Gustavson(), inputs, d2t2.Options{
+	plan, err := d2t2.OptimizeCtx(context.Background(), d2t2.Gustavson(), inputs, d2t2.Options{
 		BufferWords: d2t2.DenseTileWords(4, 4),
 	})
 	if err != nil {
@@ -33,7 +34,7 @@ func ExampleOptimize() {
 	}
 	fmt.Println("base tile:", plan.BaseTile)
 
-	report, err := plan.Measure()
+	report, err := plan.MeasureCtx(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -67,7 +68,7 @@ func ExampleMeasureConfig() {
 		a.Set([]int{i, (i + 1) % 16}, float64(i))
 	}
 	inputs := d2t2.Inputs{"A": a, "B": a.Transpose()}
-	rep, err := d2t2.MeasureConfig(d2t2.Gustavson(), inputs,
+	rep, err := d2t2.MeasureConfig(context.Background(), d2t2.Gustavson(), inputs,
 		d2t2.TileConfig{"i": 4, "k": 4, "j": 4})
 	if err != nil {
 		panic(err)

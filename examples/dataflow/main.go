@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	buffer := d2t2.DenseTileWords(64, 64)
 	kernel, err := d2t2.ParseKernel("C(i,j) = A(i,k) * B(k,j) | order: i,k,j")
 	if err != nil {
@@ -29,21 +31,21 @@ func main() {
 		inputs := d2t2.Inputs{"A": a, "B": a.Transpose()}
 
 		// Fixed Gustavson order.
-		fixed, err := d2t2.Optimize(kernel, inputs, d2t2.Options{BufferWords: buffer})
+		fixed, err := d2t2.OptimizeCtx(ctx, kernel, inputs, d2t2.Options{BufferWords: buffer})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fixedRep, err := fixed.Measure()
+		fixedRep, err := fixed.MeasureCtx(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// Model-chosen order over all six permutations.
-		plan, order, err := d2t2.OptimizeDataflow(kernel, inputs, d2t2.Options{BufferWords: buffer})
+		plan, order, err := d2t2.OptimizeDataflow(ctx, kernel, inputs, d2t2.Options{BufferWords: buffer})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := plan.Measure()
+		rep, err := plan.MeasureCtx(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

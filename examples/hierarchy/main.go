@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	a, err := d2t2.Dataset("N", 8) // bcsstk17 stand-in (FEM stiffness)
 	if err != nil {
 		log.Fatal(err)
@@ -27,14 +29,14 @@ func main() {
 	l1 := d2t2.DenseTileWords(32, 32)   // PE memory tile (Opal's 2 KB class)
 	fmt.Printf("buffers: global %d KiB, PE %d KiB\n\n", l2*4/1024, l1*4/1024)
 
-	plan, err := d2t2.OptimizeHierarchy(kernel, inputs, l2, l1)
+	plan, err := d2t2.OptimizeHierarchy(ctx, kernel, inputs, l2, l1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("L2 config (DRAM -> global): %v\n", plan.L2)
 	fmt.Printf("L1 config (global -> PE):   %v\n\n", plan.L1)
 
-	rep, err := plan.Measure()
+	rep, err := plan.Measure(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,11 +44,11 @@ func main() {
 	fmt.Printf("global traffic: %8.2f MB\n\n", rep.Global.TotalMB())
 
 	// Compare against tiling DRAM directly at PE granularity.
-	flat, err := d2t2.Optimize(kernel, inputs, d2t2.Options{BufferWords: l1})
+	flat, err := d2t2.OptimizeCtx(ctx, kernel, inputs, d2t2.Options{BufferWords: l1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	flatRep, err := flat.Measure()
+	flatRep, err := flat.MeasureCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	kernel := d2t2.Gustavson()
 	tile := 64
 
@@ -23,7 +25,7 @@ func main() {
 			log.Fatal(err)
 		}
 		inputs := d2t2.Inputs{"A": a, "B": a.Transpose()}
-		st, err := d2t2.CollectStats(a, tile)
+		st, err := d2t2.CollectStats(ctx, a, tile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -34,11 +36,11 @@ func main() {
 		fmt.Printf("  %-22s %14s %14s %8s\n", "config (RF sweep)", "predicted MB", "measured MB", "err%")
 		for _, rf := range []int{1, 2, 4, 8} {
 			cfg := d2t2.TileConfig{"i": tile * rf, "k": tile / rf, "j": tile * rf}
-			pred, err := d2t2.PredictConfig(kernel, inputs, cfg, tile)
+			pred, err := d2t2.PredictConfig(ctx, kernel, inputs, cfg, tile)
 			if err != nil {
 				log.Fatal(err)
 			}
-			rep, err := d2t2.MeasureConfig(kernel, inputs, cfg)
+			rep, err := d2t2.MeasureConfig(ctx, kernel, inputs, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

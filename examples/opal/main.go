@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	arch := d2t2.Opal()
 	buffer := arch.InputBufferWords
 	fmt.Printf("machine: %s (buffer %d words = %d KiB, %g words/cycle, %g MACs/cycle)\n\n",
@@ -33,20 +35,20 @@ func main() {
 		}
 		inputs := d2t2.Inputs{"A": a, "B": a.Transpose()}
 
-		pres, err := d2t2.PrescientConfig(kernel, inputs, buffer)
+		pres, err := d2t2.PrescientConfig(ctx, kernel, inputs, buffer)
 		if err != nil {
 			log.Fatal(err)
 		}
-		presRep, err := d2t2.MeasureConfig(kernel, inputs, pres)
+		presRep, err := d2t2.MeasureConfig(ctx, kernel, inputs, pres)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		plan, err := d2t2.Optimize(kernel, inputs, d2t2.Options{BufferWords: buffer})
+		plan, err := d2t2.OptimizeCtx(ctx, kernel, inputs, d2t2.Options{BufferWords: buffer})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := plan.Measure()
+		rep, err := plan.MeasureCtx(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

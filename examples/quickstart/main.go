@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A ~5.9k x 5.9k circuit-like matrix (scircuit stand-in, scale 29).
 	a, err := d2t2.Dataset("E", 29)
 	if err != nil {
@@ -32,7 +35,7 @@ func main() {
 
 	// 1. The D2T2 pipeline: conservative tiling → statistics → shape
 	//    search → conservative size growth.
-	plan, err := d2t2.Optimize(kernel, inputs, d2t2.Options{BufferWords: buffer})
+	plan, err := d2t2.OptimizeCtx(ctx, kernel, inputs, d2t2.Options{BufferWords: buffer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,20 +43,20 @@ func main() {
 	fmt.Printf("predicted traffic: %.2f MB\n\n", plan.PredictedMB)
 
 	// 2. Execute the kernel with each scheme and measure exact traffic.
-	d2Rep, err := plan.Measure()
+	d2Rep, err := plan.MeasureCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cons := d2t2.ConservativeConfig(kernel, buffer)
-	consRep, err := d2t2.MeasureConfig(kernel, inputs, cons)
+	consRep, err := d2t2.MeasureConfig(ctx, kernel, inputs, cons)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pres, err := d2t2.PrescientConfig(kernel, inputs, buffer)
+	pres, err := d2t2.PrescientConfig(ctx, kernel, inputs, buffer)
 	if err != nil {
 		log.Fatal(err)
 	}
-	presRep, err := d2t2.MeasureConfig(kernel, inputs, pres)
+	presRep, err := d2t2.MeasureConfig(ctx, kernel, inputs, pres)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func main() {
 	row("d2t2", plan.Config, d2Rep)
 
 	// 3. The result tensor itself is available too.
-	out, _, err := plan.Execute()
+	out, _, err := plan.Execute(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

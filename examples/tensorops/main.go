@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,17 +40,18 @@ func main() {
 }
 
 func runKernel(name string, k *d2t2.Kernel, inputs d2t2.Inputs, buffer int) {
+	ctx := context.Background()
 	fmt.Printf("%s: %s\n", name, k)
 	cons := d2t2.ConservativeConfig(k, buffer)
-	consRep, err := d2t2.MeasureConfig(k, inputs, cons)
+	consRep, err := d2t2.MeasureConfig(ctx, k, inputs, cons)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := d2t2.Optimize(k, inputs, d2t2.Options{BufferWords: buffer})
+	plan, err := d2t2.OptimizeCtx(ctx, k, inputs, d2t2.Options{BufferWords: buffer})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := plan.Measure()
+	rep, err := plan.MeasureCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package d2t2
 
 import (
+	"context"
+
 	"d2t2/internal/hierarchy"
 	"d2t2/internal/model"
 )
@@ -22,8 +24,8 @@ type HierarchyPlan struct {
 // configuration is optimized on the heaviest live L2 tile pair and
 // reused everywhere. Supports two-operand single-contraction matrix
 // kernels (SpMSpM in any dataflow).
-func OptimizeHierarchy(k *Kernel, inputs Inputs, l2BufferWords, l1BufferWords int) (*HierarchyPlan, error) {
-	plan, err := hierarchy.Optimize(k.expr, inputs.lower(), hierarchy.Options{
+func OptimizeHierarchy(ctx context.Context, k *Kernel, inputs Inputs, l2BufferWords, l1BufferWords int) (*HierarchyPlan, error) {
+	plan, err := hierarchy.Optimize(ctx, k.expr, inputs.lower(), hierarchy.Options{
 		L2BufferWords: l2BufferWords,
 		L1BufferWords: l1BufferWords,
 	})
@@ -55,11 +57,11 @@ type HierarchyReport struct {
 }
 
 // Measure executes the two-level plan and reports traffic at each level.
-func (p *HierarchyPlan) Measure() (*HierarchyReport, error) {
+func (p *HierarchyPlan) Measure(ctx context.Context) (*HierarchyReport, error) {
 	lowered := hierarchy.Plan{
 		L2: model.Config(p.L2), L1: model.Config(p.L1), L2Result: p.plan.L2Result,
 	}
-	rep, err := hierarchy.Measure(p.kernel.expr, p.inputs.lower(), &lowered)
+	rep, err := hierarchy.Measure(ctx, p.kernel.expr, p.inputs.lower(), &lowered)
 	if err != nil {
 		return nil, err
 	}

@@ -32,13 +32,12 @@ import (
 // End, when valid, is the end of the flagged node's extent: SARIF output
 // renders it as the result region, and suppression matching uses node
 // extents so an annotation above a multi-line construct covers all of
-// it. Fix, when non-nil, is a mechanical rewrite d2t2vet -fix can apply.
+// it.
 type Diagnostic struct {
 	Check   string         `json:"check"`
 	Pos     token.Position `json:"pos"`
 	End     token.Position `json:"end,omitempty"`
 	Message string         `json:"message"`
-	Fix     *SuggestedFix  `json:"fix,omitempty"`
 }
 
 func (d Diagnostic) String() string {
@@ -58,10 +57,6 @@ type Pass struct {
 	GoVersion string
 	Pkg       *types.Package
 	Info      *types.Info
-	// Graph is the call graph's node set over every package of the
-	// current run (not just this one), so membership lookups cross
-	// package boundaries.
-	Graph *CallGraph
 
 	check string
 	diags *[]Diagnostic
@@ -69,31 +64,24 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, token.NoPos, nil, format, args...)
+	p.report(pos, token.NoPos, format, args...)
 }
 
 // ReportRangef records a finding spanning [pos, end).
 func (p *Pass) ReportRangef(pos, end token.Pos, format string, args ...any) {
-	p.report(pos, end, nil, format, args...)
+	p.report(pos, end, format, args...)
 }
 
 // ReportNodef records a finding covering n's full extent.
 func (p *Pass) ReportNodef(n ast.Node, format string, args ...any) {
-	p.report(n.Pos(), n.End(), nil, format, args...)
+	p.report(n.Pos(), n.End(), format, args...)
 }
 
-// ReportFixf records a finding covering n's full extent that carries a
-// suggested fix for d2t2vet -fix.
-func (p *Pass) ReportFixf(n ast.Node, fix *SuggestedFix, format string, args ...any) {
-	p.report(n.Pos(), n.End(), fix, format, args...)
-}
-
-func (p *Pass) report(pos, end token.Pos, fix *SuggestedFix, format string, args ...any) {
+func (p *Pass) report(pos, end token.Pos, format string, args ...any) {
 	d := Diagnostic{
 		Check:   p.check,
 		Pos:     p.Fset.Position(pos),
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	}
 	if end.IsValid() {
 		d.End = p.Fset.Position(end)
@@ -101,12 +89,38 @@ func (p *Pass) report(pos, end token.Pos, fix *SuggestedFix, format string, args
 	*p.diags = append(*p.diags, d)
 }
 
-// Edit builds a TextEdit replacing the source range [pos, end) with
-// newText, resolving byte offsets through the pass's file set.
-func (p *Pass) Edit(pos, end token.Pos, newText string) TextEdit {
-	start := p.Fset.Position(pos)
-	stop := p.Fset.Position(end)
-	return TextEdit{Filename: start.Filename, Start: start.Offset, End: stop.Offset, NewText: newText}
+// CalleeOf resolves the static callee of a call expression: a named
+// function, a method, or a generic instantiation of either (normalized
+// through types.Func.Origin). It returns nil for builtins, type
+// conversions, and calls through function values.
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := call.Fun
+	for {
+		switch e := fun.(type) {
+		case *ast.ParenExpr:
+			fun = e.X
+		case *ast.IndexExpr: // generic instantiation f[T](...)
+			fun = e.X
+		case *ast.IndexListExpr: // generic instantiation f[T, U](...)
+			fun = e.X
+		default:
+			goto resolved
+		}
+	}
+resolved:
+	var obj types.Object
+	switch e := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[e]
+	case *ast.SelectorExpr:
+		obj = info.Uses[e.Sel]
+	default:
+		return nil
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
 }
 
 // TypeOf returns the type of an expression, or nil.
@@ -221,16 +235,8 @@ func JSON(diags []Diagnostic) ([]byte, error) {
 // surviving findings: diagnostics on lines carrying (or directly below,
 // or within the extent of the annotated statement/declaration) a
 // matching //d2t2:ignore comment are dropped. Findings are sorted by
-// position. The call graph is built over the single package; callers
-// analyzing several packages should build one graph over all of them
-// and use RunGraph so cross-package callee lookups resolve.
+// position.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunGraph(pkg, BuildCallGraph([]*Package{pkg}), analyzers)
-}
-
-// RunGraph is Run with an externally built call graph, typically
-// spanning every package of a d2t2vet invocation.
-func RunGraph(pkg *Package, graph *CallGraph, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -240,7 +246,6 @@ func RunGraph(pkg *Package, graph *CallGraph, analyzers []*Analyzer) []Diagnosti
 			GoVersion: pkg.GoVersion,
 			Pkg:       pkg.Types,
 			Info:      pkg.Info,
-			Graph:     graph,
 			check:     a.Name,
 			diags:     &diags,
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -276,5 +277,28 @@ func TestIgnoreExtent(t *testing.T) {
 		if want := markers[d.Check]; want != 0 && d.Pos.Line != want {
 			t.Errorf("%s finding on line %d, want marker line %d: %s", d.Check, d.Pos.Line, want, d)
 		}
+	}
+}
+
+// TestCtxVariant checks sibling resolution on the ctxprop fixture: a
+// function and a method pair with their Ctx siblings, and functions
+// already named *Ctx have no variant.
+func TestCtxVariant(t *testing.T) {
+	l := testLoader(t)
+	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "ctxprop"), "d2t2/internal/fixture_ctxvariant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := pkg.Types.Scope().Lookup("Slow").(*types.Func)
+	sib := CtxVariant(slow)
+	if sib == nil || sib.Name() != "SlowCtx" {
+		t.Fatalf("CtxVariant(Slow) = %v, want SlowCtx", sib)
+	}
+	if got := CtxVariant(sib); got != nil {
+		t.Fatalf("CtxVariant(SlowCtx) = %v, want nil (already a Ctx function)", got)
+	}
+	do, _, _ := types.LookupFieldOrMethod(pkg.Types.Scope().Lookup("T").Type(), true, pkg.Types, "Do")
+	if sib := CtxVariant(do.(*types.Func)); sib == nil || sib.Name() != "DoCtx" {
+		t.Fatalf("CtxVariant(T.Do) = %v, want DoCtx", sib)
 	}
 }

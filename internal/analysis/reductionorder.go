@@ -8,13 +8,9 @@ import (
 // parFanouts are the par entry points whose per-item closure runs
 // concurrently under the lowest-index-error-wins contract.
 var parFanouts = map[string]bool{
-	"ForEach":           true,
 	"ForEachCtx":        true,
-	"ForEachScratch":    true,
 	"ForEachScratchCtx": true,
-	"Map":               true,
 	"MapCtx":            true,
-	"MapScratch":        true,
 	"MapScratchCtx":     true,
 }
 
@@ -35,7 +31,7 @@ var parFanouts = map[string]bool{
 //   - field writes through captured structs.
 //
 // Commutative reductions belong in per-worker scratch state
-// (par.ForEachScratch) merged after the join — see scratchescape for
+// (par.ForEachScratchCtx) merged after the join — see scratchescape for
 // that side of the contract.
 var ReductionOrder = &Analyzer{
 	Name: "reductionorder",

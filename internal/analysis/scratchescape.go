@@ -13,15 +13,12 @@ const parPkgPath = "d2t2/internal/par"
 // scratchFanouts are the par entry points whose per-item closure
 // receives a worker-private scratch value as its second parameter.
 var scratchFanouts = map[string]bool{
-	"ForEachScratch":    true,
 	"ForEachScratchCtx": true,
-	"MapScratch":        true,
 	"MapScratchCtx":     true,
 }
 
 // ScratchEscape enforces the ownership contract of
-// par.ForEachScratch/MapScratch (and their Ctx variants): the scratch
-// value handed to the per-item closure is for capacity reuse only. A
+// par.ForEachScratchCtx/MapScratchCtx: the scratch value handed to the per-item closure is for capacity reuse only. A
 // reference derived from it (the scratch itself, a field, an element,
 // or an alias bound through a local) must not be stored to captured
 // variables, returned as the item's result, or sent on a channel —
@@ -35,7 +32,7 @@ var scratchFanouts = map[string]bool{
 // checked.
 var ScratchEscape = &Analyzer{
 	Name: "scratchescape",
-	Doc:  "flags scratch values of par.ForEachScratch/MapScratch closures escaping via captured variables, returns, or channel sends",
+	Doc:  "flags scratch values of par.ForEachScratchCtx/MapScratchCtx closures escaping via captured variables, returns, or channel sends",
 	Run:  runScratchEscape,
 }
 

@@ -1,56 +1,58 @@
-// Fixture for the ctxpropagation analyzer: dropped contexts, fresh root
-// contexts in library code, and non-wrapper Ctx siblings.
+// Fixture for the ctxpropagation analyzer: fresh root contexts in
+// library code and non-ctx twins of XCtx functions.
 package ctxprop
 
 import "context"
 
-// SlowCtx is the cancellable twin; Slow below duplicates logic instead
-// of delegating, so it is flagged.
+// SlowCtx is the one entry point; Slow duplicates its logic beside it.
 func SlowCtx(ctx context.Context, n int) int {
 	_ = ctx
 	return n * 2
 }
 
-func Slow(n int) int { // want "not the documented wrapper"
-	x := n * 2
-	return SlowCtx(context.Background(), x) // want "detaches this path"
+func Slow(n int) int { // want "has context-accepting sibling SlowCtx"
+	return n * 2
 }
 
-// RunCtx / Run form the documented wrapper pair: Run's Background() is
-// the one licensed fresh root.
+// Run is the delegating wrapper shape: both the twin and its fresh root
+// are flagged.
 func RunCtx(ctx context.Context, n int) int {
 	_ = ctx
 	return n + 1
 }
 
-func Run(n int) int {
-	return RunCtx(context.Background(), n)
+func Run(n int) int { // want "has context-accepting sibling RunCtx"
+	return RunCtx(context.Background(), n) // want "context.Background"
 }
 
-// Handle has a ctx in scope and calls around Slow's cancellable twin.
-func Handle(ctx context.Context, n int) int {
-	_ = ctx
-	return Slow(n) // want "drops the in-scope context"
-}
-
-// Detached mints a root context mid-path with no wrapper shape at all.
+// Detached mints a root context mid-path.
 func Detached(n int) int {
 	ctx := context.TODO() // want "context.TODO"
 	return RunCtx(ctx, n)
 }
 
-// DropsDespiteShape looks like the wrapper, but a function with its own
-// ctx parameter is never licensed to mint a fresh root.
-func DropsDespiteShape(ctx context.Context, n int) int {
+// DropsCallerCtx has a ctx of its own and still mints a fresh root.
+func DropsCallerCtx(ctx context.Context, n int) int {
 	_ = ctx
 	return RunCtx(context.Background(), n) // want "detaches this path"
 }
 
-// Rebound: a nested closure introduces its own ctx parameter, which
-// becomes the context the fix should thread.
-func Rebound(ctx context.Context) func(context.Context) int {
-	return func(inner context.Context) int {
-		_ = inner
-		return Slow(3) // want "drops the in-scope context"
-	}
+type T struct{}
+
+// Method twins are siblings through the receiver's method set.
+func (T) DoCtx(ctx context.Context) int {
+	_ = ctx
+	return 1
+}
+
+func (T) Do() int { return 1 } // want "has context-accepting sibling DoCtx"
+
+// A twin that also drops a knob is still a second entry point.
+func TileCtx(ctx context.Context, n, workers int) int {
+	_ = ctx
+	return n * workers
+}
+
+func Tile(n int) int { // want "has context-accepting sibling TileCtx"
+	return n
 }

@@ -1,5 +1,6 @@
-// Negative fixture for ctxpropagation: the wrapper pattern, threaded
-// contexts, and a justified suppression produce zero findings.
+// Negative fixture for ctxpropagation: threaded contexts, a name that
+// ends in Ctx with no twin, and a justified suppression produce zero
+// findings.
 package ctxprop_ok
 
 import "context"
@@ -7,11 +8,6 @@ import "context"
 func SeedCtx(ctx context.Context, n int) int {
 	_ = ctx
 	return n
-}
-
-// Seed is the documented non-ctx wrapper: single delegating return.
-func Seed(n int) int {
-	return SeedCtx(context.Background(), n)
 }
 
 // warm deliberately detaches a fire-and-forget path; the suppression
@@ -23,20 +19,18 @@ func warm(ctx context.Context, n int) int {
 	return SeedCtx(bg, n)
 }
 
-// threaded does it right: the in-scope ctx reaches the Ctx sibling.
+// threaded does it right: the caller's ctx reaches the Ctx function.
 func threaded(ctx context.Context, n int) int {
 	return SeedCtx(ctx, warm(ctx, n))
 }
 
-// SeedWorkers is the middle rung of a convenience chain
-// (Seed → SeedWorkers → seedWorkersCtx): a delegating wrapper whose
-// callee is not its own name-sibling. Its fresh root is licensed by the
-// delegation shape.
-func SeedWorkers(n, workers int) int {
-	return seedWorkersCtx(context.Background(), n, workers)
+// Count shares a prefix with no Ctx function, and CountAll's would-be
+// sibling takes no context first: neither is a twin.
+func Count(n int) int { return n }
+
+func CountAllCtx(n, m int, ctx context.Context) int {
+	_ = ctx
+	return n + m
 }
 
-func seedWorkersCtx(ctx context.Context, n, workers int) int {
-	_ = ctx
-	return n * workers
-}
+func CountAll(n int) int { return n }

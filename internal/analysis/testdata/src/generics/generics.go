@@ -2,23 +2,27 @@
 // kit's generic entry points must type-check and analyze cleanly.
 package generics
 
-import "d2t2/internal/par"
+import (
+	"context"
+
+	"d2t2/internal/par"
+)
 
 type Pair[K comparable, V any] struct {
 	Key K
 	Val V
 }
 
-// Zip instantiates par.Map with a locally declared generic type.
-func Zip[K comparable, V any](ks []K, vs []V) ([]Pair[K, V], error) {
-	return par.Map(2, len(ks), func(i int) (Pair[K, V], error) {
+// Zip instantiates par.MapCtx with a locally declared generic type.
+func Zip[K comparable, V any](ctx context.Context, ks []K, vs []V) ([]Pair[K, V], error) {
+	return par.MapCtx(ctx, 2, len(ks), func(i int) (Pair[K, V], error) {
 		return Pair[K, V]{Key: ks[i], Val: vs[i]}, nil
 	})
 }
 
 // Doubles instantiates the scratch variant with two type arguments.
-func Doubles(xs []int) ([]int, error) {
-	return par.MapScratch(2, len(xs),
+func Doubles(ctx context.Context, xs []int) ([]int, error) {
+	return par.MapScratchCtx(ctx, 2, len(xs),
 		func() []int { return nil },
 		func(i int, scratch []int) (int, error) {
 			_ = scratch

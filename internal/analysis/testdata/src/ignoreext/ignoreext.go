@@ -38,10 +38,10 @@ func uncovered(n int) int {
 // closureNotBlanketed: the statement extent rule must not let an
 // annotation above a par fan-out swallow findings inside the closure
 // body — the write below survives.
-func closureNotBlanketed(n int) error {
+func closureNotBlanketed(ctx context.Context, n int) error {
 	total := 0
 	//d2t2:ignore reductionorder annotation on the call must not blanket the closure
-	err := par.ForEach(2, n, func(i int) error {
+	err := par.ForEachCtx(ctx, 2, n, func(i int) error {
 		total += i // the surviving reductionorder finding
 		return nil
 	})

@@ -2,17 +2,21 @@
 // inside par fan-out closures.
 package reductionorder
 
-import "d2t2/internal/par"
+import (
+	"context"
+
+	"d2t2/internal/par"
+)
 
 // Bad exercises the captured-scalar, captured-map, and off-index
 // slice-write rules.
-func Bad(n int) ([]int, map[int]int, error) {
+func Bad(ctx context.Context, n int) ([]int, map[int]int, error) {
 	var all []int
 	seen := map[int]int{}
 	total := 0
 	out := make([]int, n)
 	k := 0
-	err := par.ForEach(4, n, func(i int) error {
+	err := par.ForEachCtx(ctx, 4, n, func(i int) error {
 		all = append(all, i) // want "assignment to captured"
 		seen[i] = i          // want "write to captured map"
 		total++              // want "assignment to captured"
@@ -29,9 +33,9 @@ func Bad(n int) ([]int, map[int]int, error) {
 type acc struct{ sum int }
 
 // BadField writes a field through a captured struct.
-func BadField(n int) error {
+func BadField(ctx context.Context, n int) error {
 	var a acc
-	err := par.ForEach(2, n, func(i int) error {
+	err := par.ForEachCtx(ctx, 2, n, func(i int) error {
 		a.sum += i // want "field write through captured"
 		return nil
 	})
@@ -40,8 +44,8 @@ func BadField(n int) error {
 }
 
 // BadPtr writes through a captured pointer.
-func BadPtr(n int, p *int) error {
-	return par.ForEach(2, n, func(i int) error {
+func BadPtr(ctx context.Context, n int, p *int) error {
+	return par.ForEachCtx(ctx, 2, n, func(i int) error {
 		*p = i // want "write through captured pointer"
 		return nil
 	})

@@ -3,6 +3,7 @@
 package reductionorder_ok
 
 import (
+	"context"
 	"sync"
 
 	"d2t2/internal/par"
@@ -10,8 +11,8 @@ import (
 
 // Sum reduces after the join — the deterministic shape the analyzer
 // pushes toward.
-func Sum(xs []int) (int, error) {
-	parts, err := par.Map(4, len(xs), func(i int) (int, error) {
+func Sum(ctx context.Context, xs []int) (int, error) {
+	parts, err := par.MapCtx(ctx, 4, len(xs), func(i int) (int, error) {
 		return xs[i] * xs[i], nil
 	})
 	if err != nil {
@@ -25,9 +26,9 @@ func Sum(xs []int) (int, error) {
 }
 
 // Slots writes only into the claimed index's slot.
-func Slots(xs []int) ([]int, error) {
+func Slots(ctx context.Context, xs []int) ([]int, error) {
 	out := make([]int, len(xs))
-	err := par.ForEach(4, len(xs), func(i int) error {
+	err := par.ForEachCtx(ctx, 4, len(xs), func(i int) error {
 		v := xs[i]
 		out[i] = v * v
 		return nil
@@ -37,10 +38,10 @@ func Slots(xs []int) ([]int, error) {
 
 // Locked documents a commutative mutex-guarded sum; order independence
 // is the justification the suppression records.
-func Locked(n int) (int, error) {
+func Locked(ctx context.Context, n int) (int, error) {
 	var mu sync.Mutex
 	total := 0
-	err := par.ForEach(4, n, func(i int) error {
+	err := par.ForEachCtx(ctx, 4, n, func(i int) error {
 		mu.Lock()
 		//d2t2:ignore reductionorder commutative integer sum under mu
 		total += i

@@ -1,14 +1,18 @@
 // Fixture for the scratchescape analyzer: scratch references leaking
-// out of par.ForEachScratch/MapScratch per-item closures.
+// out of par.ForEachScratchCtx/MapScratchCtx per-item closures.
 package scratchescape
 
-import "d2t2/internal/par"
+import (
+	"context"
+
+	"d2t2/internal/par"
+)
 
 // Leaks stores a scratch-derived alias to a captured variable.
-func Leaks(rows [][]int) ([][]int, error) {
+func Leaks(ctx context.Context, rows [][]int) ([][]int, error) {
 	var leaked []int
 	out := make([][]int, len(rows))
-	err := par.ForEachScratch(4, len(rows),
+	err := par.ForEachScratchCtx(ctx, 4, len(rows),
 		func() []int { return make([]int, 0, 8) },
 		func(i int, scratch []int) error {
 			buf := scratch[:0]
@@ -24,8 +28,8 @@ func Leaks(rows [][]int) ([][]int, error) {
 }
 
 // Returns leaks the scratch as the item result.
-func Returns(rows [][]int) ([][]int, error) {
-	return par.MapScratch(4, len(rows),
+func Returns(ctx context.Context, rows [][]int) ([][]int, error) {
+	return par.MapScratchCtx(ctx, 4, len(rows),
 		func() []int { return make([]int, 0, 8) },
 		func(i int, scratch []int) ([]int, error) {
 			for _, v := range rows[i] {
@@ -36,8 +40,8 @@ func Returns(rows [][]int) ([][]int, error) {
 }
 
 // Sends leaks a scratch sub-slice over a channel.
-func Sends(rows [][]int, ch chan []int) error {
-	return par.ForEachScratch(2, len(rows),
+func Sends(ctx context.Context, rows [][]int, ch chan []int) error {
+	return par.ForEachScratchCtx(ctx, 2, len(rows),
 		func() []int { return make([]int, 4) },
 		func(i int, scratch []int) error {
 			ch <- scratch[:1] // want "sending a scratch-derived value"
@@ -48,8 +52,8 @@ func Sends(rows [][]int, ch chan []int) error {
 // Wrapped leaks through a composite literal embedding the alias.
 type row struct{ vals []int }
 
-func Wrapped(rows [][]int) ([]row, error) {
-	return par.MapScratch(2, len(rows),
+func Wrapped(ctx context.Context, rows [][]int) ([]row, error) {
+	return par.MapScratchCtx(ctx, 2, len(rows),
 		func() []int { return make([]int, 0, 8) },
 		func(i int, scratch []int) (row, error) {
 			scratch = append(scratch[:0], rows[i]...)

@@ -4,16 +4,17 @@
 package scratchescape_ok
 
 import (
+	"context"
 	"sync"
 
 	"d2t2/internal/par"
 )
 
 // Copies materializes fresh backing before anything leaves the closure.
-func Copies(rows [][]int) ([][]int, error) {
+func Copies(ctx context.Context, rows [][]int) ([][]int, error) {
 	out := make([][]int, len(rows))
 	var last []int
-	err := par.ForEachScratch(4, len(rows),
+	err := par.ForEachScratchCtx(ctx, 4, len(rows),
 		func() []int { return make([]int, 0, 8) },
 		func(i int, scratch []int) error {
 			scratch = append(scratch[:0], rows[i]...)
@@ -31,10 +32,10 @@ type agg struct{ total int }
 // Registered is the stats-collector pattern: the scratch *constructor*
 // may retain what it creates for a post-join commutative merge; only
 // the per-item closure is under the escape contract.
-func Registered(n int) (int, error) {
+func Registered(ctx context.Context, n int) (int, error) {
 	var mu sync.Mutex
 	var aggs []*agg
-	err := par.ForEachScratch(4, n,
+	err := par.ForEachScratchCtx(ctx, 4, n,
 		func() *agg {
 			a := &agg{}
 			mu.Lock()

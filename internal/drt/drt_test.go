@@ -1,6 +1,7 @@
 package drt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 
 func tileAAT(t *testing.T, a *tensor.COO, tile int) (*tiling.TiledTensor, *tiling.TiledTensor) {
 	t.Helper()
-	ttA, err := tiling.New(a, []int{tile, tile}, []int{0, 1})
+	ttA, err := tiling.NewCtx(context.Background(), a, []int{tile, tile}, []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ttB, err := tiling.New(a.Transpose(), []int{tile, tile}, []int{0, 1})
+	ttB, err := tiling.NewCtx(context.Background(), a.Transpose(), []int{tile, tile}, []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +32,12 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(ttA, ttB, Options{}); err == nil {
 		t.Fatal("zero buffer accepted")
 	}
-	bad, _ := tiling.New(a, []int{4, 4}, []int{0, 1})
+	bad, _ := tiling.NewCtx(context.Background(), a, []int{4, 4}, []int{0, 1}, 0)
 	if _, err := Simulate(ttA, bad, Options{BufferWords: 1000}); err == nil {
 		t.Fatal("mismatched shared tile accepted")
 	}
-	t3, _ := tiling.New(gen.RandomTensor3(r, 8, 8, 8, 20, [3]float64{0, 0, 0}),
-		[]int{4, 4, 4}, nil)
+	t3, _ := tiling.NewCtx(context.Background(), gen.RandomTensor3(r, 8, 8, 8, 20, [3]float64{0, 0, 0}),
+		[]int{4, 4, 4}, nil, 0)
 	if _, err := Simulate(t3, t3, Options{BufferWords: 1000}); err == nil {
 		t.Fatal("3-tensor accepted")
 	}
@@ -64,7 +65,7 @@ func TestSimulateMatchesStaticOnTinyBuffer(t *testing.T) {
 	}
 
 	e := einsum.SpMSpMIKJ()
-	static, err := exec.Measure(e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil)
+	static, err := exec.MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAggregationReducesBTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := einsum.SpMSpMIKJ()
-	static, err := exec.Measure(e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil)
+	static, err := exec.MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

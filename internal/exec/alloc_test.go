@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,7 +15,7 @@ import (
 )
 
 // TestMeasureAllocs is the allocation regression gate for the compiled
-// measurement engine: per-Measure allocations are bounded by the plan
+// measurement engine: per-MeasureCtx allocations are bounded by the plan
 // build and the per-tile predecode (O(refs + tiles)), never by entries,
 // join tuples or output cells — those all live in reused per-worker
 // scratch. The ceiling is ~2x the measured steady state so legitimate
@@ -40,7 +41,7 @@ func TestMeasureAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			opts := &Options{Workers: tc.workers}
 			avg := testing.AllocsPerRun(2, func() {
-				res, err := Measure(e, tens, opts)
+				res, err := MeasureCtx(context.Background(), e, tens, opts)
 				if err != nil || !res.Specialized || res.MACs == 0 {
 					t.Fatalf("measurement failed: %v (specialized=%v)", err, res != nil && res.Specialized)
 				}
@@ -55,7 +56,7 @@ func TestMeasureAllocs(t *testing.T) {
 
 // TestMeasureAllocsWideTile is the bytes gate for wide output tiles: on
 // a 1024²-cell output tile (exactly the dense-stamp cap), a steady-state
-// Measure reuses pooled stamps instead of allocating 4 B per cell, so
+// MeasureCtx reuses pooled stamps instead of allocating 4 B per cell, so
 // its allocated bytes stay a small fraction of the tile's area. What
 // remains is the plan and the per-call predecode of the two operands.
 // The ceiling is 1/16 of 4 B × area, ~1.8x the measured steady state.
@@ -77,7 +78,7 @@ func TestMeasureAllocsWideTile(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opts := &Options{Workers: workers}
 			measure := func() {
-				res, err := Measure(e, tens, opts)
+				res, err := MeasureCtx(context.Background(), e, tens, opts)
 				if err != nil || !res.Specialized || res.MACs == 0 {
 					t.Fatalf("measurement failed: %v (specialized=%v)", err, res != nil && res.Specialized)
 				}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func benchMeasure(b *testing.B, e *einsum.Expr, tens map[string]*tiling.TiledTen
 			// One warm run outside the timer: the engine predecodes
 			// tile entries on first contact, the walker populates its
 			// entry cache.
-			if res, err := Measure(e, tens, opts); err != nil {
+			if res, err := MeasureCtx(context.Background(), e, tens, opts); err != nil {
 				b.Fatal(err)
 			} else if res.Specialized == mode.generic {
 				b.Fatalf("Specialized=%v under generic=%v", res.Specialized, mode.generic)
@@ -32,7 +33,7 @@ func benchMeasure(b *testing.B, e *einsum.Expr, tens map[string]*tiling.TiledTen
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Measure(e, tens, opts); err != nil {
+				if _, err := MeasureCtx(context.Background(), e, tens, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,7 +61,7 @@ func TestParallelPanicSurfacesValue(t *testing.T) {
 			break
 		}
 	}
-	_, err := Measure(e, tens, &Options{ForceGeneric: true, Workers: 8})
+	_, err := MeasureCtx(context.Background(), e, tens, &Options{ForceGeneric: true, Workers: 8})
 	if err == nil {
 		t.Fatal("sabotaged tile measured without error")
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -160,7 +161,7 @@ func TestDifferentialEngineVsGeneric(t *testing.T) {
 					ref := os.opts
 					ref.ForceGeneric = true
 					ref.Workers = 1
-					want, err := Measure(c.expr, tens, &ref)
+					want, err := MeasureCtx(context.Background(), c.expr, tens, &ref)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -172,7 +173,7 @@ func TestDifferentialEngineVsGeneric(t *testing.T) {
 							o := os.opts
 							o.ForceGeneric = generic
 							o.Workers = workers
-							got, err := Measure(c.expr, tens, &o)
+							got, err := MeasureCtx(context.Background(), c.expr, tens, &o)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -259,7 +260,7 @@ func diffWide(t *testing.T, c wideCase) {
 	for _, os := range diffOptions() {
 		ref := os.opts
 		ref.ForceGeneric = true
-		want, err := Measure(c.expr, tens, &ref)
+		want, err := MeasureCtx(context.Background(), c.expr, tens, &ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func diffWide(t *testing.T, c wideCase) {
 		for _, workers := range []int{1, 2} {
 			o := os.opts
 			o.Workers = workers
-			got, err := Measure(c.expr, tens, &o)
+			got, err := MeasureCtx(context.Background(), c.expr, tens, &o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +305,7 @@ func TestJoinKeyExactBeyond16Bits(t *testing.T) {
 		"B": tileFor(t, e, "B", b, tiles),
 	}
 	for _, generic := range []bool{false, true} {
-		res, err := Measure(e, tens, &Options{CollectOutput: true, ForceGeneric: generic})
+		res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, ForceGeneric: generic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +329,7 @@ func TestMeasureEmptyOperand(t *testing.T) {
 	}
 	for _, generic := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
-			res, err := Measure(e, tens, &Options{CollectOutput: true, ForceGeneric: generic, Workers: workers})
+			res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, ForceGeneric: generic, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,11 +385,11 @@ func TestDifferentialPackedTiles(t *testing.T) {
 		tens[name] = packed
 	}
 	for _, workers := range []int{1, 8} {
-		eng, err := Measure(e, tens, &Options{CollectOutput: true, Workers: workers})
+		eng, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := Measure(e, tens, &Options{CollectOutput: true, Workers: workers, ForceGeneric: true})
+		gen, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, Workers: workers, ForceGeneric: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +419,7 @@ func TestEngineEpochWraparound(t *testing.T) {
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", a.Transpose(), tiles),
 	}
-	want, err := Measure(e, tens, &Options{ForceGeneric: true})
+	want, err := MeasureCtx(context.Background(), e, tens, &Options{ForceGeneric: true})
 	if err != nil {
 		t.Fatal(err)
 	}

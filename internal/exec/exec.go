@@ -103,19 +103,14 @@ type Result struct {
 	Specialized bool
 }
 
-// Measure runs the kernel described by e over the given tiled inputs.
-// Every input occurrence name in e must be present in tensors; tensors
-// must be tiled with level orders matching the dataflow order, and tile
-// sizes must agree between tensors sharing an index variable.
-func Measure(e *einsum.Expr, tensors map[string]*tiling.TiledTensor, opts *Options) (*Result, error) {
-	return MeasureCtx(context.Background(), e, tensors, opts)
-}
-
-// MeasureCtx is Measure with cooperative cancellation: the backend
-// checks ctx between outer-tile work units (once per outermost
-// coordinate value), so a cancelled or deadline-expired context stops
-// the measurement at the next tile boundary and returns the context's
-// error. A never-cancelled ctx yields exactly Measure's result.
+// MeasureCtx runs the kernel described by e over the given tiled
+// inputs. Every input occurrence name in e must be present in tensors;
+// tensors must be tiled with level orders matching the dataflow order,
+// and tile sizes must agree between tensors sharing an index variable.
+// Cancellation is cooperative: the backend checks ctx between
+// outer-tile work units (once per outermost coordinate value), so a
+// cancelled or deadline-expired context stops the measurement at the
+// next tile boundary and returns the context's error.
 //
 // When the kernel is a single product of tensors within the engine's
 // shape envelope, the measurement runs on a compiled engine — a

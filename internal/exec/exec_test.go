@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func tileFor(t testing.TB, e *einsum.Expr, name string, m *tensor.COO, tileOf ma
 		}
 		dims[a] = td
 	}
-	tt, err := tiling.New(m, dims, e.LevelOrder(ref))
+	tt, err := tiling.NewCtx(context.Background(), m, dims, e.LevelOrder(ref), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func measureSpMSpM(t *testing.T, e *einsum.Expr, a, b *tensor.COO, tiles map[str
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", b, tiles),
 	}
-	res, err := Measure(e, tens, opts)
+	res, err := MeasureCtx(context.Background(), e, tens, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,33 +201,33 @@ func TestMeasureErrors(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	a := tensor.New(4, 4)
 	a.Append([]int{0, 0}, 1)
-	ttA, _ := tiling.New(a, []int{2, 2}, []int{0, 1})
+	ttA, _ := tiling.NewCtx(context.Background(), a, []int{2, 2}, []int{0, 1}, 0)
 	// Missing B.
-	if _, err := Measure(e, map[string]*tiling.TiledTensor{"A": ttA}, nil); err == nil {
+	if _, err := MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA}, nil); err == nil {
 		t.Fatal("missing tensor accepted")
 	}
 	// Mismatched tile size on shared index k.
-	ttB, _ := tiling.New(a, []int{4, 2}, []int{0, 1})
-	if _, err := Measure(e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil); err == nil {
+	ttB, _ := tiling.NewCtx(context.Background(), a, []int{4, 2}, []int{0, 1}, 0)
+	if _, err := MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil); err == nil {
 		t.Fatal("tile-size mismatch accepted")
 	}
 	// Wrong level order for B (needs k-major which for B(k,j) is natural;
 	// give it j-major instead).
-	ttB2, _ := tiling.New(a, []int{2, 2}, []int{1, 0})
-	if _, err := Measure(e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB2}, nil); err == nil {
+	ttB2, _ := tiling.NewCtx(context.Background(), a, []int{2, 2}, []int{1, 0}, 0)
+	if _, err := MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB2}, nil); err == nil {
 		t.Fatal("wrong level order accepted")
 	}
 }
 
 // TestOptionsValidation: negative buffer knobs would silently flip the
-// overflow arithmetic, so Measure must reject them loudly instead of
+// overflow arithmetic, so MeasureCtx must reject them loudly instead of
 // producing garbage traffic.
 func TestOptionsValidation(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	a := tensor.New(4, 4)
 	a.Append([]int{0, 0}, 1)
-	ttA, _ := tiling.New(a, []int{2, 2}, []int{0, 1})
-	ttB, _ := tiling.New(a, []int{2, 2}, []int{0, 1})
+	ttA, _ := tiling.NewCtx(context.Background(), a, []int{2, 2}, []int{0, 1}, 0)
+	ttB, _ := tiling.NewCtx(context.Background(), a, []int{2, 2}, []int{0, 1}, 0)
 	tens := map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}
 	cases := []struct {
 		name string
@@ -238,13 +239,13 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative output buffer", &Options{OutputBufferWords: -3}, "OutputBufferWords"},
 	}
 	for _, tc := range cases {
-		_, err := Measure(e, tens, tc.o)
+		_, err := MeasureCtx(context.Background(), e, tens, tc.o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %s", tc.name, err, tc.want)
 		}
 	}
 	// Zero values stay valid (the overflow model simply off).
-	if _, err := Measure(e, tens, &Options{}); err != nil {
+	if _, err := MeasureCtx(context.Background(), e, tens, &Options{}); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
 }
@@ -258,7 +259,7 @@ func TestTTMCorrectness(t *testing.T) {
 		"C": tileFor(t, e, "C", c, map[string]int{"i": 4, "j": 4, "l": 4}),
 		"B": tileFor(t, e, "B", b, map[string]int{"k": 4, "l": 4}),
 	}
-	res, err := Measure(e, tens, &Options{CollectOutput: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestMTTKRPCorrectness(t *testing.T) {
 		"B": tileFor(t, e, "B", b, map[string]int{"j": 4, "k": 4}),
 		"C": tileFor(t, e, "C", c, map[string]int{"j": 4, "l": 4}),
 	}
-	res, err := Measure(e, tens, &Options{CollectOutput: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestAdditionKernel(t *testing.T) {
 		"A": tileFor(t, e, "A", a, map[string]int{"i": 2, "j": 2}),
 		"B": tileFor(t, e, "B", b, map[string]int{"i": 2, "j": 2}),
 	}
-	res, err := Measure(e, tens, &Options{CollectOutput: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,15 +358,15 @@ func TestQuickGustavsonMatchesReference(t *testing.T) {
 		tiles := map[string]int{"i": ti, "k": 1 << r.Intn(4), "j": 1 << r.Intn(4)}
 		refA, _ := e.Input("A")
 		refB, _ := e.Input("B")
-		ttA, err := tiling.New(a, []int{tiles["i"], tiles["k"]}, e.LevelOrder(refA))
+		ttA, err := tiling.NewCtx(context.Background(), a, []int{tiles["i"], tiles["k"]}, e.LevelOrder(refA), 0)
 		if err != nil {
 			return false
 		}
-		ttB, err := tiling.New(b, []int{tiles["k"], tiles["j"]}, e.LevelOrder(refB))
+		ttB, err := tiling.NewCtx(context.Background(), b, []int{tiles["k"], tiles["j"]}, e.LevelOrder(refB), 0)
 		if err != nil {
 			return false
 		}
-		res, err := Measure(e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB},
+		res, err := MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB},
 			&Options{CollectOutput: true})
 		if err != nil {
 			return false
@@ -392,9 +393,9 @@ func TestQuickTrafficInvariants(t *testing.T) {
 		e := einsum.SpMSpMIKJ()
 		refA, _ := e.Input("A")
 		refB, _ := e.Input("B")
-		ttA, _ := tiling.New(a, []int{8, 8}, e.LevelOrder(refA))
-		ttB, _ := tiling.New(at, []int{8, 8}, e.LevelOrder(refB))
-		res, err := Measure(e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil)
+		ttA, _ := tiling.NewCtx(context.Background(), a, []int{8, 8}, e.LevelOrder(refA), 0)
+		ttB, _ := tiling.NewCtx(context.Background(), at, []int{8, 8}, e.LevelOrder(refB), 0)
+		res, err := MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{"A": ttA, "B": ttB}, nil)
 		if err != nil {
 			return false
 		}
@@ -431,7 +432,7 @@ func TestFusedAddMulKernel(t *testing.T) {
 		"B": tileFor(t, e, "B", bm, tiles),
 		"C": tileFor(t, e, "C", cm, tiles),
 	}
-	res, err := Measure(e, tens, &Options{CollectOutput: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestFusedFilteringSkips(t *testing.T) {
 		"B": tileFor(t, e, "B", bm, tiles),
 		"C": tileFor(t, e, "C", cm, tiles),
 	}
-	res, err := Measure(e, tens, &Options{ValuesOnly: true, CollectOutput: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{ValuesOnly: true, CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestSDDMMCorrectness(t *testing.T) {
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", bm, tiles),
 	}
-	res, err := Measure(e, tens, &Options{CollectOutput: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +549,7 @@ func TestSDDMMMaskFiltering(t *testing.T) {
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", bm, tiles),
 	}
-	res, err := Measure(e, tens, &Options{ValuesOnly: true})
+	res, err := MeasureCtx(context.Background(), e, tens, &Options{ValuesOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +570,7 @@ func TestOverflowAccounting(t *testing.T) {
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", a.Transpose(), tiles),
 	}
-	plain, err := Measure(e, tens, nil)
+	plain, err := MeasureCtx(context.Background(), e, tens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +581,7 @@ func TestOverflowAccounting(t *testing.T) {
 			maxTile = tt.MaxFootprint
 		}
 	}
-	over, err := Measure(e, tens, &Options{InputBufferWords: maxTile / 2})
+	over, err := MeasureCtx(context.Background(), e, tens, &Options{InputBufferWords: maxTile / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +595,7 @@ func TestOverflowAccounting(t *testing.T) {
 		t.Fatal("overflow counted without a buffer bound")
 	}
 	// Larger penalty multiplies the excess.
-	over2, err := Measure(e, tens, &Options{InputBufferWords: maxTile / 2, OverflowExtra: 3})
+	over2, err := MeasureCtx(context.Background(), e, tens, &Options{InputBufferWords: maxTile / 2, OverflowExtra: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,11 +615,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", a.Transpose(), tiles),
 	}
-	serial, err := Measure(e, tens, &Options{CollectOutput: true})
+	serial, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Measure(e, tens, &Options{CollectOutput: true, Workers: 4})
+	parallel, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,11 +648,11 @@ func TestParallelIgnoredWhenUnsafe(t *testing.T) {
 		"A": tileFor(t, e, "A", a, tiles),
 		"B": tileFor(t, e, "B", a.Transpose(), tiles),
 	}
-	serial, err := Measure(e, tens, &Options{CollectOutput: true})
+	serial, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Measure(e, tens, &Options{CollectOutput: true, Workers: 8})
+	par, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +679,7 @@ func TestOutputOverflowStreaming(t *testing.T) {
 		"A": tileFor(t, e, "A", dense(), tiles),
 		"B": tileFor(t, e, "B", dense(), tiles),
 	}
-	plain, err := Measure(e, tens, nil)
+	plain, err := MeasureCtx(context.Background(), e, tens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +687,7 @@ func TestOutputOverflowStreaming(t *testing.T) {
 		t.Fatal("overflow without a bound")
 	}
 	// The single 8x8 output tile (~147 words) against a 50-word buffer.
-	over, err := Measure(e, tens, &Options{OutputBufferWords: 50})
+	over, err := MeasureCtx(context.Background(), e, tens, &Options{OutputBufferWords: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,14 +727,14 @@ func TestPackedTilesExecution(t *testing.T) {
 		}
 		packed[name] = p
 	}
-	want, err := Measure(e, map[string]*tiling.TiledTensor{
+	want, err := MeasureCtx(context.Background(), e, map[string]*tiling.TiledTensor{
 		"A": tileFor(t, e, "A", a, map[string]int{"i": 32, "k": 16, "j": 32}),
 		"B": tileFor(t, e, "B", a.Transpose(), map[string]int{"i": 32, "k": 16, "j": 32}),
 	}, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Measure(e, packed, &Options{CollectOutput: true})
+	got, err := MeasureCtx(context.Background(), e, packed, &Options{CollectOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}

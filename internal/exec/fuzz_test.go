@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -78,13 +79,13 @@ func FuzzEngineVsWalker(f *testing.F) {
 			tens[name] = tileFor(t, e, name, m, tiles)
 		}
 		opts := Options{CollectOutput: true, OutputBufferWords: int(obuf)}
-		want, err := Measure(e, tens, &Options{CollectOutput: true, OutputBufferWords: int(obuf), ForceGeneric: true})
+		want, err := MeasureCtx(context.Background(), e, tens, &Options{CollectOutput: true, OutputBufferWords: int(obuf), ForceGeneric: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
 			opts.Workers = workers
-			got, err := Measure(e, tens, &opts)
+			got, err := MeasureCtx(context.Background(), e, tens, &opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,7 @@ func (r *runner) runParallelCtx(ctx context.Context, workers int) error {
 
 	// Workers register their scratch runner at construction (under the
 	// lock) for the commutative post-join merge — the sanctioned
-	// scratch-escape pattern (see par.ForEachScratch).
+	// scratch-escape pattern (see par.ForEachScratchCtx).
 	var mu sync.Mutex
 	var subs []*runner
 	newScratch := func() *runner {

@@ -1,10 +1,12 @@
 package experiments
 
+import "context"
+
 // Experiment names one reproducible artifact and its runner.
 type Experiment struct {
 	ID    string
 	Paper string // what the paper reports
-	Run   func(s *Suite) (*Table, error)
+	Run   func(ctx context.Context, s *Suite) (*Table, error)
 }
 
 // All returns every experiment in paper order. Suite-independent
@@ -12,13 +14,13 @@ type Experiment struct {
 // suite where needed.
 func All() []Experiment {
 	return []Experiment{
-		{"fig3c", "worked example traffic table", func(*Suite) (*Table, error) { return Fig3c() }},
+		{"fig3c", "worked example traffic table", func(ctx context.Context, _ *Suite) (*Table, error) { return Fig3c(ctx) }},
 		{"fig5", "model validation across RF", Fig5},
 		{"fig6a", "speedup vs traffic linearity", Fig6a},
 		{"fig6b", "D2T2 vs Tailors over Prescient", Fig6b},
 		{"fig6c", "D2T2 vs DRT vs Conservative over Prescient", Fig6c},
 		{"table4", "TTM and MTTKRP-3 improvements", Table4},
-		{"table5", "Opal deployment speedups", func(*Suite) (*Table, error) { return Table5() }},
+		{"table5", "Opal deployment speedups", func(ctx context.Context, _ *Suite) (*Table, error) { return Table5(ctx) }},
 		{"fig7", "tiling-time overheads", Fig7},
 		{"fig8", "tile shape vs sum of correlations", Fig8},
 		{"fig9", "statistics ablation", Fig9},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -16,7 +17,7 @@ import (
 // collection and search code the d2t2d service runs for a cold ingest.
 // The configurations chosen at both worker counts must agree exactly
 // (the pipeline's determinism gate); the table reports the speedup.
-func ColdPipe(s *Suite) (*Table, error) {
+func ColdPipe(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	workers := s.Workers
 	if workers == 0 {
@@ -38,13 +39,13 @@ func ColdPipe(s *Suite) (*Table, error) {
 
 		run := func(w int) (*optimizer.Result, time.Duration, time.Duration, error) {
 			t0 := time.Now()
-			res, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: buffer, Workers: w})
+			res, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: buffer, Workers: w})
 			if err != nil {
 				return nil, 0, 0, err
 			}
 			optDur := time.Since(t0)
 			t1 := time.Now()
-			if _, err := optimizer.TileAllWorkers(e, inputs, res.Config, w); err != nil {
+			if _, err := optimizer.TileAllCtx(ctx, e, inputs, res.Config, w); err != nil {
 				return nil, 0, 0, err
 			}
 			return res, optDur, time.Since(t1), nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	experiments := []struct {
 		name string
-		run  func(*Suite) (*Table, error)
+		run  func(context.Context, *Suite) (*Table, error)
 		// rowsExact demands byte-identical rows and notes. Fig7 reports
 		// wall-clock milliseconds, so only its structure (labels, row
 		// count) can be compared across runs.
@@ -28,7 +29,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			var tables []*Table
 			for _, workers := range []int{1, 4} {
 				s := &Suite{Scale: 96, TileSide: 32, Labels: []string{"A", "I"}, Workers: workers}
-				tbl, err := exp.run(s)
+				tbl, err := exp.run(context.Background(), s)
 				if err != nil {
 					t.Fatalf("%s with Workers=%d: %v", exp.name, workers, err)
 				}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strconv"
 	"strings"
@@ -20,7 +22,7 @@ func cell(t *testing.T, tbl *Table, row, col int) float64 {
 }
 
 func TestFig3c(t *testing.T) {
-	tbl, err := Fig3c()
+	tbl, err := Fig3c(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestFig3c(t *testing.T) {
 func TestFig5Quick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "Q"}
-	tbl, err := Fig5(s)
+	tbl, err := Fig5(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestFig5Quick(t *testing.T) {
 func TestFig6aQuick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "I"}
-	tbl, err := Fig6a(s)
+	tbl, err := Fig6a(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestFig6aQuick(t *testing.T) {
 func TestFig6bQuick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "I"}
-	tbl, err := Fig6b(s)
+	tbl, err := Fig6b(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestFig6bQuick(t *testing.T) {
 func TestFig6cQuick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "I"}
-	tbl, err := Fig6c(s)
+	tbl, err := Fig6c(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestFig6cQuick(t *testing.T) {
 
 func TestTable4Quick(t *testing.T) {
 	s := &Suite{Scale: 24, TileSide: 32}
-	tbl, err := Table4(s)
+	tbl, err := Table4(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestTable4Quick(t *testing.T) {
 }
 
 func TestTable5(t *testing.T) {
-	tbl, err := Table5()
+	tbl, err := Table5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestTable5(t *testing.T) {
 func TestFig7Quick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "E"}
-	tbl, err := Fig7(s)
+	tbl, err := Fig7(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestFig7Quick(t *testing.T) {
 func TestFig8Quick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "Q"}
-	tbl, err := Fig8(s)
+	tbl, err := Fig8(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestFig8Quick(t *testing.T) {
 func TestFig9Quick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "Q"}
-	tbl, err := Fig9(s)
+	tbl, err := Fig9(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,7 @@ func TestFig9Quick(t *testing.T) {
 func TestSec66Quick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"E"}
-	tbl, err := Sec66(s)
+	tbl, err := Sec66(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +254,7 @@ func TestSec66Quick(t *testing.T) {
 func TestSec67Quick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"A", "Q"}
-	tbl, err := Sec67(s)
+	tbl, err := Sec67(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,7 @@ func TestTableFormat(t *testing.T) {
 func TestExtRefineQuick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"I"}
-	tbl, err := ExtRefine(s)
+	tbl, err := ExtRefine(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestSuiteHelpers(t *testing.T) {
 func TestExtReorderQuick(t *testing.T) {
 	s := quick()
 	s.Labels = []string{"I"} // hub-heavy power-law: reordering should help
-	tbl, err := ExtReorder(s)
+	tbl, err := ExtReorder(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,5 +362,22 @@ func TestTableJSONAndMarkdown(t *testing.T) {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
 		}
+	}
+}
+
+// TestExperimentsCancelled runs every experiment on the quick suite with
+// a context cancelled before the call: each runner must hand its ctx to
+// the pipeline stages it drives and stop with context.Canceled instead
+// of producing a table.
+func TestExperimentsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			tbl, err := e.Run(ctx, quick())
+			if tbl != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled ctx: (%v, %v), want (nil, context.Canceled)", tbl, err)
+			}
+		})
 	}
 }

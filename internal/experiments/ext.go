@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -14,7 +15,7 @@ import (
 // shape choice. Rows report the measured traffic of the optimizer's
 // choice without refinement relative to its choice with refinement
 // (>1 means the refinement found a better configuration).
-func ExtRefine(s *Suite) (*Table, error) {
+func ExtRefine(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "ext-refine",
@@ -28,14 +29,14 @@ func ExtRefine(s *Suite) (*Table, error) {
 			return nil, err
 		}
 		run := func(disable bool) (float64, error) {
-			res, err := optimizer.Optimize(e, inputs, optimizer.Options{
+			res, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{
 				BufferWords:       s.BufferWords(),
 				DisableRefinement: disable,
 			})
 			if err != nil {
 				return 0, err
 			}
-			m, err := measureConfig(s, e, inputs, res.Config, nil)
+			m, err := measureConfig(ctx, s, e, inputs, res.Config, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -87,7 +88,7 @@ func overbookCases(s *Suite) ([]overbookCase, error) {
 // every OverbookTargets point and executed under the buffer model it was
 // costed with. cmd/expbench's bench artifact and the ext-overbook table
 // both consume these points.
-func OverbookSweep(s *Suite) ([]OverbookPoint, error) {
+func OverbookSweep(ctx context.Context, s *Suite) ([]OverbookPoint, error) {
 	cases, err := overbookCases(s)
 	if err != nil {
 		return nil, err
@@ -95,14 +96,14 @@ func OverbookSweep(s *Suite) ([]OverbookPoint, error) {
 	var out []OverbookPoint
 	for _, c := range cases {
 		for _, target := range OverbookTargets {
-			res, err := optimizer.Optimize(c.e, c.inputs, optimizer.Options{
+			res, err := optimizer.OptimizeCtx(ctx, c.e, c.inputs, optimizer.Options{
 				BufferWords:    c.buffer,
 				OverflowTarget: target,
 			})
 			if err != nil {
 				return nil, err
 			}
-			m, err := measureConfig(s, c.e, c.inputs, res.Config, &exec.Options{
+			m, err := measureConfig(ctx, s, c.e, c.inputs, res.Config, &exec.Options{
 				InputBufferWords: c.buffer,
 				OverflowExtra:    1,
 			})
@@ -132,8 +133,8 @@ func OverbookSweep(s *Suite) ([]OverbookPoint, error) {
 // §18): traffic, measured overflow rate and buffer utilization across
 // the OverflowTarget sweep on the four paper kernels. Rows with target 0
 // are the conservative baseline.
-func ExtOverbook(s *Suite) (*Table, error) {
-	pts, err := OverbookSweep(s)
+func ExtOverbook(ctx context.Context, s *Suite) (*Table, error) {
+	pts, err := OverbookSweep(ctx, s)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -15,7 +16,7 @@ import (
 // concentrates occupancy into fewer, denser tiles, which both the
 // statistics and the final schedule exploit. Rows report D2T2's measured
 // traffic with reordering relative to without (lower is better).
-func ExtReorder(s *Suite) (*Table, error) {
+func ExtReorder(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "ext-reorder",
@@ -28,7 +29,7 @@ func ExtReorder(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := d2t2Traffic(e, a, s)
+		base, err := d2t2Traffic(ctx, e, a, s)
 		if err != nil {
 			return nil, err
 		}
@@ -36,7 +37,7 @@ func ExtReorder(s *Suite) (*Table, error) {
 		// keeps A×Aᵀ equivalent up to a permutation of the output.
 		perm := combinedDegreeOrder(a)
 		re := a.Relabel(0, perm).Relabel(1, perm)
-		after, err := d2t2Traffic(e, re, s)
+		after, err := d2t2Traffic(ctx, e, re, s)
 		if err != nil {
 			return nil, err
 		}
@@ -69,13 +70,13 @@ func combinedDegreeOrder(a *tensor.COO) []int {
 }
 
 // d2t2Traffic optimizes and measures the kernel for A×Aᵀ.
-func d2t2Traffic(e *einsum.Expr, a *tensor.COO, s *Suite) (float64, error) {
+func d2t2Traffic(ctx context.Context, e *einsum.Expr, a *tensor.COO, s *Suite) (float64, error) {
 	inputs := map[string]*tensor.COO{"A": a, "B": a.Transpose()}
-	res, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
+	res, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
 	if err != nil {
 		return 0, err
 	}
-	m, err := measureConfig(s, e, inputs, res.Config, nil)
+	m, err := measureConfig(ctx, s, e, inputs, res.Config, nil)
 	if err != nil {
 		return 0, err
 	}

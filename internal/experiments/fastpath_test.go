@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestMeasureConfigUsesEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := measureConfig(nil, tc.expr, tc.inputs, tc.cfg, nil)
+			res, err := measureConfig(context.Background(), nil, tc.expr, tc.inputs, tc.cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

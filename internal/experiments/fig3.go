@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"d2t2/internal/einsum"
 	"d2t2/internal/exec"
 	"d2t2/internal/model"
@@ -18,7 +19,7 @@ import (
 // tile-iteration skipping at an empty outer column and fewer B re-fetches
 // under a taller i-tile — so the table shape (D2T2 strictly below
 // Conservative in total traffic and iterations) is what is reproduced.
-func Fig3c() (*Table, error) {
+func Fig3c(ctx context.Context) (*Table, error) {
 	// 8×8 operands, buffer holding a 2×2 dense tile (Conservative = 2×2).
 	a := tensor.New(8, 8)
 	for _, e := range [][2]int{{0, 0}, {1, 1}, {2, 0}, {3, 1}, {4, 1}, {5, 0}, {6, 1}, {7, 0}} {
@@ -39,7 +40,7 @@ func Fig3c() (*Table, error) {
 	}
 
 	run := func(name string, cfg model.Config) (int64, error) {
-		res, err := measureConfig(nil, e, inputs, cfg, &exec.Options{ValuesOnly: true})
+		res, err := measureConfig(ctx, nil, e, inputs, cfg, &exec.Options{ValuesOnly: true})
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -23,7 +24,7 @@ import (
 // Rows report per-matrix, per-case mean and worst relative error over
 // the RF sweep, and whether the predicted-best RF is measured-optimal
 // within 40% (the relative-comparison property D2T2 relies on).
-func Fig5(s *Suite) (*Table, error) {
+func Fig5(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:    "fig5",
@@ -48,7 +49,7 @@ func Fig5(s *Suite) (*Table, error) {
 		}
 		for _, c := range cases {
 			inputs := map[string]*tensor.COO{"A": a, "B": c.b}
-			pred, err := validationPredictor(e, inputs, s.TileSide)
+			pred, err := validationPredictor(ctx, e, inputs, s.TileSide)
 			if err != nil {
 				return nil, err
 			}
@@ -69,7 +70,7 @@ func Fig5(s *Suite) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				m, err := measureConfig(s, e, inputs, cfg, nil)
+				m, err := measureConfig(ctx, s, e, inputs, cfg, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -105,14 +106,14 @@ func Fig5(s *Suite) (*Table, error) {
 
 // validationPredictor collects stats and builds the traffic model for a
 // two-operand kernel.
-func validationPredictor(e *einsum.Expr, inputs map[string]*tensor.COO, tileSide int) (*model.Predictor, error) {
+func validationPredictor(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, tileSide int) (*model.Predictor, error) {
 	st := make(map[string]*stats.Stats)
 	for _, ref := range e.Inputs() {
 		base := make([]int, len(ref.Indices))
 		for a := range base {
 			base[a] = tileSide
 		}
-		s, _, err := stats.Collect(inputs[ref.Name], base, e.LevelOrder(ref), nil)
+		s, _, err := stats.CollectCtx(ctx, inputs[ref.Name], base, e.LevelOrder(ref), nil)
 		if err != nil {
 			return nil, err
 		}

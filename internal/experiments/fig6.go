@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -18,7 +19,7 @@ import (
 // traffic improvement over Prescient; the paper finds the relationship
 // linear ("sparse tensor algebra computation is memory-bound"). The
 // table reports both metrics per matrix and the Pearson correlation.
-func Fig6a(s *Suite) (*Table, error) {
+func Fig6a(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIJK()
 	arch := s.Arch()
 	tbl := &Table{
@@ -32,19 +33,19 @@ func Fig6a(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		presCfg, err := schemes.Prescient(e, inputs, s.BufferWords())
+		presCfg, err := schemes.Prescient(ctx, e, inputs, s.BufferWords())
 		if err != nil {
 			return nil, err
 		}
-		pres, err := measureConfig(s, e, inputs, presCfg, nil)
+		pres, err := measureConfig(ctx, s, e, inputs, presCfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
+		opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
 		if err != nil {
 			return nil, err
 		}
-		d2, err := measureConfig(s, e, inputs, opt.Config, nil)
+		d2, err := measureConfig(ctx, s, e, inputs, opt.Config, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +64,7 @@ func Fig6a(s *Suite) (*Table, error) {
 // A×Aᵀ, speedups over Prescient for D2T2 and Tailors (10%% overbooking,
 // overflowed tiles pay streaming re-fetch traffic). Paper means: D2T2
 // 4.85×, Tailors 1.90× → D2T2 2.54× over Tailors.
-func Fig6b(s *Suite) (*Table, error) {
+func Fig6b(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIJK()
 	arch := s.Arch()
 	tbl := &Table{
@@ -77,29 +78,29 @@ func Fig6b(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		presCfg, err := schemes.Prescient(e, inputs, s.BufferWords())
+		presCfg, err := schemes.Prescient(ctx, e, inputs, s.BufferWords())
 		if err != nil {
 			return nil, err
 		}
-		pres, err := measureConfig(s, e, inputs, presCfg, nil)
-		if err != nil {
-			return nil, err
-		}
-
-		opt, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
-		if err != nil {
-			return nil, err
-		}
-		d2, err := measureConfig(s, e, inputs, opt.Config, nil)
+		pres, err := measureConfig(ctx, s, e, inputs, presCfg, nil)
 		if err != nil {
 			return nil, err
 		}
 
-		tailCfg, info, err := schemes.Tailors(e, inputs, s.BufferWords(), 0.10)
+		opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
 		if err != nil {
 			return nil, err
 		}
-		tail, err := measureConfig(s, e, inputs, tailCfg, &exec.Options{
+		d2, err := measureConfig(ctx, s, e, inputs, opt.Config, nil)
+		if err != nil {
+			return nil, err
+		}
+
+		tailCfg, info, err := schemes.Tailors(ctx, e, inputs, s.BufferWords(), 0.10)
+		if err != nil {
+			return nil, err
+		}
+		tail, err := measureConfig(ctx, s, e, inputs, tailCfg, &exec.Options{
 			InputBufferWords: s.BufferWords(),
 		})
 		if err != nil {
@@ -123,7 +124,7 @@ func Fig6b(s *Suite) (*Table, error) {
 // simulator), D2T2 and Conservative. Paper means over Prescient: D2T2
 // 1.83×, DRT 1.29× (D2T2/DRT = 1.13× on the DRT-completed subset),
 // Conservative 1/2.28 (D2T2 is 4.17× over Conservative).
-func Fig6c(s *Suite) (*Table, error) {
+func Fig6c(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "fig6c",
@@ -136,20 +137,20 @@ func Fig6c(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		presCfg, err := schemes.Prescient(e, inputs, s.BufferWords())
+		presCfg, err := schemes.Prescient(ctx, e, inputs, s.BufferWords())
 		if err != nil {
 			return nil, err
 		}
-		pres, err := measureConfig(s, e, inputs, presCfg, nil)
+		pres, err := measureConfig(ctx, s, e, inputs, presCfg, nil)
 		if err != nil {
 			return nil, err
 		}
 
-		opt, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
+		opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: s.BufferWords()})
 		if err != nil {
 			return nil, err
 		}
-		d2, err := measureConfig(s, e, inputs, opt.Config, nil)
+		d2, err := measureConfig(ctx, s, e, inputs, opt.Config, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -162,11 +163,11 @@ func Fig6c(s *Suite) (*Table, error) {
 		if micro < 1 {
 			micro = 1
 		}
-		ttA, err := tiling.New(inputs["A"], []int{micro, micro}, []int{0, 1})
+		ttA, err := tiling.NewCtx(ctx, inputs["A"], []int{micro, micro}, []int{0, 1}, 0)
 		if err != nil {
 			return nil, err
 		}
-		ttB, err := tiling.New(inputs["B"], []int{micro, micro}, []int{0, 1})
+		ttB, err := tiling.NewCtx(ctx, inputs["B"], []int{micro, micro}, []int{0, 1}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +176,7 @@ func Fig6c(s *Suite) (*Table, error) {
 			return nil, err
 		}
 
-		consRes, err := measureConfig(s, e, inputs, consCfg, nil)
+		consRes, err := measureConfig(ctx, s, e, inputs, consCfg, nil)
 		if err != nil {
 			return nil, err
 		}

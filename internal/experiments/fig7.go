@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // much extra time statistics collection and tile-scheme optimization add.
 // The paper reports averages of 9.3% (collection) and 7.9%
 // (optimization).
-func Fig7(s *Suite) (*Table, error) {
+func Fig7(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "fig7",
@@ -32,11 +33,11 @@ func Fig7(s *Suite) (*Table, error) {
 
 		// Initial tiling of both operands.
 		t0 := time.Now()
-		ttA, err := tiling.New(inputs["A"], base, []int{0, 1})
+		ttA, err := tiling.NewCtx(ctx, inputs["A"], base, []int{0, 1}, 0)
 		if err != nil {
 			return nil, err
 		}
-		ttB, err := tiling.New(inputs["B"], base, []int{0, 1})
+		ttB, err := tiling.NewCtx(ctx, inputs["B"], base, []int{0, 1}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -53,11 +54,11 @@ func Fig7(s *Suite) (*Table, error) {
 		}
 		collectOpts := &stats.Options{MicroDiv: 1, CorrSampleTarget: sample, CorrMaxShift: s.TileSide, SkipExtensions: true}
 		t1 := time.Now()
-		stA, err := stats.CollectFromTiled(inputs["A"], ttA, collectOpts)
+		stA, err := stats.CollectFromTiledCtx(ctx, inputs["A"], ttA, collectOpts)
 		if err != nil {
 			return nil, err
 		}
-		stB, err := stats.CollectFromTiled(inputs["B"], ttB, collectOpts)
+		stB, err := stats.CollectFromTiledCtx(ctx, inputs["B"], ttB, collectOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"d2t2/internal/einsum"
@@ -13,7 +14,7 @@ import (
 // against the measured-best tile shape (outer-product-like vs square).
 // The paper finds matrices with ΣCorrs < 1.6 favor outer-product tiling
 // while the rest prefer square tiles for output reuse.
-func Fig8(s *Suite) (*Table, error) {
+func Fig8(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "fig8",
@@ -28,7 +29,7 @@ func Fig8(s *Suite) (*Table, error) {
 		}
 		// Corrs of B along its contracted axis k (axis 0 of B(k,j)).
 		base := []int{s.TileSide, s.TileSide}
-		stB, _, err := stats.Collect(inputs["B"], base, []int{0, 1}, &stats.Options{MicroDiv: 1})
+		stB, _, err := stats.CollectCtx(ctx, inputs["B"], base, []int{0, 1}, &stats.Options{MicroDiv: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -39,7 +40,7 @@ func Fig8(s *Suite) (*Table, error) {
 		for _, rf := range []int{1, 2, 4, 8} {
 			k := s.TileSide / rf
 			cfg := model.Config{"i": s.TileSide * rf, "k": k, "j": s.TileSide * rf}
-			res, err := measureConfig(s, e, inputs, cfg, nil)
+			res, err := measureConfig(ctx, s, e, inputs, cfg, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -18,7 +19,7 @@ import (
 // D2T2 (1.0 = identical; >1 means the simpler scheme moves more data).
 // The paper finds simpler schemes are sometimes up to 10% better but
 // drop to 69% of D2T2's efficiency in the worst case.
-func Fig9(s *Suite) (*Table, error) {
+func Fig9(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "fig9",
@@ -34,11 +35,11 @@ func Fig9(s *Suite) (*Table, error) {
 		}
 		run := func(o optimizer.Options) (float64, error) {
 			o.BufferWords = s.BufferWords()
-			res, err := optimizer.Optimize(e, inputs, o)
+			res, err := optimizer.OptimizeCtx(ctx, e, inputs, o)
 			if err != nil {
 				return 0, err
 			}
-			m, err := measureConfig(s, e, inputs, res.Config, nil)
+			m, err := measureConfig(ctx, s, e, inputs, res.Config, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -213,8 +214,8 @@ func (s *Suite) aat(label string, e *einsum.Expr) (map[string]*tensor.COO, error
 // worker count resolves opts.Workers, then s.Workers, then all cores;
 // the parallel partition merges counters exactly, so the result is the
 // same for any choice. s may be nil for suite-less experiments.
-func measureConfig(s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, cfg model.Config, opts *exec.Options) (*exec.Result, error) {
-	tiled, err := optimizer.TileAll(e, inputs, cfg)
+func measureConfig(ctx context.Context, s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, cfg model.Config, opts *exec.Options) (*exec.Result, error) {
+	tiled, err := optimizer.TileAllCtx(ctx, e, inputs, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +229,7 @@ func measureConfig(s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, cfg 
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	return exec.Measure(e, tiled, &o)
+	return exec.MeasureCtx(ctx, e, tiled, &o)
 }
 
 // geomean returns the geometric mean of positive values.

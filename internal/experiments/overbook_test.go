@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestOverbookSweep is the acceptance gate for risk-aware sizing
 // (DESIGN.md §18): across the four paper kernels, nonzero overflow
@@ -10,7 +13,7 @@ import "testing"
 // 2× the requested target everywhere.
 func TestOverbookSweep(t *testing.T) {
 	s := QuickSuite()
-	pts, err := OverbookSweep(s)
+	pts, err := OverbookSweep(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestOverbookSweep(t *testing.T) {
 func BenchmarkOverbook(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := QuickSuite()
-		if _, err := OverbookSweep(s); err != nil {
+		if _, err := OverbookSweep(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}

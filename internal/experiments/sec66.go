@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -14,7 +15,7 @@ import (
 // factor, executing every candidate and keeping the best measured
 // traffic). Reported per matrix: buffer utilization of both schemes and
 // D2T2's share of the exhaustive scheme's traffic improvement.
-func Sec66(s *Suite) (*Table, error) {
+func Sec66(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "sec66",
@@ -28,15 +29,15 @@ func Sec66(s *Suite) (*Table, error) {
 			return nil, err
 		}
 		buffer := s.BufferWords()
-		opt, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: buffer})
+		opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: buffer})
 		if err != nil {
 			return nil, err
 		}
-		d2Tiled, err := optimizer.TileAll(e, inputs, opt.Config)
+		d2Tiled, err := optimizer.TileAllCtx(ctx, e, inputs, opt.Config, 0)
 		if err != nil {
 			return nil, err
 		}
-		d2, err := measureConfig(s, e, inputs, opt.Config, nil)
+		d2, err := measureConfig(ctx, s, e, inputs, opt.Config, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +53,7 @@ func Sec66(s *Suite) (*Table, error) {
 				grown := cfg.Clone()
 				grown["i"] = 2 * grown["i"]
 				grown["j"] = 2 * grown["j"]
-				tiled, err := optimizer.TileAll(e, inputs, grown)
+				tiled, err := optimizer.TileAllCtx(ctx, e, inputs, grown, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -64,11 +65,11 @@ func Sec66(s *Suite) (*Table, error) {
 					break
 				}
 			}
-			tiled, err := optimizer.TileAll(e, inputs, cfg)
+			tiled, err := optimizer.TileAllCtx(ctx, e, inputs, cfg, 0)
 			if err != nil {
 				return nil, err
 			}
-			res, err := measureConfig(s, e, inputs, cfg, nil)
+			res, err := measureConfig(ctx, s, e, inputs, cfg, nil)
 			if err != nil {
 				return nil, err
 			}

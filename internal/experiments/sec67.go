@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -19,7 +20,7 @@ import (
 // granularity. Rows report packed-tiles traffic relative to fully
 // retiled D2T2 for two base tile sizes; the paper finds a 31% average
 // drop at 128×128 base tiles and only 11% at 32×32.
-func Sec67(s *Suite) (*Table, error) {
+func Sec67(ctx context.Context, s *Suite) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	tbl := &Table{
 		ID:      "sec67",
@@ -32,11 +33,11 @@ func Sec67(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		big, err := packedRatio(s, e, inputs, s.BufferWords(), s.TileSide)
+		big, err := packedRatio(ctx, s, e, inputs, s.BufferWords(), s.TileSide)
 		if err != nil {
 			return nil, err
 		}
-		small, err := packedRatio(s, e, inputs, s.BufferWords(), s.TileSide/4)
+		small, err := packedRatio(ctx, s, e, inputs, s.BufferWords(), s.TileSide/4)
 		if err != nil {
 			return nil, err
 		}
@@ -53,15 +54,15 @@ func Sec67(s *Suite) (*Table, error) {
 // packedRatio optimizes with base tiles of the given side, then measures
 // (a) fully retiled D2T2 and (b) packed original tiles at the D2T2
 // configuration normalized to base multiples, returning traffic(b)/(a).
-func packedRatio(s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords, baseSide int) (float64, error) {
-	opt, err := optimizer.Optimize(e, inputs, optimizer.Options{
+func packedRatio(ctx context.Context, s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords, baseSide int) (float64, error) {
+	opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{
 		BufferWords: bufferWords,
 		BaseTile:    baseSide,
 	})
 	if err != nil {
 		return 0, err
 	}
-	retiledRes, err := measureConfig(s, e, inputs, opt.Config, nil)
+	retiledRes, err := measureConfig(ctx, s, e, inputs, opt.Config, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -74,7 +75,7 @@ func packedRatio(s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, buffer
 		for a := range dims {
 			dims[a] = opt.BaseTile
 		}
-		base, err := tiling.New(inputs[ref.Name], dims, e.LevelOrder(ref))
+		base, err := tiling.NewCtx(ctx, inputs[ref.Name], dims, e.LevelOrder(ref), 0)
 		if err != nil {
 			return 0, err
 		}
@@ -92,7 +93,7 @@ func packedRatio(s *Suite, e *einsum.Expr, inputs map[string]*tensor.COO, buffer
 		}
 		packed[ref.Name] = p
 	}
-	packedRes, err := exec.Measure(e, packed, nil)
+	packedRes, err := exec.MeasureCtx(ctx, e, packed, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/accel"
@@ -17,7 +18,7 @@ import (
 // random matrices (1% dense; 0.1% for the large tensor W), reporting
 // D2T2's traffic improvement over the Conservative square scheme,
 // measured with the TACO backend.
-func Table4(s *Suite) (*Table, error) {
+func Table4(ctx context.Context, s *Suite) (*Table, error) {
 	tbl := &Table{
 		ID:      "table4",
 		Title:   "Traffic improvement over Conservative for TTM and MTTKRP-3 (Table 4)",
@@ -29,11 +30,11 @@ func Table4(s *Suite) (*Table, error) {
 		if d.Label == "W" {
 			density = 0.001
 		}
-		ttm, err := higherOrderImprovement(einsum.TTM(), t3, density, s, "ttm-"+d.Label)
+		ttm, err := higherOrderImprovement(ctx, einsum.TTM(), t3, density, s, "ttm-"+d.Label)
 		if err != nil {
 			return nil, err
 		}
-		mttkrp, err := higherOrderImprovement(einsum.MTTKRP3(), t3, density, s, "mttkrp-"+d.Label)
+		mttkrp, err := higherOrderImprovement(ctx, einsum.MTTKRP3(), t3, density, s, "mttkrp-"+d.Label)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +91,7 @@ func higherOrderInputs(e *einsum.Expr, t3 *tensor.COO, density float64, tag stri
 
 // higherOrderImprovement runs one tensor kernel with D2T2 and
 // Conservative tiling and returns the traffic ratio.
-func higherOrderImprovement(e *einsum.Expr, t3 *tensor.COO, density float64, s *Suite, tag string) (float64, error) {
+func higherOrderImprovement(ctx context.Context, e *einsum.Expr, t3 *tensor.COO, density float64, s *Suite, tag string) (float64, error) {
 	inputs := higherOrderInputs(e, t3, density, tag)
 
 	// Buffer: a dense order-3 conservative tile of the suite's 3-d side.
@@ -101,15 +102,15 @@ func higherOrderImprovement(e *einsum.Expr, t3 *tensor.COO, density float64, s *
 	buffer := tiling.DenseFootprintWords([]int{side, side, side})
 
 	consCfg := schemes.Conservative(e, buffer)
-	cons, err := measureConfig(s, e, inputs, consCfg, nil)
+	cons, err := measureConfig(ctx, s, e, inputs, consCfg, nil)
 	if err != nil {
 		return 0, err
 	}
-	opt, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: buffer})
+	opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: buffer})
 	if err != nil {
 		return 0, err
 	}
-	d2, err := measureConfig(s, e, inputs, opt.Config, nil)
+	d2, err := measureConfig(ctx, s, e, inputs, opt.Config, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -122,7 +123,7 @@ func higherOrderImprovement(e *einsum.Expr, t3 *tensor.COO, density float64, s *
 // D2T2-generated configurations against the Prescient tiling that was
 // Opal's previous hand-tuned optimum. Speedups use the Opal machine
 // model.
-func Table5() (*Table, error) {
+func Table5(ctx context.Context) (*Table, error) {
 	e := einsum.SpMSpMIKJ()
 	arch := accel.Opal()
 	buffer := arch.InputBufferWords
@@ -135,19 +136,19 @@ func Table5() (*Table, error) {
 	for _, d := range gen.Table5Matrices() {
 		a := d.Build(1)
 		inputs := map[string]*tensor.COO{"A": a, "B": a.Transpose()}
-		presCfg, err := schemes.Prescient(e, inputs, buffer)
+		presCfg, err := schemes.Prescient(ctx, e, inputs, buffer)
 		if err != nil {
 			return nil, err
 		}
-		pres, err := measureConfig(nil, e, inputs, presCfg, nil)
+		pres, err := measureConfig(ctx, nil, e, inputs, presCfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: buffer})
+		opt, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: buffer})
 		if err != nil {
 			return nil, err
 		}
-		d2, err := measureConfig(nil, e, inputs, opt.Config, nil)
+		d2, err := measureConfig(ctx, nil, e, inputs, opt.Config, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,7 @@
 package hierarchy
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -53,7 +54,7 @@ type Report struct {
 }
 
 // Optimize produces a two-level plan for kernel e.
-func Optimize(e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Plan, error) {
+func Optimize(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Plan, error) {
 	if opts.L2BufferWords <= 0 || opts.L1BufferWords <= 0 {
 		return nil, fmt.Errorf("hierarchy: both buffer sizes must be positive")
 	}
@@ -65,13 +66,13 @@ func Optimize(e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Pla
 		return nil, err
 	}
 
-	l2, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: opts.L2BufferWords})
+	l2, err := optimizer.OptimizeCtx(ctx, e, inputs, optimizer.Options{BufferWords: opts.L2BufferWords})
 	if err != nil {
 		return nil, err
 	}
 
 	// Pick the heaviest live L2 pair as the L1 optimization subproblem.
-	tiled, err := optimizer.TileAll(e, inputs, l2.Config)
+	tiled, err := optimizer.TileAllCtx(ctx, e, inputs, l2.Config, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +81,7 @@ func Optimize(e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Pla
 		return nil, err
 	}
 	subInputs := map[string]*tensor.COO{names[0]: subA, names[1]: subB}
-	l1, err := optimizer.Optimize(e, subInputs, optimizer.Options{BufferWords: opts.L1BufferWords})
+	l1, err := optimizer.OptimizeCtx(ctx, e, subInputs, optimizer.Options{BufferWords: opts.L1BufferWords})
 	if err != nil {
 		return nil, err
 	}
@@ -172,16 +173,16 @@ func tileToCOO(tt *tiling.TiledTensor, tile *tiling.Tile) *tensor.COO {
 
 // Measure executes the two-level plan: the L2 schedule against DRAM and
 // the L1 schedule inside every live L2 pair against the global buffer.
-func Measure(e *einsum.Expr, inputs map[string]*tensor.COO, plan *Plan) (*Report, error) {
+func Measure(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, plan *Plan) (*Report, error) {
 	names, _, err := kernelShape(e)
 	if err != nil {
 		return nil, err
 	}
-	tiled, err := optimizer.TileAll(e, inputs, plan.L2)
+	tiled, err := optimizer.TileAllCtx(ctx, e, inputs, plan.L2, 0)
 	if err != nil {
 		return nil, err
 	}
-	dram, err := exec.Measure(e, tiled, nil)
+	dram, err := exec.MeasureCtx(ctx, e, tiled, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +201,11 @@ func Measure(e *einsum.Expr, inputs map[string]*tensor.COO, plan *Plan) (*Report
 				names[0]: tileToCOO(ta, tileA),
 				names[1]: tileToCOO(tb, tileB),
 			}
-			subTiled, err := optimizer.TileAll(e, subInputs, plan.L1)
+			subTiled, err := optimizer.TileAllCtx(ctx, e, subInputs, plan.L1, 0)
 			if err != nil {
 				return nil, err
 			}
-			res, err := exec.Measure(e, subTiled, nil)
+			res, err := exec.MeasureCtx(ctx, e, subTiled, nil)
 			if err != nil {
 				return nil, err
 			}

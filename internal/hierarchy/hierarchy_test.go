@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestOptimizeAndMeasureTwoLevel(t *testing.T) {
 		L2BufferWords: tiling.DenseFootprintWords([]int{128, 128}),
 		L1BufferWords: tiling.DenseFootprintWords([]int{16, 16}),
 	}
-	plan, err := Optimize(e, inputs, opts)
+	plan, err := Optimize(context.Background(), e, inputs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestOptimizeAndMeasureTwoLevel(t *testing.T) {
 	}
 
 	// Fit guarantees at both levels.
-	l2Tiled, err := optimizer.TileAll(e, inputs, plan.L2)
+	l2Tiled, err := optimizer.TileAllCtx(context.Background(), e, inputs, plan.L2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestOptimizeAndMeasureTwoLevel(t *testing.T) {
 		}
 	}
 
-	rep, err := Measure(e, inputs, plan)
+	rep, err := Measure(context.Background(), e, inputs, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +74,13 @@ func TestOptimizeAndMeasureTwoLevel(t *testing.T) {
 func TestOptimizeErrors(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	inputs := inputsFor(62)
-	if _, err := Optimize(e, inputs, Options{L2BufferWords: 0, L1BufferWords: 10}); err == nil {
+	if _, err := Optimize(context.Background(), e, inputs, Options{L2BufferWords: 0, L1BufferWords: 10}); err == nil {
 		t.Fatal("zero L2 accepted")
 	}
-	if _, err := Optimize(e, inputs, Options{L2BufferWords: 10, L1BufferWords: 10}); err == nil {
+	if _, err := Optimize(context.Background(), e, inputs, Options{L2BufferWords: 10, L1BufferWords: 10}); err == nil {
 		t.Fatal("L1 >= L2 accepted")
 	}
-	if _, err := Optimize(einsum.MTTKRP3(), nil, Options{L2BufferWords: 100, L1BufferWords: 10}); err == nil {
+	if _, err := Optimize(context.Background(), einsum.MTTKRP3(), nil, Options{L2BufferWords: 100, L1BufferWords: 10}); err == nil {
 		t.Fatal("three-operand kernel accepted")
 	}
 }
@@ -92,20 +93,20 @@ func TestTwoLevelBeatsFlatPEOnGlobalReuse(t *testing.T) {
 	l1 := tiling.DenseFootprintWords([]int{16, 16})
 	l2 := tiling.DenseFootprintWords([]int{128, 128})
 
-	plan, err := Optimize(e, inputs, Options{L2BufferWords: l2, L1BufferWords: l1})
+	plan, err := Optimize(context.Background(), e, inputs, Options{L2BufferWords: l2, L1BufferWords: l1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Measure(e, inputs, plan)
+	rep, err := Measure(context.Background(), e, inputs, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	flat, err := optimizer.Optimize(e, inputs, optimizer.Options{BufferWords: l1})
+	flat, err := optimizer.OptimizeCtx(context.Background(), e, inputs, optimizer.Options{BufferWords: l1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatTiled, err := optimizer.TileAll(e, inputs, flat.Config)
+	flatTiled, err := optimizer.TileAllCtx(context.Background(), e, inputs, flat.Config, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestTwoLevelBeatsFlatPEOnGlobalReuse(t *testing.T) {
 }
 
 func measureFlat(e *einsum.Expr, tiled map[string]*tiling.TiledTensor) (int64, error) {
-	res, err := exec.Measure(e, tiled, nil)
+	res, err := exec.MeasureCtx(context.Background(), e, tiled, nil)
 	if err != nil {
 		return 0, err
 	}

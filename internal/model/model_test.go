@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func buildPredictor(t *testing.T, e *einsum.Expr, mats map[string]*tensor.COO, b
 		for a := range base {
 			base[a] = baseTile
 		}
-		s, _, err := stats.Collect(m, base, e.LevelOrder(ref), &stats.Options{MicroDiv: microDiv})
+		s, _, err := stats.CollectCtx(context.Background(), m, base, e.LevelOrder(ref), &stats.Options{MicroDiv: microDiv})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,13 +49,13 @@ func measureCfg(t *testing.T, e *einsum.Expr, mats map[string]*tensor.COO, cfg C
 				dims[a] = d
 			}
 		}
-		tt, err := tiling.New(mats[ref.Name], dims, e.LevelOrder(ref))
+		tt, err := tiling.NewCtx(context.Background(), mats[ref.Name], dims, e.LevelOrder(ref), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tens[ref.Name] = tt
 	}
-	res, err := exec.Measure(e, tens, nil)
+	res, err := exec.MeasureCtx(context.Background(), e, tens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +265,12 @@ func TestPredictTTMAndMTTKRP(t *testing.T) {
 	// TTM: X(i,j,k) = C(i,j,l)*B(k,l)
 	e := einsum.TTM()
 	st := make(map[string]*stats.Stats)
-	s1, _, err := stats.Collect(a3, []int{8, 8, 8}, mustInput(t, e, "C"), &stats.Options{MicroDiv: 2})
+	s1, _, err := stats.CollectCtx(context.Background(), a3, []int{8, 8, 8}, mustInput(t, e, "C"), &stats.Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st["C"] = s1
-	s2, _, err := stats.Collect(bm, []int{8, 8}, mustInput(t, e, "B"), &stats.Options{MicroDiv: 2})
+	s2, _, err := stats.CollectCtx(context.Background(), bm, []int{8, 8}, mustInput(t, e, "B"), &stats.Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,15 +296,15 @@ func TestPredictTTMAndMTTKRP(t *testing.T) {
 	// MTTKRP smoke: predictor constructs and returns positive traffic.
 	e2 := einsum.MTTKRP3()
 	st2 := make(map[string]*stats.Stats)
-	sa, _, err := stats.Collect(a3, []int{8, 8, 8}, mustInput(t, e2, "A"), &stats.Options{MicroDiv: 2})
+	sa, _, err := stats.CollectCtx(context.Background(), a3, []int{8, 8, 8}, mustInput(t, e2, "A"), &stats.Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, _, err := stats.Collect(bm, []int{8, 8}, mustInput(t, e2, "B"), &stats.Options{MicroDiv: 2})
+	sb, _, err := stats.CollectCtx(context.Background(), bm, []int{8, 8}, mustInput(t, e2, "B"), &stats.Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _, err := stats.Collect(cm, []int{8, 8}, mustInput(t, e2, "C"), &stats.Options{MicroDiv: 2})
+	sc, _, err := stats.CollectCtx(context.Background(), cm, []int{8, 8}, mustInput(t, e2, "C"), &stats.Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestRefinementFallsBackForMultiOwnerExtras(t *testing.T) {
 		for a := range base {
 			base[a] = 8
 		}
-		s, _, err := stats.Collect(m, base, e.LevelOrder(ref), &stats.Options{MicroDiv: 2})
+		s, _, err := stats.CollectCtx(context.Background(), m, base, e.LevelOrder(ref), &stats.Options{MicroDiv: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,7 +141,7 @@ func collectAll(t testing.TB, e *einsum.Expr, mats map[string]*tensor.COO, baseT
 		for a := range base {
 			base[a] = baseTile
 		}
-		s, _, err := stats.Collect(mats[ref.Name], base, e.LevelOrder(ref), &stats.Options{MicroDiv: microDiv})
+		s, _, err := stats.CollectCtx(context.Background(), mats[ref.Name], base, e.LevelOrder(ref), &stats.Options{MicroDiv: microDiv})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestColdOptimizeAllocs(t *testing.T) {
 	}{{1, 4000}, {8, 4200}} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			avg := testing.AllocsPerRun(2, func() {
-				res, err := Optimize(e, inputs, Options{BufferWords: buffer, Workers: tc.workers})
+				res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer, Workers: tc.workers})
 				if err != nil || len(res.Config) == 0 {
 					t.Fatalf("optimize failed: %v", err)
 				}

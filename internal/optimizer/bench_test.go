@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func BenchmarkColdOptimize(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Optimize(e, inputs, Options{BufferWords: buffer, Workers: workers})
+				res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

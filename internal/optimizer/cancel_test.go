@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -58,24 +57,5 @@ func TestTileAllCtxPreCancelled(t *testing.T) {
 	tiled, err := TileAllCtx(ctx, einsum.SpMSpMIKJ(), inputs, cfg, 4)
 	if tiled != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want (nil, context.Canceled), got (%v, %v)", tiled, err)
-	}
-}
-
-// TestOptimizeCtxBackgroundMatchesOptimize guards the wrapper contract:
-// threading a live context through the pipeline must not perturb the
-// result relative to the plain entry point.
-func TestOptimizeCtxBackgroundMatchesOptimize(t *testing.T) {
-	inputs, buffer := cancelFixture(t)
-	opts := Options{BufferWords: buffer, Workers: 4}
-	plain, err := Optimize(einsum.SpMSpMIKJ(), inputs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := OptimizeCtx(context.Background(), einsum.SpMSpMIKJ(), inputs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, ctxed) {
-		t.Fatal("OptimizeCtx(Background) differs from Optimize")
 	}
 }

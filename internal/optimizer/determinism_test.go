@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,11 +27,11 @@ func TestOptimizeWorkersByteIdentical(t *testing.T) {
 	buffer := tiling.DenseFootprintWords([]int{64, 64})
 
 	run := func(workers int) (*Result, map[string]*tiling.TiledTensor) {
-		res, err := Optimize(e, inputs, Options{BufferWords: buffer, Workers: workers})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiled, err := TileAllWorkers(e, inputs, res.Config, workers)
+		tiled, err := TileAllCtx(context.Background(), e, inputs, res.Config, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestOptimizeRepeatRunsByteIdentical(t *testing.T) {
 	buffer := tiling.DenseFootprintWords([]int{64, 64})
 
 	encode := func() []byte {
-		res, err := Optimize(e, inputs, Options{BufferWords: buffer, Workers: 4})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -29,7 +30,7 @@ const optimizeGridDigest = "e709ed44a506f855b0a3545d50bd0596baa0169d59a00f05833e
 // duplicates itself, before the predictor's memos carried that dedupe.
 const collisionGridDigest = "2b22a88d05f3c2496992b111699aca95ac76c6d9a6a0ddbf1b27f4440b8dab90"
 
-// TestOptimizeGridGolden pins Optimize's output over a grid: four
+// TestOptimizeGridGolden pins OptimizeCtx's output over a grid: four
 // generator families, each as SpMSpM ikj and ijk (A, Aᵀ) and as the
 // matrix of TTM, at dense 16/32/64 buffers and overflow targets 0 and
 // 0.05. Every Result is encoded (kernel, base tile, config, RF,
@@ -74,7 +75,7 @@ func TestOptimizeGridGolden(t *testing.T) {
 					dims[i] = d
 				}
 				for _, target := range []float64{0, 0.05} {
-					res, err := Optimize(k.e, k.inputs, Options{
+					res, err := OptimizeCtx(context.Background(), k.e, k.inputs, Options{
 						BufferWords:    tiling.DenseFootprintWords(dims),
 						OverflowTarget: target,
 						Workers:        2,
@@ -143,7 +144,7 @@ func collisionGrid(t *testing.T) {
 							OverflowTarget: target,
 							Workers:        2,
 						}
-						res, err := Optimize(k.e, k.inputs, o)
+						res, err := OptimizeCtx(context.Background(), k.e, k.inputs, o)
 						if err != nil {
 							t.Fatalf("%s %s d=%d base=%d target=%v: %v", mt.name, k.e, d, bt, target, err)
 						}

@@ -156,18 +156,13 @@ type Result struct {
 	Candidates []Candidate
 }
 
-// Optimize runs the full D2T2 pipeline for kernel e over the inputs.
-func Optimize(e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Result, error) {
-	return OptimizeCtx(context.Background(), e, inputs, opts)
-}
-
-// OptimizeCtx is Optimize with cooperative cancellation: the per-input
-// collection fan-out, the RF shape sweep and the greedy size growth all
-// consult ctx between work items, so a cancelled or deadline-expired
-// context stops the pipeline near the cancellation point and returns
-// the context's error instead of running the remaining compute to
-// completion. A never-cancelled ctx yields exactly Optimize's
-// byte-identical result at any worker count.
+// OptimizeCtx runs the full D2T2 pipeline for kernel e over the inputs.
+// Cancellation is cooperative: the per-input collection fan-out, the RF
+// shape sweep and the greedy size growth all consult ctx between work
+// items, so a cancelled or deadline-expired context stops the pipeline
+// near the cancellation point and returns the context's error instead
+// of running the remaining compute to completion. The result is
+// byte-identical at any worker count.
 func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	if o.BufferWords <= 0 {
@@ -339,11 +334,12 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 }
 
 // ConservativeBase returns the conservative square base tile dimension
-// Optimize derives for kernel e under these options: Options.BaseTile if
-// set, otherwise the largest power-of-two square whose dense tile of the
-// kernel's highest-order input fits BufferWords. Exported so callers that
-// collect (or cache) statistics ahead of Optimize — the d2t2d Session
-// path — can key them by the exact tiling Optimize will require.
+// OptimizeCtx derives for kernel e under these options: Options.BaseTile
+// if set, otherwise the largest power-of-two square whose dense tile of
+// the kernel's highest-order input fits BufferWords. Exported so callers
+// that collect (or cache) statistics ahead of OptimizeCtx — the d2t2d
+// Session path — can key them by the exact tiling OptimizeCtx will
+// require.
 func (o Options) ConservativeBase(e *einsum.Expr) (int, error) {
 	if o.BufferWords <= 0 {
 		return 0, fmt.Errorf("optimizer: BufferWords must be positive")
@@ -364,14 +360,14 @@ func (o Options) ConservativeBase(e *einsum.Expr) (int, error) {
 	return baseTile, nil
 }
 
-// BaseTileFor is the base tile Optimize tiles and collects e's inputs
+// BaseTileFor is the base tile OptimizeCtx tiles and collects e's inputs
 // at: ConservativeBase, with a derived base capped at the smallest power
 // of two covering the largest input dimension. A larger square holds no
 // more of the tensor, but the micro tiles and the growth derived from it
 // would outgrow the tensor and inflate the predicted output traffic.
 // Dimensions come from the raw inputs, or from Precollected statistics
 // for inputs given only as stats. Callers that collect statistics ahead
-// of Optimize key them by this tile.
+// of OptimizeCtx key them by this tile.
 func (o Options) BaseTileFor(e *einsum.Expr, inputs map[string]*tensor.COO) (int, error) {
 	base, err := o.ConservativeBase(e)
 	if err != nil || o.BaseTile != 0 {
@@ -697,23 +693,12 @@ func (r *Result) snapIdx(ix string, v int) int {
 	return v
 }
 
-// TileAll tiles every input with the final configuration (the second
-// tiling pass of the pipeline), ready for the measurement backend. All
-// cores are used; see TileAllWorkers.
-func TileAll(e *einsum.Expr, inputs map[string]*tensor.COO, cfg model.Config) (map[string]*tiling.TiledTensor, error) {
-	return TileAllWorkers(e, inputs, cfg, 0)
-}
-
-// TileAllWorkers is TileAll with an explicit worker count (0 = all
-// cores): inputs retile concurrently, each on the parallel tiler. The
-// output is identical at any worker count.
-func TileAllWorkers(e *einsum.Expr, inputs map[string]*tensor.COO, cfg model.Config, workers int) (map[string]*tiling.TiledTensor, error) {
-	return TileAllCtx(context.Background(), e, inputs, cfg, workers)
-}
-
-// TileAllCtx is TileAllWorkers with cooperative cancellation: the
-// per-input fan-out and each input's tiler stop claiming work once ctx
-// is cancelled.
+// TileAllCtx tiles every input with the final configuration (the second
+// tiling pass of the pipeline), ready for the measurement backend.
+// Inputs retile concurrently on `workers` goroutines (0 = all cores),
+// each on the parallel tiler; the output is identical at any worker
+// count. The per-input fan-out and each input's tiler stop claiming
+// work once ctx is cancelled.
 func TileAllCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, cfg model.Config, workers int) (map[string]*tiling.TiledTensor, error) {
 	refs := e.Inputs()
 	tts, err := par.MapCtx(ctx, workers, len(refs), func(i int) (*tiling.TiledTensor, error) {

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -30,7 +31,7 @@ func TestOptimizeBasics(t *testing.T) {
 		return gen.PowerLawGraph(r, 512, 4000, 1.7)
 	})
 	e := einsum.SpMSpMIKJ()
-	res, err := Optimize(e, inputs, Options{BufferWords: buf32()})
+	res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestOptimizedConfigFits(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	for ci, build := range cases {
 		inputs := gustavsonInputs(int64(40+ci), build)
-		res, err := Optimize(e, inputs, Options{BufferWords: buf32()})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32()})
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		tiled, err := TileAll(e, inputs, res.Config)
+		tiled, err := TileAllCtx(context.Background(), e, inputs, res.Config, 0)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
@@ -94,23 +95,23 @@ func TestOptimizeReducesTrafficVsConservative(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	for name, build := range cases {
 		inputs := gustavsonInputs(51, build)
-		res, err := Optimize(e, inputs, Options{BufferWords: buf32()})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32()})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		opt, err := TileAll(e, inputs, res.Config)
+		opt, err := TileAllCtx(context.Background(), e, inputs, res.Config, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optRes, err := exec.Measure(e, opt, nil)
+		optRes, err := exec.MeasureCtx(context.Background(), e, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := TileAll(e, inputs, model.Config{"i": res.BaseTile, "k": res.BaseTile, "j": res.BaseTile})
+		base, err := TileAllCtx(context.Background(), e, inputs, model.Config{"i": res.BaseTile, "k": res.BaseTile, "j": res.BaseTile}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseRes, err := exec.Measure(e, base, nil)
+		baseRes, err := exec.MeasureCtx(context.Background(), e, base, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestOptionsVariants(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 
 	// SkipResize keeps the area at the base tile's.
-	res, err := Optimize(e, inputs, Options{BufferWords: buf32(), SkipResize: true})
+	res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), SkipResize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestOptionsVariants(t *testing.T) {
 	}
 
 	// CorrsOnly picks square for banded (high reuse) data.
-	resC, err := Optimize(e, inputs, Options{BufferWords: buf32(), CorrsOnly: true, SkipResize: true})
+	resC, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), CorrsOnly: true, SkipResize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestOptionsVariants(t *testing.T) {
 	inputsU := gustavsonInputs(62, func(r *rand.Rand) *tensor.COO {
 		return gen.UniformRandom(r, 512, 512, 2000)
 	})
-	resU, err := Optimize(e, inputsU, Options{BufferWords: buf32(), CorrsOnly: true, SkipResize: true})
+	resU, err := OptimizeCtx(context.Background(), e, inputsU, Options{BufferWords: buf32(), CorrsOnly: true, SkipResize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,27 +159,27 @@ func TestOptionsVariants(t *testing.T) {
 		t.Fatalf("CorrsOnly on uniform data chose RF=%v, want outer-product", resU.RF)
 	}
 	// An outer-product shape that does not fit is an error, not a panic.
-	if _, err := Optimize(e, inputsU, Options{BufferWords: tiling.DenseFootprintWords([]int{2, 2}), CorrsOnly: true}); err == nil {
+	if _, err := OptimizeCtx(context.Background(), e, inputsU, Options{BufferWords: tiling.DenseFootprintWords([]int{2, 2}), CorrsOnly: true}); err == nil {
 		t.Fatal("CorrsOnly with a non-fitting outer-product shape: no error")
 	}
 
 	// DisableCorrs still optimizes.
-	if _, err := Optimize(e, inputs, Options{BufferWords: buf32(), DisableCorrs: true}); err != nil {
+	if _, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), DisableCorrs: true}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Analytic mode still optimizes.
-	if _, err := Optimize(e, inputs, Options{BufferWords: buf32(), Mode: model.ModeAnalytic}); err != nil {
+	if _, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), Mode: model.ModeAnalytic}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOptimizeErrors(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
-	if _, err := Optimize(e, nil, Options{BufferWords: 0}); err == nil {
+	if _, err := OptimizeCtx(context.Background(), e, nil, Options{BufferWords: 0}); err == nil {
 		t.Fatal("zero buffer accepted")
 	}
-	if _, err := Optimize(e, map[string]*tensor.COO{}, Options{BufferWords: 1000}); err == nil {
+	if _, err := OptimizeCtx(context.Background(), e, map[string]*tensor.COO{}, Options{BufferWords: 1000}); err == nil {
 		t.Fatal("missing inputs accepted")
 	}
 }
@@ -189,14 +190,14 @@ func TestOptimizeTTM(t *testing.T) {
 	b := gen.UniformRandom(r, 96, 80, 800)
 	e := einsum.TTM()
 	buffer := tiling.DenseFootprintWords([]int{16, 16, 16})
-	res, err := Optimize(e, map[string]*tensor.COO{"C": c, "B": b}, Options{BufferWords: buffer})
+	res, err := OptimizeCtx(context.Background(), e, map[string]*tensor.COO{"C": c, "B": b}, Options{BufferWords: buffer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BaseTile != 16 {
 		t.Fatalf("TTM base tile = %d, want 16", res.BaseTile)
 	}
-	tiled, err := TileAll(e, map[string]*tensor.COO{"C": c, "B": b}, res.Config)
+	tiled, err := TileAllCtx(context.Background(), e, map[string]*tensor.COO{"C": c, "B": b}, res.Config, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +206,18 @@ func TestOptimizeTTM(t *testing.T) {
 			t.Fatalf("TTM %s tile overflows: %d > %d", name, tt.MaxFootprint, buffer)
 		}
 	}
-	if _, err := exec.Measure(e, tiled, nil); err != nil {
+	if _, err := exec.MeasureCtx(context.Background(), e, tiled, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTileAllErrors(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
-	if _, err := TileAll(e, map[string]*tensor.COO{}, model.Config{"i": 2, "k": 2, "j": 2}); err == nil {
+	if _, err := TileAllCtx(context.Background(), e, map[string]*tensor.COO{}, model.Config{"i": 2, "k": 2, "j": 2}, 0); err == nil {
 		t.Fatal("missing input accepted")
 	}
 	a := tensor.New(4, 4)
-	if _, err := TileAll(e, map[string]*tensor.COO{"A": a, "B": a}, model.Config{"i": 2}); err == nil {
+	if _, err := TileAllCtx(context.Background(), e, map[string]*tensor.COO{"A": a, "B": a}, model.Config{"i": 2}, 0); err == nil {
 		t.Fatal("incomplete config accepted")
 	}
 }
@@ -243,11 +244,11 @@ func TestQuickFitGuarantee(t *testing.T) {
 		buffer := tiling.DenseFootprintWords([]int{side, side})
 		inputs := map[string]*tensor.COO{"A": a, "B": a.Transpose()}
 		e := einsum.SpMSpMIKJ()
-		res, err := Optimize(e, inputs, Options{BufferWords: buffer})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer})
 		if err != nil {
 			return false
 		}
-		tiled, err := TileAll(e, inputs, res.Config)
+		tiled, err := TileAllCtx(context.Background(), e, inputs, res.Config, 0)
 		if err != nil {
 			return false
 		}
@@ -294,11 +295,11 @@ func TestOptimizeFusedKernel(t *testing.T) {
 	e := einsum.MustParse("D(i,j) = (A(i,j) + B(i,j)) * C(i,j) | order: i,j")
 	inputs := map[string]*tensor.COO{"A": a, "B": b, "C": c}
 	buffer := tiling.DenseFootprintWords([]int{32, 32})
-	res, err := Optimize(e, inputs, Options{BufferWords: buffer})
+	res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := TileAll(e, inputs, res.Config)
+	tiled, err := TileAllCtx(context.Background(), e, inputs, res.Config, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestOptimizeFusedKernel(t *testing.T) {
 			t.Fatalf("%s tile overflows: %d > %d", name, tt.MaxFootprint, buffer)
 		}
 	}
-	m, err := exec.Measure(e, tiled, nil)
+	m, err := exec.MeasureCtx(context.Background(), e, tiled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,15 +327,15 @@ func TestOptimizeSDDMM(t *testing.T) {
 	e := einsum.SDDMM()
 	inputs := map[string]*tensor.COO{"S": s, "A": a, "B": b}
 	buffer := tiling.DenseFootprintWords([]int{32, 32})
-	res, err := Optimize(e, inputs, Options{BufferWords: buffer})
+	res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buffer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := TileAll(e, inputs, res.Config)
+	tiled, err := TileAllCtx(context.Background(), e, inputs, res.Config, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := exec.Measure(e, tiled, nil)
+	m, err := exec.MeasureCtx(context.Background(), e, tiled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ func TestHugeBufferStable(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	var first *Result
 	for _, shift := range []int{40, 50, 62} {
-		res, err := Optimize(e, inputs, Options{BufferWords: 1 << shift})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: 1 << shift})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +386,7 @@ func TestSharedPredictor(t *testing.T) {
 	})
 	e := einsum.SpMSpMIKJ()
 	base := Options{BufferWords: buf32()}
-	plain, err := Optimize(e, inputs, base)
+	plain, err := OptimizeCtx(context.Background(), e, inputs, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestSharedPredictor(t *testing.T) {
 	}
 	o.Predictor = pred
 	for run := 0; run < 2; run++ {
-		res, err := Optimize(e, nil, o)
+		res, err := OptimizeCtx(context.Background(), e, nil, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +414,7 @@ func TestSharedPredictor(t *testing.T) {
 		}
 	}
 
-	other, err := Optimize(e, inputs, base) // equal statistics, other bundles
+	other, err := OptimizeCtx(context.Background(), e, inputs, base) // equal statistics, other bundles
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func TestSharedPredictor(t *testing.T) {
 	} {
 		bad := o
 		mutate(&bad)
-		if _, err := Optimize(e, inputs, bad); err == nil || !strings.Contains(err.Error(), "predictor") {
+		if _, err := OptimizeCtx(context.Background(), e, inputs, bad); err == nil || !strings.Contains(err.Error(), "predictor") {
 			t.Errorf("%s mismatch: got %v, want the shared predictor refused", name, err)
 		}
 	}

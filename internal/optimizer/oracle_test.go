@@ -67,7 +67,7 @@ func TestRiskSizingMatchesOracle(t *testing.T) {
 						SkipResize:     true,
 						Workers:        workers,
 					}.withDefaults()
-					swept, err := Optimize(tc.e, tc.inputs, o)
+					swept, err := OptimizeCtx(context.Background(), tc.e, tc.inputs, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,7 +130,7 @@ func TestGrowSkipsRejectedChecks(t *testing.T) {
 						SkipResize:     true,
 						Workers:        2,
 					}.withDefaults()
-					swept, err := Optimize(e, in, o)
+					swept, err := OptimizeCtx(context.Background(), e, in, o)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -37,7 +38,7 @@ func TestRiskOptionsValidation(t *testing.T) {
 		{"negative extra", Options{BufferWords: buf32(), OverflowTarget: 0.05, OverflowExtra: -1}, "OverflowExtra"},
 	}
 	for _, tc := range cases {
-		_, err := Optimize(e, inputs, tc.o)
+		_, err := OptimizeCtx(context.Background(), e, inputs, tc.o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %s", tc.name, err, tc.want)
 		}
@@ -51,12 +52,12 @@ func TestRiskOptionsValidation(t *testing.T) {
 func TestOverflowTargetZeroIdentity(t *testing.T) {
 	inputs := riskInputs(t)
 	e := einsum.SpMSpMIKJ()
-	plain, err := Optimize(e, inputs, Options{BufferWords: buf32(), Workers: 1})
+	plain, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		res, err := Optimize(e, inputs, Options{
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{
 			BufferWords:    buf32(),
 			OverflowTarget: 0,
 			Workers:        workers,
@@ -85,7 +86,7 @@ func TestRiskDeterminism(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	var ref *Result
 	for _, workers := range []int{1, 8} {
-		res, err := Optimize(e, inputs, Options{
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{
 			BufferWords:    buf32(),
 			OverflowTarget: 0.05,
 			Workers:        workers,
@@ -115,7 +116,7 @@ func TestRiskDeterminism(t *testing.T) {
 func TestRiskReportShape(t *testing.T) {
 	inputs := riskInputs(t)
 	e := einsum.SpMSpMIKJ()
-	res, err := Optimize(e, inputs, Options{BufferWords: buf32(), OverflowTarget: 0.1})
+	res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), OverflowTarget: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +145,15 @@ func TestRiskMeasuredWithinTarget(t *testing.T) {
 	inputs := riskInputs(t)
 	e := einsum.SpMSpMIKJ()
 	for _, target := range []float64{0.01, 0.1} {
-		res, err := Optimize(e, inputs, Options{BufferWords: buf32(), OverflowTarget: target})
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32(), OverflowTarget: target})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tts, err := TileAll(e, inputs, res.Config)
+		tts, err := TileAllCtx(context.Background(), e, inputs, res.Config, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := exec.Measure(e, tts, &exec.Options{InputBufferWords: buf32(), OverflowExtra: 1})
+		m, err := exec.MeasureCtx(context.Background(), e, tts, &exec.Options{InputBufferWords: buf32(), OverflowExtra: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestCalibrationResidualShrinks(t *testing.T) {
 	calib := model.NewCalibration()
 	var residuals []float64
 	for i := 0; i < 4; i++ {
-		res, err := Optimize(e, inputs, Options{
+		res, err := OptimizeCtx(context.Background(), e, inputs, Options{
 			BufferWords:    buf32(),
 			OverflowTarget: 0.05,
 			Calibrate:      true,
@@ -216,11 +217,11 @@ func TestCalibrationResidualShrinks(t *testing.T) {
 func TestCalibrationRequiresRawInputs(t *testing.T) {
 	inputs := riskInputs(t)
 	e := einsum.SpMSpMIKJ()
-	plain, err := Optimize(e, inputs, Options{BufferWords: buf32()})
+	plain, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: buf32()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Optimize(e, nil, Options{
+	_, err = OptimizeCtx(context.Background(), e, nil, Options{
 		BufferWords:  buf32(),
 		Calibrate:    true,
 		Precollected: map[string]*stats.Stats{"A": plain.Stats["A"], "B": plain.Stats["B"]},

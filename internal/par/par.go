@@ -15,7 +15,7 @@
 // state inside ForEach*/Map* closures (write into the claimed index's
 // slot, reduce after the join), and the scratchescape analyzer flags
 // scratch values of the *Scratch variants escaping their closure (see
-// ForEachScratch for the ownership rules).
+// ForEachScratchCtx for the ownership rules).
 package par
 
 import (
@@ -45,7 +45,7 @@ type PanicError struct{ Value any }
 
 func (p *PanicError) Error() string { return fmt.Sprintf("par: worker panic: %v", p.Value) }
 
-// ForEach runs fn(i) for every i in [0, n) on at most `workers`
+// ForEachCtx runs fn(i) for every i in [0, n) on at most `workers`
 // goroutines (workers <= 0 meaning all cores) and returns the error of
 // the lowest-index item that failed, or nil. Indices are claimed from a
 // shared counter, so the schedule varies run to run — callers must write
@@ -53,25 +53,21 @@ func (p *PanicError) Error() string { return fmt.Sprintf("par: worker panic: %v"
 // is independent of the schedule. A panic inside fn is captured as a
 // *PanicError for its index and competes for lowest-index like any other
 // failure; remaining items still run.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: every worker
-// consults ctx.Err() before claiming the next index, so a cancelled or
-// deadline-expired context stops the fan-out at the next item boundary
-// instead of running the remaining items to completion. The item a
-// worker observed the cancellation at records ctx.Err() as its error —
-// so a cancelled call returns the context's error (wrapped results must
-// test with errors.Is) — but any item's own error outranks a context
-// error at any index: an item that cancels the context and fails is
-// the root cause the caller sees. Items that completed before the
-// cancellation keep their outcomes; in-flight items are never
-// interrupted mid-fn. With a never-cancelled context the semantics —
-// and the results written by fn — are exactly ForEach's, byte-identical
+//
+// Cancellation is cooperative: every worker consults ctx.Err() before
+// claiming the next index, so a cancelled or deadline-expired context
+// stops the fan-out at the next item boundary instead of running the
+// remaining items to completion. The item a worker observed the
+// cancellation at records ctx.Err() as its error — so a cancelled call
+// returns the context's error (wrapped results must test with
+// errors.Is) — but any item's own error outranks a context error at any
+// index: an item that cancels the context and fails is the root cause
+// the caller sees. Items that completed before the cancellation keep
+// their outcomes; in-flight items are never interrupted mid-fn. With a
+// never-cancelled context the results written by fn are byte-identical
 // at any worker count.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return forEachScratchCtx(ctx, workers, n, nopScratch, func(i int, _ struct{}) error {
+	return ForEachScratchCtx(ctx, workers, n, nopScratch, func(i int, _ struct{}) error {
 		return fn(i)
 	})
 }
@@ -80,10 +76,10 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 // points reuse (one shared instantiation instead of a closure per call).
 func nopScratch() struct{} { return struct{}{} }
 
-// ForEachScratch is ForEach with per-worker scratch state: each worker
-// lazily creates one scratch value S via newScratch on its first claimed
-// item and hands the same value to every subsequent item it runs. The
-// scratch is worker-private — fn may mutate it freely without
+// ForEachScratchCtx is ForEachCtx with per-worker scratch state: each
+// worker lazily creates one scratch value S via newScratch on its first
+// claimed item and hands the same value to every subsequent item it
+// runs. The scratch is worker-private — fn may mutate it freely without
 // synchronization — which lets hot loops reuse sized-once buffers
 // (reset with clear(), not reallocated) across items. Because the
 // item→worker schedule varies run to run, fn MUST NOT let per-item
@@ -96,22 +92,13 @@ func nopScratch() struct{} { return struct{}{} }
 // leak is in newScratch itself, which may register the scratch it
 // creates (under a lock) for a commutative post-join merge, as the
 // stats collector does. Results written into per-index state remain
-// byte-identical at any worker count exactly as with ForEach.
-func ForEachScratch[S any](workers, n int, newScratch func() S, fn func(i int, scratch S) error) error {
-	return forEachScratchCtx(context.Background(), workers, n, newScratch, fn)
-}
-
-// ForEachScratchCtx is ForEachScratch with cooperative cancellation
-// (see ForEachCtx for the cancellation contract).
-func ForEachScratchCtx[S any](ctx context.Context, workers, n int, newScratch func() S, fn func(i int, scratch S) error) error {
-	return forEachScratchCtx(ctx, workers, n, newScratch, fn)
-}
-
-// forEachScratchCtx is the shared fan-out core: ForEachCtx is the S =
-// struct{} instantiation, so the semantics documented there (lowest-index
-// item error wins over any context error, panics captured per item, ctx
+// byte-identical at any worker count exactly as with ForEachCtx.
+//
+// It is the shared fan-out core: ForEachCtx is the S = struct{}
+// instantiation, so the semantics documented there (lowest-index item
+// error wins over any context error, panics captured per item, ctx
 // checked before each claim) hold for every variant by construction.
-func forEachScratchCtx[S any](ctx context.Context, workers, n int, newScratch func() S, fn func(i int, scratch S) error) error {
+func ForEachScratchCtx[S any](ctx context.Context, workers, n int, newScratch func() S, fn func(i int, scratch S) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -203,16 +190,9 @@ func runItem[S any](i int, scratch S, fn func(int, S) error) (err error) {
 	return fn(i, scratch)
 }
 
-// Map runs fn over [0, n) like ForEach and returns the results in item
-// order. On error the partial results are discarded and the
-// lowest-index error is returned.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation (see ForEachCtx): a
-// cancelled context discards the partial results and returns the
-// context's error under the lowest-index-wins rule.
+// MapCtx runs fn over [0, n) like ForEachCtx and returns the results
+// in item order. On error — a cancelled context included — the partial
+// results are discarded and the lowest-index error is returned.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachCtx(ctx, workers, n, func(i int) error {
@@ -229,20 +209,13 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 	return out, nil
 }
 
-// MapScratch is Map with per-worker scratch state (see ForEachScratch
-// for the ownership contract: scratch is for capacity reuse, never for
-// value reuse). Results are returned in item order regardless of which
-// worker produced them.
-func MapScratch[T, S any](workers, n int, newScratch func() S, fn func(i int, scratch S) (T, error)) ([]T, error) {
-	return MapScratchCtx(context.Background(), workers, n, newScratch, fn)
-}
-
-// MapScratchCtx is MapScratch with cooperative cancellation (see
-// ForEachCtx): a cancelled context discards the partial results and
-// returns the context's error under the lowest-index-wins rule.
+// MapScratchCtx is MapCtx with per-worker scratch state (see
+// ForEachScratchCtx for the ownership contract: scratch is for capacity
+// reuse, never for value reuse). Results are returned in item order
+// regardless of which worker produced them.
 func MapScratchCtx[T, S any](ctx context.Context, workers, n int, newScratch func() S, fn func(i int, scratch S) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := forEachScratchCtx(ctx, workers, n, newScratch, func(i int, scratch S) error {
+	err := ForEachScratchCtx(ctx, workers, n, newScratch, func(i int, scratch S) error {
 		v, err := fn(i, scratch)
 		if err != nil {
 			return err

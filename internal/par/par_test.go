@@ -13,7 +13,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		n := 257
 		hits := make([]int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -29,14 +29,14 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForEachLowestIndexErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		err := ForEach(workers, 64, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 64, func(i int) error {
 			if i%7 == 3 { // fails at 3, 10, 17, ...
 				return fmt.Errorf("item %d", i)
 			}
@@ -50,7 +50,7 @@ func TestForEachLowestIndexErrorWins(t *testing.T) {
 
 func TestForEachPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 8, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 8, func(i int) error {
 			if i == 2 {
 				panic("boom")
 			}
@@ -68,7 +68,7 @@ func TestForEachPanicBecomesError(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 4, 32} {
-		out, err := Map(workers, 100, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestMapOrdered(t *testing.T) {
 }
 
 func TestMapErrorDiscardsResults(t *testing.T) {
-	out, err := Map(4, 10, func(i int) (int, error) {
+	out, err := MapCtx(context.Background(), 4, 10, func(i int) (int, error) {
 		if i >= 5 {
 			return 0, fmt.Errorf("item %d", i)
 		}
@@ -177,25 +177,6 @@ func TestForEachCtxStalledLowIndexCancellation(t *testing.T) {
 		cancel()
 		if err == nil || err.Error() != "item 3" {
 			t.Fatalf("workers=%d: want \"item 3\", got %v", workers, err)
-		}
-	}
-}
-
-func TestForEachCtxUncancelledMatchesForEach(t *testing.T) {
-	for _, workers := range []int{1, 5} {
-		n := 129
-		hits := make([]int32, n)
-		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
-			atomic.AddInt32(&hits[i], 1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
 		}
 	}
 }

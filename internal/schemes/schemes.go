@@ -15,6 +15,7 @@
 package schemes
 
 import (
+	"context"
 	"fmt"
 
 	"d2t2/internal/einsum"
@@ -42,7 +43,7 @@ func Conservative(e *einsum.Expr, bufferWords int) model.Config {
 
 // maxTileAt tiles every input with square tiles of size t and returns
 // the largest tile footprint observed across all inputs.
-func maxTileAt(e *einsum.Expr, inputs map[string]*tensor.COO, t int) (int, error) {
+func maxTileAt(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, t int) (int, error) {
 	maxFP := 0
 	for _, ref := range e.Inputs() {
 		m := inputs[ref.Name]
@@ -56,7 +57,7 @@ func maxTileAt(e *einsum.Expr, inputs map[string]*tensor.COO, t int) (int, error
 				dims[a] = m.Dims[a]
 			}
 		}
-		tt, err := tiling.New(m, dims, e.LevelOrder(ref))
+		tt, err := tiling.NewCtx(ctx, m, dims, e.LevelOrder(ref), 0)
 		if err != nil {
 			return 0, err
 		}
@@ -71,7 +72,7 @@ func maxTileAt(e *einsum.Expr, inputs map[string]*tensor.COO, t int) (int, error
 // conservative size and the full dimension) whose actual largest tile
 // fits bufferWords. It presciently inspects the data, which is why the
 // paper treats it as an oracle baseline.
-func Prescient(e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords int) (model.Config, error) {
+func Prescient(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords int) (model.Config, error) {
 	lo := 0
 	for _, ix := range Conservative(e, bufferWords) {
 		lo = ix
@@ -97,7 +98,7 @@ func Prescient(e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords int) (
 		if mid < 1 {
 			mid = 1
 		}
-		fp, err := maxTileAt(e, inputs, mid)
+		fp, err := maxTileAt(ctx, e, inputs, mid)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +128,7 @@ type TailorsInfo struct {
 // keeps the overflowing-tile fraction at or below rate (the paper's
 // Tailors configuration uses 10%). Overbooked tiles are legal: the
 // execution backend charges their excess as streaming re-fetch traffic.
-func Tailors(e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords int, rate float64) (model.Config, *TailorsInfo, error) {
+func Tailors(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords int, rate float64) (model.Config, *TailorsInfo, error) {
 	if rate <= 0 {
 		rate = 0.10
 	}
@@ -160,7 +161,7 @@ func Tailors(e *einsum.Expr, inputs map[string]*tensor.COO, bufferWords int, rat
 					dims[a] = m.Dims[a]
 				}
 			}
-			tt, err := tiling.New(m, dims, e.LevelOrder(ref))
+			tt, err := tiling.NewCtx(ctx, m, dims, e.LevelOrder(ref), 0)
 			if err != nil {
 				return 0, 0, 0, err
 			}

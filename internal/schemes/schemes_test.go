@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestPrescientLargerThanConservativeOnSparse(t *testing.T) {
 	inputs := inputsAAT(81, func(r *rand.Rand) *tensor.COO {
 		return gen.UniformRandom(r, 1024, 1024, 2000) // very sparse
 	})
-	cfg, err := Prescient(e, inputs, buf(32))
+	cfg, err := Prescient(context.Background(), e, inputs, buf(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestPrescientLargerThanConservativeOnSparse(t *testing.T) {
 		t.Fatalf("prescient tile %d not larger than conservative 32 on sparse data", cfg["i"])
 	}
 	// The guarantee: actual max tile fits.
-	fp, err := maxTileAt(e, inputs, cfg["i"])
+	fp, err := maxTileAt(context.Background(), e, inputs, cfg["i"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestPrescientDenseEqualsConservative(t *testing.T) {
 		}
 	}
 	inputs := map[string]*tensor.COO{"A": dense, "B": dense.Clone()}
-	cfg, err := Prescient(e, inputs, buf(32))
+	cfg, err := Prescient(context.Background(), e, inputs, buf(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestTailorsOverbooks(t *testing.T) {
 	inputs := inputsAAT(82, func(r *rand.Rand) *tensor.COO {
 		return gen.PowerLawGraph(r, 1024, 6000, 1.9)
 	})
-	cfg, info, err := Tailors(e, inputs, buf(32), 0.10)
+	cfg, info, err := Tailors(context.Background(), e, inputs, buf(32), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := Prescient(e, inputs, buf(32))
+	pres, err := Prescient(context.Background(), e, inputs, buf(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestTailorsDefaultsRate(t *testing.T) {
 	inputs := inputsAAT(83, func(r *rand.Rand) *tensor.COO {
 		return gen.UniformRandom(r, 256, 256, 1000)
 	})
-	_, info, err := Tailors(e, inputs, buf(32), 0)
+	_, info, err := Tailors(context.Background(), e, inputs, buf(32), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +118,10 @@ func TestTailorsDefaultsRate(t *testing.T) {
 
 func TestSchemesMissingInput(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
-	if _, err := Prescient(e, map[string]*tensor.COO{}, buf(32)); err == nil {
+	if _, err := Prescient(context.Background(), e, map[string]*tensor.COO{}, buf(32)); err == nil {
 		t.Fatal("missing input accepted by Prescient")
 	}
-	if _, _, err := Tailors(e, map[string]*tensor.COO{}, buf(32), 0.1); err == nil {
+	if _, _, err := Tailors(context.Background(), e, map[string]*tensor.COO{}, buf(32), 0.1); err == nil {
 		t.Fatal("missing input accepted by Tailors")
 	}
 }

@@ -321,7 +321,7 @@ func TestWarmHitAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
-	const ceiling = 10
+	const ceiling = 8
 	s, id := newRungServer(t)
 	bodies := rungBodies(id)
 	h := s.Handler()

@@ -299,7 +299,7 @@ func TestStatsChargeCoversHeap(t *testing.T) {
 			}
 			sess := d2t2.NewSession(twinCache{t: t, sts: twins})
 			for _, o := range jobs {
-				if _, err := sess.Optimize(k, inputs, o); err != nil {
+				if _, err := sess.OptimizeCtx(context.Background(), k, inputs, o); err != nil {
 					t.Error(err)
 				}
 			}

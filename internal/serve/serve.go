@@ -311,8 +311,16 @@ const (
 )
 
 // versionValue is every response's X-D2T2-Version value, one slice
-// shared by all of them: header values are only read once set.
-var versionValue = []string{buildinfo.Version}
+// shared by all of them: header values are only read once set. The
+// Content-Type and X-D2T2-Cache values are shared the same way.
+var (
+	versionValue     = []string{buildinfo.Version}
+	jsonContentType  = []string{"application/json"}
+	cacheStateValues = map[string][]string{
+		"hit": {"hit"}, "miss": {"miss"}, "coalesced": {"coalesced"},
+		"peer": {"peer"}, "replica": {"replica"}, "forwarded": {"forwarded"},
+	}
+)
 
 // Handler returns the service's HTTP handler: the route mux wrapped with
 // the version header and the per-request deadline, RequestTimeout from
@@ -970,7 +978,11 @@ func riskOf(plan *d2t2.Plan) *riskResponse {
 // writeBody serves one JSON body with its cache-status header; every
 // cache state serves byte-identical bodies, only the header differs.
 func (s *Server) writeBody(w http.ResponseWriter, cache string, body []byte) {
-	w.Header()[headerCache] = []string{cache}
+	v, ok := cacheStateValues[cache]
+	if !ok {
+		v = []string{cache}
+	}
+	w.Header()[headerCache] = v
 	s.writeBytes(w, http.StatusOK, body)
 }
 
@@ -984,7 +996,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	s.metrics.add(bytesServed, int64(len(body)))
 	w.Write(body)

@@ -387,15 +387,15 @@ func TestOrder4OptimizeAndMeasure(t *testing.T) {
 		inputs[name] = x
 	}
 	e := einsum.MustParse(kernel)
-	tiled, err := optimizer.TileAll(e, inputs, model.Config(or.Config))
+	tiled, err := optimizer.TileAllCtx(context.Background(), e, inputs, model.Config(or.Config), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := exec.Measure(e, tiled, nil)
+	engine, err := exec.MeasureCtx(context.Background(), e, tiled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walker, err := exec.Measure(e, tiled, &exec.Options{ForceGeneric: true})
+	walker, err := exec.MeasureCtx(context.Background(), e, tiled, &exec.Options{ForceGeneric: true})
 	if err != nil {
 		t.Fatal(err)
 	}

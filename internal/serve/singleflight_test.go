@@ -360,16 +360,22 @@ func TestSingleflightPredictE2E(t *testing.T) {
 }
 
 // TestSingleflightDeadline checks a whole coalesced burst against a
-// deadline far shorter than the pipeline: every participant times out
-// with 504 on ITS OWN deadline, the flight is abandoned (the pool job
-// observes the cancellation), and the counters attribute each outcome.
+// deadline no flight can meet: every participant times out with 504 on
+// ITS OWN deadline, the flight is abandoned (the pool job observes the
+// cancellation), and the counters attribute each outcome. The server's
+// only compute slot is held for the whole burst, so no flight can land
+// before the participants' deadlines, however fast the host.
 func TestSingleflightDeadline(t *testing.T) {
 	// Ingest through a generous sibling server sharing the cache dir, so
 	// the ingest itself cannot trip the tight deadline.
 	dir := t.TempDir()
 	_, tsIngest := newTestServer(t, Config{CacheDir: dir})
 	id := ingestGen(t, tsIngest.URL, "C", cancelScale)
-	s2, ts2 := newTestServer(t, Config{CacheDir: dir, RequestTimeout: 150 * time.Millisecond})
+	s2, ts2 := newTestServer(t, Config{CacheDir: dir, RequestTimeout: 150 * time.Millisecond, Workers: 1})
+	held, release := make(chan struct{}), make(chan struct{})
+	go s2.pool.run(context.Background(), func() { close(held); <-release })
+	<-held
+	defer close(release)
 
 	enc, err := json.Marshal(optimizeReq(id))
 	if err != nil {

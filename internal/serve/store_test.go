@@ -432,7 +432,7 @@ func TestStatsArtifactsCarryStatsOnly(t *testing.T) {
 		t.Fatalf("tensor artifact: %v", err)
 	}
 	dims, order := []int{16, 16}, []int{0, 1}
-	st, tt, err := stats.Collect(ta.Tensor, dims, order, &stats.Options{MicroDiv: 8})
+	st, tt, err := stats.CollectCtx(context.Background(), ta.Tensor, dims, order, &stats.Options{MicroDiv: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"slices"
@@ -26,7 +27,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if b, err := EncodeBytes(full); err == nil {
 		f.Add(b)
 	}
-	if p, err := stats.CollectPartial(full.Tensor, []int{16, 16}, []int{1, 0}, &stats.Options{MicroDiv: 4}); err == nil {
+	if p, err := stats.CollectPartialCtx(context.Background(), full.Tensor, []int{16, 16}, []int{1, 0}, &stats.Options{MicroDiv: 4}); err == nil {
 		if b, err := EncodeBytes(&Artifact{Partial: p}); err == nil {
 			f.Add(b)
 		}

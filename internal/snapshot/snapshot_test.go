@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -29,7 +30,7 @@ func testArtifact(t testing.TB) *Artifact {
 		t.Fatalf("ByLabel: %v", err)
 	}
 	m := d.Build(1 << 20) // clamps to the generator's 64x64 floor
-	st, tiled, err := stats.Collect(m, []int{16, 16}, nil, &stats.Options{MicroDiv: 8})
+	st, tiled, err := stats.CollectCtx(context.Background(), m, []int{16, 16}, nil, &stats.Options{MicroDiv: 8})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 func goldenArtifacts(t testing.TB) map[string]*Artifact {
 	t.Helper()
 	full := testArtifact(t)
-	p, err := stats.CollectPartial(full.Tensor, []int{16, 16}, []int{1, 0}, &stats.Options{MicroDiv: 4})
+	p, err := stats.CollectPartialCtx(context.Background(), full.Tensor, []int{16, 16}, []int{1, 0}, &stats.Options{MicroDiv: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

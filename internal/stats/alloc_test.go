@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func TestCollectFromTiledAllocs(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	m := gen.PowerLawGraph(r, 2048, 200_000, 1.7)
-	tt, err := tiling.New(m, []int{64, 64}, []int{0, 1})
+	tt, err := tiling.NewCtx(context.Background(), m, []int{64, 64}, []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +34,14 @@ func TestCollectFromTiledAllocs(t *testing.T) {
 	}{{1, 1500}, {8, 2000}} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			avg := testing.AllocsPerRun(2, func() {
-				s, err := CollectFromTiled(m, tt, &Options{Workers: tc.workers})
+				s, err := CollectFromTiledCtx(context.Background(), m, tt, &Options{Workers: tc.workers})
 				if err != nil || s.NumTiles == 0 {
 					t.Fatalf("collect failed: %v", err)
 				}
 			})
 			t.Logf("allocs/op: %.0f", avg)
 			if avg > tc.ceiling {
-				t.Errorf("CollectFromTiled allocates %.0f times per call, ceiling %.0f", avg, tc.ceiling)
+				t.Errorf("CollectFromTiledCtx allocates %.0f times per call, ceiling %.0f", avg, tc.ceiling)
 			}
 		})
 	}
@@ -72,11 +73,11 @@ func TestMergeAllocs(t *testing.T) {
 			b.Append(coord, m.Vals[p])
 		}
 	}
-	pa, err := CollectPartial(a, tileDims, order, &Options{Workers: 1})
+	pa, err := CollectPartialCtx(context.Background(), a, tileDims, order, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := CollectPartial(b, tileDims, order, &Options{Workers: 1})
+	pb, err := CollectPartialCtx(context.Background(), b, tileDims, order, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

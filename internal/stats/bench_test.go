@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ import (
 func BenchmarkCollectFromTiled(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m := gen.PowerLawGraph(r, 2048, 200_000, 1.7)
-	tt, err := tiling.New(m, []int{64, 64}, []int{0, 1})
+	tt, err := tiling.NewCtx(context.Background(), m, []int{64, 64}, []int{0, 1}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func BenchmarkCollectFromTiled(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := CollectFromTiled(m, tt, &Options{Workers: workers})
+				s, err := CollectFromTiledCtx(context.Background(), m, tt, &Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,7 +77,7 @@ func BenchmarkEvalShape(b *testing.B) {
 		{[]int{64, 64}, []int{128, 128}},
 		{[]int{16, 256}, []int{32, 512}},
 	} {
-		s, _, err := Collect(m, []int{64, 64}, []int{0, 1}, &Options{MicroDiv: 8})
+		s, _, err := CollectCtx(context.Background(), m, []int{64, 64}, []int{0, 1}, &Options{MicroDiv: 8})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -203,12 +204,12 @@ func TestCorrKeySpace(t *testing.T) {
 		for a := range tile {
 			tile[a] = dims[a] / 4
 		}
-		tt, err := tiling.New(x, tile, nil)
+		tt, err := tiling.NewCtx(context.Background(), x, tile, nil, 0)
 		if err != nil {
 			t.Fatalf("tiling dims %v: %v", dims, err)
 		}
-		_, errTiled := CollectFromTiled(x, tt, nil)
-		_, errPartial := CollectPartial(x, tile, nil, nil)
+		_, errTiled := CollectFromTiledCtx(context.Background(), x, tt, nil)
+		_, errPartial := CollectPartialCtx(context.Background(), x, tile, nil, nil)
 		return [2]error{errTiled, errPartial}
 	}
 	// Tiling caps the order at 3, so the overflowing case spreads the

@@ -22,11 +22,6 @@ type DeltaReport struct {
 	TotalMicro   int // micro tiles after the merge
 }
 
-// ApplyDelta is ApplyDeltaCtx with a background context.
-func ApplyDelta(p *Partial, old, delta *tensor.COO, workers int) (*Partial, *DeltaReport, error) {
-	return ApplyDeltaCtx(context.Background(), p, old, delta, workers)
-}
-
 // ApplyDeltaCtx folds a coordinate delta into an existing partial
 // without re-collecting the base tensor: it is Merge of the old partial,
 // minus the base and micro tiles the delta touches, with the delta's own

@@ -30,7 +30,7 @@ import (
 // frame; Merge refuses partials whose frames differ. The table fields
 // are keyed by tile; Merge requires the key sets disjoint — partition
 // entries along tile boundaries (for both the base and the micro grid)
-// or use ApplyDelta, which re-summarizes the straddled tiles.
+// or use ApplyDeltaCtx, which re-summarizes the straddled tiles.
 type Partial struct {
 	Dims     []int // original dimension sizes
 	TileDims []int // conservative base tiling the stats frame uses
@@ -74,7 +74,7 @@ type Partial struct {
 }
 
 // partialParams is the resolved collection frame: what CollectPartialCtx
-// derives from Options and what ApplyDelta reads back from an existing
+// derives from Options and what ApplyDeltaCtx reads back from an existing
 // Partial so the delta-only gather runs in the identical frame.
 type partialParams struct {
 	dims, tileDims, order, microDims []int
@@ -98,14 +98,9 @@ func paramsFromPartial(p *Partial) *partialParams {
 	}
 }
 
-// CollectPartial is CollectPartialCtx with a background context.
-func CollectPartial(t *tensor.COO, baseTileDims, order []int, opts *Options) (*Partial, error) {
-	return CollectPartialCtx(context.Background(), t, baseTileDims, order, opts)
-}
-
 // CollectPartialCtx collects the mergeable accumulator form of the
 // statistics for t at the given conservative tiling, under the same
-// options Collect takes. Finalize on the result is CollectCtx's Stats
+// options CollectCtx takes. Finalize on the result is CollectCtx's Stats
 // (snapshot bytes equal) at any worker count; partials over
 // entry-disjoint chunks of a tensor Merge into the partial of the whole.
 // An empty tensor yields the monoid identity for its frame.
@@ -138,15 +133,13 @@ func (o *Options) frame(t *tensor.COO, baseTileDims, order []int) (*partialParam
 			microDims[a] = 1
 		}
 	}
-	axes, err := o.corrAxes(n)
-	if err != nil {
-		return nil, err
-	}
-	maxShifts := make([]int, len(axes))
-	for i, ax := range axes {
-		maxShifts[i] = o.CorrMaxShift
-		if maxShifts[i] == 0 {
-			maxShifts[i] = 2 * baseTileDims[ax]
+	axes := make([]int, n)
+	maxShifts := make([]int, n)
+	for ax := range axes {
+		axes[ax] = ax
+		maxShifts[ax] = o.CorrMaxShift
+		if maxShifts[ax] == 0 {
+			maxShifts[ax] = 2 * baseTileDims[ax]
 		}
 	}
 	return &partialParams{
@@ -154,7 +147,7 @@ func (o *Options) frame(t *tensor.COO, baseTileDims, order []int) (*partialParam
 		tileDims:         append([]int(nil), baseTileDims...),
 		order:            append([]int(nil), order...),
 		microDims:        microDims,
-		corrAxes:         append([]int(nil), axes...),
+		corrAxes:         axes,
 		corrMaxShift:     maxShifts,
 		corrSampleTarget: o.CorrSampleTarget,
 		tileCorrMaxShift: o.TileCorrMaxShift,
@@ -327,7 +320,7 @@ func (p *Partial) frameEqual(q *Partial) error {
 // identity is the empty tensor's partial for the same frame. Both tile
 // key sets (base and micro) must be disjoint — a tile with entries in
 // both partials cannot be reconstructed from summaries alone; use
-// ApplyDelta for that case.
+// ApplyDeltaCtx for that case.
 func Merge(a, b *Partial) (*Partial, error) {
 	if err := a.frameEqual(b); err != nil {
 		return nil, err
@@ -413,7 +406,7 @@ func mergeTables(ka []uint64, na, fa []int32, fba [][]int32, kb []uint64, nb, fb
 			take(kb, nb, fb, fbb, j)
 			j++
 		default:
-			return nil, nil, nil, nil, fmt.Errorf("tile key %#x present in both partials (split tile — partition on tile boundaries or use ApplyDelta)", ka[i])
+			return nil, nil, nil, nil, fmt.Errorf("tile key %#x present in both partials (split tile — partition on tile boundaries or use ApplyDeltaCtx)", ka[i])
 		}
 	}
 	for ; i < len(ka); i++ {
@@ -627,13 +620,16 @@ func (p *Partial) Finalize() (*Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return p.finalize(0)
+	// The replay is bounded by the partial's axes and never blocks, so
+	// Finalize keeps a context-free signature.
+	//d2t2:ignore ctxpropagation a finished partial's bounded replay is not cancellable
+	return p.finalize(context.Background(), 0)
 }
 
 // finalize is Finalize without the validation, for a partial this
 // package has just collected; workers bounds the corr replay fan-out
-// (0 = all cores).
-func (p *Partial) finalize(workers int) (*Stats, error) {
+// (0 = all cores) and ctx stops it between axes.
+func (p *Partial) finalize(ctx context.Context, workers int) (*Stats, error) {
 	n := len(p.Dims)
 	outerDims := make([]int, n)
 	for a := range outerDims {
@@ -725,7 +721,7 @@ func (p *Partial) finalize(workers int) (*Stats, error) {
 		}
 	}
 
-	corrs, err := par.Map(workers, len(p.CorrAxes), func(i int) ([]float64, error) {
+	corrs, err := par.MapCtx(ctx, workers, len(p.CorrAxes), func(i int) ([]float64, error) {
 		pl := newCorrPlan(p.Dims[p.CorrAxes[i]], p.CorrMaxShift[i], p.CorrSampleTarget)
 		return pl.finalize(p.CorrOff[i], p.CorrRest[i]), nil
 	})

@@ -7,6 +7,7 @@ package stats_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -126,7 +127,7 @@ func splitByTileParity(m *tensor.COO, tileDims []int) (*tensor.COO, *tensor.COO)
 }
 
 // TestPartialFinalizeMatchesCollect pins the collector to the direct
-// reducer oracle: both CollectPartial → Finalize and Collect (Finalize
+// reducer oracle: both CollectPartialCtx → Finalize and CollectCtx (Finalize
 // over the materialized tiling's base table) must reproduce the oracle's
 // statistics bundle byte-identically on the snapshot wire, at worker
 // counts 1 and 8.
@@ -138,7 +139,7 @@ func TestPartialFinalizeMatchesCollect(t *testing.T) {
 				o = *tc.opts
 			}
 			o.Workers = 1
-			tt, err := tiling.New(tc.t, tc.tileDims, tc.order)
+			tt, err := tiling.NewCtx(context.Background(), tc.t, tc.tileDims, tc.order, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +151,7 @@ func TestPartialFinalizeMatchesCollect(t *testing.T) {
 			var pb1 []byte
 			for _, workers := range []int{1, 8} {
 				o.Workers = workers
-				p, err := stats.CollectPartial(tc.t, tc.tileDims, tc.order, &o)
+				p, err := stats.CollectPartialCtx(context.Background(), tc.t, tc.tileDims, tc.order, &o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,12 +167,12 @@ func TestPartialFinalizeMatchesCollect(t *testing.T) {
 				if !bytes.Equal(want, statsBytes(t, s)) {
 					t.Fatalf("workers=%d: finalized partial differs from direct collection", workers)
 				}
-				c, _, err := stats.Collect(tc.t, tc.tileDims, tc.order, &o)
+				c, _, err := stats.CollectCtx(context.Background(), tc.t, tc.tileDims, tc.order, &o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(want, statsBytes(t, c)) {
-					t.Fatalf("workers=%d: Collect differs from direct collection", workers)
+					t.Fatalf("workers=%d: CollectCtx differs from direct collection", workers)
 				}
 			}
 		})
@@ -191,7 +192,7 @@ func TestMergeMonoidLaws(t *testing.T) {
 			}
 			o.Workers = 4
 			collect := func(m *tensor.COO) *stats.Partial {
-				p, err := stats.CollectPartial(m, tc.tileDims, tc.order, &o)
+				p, err := stats.CollectPartialCtx(context.Background(), m, tc.tileDims, tc.order, &o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,7 +257,7 @@ func TestMergeMonoidLaws(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, _, err := stats.Collect(tc.t, tc.tileDims, tc.order, &o)
+			direct, _, err := stats.CollectCtx(context.Background(), tc.t, tc.tileDims, tc.order, &o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,11 +273,11 @@ func TestMergeMonoidLaws(t *testing.T) {
 func TestMergeRejects(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	m := gen.PowerLawGraph(r, 64, 600, 1.4)
-	p16, err := stats.CollectPartial(m, []int{16, 16}, nil, nil)
+	p16, err := stats.CollectPartialCtx(context.Background(), m, []int{16, 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p8, err := stats.CollectPartial(m, []int{8, 8}, nil, nil)
+	p8, err := stats.CollectPartialCtx(context.Background(), m, []int{8, 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,15 +328,15 @@ func TestApplyDeltaMatchesConcat(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		o := &stats.Options{Workers: workers}
-		pBase, err := stats.CollectPartial(base, tileDims, order, o)
+		pBase, err := stats.CollectPartialCtx(context.Background(), base, tileDims, order, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, rep, err := stats.ApplyDelta(pBase, base, delta, workers)
+		merged, rep, err := stats.ApplyDeltaCtx(context.Background(), pBase, base, delta, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pConcat, err := stats.CollectPartial(concat, tileDims, order, o)
+		pConcat, err := stats.CollectPartialCtx(context.Background(), concat, tileDims, order, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +347,7 @@ func TestApplyDeltaMatchesConcat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sConcat, _, err := stats.Collect(concat, tileDims, order, o)
+		sConcat, _, err := stats.CollectCtx(context.Background(), concat, tileDims, order, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,8 +367,8 @@ func TestApplyDeltaMatchesConcat(t *testing.T) {
 // mergeCases frame — 3-D, paper-only (SkipExtensions) and micro-is-base
 // included: a random split of the tensor into a base and a delta at
 // fractions 1%, 10%, 50% and 90%, over several seeds, must fold back
-// into exactly CollectPartial of the whole tensor, and its Finalize into
-// exactly Collect.
+// into exactly CollectPartialCtx of the whole tensor, and its Finalize
+// into exactly CollectCtx.
 func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
 	for _, tc := range mergeCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -378,11 +379,11 @@ func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
 			o.Workers = 4
 			whole := tc.t.Clone()
 			whole.Dedup()
-			pWhole, err := stats.CollectPartial(whole, tc.tileDims, tc.order, &o)
+			pWhole, err := stats.CollectPartialCtx(context.Background(), whole, tc.tileDims, tc.order, &o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sWhole, _, err := stats.Collect(whole, tc.tileDims, tc.order, &o)
+			sWhole, _, err := stats.CollectCtx(context.Background(), whole, tc.tileDims, tc.order, &o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,11 +404,11 @@ func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
 						}
 					}
 					old.Dedup()
-					pOld, err := stats.CollectPartial(old, tc.tileDims, tc.order, &o)
+					pOld, err := stats.CollectPartialCtx(context.Background(), old, tc.tileDims, tc.order, &o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					merged, _, err := stats.ApplyDelta(pOld, old, delta, o.Workers)
+					merged, _, err := stats.ApplyDeltaCtx(context.Background(), pOld, old, delta, o.Workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -419,7 +420,7 @@ func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(statsBytes(t, s), wantS) {
-						t.Fatalf("seed %d, delta %v: finalized delta stats differ from Collect", seed, frac)
+						t.Fatalf("seed %d, delta %v: finalized delta stats differ from CollectCtx", seed, frac)
 					}
 				}
 			}
@@ -434,7 +435,7 @@ func TestApplyDeltaRejects(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	base := gen.PowerLawGraph(r, 64, 600, 1.4)
 	base.Dedup()
-	p, err := stats.CollectPartial(base, []int{8, 8}, nil, nil)
+	p, err := stats.CollectPartialCtx(context.Background(), base, []int{8, 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,14 +443,14 @@ func TestApplyDeltaRejects(t *testing.T) {
 	dup := tensor.New(base.Dims...)
 	dup.Append([]int{1, 1}, 1)
 	dup.Append([]int{1, 1}, 2)
-	if _, _, err := stats.ApplyDelta(p, base, dup, 1); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, _, err := stats.ApplyDeltaCtx(context.Background(), p, base, dup, 1); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("intra-delta duplicate not rejected: %v", err)
 	}
 
 	wrongBase := tensor.New(base.Dims...)
 	ok := tensor.New(base.Dims...)
 	ok.Append([]int{0, 0}, 1)
-	if _, _, err := stats.ApplyDelta(p, wrongBase, ok, 1); err == nil || !strings.Contains(err.Error(), "covers") {
+	if _, _, err := stats.ApplyDeltaCtx(context.Background(), p, wrongBase, ok, 1); err == nil || !strings.Contains(err.Error(), "covers") {
 		t.Fatalf("mismatched base not rejected: %v", err)
 	}
 }
@@ -460,7 +461,7 @@ func TestApplyDeltaRejects(t *testing.T) {
 func TestPartialSnapshotRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	m := gen.PowerLawGraph(r, 128, 2000, 1.5)
-	p, err := stats.CollectPartial(m, []int{16, 16}, []int{1, 0}, nil)
+	p, err := stats.CollectPartialCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +514,7 @@ func TestPartialSnapshotRoundTrip(t *testing.T) {
 func TestPartialRejectsBadRestKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	m := gen.PowerLawGraph(r, 128, 2000, 1.5)
-	p, err := stats.CollectPartial(m, []int{16, 16}, []int{0, 1}, nil)
+	p, err := stats.CollectPartialCtx(context.Background(), m, []int{16, 16}, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +557,7 @@ func TestPartialRejectsBadRestKeys(t *testing.T) {
 func TestPartialRejectsKeysOutsideGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	m := gen.PowerLawGraph(r, 80, 900, 1.5)
-	p, err := stats.CollectPartial(m, []int{16, 16}, []int{0, 1}, nil)
+	p, err := stats.CollectPartialCtx(context.Background(), m, []int{16, 16}, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +600,7 @@ func TestPartialRejectsKeysOutsideGrid(t *testing.T) {
 func TestPartialRejectsUnboundedTileCorrShift(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	m := gen.PowerLawGraph(r, 80, 900, 1.5)
-	p, err := stats.CollectPartial(m, []int{16, 16}, []int{0, 1}, &stats.Options{TileCorrMaxShift: 1 << 30})
+	p, err := stats.CollectPartialCtx(context.Background(), m, []int{16, 16}, []int{0, 1}, &stats.Options{TileCorrMaxShift: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +675,7 @@ func TestPartialKeyDistinct(t *testing.T) {
 func TestSummarizeFibersMatchCSF(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	m := gen.RandomTensor3(r, 30, 30, 30, 1500, [3]float64{0.3, 0, 0.3})
-	tt, err := tiling.New(m, []int{8, 8, 8}, []int{1, 2, 0})
+	tt, err := tiling.NewCtx(context.Background(), m, []int{8, 8, 8}, []int{1, 2, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +683,7 @@ func TestSummarizeFibersMatchCSF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := stats.CollectPartial(m, []int{8, 8, 8}, []int{1, 2, 0}, nil)
+	p, err := stats.CollectPartialCtx(context.Background(), m, []int{8, 8, 8}, []int{1, 2, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

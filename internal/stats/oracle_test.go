@@ -24,11 +24,9 @@ import (
 func collectDirect(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*Stats, error) {
 	o := opts.withDefaults()
 	n := len(tt.Dims)
-	axes, err := o.corrAxes(n)
-	if err != nil {
-		return nil, err
-	}
-	for _, ax := range axes {
+	axes := make([]int, n)
+	for ax := range axes {
+		axes[ax] = ax
 		if _, err := corrRestGrid(tt.Dims, ax); err != nil {
 			return nil, err
 		}
@@ -217,7 +215,7 @@ func collectDirect(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, o
 		return nil, err
 	}
 
-	// Element-granularity Corrs along the requested axes, one worker per
+	// Element-granularity Corrs along every axis, one worker per
 	// axis (each axis reads the raw tensor independently and the result
 	// lands in its own slot).
 	corrs, err := par.MapCtx(ctx, o.Workers, len(axes), func(i int) ([]float64, error) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -44,7 +45,7 @@ func TestPairSketchNarrowKeysUnchanged(t *testing.T) {
 		for a := range order {
 			order[a] = a
 		}
-		st, _, err := Collect(c.m, c.tile, order, &Options{MicroDiv: 8})
+		st, _, err := CollectCtx(context.Background(), c.m, c.tile, order, &Options{MicroDiv: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestPairSketchWideKeysDoNotCollide(t *testing.T) {
 	if _, narrow := pairKeyRadixes(dims, dims); narrow[0] {
 		t.Fatal("axis 0 of a 8192×16384 rest grid kept the narrow key")
 	}
-	st, _, err := Collect(m, []int{1, 1, 1}, []int{0, 1, 2}, &Options{MicroDiv: 1})
+	st, _, err := CollectCtx(context.Background(), m, []int{1, 1, 1}, []int{0, 1, 2}, &Options{MicroDiv: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -191,7 +192,7 @@ func TestEvalShapeMatchesMapOracle(t *testing.T) {
 	for _, tc := range tensors {
 		for _, order := range tc.order {
 			for _, div := range []int{1, 4, 8} {
-				s, _, err := Collect(tc.m, tc.base, order, &Options{MicroDiv: div})
+				s, _, err := CollectCtx(context.Background(), tc.m, tc.base, order, &Options{MicroDiv: div})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,7 +225,7 @@ func TestEvalShapeDeriveConcurrent(t *testing.T) {
 		{gen.RandomTensor3(r, 48, 40, 56, 3000, [3]float64{0.5, 0, 1}), []int{8, 8, 8}, []int{2, 0, 1}},
 	}
 	for _, tc := range tensors {
-		s, _, err := Collect(tc.m, tc.base, tc.order, &Options{MicroDiv: 8})
+		s, _, err := CollectCtx(context.Background(), tc.m, tc.base, tc.order, &Options{MicroDiv: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

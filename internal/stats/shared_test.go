@@ -63,7 +63,7 @@ func TestSharedBundleOptimizeMatchesFresh(t *testing.T) {
 	m := gen.PowerLawGraph(r, 512, 6000, 1.5)
 	e := einsum.MustParse("C(i,j) = A(i,k) * B(k,j) | order: i,k,j")
 	inputs := map[string]*tensor.COO{"A": m, "B": m}
-	st, _, err := stats.Collect(m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
+	st, _, err := stats.CollectCtx(context.Background(), m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSharedBundleOptimizeMatchesFresh(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d job %d: %v", workers, i, errs[i])
 			}
-			want, err := optimizer.Optimize(e, inputs, opts(i, workers, fresh()))
+			want, err := optimizer.OptimizeCtx(context.Background(), e, inputs, opts(i, workers, fresh()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestSharedBundleOptimizeMatchesFresh(t *testing.T) {
 func TestEvalShapeMemoCapped(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	m := gen.PowerLawGraph(r, 256, 3000, 1.5)
-	st, _, err := stats.Collect(m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
+	st, _, err := stats.CollectCtx(context.Background(), m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestEvalShapeMemoCapped(t *testing.T) {
 func TestEvalShapeOneFlightPerShape(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	m := gen.PowerLawGraph(r, 256, 3000, 1.5)
-	st, _, err := stats.Collect(m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
+	st, _, err := stats.CollectCtx(context.Background(), m, []int{32, 32}, []int{0, 1}, &stats.Options{MicroDiv: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestEvalShapeOneFlightPerShape(t *testing.T) {
 func TestProjectionMemoCapped(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	x := gen.RandomTensor3(r, 64, 64, 64, 3000, [3]float64{1.2, 1, 0.8})
-	st, _, err := stats.Collect(x, []int{16, 16, 16}, []int{0, 1, 2}, &stats.Options{MicroDiv: 4})
+	st, _, err := stats.CollectCtx(context.Background(), x, []int{16, 16, 16}, []int{0, 1, 2}, &stats.Options{MicroDiv: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,6 @@ type Options struct {
 	// TileCorrMaxShift bounds the shift range of TileCorrs in base-tile
 	// units (default 64, at most maxTileCorrShift).
 	TileCorrMaxShift int
-	// CorrAxes lists the original axes for which Corrs is computed
-	// (default: every axis).
-	CorrAxes []int
 	// SkipExtensions omits the statistics this implementation adds beyond
 	// the paper (per-element histograms and pair sketches), leaving
 	// exactly the paper's collection pass — used by the Fig. 7 overhead
@@ -88,29 +85,10 @@ func (o *Options) withDefaults() Options {
 		if o.TileCorrMaxShift > 0 {
 			out.TileCorrMaxShift = min(o.TileCorrMaxShift, maxTileCorrShift)
 		}
-		out.CorrAxes = o.CorrAxes
 		out.SkipExtensions = o.SkipExtensions
 		out.Workers = o.Workers
 	}
 	return out
-}
-
-// corrAxes resolves the axes Corrs is collected for on an order-n
-// tensor: every axis when CorrAxes is nil, else the listed ones.
-func (o *Options) corrAxes(n int) ([]int, error) {
-	axes := o.CorrAxes
-	if axes == nil {
-		axes = make([]int, n)
-		for a := range axes {
-			axes[a] = a
-		}
-	}
-	for _, ax := range axes {
-		if ax < 0 || ax >= n {
-			return nil, fmt.Errorf("stats: corr axis %d out of range", ax)
-		}
-	}
-	return axes, nil
 }
 
 // Stats holds everything the collector extracts for one tensor.
@@ -198,18 +176,14 @@ func (s *Stats) LevelOfAxis(axis int) int {
 	return -1
 }
 
-// Collect tiles t conservatively with baseTileDims (level order `order`,
-// nil = natural), computes all statistics, and returns them together with
-// the initial tiling for downstream reuse. This mirrors the toolchain of
-// Figure 1: conservative tiling → statistics collection.
-func Collect(t *tensor.COO, baseTileDims []int, order []int, opts *Options) (*Stats, *tiling.TiledTensor, error) {
-	return CollectCtx(context.Background(), t, baseTileDims, order, opts)
-}
-
-// CollectCtx is Collect with cooperative cancellation: the tiling pass
-// and every partitioned collection pass stop claiming work once ctx is
-// cancelled, and the context's error is returned. A never-cancelled ctx
-// yields exactly Collect's byte-identical statistics.
+// CollectCtx tiles t conservatively with baseTileDims (level order
+// `order`, nil = natural), computes all statistics, and returns them
+// together with the initial tiling for downstream reuse. This mirrors the
+// toolchain of Figure 1: conservative tiling → statistics collection.
+// Cancellation is cooperative: the tiling pass and every partitioned
+// collection pass stop claiming work once ctx is cancelled, and the
+// context's error is returned. The statistics are byte-identical at any
+// worker count.
 func CollectCtx(ctx context.Context, t *tensor.COO, baseTileDims []int, order []int, opts *Options) (*Stats, *tiling.TiledTensor, error) {
 	o := opts.withDefaults()
 	tt, err := tiling.NewCtx(ctx, t, baseTileDims, order, o.Workers)
@@ -223,18 +197,13 @@ func CollectCtx(ctx context.Context, t *tensor.COO, baseTileDims []int, order []
 	return s, tt, nil
 }
 
-// CollectFromTiled computes statistics given an existing conservative
-// tiling of t. The raw tensor is needed for the micro-tile summary and
-// the element-granularity Corrs.
-func CollectFromTiled(t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*Stats, error) {
-	return CollectFromTiledCtx(context.Background(), t, tt, opts)
-}
-
-// CollectFromTiledCtx is CollectFromTiled with cooperative cancellation
-// (see CollectCtx). It is CollectPartialCtx at tt's tiling followed by
-// Finalize, except that the base-tile table is read off tt instead of
-// being grouped again from t, and the partial it has just built is not
-// validated again.
+// CollectFromTiledCtx computes statistics given an existing
+// conservative tiling of t, with cooperative cancellation (see
+// CollectCtx). The raw tensor is needed for the micro-tile summary and
+// the element-granularity Corrs. It is CollectPartialCtx at tt's tiling
+// followed by Finalize, except that the base-tile table is read off tt
+// instead of being grouped again from t, and the partial it has just
+// built is not validated again.
 func CollectFromTiledCtx(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, opts *Options) (*Stats, error) {
 	if !slices.Equal(t.Dims, tt.Dims) || t.NNZ() != tt.NNZ {
 		return nil, fmt.Errorf("stats: tiling of a %v tensor with %d entries does not match the %v tensor with %d",
@@ -249,7 +218,7 @@ func CollectFromTiledCtx(ctx context.Context, t *tensor.COO, tt *tiling.TiledTen
 	if err != nil {
 		return nil, err
 	}
-	return p.finalize(o.Workers)
+	return p.finalize(ctx, o.Workers)
 }
 
 // tiledSummary reads the base-tile table off a materialized tiling: the

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,7 +32,7 @@ func diagMatrix(n int) *tensor.COO {
 
 func TestCollectDense(t *testing.T) {
 	m := denseMatrix(16)
-	s, tt, err := Collect(m, []int{4, 4}, nil, &Options{MicroDiv: 2})
+	s, tt, err := CollectCtx(context.Background(), m, []int{4, 4}, nil, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCollectDense(t *testing.T) {
 
 func TestCollectDiagonal(t *testing.T) {
 	m := diagMatrix(16)
-	s, tt, err := Collect(m, []int{4, 4}, nil, &Options{MicroDiv: 2})
+	s, tt, err := CollectCtx(context.Background(), m, []int{4, 4}, nil, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestCorrsDiagonalVsRandom(t *testing.T) {
 	diag := gen.Banded(r, 256, 1, 3) // near-diagonal band
 	rnd := gen.UniformRandom(r, 256, 256, 768)
 
-	sd, _, err := Collect(diag, []int{16, 16}, nil, &Options{MicroDiv: 2, CorrMaxShift: 32})
+	sd, _, err := CollectCtx(context.Background(), diag, []int{16, 16}, nil, &Options{MicroDiv: 2, CorrMaxShift: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, _, err := Collect(rnd, []int{16, 16}, nil, &Options{MicroDiv: 2, CorrMaxShift: 32})
+	sr, _, err := CollectCtx(context.Background(), rnd, []int{16, 16}, nil, &Options{MicroDiv: 2, CorrMaxShift: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestCorrsDiagonalVsRandom(t *testing.T) {
 func TestCorrSumExtrapolation(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	m := gen.Banded(r, 128, 2, 4)
-	s, _, err := Collect(m, []int{16, 16}, nil, &Options{MicroDiv: 2, CorrMaxShift: 8})
+	s, _, err := CollectCtx(context.Background(), m, []int{16, 16}, nil, &Options{MicroDiv: 2, CorrMaxShift: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestTileCorrsDenseAndSparse(t *testing.T) {
 
 func TestEOuterMergedLimits(t *testing.T) {
 	m := denseMatrix(32)
-	s, _, err := Collect(m, []int{4, 4}, nil, &Options{MicroDiv: 2})
+	s, _, err := CollectCtx(context.Background(), m, []int{4, 4}, nil, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestEOuterMergedLimits(t *testing.T) {
 	// must shrink iterations far less than 2x.
 	r := rand.New(rand.NewSource(3))
 	sp := gen.UniformRandom(r, 4096, 4096, 110)
-	ss, _, err := Collect(sp, []int{8, 8}, nil, &Options{MicroDiv: 2})
+	ss, _, err := CollectCtx(context.Background(), sp, []int{8, 8}, nil, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestEOuterMergedLimits(t *testing.T) {
 func TestEvalShapeMatchesDirectTiling(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	m := gen.PowerLawGraph(r, 256, 2000, 1.6)
-	s, _, err := Collect(m, []int{16, 16}, nil, &Options{MicroDiv: 4})
+	s, _, err := CollectCtx(context.Background(), m, []int{16, 16}, nil, &Options{MicroDiv: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ type directStats struct {
 }
 
 func directShape(m *tensor.COO, shape []int) (directStats, error) {
-	s2, tt, err := Collect(m, shape, nil, &Options{MicroDiv: 1})
+	s2, tt, err := CollectCtx(context.Background(), m, shape, nil, &Options{MicroDiv: 1})
 	if err != nil {
 		return directStats{}, err
 	}
@@ -240,7 +241,7 @@ func directShape(m *tensor.COO, shape []int) (directStats, error) {
 
 func TestEvalShapeErrors(t *testing.T) {
 	m := diagMatrix(32)
-	s, _, err := Collect(m, []int{8, 8}, nil, &Options{MicroDiv: 4})
+	s, _, err := CollectCtx(context.Background(), m, []int{8, 8}, nil, &Options{MicroDiv: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestEvalShapeErrors(t *testing.T) {
 
 func TestSnapToMicro(t *testing.T) {
 	m := diagMatrix(64)
-	s, _, err := Collect(m, []int{16, 16}, nil, &Options{MicroDiv: 4}) // micro = 4
+	s, _, err := CollectCtx(context.Background(), m, []int{16, 16}, nil, &Options{MicroDiv: 4}) // micro = 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestQuickEvalShapeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := gen.UniformRandom(r, 128, 128, 400)
-		s, _, err := Collect(m, []int{16, 16}, nil, &Options{MicroDiv: 4})
+		s, _, err := CollectCtx(context.Background(), m, []int{16, 16}, nil, &Options{MicroDiv: 4})
 		if err != nil {
 			return false
 		}
@@ -313,7 +314,7 @@ func TestQuickEvalShapeInvariants(t *testing.T) {
 func TestCollect3DTensor(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	m := gen.RandomTensor3(r, 64, 64, 64, 2000, [3]float64{0, 0, 0.5})
-	s, tt, err := Collect(m, []int{8, 8, 8}, []int{0, 1, 2}, &Options{MicroDiv: 2})
+	s, tt, err := CollectCtx(context.Background(), m, []int{8, 8, 8}, []int{0, 1, 2}, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,20 +346,20 @@ func TestRejectsNonPermutationOrder(t *testing.T) {
 	m := gen.PowerLawGraph(r, 100, 800, 1.5)
 	tile := []int{8, 8}
 	entry := map[string]func(order []int) error{
-		"tiling.New": func(order []int) error {
-			_, err := tiling.New(m, tile, order)
+		"tiling.NewCtx": func(order []int) error {
+			_, err := tiling.NewCtx(context.Background(), m, tile, order, 0)
 			return err
 		},
-		"tiling.Summarize": func(order []int) error {
-			_, err := tiling.Summarize(m, tile, order, 2)
+		"tiling.SummarizeCtx": func(order []int) error {
+			_, err := tiling.SummarizeCtx(context.Background(), m, tile, order, 2)
 			return err
 		},
-		"stats.Collect": func(order []int) error {
-			_, _, err := Collect(m, tile, order, nil)
+		"stats.CollectCtx": func(order []int) error {
+			_, _, err := CollectCtx(context.Background(), m, tile, order, nil)
 			return err
 		},
-		"stats.CollectPartial": func(order []int) error {
-			_, err := CollectPartial(m, tile, order, nil)
+		"stats.CollectPartialCtx": func(order []int) error {
+			_, err := CollectPartialCtx(context.Background(), m, tile, order, nil)
 			return err
 		},
 	}
@@ -376,14 +377,14 @@ func TestRejectsNonPermutationOrder(t *testing.T) {
 	}
 }
 
-// TestCollectFromTiledRejectsMismatchedTensor: CollectFromTiled reads
+// TestCollectFromTiledRejectsMismatchedTensor: CollectFromTiledCtx reads
 // the tile tables off tt and the entry statistics off t, so a tiling of
 // another tensor must be refused rather than mixed into one bundle.
 func TestCollectFromTiledRejectsMismatchedTensor(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	m := gen.PowerLawGraph(r, 64, 500, 1.5)
 	m.Dedup()
-	tt, err := tiling.New(m, []int{8, 8}, nil)
+	tt, err := tiling.NewCtx(context.Background(), m, []int{8, 8}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,18 +395,18 @@ func TestCollectFromTiledRejectsMismatchedTensor(t *testing.T) {
 		wider.Append(m.At(p), m.Vals[p])
 	}
 	for name, x := range map[string]*tensor.COO{"fewer entries": fewer, "other dims": wider} {
-		if _, err := CollectFromTiled(x, tt, nil); err == nil {
-			t.Errorf("%s: CollectFromTiled accepted a tiling of another tensor", name)
+		if _, err := CollectFromTiledCtx(context.Background(), x, tt, nil); err == nil {
+			t.Errorf("%s: CollectFromTiledCtx accepted a tiling of another tensor", name)
 		}
 	}
-	if _, err := CollectFromTiled(m, tt, nil); err != nil {
+	if _, err := CollectFromTiledCtx(context.Background(), m, tt, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLevelOfAxisAndSketches(t *testing.T) {
 	m := diagMatrix(32)
-	s, _, err := Collect(m, []int{8, 8}, []int{1, 0}, &Options{MicroDiv: 2})
+	s, _, err := CollectCtx(context.Background(), m, []int{8, 8}, []int{1, 0}, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestLevelOfAxisAndSketches(t *testing.T) {
 	}
 	// Identical tensors sketch identically; a transpose of a diagonal is
 	// itself, so Jaccard must be 1.
-	s2, _, err := Collect(m.Transpose(), []int{8, 8}, nil, &Options{MicroDiv: 2})
+	s2, _, err := CollectCtx(context.Background(), m.Transpose(), []int{8, 8}, nil, &Options{MicroDiv: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

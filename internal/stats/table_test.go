@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // bundle neither keeps nor charges for, whose computations the bundle's
 // observer still sees.
 func TestKeptTableCap(t *testing.T) {
-	s, _, err := Collect(denseMatrix(32), []int{8, 8}, nil, nil)
+	s, _, err := CollectCtx(context.Background(), denseMatrix(32), []int{8, 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // TestSummarizeMatchesNew pins the summary-only tiler to the full one:
 // for every tile the summary's key set, entry count and footprint words
-// must equal what NewParallel materializes, at any worker count, across
+// must equal what NewCtx materializes, at any worker count, across
 // 2D and 3D tensors and permuted level orders. This is the invariant
 // that lets the statistics collector's micro pass skip building CSFs.
 func TestSummarizeMatchesNew(t *testing.T) {
@@ -23,28 +24,28 @@ func TestSummarizeMatchesNew(t *testing.T) {
 	run := []tcase{
 		{name: "2d", gen: func() (*TiledTensor, *TileSummary, *TileSummary, error) {
 			m := gen.PowerLawGraph(r, 256, 4000, 1.5)
-			tt, err := NewParallel(m, []int{16, 16}, []int{1, 0}, 4)
+			tt, err := NewCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, 4)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			s1, err := Summarize(m, []int{16, 16}, []int{1, 0}, 1)
+			s1, err := SummarizeCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, 1)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			s8, err := Summarize(m, []int{16, 16}, []int{1, 0}, 8)
+			s8, err := SummarizeCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, 8)
 			return tt, s1, s8, err
 		}},
 		{name: "3d", gen: func() (*TiledTensor, *TileSummary, *TileSummary, error) {
 			m := gen.RandomTensor3(r, 40, 50, 60, 2000, [3]float64{0, 0.5, 0})
-			tt, err := NewParallel(m, []int{8, 8, 8}, []int{2, 0, 1}, 4)
+			tt, err := NewCtx(context.Background(), m, []int{8, 8, 8}, []int{2, 0, 1}, 4)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			s1, err := Summarize(m, []int{8, 8, 8}, []int{2, 0, 1}, 1)
+			s1, err := SummarizeCtx(context.Background(), m, []int{8, 8, 8}, []int{2, 0, 1}, 1)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			s8, err := Summarize(m, []int{8, 8, 8}, []int{2, 0, 1}, 8)
+			s8, err := SummarizeCtx(context.Background(), m, []int{8, 8, 8}, []int{2, 0, 1}, 8)
 			return tt, s1, s8, err
 		}},
 	}
@@ -110,14 +111,14 @@ func TestTilingNewAllocs(t *testing.T) {
 	}{{1, 16000}, {8, 16500}} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			avg := testing.AllocsPerRun(2, func() {
-				tt, err := NewParallel(m, []int{64, 64}, []int{0, 1}, tc.workers)
+				tt, err := NewCtx(context.Background(), m, []int{64, 64}, []int{0, 1}, tc.workers)
 				if err != nil || tt.NumTiles() == 0 {
 					t.Fatalf("tiling failed: %v", err)
 				}
 			})
 			t.Logf("allocs/op: %.0f", avg)
 			if avg > tc.ceiling {
-				t.Errorf("NewParallel allocates %.0f times per call, ceiling %.0f", avg, tc.ceiling)
+				t.Errorf("NewCtx allocates %.0f times per call, ceiling %.0f", avg, tc.ceiling)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func BenchmarkTilingNew(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tt, err := NewParallel(m, []int{64, 64}, []int{0, 1}, workers)
+				tt, err := NewCtx(context.Background(), m, []int{64, 64}, []int{0, 1}, workers)
 				if err != nil {
 					b.Fatal(err)
 				}

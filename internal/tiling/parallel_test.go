@@ -10,9 +10,8 @@ import (
 	"d2t2/internal/gen"
 )
 
-// TestNewCtxCancellation checks both halves of the context contract: a
-// dead context aborts group-by tiling with the context's error, and a
-// live context yields exactly the NewParallel result.
+// TestNewCtxCancellation checks that a dead context aborts group-by
+// tiling with the context's error.
 func TestNewCtxCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	m := gen.PowerLawGraph(r, 256, 4000, 1.5)
@@ -21,18 +20,6 @@ func TestNewCtxCancellation(t *testing.T) {
 	cancel()
 	if tt, err := NewCtx(ctx, m, []int{16, 16}, []int{1, 0}, 4); tt != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want (nil, context.Canceled), got (%v, %v)", tt, err)
-	}
-
-	plain, err := NewParallel(m, []int{16, 16}, []int{1, 0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := NewCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, ctxed) {
-		t.Fatal("NewCtx(Background) differs from NewParallel")
 	}
 }
 
@@ -47,20 +34,20 @@ func TestNewParallelMatchesSerial(t *testing.T) {
 	}{
 		{"2d", func() (*TiledTensor, *TiledTensor, error) {
 			m := gen.PowerLawGraph(r, 256, 4000, 1.5)
-			a, err := NewParallel(m, []int{16, 16}, []int{1, 0}, 1)
+			a, err := NewCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, 1)
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := NewParallel(m, []int{16, 16}, []int{1, 0}, 8)
+			b, err := NewCtx(context.Background(), m, []int{16, 16}, []int{1, 0}, 8)
 			return a, b, err
 		}},
 		{"3d", func() (*TiledTensor, *TiledTensor, error) {
 			m := gen.RandomTensor3(r, 40, 50, 60, 2000, [3]float64{0, 0.5, 0})
-			a, err := NewParallel(m, []int{8, 8, 8}, []int{2, 0, 1}, 1)
+			a, err := NewCtx(context.Background(), m, []int{8, 8, 8}, []int{2, 0, 1}, 1)
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := NewParallel(m, []int{8, 8, 8}, []int{2, 0, 1}, 8)
+			b, err := NewCtx(context.Background(), m, []int{8, 8, 8}, []int{2, 0, 1}, 8)
 			return a, b, err
 		}},
 	}
@@ -86,7 +73,7 @@ func TestNewParallelMatchesSerial(t *testing.T) {
 func TestSortedKeysOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	m := gen.UniformRandom(r, 90, 70, 500)
-	tt, err := New(m, []int{8, 8}, []int{1, 0})
+	tt, err := NewCtx(context.Background(), m, []int{8, 8}, []int{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

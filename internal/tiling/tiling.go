@@ -114,29 +114,17 @@ func (tt *TiledTensor) SortedKeys() []uint64 {
 	return out
 }
 
-// Tile partitions t into coordinate-space tiles of size tileDims (per
-// axis) with inner/outer CSF levels following order (nil = natural).
-// The input must be duplicate-free (Dedup'd); entries are not modified.
-// All cores are used; the result is byte-identical at any worker count
-// (see NewParallel).
-func New(t *tensor.COO, tileDims []int, order []int) (*TiledTensor, error) {
-	return NewParallel(t, tileDims, order, 0)
-}
-
-// NewParallel is New with an explicit worker count (0 = all cores).
-// Entries are grouped by outer tile key with one radix sort — no
-// comparison sort over the whole tensor — and each tile's inner CSF is
-// built independently on a worker pool. Tiles are merged in ascending
-// key order, so the result is byte-identical for every worker count.
-func NewParallel(t *tensor.COO, tileDims []int, order []int, workers int) (*TiledTensor, error) {
-	return NewCtx(context.Background(), t, tileDims, order, workers)
-}
-
-// NewCtx is NewParallel with cooperative cancellation: the parallel
-// passes stop claiming work at the next item boundary once ctx is
-// cancelled, the serial passes check ctx between phases, and the
-// context's error is returned. A never-cancelled ctx yields exactly
-// NewParallel's byte-identical result.
+// NewCtx partitions t into coordinate-space tiles of size tileDims (per
+// axis) with inner/outer CSF levels following order (nil = natural),
+// on `workers` goroutines (0 = all cores). The input must be
+// duplicate-free (Dedup'd); entries are not modified. Entries are
+// grouped by outer tile key with one radix sort — no comparison sort
+// over the whole tensor — and each tile's inner CSF is built
+// independently on a worker pool. Tiles are merged in ascending key
+// order, so the result is byte-identical for every worker count.
+// Cancellation is cooperative: the parallel passes stop claiming work
+// at the next item boundary once ctx is cancelled, the serial passes
+// check ctx between phases, and the context's error is returned.
 func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, workers int) (*TiledTensor, error) {
 	n := t.Order()
 	order, grid, outerDims, err := validateTiling(t, tileDims, order)
@@ -405,11 +393,6 @@ type TileSummary struct {
 	Fibers [][]int32
 
 	TotalFootprint int
-}
-
-// Summarize is SummarizeCtx without cancellation.
-func Summarize(t *tensor.COO, tileDims, order []int, workers int) (*TileSummary, error) {
-	return SummarizeCtx(context.Background(), t, tileDims, order, workers)
 }
 
 // SummarizeCtx computes the TileSummary of tiling t by tileDims in level

@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -30,7 +31,7 @@ func fig3Matrix() *tensor.COO {
 func TestKeyRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	m := gen.RandomTensor3(r, 30, 20, 50, 400, [3]float64{0.5, 0, 1})
-	tt, err := New(m, []int{4, 3, 7}, []int{2, 0, 1})
+	tt, err := NewCtx(context.Background(), m, []int{4, 3, 7}, []int{2, 0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestKeyRoundTrip(t *testing.T) {
 
 func TestTileBasic(t *testing.T) {
 	m := fig3Matrix()
-	tt, err := New(m, []int{2, 2}, nil)
+	tt, err := NewCtx(context.Background(), m, []int{2, 2}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestTileBasic(t *testing.T) {
 
 func TestTileRoundTrip(t *testing.T) {
 	m := fig3Matrix()
-	tt, err := New(m, []int{3, 5}, nil) // non-divisible tile dims
+	tt, err := NewCtx(context.Background(), m, []int{3, 5}, nil, 0) // non-divisible tile dims
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestTileRoundTrip(t *testing.T) {
 
 func TestTileFootprints(t *testing.T) {
 	m := fig3Matrix()
-	tt, _ := New(m, []int{2, 2}, nil)
+	tt, _ := NewCtx(context.Background(), m, []int{2, 2}, nil, 0)
 	total, max := 0, 0
 	for _, tile := range tt.Tiles {
 		if tile.Footprint != tile.CSF.FootprintWords() {
@@ -124,7 +125,7 @@ func TestTileFootprints(t *testing.T) {
 
 func TestTileOrderPermuted(t *testing.T) {
 	m := fig3Matrix()
-	tt, err := New(m, []int{2, 2}, []int{1, 0}) // column-major levels
+	tt, err := NewCtx(context.Background(), m, []int{2, 2}, []int{1, 0}, 0) // column-major levels
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func TestTileOrderPermuted(t *testing.T) {
 
 func TestTileErrors(t *testing.T) {
 	m := fig3Matrix()
-	if _, err := New(m, []int{2}, nil); err == nil {
+	if _, err := NewCtx(context.Background(), m, []int{2}, nil, 0); err == nil {
 		t.Fatal("wrong tile-dim arity accepted")
 	}
-	if _, err := New(m, []int{0, 2}, nil); err == nil {
+	if _, err := NewCtx(context.Background(), m, []int{0, 2}, nil, 0); err == nil {
 		t.Fatal("zero tile dim accepted")
 	}
-	if _, err := New(m, []int{2, 2}, []int{0}); err == nil {
+	if _, err := NewCtx(context.Background(), m, []int{2, 2}, []int{0}, 0); err == nil {
 		t.Fatal("wrong order arity accepted")
 	}
 }
@@ -161,7 +162,7 @@ func TestTileRejectsOrderAboveKeyLimit(t *testing.T) {
 		m.Append([]int{i, 0, 0, 0}, 1)
 	}
 	dims := []int{1, 2, 2, 2}
-	tt, err := New(m, dims, nil)
+	tt, err := NewCtx(context.Background(), m, dims, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestTileRejectsOrderAboveKeyLimit(t *testing.T) {
 			t.Fatalf("axis-0 tile %d missing or merged", i)
 		}
 	}
-	sum, err := Summarize(m, dims, nil, 1)
+	sum, err := SummarizeCtx(context.Background(), m, dims, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +198,10 @@ func TestTileRejectsOrderAboveKeyLimit(t *testing.T) {
 	big := tensor.New(1<<16, 1<<16, 1<<16, 1<<16)
 	big.Append([]int{1, 2, 3, 4}, 1)
 	unit := []int{1, 1, 1, 1}
-	if _, err := New(big, unit, nil); err == nil || !strings.Contains(err.Error(), "2^64") {
+	if _, err := NewCtx(context.Background(), big, unit, nil, 0); err == nil || !strings.Contains(err.Error(), "2^64") {
 		t.Fatalf("New on a 2^64-tile grid: %v", err)
 	}
-	if _, err := Summarize(big, unit, nil, 1); err == nil || !strings.Contains(err.Error(), "2^64") {
+	if _, err := SummarizeCtx(context.Background(), big, unit, nil, 1); err == nil || !strings.Contains(err.Error(), "2^64") {
 		t.Fatalf("Summarize on a 2^64-tile grid: %v", err)
 	}
 	if _, err := FromTiles(big.Dims, unit, []int{0, 1, 2, 3}, nil); err == nil || !strings.Contains(err.Error(), "2^64") {
@@ -208,7 +209,7 @@ func TestTileRejectsOrderAboveKeyLimit(t *testing.T) {
 	}
 	below := tensor.New(1<<16, 1<<16, 1<<16, 1<<16-1)
 	below.Append([]int{1, 2, 3, 4}, 1)
-	if _, err := New(below, unit, nil); err != nil {
+	if _, err := NewCtx(context.Background(), below, unit, nil, 0); err != nil {
 		t.Fatalf("New on a 2^64-2^48-tile grid: %v", err)
 	}
 }
@@ -220,15 +221,15 @@ func TestTileRejectsAxisPastTileCap(t *testing.T) {
 	unit := []int{1, 1}
 	at := tensor.New(MaxAxisTiles, 2)
 	at.Append([]int{MaxAxisTiles - 1, 1}, 1)
-	if _, err := New(at, unit, nil); err != nil {
+	if _, err := NewCtx(context.Background(), at, unit, nil, 0); err != nil {
 		t.Fatalf("New at the axis cap: %v", err)
 	}
 	past := tensor.New(MaxAxisTiles+1, 2)
 	past.Append([]int{MaxAxisTiles, 1}, 1)
-	if _, err := New(past, unit, nil); err == nil || !strings.Contains(err.Error(), "axis cap") {
+	if _, err := NewCtx(context.Background(), past, unit, nil, 0); err == nil || !strings.Contains(err.Error(), "axis cap") {
 		t.Fatalf("New past the axis cap: %v", err)
 	}
-	if _, err := Summarize(past, unit, nil, 1); err == nil || !strings.Contains(err.Error(), "axis cap") {
+	if _, err := SummarizeCtx(context.Background(), past, unit, nil, 1); err == nil || !strings.Contains(err.Error(), "axis cap") {
 		t.Fatalf("Summarize past the axis cap: %v", err)
 	}
 	if _, err := FromTiles(past.Dims, unit, []int{0, 1}, nil); err == nil || !strings.Contains(err.Error(), "axis cap") {
@@ -238,7 +239,7 @@ func TestTileRejectsAxisPastTileCap(t *testing.T) {
 
 func TestOuterCSFValuesAreFootprints(t *testing.T) {
 	m := fig3Matrix()
-	tt, _ := New(m, []int{2, 2}, nil)
+	tt, _ := NewCtx(context.Background(), m, []int{2, 2}, nil, 0)
 	sum := 0.0
 	for _, v := range tt.OuterCSF.Vals {
 		sum += v
@@ -304,7 +305,7 @@ func TestConservativeSquareHugeBuffer(t *testing.T) {
 
 func TestPackTiles(t *testing.T) {
 	m := fig3Matrix()
-	base, _ := New(m, []int{2, 2}, nil)
+	base, _ := NewCtx(context.Background(), m, []int{2, 2}, nil, 0)
 	packed, err := PackTiles(base, []int{2, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +326,7 @@ func TestPackTiles(t *testing.T) {
 
 func TestPackTilesErrors(t *testing.T) {
 	m := fig3Matrix()
-	base, _ := New(m, []int{2, 2}, nil)
+	base, _ := NewCtx(context.Background(), m, []int{2, 2}, nil, 0)
 	if _, err := PackTiles(base, []int{2}); err == nil {
 		t.Fatal("wrong arity accepted")
 	}
@@ -340,7 +341,7 @@ func TestQuickTileRoundTrip(t *testing.T) {
 		m := gen.UniformRandom(r, 40+r.Intn(40), 40+r.Intn(40), 200)
 		td := []int{1 + r.Intn(16), 1 + r.Intn(16)}
 		orders := [][]int{{0, 1}, {1, 0}}
-		tt, err := New(m, td, orders[r.Intn(2)])
+		tt, err := NewCtx(context.Background(), m, td, orders[r.Intn(2)], 0)
 		if err != nil {
 			return false
 		}
@@ -360,7 +361,7 @@ func TestQuickTile3DRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := gen.RandomTensor3(r, 20, 25, 30, 300, [3]float64{0, 0.5, 0})
 		td := []int{1 + r.Intn(8), 1 + r.Intn(8), 1 + r.Intn(8)}
-		tt, err := New(m, td, []int{2, 0, 1})
+		tt, err := NewCtx(context.Background(), m, td, []int{2, 0, 1}, 0)
 		if err != nil {
 			return false
 		}
@@ -375,7 +376,7 @@ func TestQuickPackPreservesNNZAndFootprintLowerBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := gen.PowerLawGraph(r, 128, 600, 1.5)
-		base, err := New(m, []int{8, 8}, nil)
+		base, err := NewCtx(context.Background(), m, []int{8, 8}, nil, 0)
 		if err != nil {
 			return false
 		}
@@ -399,7 +400,7 @@ func TestQuickPackPreservesNNZAndFootprintLowerBound(t *testing.T) {
 
 func TestValidateInvariants(t *testing.T) {
 	m := fig3Matrix()
-	tt, _ := New(m, []int{2, 2}, nil)
+	tt, _ := NewCtx(context.Background(), m, []int{2, 2}, nil, 0)
 	if err := tt.Validate(); err != nil {
 		t.Fatal(err)
 	}

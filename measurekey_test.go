@@ -1,6 +1,7 @@
 package d2t2
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestMeasureKey(t *testing.T) {
 	}
 	measure := func(p *Plan) *TrafficReport {
 		t.Helper()
-		r, err := p.Measure()
+		r, err := p.MeasureCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 // its content-addressed snapshot store in here; NewSession(nil) keeps
 // everything in process. Keys are content addresses (snapshot.StatsKey
 // for finalized bundles, snapshot.PartialKey for the mergeable
-// accumulators Delta reuses); implementations must be safe for
+// accumulators DeltaCtx reuses); implementations must be safe for
 // concurrent use. The context is the calling request's: stores that
 // reach the network (d2t2d's cluster read-through) bound their I/O with
 // it, and must treat a dead context as a miss rather than an error.
@@ -28,7 +28,7 @@ import (
 // A bundle holds statistics only: the conservative tiling they were
 // collected from is never needed again, so it is not handed to the
 // store. StoreStats follows a fresh collection and StoreMergedStats a
-// Delta merge, so stores that meter collections (d2t2d's
+// DeltaCtx merge, so stores that meter collections (d2t2d's
 // stats_collect_total counter) do not count a merge as one.
 type StatsCache interface {
 	LoadStats(ctx context.Context, key string) (*stats.Stats, bool)
@@ -68,8 +68,8 @@ func (c *memCache) StorePartial(_ context.Context, key string, p *stats.Partial)
 }
 
 // Session is a reusable optimizer context: it memoizes the per-tensor
-// tile-and-collect phase in its StatsCache, so repeated Optimize,
-// Predict and Stats calls against the same inputs skip straight to the
+// tile-and-collect phase in its StatsCache, so repeated OptimizeCtx,
+// PredictCtx and StatsCtx calls against the same inputs skip straight to the
 // probabilistic model. Tensors handed to a session must not be mutated
 // afterwards except through Set, which clears the content address and
 // the canonical view memoized on the tensor. A session reads every
@@ -90,7 +90,7 @@ type Session struct {
 
 	cache StatsCache
 	// calib accumulates calibration residual biases per workload class;
-	// shared across the session so repeated Optimize calls with
+	// shared across the session so repeated OptimizeCtx calls with
 	// Options.Calibrate converge on the measurement backend.
 	calib *model.Calibration
 }
@@ -191,21 +191,15 @@ func (s *Session) collect(ctx context.Context, t *Tensor, tileDims, order []int)
 	return stats.CollectPartialCtx(ctx, t.canonical(), tileDims, order, &stats.Options{Workers: s.Workers})
 }
 
-// Optimize runs the D2T2 pipeline like the package-level Optimize, but
-// sources per-input statistics through the session: the expensive
-// tile-and-collect phase runs at most once per (tensor, base tile,
-// level order) across every call sharing the session — warm calls go
-// straight to the shape/size search.
-func (s *Session) Optimize(k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
-	return s.OptimizeCtx(context.Background(), k, inputs, opts)
-}
-
-// OptimizeCtx is Optimize with cooperative cancellation: a cancelled or
+// OptimizeCtx runs the D2T2 pipeline like the package-level
+// OptimizeCtx, but sources per-input statistics through the session:
+// the expensive tile-and-collect phase runs at most once per (tensor,
+// base tile, level order) across every call sharing the session — warm
+// calls go straight to the shape/size search. A cancelled or
 // deadline-expired ctx stops the tile-and-collect phase, the shape
 // sweep and the size growth at their next work-item boundary and
 // returns the context's error. The d2t2d service routes request
-// contexts through here so an abandoned request stops claiming CPU. A
-// never-cancelled ctx yields exactly Optimize's byte-identical plan.
+// contexts through here so an abandoned request stops claiming CPU.
 func (s *Session) OptimizeCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) (*Plan, error) {
 	return s.NewBatch().OptimizeCtx(ctx, k, inputs, opts)
 }
@@ -369,18 +363,13 @@ func (b *Batch) predictor(k *Kernel, pre map[string]*stats.Stats, bundles string
 	})
 }
 
-// Predict runs the probabilistic traffic model for one tile
+// PredictCtx runs the probabilistic traffic model for one tile
 // configuration, like the package-level PredictConfig, with statistics
 // sourced through the session. Statistics are collected at a
 // conservative square tiling of dimension statsTile, clamped per axis to
 // each tensor; an input referenced twice is collected in the level
-// order of its first reference.
-func (s *Session) Predict(k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
-	return s.PredictCtx(context.Background(), k, inputs, cfg, statsTile)
-}
-
-// PredictCtx is Predict with cooperative cancellation of the underlying
-// statistics collection (see OptimizeCtx).
+// order of its first reference. ctx cancels the underlying statistics
+// collection (see OptimizeCtx).
 func (s *Session) PredictCtx(ctx context.Context, k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
 	st, _, err := s.NewBatch().precollect(ctx, k, inputs, statsTile, true)
 	if err != nil {
@@ -397,14 +386,9 @@ func (s *Session) PredictCtx(ctx context.Context, k *Kernel, inputs Inputs, cfg 
 	return p.Total() * 4 / (1 << 20), nil
 }
 
-// Stats returns the collected statistics summary for one tensor at a
-// conservative square tiling (natural level order), cached in the
-// session like every other collection.
-func (s *Session) Stats(t *Tensor, tile int) (*StatsSummary, error) {
-	return s.StatsCtx(context.Background(), t, tile)
-}
-
-// StatsCtx is Stats with cooperative cancellation of the underlying
+// StatsCtx returns the collected statistics summary for one tensor at
+// a conservative square tiling (natural level order), cached in the
+// session like every other collection. ctx cancels the underlying
 // collection (see OptimizeCtx).
 func (s *Session) StatsCtx(ctx context.Context, t *Tensor, tile int) (*StatsSummary, error) {
 	dims := squareTiling(t, tile, t.Order(), true)

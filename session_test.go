@@ -102,7 +102,7 @@ func TestBatchSharesBundles(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		want, err := plain.Optimize(k, inputs, o)
+		want, err := plain.OptimizeCtx(context.Background(), k, inputs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func hasEntry(t *Tensor, c []int) bool {
 	return false
 }
 
-// collectOracle collects each input of k straight from stats.Collect at
+// collectOracle collects each input of k straight from stats.CollectCtx at
 // a square tiling of side tile clamped per axis, in the level order of
 // the input's first reference — the frame CollectStats and
 // PredictConfig resolve through a Session.
@@ -450,7 +450,7 @@ func collectOracle(t *testing.T, k *Kernel, inputs Inputs, tile int) map[string]
 		for a := range dims {
 			dims[a] = min(tile, x.Dims()[a])
 		}
-		st, _, err := stats.Collect(x.coo, dims, k.expr.LevelOrder(ref), nil)
+		st, _, err := stats.CollectCtx(context.Background(), x.coo, dims, k.expr.LevelOrder(ref), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func collectOracle(t *testing.T, k *Kernel, inputs Inputs, tile int) map[string]
 
 // TestCollectStatsAndPredictConfigMatchCollect: the package-level
 // CollectStats and PredictConfig, which run on a fresh Session, return
-// what direct stats.Collect statistics give — for kernels without a
+// what direct stats.CollectCtx statistics give — for kernels without a
 // repeated operand and, for an operand referenced in two level orders,
 // with the first reference's bundle.
 func TestCollectStatsAndPredictConfigMatchCollect(t *testing.T) {
@@ -502,28 +502,28 @@ func TestCollectStatsAndPredictConfigMatchCollect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := PredictConfig(tc.k, tc.inputs, tc.cfg, tile)
+			got, err := PredictConfig(context.Background(), tc.k, tc.inputs, tc.cfg, tile)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := p.Total() * 4 / (1 << 20); got != want {
-				t.Fatalf("%s tile %d: PredictConfig %v MB, stats.Collect oracle %v MB", tc.k, tile, got, want)
+				t.Fatalf("%s tile %d: PredictConfig %v MB, stats.CollectCtx oracle %v MB", tc.k, tile, got, want)
 			}
 			for name, in := range tc.inputs {
 				dims := make([]int, in.Order())
 				for a := range dims {
 					dims[a] = min(tile, in.Dims()[a])
 				}
-				one, _, err := stats.Collect(in.coo, dims, nil, nil)
+				one, _, err := stats.CollectCtx(context.Background(), in.coo, dims, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum, err := CollectStats(in, tile)
+				sum, err := CollectStats(context.Background(), in, tile)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := summarize(one, dims); !reflect.DeepEqual(sum, want) {
-					t.Fatalf("%s tile %d: CollectStats(%s) %+v, stats.Collect oracle %+v", tc.k, tile, name, sum, want)
+					t.Fatalf("%s tile %d: CollectStats(%s) %+v, stats.CollectCtx oracle %+v", tc.k, tile, name, sum, want)
 				}
 			}
 		}
@@ -566,14 +566,14 @@ func TestRawTensorCanonicalView(t *testing.T) {
 		if r.id, err = sess.TensorID(x); err != nil {
 			return r, err
 		}
-		if r.stats, err = sess.Stats(x, 16); err != nil {
+		if r.stats, err = sess.StatsCtx(context.Background(), x, 16); err != nil {
 			return r, err
 		}
 		in := Inputs{"A": x, "B": x}
-		if r.predicted, err = sess.Predict(k, in, TileConfig{"i": 32, "j": 32, "k": 32}, 16); err != nil {
+		if r.predicted, err = sess.PredictCtx(context.Background(), k, in, TileConfig{"i": 32, "j": 32, "k": 32}, 16); err != nil {
 			return r, err
 		}
-		plan, err := sess.Optimize(k, in, Options{BufferWords: DenseTileWords(32, 32)})
+		plan, err := sess.OptimizeCtx(context.Background(), k, in, Options{BufferWords: DenseTileWords(32, 32)})
 		if err != nil {
 			return r, err
 		}
@@ -582,7 +582,7 @@ func TestRawTensorCanonicalView(t *testing.T) {
 			return r, err
 		}
 		r.plan = string(b)
-		rep, err := plan.Measure()
+		rep, err := plan.MeasureCtx(context.Background())
 		if err != nil {
 			return r, err
 		}

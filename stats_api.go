@@ -1,6 +1,10 @@
 package d2t2
 
-import "d2t2/internal/stats"
+import (
+	"context"
+
+	"d2t2/internal/stats"
+)
 
 // StatsSummary exposes the Tile Statistics Collector's outputs for one
 // tensor at a conservative square tiling (paper §4.3–4.4).
@@ -21,9 +25,9 @@ type StatsSummary struct {
 
 // CollectStats tiles the tensor with square tiles of the given dimension
 // (clamped per axis to the tensor) and returns the collected statistics:
-// Session.Stats on a fresh session.
-func CollectStats(t *Tensor, tile int) (*StatsSummary, error) {
-	return NewSession(nil).Stats(t, tile)
+// Session.StatsCtx on a fresh session.
+func CollectStats(ctx context.Context, t *Tensor, tile int) (*StatsSummary, error) {
+	return NewSession(nil).StatsCtx(ctx, t, tile)
 }
 
 // summarize flattens collected statistics into the public summary.
@@ -43,10 +47,10 @@ func summarize(s *stats.Stats, dims []int) *StatsSummary {
 
 // PredictConfig runs the probabilistic traffic model for one tile
 // configuration and returns the predicted total traffic in megabytes:
-// Session.Predict on a fresh session. Statistics are collected at a
+// Session.PredictCtx on a fresh session. Statistics are collected at a
 // conservative square tiling of dimension statsTile.
-func PredictConfig(k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
-	return NewSession(nil).Predict(k, inputs, cfg, statsTile)
+func PredictConfig(ctx context.Context, k *Kernel, inputs Inputs, cfg TileConfig, statsTile int) (float64, error) {
+	return NewSession(nil).PredictCtx(ctx, k, inputs, cfg, statsTile)
 }
 
 type missingError string
