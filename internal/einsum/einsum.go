@@ -63,21 +63,22 @@ func (e *Expr) String() string {
 // Inputs returns every tensor reference in the RHS in left-to-right
 // order (duplicated names appear once per occurrence).
 func (e *Expr) Inputs() []Ref {
-	var out []Ref
-	var walk func(Node)
-	walk = func(n Node) {
-		switch v := n.(type) {
-		case Ref:
-			out = append(out, v)
-		case Add:
-			walk(v.A)
-			walk(v.B)
-		case Mul:
-			walk(v.A)
-			walk(v.B)
-		}
+	return appendRefs(make([]Ref, 0, 4), e.RHS)
+}
+
+// appendRefs appends the tensor references under n to out, left to
+// right. The search asks Inputs per candidate config, so the walk is
+// one allocation for the kernels it sizes, not a closure and a growing
+// slice.
+func appendRefs(out []Ref, n Node) []Ref {
+	switch v := n.(type) {
+	case Ref:
+		return append(out, v)
+	case Add:
+		return appendRefs(appendRefs(out, v.A), v.B)
+	case Mul:
+		return appendRefs(appendRefs(out, v.A), v.B)
 	}
-	walk(e.RHS)
 	return out
 }
 

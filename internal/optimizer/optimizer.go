@@ -238,7 +238,10 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 	}
 	sz := sizing{pred: pred, e: e, o: o}
 
-	// 3. Shape optimization. Every RF is evaluated concurrently. RFs
+	// 3. Shape optimization. The RF configs are built serially; each
+	// input's common refinements land first, so every RF's shape is
+	// coarsened from one of them instead of from the micro summary
+	// (landRefinements). Then every RF is evaluated concurrently. RFs
 	// that snap to one config ask the predictor's shape and prediction
 	// memos the same questions, so a duplicate costs two memo hits. The
 	// serial pass then keeps a fitting config under its first RF, and a
@@ -249,13 +252,8 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 	if o.CorrsOnly {
 		rfs = []float64{corrsOnlyRF(e, res.Stats, baseTile)}
 	}
-	type swept struct {
-		cand Candidate
-		fits bool
-		cost float64
-	}
-	sweeps, err := par.MapCtx(ctx, o.Workers, len(rfs), func(i int) (swept, error) {
-		rf := rfs[i]
+	cfgs := make([]model.Config, len(rfs))
+	for i, rf := range rfs {
 		cfg := make(model.Config, len(e.Order))
 		for _, ix := range e.Order {
 			cfg[ix] = baseTile
@@ -264,7 +262,18 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 		for _, ix := range downIdxs {
 			cfg[ix] = scaleDim(baseTile, 1/rf)
 		}
-		cfg = pred.SnapConfigInPlace(cfg)
+		cfgs[i] = pred.SnapConfigInPlace(cfg)
+	}
+	if err := landRefinements(ctx, pred, e, rfs, cfgs, o.Workers); err != nil {
+		return nil, err
+	}
+	type swept struct {
+		cand Candidate
+		fits bool
+		cost float64
+	}
+	sweeps, err := par.MapCtx(ctx, o.Workers, len(rfs), func(i int) (swept, error) {
+		rf, cfg := rfs[i], cfgs[i]
 		// Area-preserving reshapes still change the CSF *metadata*
 		// footprint (tall tiles carry more fibers and segment bounds), so
 		// admission is re-checked per candidate.
@@ -414,6 +423,93 @@ func scaleDim(base int, rf float64) int {
 		d = 1
 	}
 	return d
+}
+
+// landRefinements prices, on each input's statistics bundle, the
+// common refinement of the RF ≥ 1 configs and that of the RF < 1
+// configs, so the sweep coarsens every RF's shape from one of them
+// (stats.Stats.EvalShape takes the cheapest memoized shape that refines
+// the one asked). No RF shape refines another — for A(i,k) they are
+// (T·rf, T/rf) — so without them each is coarsened from the micro
+// summary. One refinement of all six RFs would be (T/4, T/8) on A,
+// nearly the micro grid; the two halves, (T, T/8) and (T/4, 2T), are far
+// coarser. Bundles fan out; one bundle's refinements land serially in a
+// fixed order, so which shapes derive from which does not depend on the
+// schedule.
+func landRefinements(ctx context.Context, pred *model.Predictor, e *einsum.Expr, rfs []float64, cfgs []model.Config, workers int) error {
+	var halves [2][]model.Config
+	for i, rf := range rfs {
+		if rf >= 1 {
+			halves[0] = append(halves[0], cfgs[i])
+		} else {
+			halves[1] = append(halves[1], cfgs[i])
+		}
+	}
+	refs := e.Inputs()
+	var names []string
+	for _, ref := range refs {
+		if !slices.Contains(names, ref.Name) {
+			names = append(names, ref.Name)
+		}
+	}
+	return par.ForEachCtx(ctx, workers, len(names), func(i int) error {
+		st := pred.Stats[names[i]]
+		for _, ref := range refs {
+			if ref.Name != names[i] {
+				continue
+			}
+			for _, half := range halves {
+				if dims := commonRefinement(st, ref, half); dims != nil {
+					if _, err := st.EvalShape(dims); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// commonRefinement returns the coarsest shape of ref's bundle whose grid
+// refines the shape of ref under every one of cfgs, or nil for no
+// configs (CorrsOnly sweeps one RF). On each axis
+// it is the gcd of the configs' tile dims, snapped as the model snaps
+// them, so a micro multiple. A tile dim that spans its axis is left out,
+// as every grid refines a one-tile axis; an axis every config spans
+// keeps the spanning dim.
+func commonRefinement(st *stats.Stats, ref einsum.Ref, cfgs []model.Config) []int {
+	if len(cfgs) == 0 {
+		return nil
+	}
+	n := len(ref.Indices)
+	out := make([]int, n)
+	span := make([]int, n)
+	dims := make([]int, n)
+	for _, cfg := range cfgs {
+		for a, ix := range ref.Indices {
+			dims[a] = min(cfg[ix], st.Dims[a])
+		}
+		for a, d := range st.SnapToMicroInto(dims, dims) {
+			if d >= st.Dims[a] {
+				span[a] = d
+			} else {
+				out[a] = gcd(out[a], d)
+			}
+		}
+	}
+	for a := range out {
+		if out[a] == 0 {
+			out[a] = span[a]
+		}
+	}
+	return out
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // corrsOnlyRF implements the Fig. 8 heuristic: low ΣCorrs (little output

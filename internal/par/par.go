@@ -66,6 +66,12 @@ func (p *PanicError) Error() string { return fmt.Sprintf("par: worker panic: %v"
 // their outcomes; in-flight items are never interrupted mid-fn. With a
 // never-cancelled context the results written by fn are byte-identical
 // at any worker count.
+//
+// An item must be worth its claim: an atomic add on a counter every
+// worker contends for, then a ctx.Err() call, which locks a cancelCtx's
+// mutex. A loop over many cheap items — a sort of a few entries per
+// micro tile — fans out over Chunks ranges instead, a few per worker,
+// as the tiler's per-group passes do.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ForEachScratchCtx(ctx, workers, n, nopScratch, func(i int, _ struct{}) error {
 		return fn(i)

@@ -29,13 +29,15 @@ func optimizeReq(id string) map[string]any {
 }
 
 // TestOptimizeDeadlineAbortsPipeline is the tentpole regression test:
-// a request deadline far shorter than the cold pipeline must produce a
-// 504 in roughly the deadline — not the full pipeline time — with the
+// a request deadline that expires while its pipeline runs must produce
+// a 504 in roughly the deadline — not the full pipeline time — with the
 // compute observed to stop (the pool joins cleanly and the process
 // goroutine count drains back to its baseline), and an aborted run must
 // leave no artifact that perturbs a later identical request: re-running
 // against the same cache directory yields bytes identical to a server
-// that never timed out.
+// that never timed out. The pipeline's job holds inside its flight
+// until the deadline passes, so the deadline fires mid-job however fast
+// the host runs the pipeline.
 func TestOptimizeDeadlineAbortsPipeline(t *testing.T) {
 	// Server A: generous deadline, private cache — the reference run.
 	_, tsA := newTestServer(t, Config{})
@@ -58,12 +60,21 @@ func TestOptimizeDeadlineAbortsPipeline(t *testing.T) {
 		t.Fatalf("content address differs across servers: %s vs %s", idB, idA)
 	}
 
-	// Server B: deadline far below the measured cold pipeline time.
+	// Server B: its job waits in the flight until the request's deadline
+	// has cancelled it, then runs the pipeline on the dead context. A
+	// server that ignored the deadline would hold the job for the full
+	// cap and then answer 200.
 	baseline := runtime.NumGoroutine()
 	deadline := 100 * time.Millisecond
 	sB, err := New(Config{CacheDir: dir, RequestTimeout: deadline})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sB.inFlight = func(ctx context.Context) {
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+		}
 	}
 	tsB := httptest.NewServer(sB.Handler())
 	defer tsB.Close()

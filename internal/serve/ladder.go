@@ -315,7 +315,12 @@ func single[R any](s *Server, internal bool, endpoint string, total, hits counte
 		}
 		body, state, err := s.flights.do(ctx, j.key, warm, func(fctx context.Context) ([]byte, error) {
 			var res []jobResult
-			if err := s.runCompute(fctx, func(ctx context.Context) { res = s.runLocal(ctx, []*keyedJob{j}) }); err != nil {
+			if err := s.runCompute(fctx, func(ctx context.Context) {
+				if s.inFlight != nil {
+					s.inFlight(ctx)
+				}
+				res = s.runLocal(ctx, []*keyedJob{j})
+			}); err != nil {
 				return nil, err
 			}
 			if res[0].err != nil {

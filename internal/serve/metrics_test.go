@@ -148,8 +148,9 @@ func TestVarsSurface(t *testing.T) {
 	}
 	// Counters not named here read 0. The batch prices its jobs' shapes
 	// in parallel on shared memos, so which of them derive from a priced
-	// shape varies from run to run: only the two shape counters' sum is
-	// pinned. bytes_served also holds the fresh
+	// shape varies from run to run: the two shape counters' sum is
+	// pinned, and the micro count only by a ceiling below. bytes_served
+	// also holds the fresh
 	// read's body, whose length carries the build's version string.
 	pinned := map[string]int64{
 		"artifact_mem_hits":      3,
@@ -187,8 +188,17 @@ func TestVarsSurface(t *testing.T) {
 			t.Errorf("%s = %d, want %d", k, vals[k], pinned[k])
 		}
 	}
-	if got := vals["shape_evals_micro"] + vals["shape_evals_derived"]; got != 49 {
-		t.Errorf("shape_evals_micro + shape_evals_derived = %d, want 49", got)
+	if got := vals["shape_evals_micro"] + vals["shape_evals_derived"]; got != 54 {
+		t.Errorf("shape_evals_micro + shape_evals_derived = %d, want 54", got)
+	}
+	// Each optimize lands its inputs' common refinements before its RF
+	// sweep, so most shapes derive: the micro count reads 12–13, against
+	// 35–38 when every RF shape was priced from the micro summary. The
+	// split still varies with the batch's schedule, so only a ceiling is
+	// pinned: half the lowest count of the direct pricing.
+	t.Logf("shape_evals_micro = %d, shape_evals_derived = %d", vals["shape_evals_micro"], vals["shape_evals_derived"])
+	if got := vals["shape_evals_micro"]; got > 17 {
+		t.Errorf("shape_evals_micro = %d, want at most 17", got)
 	}
 	// Three optimizes reached the timed handler; each lands in exactly
 	// one bucket of the cumulative chain's last two.

@@ -234,6 +234,9 @@ type Server struct {
 	// beforeFlight, when set (by tests only), runs in a single-request
 	// handler between its warm check and its flight.
 	beforeFlight func()
+	// inFlight, when set (by tests only), runs in a single-request
+	// flight's pool job before the pipeline, with the job's context.
+	inFlight func(ctx context.Context)
 
 	mu      sync.Mutex
 	httpSrv *http.Server

@@ -30,3 +30,26 @@ func BenchmarkTilingNew(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSummarize measures the summary-only tiler at micro-sized
+// tiles, where each tile is a sort of a few entries: a 1200² power-law
+// matrix with about 8 nonzeros per row, tiled 8×8. Two workers should
+// beat one; a fan-out item per tile made them slower.
+func BenchmarkSummarize(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	m := gen.PowerLawGraph(r, 1200, 9600, 1.7)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sum, err := SummarizeCtx(context.Background(), m, []int{8, 8}, []int{0, 1}, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(sum.Keys) == 0 {
+					b.Fatal("no tiles")
+				}
+			}
+		})
+	}
+}

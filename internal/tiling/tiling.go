@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/formats"
@@ -153,16 +154,17 @@ func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, wor
 		innerDims[l] = tileDims[ax]
 	}
 
-	// Pass 3 (parallel per group): sort each group's entries by inner
-	// coordinates in level order (a strict total order — the input is
-	// duplicate-free) and build its inner CSF. Workers write disjoint
-	// slots of the per-group slices; no shared state. Each worker reuses
-	// one scratch of column/value buffers across every group it claims
-	// (grown once to the largest group, never reallocated per tile), and
-	// the Tile structs and their outer-coordinate slices come from two
-	// flat backing arrays instead of per-group allocations — all three
-	// are retained by the result or reused, so the per-group cost is the
-	// inner CSF's exact-sized arrays and nothing else.
+	// Pass 3 (parallel over chunks of groups): sort each group's entries
+	// by inner coordinates in level order (a strict total order — the
+	// input is duplicate-free) and build its inner CSF. Workers write
+	// disjoint slots of the per-group slices; no shared state. Each
+	// worker reuses one scratch of column/value buffers across every
+	// group it claims (grown once to the largest group, never
+	// reallocated per tile), and the Tile structs and their
+	// outer-coordinate slices come from two flat backing arrays instead
+	// of per-group allocations — all three are retained by the result or
+	// reused, so the per-group cost is the inner CSF's exact-sized arrays
+	// and nothing else.
 	tiles := make([]Tile, len(groupKeys))
 	ocBack := make([]int, n*len(groupKeys))
 	type tileScratch struct {
@@ -171,33 +173,36 @@ func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, wor
 	}
 	newScratch := func() *tileScratch { return &tileScratch{cols: make([][]int32, n)} }
 	cmpInner := gr.cmpInner
-	err = par.ForEachScratchCtx(ctx, workers, len(groupKeys), newScratch, func(g int, sc *tileScratch) error {
-		seg := entOf[starts[g]:starts[g+1]]
-		slices.SortFunc(seg, cmpInner)
-		if cap(sc.vals) < len(seg) {
+	chunks := groupChunks(workers, starts)
+	err = par.ForEachScratchCtx(ctx, workers, len(chunks), newScratch, func(c int, sc *tileScratch) error {
+		for g := chunks[c][0]; g < chunks[c][1]; g++ {
+			seg := entOf[starts[g]:starts[g+1]]
+			slices.SortFunc(seg, cmpInner)
+			if cap(sc.vals) < len(seg) {
+				for l := 0; l < n; l++ {
+					sc.cols[l] = make([]int32, len(seg))
+				}
+				sc.vals = make([]float64, len(seg))
+			}
+			cols := sc.cols
+			vals := sc.vals[:len(seg)]
 			for l := 0; l < n; l++ {
-				sc.cols[l] = make([]int32, len(seg))
+				col := cols[l][:len(seg)]
+				for x, p := range seg {
+					col[x] = inner[l][p]
+				}
+				cols[l] = col
 			}
-			sc.vals = make([]float64, len(seg))
-		}
-		cols := sc.cols
-		vals := sc.vals[:len(seg)]
-		for l := 0; l < n; l++ {
-			col := cols[l][:len(seg)]
 			for x, p := range seg {
-				col[x] = inner[l][p]
+				vals[x] = t.Vals[p]
 			}
-			cols[l] = col
+			// The CSF copies out of the scratch and shares innerDims/order —
+			// both owned by this tiling and immutable from here on.
+			csf := formats.BuildSortedUniqueShared(innerDims, tt.Order, cols, vals)
+			oc := ocBack[g*n : (g+1)*n : (g+1)*n]
+			grid.Decode(oc, groupKeys[g])
+			tiles[g] = Tile{Outer: oc, CSF: csf, Footprint: csf.FootprintWords()}
 		}
-		for x, p := range seg {
-			vals[x] = t.Vals[p]
-		}
-		// The CSF copies out of the scratch and shares innerDims/order —
-		// both owned by this tiling and immutable from here on.
-		csf := formats.BuildSortedUniqueShared(innerDims, tt.Order, cols, vals)
-		oc := ocBack[g*n : (g+1)*n : (g+1)*n]
-		grid.Decode(oc, groupKeys[g])
-		tiles[g] = Tile{Outer: oc, CSF: csf, Footprint: csf.FootprintWords()}
 		return nil
 	})
 	if err != nil {
@@ -309,6 +314,34 @@ func (gr *grouping) cmpInner(p, q int32) int {
 		}
 	}
 	return 0
+}
+
+// chunksPerWorker is how many runs of groups each worker's share of a
+// per-group pass is cut into. At micro tile sizes a group is a sort of a
+// few entries, far cheaper than a fan-out claim, so the passes claim
+// runs of groups; a few runs per worker keep the load balanced.
+const chunksPerWorker = 4
+
+// groupChunks cuts groups into the per-group passes' fan-out items:
+// chunksPerWorker contiguous runs per worker, each holding about the
+// same number of entries (a group's work grows with its entries, and
+// the heavy tiles of a skewed tensor sit together). starts is the
+// grouping's entry offsets: group g owns entries [starts[g],
+// starts[g+1]).
+func groupChunks(workers int, starts []int) [][2]int {
+	groups := len(starts) - 1
+	k := min(par.Workers(workers)*chunksPerWorker, groups)
+	out := make([][2]int, 0, k)
+	for c, lo := 1, 0; lo < groups; c++ {
+		// The first group whose entries start at or past chunk c's share.
+		hi := max(lo+1, sort.SearchInts(starts[:groups], starts[groups]*c/k))
+		if c == k {
+			hi = groups
+		}
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
 }
 
 // groupByOuter runs passes 1–2 of the tiler: per-entry inner coordinates
@@ -426,47 +459,51 @@ func SummarizeCtx(ctx context.Context, t *tensor.COO, tileDims, order []int, wor
 	}
 
 	cmpInner := gr.cmpInner
-	// Parallel per group: sort the group's entries by inner coordinates
-	// (the same strict total order the CSF build uses) and count fibers
-	// per level by divergence — a fiber opens at every entry whose path
-	// diverges from its predecessor's at or above that level. Workers
-	// write disjoint per-group slots; nothing here allocates.
-	if err := par.ForEachCtx(ctx, workers, len(groupKeys), func(g int) error {
-		seg := entOf[starts[g]:starts[g+1]]
-		slices.SortFunc(seg, cmpInner)
-		// Footprint = values + Σ_l coords (fibers[l]) + Σ_l segment words
-		// (fibers[l-1]+1 per level, 2 at the root — an n+1 constant plus
-		// every non-leaf level's fiber count repeated as its child's
-		// segment starts).
-		words := len(seg) + n + 1
+	// Parallel over chunks of groups: sort each group's entries by inner
+	// coordinates (the same strict total order the CSF build uses) and
+	// count fibers per level by divergence — a fiber opens at every entry
+	// whose path diverges from its predecessor's at or above that level.
+	// Workers write disjoint runs of per-group slots; nothing here
+	// allocates.
+	chunks := groupChunks(workers, starts)
+	if err := par.ForEachCtx(ctx, workers, len(chunks), func(c int) error {
 		var fibArr [8]int
 		fib := fibArr[:]
 		if n > len(fibArr) {
 			fib = make([]int, n)
 		}
-		for l := 0; l < n; l++ {
-			fib[l] = 1 // the first entry opens every level
-		}
-		for x := 1; x < len(seg); x++ {
-			p, q := seg[x], seg[x-1]
-			div := 0
-			for div < n && inner[div][p] == inner[div][q] {
-				div++
+		for g := chunks[c][0]; g < chunks[c][1]; g++ {
+			seg := entOf[starts[g]:starts[g+1]]
+			slices.SortFunc(seg, cmpInner)
+			// Footprint = values + Σ_l coords (fibers[l]) + Σ_l segment
+			// words (fibers[l-1]+1 per level, 2 at the root — an n+1
+			// constant plus every non-leaf level's fiber count repeated as
+			// its child's segment starts).
+			words := len(seg) + n + 1
+			for l := 0; l < n; l++ {
+				fib[l] = 1 // the first entry opens every level
 			}
-			for l := div; l < n; l++ {
-				fib[l]++
+			for x := 1; x < len(seg); x++ {
+				p, q := seg[x], seg[x-1]
+				div := 0
+				for div < n && inner[div][p] == inner[div][q] {
+					div++
+				}
+				for l := div; l < n; l++ {
+					fib[l]++
+				}
 			}
-		}
-		for l := 0; l < n; l++ {
-			words += fib[l]
-			if l < n-1 {
-				words += fib[l] // segment entries of level l+1
+			for l := 0; l < n; l++ {
+				words += fib[l]
+				if l < n-1 {
+					words += fib[l] // segment entries of level l+1
+				}
 			}
-		}
-		sum.NNZ[g] = checked.Int32(len(seg))
-		sum.Footprint[g] = checked.Int32(words)
-		for l := 0; l < n; l++ {
-			sum.Fibers[l][g] = checked.Int32(fib[l])
+			sum.NNZ[g] = checked.Int32(len(seg))
+			sum.Footprint[g] = checked.Int32(words)
+			for l := 0; l < n; l++ {
+				sum.Fibers[l][g] = checked.Int32(fib[l])
+			}
 		}
 		return nil
 	}); err != nil {
