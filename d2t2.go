@@ -117,8 +117,14 @@ func (t *Tensor) Transpose() *Tensor { return &Tensor{coo: t.coo.Transpose()} }
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor { return &Tensor{coo: t.coo.Clone()} }
 
-// Normalize sorts entries and combines duplicates in place.
-func (t *Tensor) Normalize() { t.coo.Dedup() }
+// Normalize sorts entries and combines duplicates in place. A tensor
+// known canonical — parsed, or already normalized — is left as it is.
+func (t *Tensor) Normalize() {
+	if t.canon.Load() != t.coo {
+		t.coo.Dedup()
+		t.canon.Store(t.coo)
+	}
+}
 
 // Spy renders an ASCII occupancy plot of a matrix (density glyphs per
 // grid cell) — useful for eyeballing the structure the optimizer reacts
@@ -127,11 +133,19 @@ func (t *Tensor) Spy(width, height int) string { return t.coo.Spy(width, height)
 
 // FromMatrixMarket reads a Matrix Market (.mtx) stream.
 func FromMatrixMarket(r io.Reader) (*Tensor, error) {
-	m, err := mmio.ReadMatrixMarket(r)
+	return parsed(mmio.ReadMatrixMarket(r))
+}
+
+// parsed wraps a reader's tensor, which is canonical: Normalize, the
+// canonical view and the content address take it as it is, without
+// scanning it again.
+func parsed(c *tensor.COO, err error) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tensor{coo: m}, nil
+	t := &Tensor{coo: c}
+	t.canon.Store(c)
+	return t, nil
 }
 
 // ToMatrixMarket writes the matrix in Matrix Market format.
@@ -139,26 +153,27 @@ func (t *Tensor) ToMatrixMarket(w io.Writer) error { return mmio.WriteMatrixMark
 
 // FromTNS reads a FROSTT (.tns) stream; dims nil infers sizes.
 func FromTNS(r io.Reader, dims []int) (*Tensor, error) {
-	m, err := mmio.ReadTNS(r, dims)
-	if err != nil {
-		return nil, err
-	}
-	return &Tensor{coo: m}, nil
+	return parsed(mmio.ReadTNS(r, dims))
 }
 
 // ToTNS writes the tensor in FROSTT format.
 func (t *Tensor) ToTNS(w io.Writer) error { return mmio.WriteTNS(w, t.coo) }
 
 // FromStream reads a tensor from r, sniffing the on-disk format from the
-// stream itself (Matrix Market banner vs. FROSTT lines). This is the
-// ingest path of the d2t2d service: uploads are parsed straight off the
-// wire, never spooled to a temporary file.
+// stream itself (Matrix Market banner vs. FROSTT lines). The stream is
+// read into memory and parsed there, never spooled to a temporary file;
+// FromBytesCtx parses a body already in memory.
 func FromStream(r io.Reader) (*Tensor, error) {
-	m, err := mmio.ReadAny(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Tensor{coo: m}, nil
+	return parsed(mmio.ReadAny(r))
+}
+
+// FromBytesCtx parses a buffered upload, sniffing its format as
+// FromStream does, on up to workers goroutines (0 = all cores): a large
+// body is cut at line boundaries into one piece per worker. The tensor
+// and any error are FromStream's; a cancelled ctx stops the parse at its
+// next piece with the context's error. The tensor does not alias body.
+func FromBytesCtx(ctx context.Context, body []byte, workers int) (*Tensor, error) {
+	return parsed(mmio.ParseCtx(ctx, body, workers))
 }
 
 // COO returns the tensor's underlying coordinate storage — shared, not

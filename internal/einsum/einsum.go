@@ -15,6 +15,7 @@ package einsum
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -58,6 +59,45 @@ type Expr struct {
 
 func (e *Expr) String() string {
 	return fmt.Sprintf("%s = %s | order: %s", e.Out, e.RHS, strings.Join(e.Order, ","))
+}
+
+// Equal reports whether e and f are the same statement — for parsed
+// statements, whether they print the same String — without formatting
+// either: outputs, orders and right-hand sides compared field by field.
+// A chain of products compares as its list of factors, whatever its
+// nesting, since String prints a product unparenthesized.
+func (e *Expr) Equal(f *Expr) bool {
+	return e == f || sameRef(e.Out, f.Out) && slices.Equal(e.Order, f.Order) && sameNode(e.RHS, f.RHS)
+}
+
+func sameRef(a, b Ref) bool { return a.Name == b.Name && slices.Equal(a.Indices, b.Indices) }
+
+// sameNode is Equal's comparison of two expression trees.
+func sameNode(a, b Node) bool {
+	switch x := a.(type) {
+	case Ref:
+		y, ok := b.(Ref)
+		return ok && sameRef(x, y)
+	case Add:
+		y, ok := b.(Add)
+		return ok && sameNode(x.A, y.A) && sameNode(x.B, y.B)
+	case Mul:
+		if _, ok := b.(Mul); !ok {
+			return false
+		}
+		var fa, fb [8]Node
+		return slices.EqualFunc(appendFactors(fa[:0], x), appendFactors(fb[:0], b), sameNode)
+	}
+	return a == nil && b == nil
+}
+
+// appendFactors appends the factors of the product chain under n, left
+// to right: n itself when it is not a product.
+func appendFactors(out []Node, n Node) []Node {
+	if m, ok := n.(Mul); ok {
+		return appendFactors(appendFactors(out, m.A), m.B)
+	}
+	return append(out, n)
 }
 
 // Inputs returns every tensor reference in the RHS in left-to-right

@@ -211,3 +211,37 @@ func TestProductsIdxSharedOccurrence(t *testing.T) {
 		t.Fatalf("shared occurrence not preserved: %v", idx)
 	}
 }
+
+// TestEqualMatchesString pins Expr.Equal to the comparison it replaces:
+// two parsed statements are Equal exactly when they print the same
+// String, nested products and parenthesized sums included.
+func TestEqualMatchesString(t *testing.T) {
+	srcs := []string{
+		"C(i,j) = A(i,k) * B(k,j) | order: i,k,j",
+		"C(i,j) = A(i,k) * B(k,j) | order: i,j,k",
+		"C(i,j) = B(i,k) * A(k,j) | order: i,k,j",
+		"C(i,j) = A(i,k) * B(k,l) * D(l,j) | order: i,k,l,j",
+		"C(i,j) = A(i,k) * (B(k,l) * D(l,j)) | order: i,k,l,j",
+		"C(i,j) = (A(i,k) * B(k,l)) * D(l,j) | order: i,k,l,j",
+		"C(i,j) = A(i,j) + B(i,j) | order: i,j",
+		"C(i,j) = (A(i,j) + B(i,j)) + D(i,j) | order: i,j",
+		"C(i,j) = A(i,j) + (B(i,j) + D(i,j)) | order: i,j",
+		"C(i,j) = (A(i,k) + B(i,k)) * D(k,j) | order: i,k,j",
+		"C(j,i) = A(i,k) * B(k,j) | order: i,k,j",
+	}
+	var exprs []*Expr
+	for _, s := range srcs {
+		e, err := Parse(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		exprs = append(exprs, e)
+	}
+	for _, e := range exprs {
+		for _, f := range exprs {
+			if got, want := e.Equal(f), e.String() == f.String(); got != want {
+				t.Errorf("%s Equal %s = %v, String equality %v", e, f, got, want)
+			}
+		}
+	}
+}

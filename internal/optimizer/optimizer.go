@@ -567,7 +567,7 @@ func predictorMatches(p *model.Predictor, e *einsum.Expr, st map[string]*stats.S
 	switch {
 	case o.Calibrate || o.Calibration != nil || p.Calib != nil:
 		return fmt.Errorf("optimizer: a calibrated optimization cannot share a predictor")
-	case p.Expr.String() != e.String():
+	case !p.Expr.Equal(e):
 		return fmt.Errorf("optimizer: shared predictor is for %s, not %s", p.Expr, e)
 	case p.Mode != o.Mode || p.UseCorrs == o.DisableCorrs || p.DisableRefinement != o.DisableRefinement:
 		return fmt.Errorf("optimizer: shared predictor was built for another mode or ablation")
@@ -775,7 +775,7 @@ func (r *Result) snapIdx(ix string, v int) int {
 				continue
 			}
 			st := r.Stats[ref.Name]
-			m := st.MicroDims()[a]
+			m := st.MicroDim(a)
 			q := v/m + (v%m+m/2)/m // (v + m/2) / m without overflow
 			if q < 1 {
 				q = 1

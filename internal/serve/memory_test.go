@@ -149,7 +149,7 @@ func TestTensorChargeCoversHeap(t *testing.T) {
 						t.Fatal(err)
 					}
 					v = d2t2.FromCOO(a.Tensor, "")
-				} else if v, err = parseUpload(false, []byte(body)); err != nil {
+				} else if v, err = parseUpload(context.Background(), false, []byte(body), 0); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := d2t2.NewSession(nil).TensorID(v); err != nil {
@@ -252,7 +252,7 @@ func TestStatsChargeCoversHeap(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("order %d upload %s: status %d: %s", order, name, code, id)
 			}
-			if inputs[name], err = parseUpload(false, []byte(body)); err != nil {
+			if inputs[name], err = parseUpload(context.Background(), false, []byte(body), 0); err != nil {
 				t.Fatal(err)
 			}
 			ids[name] = id
@@ -468,11 +468,11 @@ func TestTensorArtifactUnderForeignAddress(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	r := rand.New(rand.NewSource(5))
-	x, err := parseUpload(false, []byte(tnsBody(r, []int{32, 32}, 96)))
+	x, err := parseUpload(context.Background(), false, []byte(tnsBody(r, []int{32, 32}, 96)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := parseUpload(false, []byte(tnsBody(r, []int{32, 32}, 96)))
+	y, err := parseUpload(context.Background(), false, []byte(tnsBody(r, []int{32, 32}, 96)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -718,9 +718,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	job := func(ctx context.Context) { resp, jobErr = s.ingest(ctx, asJSON, body) }
 	if err := s.runCompute(r.Context(), job); err != nil {
 		// Abandoned while queued (never ran) or at the deadline after
-		// hand-off — in the latter case the worker finishes the buffered
-		// job on its own (the artifact lands in the cache for a retry)
-		// and resp/jobErr must not be read.
+		// hand-off — in the latter case the worker stops the parse at its
+		// next piece, or finishes a job past the parse on its own (the
+		// artifact lands in the cache for a retry), and resp/jobErr must
+		// not be read.
 		s.metrics.add(ingestErrors, 1)
 		s.writeComputeError(w, err, http.StatusInternalServerError)
 		return
@@ -742,9 +743,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // placement when clustered, so other nodes can resolve the content
 // address without a peer round-trip at optimize time). Runs on a pool
 // worker and must not touch the originating request — ctx is the
-// request's context, carried for the cache ladder only.
+// request's context: the parse's fan-out stops at its next piece once
+// it is done, and the cache ladder carries it.
 func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestResponse, error) {
-	t, err := parseUpload(asJSON, body)
+	t, err := parseUpload(ctx, asJSON, body, s.cfg.Workers)
 	if err != nil {
 		return ingestResponse{}, err
 	}
@@ -755,11 +757,12 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 	return ingestResponse{ID: id, Dims: t.Dims(), NNZ: t.NNZ(), Cached: cached}, nil
 }
 
-// parseUpload builds the Normalized tensor an upload describes. Its
-// slices hold exactly its entries: parsing grows them by append, and a
-// resident tensor is charged by capacity, so the one copy here keeps
-// the charge to what the entries need.
-func parseUpload(asJSON bool, body []byte) (*d2t2.Tensor, error) {
+// parseUpload builds the Normalized tensor an upload describes, on up
+// to workers goroutines under ctx. Its slices hold exactly its entries,
+// since a resident tensor is charged by capacity: the parse joins its
+// pieces into exact-sized slices, and a generated tensor, grown by
+// append, is copied once.
+func parseUpload(ctx context.Context, asJSON bool, body []byte, workers int) (*d2t2.Tensor, error) {
 	var t *d2t2.Tensor
 	var err error
 	if asJSON {
@@ -772,7 +775,7 @@ func parseUpload(asJSON bool, body []byte) (*d2t2.Tensor, error) {
 		}
 		t, err = d2t2.Dataset(req.Gen.Label, req.Gen.Scale)
 	} else {
-		t, err = d2t2.FromStream(bytes.NewReader(body))
+		t, err = d2t2.FromBytesCtx(ctx, body, workers)
 	}
 	if err != nil {
 		return nil, err
@@ -783,8 +786,11 @@ func parseUpload(asJSON bool, body []byte) (*d2t2.Tensor, error) {
 	if _, err := radix.NewCodec(t.Dims()); err != nil {
 		return nil, fmt.Errorf("%v tensor: %w", t.Dims(), err)
 	}
-	t.Normalize()
-	return t.Clone(), nil
+	if asJSON {
+		t.Normalize()
+		t = t.Clone()
+	}
+	return t, nil
 }
 
 // errOverBudget refuses a tensor a memory-only server cannot keep (see

@@ -67,7 +67,8 @@ func corrRestGrid(dims []int, axis int) (*radix.Codec, error) {
 // Count-then-fill into one flat backing array instead of a map of
 // growing slices: two passes over the entries, a handful of allocations
 // total. Each position's slice flat[off[k]:off[k+1]] comes back sorted —
-// the canonical accumulator form Partial serializes and Merge merges.
+// the canonical accumulator form Partial serializes and Merge merges —
+// and only a position whose keys arrived out of order is sorted.
 func (pl *corrPlan) gather(t *tensor.COO, axis int, rest *radix.Codec) (off []int32, flat []uint64) {
 	dim := pl.dim
 	cnt := make([]int32, dim+1)
@@ -83,6 +84,10 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int, rest *radix.Codec) (off []in
 	flat = make([]uint64, off[dim])
 	cur := make([]int32, dim)
 	copy(cur, off[:dim])
+	// unsorted marks the positions whose rest keys arrived out of
+	// ascending order; only those are sorted. A canonical tensor's keys
+	// arrive in order along axis 0.
+	unsorted := make([]bool, dim)
 	rc := make([]int, 0, t.Order())
 	for p := 0; p < t.NNZ(); p++ {
 		k := t.Crds[axis][p]
@@ -95,11 +100,17 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int, rest *radix.Codec) (off []in
 				rc = append(rc, crd[p])
 			}
 		}
-		flat[cur[k]], _ = rest.Encode(rc)
+		c := cur[k]
+		flat[c], _ = rest.Encode(rc)
+		if c > off[k] && flat[c] < flat[c-1] {
+			unsorted[k] = true
+		}
 		cur[k]++
 	}
-	for k := 0; k < dim; k++ {
-		slices.Sort(flat[off[k]:off[k+1]])
+	for k, u := range unsorted {
+		if u {
+			slices.Sort(flat[off[k]:off[k+1]])
+		}
 	}
 	return off, flat
 }

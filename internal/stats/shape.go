@@ -175,9 +175,9 @@ func (sh *ShapeStats) Project(shared, extras []int) *Projection {
 
 // project is Project without the memo: it keys each tile's (shared,
 // extras) tuple in the grid of those axes — shared fields first, so a
-// shared key is a key prefix — radix-sorts the keys and counts distinct
-// extras tuples per shared run. The axes are distinct axes of the shape,
-// whose grid has keys, so both grids have keys too.
+// shared key is a key prefix — orders the keys (sortCells) and counts
+// distinct extras tuples per shared run. The axes are distinct axes of
+// the shape, whose grid has keys, so both grids have keys too.
 func (sh *ShapeStats) project(shared, extras []int) *Projection {
 	axes := slices.Concat(shared, extras)
 	dims := make([]int, len(axes))
@@ -195,7 +195,7 @@ func (sh *ShapeStats) project(shared, extras []int) *Projection {
 		}
 		pairs[t], _ = full.Encode(c)
 	}
-	pairs, _ = radix.Sort(pairs, make([]uint64, len(pairs)), nil, nil)
+	pairs = sortCells(pairs, full.Size())
 	l := len(shared)
 	p := &Projection{grid: grid}
 	for i, v := range pairs {
@@ -208,6 +208,28 @@ func (sh *ShapeStats) project(shared, extras []int) *Projection {
 		}
 	}
 	return p
+}
+
+// sortCells returns keys, cells of a grid of the given size, in
+// ascending order: read back distinct from a table of the grid's cells
+// when the grid is dense in keys (radix.Dense), else radix-sorted with
+// their duplicates. It reuses keys' storage.
+func sortCells(keys []uint64, cells uint64) []uint64 {
+	if !radix.Dense(cells, len(keys)) {
+		keys, _ = radix.Sort(keys, make([]uint64, len(keys)), nil, nil)
+		return keys
+	}
+	seen := make([]bool, cells)
+	for _, k := range keys {
+		seen[k] = true
+	}
+	keys = keys[:0]
+	for k, s := range seen {
+		if s {
+			keys = append(keys, uint64(k))
+		}
+	}
+	return keys
 }
 
 // PPrefix returns the probability that a subtree bound at levels 0..l is
@@ -415,7 +437,7 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 			}
 			keys[i] = micro.Coarsen(k, factors, grid)
 		}
-		keys, fp = groupSums(keys, ms.footprint)
+		keys, fp = groupSums(keys, ms.footprint, grid.Size())
 	} else {
 		for a, td := range tileDims {
 			if td%src.TileDims[a] == 0 {
@@ -432,7 +454,7 @@ func (s *Stats) evalShape(tileDims []int) (*ShapeStats, error) {
 			}
 			keys[t], _ = grid.Encode(c)
 		}
-		keys, fp = groupSums(keys, src.fp)
+		keys, fp = groupSums(keys, src.fp, grid.Size())
 	}
 	if h := s.evalObserver.Load(); h != nil {
 		(*h)(src != nil)
@@ -529,10 +551,16 @@ func (s *Stats) refiner(sh *ShapeStats) *ShapeStats {
 	return best
 }
 
-// groupSums sorts keys, entry i's key, and folds each run of equal keys
-// into one key and the sum of w over the run's entries. It reuses keys'
-// storage. The sort is one stable radix sort carrying the entry index.
-func groupSums[W int32 | int](keys []uint64, w []W) ([]uint64, []int) {
+// groupSums folds the keys, entry i's key a cell of a grid of the given
+// size, into the ascending distinct keys and the sum of w over each
+// key's entries. It reuses keys' storage. A grid dense in keys
+// (radix.Dense) sums into a table of its cells; a sparser one is one
+// stable radix sort carrying the entry index. Sums are exact integers,
+// so both give the same result.
+func groupSums[W int32 | int](keys []uint64, w []W, cells uint64) ([]uint64, []int) {
+	if radix.Dense(cells, len(keys)) {
+		return denseSums(keys, w, cells)
+	}
 	idx := make([]int32, len(keys))
 	for i := range idx {
 		idx[i] = checked.Int32(i)
@@ -550,6 +578,31 @@ func groupSums[W int32 | int](keys []uint64, w []W) ([]uint64, []int) {
 		sums = append(sums, sum)
 	}
 	return keys[:t], sums
+}
+
+// denseSums is groupSums over a table of the grid's cells. A mark, not
+// a nonzero sum, says a cell is present: a decoded summary may carry a
+// zero footprint.
+func denseSums[W int32 | int](keys []uint64, w []W, cells uint64) ([]uint64, []int) {
+	sum := make([]int, cells)
+	seen := make([]bool, cells)
+	tiles := 0
+	for i, k := range keys {
+		sum[k] += int(w[i])
+		if !seen[k] {
+			seen[k] = true
+			tiles++
+		}
+	}
+	sums := make([]int, 0, tiles)
+	keys = keys[:0]
+	for k, s := range seen {
+		if s {
+			keys = append(keys, uint64(k))
+			sums = append(sums, sum[k])
+		}
+	}
+	return keys, sums
 }
 
 // countRuns returns the number of distinct values in ascending keys.
@@ -589,6 +642,10 @@ func (s *Stats) MicroDims() []int {
 	}
 	return append([]int(nil), s.micro.microDims...)
 }
+
+// MicroDim returns the micro tile dimension of axis a, as MicroDims()[a]
+// does, without copying the others.
+func (s *Stats) MicroDim(a int) int { return s.micro.microDims[a] }
 
 // SnapToMicro rounds each tile dimension to the nearest positive multiple
 // of the micro dimension, clamped to the tensor dimension rounded up to a

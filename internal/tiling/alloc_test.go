@@ -49,6 +49,26 @@ func TestSummarizeMatchesNew(t *testing.T) {
 			return tt, s1, s8, err
 		}},
 	}
+	// Inputs for each side of the grouping's branches: a canonical tensor
+	// at natural order skips the per-tile sort, its shuffled copy (not
+	// canonical, still duplicate-free) and a permuted order sort; a grid
+	// of at most 8 cells per entry (radix.Dense) groups by counting, a
+	// sparser one by radix sort. The tiling comes from the canonical
+	// tensor, the one-worker summary from the shuffled copy.
+	for _, bc := range branchCases(r) {
+		run = append(run, tcase{name: bc.name, gen: func() (*TiledTensor, *TileSummary, *TileSummary, error) {
+			tt, err := NewCtx(context.Background(), bc.m, bc.tile, bc.order, 4)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			s1, err := SummarizeCtx(context.Background(), shuffled(r, bc.m), bc.tile, bc.order, 1)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			s8, err := SummarizeCtx(context.Background(), bc.m, bc.tile, bc.order, 8)
+			return tt, s1, s8, err
+		}})
+	}
 	for _, tc := range run {
 		t.Run(tc.name, func(t *testing.T) {
 			tt, s1, s8, err := tc.gen()

@@ -119,8 +119,8 @@ func (tt *TiledTensor) SortedKeys() []uint64 {
 // axis) with inner/outer CSF levels following order (nil = natural),
 // on `workers` goroutines (0 = all cores). The input must be
 // duplicate-free (Dedup'd); entries are not modified. Entries are
-// grouped by outer tile key with one radix sort — no comparison sort
-// over the whole tensor — and each tile's inner CSF is built
+// grouped by outer tile key with one counting pass or radix sort — no
+// comparison sort over the whole tensor — and each tile's inner CSF is built
 // independently on a worker pool. Tiles are merged in ascending key
 // order, so the result is byte-identical for every worker count.
 // Cancellation is cooperative: the parallel passes stop claiming work
@@ -156,7 +156,8 @@ func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, wor
 
 	// Pass 3 (parallel over chunks of groups): sort each group's entries
 	// by inner coordinates in level order (a strict total order — the
-	// input is duplicate-free) and build its inner CSF. Workers write
+	// input is duplicate-free), unless they arrived in that order, and
+	// build its inner CSF. Workers write
 	// disjoint slots of the per-group slices; no shared state. Each
 	// worker reuses one scratch of column/value buffers across every
 	// group it claims (grown once to the largest group, never
@@ -177,7 +178,9 @@ func NewCtx(ctx context.Context, t *tensor.COO, tileDims []int, order []int, wor
 	err = par.ForEachScratchCtx(ctx, workers, len(chunks), newScratch, func(c int, sc *tileScratch) error {
 		for g := chunks[c][0]; g < chunks[c][1]; g++ {
 			seg := entOf[starts[g]:starts[g+1]]
-			slices.SortFunc(seg, cmpInner)
+			if !gr.sorted {
+				slices.SortFunc(seg, cmpInner)
+			}
 			if cap(sc.vals) < len(seg) {
 				for l := 0; l < n; l++ {
 					sc.cols[l] = make([]int32, len(seg))
@@ -301,6 +304,10 @@ type grouping struct {
 	groupKeys []uint64
 	starts    []int
 	entOf     []int32
+	// sorted reports that the entries arrived in strictly increasing
+	// level order, so each group's entries are in inner level order
+	// already and need no per-tile sort.
+	sorted bool
 }
 
 // cmpInner orders entries p and q by inner coordinates in level order —
@@ -345,8 +352,12 @@ func groupChunks(workers int, starts []int) [][2]int {
 }
 
 // groupByOuter runs passes 1–2 of the tiler: per-entry inner coordinates
-// and outer grid keys in parallel, then one stable radix sort of the keys
-// carrying each entry's index; runs of equal keys are the groups. The
+// and outer grid keys in parallel, then a stable grouping of the entries
+// by key — one counting pass over the grid's cells when the grid is
+// dense in entries (radix.Dense), else one radix sort of the keys
+// carrying each entry's index. Pass 1 also notes whether the entries
+// arrived in level order, as a canonical tensor at natural order does:
+// each group's entries are then in inner level order already. The
 // caller must have validated the tiling via validateTiling.
 func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, grid *radix.Codec, workers int) (*grouping, error) {
 	n := t.Order()
@@ -355,7 +366,7 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, gri
 	// Inner coordinates are remainders modulo the tile size, which
 	// validateTiling capped at math.MaxInt32 — assert per axis so the
 	// int32 narrowing in pass 1 is visibly safe without a per-entry
-	// check. The sort's entry indices are int32 too.
+	// check. The grouping's entry indices are int32 too.
 	for _, td := range tileDims {
 		if td <= 0 || td > math.MaxInt32 {
 			return nil, fmt.Errorf("tiling: tile dim %d out of int32 range", td)
@@ -366,16 +377,19 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, gri
 	}
 
 	// Pass 1 (parallel over disjoint entry ranges): per-entry inner
-	// coordinates per level and the outer grid key (always in the grid).
+	// coordinates per level and the outer grid key (always in the grid),
+	// and whether each range's entries follow their predecessors in
+	// level order.
 	inner := make([][]int32, n)
 	for l := range inner {
 		inner[l] = make([]int32, nnz)
 	}
 	gkeys := make([]uint64, nnz)
-	idx := make([]int32, nnz)
 	chunks := par.Chunks(workers, nnz)
+	inOrder := make([]bool, len(chunks))
 	if err := par.ForEachCtx(ctx, workers, len(chunks), func(c int) error {
 		oc := make([]int, n)
+		ordered := true
 		for p := chunks[c][0]; p < chunks[c][1]; p++ {
 			for l, ax := range order {
 				crd := t.Crds[ax][p]
@@ -384,8 +398,9 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, gri
 				inner[l][p] = int32(crd % td)
 			}
 			gkeys[p], _ = grid.Encode(oc)
-			idx[p] = int32(p)
+			ordered = ordered && (p == 0 || levelLess(t, order, p-1, p))
 		}
+		inOrder[c] = ordered
 		return nil
 	}); err != nil {
 		return nil, err
@@ -394,18 +409,81 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, gri
 		return nil, err
 	}
 
-	// Pass 2 (serial): sort the entries by tile, stably, and split the
-	// runs of equal keys into groups.
-	keys, entOf := radix.Sort(gkeys, make([]uint64, nnz), idx, make([]int32, nnz))
-	gr := &grouping{inner: inner, entOf: entOf}
+	// Pass 2 (serial): group the entries by tile, stably.
+	gr := &grouping{inner: inner, sorted: !slices.Contains(inOrder, false)}
+	if radix.Dense(grid.Size(), nnz) {
+		gr.countGroups(gkeys, grid.Size())
+	} else {
+		gr.sortGroups(gkeys)
+	}
+	return gr, nil
+}
+
+// sortGroups groups entries by their keys with one stable radix sort of
+// the keys carrying each entry's index; runs of equal keys are the
+// groups. It reuses keys' storage. Callers hold fewer than 2^31 keys
+// (groupByOuter checks).
+func (gr *grouping) sortGroups(keys []uint64) {
+	idx := make([]int32, len(keys))
+	for p := int32(0); int(p) < len(idx); p++ {
+		idx[p] = p
+	}
+	keys, gr.entOf = radix.Sort(keys, make([]uint64, len(keys)), idx, make([]int32, len(keys)))
 	for p, k := range keys {
 		if p == 0 || k != keys[p-1] {
 			gr.groupKeys = append(gr.groupKeys, k)
 			gr.starts = append(gr.starts, p)
 		}
 	}
-	gr.starts = append(gr.starts, nnz)
-	return gr, nil
+	gr.starts = append(gr.starts, len(keys))
+}
+
+// countGroups groups entries by their keys, cells of a grid of the given
+// size, with one counting pass: count per cell, place each entry at its
+// cell's next slot in entry order. Groups come out in ascending key
+// order with entries in entry order, as the radix path leaves them.
+// Callers hold fewer than 2^31 keys (groupByOuter checks).
+func (gr *grouping) countGroups(keys []uint64, cells uint64) {
+	next := make([]int32, cells)
+	for _, k := range keys {
+		next[k]++
+	}
+	groups := 0
+	for _, c := range next {
+		if c > 0 {
+			groups++
+		}
+	}
+	gr.groupKeys = make([]uint64, 0, groups)
+	gr.starts = make([]int, 0, groups+1)
+	off := int32(0)
+	for k, c := range next {
+		if c > 0 {
+			gr.groupKeys = append(gr.groupKeys, uint64(k))
+			gr.starts = append(gr.starts, int(off))
+			next[k] = off
+			off += c
+		}
+	}
+	gr.starts = append(gr.starts, len(keys))
+	gr.entOf = make([]int32, len(keys))
+	for p := int32(0); int(p) < len(keys); p++ {
+		k := keys[p]
+		gr.entOf[next[k]] = p
+		next[k]++
+	}
+}
+
+// levelLess reports whether entry p of t precedes entry q in level
+// order: coordinates compared level by level, order[l] the axis at level
+// l.
+func levelLess(t *tensor.COO, order []int, p, q int) bool {
+	for _, ax := range order {
+		if c, d := t.Crds[ax][p], t.Crds[ax][q]; c != d {
+			return c < d
+		}
+	}
+	return false
 }
 
 // TileSummary is the allocation-light alternative to a full tiling: the
@@ -460,7 +538,8 @@ func SummarizeCtx(ctx context.Context, t *tensor.COO, tileDims, order []int, wor
 
 	cmpInner := gr.cmpInner
 	// Parallel over chunks of groups: sort each group's entries by inner
-	// coordinates (the same strict total order the CSF build uses) and
+	// coordinates (the same strict total order the CSF build uses),
+	// unless they arrived in that order, and
 	// count fibers per level by divergence — a fiber opens at every entry
 	// whose path diverges from its predecessor's at or above that level.
 	// Workers write disjoint runs of per-group slots; nothing here
@@ -474,7 +553,9 @@ func SummarizeCtx(ctx context.Context, t *tensor.COO, tileDims, order []int, wor
 		}
 		for g := chunks[c][0]; g < chunks[c][1]; g++ {
 			seg := entOf[starts[g]:starts[g+1]]
-			slices.SortFunc(seg, cmpInner)
+			if !gr.sorted {
+				slices.SortFunc(seg, cmpInner)
+			}
 			// Footprint = values + Σ_l coords (fibers[l]) + Σ_l segment
 			// words (fibers[l-1]+1 per level, 2 at the root — an n+1
 			// constant plus every non-leaf level's fiber count repeated as
