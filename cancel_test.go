@@ -102,9 +102,6 @@ func TestEntryPointsCancelled(t *testing.T) {
 			_, _, err := NewSession(nil).DeltaCtx(ctx, a, delta, 32)
 			return err
 		}},
-		{"Batch.PrecollectCtx", func(ctx context.Context) error {
-			return NewSession(nil).NewBatch().PrecollectCtx(ctx, k, inputs, opts)
-		}},
 		{"Batch.OptimizeCtx", func(ctx context.Context) error {
 			_, err := NewSession(nil).NewBatch().OptimizeCtx(ctx, k, inputs, opts)
 			return err

@@ -214,11 +214,7 @@ func OptimizeCtx(ctx context.Context, e *einsum.Expr, inputs map[string]*tensor.
 			}
 			return st, nil
 		}
-		p, err := stats.CollectPartialCtx(ctx, inputs[ref.Name], base, e.LevelOrder(ref), &stats.Options{Workers: o.Workers})
-		if err != nil {
-			return nil, err
-		}
-		return p.Finalize()
+		return stats.CollectFinalizedCtx(ctx, inputs[ref.Name], base, e.LevelOrder(ref), &stats.Options{Workers: o.Workers})
 	})
 	if err != nil {
 		return nil, err

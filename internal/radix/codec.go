@@ -41,6 +41,10 @@ func NewCodec(dims []int) (*Codec, error) {
 // Size returns the number of grid cells: every in-grid key is below it.
 func (c *Codec) Size() uint64 { return c.place[0] }
 
+// Stride returns the key step of field a: the product of the extents
+// after it, so a key is Σ x[a]·Stride(a).
+func (c *Codec) Stride(a int) uint64 { return c.place[a+1] }
+
 // Encode returns the key of x, or ok false when x has the wrong length or
 // a coordinate outside the grid: such a tuple has no key to alias.
 func (c *Codec) Encode(x []int) (key uint64, ok bool) {

@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"d2t2/internal/snapshot"
 )
@@ -190,6 +192,79 @@ func TestBatchBundleOncePerFrame(t *testing.T) {
 	}
 	if got := s2.Metric("stats_collect_total"); got != bundles {
 		t.Fatalf("single optimizes ran %d collections, want %d", got, bundles)
+	}
+}
+
+// TestBatchLeadersFirst checks runLocal's schedule: a cold batch of
+// two groups of 8 jobs (two kernels over one tensor), listed group by
+// group, starts one job of each group before a second job of either at
+// Workers=2. The first two starts wait for each other, so they are the
+// fan-out's first two claims whatever the goroutine timing; in request
+// order both would be Gustavson jobs. Every body equals a cold single
+// /v1/optimize of the same job at Workers 1 and 8.
+func TestBatchLeadersFirst(t *testing.T) {
+	const ijk = "C(i,j) = A(i,k) * B(j,k) | order: i,j,k"
+	s, ts := newTestServer(t, Config{Workers: 2})
+	id := ingestGen(t, ts.URL, "C", 1<<20)
+	var jobs []map[string]any
+	for _, frame := range []struct {
+		kernel string
+		tile   int
+	}{{testKernel, 32}, {ijk, 16}} {
+		for i := 0; i < 8; i++ {
+			jobs = append(jobs, map[string]any{
+				"kernel":      frame.kernel,
+				"inputs":      map[string]string{"A": id, "B": id},
+				"bufferWords": denseSquareWords(frame.tile, 2) + 97*i,
+			})
+		}
+	}
+	var mu sync.Mutex
+	var started []string
+	both := make(chan struct{})
+	s.jobStart = func(j *keyedJob) {
+		mu.Lock()
+		started = append(started, j.k.String())
+		n := len(started)
+		if n == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		if n <= 2 {
+			select {
+			case <-both:
+			case <-time.After(10 * time.Second):
+			}
+		}
+	}
+	_, results := postBatch(t, ts.URL, jobs)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(started) != len(jobs) {
+		t.Fatalf("%d jobs started, want %d", len(started), len(jobs))
+	}
+	if started[0] == started[1] {
+		t.Fatalf("the first two jobs started are both %q: a group's second job started before the other group's first", started[0])
+	}
+
+	for _, workers := range []int{1, 8} {
+		_, ts2 := newTestServer(t, Config{Workers: workers})
+		if id2 := ingestGen(t, ts2.URL, "C", 1<<20); id2 != id {
+			t.Fatalf("fresh server ingested %q, want %q", id2, id)
+		}
+		for i, r := range results {
+			if r.Error != "" || r.Cache != "miss" {
+				t.Fatalf("job %d: cache %q error %q", i, r.Cache, r.Error)
+			}
+			resp, body := postJSON(t, ts2.URL+"/v1/optimize", jobs[i])
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-D2T2-Key") != r.Key {
+				t.Fatalf("workers %d, single optimize %d: status %d key %q, batch key %q",
+					workers, i, resp.StatusCode, resp.Header.Get("X-D2T2-Key"), r.Key)
+			}
+			if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(r.Response)) {
+				t.Fatalf("workers %d, job %d: batch body differs from a single optimize:\n%s\n%s", workers, i, r.Response, body)
+			}
+		}
 	}
 }
 
@@ -639,5 +714,74 @@ func BenchmarkServeDeltaSmall(b *testing.B) {
 			b.Fatal(err)
 		}
 		id = dr.ID
+	}
+}
+
+// BenchmarkUpdateBatch measures perfbench's update op in process: a
+// 32-entry delta appended to the latest version of a resident 450²
+// band matrix, then a cold 16-job /v1/batch on the new version — two
+// groups of 8, Gustavson jobs in the delta's statistics frame (tile 64)
+// and inner-product jobs one band lower, which need a fresh collection.
+func BenchmarkUpdateBatch(b *testing.B) {
+	const n, tile = 450, 64
+	_, ts := newTestServer(b, Config{})
+	var mtx strings.Builder
+	fmt.Fprintf(&mtx, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", n, n, 3*n-2)
+	for i := 0; i < n; i++ {
+		for j := max(i-1, 0); j <= min(i+1, n-1); j++ {
+			fmt.Fprintf(&mtx, "%d %d %d\n", i+1, j+1, 1+(i+j)%7)
+		}
+	}
+	baseID := uploadMTX(b, ts.URL, mtx.String())
+	const ijk = "C(i,j) = A(i,k) * B(j,k) | order: i,j,k"
+	jobs := func(id string) []map[string]any {
+		var out []map[string]any
+		for _, frame := range []struct {
+			kernel string
+			tile   int
+		}{{testKernel, tile}, {ijk, tile / 2}} {
+			for i := 0; i < 8; i++ {
+				out = append(out, map[string]any{
+					"kernel":      frame.kernel,
+					"inputs":      map[string]string{"A": id, "B": id},
+					"bufferWords": denseSquareWords(frame.tile, 2) + 97*i,
+				})
+			}
+		}
+		return out
+	}
+	// Delta entries walk the off-band coordinates (row, row+off mod n)
+	// for off in [2, n−2], so none collides with the band or an earlier
+	// delta; the walk restarts on the base once they run out.
+	id, next := baseID, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		if next+32 > n*(n-3) {
+			id, next = baseID, 0
+		}
+		crds, vals := make([][]int, 32), make([]float64, 32)
+		for e := range crds {
+			row, off := next%n, 2+next/n
+			crds[e], vals[e] = []int{row, (row + off) % n}, float64(1+e%5)
+			next++
+		}
+		resp, body := postJSON(b, ts.URL+"/v1/tensors/"+id+"/delta", map[string]any{"crds": crds, "vals": vals, "tile": tile})
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("delta: status %d: %s", resp.StatusCode, body)
+		}
+		var dr struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(body, &dr); err != nil {
+			b.Fatal(err)
+		}
+		id = dr.ID
+		_, results := postBatch(b, ts.URL, jobs(id))
+		for j, r := range results {
+			if r.Error != "" {
+				b.Fatalf("batch job %d: %s", j, r.Error)
+			}
+		}
 	}
 }

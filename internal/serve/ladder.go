@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	"d2t2"
@@ -37,8 +38,9 @@ type keyedJob struct {
 	k         *d2t2.Kernel
 	inputIDs  map[string]string
 	inputs    d2t2.Inputs // set by resolveInputs
-	// opts is an optimize job's pipeline options; runLocal precollects
-	// its statistics bundles before the fan-out. nil for predict.
+	// opts is an optimize job's pipeline options, read by run — which
+	// resolves the job's statistics bundles inside runLocal's fan-out —
+	// and by the raw rung. nil for predict.
 	opts *d2t2.Options
 	// run builds the response value on a pool worker. b is the runner's
 	// batch scope and workers the job's share of the compute slot.
@@ -381,25 +383,24 @@ type jobResult struct {
 
 // runLocal computes jobs inside one already-held compute slot — a
 // batch's local jobs, or a single request's one job inside its flight.
-// Inputs resolve and optimize jobs' statistics precollect sequentially
-// through one d2t2.Batch: each distinct (tensor, base tile, level order)
-// bundle is loaded, decoded or collected once, and every job sharing it
-// gets the same decoded bundle and shape memo. The jobs then fan out via
-// internal/par, splitting the slot's worker budget, and each body is
-// persisted before runLocal returns — inside the flight, so a request
-// arriving after the flight lands always finds the artifact. A job's
-// failure lands in its own result and never cancels its batchmates;
-// only a dead ctx stops the sweep. The bundles drop with the batch.
+// Inputs resolve first; then the jobs fan out via internal/par,
+// splitting the slot's worker budget, and each job resolves its
+// statistics bundles and predictor through one d2t2.Batch, whose
+// single-flight memos resolve each distinct (tensor, base tile, level
+// order) bundle — a load, a decode or a collection — once, however many
+// jobs share it; every job sharing it gets the same decoded bundle and
+// shape memo. The fan-out starts leaders first (leadersFirst), so the
+// groups' cold work runs side by side. Each body is persisted before
+// runLocal returns — inside the flight, so a request arriving after the
+// flight lands always finds the artifact. A job's failure lands in its
+// own result and never cancels its batchmates; only a dead ctx stops
+// the sweep. The bundles drop with the batch.
 func (s *Server) runLocal(ctx context.Context, jobs []*keyedJob) []jobResult {
 	res := make([]jobResult, len(jobs))
 	batch := s.session.NewBatch()
 	live := make([]int, 0, len(jobs))
 	for i, j := range jobs {
-		err := s.resolveInputs(ctx, j)
-		if err == nil && j.opts != nil {
-			err = batch.PrecollectCtx(ctx, j.k, j.inputs, *j.opts)
-		}
-		if err != nil {
+		if err := s.resolveInputs(ctx, j); err != nil {
 			res[i].err = err
 			continue
 		}
@@ -408,10 +409,14 @@ func (s *Server) runLocal(ctx context.Context, jobs []*keyedJob) []jobResult {
 	if len(live) == 0 {
 		return res
 	}
+	live = leadersFirst(jobs, live)
 	perJob := max(s.cfg.Workers/len(live), 1)
 	perr := par.ForEachCtx(ctx, s.cfg.Workers, len(live), func(n int) error {
 		i := live[n]
 		j := jobs[i]
+		if s.jobStart != nil {
+			s.jobStart(j)
+		}
 		resp, err := j.run(ctx, batch, j.inputs, perJob)
 		var body []byte
 		if err == nil {
@@ -431,6 +436,46 @@ func (s *Server) runLocal(ctx context.Context, jobs []*keyedJob) []jobResult {
 		}
 	}
 	return res
+}
+
+// leadersFirst orders live jobs for the fan-out: the first job of each
+// group — one kernel over the same input IDs, so one set of bundles and
+// one predictor — then the rest, each part in request order. The
+// workers then start on different groups' cold memos side by side
+// instead of one computing while the next waits on its flights. The
+// order is only a schedule: every job writes its own result slot, so
+// the bytes do not depend on it.
+func leadersFirst(jobs []*keyedJob, live []int) []int {
+	if len(live) < 2 {
+		return live
+	}
+	seen := make(map[string]bool, len(live))
+	out := make([]int, 0, len(live))
+	var rest []int
+	for _, i := range live {
+		if g := jobs[i].group(); !seen[g] {
+			seen[g] = true
+			out = append(out, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	return append(out, rest...)
+}
+
+// group names the job's kernel and input IDs (see leadersFirst).
+func (j *keyedJob) group() string {
+	names := make([]string, 0, len(j.inputIDs))
+	for name := range j.inputIDs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(j.k.String())
+	for _, name := range names {
+		b.WriteString("\n" + name + "=" + j.inputIDs[name])
+	}
+	return b.String()
 }
 
 // resolveInputs maps a job's operand names to registered tensors,

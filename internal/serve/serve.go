@@ -237,6 +237,9 @@ type Server struct {
 	// inFlight, when set (by tests only), runs in a single-request
 	// flight's pool job before the pipeline, with the job's context.
 	inFlight func(ctx context.Context)
+	// jobStart, when set (by tests only), runs as runLocal's fan-out
+	// starts each job, on the job's worker.
+	jobStart func(j *keyedJob)
 
 	mu      sync.Mutex
 	httpSrv *http.Server

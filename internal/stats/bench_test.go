@@ -51,7 +51,9 @@ func BenchmarkCorrsFinalize(b *testing.B) {
 		for _, k := range []struct {
 			name string
 			run  func(*corrPlan, []int32, []uint64) []float64
-		}{{"inverted", (*corrPlan).finalize}, {"pairwise", finalizePairwise}} {
+		}{{"inverted", func(pl *corrPlan, off []int32, flat []uint64) []float64 {
+			return pl.finalize(off, flat, rest.Size())
+		}}, {"pairwise", finalizePairwise}} {
 			b.Run(fmt.Sprintf("axis=%d/%s", ax, k.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -22,6 +22,7 @@ type corrPlan struct {
 	maxShift int
 	stride   int // sampled sources are the positions 0, stride, 2·stride, …
 	needed   []bool
+	source   []bool // source[k]: k is a sampled source (k%stride == 0)
 }
 
 func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
@@ -39,11 +40,12 @@ func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
 	if sampleTarget > 0 && dim > sampleTarget {
 		stride = dim / sampleTarget
 	}
-	pl := &corrPlan{dim: dim, maxShift: maxShift, stride: stride, needed: make([]bool, dim)}
+	pl := &corrPlan{dim: dim, maxShift: maxShift, stride: stride, needed: make([]bool, dim), source: make([]bool, dim)}
 	// Windows of consecutive sources overlap when stride ≤ maxShift; mark
 	// each position once so the plan costs O(dim), not O(dim·maxShift).
 	next := 0
 	for k := 0; k < dim; k += stride {
+		pl.source[k] = true
 		for q := max(k, next); q <= k+maxShift && q < dim; q++ {
 			pl.needed[q] = true
 		}
@@ -120,51 +122,69 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int, rest *radix.Codec) (off []in
 // between the rest-key multisets of their entries, summed over sampled k
 // and normalized so shift 0 is 1.
 //
-// The count runs over an inverted index rather than per (k, s) pair: one
-// stable sort of the rest keys, carrying each entry's position, groups
-// the entries by rest key with positions ascending (the accumulator
-// lists positions in order). Inside a rest
-// key's run, each sampled source p meets every later position q within
-// maxShift and adds min(mult_p, mult_q) to overlap[q−p] — exactly what a
-// sorted-merge intersection of the two positions' multisets counts. The
-// cost is the sort plus the number of matches, however many (k, s) pairs
+// The count runs over an inverted index rather than per (k, s) pair:
+// the entries grouped by rest key, with positions ascending inside each
+// key's run. Inside a run, each sampled source p meets every later
+// position q within maxShift and adds min(mult_p, mult_q) to
+// overlap[q−p] — exactly what a sorted-merge intersection of the two
+// positions' multisets counts. restCells is the size of the rest grid
+// every key lies in: where it is dense in the entries (radix.Dense) the
+// grouping is one counting transpose over its cells, else one stable
+// radix sort of the keys carrying each entry's position. The cost is
+// the grouping plus the number of matches, however many (k, s) pairs
 // the plan spans. Sums are exact integers, so identical accumulators
 // yield bit-identical curves regardless of how they were assembled.
-func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
-	keys := slices.Clone(flat)
-	pos := make([]int32, len(flat))
-	for k := 0; k < pl.dim; k++ {
-		for i := off[k]; i < off[k+1]; i++ {
-			pos[i] = checked.Int32(k)
-		}
-	}
-	keys, pos = radix.Sort(keys, make([]uint64, len(keys)), pos, make([]int32, len(pos)))
-
+func (pl *corrPlan) finalize(off []int32, flat []uint64, restCells uint64) []float64 {
 	overlap := make([]int64, pl.maxShift+1)
 	var run []posMult
-	for i := 0; i < len(keys); {
-		// One rest key's run, run-length encoded by position.
-		rest := keys[i]
-		run = run[:0]
-		for i < len(keys) && keys[i] == rest {
-			j := i + 1
-			for j < len(keys) && keys[j] == rest && pos[j] == pos[i] {
-				j++
-			}
-			run = append(run, posMult{int(pos[i]), j - i})
-			i = j
+	if radix.Dense(restCells, len(flat)) {
+		// Counting transpose: end[r] counts key r's entries, then holds
+		// the start of its bucket, and after the fill the end of it.
+		// Positions land in ascending order, as the accumulator lists
+		// them.
+		end := make([]int32, restCells)
+		for _, r := range flat {
+			end[r]++
 		}
-		for a, src := range run {
-			if src.pos%pl.stride != 0 {
-				continue
+		var sum int32
+		for r, c := range end {
+			end[r] = sum
+			sum += c
+		}
+		pos := make([]int32, len(flat))
+		for k := 0; k < pl.dim; k++ {
+			kk := checked.Int32(k)
+			for _, r := range flat[off[k]:off[k+1]] {
+				pos[end[r]] = kk
+				end[r]++
 			}
-			for _, dst := range run[a:] {
-				s := uint(dst.pos - src.pos)
-				if s >= uint(len(overlap)) {
-					break
-				}
-				overlap[s] += int64(min(src.mult, dst.mult))
+		}
+		lo := int32(0)
+		for _, hi := range end {
+			if hi > lo {
+				run = appendRuns(run[:0], pos[lo:hi])
+				pl.countRun(overlap, run)
 			}
+			lo = hi
+		}
+	} else {
+		keys := slices.Clone(flat)
+		pos := make([]int32, len(flat))
+		for k := 0; k < pl.dim; k++ {
+			kk := checked.Int32(k)
+			for i := off[k]; i < off[k+1]; i++ {
+				pos[i] = kk
+			}
+		}
+		keys, pos = radix.Sort(keys, make([]uint64, len(keys)), pos, make([]int32, len(pos)))
+		for lo := 0; lo < len(keys); {
+			hi := lo + 1
+			for hi < len(keys) && keys[hi] == keys[lo] {
+				hi++
+			}
+			run = appendRuns(run[:0], pos[lo:hi])
+			pl.countRun(overlap, run)
+			lo = hi
 		}
 	}
 
@@ -177,6 +197,36 @@ func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
 		}
 	}
 	return out
+}
+
+// appendRuns run-length encodes one rest key's ascending positions.
+func appendRuns(run []posMult, pos []int32) []posMult {
+	for i := 0; i < len(pos); {
+		j := i + 1
+		for j < len(pos) && pos[j] == pos[i] {
+			j++
+		}
+		run = append(run, posMult{int(pos[i]), j - i})
+		i = j
+	}
+	return run
+}
+
+// countRun adds one rest key's run to overlap: each sampled source meets
+// itself and every later position within maxShift.
+func (pl *corrPlan) countRun(overlap []int64, run []posMult) {
+	for a, src := range run {
+		if !pl.source[src.pos] {
+			continue
+		}
+		for _, dst := range run[a:] {
+			s := uint(dst.pos - src.pos)
+			if s >= uint(len(overlap)) {
+				break
+			}
+			overlap[s] += int64(min(src.mult, dst.mult))
+		}
+	}
 }
 
 // posMult is one position of a rest key's run and how many entries at

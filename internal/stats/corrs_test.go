@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"d2t2/internal/radix"
 	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
@@ -108,9 +109,39 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// finalizeBoth runs both of finalize's groupings on one accumulator:
+// the counting transpose over the smallest rest grid that holds its
+// keys, when that grid is dense in them (dense reports whether it was),
+// and the sorted grouping, forced by a grid too large for a table.
+func finalizeBoth(pl *corrPlan, off []int32, flat []uint64) (transposed, sorted []float64, dense bool) {
+	cells := uint64(0)
+	for _, k := range flat {
+		cells = max(cells, k+1)
+	}
+	if radix.Dense(cells, len(flat)) {
+		transposed, dense = pl.finalize(off, flat, cells), true
+	}
+	return transposed, pl.finalize(off, flat, math.MaxUint64), dense
+}
+
+// checkFinalize compares both of finalize's groupings with the pairwise
+// oracle, bit for bit, and reports whether the transpose ran.
+func checkFinalize(t *testing.T, pl *corrPlan, off []int32, flat []uint64) bool {
+	t.Helper()
+	want := finalizePairwise(pl, off, flat)
+	transposed, sorted, dense := finalizeBoth(pl, off, flat)
+	if dense && !sameBits(transposed, want) {
+		t.Fatalf("dim %d maxShift %d stride %d: transposed finalize %v, pairwise oracle %v", pl.dim, pl.maxShift, pl.stride, transposed, want)
+	}
+	if !sameBits(sorted, want) {
+		t.Fatalf("dim %d maxShift %d stride %d: sorted finalize %v, pairwise oracle %v", pl.dim, pl.maxShift, pl.stride, sorted, want)
+	}
+	return dense
+}
+
 // TestCorrFinalizeMatchesPairwise checks the inverted-index count against
 // the pairwise-merge oracle, bit for bit, across the accumulator shapes
-// the collector and Merge can produce.
+// the collector and Merge can produce, through both groupings.
 func TestCorrFinalizeMatchesPairwise(t *testing.T) {
 	cases := []struct {
 		name                    string
@@ -129,6 +160,7 @@ func TestCorrFinalizeMatchesPairwise(t *testing.T) {
 		{name: "dim-1", dim: 1, maxShift: 8, target: 512, perPos: 10, restRange: 5, dupProb: 0.5, wantStride: 1, wantMaxShft: 0},
 		{name: "wide-rest-range", dim: 300, maxShift: 20, target: 100, perPos: 5, restRange: 1 << 50, wantStride: 3, wantMaxShft: 20},
 	}
+	transposed := 0
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := newCorrPlan(tc.dim, tc.maxShift, tc.target)
@@ -147,12 +179,15 @@ func TestCorrFinalizeMatchesPairwise(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(tc.name))))
 			for trial := 0; trial < 20; trial++ {
 				off, flat := randomAccum(r, tc.dim, tc.perPos, tc.restRange, tc.dupProb, tc.emptyProb)
-				got, want := pl.finalize(off, flat), finalizePairwise(pl, off, flat)
-				if !sameBits(got, want) {
-					t.Fatalf("trial %d: finalize %v, pairwise oracle %v", trial, got, want)
+				if checkFinalize(t, pl, off, flat) {
+					transposed++
 				}
 			}
 		})
+	}
+	// The narrow rest ranges are dense in their keys, the 2^50 one is not.
+	if transposed == 0 || transposed == 20*len(cases) {
+		t.Fatalf("the transpose ran on %d of %d accumulators: both groupings must be covered", transposed, 20*len(cases))
 	}
 }
 
@@ -178,9 +213,10 @@ func TestCorrsAxisMatchesPairwise(t *testing.T) {
 			}
 			pl := newCorrPlan(x.Dims[ax], 32, 64)
 			off, flat := pl.gather(x, ax, rest)
-			if got, want := pl.finalize(off, flat), finalizePairwise(pl, off, flat); !sameBits(got, want) {
+			if got, want := pl.finalize(off, flat, rest.Size()), finalizePairwise(pl, off, flat); !sameBits(got, want) {
 				t.Fatalf("dims %v axis %d: finalize %v, pairwise oracle %v", x.Dims, ax, got, want)
 			}
+			checkFinalize(t, pl, off, flat)
 		}
 	}
 }
@@ -231,12 +267,16 @@ func TestCorrKeySpace(t *testing.T) {
 // bits, so packed keys span up to 56 bits and the radix sort runs up to
 // six passes), the second maxShift, the third the sample target; each
 // later byte lands at position b%dim with rest key (b/dim)·scale — and
-// compares the inverted count with the pairwise oracle.
+// compares both groupings of the inverted count with the pairwise
+// oracle. The seeds at scale 0 run the counting transpose (their keys
+// sit on a small grid); the scaled seed's keys do not, so only the
+// sorted grouping runs on it.
 func FuzzCorrFinalize(f *testing.F) {
 	f.Add([]byte{8, 3, 4, 0, 1, 9, 17, 17, 25, 2, 10})
 	f.Add([]byte{1, 0, 0, 5, 5, 5})
 	f.Add([]byte{40, 90, 7, 200, 3, 45, 45, 45, 80, 81, 120, 160, 255})
 	f.Add([]byte{0xc0 | 12, 30, 5, 1, 13, 25, 25, 37, 200, 212, 90})
+	f.Add([]byte{3, 2, 0, 0, 3, 3, 6, 6, 6, 9, 12, 15, 18, 4, 7})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 3 {
 			return
@@ -254,9 +294,6 @@ func FuzzCorrFinalize(f *testing.F) {
 			flat = append(flat, keys...)
 			off[k+1] = int32(len(flat))
 		}
-		pl := newCorrPlan(dim, maxShift, target)
-		if got, want := pl.finalize(off, flat), finalizePairwise(pl, off, flat); !sameBits(got, want) {
-			t.Fatalf("dim %d maxShift %d target %d: finalize %v, pairwise oracle %v", dim, maxShift, target, got, want)
-		}
+		checkFinalize(t, newCorrPlan(dim, maxShift, target), off, flat)
 	})
 }

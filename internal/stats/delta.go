@@ -3,6 +3,7 @@ package stats
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"d2t2/internal/radix"
@@ -107,7 +108,9 @@ func ApplyDeltaCtx(ctx context.Context, p *Partial, old, delta *tensor.COO, work
 
 // touchedSummary re-summarizes, in the tiling by tileDims, the tiles that
 // hold a delta entry, from their entries in the concatenated tensor:
-// every old entry in such a tile, then the delta.
+// every old entry in such a tile, then the delta. The touched tiles are
+// marked in a table over the tile grid when the grid is dense in the
+// entries (radix.Dense), else in a set.
 func touchedSummary(ctx context.Context, old, delta *tensor.COO, tileDims, order []int, workers int) (*tiling.TileSummary, error) {
 	n := old.Order()
 	outer := make([]int, n)
@@ -118,30 +121,80 @@ func touchedSummary(ctx context.Context, old, delta *tensor.COO, tileDims, order
 	if err != nil {
 		return nil, fmt.Errorf("stats: delta tile grid: %w", err)
 	}
-	oc := make([]int, n)
-	tileOf := func(t *tensor.COO, pos int) uint64 {
-		for a, crd := range t.Crds {
-			oc[a] = crd[pos] / tileDims[a]
+	tk := newTileKeyer(grid, tileDims)
+	var table []bool
+	var set map[uint64]struct{}
+	if radix.Dense(grid.Size(), old.NNZ()+delta.NNZ()) {
+		table = make([]bool, grid.Size())
+		for pos := 0; pos < delta.NNZ(); pos++ {
+			table[tk.key(delta, pos)] = true
 		}
-		k, _ := grid.Encode(oc)
-		return k
-	}
-	touched := make(map[uint64]struct{})
-	for pos := 0; pos < delta.NNZ(); pos++ {
-		touched[tileOf(delta, pos)] = struct{}{}
+	} else {
+		set = make(map[uint64]struct{})
+		for pos := 0; pos < delta.NNZ(); pos++ {
+			set[tk.key(delta, pos)] = struct{}{}
+		}
 	}
 	sub := tensor.New(old.Dims...)
-	for _, t := range []*tensor.COO{old, delta} {
-		for pos := 0; pos < t.NNZ(); pos++ {
-			if _, ok := touched[tileOf(t, pos)]; ok {
-				for a, crd := range t.Crds {
-					oc[a] = crd[pos]
-				}
-				sub.Append(oc, t.Vals[pos])
+	oc := make([]int, n)
+	add := func(t *tensor.COO, pos int) {
+		for a, crd := range t.Crds {
+			oc[a] = crd[pos]
+		}
+		sub.Append(oc, t.Vals[pos])
+	}
+	for pos := 0; pos < old.NNZ(); pos++ {
+		k := tk.key(old, pos)
+		if table != nil {
+			if table[k] {
+				add(old, pos)
 			}
+		} else if _, ok := set[k]; ok {
+			add(old, pos)
 		}
 	}
+	// Every delta entry lies in a touched tile.
+	for pos := 0; pos < delta.NNZ(); pos++ {
+		add(delta, pos)
+	}
 	return tiling.SummarizeCtx(ctx, sub, tileDims, order, workers)
+}
+
+// tileKeyer keys entries by the tile that holds them: its key in the
+// tile grid is the sum over axes of the outer coordinate times the
+// axis' stride, the outer coordinate split off by a shift where the
+// tile dim is a power of two.
+type tileKeyer struct {
+	tileDims []int
+	shift    []int // log2 of the tile dim, or -1
+	stride   []uint64
+}
+
+func newTileKeyer(grid *radix.Codec, tileDims []int) *tileKeyer {
+	tk := &tileKeyer{tileDims: tileDims, shift: make([]int, len(tileDims)), stride: make([]uint64, len(tileDims))}
+	for a, td := range tileDims {
+		tk.shift[a] = -1
+		if td&(td-1) == 0 {
+			tk.shift[a] = bits.TrailingZeros(uint(td))
+		}
+		tk.stride[a] = grid.Stride(a)
+	}
+	return tk
+}
+
+// key returns the tile key of entry pos of t.
+func (tk *tileKeyer) key(t *tensor.COO, pos int) uint64 {
+	var k uint64
+	for a, crd := range t.Crds {
+		c := crd[pos]
+		if s := tk.shift[a]; s >= 0 {
+			c >>= s
+		} else {
+			c /= tk.tileDims[a]
+		}
+		k += uint64(c) * tk.stride[a]
+	}
+	return k
 }
 
 // dropKeys returns a key-ascending tile table without the records of the

@@ -113,6 +113,18 @@ func CollectPartialCtx(ctx context.Context, t *tensor.COO, baseTileDims, order [
 	return collectPartial(ctx, t, prm, o.Workers, nil, nil)
 }
 
+// CollectFinalizedCtx is CollectPartialCtx followed by Finalize, for a
+// caller that wants only the Stats: the partial it has just collected
+// is finalized under ctx, with the collection's workers, and is not
+// validated again. The Stats are Finalize's byte for byte.
+func CollectFinalizedCtx(ctx context.Context, t *tensor.COO, baseTileDims, order []int, opts *Options) (*Stats, error) {
+	p, err := CollectPartialCtx(ctx, t, baseTileDims, order, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.finalize(ctx, opts.withDefaults().Workers)
+}
+
 // frame resolves the options into the collection frame of t at the
 // given base tiling (level order nil = natural).
 func (o *Options) frame(t *tensor.COO, baseTileDims, order []int) (*partialParams, error) {
@@ -722,8 +734,13 @@ func (p *Partial) finalize(ctx context.Context, workers int) (*Stats, error) {
 	}
 
 	corrs, err := par.MapCtx(ctx, workers, len(p.CorrAxes), func(i int) ([]float64, error) {
-		pl := newCorrPlan(p.Dims[p.CorrAxes[i]], p.CorrMaxShift[i], p.CorrSampleTarget)
-		return pl.finalize(p.CorrOff[i], p.CorrRest[i]), nil
+		ax := p.CorrAxes[i]
+		rest, err := corrRestGrid(p.Dims, ax)
+		if err != nil {
+			return nil, err
+		}
+		pl := newCorrPlan(p.Dims[ax], p.CorrMaxShift[i], p.CorrSampleTarget)
+		return pl.finalize(p.CorrOff[i], p.CorrRest[i], rest.Size()), nil
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ package stats_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -127,10 +128,10 @@ func splitByTileParity(m *tensor.COO, tileDims []int) (*tensor.COO, *tensor.COO)
 }
 
 // TestPartialFinalizeMatchesCollect pins the collector to the direct
-// reducer oracle: both CollectPartialCtx → Finalize and CollectCtx (Finalize
-// over the materialized tiling's base table) must reproduce the oracle's
-// statistics bundle byte-identically on the snapshot wire, at worker
-// counts 1 and 8.
+// reducer oracle: CollectPartialCtx → Finalize, CollectFinalizedCtx and
+// CollectCtx (Finalize over the materialized tiling's base table) must
+// reproduce the oracle's statistics bundle byte-identically on the
+// snapshot wire, at worker counts 1 and 8.
 func TestPartialFinalizeMatchesCollect(t *testing.T) {
 	for _, tc := range mergeCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,6 +174,13 @@ func TestPartialFinalizeMatchesCollect(t *testing.T) {
 				}
 				if !bytes.Equal(want, statsBytes(t, c)) {
 					t.Fatalf("workers=%d: CollectCtx differs from direct collection", workers)
+				}
+				f, err := stats.CollectFinalizedCtx(context.Background(), tc.t, tc.tileDims, tc.order, &o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, statsBytes(t, f)) {
+					t.Fatalf("workers=%d: CollectFinalizedCtx differs from direct collection", workers)
 				}
 			}
 		})
@@ -370,7 +378,16 @@ func TestApplyDeltaMatchesConcat(t *testing.T) {
 // into exactly CollectPartialCtx of the whole tensor, and its Finalize
 // into exactly CollectCtx.
 func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
-	for _, tc := range mergeCases(t) {
+	// A hypersparse matrix on a fine grid: its base (6×6, keyed by
+	// division) and micro (1×1) tile grids hold far more cells than
+	// entries, past radix.Dense, so the touched tiles are kept in a set.
+	past := mergeCase{
+		name:     "2d-grid-past-dense-bound",
+		t:        gen.PowerLawGraph(rand.New(rand.NewSource(12)), 1024, 300, 1.3),
+		tileDims: []int{6, 6},
+		order:    []int{1, 0},
+	}
+	for _, tc := range append(mergeCases(t), past) {
 		t.Run(tc.name, func(t *testing.T) {
 			var o stats.Options
 			if tc.opts != nil {
@@ -408,12 +425,19 @@ func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					merged, _, err := stats.ApplyDeltaCtx(context.Background(), pOld, old, delta, o.Workers)
+					merged, rep, err := stats.ApplyDeltaCtx(context.Background(), pOld, old, delta, o.Workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(partialBytes(t, merged), wantP) {
 						t.Fatalf("seed %d, delta %v: delta-applied partial differs from the whole collection", seed, frac)
+					}
+					// The report counts the tiles holding a delta entry,
+					// which the bytes above cannot show: re-summarizing
+					// more tiles than those gives the same partial.
+					if tiles, micro := tilesHolding(delta, merged.TileDims), tilesHolding(delta, merged.MicroDims); rep.TouchedTiles != tiles || rep.TouchedMicro != micro {
+						t.Fatalf("seed %d, delta %v: report touched %d tiles and %d micro tiles, the delta holds %d and %d",
+							seed, frac, rep.TouchedTiles, rep.TouchedMicro, tiles, micro)
 					}
 					s, err := merged.Finalize()
 					if err != nil {
@@ -426,6 +450,20 @@ func TestApplyDeltaMatchesConcatEveryFrame(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tilesHolding counts the tiles of the tiling by tileDims that hold an
+// entry of t.
+func tilesHolding(t *tensor.COO, tileDims []int) int {
+	tiles := make(map[string]bool)
+	for p := 0; p < t.NNZ(); p++ {
+		c := t.At(p)
+		for a := range c {
+			c[a] /= tileDims[a]
+		}
+		tiles[fmt.Sprint(c)] = true
+	}
+	return len(tiles)
 }
 
 // TestApplyDeltaRejects covers the guarded failure modes: duplicate

@@ -257,7 +257,7 @@ func corrsAxis(t *tensor.COO, axis, maxShift, sampleTarget int) ([]float64, erro
 	}
 	pl := newCorrPlan(t.Dims[axis], maxShift, sampleTarget)
 	off, flat := pl.gather(t, axis, rest)
-	return pl.finalize(off, flat), nil
+	return pl.finalize(off, flat, rest.Size()), nil
 }
 
 func buildMicroSummary(ctx context.Context, t *tensor.COO, tt *tiling.TiledTensor, microDiv, workers int) (*microSummary, error) {

@@ -618,17 +618,55 @@ func countRuns(keys []uint64) int {
 
 // prefixCounts returns, for each level l, the number of distinct
 // coordinate prefixes over levels 0..l (order[l] the axis at level l)
-// among the cells of grid g that keys name: the level-order keys, sorted
-// once, share a prefix key exactly when they share the prefix.
+// among the cells of grid g that the ascending keys name. In level
+// order, keys share a prefix exactly when they share the prefix key, so
+// the level-order keys are counted in ascending order: the keys
+// themselves when the order is natural, else their transpose, sorted
+// once.
 func prefixCounts(g *radix.Codec, order []int, keys []uint64) []int {
-	level, lk := g.Transpose(order, keys)
-	lk, _ = radix.Sort(lk, make([]uint64, len(lk)), nil, nil)
-	counts := make([]int, len(order))
-	for l := range counts {
-		for i, k := range lk {
-			if i == 0 || level.Prefix(k, l+1) != level.Prefix(lk[i-1], l+1) {
-				counts[l]++
+	level := g
+	for l, a := range order {
+		if l != a {
+			var lk []uint64
+			level, lk = g.Transpose(order, keys)
+			keys, _ = radix.Sort(lk, make([]uint64, len(lk)), nil, nil)
+			break
+		}
+	}
+	return countPrefixes(level, len(order), keys)
+}
+
+// countPrefixes counts, per field l of an n-field grid g, the distinct
+// prefixes of fields 0..l among ascending keys. Along ascending keys
+// the prefix of fields 0..l changes exactly when a key reaches end[l],
+// the first key past the current prefix; prefixes nest, so a key below
+// the deepest proper prefix's end changes at most the full key. A
+// division runs per prefix change, not per key.
+func countPrefixes(g *radix.Codec, n int, keys []uint64) []int {
+	counts := make([]int, n)
+	if n == 0 {
+		return counts
+	}
+	end := make([]uint64, n-1)
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			continue
+		}
+		counts[n-1]++
+		from := 0 // the shallowest field whose prefix changes at k
+		if i > 0 {
+			if n == 1 || k < end[n-2] {
+				continue
 			}
+			from = n - 2
+			for from > 0 && k >= end[from-1] {
+				from--
+			}
+		}
+		for l := from; l < n-1; l++ {
+			s := g.Stride(l)
+			end[l] = (k/s + 1) * s
+			counts[l]++
 		}
 	}
 	return counts

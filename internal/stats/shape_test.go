@@ -397,3 +397,58 @@ func FuzzEvalShape(f *testing.F) {
 		checkAgainstOracle(t, st, shape, got)
 	})
 }
+
+// TestPrefixCountsMatchesTupleSets checks prefixCounts against prefix
+// sets of decoded coordinate tuples, on random key sets of grids of
+// order 1–4 in every level order: the natural order counts the keys as
+// they arrive, the others their sorted transpose.
+func TestPrefixCountsMatchesTupleSets(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + trial%4
+		dims := make([]int, n)
+		for a := range dims {
+			dims[a] = 1 + r.Intn(9)
+		}
+		g, err := radix.NewCodec(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []uint64
+		for k := uint64(0); k < g.Size(); k++ {
+			if r.Intn(4) == 0 {
+				keys = append(keys, k)
+			}
+		}
+		order := r.Perm(n)
+		if trial%3 == 0 {
+			order = naturalLevels(n)
+		}
+		want := make([]int, n)
+		crd := make([]int, n)
+		for l := range want {
+			seen := make(map[string]bool)
+			for _, k := range keys {
+				g.Decode(crd, k)
+				prefix := make([]int, l+1)
+				for j := range prefix {
+					prefix[j] = crd[order[j]]
+				}
+				seen[fmt.Sprint(prefix)] = true
+			}
+			want[l] = len(seen)
+		}
+		if got := prefixCounts(g, order, keys); !slices.Equal(got, want) {
+			t.Fatalf("dims %v order %v, %d keys: prefix counts %v, want %v", dims, order, len(keys), got, want)
+		}
+	}
+}
+
+// naturalLevels is the level order 0, 1, …, n−1.
+func naturalLevels(n int) []int {
+	order := make([]int, n)
+	for l := range order {
+		order[l] = l
+	}
+	return order
+}

@@ -377,9 +377,12 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, gri
 	}
 
 	// Pass 1 (parallel over disjoint entry ranges): per-entry inner
-	// coordinates per level and the outer grid key (always in the grid),
-	// and whether each range's entries follow their predecessors in
-	// level order.
+	// coordinates per level and the outer grid key (always in the grid:
+	// COO coordinates lie inside the dims), and whether each range's
+	// entries follow their predecessors in level order. The key is
+	// built one field at a time, each adding its outer coordinate times
+	// the field's stride; a power-of-two tile dim splits a coordinate
+	// with a shift and a mask instead of a division.
 	inner := make([][]int32, n)
 	for l := range inner {
 		inner[l] = make([]int32, nnz)
@@ -388,17 +391,27 @@ func groupByOuter(ctx context.Context, t *tensor.COO, tileDims, order []int, gri
 	chunks := par.Chunks(workers, nnz)
 	inOrder := make([]bool, len(chunks))
 	if err := par.ForEachCtx(ctx, workers, len(chunks), func(c int) error {
-		oc := make([]int, n)
-		ordered := true
-		for p := chunks[c][0]; p < chunks[c][1]; p++ {
-			for l, ax := range order {
-				crd := t.Crds[ax][p]
-				td := tileDims[ax]
-				oc[ax] = crd / td
-				inner[l][p] = int32(crd % td)
+		lo, hi := chunks[c][0], chunks[c][1]
+		keys := gkeys[lo:hi]
+		for l, ax := range order {
+			crds, in, stride := t.Crds[ax][lo:hi], inner[l][lo:hi], grid.Stride(ax)
+			if td := tileDims[ax]; td&(td-1) == 0 {
+				shift, mask := uint(bits.TrailingZeros(uint(td))), td-1
+				for i, crd := range crds {
+					in[i] = int32(crd & mask)
+					keys[i] += uint64(crd>>shift) * stride
+				}
+			} else {
+				for i, crd := range crds {
+					q := crd / td
+					in[i] = int32(crd - q*td)
+					keys[i] += uint64(q) * stride
+				}
 			}
-			gkeys[p], _ = grid.Encode(oc)
-			ordered = ordered && (p == 0 || levelLess(t, order, p-1, p))
+		}
+		ordered := true
+		for p := max(lo, 1); p < hi && ordered; p++ {
+			ordered = levelLess(t, order, p-1, p)
 		}
 		inOrder[c] = ordered
 		return nil

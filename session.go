@@ -173,11 +173,7 @@ func (s *Session) resolve(ctx context.Context, key string, t *Tensor, tileDims, 
 	if st, ok := s.cache.LoadStats(ctx, key); ok {
 		return st, nil
 	}
-	p, err := s.collect(ctx, t, tileDims, order)
-	if err != nil {
-		return nil, err
-	}
-	st, err := p.Finalize()
+	st, err := stats.CollectFinalizedCtx(ctx, t.canonical(), tileDims, order, &stats.Options{Workers: s.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -226,20 +222,6 @@ type Batch struct {
 
 // NewBatch returns an empty batch scope on the session.
 func (s *Session) NewBatch() *Batch { return &Batch{s: s} }
-
-// PrecollectCtx resolves the statistics bundles OptimizeCtx would use
-// for k's inputs into the batch — warming the session (and its cache)
-// without the shape search. d2t2d's batch endpoint calls this for every
-// job before the searches fan out, so each distinct bundle is loaded,
-// decoded or collected once per batch however many jobs share it.
-func (b *Batch) PrecollectCtx(ctx context.Context, k *Kernel, inputs Inputs, opts Options) error {
-	base, err := opts.lower().BaseTileFor(k.expr, inputs.lower())
-	if err != nil {
-		return err
-	}
-	_, _, err = b.precollect(ctx, k, inputs, base, false)
-	return err
-}
 
 // OptimizeCtx is Session.OptimizeCtx with bundles and predictors shared
 // through the batch; the plan is byte-identical to the session's.

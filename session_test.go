@@ -58,8 +58,9 @@ func groupPredictor(t *testing.T, b *Batch, k *Kernel, inputs Inputs, opts Optio
 }
 
 // TestBatchSharesBundles checks that a Batch consults the cache once
-// per distinct bundle — not once per job and phase — and that its
-// concurrent optimizes return the plans a plain session returns.
+// per distinct bundle — not once per job and phase, though every job
+// asks for its bundle at once — and that its concurrent optimizes
+// return the plans a plain session returns.
 func TestBatchSharesBundles(t *testing.T) {
 	a, err := Dataset("Q", 96)
 	if err != nil {
@@ -78,11 +79,6 @@ func TestBatchSharesBundles(t *testing.T) {
 	cache := &countingCache{}
 	batch := NewSession(cache).NewBatch()
 	ctx := context.Background()
-	for _, o := range opts {
-		if err := batch.PrecollectCtx(ctx, k, inputs, o); err != nil {
-			t.Fatal(err)
-		}
-	}
 	plans := make([]*Plan, len(opts))
 	errs := make([]error, len(opts))
 	var wg sync.WaitGroup
@@ -174,11 +170,6 @@ func TestBatchSharesPredictors(t *testing.T) {
 		s := NewSession(nil)
 		s.Workers = workers
 		b := s.NewBatch()
-		for i := range ks {
-			if err := b.PrecollectCtx(ctx, ks[i], inputs, opts[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
 		plans := make([]*Plan, len(ks))
 		errs := make([]error, len(ks))
 		var wg sync.WaitGroup
