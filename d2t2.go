@@ -208,7 +208,11 @@ func Dataset(label string, scale int) (*Tensor, error) {
 // Kernel is a parsed tensor-algebra statement with a dataflow order.
 type Kernel struct {
 	expr *einsum.Expr
+	str  string // expr.String(), formatted once
 }
+
+// newKernel wraps e, formatting its canonical string once.
+func newKernel(e *einsum.Expr) *Kernel { return &Kernel{expr: e, str: e.String()} }
 
 // ParseKernel parses tensor index notation such as
 // "C(i,j) = A(i,k) * B(k,j) | order: i,k,j".
@@ -217,27 +221,27 @@ func ParseKernel(s string) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Kernel{expr: e}, nil
+	return newKernel(e), nil
 }
 
 // Gustavson returns the SpMSpM-ikj kernel (row-wise product).
-func Gustavson() *Kernel { return &Kernel{expr: einsum.SpMSpMIKJ()} }
+func Gustavson() *Kernel { return newKernel(einsum.SpMSpMIKJ()) }
 
 // InnerProduct returns the SpMSpM-ijk kernel (A times Bᵀ layout).
-func InnerProduct() *Kernel { return &Kernel{expr: einsum.SpMSpMIJK()} }
+func InnerProduct() *Kernel { return newKernel(einsum.SpMSpMIJK()) }
 
 // TTM returns the tensor-times-matrix kernel of the paper's Table 3.
-func TTM() *Kernel { return &Kernel{expr: einsum.TTM()} }
+func TTM() *Kernel { return newKernel(einsum.TTM()) }
 
 // MTTKRP returns the order-3 MTTKRP kernel of the paper's Table 3.
-func MTTKRP() *Kernel { return &Kernel{expr: einsum.MTTKRP3()} }
+func MTTKRP() *Kernel { return newKernel(einsum.MTTKRP3()) }
 
 // SDDMM returns the sampled matrix-matrix product kernel
 // E(i,j) = S(i,j)·ΣA(i,k)B(k,j).
-func SDDMM() *Kernel { return &Kernel{expr: einsum.SDDMM()} }
+func SDDMM() *Kernel { return newKernel(einsum.SDDMM()) }
 
 // String returns the kernel in TIN syntax.
-func (k *Kernel) String() string { return k.expr.String() }
+func (k *Kernel) String() string { return k.str }
 
 // InputOrders returns the tensor order of each distinct input operand,
 // keyed by operand name. Services use it to validate request inputs and

@@ -12,6 +12,7 @@ var parFanouts = map[string]bool{
 	"ForEachScratchCtx": true,
 	"MapCtx":            true,
 	"MapScratchCtx":     true,
+	"ForEachMissCtx":    true,
 }
 
 // ReductionOrder enforces the determinism contract of closures handed

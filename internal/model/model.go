@@ -76,9 +76,11 @@ type Predictor struct {
 	Calib      *Calibration
 	CalibClass string
 
-	// prods and refine are derived from Expr once, in New: the kernel's
-	// sum-of-products and, for a single-product kernel, the per-occurrence
-	// refinement plans of refine.go.
+	// inputs, prods and refine are derived from Expr once, in New: the
+	// kernel's input occurrences, its sum-of-products and, for a
+	// single-product kernel, the per-occurrence refinement plans of
+	// refine.go.
+	inputs []einsum.Ref
 	prods  [][]int
 	refine []*refinePlan
 
@@ -100,27 +102,49 @@ const predictMemoCap = 1024
 // fits-checks share with Predict, so each distinct snapped shape is
 // computed once per statistics bundle.
 func (p *Predictor) EvalRef(ref einsum.Ref, cfg Config) (*stats.ShapeStats, error) {
+	var buf [8]int
+	st, dims, err := p.refShape(ref, cfg, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	return st.EvalShape(dims)
+}
+
+// RefLanded reports whether EvalRef(ref, cfg) is a memo hit.
+func (p *Predictor) RefLanded(ref einsum.Ref, cfg Config) bool {
+	var buf [8]int
+	st, dims, err := p.refShape(ref, cfg, buf[:0])
+	return err == nil && st.ShapeLanded(dims)
+}
+
+// refShape returns ref's bundle and the snapped shape EvalRef asks it
+// for under cfg, appended to dims.
+func (p *Predictor) refShape(ref einsum.Ref, cfg Config, dims []int) (*stats.Stats, []int, error) {
 	st := p.Stats[ref.Name]
 	if st == nil {
-		return nil, fmt.Errorf("model: missing stats for %q", ref.Name)
+		return nil, nil, fmt.Errorf("model: missing stats for %q", ref.Name)
 	}
-	dims := make([]int, len(ref.Indices))
-	for a, ix := range ref.Indices {
+	for _, ix := range ref.Indices {
 		td, ok := cfg[ix]
 		if !ok || td < 1 {
-			return nil, fmt.Errorf("model: config misses index %q", ix)
+			return nil, nil, fmt.Errorf("model: config misses index %q", ix)
 		}
-		dims[a] = td
+		dims = append(dims, td)
 	}
-	return st.EvalShape(st.SnapToMicroInto(dims, dims))
+	return st, st.SnapToMicroInto(dims, dims), nil
 }
+
+// Inputs returns the kernel's input occurrences, e.Inputs() computed
+// once. The slice is shared: callers must not modify it.
+func (p *Predictor) Inputs() []einsum.Ref { return p.inputs }
 
 // New builds a predictor. Every input occurrence of e must have stats.
 func New(e *einsum.Expr, st map[string]*stats.Stats) (*Predictor, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	for _, ref := range e.Inputs() {
+	inputs := e.Inputs()
+	for _, ref := range inputs {
 		s := st[ref.Name]
 		if s == nil {
 			return nil, fmt.Errorf("model: missing stats for %q", ref.Name)
@@ -130,7 +154,7 @@ func New(e *einsum.Expr, st map[string]*stats.Stats) (*Predictor, error) {
 				ref, len(ref.Indices), len(s.Dims))
 		}
 	}
-	p := &Predictor{Expr: e, Stats: st, Mode: ModeExact, UseCorrs: true, prods: e.ProductsIdx(),
+	p := &Predictor{Expr: e, Stats: st, Mode: ModeExact, UseCorrs: true, inputs: inputs, prods: e.ProductsIdx(),
 		preds: new(stats.Table[*Prediction])}
 	if len(p.prods) == 1 {
 		p.refine = refinePlans(e, p.prods[0])
@@ -311,7 +335,7 @@ func (p *Predictor) SnapConfig(cfg Config) Config {
 // per-call allocation at zero for tensors up to order 8.
 func (p *Predictor) SnapConfigInPlace(cfg Config) Config {
 	var buf [8]int
-	for _, ref := range p.Expr.Inputs() {
+	for _, ref := range p.inputs {
 		st := p.Stats[ref.Name]
 		dims := buf[:0]
 		for a, ix := range ref.Indices {
@@ -341,16 +365,7 @@ func (p *Predictor) SnapConfigInPlace(cfg Config) Config {
 // calibration bias is applied to the returned copy, so the memo stays
 // valid as the bias moves. The caller owns the returned Prediction.
 func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
-	var buf [64]byte
-	kb := buf[:0]
-	for _, ix := range p.Expr.Order {
-		kb = binary.AppendVarint(kb, int64(cfg[ix]))
-	}
-	kb = binary.AppendVarint(kb, int64(p.Mode))
-	kb = append(kb, flagByte(p.UseCorrs), flagByte(p.DisableRefinement))
-	raw, err := p.preds.Do(string(kb), predictMemoCap, func() (*Prediction, error) {
-		return p.predict(cfg)
-	}, (*Prediction).heapBytes)
+	raw, err := p.memoized(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -373,6 +388,54 @@ func (p *Predictor) Predict(cfg Config) (*Prediction, error) {
 	return pred, nil
 }
 
+// Total is Predict(cfg).Total() without the copy: the sweep and the
+// growth price most candidates by their total alone.
+func (p *Predictor) Total(cfg Config) (float64, error) {
+	if p.Calib != nil {
+		pred, err := p.Predict(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return pred.Total(), nil
+	}
+	raw, err := p.memoized(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return raw.Total(), nil
+}
+
+// PredictionLanded reports whether Predict(cfg) is a memo hit.
+func (p *Predictor) PredictionLanded(cfg Config) bool {
+	var buf [64]byte
+	_, ok := p.preds.Landed(string(p.predictKey(buf[:0], cfg)))
+	return ok
+}
+
+// memoized returns the memo's uncalibrated prediction for cfg, shared
+// with every asker: callers must not modify it.
+func (p *Predictor) memoized(cfg Config) (*Prediction, error) {
+	var buf [64]byte
+	kb := p.predictKey(buf[:0], cfg)
+	// A landed prediction is read without building the key's string.
+	if raw, ok := p.preds.Landed(string(kb)); ok {
+		return raw, nil
+	}
+	return p.preds.Do(string(kb), predictMemoCap, func() (*Prediction, error) {
+		return p.predict(cfg)
+	}, (*Prediction).heapBytes)
+}
+
+// predictKey appends the prediction memo's key for cfg to kb: the raw
+// tile dims in loop order, the mode and the ablation flags.
+func (p *Predictor) predictKey(kb []byte, cfg Config) []byte {
+	for _, ix := range p.Expr.Order {
+		kb = binary.AppendVarint(kb, int64(cfg[ix]))
+	}
+	kb = binary.AppendVarint(kb, int64(p.Mode))
+	return append(kb, flagByte(p.UseCorrs), flagByte(p.DisableRefinement))
+}
+
 // Computed reports how many predictions the predictor's table has
 // computed rather than served from its memo, and Kept how many it holds,
 // for every predictor sharing the table: a table whose askers never
@@ -390,8 +453,8 @@ func flagByte(b bool) byte {
 // predict is Predict without the memo and the calibration bias.
 func (p *Predictor) predict(cfg Config) (*Prediction, error) {
 	e := p.Expr
-	views := make([]*tensorView, 0, len(e.Inputs()))
-	for _, ref := range e.Inputs() {
+	views := make([]*tensorView, 0, len(p.inputs))
+	for _, ref := range p.inputs {
 		v, err := p.view(ref, cfg)
 		if err != nil {
 			return nil, err

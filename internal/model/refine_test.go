@@ -268,3 +268,35 @@ func BenchmarkPredict(b *testing.B) {
 		}
 	}
 }
+
+// TestLandedLookupAllocs gates the lookups an all-hit optimize makes per
+// candidate: a landed shape (EvalRef, RefLanded), a landed prediction's
+// total (Total, PredictionLanded) allocate nothing — their memo keys are
+// built on the stack — and a landed Predict only its copy.
+func TestLandedLookupAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	p, cfg := predictBench(t, 512, 20_000)
+	ref := p.Inputs()[0]
+	if _, err := p.EvalRef(ref, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !p.RefLanded(ref, cfg) || !p.PredictionLanded(cfg) {
+		t.Fatal("the priced config's shape or prediction has not landed")
+	}
+	for name, c := range map[string]struct {
+		fn   func()
+		want float64
+	}{
+		"EvalRef":          {func() { p.EvalRef(ref, cfg) }, 0},
+		"RefLanded":        {func() { p.RefLanded(ref, cfg) }, 0},
+		"Total":            {func() { p.Total(cfg) }, 0},
+		"PredictionLanded": {func() { p.PredictionLanded(cfg) }, 0},
+		"Predict":          {func() { p.Predict(cfg) }, 3},
+	} {
+		if got := testing.AllocsPerRun(20, c.fn); got > c.want {
+			t.Errorf("a landed %s allocates %.0f times, want at most %.0f", name, got, c.want)
+		}
+	}
+}

@@ -107,3 +107,59 @@ func TestOptimizeRepeatRunsByteIdentical(t *testing.T) {
 		t.Fatal("repeated parallel runs produced different portable stats bytes")
 	}
 }
+
+// TestMixedHitSweep: a shared predictor primed by an optimize at a
+// smaller buffer of the same base tile holds some of the RF sweep's
+// predictions and misses the others, the RFs that fit only the larger
+// buffer. An optimize at the larger buffer through it, whose sweep
+// resolves its hits on the caller and fans out its misses, gives the
+// result a private cold optimize gives, at Workers 1 and 8.
+func TestMixedHitSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	a := gen.PowerLawGraph(r, 512, 8000, 1.6)
+	inputs := map[string]*tensor.COO{"A": a, "B": a.Transpose()}
+	e := einsum.SpMSpMIJK()
+	small, large := tiling.DenseFootprintWords([]int{32, 32}), tiling.DenseFootprintWords([]int{64, 64})-1
+	for _, workers := range []int{1, 8} {
+		cold, err := OptimizeCtx(context.Background(), e, inputs, Options{BufferWords: large, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{BufferWords: small, Workers: workers}
+		primed, err := OptimizeCtx(context.Background(), e, inputs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if primed.BaseTile != cold.BaseTile {
+			t.Fatalf("buffers %d and %d tile at %d and %d", small, large, primed.BaseTile, cold.BaseTile)
+		}
+		o.Precollected = primed.Stats
+		if o.Predictor, err = o.NewPredictor(e, primed.Stats); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OptimizeCtx(context.Background(), e, nil, o); err != nil {
+			t.Fatal(err)
+		}
+		hits := 0
+		for _, c := range cold.Candidates {
+			if o.Predictor.PredictionLanded(c.Config) {
+				hits++
+			}
+		}
+		if misses := len(cold.Candidates) - hits; hits == 0 || misses < 2 {
+			t.Fatalf("workers=%d: the primed predictor holds %d of the sweep's %d predictions; want some hits and two misses",
+				workers, hits, len(cold.Candidates))
+		}
+		o.BufferWords = large
+		res, err := OptimizeCtx(context.Background(), e, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RF != cold.RF || res.TileFactor != cold.TileFactor || !reflect.DeepEqual(res.Config, cold.Config) ||
+			!reflect.DeepEqual(res.Predicted, cold.Predicted) || !reflect.DeepEqual(res.Candidates, cold.Candidates) {
+			t.Fatalf("workers=%d: the mixed-hit sweep chose %v (RF %v, tf %d) over %d candidates, the cold optimize %v (RF %v, tf %d) over %d",
+				workers, res.Config, res.RF, res.TileFactor, len(res.Candidates), cold.Config, cold.RF, cold.TileFactor, len(cold.Candidates))
+		}
+		t.Logf("workers=%d: %d of %d sweep predictions hit", workers, hits, len(cold.Candidates))
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"d2t2/internal/exec"
 	"d2t2/internal/gen"
 	"d2t2/internal/model"
+	"d2t2/internal/stats"
 	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
@@ -181,6 +182,29 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 	if _, err := OptimizeCtx(context.Background(), e, map[string]*tensor.COO{}, Options{BufferWords: 1000}); err == nil {
 		t.Fatal("missing inputs accepted")
+	}
+
+	// Precollected statistics from another frame: another base tile, or
+	// another level order (B of ikj is stored k, j; these are j, k).
+	inputs := gustavsonInputs(3, func(r *rand.Rand) *tensor.COO { return gen.PowerLawGraph(r, 256, 2000, 1.6) })
+	o := Options{BufferWords: buf32()}
+	res, err := OptimizeCtx(context.Background(), e, inputs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, order := range map[string][]int{"tile": {0, 1}, "order": {1, 0}} {
+		tile := res.BaseTile
+		if name == "tile" {
+			tile /= 2
+		}
+		st, err := stats.CollectFinalizedCtx(context.Background(), inputs["B"], []int{tile, tile}, order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Precollected = map[string]*stats.Stats{"A": res.Stats["A"], "B": st}
+		if _, err := OptimizeCtx(context.Background(), e, nil, o); err == nil || !strings.Contains(err.Error(), "precollected stats for \"B\"") {
+			t.Errorf("precollected B at another %s: got %v", name, err)
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func evalRisk(pred *model.Predictor, e *einsum.Expr, cfg model.Config, p *model.
 	budget := float64(o.BufferWords)
 	totalFetches := 0.0
 	overFetches := 0.0
-	for _, ref := range e.Inputs() {
+	for _, ref := range pred.Inputs() {
 		sh, err := pred.EvalRef(ref, cfg)
 		if err != nil {
 			return riskEval{}, err

@@ -94,6 +94,22 @@ func (m *Memo[K, V]) DoKeep(key K, limit int, fn func() (V, error), kept func(V)
 	return e.v, nil
 }
 
+// Landed returns the value kept under key if its computation has
+// finished, without asking for it: a flight in progress, a failed
+// flight and a value computed past the limit are not landed. It never
+// waits on a flight, so a caller can resolve on its own goroutine what
+// the memo already holds and fan out only the rest (ForEachMissCtx).
+func (m *Memo[K, V]) Landed(key K) (V, bool) {
+	m.mu.Lock()
+	e := m.m[key]
+	m.mu.Unlock()
+	if e == nil || !e.landed.Load() {
+		var zero V
+		return zero, false
+	}
+	return e.v, true
+}
+
 // forget drops key when it still names the failed entry e.
 func (m *Memo[K, V]) forget(key K, e *memoEntry[V]) {
 	m.mu.Lock()

@@ -223,3 +223,42 @@ func TestMemoDeepEqual(t *testing.T) {
 		t.Fatal("memos with the same kept values differ")
 	}
 }
+
+// TestMemoLanded: Landed reads a value only once its computation has
+// finished and the memo keeps it — never a flight in progress, a failed
+// flight or a value computed past the limit — and never computes.
+func TestMemoLanded(t *testing.T) {
+	var m Memo[string, int]
+	if _, ok := m.Landed("k"); ok {
+		t.Fatal("an empty memo has a landed value")
+	}
+	land := flight(t, &m, "k", 2, func() (int, error) { return 42, nil })
+	if _, ok := m.Landed("k"); ok {
+		t.Fatal("a flight in progress is landed")
+	}
+	land()
+	if v, ok := m.Landed("k"); !ok || v != 42 {
+		t.Fatalf("after the flight: Landed = (%d, %v), want (42, true)", v, ok)
+	}
+
+	land = flight(t, &m, "bad", 2, func() (int, error) { return 0, errors.New("boom") })
+	land()
+	if _, ok := m.Landed("bad"); ok {
+		t.Fatal("a failed flight is landed")
+	}
+
+	var lim Memo[int, int]
+	lim.Do(1, 1, func() (int, error) { return 1, nil })
+	if v, err := lim.Do(2, 1, func() (int, error) { return 4, nil }); v != 4 || err != nil {
+		t.Fatalf("past the limit: (%d, %v)", v, err)
+	}
+	if _, ok := lim.Landed(2); ok {
+		t.Fatal("a value computed past the limit is landed")
+	}
+	if v, ok := lim.Landed(1); !ok || v != 1 {
+		t.Fatalf("the kept key: Landed = (%d, %v), want (1, true)", v, ok)
+	}
+	if m.Runs() != 2 || lim.Runs() != 2 {
+		t.Fatalf("Landed computed: %d and %d runs, want 2 and 2", m.Runs(), lim.Runs())
+	}
+}

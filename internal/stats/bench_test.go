@@ -7,14 +7,28 @@ import (
 	"testing"
 
 	"d2t2/internal/gen"
+	"d2t2/internal/tensor"
 	"d2t2/internal/tiling"
 )
 
 // BenchmarkCollectFromTiled measures the full statistics pass (including
-// the micro-tile summary retiling) at several worker counts.
+// the micro-tile summary retiling) at several worker counts, on a
+// power-law matrix, whose entries bring few repeated pair hashes, and
+// on a banded one, where a row's entries in one column tile repeat one.
 func BenchmarkCollectFromTiled(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	m := gen.PowerLawGraph(r, 2048, 200_000, 1.7)
+	for _, tc := range []struct {
+		name string
+		m    *tensor.COO
+	}{
+		{"powerlaw", gen.PowerLawGraph(r, 2048, 200_000, 1.7)},
+		{"banded", gen.Banded(r, 4096, 32, 48)},
+	} {
+		b.Run(tc.name, func(b *testing.B) { benchCollectFromTiled(b, tc.m) })
+	}
+}
+
+func benchCollectFromTiled(b *testing.B, m *tensor.COO) {
 	tt, err := tiling.NewCtx(context.Background(), m, []int{64, 64}, []int{0, 1}, 0)
 	if err != nil {
 		b.Fatal(err)

@@ -338,9 +338,10 @@ const shapeMemoCap = 256
 // HeapBytes.
 func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 	var buf [64]byte
-	kb := buf[:0]
-	for _, v := range tileDims {
-		kb = binary.LittleEndian.AppendUint64(kb, uint64(v))
+	kb := shapeKey(buf[:0], tileDims)
+	// A landed shape is read without building the key's string.
+	if sh, ok := s.shapes.Landed(string(kb)); ok {
+		return sh, nil
 	}
 	key := string(kb)
 	return s.shapes.DoKeep(key, shapeMemoCap, func() (*ShapeStats, error) {
@@ -348,6 +349,23 @@ func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 	}, func(sh *ShapeStats) {
 		s.memoBytes.Add(sh.heapBytes() + memoKeyBytes(key))
 	})
+}
+
+// ShapeLanded reports whether EvalShape(tileDims) is a memo hit: the
+// bundle keeps the shape and its evaluation has finished.
+func (s *Stats) ShapeLanded(tileDims []int) bool {
+	var buf [64]byte
+	_, ok := s.shapes.Landed(string(shapeKey(buf[:0], tileDims)))
+	return ok
+}
+
+// shapeKey appends the shape memo's key for tileDims to kb: the dims'
+// bytes, so every order and shape has its own key.
+func shapeKey(kb []byte, tileDims []int) []byte {
+	for _, v := range tileDims {
+		kb = binary.LittleEndian.AppendUint64(kb, uint64(v))
+	}
+	return kb
 }
 
 // ObserveShapeEvals has f called once per shape EvalShape evaluates on

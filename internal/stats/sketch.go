@@ -1,71 +1,53 @@
 package stats
 
-import "sort"
+import "slices"
 
 // sketchSize is the bottom-k sketch capacity: 256 hashes estimate
 // Jaccard similarity within a few percent, plenty for the binary
 // correlated-vs-independent decision the model makes.
 const sketchSize = 256
 
-// bottomK keeps the k smallest hashes seen — a classic MinHash variant
-// whose merge supports Jaccard estimation between sets.
+// bottomK keeps the k smallest hashes seen, duplicates included — a
+// classic MinHash variant whose merge supports Jaccard estimation
+// between sets. It buffers hashes unsorted and cuts a buffer of 2k back
+// to its k smallest with one sort. Once cut, a hash at or above the
+// k-th smallest cannot enter the k smallest, so it is dropped as it
+// arrives: every entry of one row in one column tile brings one pair
+// hash, so most arrivals are such repeats.
 type bottomK struct {
-	k    int
-	heap []uint64 // max-heap of the k smallest values
+	k     int
+	buf   []uint64 // holds the k smallest of everything added
+	cut   bool     // buf has been cut: bound is its k-th smallest
+	bound uint64
 }
 
 func newBottomK(k int) *bottomK { return &bottomK{k: k} }
 
 func (b *bottomK) add(h uint64) {
-	if len(b.heap) < b.k {
-		b.heap = append(b.heap, h)
-		b.up(len(b.heap) - 1)
+	if b.cut && h >= b.bound {
 		return
 	}
-	if h >= b.heap[0] {
-		return
-	}
-	// Replace the current maximum.
-	b.heap[0] = h
-	b.down(0)
-}
-
-func (b *bottomK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if b.heap[parent] >= b.heap[i] {
-			return
-		}
-		b.heap[parent], b.heap[i] = b.heap[i], b.heap[parent]
-		i = parent
+	b.buf = append(b.buf, h)
+	if len(b.buf) >= 2*b.k {
+		b.trim()
 	}
 }
 
-func (b *bottomK) down(i int) {
-	n := len(b.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && b.heap[l] > b.heap[largest] {
-			largest = l
-		}
-		if r < n && b.heap[r] > b.heap[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		b.heap[i], b.heap[largest] = b.heap[largest], b.heap[i]
-		i = largest
+// trim sorts the buffer and cuts it to its k smallest.
+func (b *bottomK) trim() {
+	slices.Sort(b.buf)
+	if len(b.buf) > b.k {
+		b.buf = b.buf[:b.k]
+		b.bound, b.cut = b.buf[b.k-1], true
 	}
 }
 
-// merge folds o's contents into b. The heap holds the k-smallest
+// merge folds o's contents into b. The buffer holds the k-smallest
 // multiset of everything added, and the k-smallest of a union equals the
 // k-smallest of the per-part k-smallest, so merging per-chunk sketches
 // reproduces the serial single-pass sketch exactly in any order.
 func (b *bottomK) merge(o *bottomK) {
-	for _, h := range o.heap {
+	for _, h := range o.buf {
 		b.add(h)
 	}
 }
@@ -76,9 +58,8 @@ func (b *bottomK) merge(o *bottomK) {
 // the union; deduplicating first would drop a duplicate hash that
 // straddles two partials and break the monoid.
 func (b *bottomK) multiset() []uint64 {
-	out := append([]uint64(nil), b.heap...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	b.trim()
+	return append([]uint64(nil), b.buf...)
 }
 
 // dedupSorted removes adjacent duplicates from a sorted slice in place —

@@ -46,6 +46,10 @@ func (t *Table[V]) Do(key string, limit int, fn func() (V, error), size func(V) 
 	})
 }
 
+// Landed returns the value kept under key if it has been computed, as
+// par.Memo.Landed does.
+func (t *Table[V]) Landed(key string) (V, bool) { return t.m.Landed(key) }
+
 // Runs reports how many values the table computed, and Len how many it
 // keeps (see par.Memo).
 func (t *Table[V]) Runs() int64 { return t.m.Runs() }
