@@ -55,11 +55,11 @@ func TestMeasureAllocs(t *testing.T) {
 }
 
 // TestMeasureAllocsWideTile is the bytes gate for wide output tiles: on
-// a 1024²-cell output tile (exactly the dense-stamp cap), a steady-state
-// MeasureCtx reuses pooled stamps instead of allocating 4 B per cell, so
-// its allocated bytes stay a small fraction of the tile's area. What
-// remains is the plan and the per-call predecode of the two operands.
-// The ceiling is 1/16 of 4 B × area, ~1.8x the measured steady state.
+// a 1024²-cell output tile, a steady-state MeasureCtx reuses pooled
+// dense bits instead of allocating per cell, so its allocated bytes stay
+// a small fraction of the tile's area. What remains is the plan and the
+// per-call predecode of the two operands. The ceiling is 1/16 of
+// 4 B × area.
 func TestMeasureAllocsWideTile(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under the race detector")

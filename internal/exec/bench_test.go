@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"d2t2/internal/einsum"
@@ -49,6 +50,26 @@ func BenchmarkMeasureSpMSpM(b *testing.B) {
 	benchMeasure(b, e, map[string]*tiling.TiledTensor{
 		"A": tileFor(b, e, "A", a, tiles),
 		"B": tileFor(b, e, "B", a.Transpose(), tiles),
+	})
+
+	// The shape d2t2d measures: i and j span the matrix and only k is
+	// tiled, so the outermost loop has one value. The engine runs on
+	// GOMAXPROCS workers, so -cpu 1,2 shows whether the second core
+	// helps. Each case tiles its operands afresh.
+	big := gen.UniformRandom(r, 1020, 1020, 8160)
+	one := map[string]int{"i": 1020, "k": 128, "j": 1020}
+	tens := map[string]*tiling.TiledTensor{
+		"A": tileFor(b, e, "A", big, one),
+		"B": tileFor(b, e, "B", big.Transpose(), one),
+	}
+	b.Run("OneOuterTile", func(b *testing.B) {
+		opts := &Options{Workers: runtime.GOMAXPROCS(0)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MeasureCtx(context.Background(), e, tens, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

@@ -1,25 +1,27 @@
 package exec
 
 import (
+	"context"
 	"math/bits"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/einsum"
 	"d2t2/internal/formats"
+	"d2t2/internal/par"
 )
 
 // The engine's shape envelope. Kernels outside it fall back to the
 // generic walker: the caps bound the join head table and the
 // fixed-size coordinate arrays the compiled loop nest uses. Output-tile
-// area is not capped: a tile of up to maxStampCells cells counts its
-// distinct cells with dense stamps, a larger one with a sorted list of
-// cell keys whose memory scales with the scope's partial products.
+// area is not capped: a tile of up to maxDenseCells cells counts its
+// distinct cells with one bit per cell, a larger one with a sorted list
+// of cell keys whose memory scales with the scope's partial products.
 const (
 	maxEngineRefs  = 8       // tensor occurrences per product
 	maxEngineDepth = 6       // loop levels
 	maxEngineOut   = 4       // output rank
 	maxEngineHeads = 1 << 16 // join head-table entries per step
-	maxStampCells  = 1 << 20 // output-tile cells counted with dense stamps
+	maxDenseCells  = 1 << 24 // output-tile cells counted with dense bits
 )
 
 // bindRef names one outer-CSF level a loop depth advances.
@@ -81,13 +83,13 @@ type enginePlan struct {
 	// Output cells are keyed in level order: a cell's key is
 	// Σ c[a]·outStride[a] over its tile-local coordinates, and its
 	// level-l prefix is key / lvSuffix[l]. Tiles of at most
-	// maxStampCells cells stamp a cell at its key and a level-l prefix at
-	// stampOff[l] + prefix (stampLen stamps in all); larger tiles take
-	// the list path.
+	// maxDenseCells cells mark a cell at bit key and a level-l prefix at
+	// bit bitOff[l] + prefix (bitWords words in all); larger tiles
+	// take the list path.
 	outStride []uint64
 	lvSuffix  []uint64
-	stampOff  []uint64
-	stampLen  int
+	bitOff    []uint64
+	bitWords  int
 	list      bool
 
 	refs []engineRef
@@ -108,6 +110,17 @@ type enginePlan struct {
 	join2      joinStep
 	key0, key1 []outTerm
 
+	// countInLeaf: leaf2 counts cells in its own loop, one bit test and
+	// set per product — the plan collects nothing, takes the dense path,
+	// and every prefix level comes from ri0 alone, so each ri0 entry
+	// marks its row (level-(nOut-2) prefix, keyed by rowKey) once.
+	// bandAx, when non-negative, is ri0's level-0 axis, which is also
+	// the output's level-0 axis: ri0's tile entries ascend along it, so
+	// a band of output rows is a contiguous run of entries (runBands).
+	countInLeaf bool
+	rowKey      []outTerm
+	bandAx      int32
+
 	// General chain (1 ref, or ≥3 refs as in MTTKRP/SDDMM): middle
 	// steps materialize the relation, the last step is fused with the
 	// output reduction. keyTup and keyProbe are the relation's and the
@@ -123,9 +136,10 @@ type enginePlan struct {
 
 // compileEngine builds the specialized engine for a runner's kernel, or
 // returns nil when the kernel is outside the engine's envelope (multiple
-// summands, ForceGeneric, or scratch caps exceeded) — the caller then
-// falls back to the generic walker.
-func compileEngine(r *runner) *enginePlan {
+// summands, ForceGeneric, or scratch caps exceeded) or the predecode
+// failed (ctx done, or a panic) — the caller then returns ctx's error
+// or falls back to the generic walker.
+func compileEngine(ctx context.Context, r *runner) *enginePlan {
 	o := &r.opts
 	if o.ForceGeneric {
 		return nil
@@ -152,7 +166,7 @@ func compileEngine(r *runner) *enginePlan {
 		seen[ri] = true
 	}
 
-	p := &enginePlan{host: r, depth: r.depth, nOut: nOut, outDepth: r.outDepth}
+	p := &enginePlan{host: r, depth: r.depth, nOut: nOut, outDepth: r.outDepth, bandAx: -1}
 	for a := range r.outTileDims {
 		p.outTileDims = append(p.outTileDims, checked.Int32(r.outTileDims[a]))
 		p.outDims = append(p.outDims, int64(r.outDims[a]))
@@ -183,23 +197,31 @@ func compileEngine(r *runner) *enginePlan {
 		return nil
 	}
 
-	for _, st := range r.refs {
-		er := buildEngineRef(st, o)
-		for i := range er.ents {
-			if n := len(er.ents[i].vals); n > p.maxEnts {
+	// Each ref's predecode is independent of the others' and keeps its
+	// own tile order, so the refs decode concurrently.
+	p.refs = make([]engineRef, len(r.refs))
+	err := par.ForEachCtx(ctx, max(o.Workers, 1), len(r.refs), func(ri int) error {
+		p.refs[ri] = buildEngineRef(r.refs[ri], o)
+		return nil
+	})
+	if err != nil {
+		return nil
+	}
+	for ri := range p.refs {
+		for i := range p.refs[ri].ents {
+			if n := len(p.refs[ri].ents[i].vals); n > p.maxEnts {
 				p.maxEnts = n
 			}
 		}
-		p.refs = append(p.refs, er)
 	}
-
+	p.compileBands()
 	p.compileTop()
 	return p
 }
 
 // compileOutput lays out the output tile's distinct-cell counting: the
-// level-order key strides, and dense stamps (cells first, then each
-// shorter prefix level) when the area is within maxStampCells, else the
+// level-order key strides, and dense bits (cells first, then each
+// shorter prefix level) when the area is within maxDenseCells, else the
 // list path. It fails only when a key would not fit in 64 bits — the
 // walker's and the collected output's keys share that limit.
 func (p *enginePlan) compileOutput(levels []int) bool {
@@ -217,18 +239,44 @@ func (p *enginePlan) compileOutput(levels []int) bool {
 		}
 		area = lo
 	}
-	if area > maxStampCells {
+	if area > maxDenseCells {
 		p.list = true
 		return true
 	}
-	p.stampOff = make([]uint64, n)
+	p.bitOff = make([]uint64, n)
 	end := area
 	for l := n - 2; l >= 0; l-- {
-		p.stampOff[l] = end
+		p.bitOff[l] = end
 		end += area / p.lvSuffix[l]
 	}
-	p.stampLen = int(end)
+	p.bitWords = int((end + 63) / 64)
 	return true
+}
+
+// compileBands decides whether leaf2 counts cells in its own loop and
+// whether the nest may split the output's level-0 rows across workers
+// (see countInLeaf and bandAx).
+func (p *enginePlan) compileBands() {
+	r := p.host
+	if !p.two || p.list || r.collect != nil || p.nOut < 2 {
+		return
+	}
+	ref0 := r.refs[p.ri0]
+	width := p.lvSuffix[p.nOut-2]
+	var rowKey []outTerm
+	for l := 0; l < p.nOut-1; l++ {
+		a := r.outLevels[l]
+		a0 := axisOf(ref0.ref, r.e.Out.Indices[a])
+		if a0 < 0 {
+			return
+		}
+		rowKey = append(rowKey, outTerm{checked.Int32(a0), p.outStride[a] / width})
+	}
+	p.countInLeaf, p.rowKey = true, rowKey
+	a0 := axisOf(ref0.ref, r.e.Out.Indices[r.outLevels[0]])
+	if ref0.tt.Order[0] == a0 && ref0.tt.PackedFrom == nil {
+		p.bandAx = checked.Int32(a0)
+	}
 }
 
 // compileJoin precomputes the leaf join plan over the product's refs in

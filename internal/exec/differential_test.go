@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -93,6 +92,21 @@ func diffCases() []diffCase {
 				}
 			},
 			vars:        []string{"i", "j", "k"},
+			specialized: true,
+		},
+		{
+			// A rank-1 output: its dense bits have no rows, so each scope
+			// lists the cell words it makes nonzero.
+			name: "SpMV",
+			expr: einsum.MustParse("y(i) = A(i,j) * x(j) | order: i,j"),
+			inputs: func(r *rand.Rand) map[string]*tensor.COO {
+				x := tensor.New(40)
+				for j := 0; j < 40; j += 3 {
+					x.Append([]int{j}, float64(j%7+1))
+				}
+				return map[string]*tensor.COO{"A": gen.UniformRandom(r, 90, 40, 500), "x": x}
+			},
+			vars:        []string{"i", "j"},
 			specialized: true,
 		},
 		{
@@ -196,17 +210,115 @@ func TestDifferentialEngineVsGeneric(t *testing.T) {
 			}
 		})
 	}
-	// Output tiles at and above maxStampCells cells, which the engine
-	// counts with dense stamps and a coordinate list respectively.
+	// Output tiles at and above maxDenseCells cells, which the engine
+	// counts with dense bits and a coordinate list respectively.
 	for _, c := range wideCases() {
 		c := c
 		t.Run("Wide"+c.name, func(t *testing.T) { diffWide(t, c) })
 	}
+	// One outer tile in i and j, the shape d2t2d measures: a single
+	// outermost value, so more than one worker splits the output rows
+	// into bands.
+	for _, c := range oneTileCases() {
+		c := c
+		t.Run("OneOuterTile"+c.name, func(t *testing.T) { diffOneTile(t, c) })
+	}
 }
 
-// wideCase is one kernel tiled with an explicit per-index tile map whose
-// output tile is at or above maxStampCells cells — the shapes the engine
-// counts with a coordinate list (or, exactly at the cap, dense stamps).
+// countOptions are option sets that collect nothing — the plans whose
+// leaf counts cells in its own loop and may run in row bands — with
+// overflow accounting on and off.
+func countOptions() []struct {
+	name string
+	opts Options
+} {
+	return []struct {
+		name string
+		opts Options
+	}{
+		{"count", Options{}},
+		{"countoverflow", Options{InputBufferWords: 32, OverflowExtra: 1.5, OutputBufferWords: 24}},
+		{"countvaluesonly", Options{ValuesOnly: true}},
+	}
+}
+
+// sameResult fails unless got matches the walker's want: equal Traffic
+// and, when collected, a bit-identical output.
+func sameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Traffic, want.Traffic) {
+		t.Fatalf("%s: traffic diverges from oracle:\n got %+v\nwant %+v", label, got.Traffic, want.Traffic)
+	}
+	if (got.Out == nil) != (want.Out == nil) || got.Out != nil && !tensor.Equal(got.Out, want.Out) {
+		t.Fatalf("%s: collected output is not bit-identical to oracle", label)
+	}
+}
+
+// oneTileCases tile i and j (and TTM's k) at full width and split only
+// the contraction.
+func oneTileCases() []wideCase {
+	r := rand.New(rand.NewSource(59))
+	a := gen.PowerLawGraph(r, 200, 3000, 1.6)
+	c := gen.RandomTensor3(r, 40, 30, 20, 3000, [3]float64{0, 0, 0})
+	b := gen.UniformRandom(r, 24, 20, 200)
+	return []wideCase{
+		{"IKJ", einsum.SpMSpMIKJ(), map[string]*tensor.COO{"A": a, "B": a.Transpose()},
+			map[string]int{"i": 200, "k": 16, "j": 200}, false},
+		{"IJK", einsum.SpMSpMIJK(), map[string]*tensor.COO{"A": a, "B": a.Clone()},
+			map[string]int{"i": 200, "j": 200, "k": 16}, false},
+		{"TTM", einsum.TTM(), map[string]*tensor.COO{"C": c, "B": b},
+			map[string]int{"i": 40, "j": 30, "l": 5, "k": 24}, false},
+	}
+}
+
+// diffOneTile runs one single-outer-tile case at 1, 2 and 8 workers
+// under every option set; a plan that collects nothing must be able to
+// run in row bands.
+func diffOneTile(t *testing.T, c wideCase) {
+	tens := make(map[string]*tiling.TiledTensor, len(c.inputs))
+	for name, m := range c.inputs {
+		tens[name] = tileFor(t, c.expr, name, m, c.tiles)
+	}
+	for _, os := range append(countOptions(), diffOptions()...) {
+		r, err := newRunner(c.expr, tens, &os.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := compileEngine(context.Background(), r)
+		if p == nil || len(p.topVals) != 1 {
+			t.Fatalf("%s: want a compiled plan with one outermost value", os.name)
+		}
+		if bands := p.bandAx >= 0; bands != !os.opts.CollectOutput {
+			t.Fatalf("%s: row bands %v, want %v", os.name, bands, !os.opts.CollectOutput)
+		}
+		ref := os.opts
+		ref.ForceGeneric = true
+		want, err := MeasureCtx(context.Background(), c.expr, tens, &ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.MACs == 0 || want.OutputNNZ == 0 {
+			t.Fatalf("%s: degenerate case (MACs=%d, nnz=%d)", os.name, want.MACs, want.OutputNNZ)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			o := os.opts
+			o.Workers = workers
+			got, err := MeasureCtx(context.Background(), c.expr, tens, &o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Specialized {
+				t.Fatalf("%s/workers=%d: fell back to the walker", os.name, workers)
+			}
+			sameResult(t, os.name+"/workers="+itoa(workers), got, want)
+		}
+	}
+}
+
+// wideCase is one kernel tiled with an explicit per-index tile map:
+// output tiles past the old 2^20-cell dense cap, which the engine now
+// counts with dense bits, and past maxDenseCells, which it counts with
+// a coordinate list.
 type wideCase struct {
 	name   string
 	expr   *einsum.Expr
@@ -216,28 +328,42 @@ type wideCase struct {
 }
 
 // wideCases builds large, very sparse inputs once: output tiles of
-// 1100², 160·160·120 and exactly 1024² cells.
+// 1100², 160·160·120 and 1024² cells (dense bits), and of 4200²,
+// 280·280·220 and exactly 4096² cells (the list path, and dense bits
+// at the cap).
 func wideCases() []wideCase {
 	r := rand.New(rand.NewSource(53))
-	// ~33k partial products in one full-width scope: the key list
-	// compacts before it grows.
+	// ~33k partial products in one full-width scope.
 	a := gen.UniformRandom(r, 1100, 1100, 6000)
 	sq := gen.UniformRandom(r, 2048, 2048, 3000)
 	c := gen.RandomTensor3(r, 160, 160, 50, 2500, [3]float64{0, 0, 0})
 	b := gen.UniformRandom(r, 120, 50, 400)
+	// Above the dense cap: the key list compacts before it grows.
+	big := gen.UniformRandom(r, 4200, 4200, 6000)
+	capSq := gen.UniformRandom(r, 4096, 4096, 3000)
+	c2 := gen.RandomTensor3(r, 280, 280, 50, 2500, [3]float64{0, 0, 0})
+	b2 := gen.UniformRandom(r, 220, 50, 400)
 	return []wideCase{
 		{"IKJFullWidth", einsum.SpMSpMIKJ(), map[string]*tensor.COO{"A": a, "B": a.Transpose()},
-			map[string]int{"i": 1100, "k": 1100, "j": 1100}, true},
+			map[string]int{"i": 1100, "k": 1100, "j": 1100}, false},
 		{"IKJWideRows", einsum.SpMSpMIKJ(), map[string]*tensor.COO{"A": a, "B": a.Transpose()},
-			map[string]int{"i": 1100, "k": 37, "j": 1100}, true},
+			map[string]int{"i": 1100, "k": 37, "j": 1100}, false},
 		{"IJKFullWidth", einsum.SpMSpMIJK(), map[string]*tensor.COO{"A": a, "B": a.Clone()},
-			map[string]int{"i": 1100, "j": 1100, "k": 1100}, true},
+			map[string]int{"i": 1100, "j": 1100, "k": 1100}, false},
 		{"IJKWideOutput", einsum.SpMSpMIJK(), map[string]*tensor.COO{"A": a, "B": a.Clone()},
-			map[string]int{"i": 1100, "j": 1100, "k": 100}, true},
+			map[string]int{"i": 1100, "j": 1100, "k": 100}, false},
 		{"TTMWideTile", einsum.TTM(), map[string]*tensor.COO{"C": c, "B": b},
-			map[string]int{"i": 160, "j": 160, "l": 10, "k": 120}, true},
+			map[string]int{"i": 160, "j": 160, "l": 10, "k": 120}, false},
 		{"IKJAtDenseCap", einsum.SpMSpMIKJ(), map[string]*tensor.COO{"A": sq, "B": sq.Transpose()},
 			map[string]int{"i": 1024, "k": 256, "j": 1024}, false},
+		{"IKJAboveDenseCap", einsum.SpMSpMIKJ(), map[string]*tensor.COO{"A": big, "B": big.Transpose()},
+			map[string]int{"i": 4200, "k": 600, "j": 4200}, true},
+		{"IJKAboveDenseCap", einsum.SpMSpMIJK(), map[string]*tensor.COO{"A": big, "B": big.Clone()},
+			map[string]int{"i": 4200, "j": 4200, "k": 4200}, true},
+		{"TTMAboveDenseCap", einsum.TTM(), map[string]*tensor.COO{"C": c2, "B": b2},
+			map[string]int{"i": 280, "j": 280, "l": 10, "k": 220}, true},
+		{"IKJAtNewDenseCap", einsum.SpMSpMIKJ(), map[string]*tensor.COO{"A": capSq, "B": capSq.Transpose()},
+			map[string]int{"i": 4096, "k": 512, "j": 4096}, false},
 	}
 }
 
@@ -253,11 +379,11 @@ func diffWide(t *testing.T, c wideCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := compileEngine(r)
+	p := compileEngine(context.Background(), r)
 	if p == nil || p.list != c.list {
 		t.Fatalf("compileEngine: plan=%v, want list path %v", p != nil, c.list)
 	}
-	for _, os := range diffOptions() {
+	for _, os := range append(diffOptions(), countOptions()...) {
 		ref := os.opts
 		ref.ForceGeneric = true
 		want, err := MeasureCtx(context.Background(), c.expr, tens, &ref)
@@ -278,13 +404,7 @@ func diffWide(t *testing.T, c wideCase) {
 			if !got.Specialized {
 				t.Fatalf("%s: fell back to the walker", label)
 			}
-			if !reflect.DeepEqual(got.Traffic, want.Traffic) {
-				t.Fatalf("%s: traffic diverges from oracle:\n got %+v\nwant %+v",
-					label, got.Traffic, want.Traffic)
-			}
-			if !tensor.Equal(got.Out, want.Out) {
-				t.Fatalf("%s: collected output is not bit-identical to oracle", label)
-			}
+			sameResult(t, label, got, want)
 		}
 	}
 }
@@ -407,45 +527,77 @@ func TestDifferentialPackedTiles(t *testing.T) {
 	}
 }
 
-// TestEngineEpochWraparound runs the dense path through the stamp
-// epoch's wraparound with stale stamps below it: the wrap must clear
-// them, or cells stamped in an earlier cycle would read as already
-// touched and undercount the output.
-func TestEngineEpochWraparound(t *testing.T) {
+// TestEngineStaleBits pins the dense path's reset: every bit is zero
+// between scopes, so bits set by an earlier scope on the same tile, by
+// a scope a panic cut short, or by a wider plan that used the same
+// pooled scratch are never counted. A flush that skips its reset leaves
+// bits behind after the last scope and undercounts the next scope's
+// cells; a release that skips clearing an open scope hands stale bits
+// to the next plan.
+func TestEngineStaleBits(t *testing.T) {
 	e := einsum.SpMSpMIKJ()
 	a := gen.UniformRandom(rand.New(rand.NewSource(71)), 64, 64, 600)
-	tiles := map[string]int{"i": 4, "k": 8, "j": 16}
-	tens := map[string]*tiling.TiledTensor{
-		"A": tileFor(t, e, "A", a, tiles),
-		"B": tileFor(t, e, "B", a.Transpose(), tiles),
+	type plan struct {
+		r    *runner
+		p    *enginePlan
+		want Traffic
 	}
-	want, err := MeasureCtx(context.Background(), e, tens, &Options{ForceGeneric: true})
-	if err != nil {
-		t.Fatal(err)
+	compile := func(tiles map[string]int) plan {
+		tens := map[string]*tiling.TiledTensor{
+			"A": tileFor(t, e, "A", a, tiles),
+			"B": tileFor(t, e, "B", a.Transpose(), tiles),
+		}
+		want, err := MeasureCtx(context.Background(), e, tens, &Options{ForceGeneric: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := newRunner(e, tens, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := compileEngine(context.Background(), r)
+		if p == nil || p.list || !p.countInLeaf {
+			t.Fatal("plan must compile onto the dense path, counting in the leaf")
+		}
+		return plan{r, p, want.Traffic}
 	}
-	r, err := newRunner(e, tens, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Eight scopes on one 64² output tile, then 4×16 tiles.
+	wide := compile(map[string]int{"i": 64, "k": 8, "j": 64})
+	narrow := compile(map[string]int{"i": 4, "k": 8, "j": 16})
+
+	freeScratch.Lock()
+	freeScratch.list = nil
+	freeScratch.Unlock()
+	run := func(pl plan, label string) *engineScratch {
+		s := newEngineState(pl.p)
+		for vi := range pl.p.topVals {
+			s.runTop(vi)
+		}
+		for i, w := range s.sc.bits[:cap(s.sc.bits)] {
+			if w != 0 {
+				t.Fatalf("%s: word %d holds %#x after the last scope", label, i, w)
+			}
+		}
+		s.mergeInto(pl.r, true)
+		if !reflect.DeepEqual(pl.r.traffic, pl.want) {
+			t.Fatalf("%s: traffic diverges from the walker:\n got %+v\nwant %+v", label, pl.r.traffic, pl.want)
+		}
+		sc := s.sc
+		s.release()
+		return sc
 	}
-	p := compileEngine(r)
-	if p == nil || p.list {
-		t.Fatal("plan must compile onto the dense path")
+	sc := run(wide, "wide")
+	// A scope cut short: bits set, no flush.
+	s := newEngineState(wide.p)
+	if s.sc != sc {
+		t.Fatal("the pool did not hand back the released scratch")
 	}
-	s := newEngineState(p)
-	defer s.release()
-	// The second scope wraps to epoch 1, which every stale stamp holds.
-	s.sc.epoch = math.MaxUint16 - 1
-	for i := range s.sc.stamp {
-		s.sc.stamp[i] = 1
+	s.beginTile()
+	for k := uint64(0); k < 64*64; k += 7 {
+		s.touch(k)
 	}
-	for vi := range p.topVals {
-		s.runTop(vi)
-	}
-	if s.sc.epoch > 1000 {
-		t.Fatalf("epoch %d: the run never wrapped", s.sc.epoch)
-	}
-	s.mergeInto(r)
-	if !reflect.DeepEqual(r.traffic, want.Traffic) {
-		t.Fatalf("traffic across the wraparound diverges from the walker:\n got %+v\nwant %+v", r.traffic, want.Traffic)
+	s.release()
+	if got := run(narrow, "narrow after wide"); got != sc {
+		t.Fatal("the narrow plan did not reuse the wide plan's scratch")
 	}
 }

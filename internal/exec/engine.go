@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"d2t2/internal/checked"
 	"d2t2/internal/par"
 	"d2t2/internal/radix"
 )
@@ -32,21 +33,39 @@ type engineState struct {
 	// fibers[l] counts the distinct level-order prefixes of length l+1
 	// emitted in the current scope, so fibers[nOut-1] is its nnz.
 	fibers [maxEngineOut]int
+
+	// Row bands (runBands): the worker counts only the products of ri0
+	// entries whose output row lies in [band[0], band[1]), and keeps
+	// each scope's fibers in scopes, keyed by the scope's ordinal,
+	// instead of charging them.
+	banded bool
+	band   [2]int32
+	scope  int
+	scopes []scopeFibers
+}
+
+// scopeFibers is one band's fibers for one output-tile scope.
+type scopeFibers struct {
+	scope  int
+	fibers [maxEngineOut]int
 }
 
 // engineScratch holds a worker's buffers whose size depends on the data
-// rather than the plan's rank: the output stamps and their epoch, the
-// coordinate list, the join tables and the relation buffers. It is
-// reused across MeasureCtx calls (freeScratch), so a steady-state call
-// allocates nothing proportional to the output tile's area.
+// rather than the plan's rank: the output bits, the coordinate list,
+// the join tables and the relation buffers. It is reused across
+// MeasureCtx calls (freeScratch), so a steady-state call allocates
+// nothing proportional to the output tile's area.
 type engineScratch struct {
-	// Dense path: one stamp per output cell and per level-order prefix,
-	// laid out by enginePlan.stampOff. Stamps equal to epoch are live
-	// in the current scope; bumping the epoch clears them all, and a
-	// full clear happens once per 65535 scopes, when it wraps. Two
-	// bytes per cell keep the pooled stamps small.
-	stamp []uint16
-	epoch uint16
+	// Dense path: one bit per output cell and per level-order prefix,
+	// laid out by enginePlan.bitOff. Every bit of the whole capacity
+	// is zero between scopes: a scope lists in rows the level-(nOut-2)
+	// prefixes it set (for a rank-1 output, the cell words it made
+	// nonzero), and its flush zeroes only their words, so a reset costs
+	// what the scope touched, not the tile's area. open marks a scope
+	// whose flush has not run; release clears a scratch left open.
+	bits []uint64
+	rows []uint32
+	open bool
 
 	// List path: the level-order keys emitted in the current scope, and
 	// the sort's scratch.
@@ -67,7 +86,7 @@ type engineScratch struct {
 
 // freeScratch holds released scratch for the next engine state. Unlike
 // a sync.Pool it survives garbage collection, so a steady stream of
-// measurements allocates no area-sized stamps. It keeps at most two
+// measurements allocates no area-sized bits. It keeps at most two
 // scratches per GOMAXPROCS: the workers of two concurrent measurements.
 var freeScratch struct {
 	sync.Mutex
@@ -106,7 +125,7 @@ func newEngineState(p *enginePlan) *engineState {
 	}
 
 	sc := getScratch()
-	sc.stamp = grow(sc.stamp, p.stampLen)
+	sc.bits = grow(sc.bits, p.bitWords)
 	sc.heads = grow(sc.heads, p.maxHeads)
 	sc.nextEnt = grow(sc.nextEnt, p.maxEnts)
 	sc.keyEnt = grow(sc.keyEnt, p.maxEnts)
@@ -115,8 +134,9 @@ func newEngineState(p *enginePlan) *engineState {
 }
 
 // grow returns b resliced to n, reallocating (zeroed) only when its
-// capacity is short. Stale contents are harmless: stamps are older than
-// the next epoch, and join tables are rebuilt before every read.
+// capacity is short. Stale contents are harmless: bits are zero over
+// the whole capacity between scopes, and join tables are rebuilt before
+// every read.
 func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
 		return make([]T, n)
@@ -124,8 +144,15 @@ func grow[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// release returns the state's scratch to freeScratch.
+// release returns the state's scratch to freeScratch, first clearing
+// the bits of a scope cut short (a panic inside the nest), so every
+// pooled scratch holds zero bits.
 func (s *engineState) release() {
+	if sc := s.sc; sc.open {
+		clear(sc.bits[:cap(sc.bits)])
+		sc.rows = sc.rows[:0]
+		sc.open = false
+	}
 	freeScratch.Lock()
 	if len(freeScratch.list) < 2*runtime.GOMAXPROCS(0) {
 		freeScratch.list = append(freeScratch.list, s.sc)
@@ -145,6 +172,11 @@ func (p *enginePlan) run(ctx context.Context, workers int) error {
 	if n == 0 {
 		return ctx.Err()
 	}
+	if n < workers && p.bandAx >= 0 {
+		if bands := p.cutBands(workers); len(bands) > 2 {
+			return p.runBands(ctx, bands)
+		}
+	}
 	if workers <= 1 {
 		s := newEngineState(p)
 		defer s.release()
@@ -154,7 +186,7 @@ func (p *enginePlan) run(ctx context.Context, workers int) error {
 			}
 			s.runTop(vi)
 		}
-		s.mergeInto(p.host)
+		s.mergeInto(p.host, true)
 		return nil
 	}
 
@@ -175,11 +207,102 @@ func (p *enginePlan) run(ctx context.Context, workers int) error {
 	defer mu.Unlock()
 	for _, s := range states {
 		if err == nil {
-			s.mergeInto(p.host)
+			s.mergeInto(p.host, true)
 		}
 		s.release()
 	}
 	return err
+}
+
+// bandBuckets bounds the row histogram cutBands keeps: taller tiles
+// count rows in buckets of a power-of-two height.
+const bandBuckets = 1 << 12
+
+// cutBands cuts the output tile's level-0 rows into at most workers
+// bands of about equal ri0 entry counts, summed over ri0's tiles, and
+// returns the bands' bounds: band b is rows [bands[b], bands[b+1]).
+func (p *enginePlan) cutBands(workers int) []int32 {
+	rows := p.outTileDims[p.host.outLevels[0]]
+	shift := 0
+	for rows>>shift > bandBuckets {
+		shift++
+	}
+	count := make([]int, (rows>>shift)+1)
+	total := 0
+	for i := range p.refs[p.ri0].ents {
+		crd := p.refs[p.ri0].ents[i].crds[p.bandAx]
+		for _, r := range crd {
+			count[r>>shift]++
+		}
+		total += len(crd)
+	}
+	bands := []int32{0}
+	cum := 0
+	for b, c := range count {
+		cum += c
+		if len(bands) == workers || cum == total {
+			break
+		}
+		if cum*workers >= len(bands)*total {
+			bands = append(bands, min(checked.Int32(b+1)<<shift, rows))
+		}
+	}
+	return append(bands, rows)
+}
+
+// runBands runs the whole nest once per band of output rows, each band
+// on its own worker with private bits. Every worker walks the same nest
+// and so opens the same scopes in the same order, but counts only the
+// products of ri0 entries in its band. Bands are disjoint in output
+// cells and in every prefix (each starts with the row), so a scope's
+// fibers are the sums of its bands' fibers, and the flush arithmetic,
+// overflow chunking included, runs once on those sums. Fetches, input
+// words and tile iterations do not depend on the band: the first
+// band's worker alone contributes them.
+func (p *enginePlan) runBands(ctx context.Context, bands []int32) error {
+	nb := len(bands) - 1
+	states := make([]*engineState, nb)
+	err := par.ForEachCtx(ctx, nb, nb, func(b int) error {
+		s := newEngineState(p)
+		states[b] = s
+		s.banded = true
+		s.band = [2]int32{bands[b], bands[b+1]}
+		for vi := range p.topVals {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			s.runTop(vi)
+		}
+		return nil
+	})
+	defer func() {
+		for _, s := range states {
+			if s != nil {
+				s.release()
+			}
+		}
+	}()
+	if err != nil {
+		return err
+	}
+	var all []scopeFibers
+	for b, s := range states {
+		s.mergeInto(p.host, b == 0)
+		all = append(all, s.scopes...)
+	}
+	slices.SortFunc(all, func(x, y scopeFibers) int { return x.scope - y.scope })
+	for i := 0; i < len(all); {
+		f := all[i].fibers
+		j := i + 1
+		for ; j < len(all) && all[j].scope == all[i].scope; j++ {
+			for l, n := range all[j].fibers {
+				f[l] += n
+			}
+		}
+		p.charge(&p.host.traffic, &f)
+		i = j
+	}
+	return nil
 }
 
 // runTop executes one outermost work unit: coordinate value topVals[vi],
@@ -293,20 +416,14 @@ func (s *engineState) fetchAt(d int) {
 	}
 }
 
-// beginTile opens a fresh output-tile scope: zero the counts, empty the
-// key list, and bump the epoch instead of clearing the stamps. The
-// wraparound clear covers the stamps' whole capacity, so stamps a
-// larger plan left beyond the current length cannot alias a later
-// epoch.
+// beginTile opens a fresh output-tile scope: zero the counts and empty
+// the key list. The bits are already zero: the previous scope's flush
+// cleared what it set.
 func (s *engineState) beginTile() {
 	s.fibers = [maxEngineOut]int{}
-	sc := s.sc
-	sc.keys = sc.keys[:0]
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.stamp[:cap(sc.stamp)])
-		sc.epoch = 1
-	}
+	s.scope++
+	s.sc.keys = s.sc.keys[:0]
+	s.sc.open = true
 }
 
 // emit records one output term in the cell with level-order key k — the
@@ -324,7 +441,7 @@ func (s *engineState) emit(v float64, k uint64) {
 			s.compactKeys()
 		}
 		sc.keys = append(sc.keys, k)
-	} else if sc.stamp[k] != sc.epoch {
+	} else {
 		s.touch(k)
 	}
 	if s.collect != nil {
@@ -338,22 +455,74 @@ func (s *engineState) emit(v float64, k uint64) {
 	}
 }
 
-// touch stamps a cell's first touch in the scope, then each shorter
-// level-order prefix, counting every newly stamped one and stopping at
-// the first already stamped (every shorter prefix then is too).
+// touch sets a cell's bit on its first touch in the scope and counts
+// it, then marks its prefixes.
 func (s *engineState) touch(k uint64) {
-	p := s.p
-	st, ep := s.sc.stamp, s.sc.epoch
-	st[k] = ep
+	p, sc := s.p, s.sc
+	w, m := k>>6, uint64(1)<<(k&63)
+	b := sc.bits[w]
+	if b&m != 0 {
+		return
+	}
+	if b == 0 && p.nOut == 1 {
+		sc.rows = append(sc.rows, uint32(w))
+	}
+	sc.bits[w] = b | m
 	s.fibers[p.nOut-1]++
-	for l := p.nOut - 2; l >= 0; l-- {
-		i := p.stampOff[l] + k/p.lvSuffix[l]
-		if st[i] == ep {
+	if p.nOut > 1 {
+		s.markRow(k / p.lvSuffix[p.nOut-2])
+	}
+}
+
+// markRow marks the prefixes of a row — a level-(nOut-2) prefix — from
+// the row itself to the shortest, counting each newly set bit and
+// stopping at the first already set (every shorter prefix then is
+// too). A newly set row is listed for the scope's reset.
+func (s *engineState) markRow(row uint64) {
+	p, sc := s.p, s.sc
+	top := p.nOut - 2
+	i := p.bitOff[top] + row
+	if sc.bits[i>>6]&(1<<(i&63)) != 0 {
+		return
+	}
+	sc.bits[i>>6] |= 1 << (i & 63)
+	s.fibers[top]++
+	sc.rows = append(sc.rows, uint32(row))
+	k := row * p.lvSuffix[top]
+	for l := top - 1; l >= 0; l-- {
+		i := p.bitOff[l] + k/p.lvSuffix[l]
+		w, m := i>>6, uint64(1)<<(i&63)
+		if sc.bits[w]&m != 0 {
 			return
 		}
-		st[i] = ep
+		sc.bits[w] |= m
 		s.fibers[l]++
 	}
+}
+
+// clearBits zeroes every bit the scope set: per listed row, the words
+// holding its cells and its prefix bits (any other bit in a zeroed word
+// belongs to a row the scope also listed, or was zero); for a rank-1
+// output, the listed cell words.
+func (s *engineState) clearBits() {
+	p, sc := s.p, s.sc
+	bits := sc.bits
+	if p.nOut == 1 {
+		for _, w := range sc.rows {
+			bits[w] = 0
+		}
+	} else {
+		width := p.lvSuffix[p.nOut-2]
+		for _, r := range sc.rows {
+			lo := uint64(r) * width
+			clear(bits[lo>>6 : (lo+width+63)>>6])
+			for l := 0; l < p.nOut-1; l++ {
+				bits[(p.bitOff[l]+lo/p.lvSuffix[l])>>6] = 0
+			}
+		}
+	}
+	sc.rows = sc.rows[:0]
+	sc.open = false
 }
 
 // entryKey and tupleKey sum an entry's or a relation tuple's share of
@@ -375,18 +544,32 @@ func tupleKey(base []int32, terms []outTerm) uint64 {
 }
 
 // leaf2 is the fused two-operand leaf: chain ri1's tile entries on the
-// shared coordinates (exact mixed-radix keys), stream ri0's entries
-// through the table, and emit each product directly.
+// shared coordinates (exact mixed-radix keys) and stream ri0's entries
+// (a band worker: those in its band) through the table. With
+// countInLeaf a product costs one bit test and set of its cell — no
+// value, no call — and an entry that touched a new cell marks its row
+// once, from its own share of the row key; otherwise each product is
+// emitted.
 func (s *engineState) leaf2() {
 	p := s.p
 	cur := s.cursors[p.depth]
 	st := &p.join2
 	e0 := &p.refs[p.ri0].ents[cur[p.ri0]]
 	e1 := &p.refs[st.ri].ents[cur[st.ri]]
+	lo, hi := 0, len(e0.vals)
+	if s.banded {
+		rows := e0.crds[p.bandAx]
+		lo, _ = slices.BinarySearch(rows, s.band[0])
+		hi, _ = slices.BinarySearch(rows, s.band[1])
+		if lo == hi {
+			return
+		}
+	}
 	s.chain(st, e1, p.key1)
 	heads, next, key1 := s.sc.heads[:st.heads], s.sc.nextEnt, s.sc.keyEnt
-	n0 := len(e0.vals)
-	for t := 0; t < n0; t++ {
+	bits := s.sc.bits
+	macs := int64(0)
+	for t := lo; t < hi; t++ {
 		k := int32(0)
 		for x, a0 := range p.sharedA0 {
 			k = k*st.shDims[x] + e0.crds[a0][t]
@@ -395,14 +578,30 @@ func (s *engineState) leaf2() {
 		if q == 0 {
 			continue
 		}
-		vt := e0.vals[t]
 		k0 := entryKey(e0, t, p.key0)
+		if !p.countInLeaf {
+			vt := e0.vals[t]
+			for ; q != 0; q = next[q-1] {
+				pi := q - 1
+				macs++
+				s.emit(vt*e1.vals[pi], k0+key1[pi])
+			}
+			continue
+		}
+		fresh := 0
 		for ; q != 0; q = next[q-1] {
-			pi := q - 1
-			s.traffic.MACs++
-			s.emit(vt*e1.vals[pi], k0+key1[pi])
+			c := k0 + key1[q-1]
+			w := bits[c>>6]
+			fresh += int(^w >> (c & 63) & 1)
+			bits[c>>6] = w | 1<<(c&63)
+			macs++
+		}
+		if fresh > 0 {
+			s.fibers[p.nOut-1] += fresh
+			s.markRow(entryKey(e0, t, p.rowKey))
 		}
 	}
+	s.traffic.MACs += macs
 }
 
 // leafN is the general leaf: materialize ri0's entries as the initial
@@ -519,21 +718,33 @@ func (s *engineState) chain(st *joinStep, en *entryList, terms []outTerm) {
 	}
 }
 
-// flushTile closes an output-tile scope: its CSF footprint (nnz plus,
-// per level, the distinct prefixes' coordinates and segment words, and
-// overflow chunking) is charged to the output traffic — the same
-// arithmetic as the walker's flushOutput over its map keys.
+// flushTile closes an output-tile scope: count the list path's keys or
+// clear the scope's bits, then charge its fibers — or, on a band
+// worker, keep them for runBands to sum.
 func (s *engineState) flushTile() {
 	p := s.p
 	if p.list {
 		s.countKeys()
+	} else {
+		s.clearBits()
 	}
-	nOut := p.nOut
-	nnz := s.fibers[nOut-1]
-	if nnz == 0 {
+	if s.fibers[p.nOut-1] == 0 {
 		return
 	}
-	t := &s.traffic
+	if s.banded {
+		s.scopes = append(s.scopes, scopeFibers{s.scope, s.fibers})
+		return
+	}
+	p.charge(&s.traffic, &s.fibers)
+}
+
+// charge adds one scope's CSF footprint (nnz plus, per level, the
+// distinct prefixes' coordinates and segment words, and overflow
+// chunking) to the output traffic — the same arithmetic as the walker's
+// flushOutput over its map keys.
+func (p *enginePlan) charge(t *Traffic, fibers *[maxEngineOut]int) {
+	nOut := p.nOut
+	nnz := fibers[nOut-1]
 	if p.host.opts.ValuesOnly {
 		t.Output += int64(nnz)
 		t.OutputWrites++
@@ -542,11 +753,11 @@ func (s *engineState) flushTile() {
 	}
 	words := nnz
 	for l := 0; l < nOut; l++ {
-		words += s.fibers[l]
+		words += fibers[l]
 		if l == 0 {
 			words += 2
 		} else {
-			words += s.fibers[l-1] + 1
+			words += fibers[l-1] + 1
 		}
 	}
 	writes := int64(1)
@@ -608,20 +819,24 @@ func (s *engineState) countKeys() {
 
 // mergeInto folds this worker's counters into the host runner — exact
 // integer sums per counter and per occurrence, plus the disjoint-key
-// collect merge.
-func (s *engineState) mergeInto(r *runner) {
-	for ri := range s.inputWords {
-		if w := s.inputWords[ri]; w != 0 {
-			r.traffic.Input[s.p.refs[ri].name] += w
+// collect merge. With nest false (a band worker other than the first)
+// the nest's own counters — fetches, input words, tile iterations,
+// which every band repeats — are left out.
+func (s *engineState) mergeInto(r *runner, nest bool) {
+	if nest {
+		for ri := range s.inputWords {
+			if w := s.inputWords[ri]; w != 0 {
+				r.traffic.Input[s.p.refs[ri].name] += w
+			}
 		}
+		r.traffic.TileIterations += s.traffic.TileIterations
+		r.traffic.InputFetches += s.traffic.InputFetches
+		r.traffic.OverflowFetches += s.traffic.OverflowFetches
 	}
 	r.traffic.Output += s.traffic.Output
 	r.traffic.OutputWrites += s.traffic.OutputWrites
-	r.traffic.TileIterations += s.traffic.TileIterations
 	r.traffic.MACs += s.traffic.MACs
 	r.traffic.OutputNNZ += s.traffic.OutputNNZ
-	r.traffic.InputFetches += s.traffic.InputFetches
-	r.traffic.OverflowFetches += s.traffic.OverflowFetches
 	r.traffic.OutputOverflows += s.traffic.OutputOverflows
 	if r.collect != nil {
 		for k, v := range s.collect {

@@ -128,11 +128,13 @@ func MeasureCtx(ctx context.Context, e *einsum.Expr, tensors map[string]*tiling.
 	}
 	w := workersFor(e, &r.opts)
 	specialized := false
-	if p := compileEngine(r); p != nil {
+	if p := compileEngine(ctx, r); p != nil {
 		specialized = true
 		if err := p.run(ctx, w); err != nil {
 			return nil, err
 		}
+	} else if err := ctx.Err(); err != nil {
+		return nil, err
 	} else if w > 1 {
 		if err := r.runParallelCtx(ctx, w); err != nil {
 			return nil, err

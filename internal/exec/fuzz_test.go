@@ -16,9 +16,11 @@ import (
 // fuzzer-chosen shapes of the paper's kernels (SpMSpM ikj and ijk,
 // SDDMM, TTM, MTTKRP): small random COO inputs on dims up to 2048 and
 // tile sizes up to full width, so plans land on both output-counting
-// paths (dense stamps and the coordinate list) and on the walker
+// paths (dense bits and the coordinate list) and on the walker
 // fallback past the head-table cap. The engine's Traffic and collected
-// output must match the ForceGeneric walker's byte for byte.
+// output must match the ForceGeneric walker's byte for byte, and so
+// must its Traffic when it collects nothing — the plans that count in
+// the leaf's loop and, with one outer tile, split rows into bands.
 func FuzzEngineVsWalker(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(2047), uint16(2047), uint16(2047), uint16(2047), uint16(2047), uint16(2047), uint8(200), uint8(0))
 	f.Add(int64(2), uint8(1), uint16(1100), uint16(700), uint16(1100), uint16(1100), uint16(64), uint16(1100), uint8(120), uint8(9))
@@ -26,6 +28,10 @@ func FuzzEngineVsWalker(f *testing.F) {
 	f.Add(int64(4), uint8(0), uint16(40), uint16(30), uint16(50), uint16(3), uint16(5), uint16(4), uint8(60), uint8(13))
 	f.Add(int64(5), uint8(2), uint16(1500), uint16(900), uint16(1500), uint16(1500), uint16(30), uint16(1500), uint8(250), uint8(0))
 	f.Add(int64(6), uint8(4), uint16(1200), uint16(300), uint16(1200), uint16(1200), uint16(300), uint16(1200), uint8(250), uint8(40))
+	// Full-width i and j: one outer tile.
+	f.Add(int64(7), uint8(0), uint16(1019), uint16(1019), uint16(1019), uint16(1019), uint16(127), uint16(1019), uint8(250), uint8(0))
+	f.Add(int64(8), uint8(1), uint16(1199), uint16(1199), uint16(1199), uint16(1199), uint16(63), uint16(1199), uint8(250), uint8(30))
+	f.Add(int64(9), uint8(3), uint16(300), uint16(120), uint16(300), uint16(300), uint16(15), uint16(300), uint8(250), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, kernel uint8, dI, dK, dJ, tI, tK, tJ uint16, nnz, obuf uint8) {
 		ni, nk, nj := 1+int(dI)%2048, 1+int(dK)%2048, 1+int(dJ)%2048
 		tiles := map[string]int{"i": 1 + int(tI)%ni, "k": 1 + int(tK)%nk, "j": 1 + int(tJ)%nj}
@@ -95,6 +101,15 @@ func FuzzEngineVsWalker(f *testing.F) {
 			}
 			if !tensor.Equal(got.Out, want.Out) {
 				t.Fatalf("workers=%d tiles=%v: collected output diverges from walker", workers, tiles)
+			}
+			count := Options{OutputBufferWords: int(obuf), Workers: workers}
+			got, err = MeasureCtx(context.Background(), e, tens, &count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Traffic, want.Traffic) {
+				t.Fatalf("workers=%d tiles=%v, collecting nothing: traffic diverges from walker:\n got %+v\nwant %+v",
+					workers, tiles, got.Traffic, want.Traffic)
 			}
 		}
 	})

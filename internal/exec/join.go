@@ -152,62 +152,61 @@ func (r *runner) entriesOf(st *refState, tile *tiling.Tile) *entryList {
 
 // decodeEntries decodes a tile's entries into per-axis coordinate lists
 // plus values, in the tile CSF's depth-first storage order (the order
-// ToCOO restores). For packed super-tiles (tiling.PackTiles), member
-// entries are re-based from member-tile origins to the packed tile's
-// origin. Shared by the generic walker's cache and the engine's
-// predecode; both paths therefore see identical entry order, which the
-// float-determinism argument of the engine relies on.
+// ToCOO restores). A plain tile's leaf coordinates and values already
+// are that order, so the lists share them (capped, so nothing appends
+// into the tile) and only the upper levels expand. For packed
+// super-tiles (tiling.PackTiles), member entries are re-based from
+// member-tile origins to the packed tile's origin. Shared by the
+// generic walker's cache and the engine's predecode; both paths
+// therefore see identical entry order, which the float-determinism
+// argument of the engine relies on. Neither writes to the lists.
 func decodeEntries(tt *tiling.TiledTensor, tile *tiling.Tile) *entryList {
 	n := len(tt.Dims)
+	e := &entryList{crds: make([][]int32, n)}
+	if tile.Members == nil {
+		csf := tile.CSF
+		last := csf.Levels() - 1
+		nnz := csf.NNZ()
+		e.vals = csf.Vals[:nnz:nnz]
+		e.crds[csf.Order[last]] = csf.Crd[last][:nnz:nnz]
+		for l := 0; l < last; l++ {
+			e.crds[csf.Order[l]] = appendLevel(make([]int32, 0, nnz), csf, l, 0)
+		}
+		return e
+	}
 	total := tile.NNZ()
-	e := &entryList{crds: make([][]int32, n), vals: make([]float64, 0, total)}
+	e.vals = make([]float64, 0, total)
 	for a := 0; a < n; a++ {
 		e.crds[a] = make([]int32, 0, total)
 	}
-	if tile.Members == nil {
-		appendCSFEntries(e, tile.CSF, nil)
-	} else {
-		off := make([]int32, n)
-		for _, m := range tile.Members {
-			for a := 0; a < n; a++ {
-				off[a] = checked.Int32(m.Outer[a]*tt.PackedFrom[a] - tile.Outer[a]*tt.TileDims[a])
-			}
-			appendCSFEntries(e, m.CSF, off)
+	off := make([]int32, n)
+	for _, m := range tile.Members {
+		for a := 0; a < n; a++ {
+			off[a] = checked.Int32(m.Outer[a]*tt.PackedFrom[a] - tile.Outer[a]*tt.TileDims[a])
 		}
+		for l, a := range m.CSF.Order {
+			e.crds[a] = appendLevel(e.crds[a], m.CSF, l, off[a])
+		}
+		e.vals = append(e.vals, m.CSF.Vals...)
 	}
 	return e
 }
 
-// appendCSFEntries walks one tile CSF depth-first and appends each
-// entry's axis-order coordinates (plus the per-axis offset, when
-// non-nil) and value.
-func appendCSFEntries(e *entryList, csf *formats.CSF, off []int32) {
+// appendLevel appends csf's level-l coordinate of every leaf, in
+// depth-first order, plus off: each coordinate repeats over the leaves
+// of its subtree.
+func appendLevel(dst []int32, csf *formats.CSF, l int, off int32) []int32 {
 	lv := csf.Levels()
-	if csf.NNZ() == 0 {
-		return
-	}
-	path := make([]int32, lv)
-	var rec func(level, node int)
-	rec = func(level, node int) {
-		s, t := csf.Children(level, node)
-		for p := s; p < t; p++ {
-			c := csf.Crd[level][p]
-			if off != nil {
-				c += off[csf.Order[level]]
-			}
-			path[level] = c
-			if level == lv-1 {
-				for l := 0; l < lv; l++ {
-					a := csf.Order[l]
-					e.crds[a] = append(e.crds[a], path[l])
-				}
-				e.vals = append(e.vals, csf.Vals[p])
-			} else {
-				rec(level+1, p)
-			}
+	for p, c := range csf.Crd[l] {
+		lo, hi := p, p+1
+		for m := l + 1; m < lv; m++ {
+			lo, hi = int(csf.Seg[m][lo]), int(csf.Seg[m][hi])
+		}
+		for ; lo < hi; lo++ {
+			dst = append(dst, c+off)
 		}
 	}
-	rec(0, 0)
+	return dst
 }
 
 // flushOutput writes the accumulated output tile: its CSF footprint is

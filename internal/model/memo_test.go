@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"d2t2/internal/einsum"
 	"d2t2/internal/gen"
+	"d2t2/internal/raceflag"
 	"d2t2/internal/tensor"
 )
 
@@ -184,5 +186,24 @@ func TestKeepOnSharesPredictions(t *testing.T) {
 		if _, err := p.Predict(cfgs[0]); err != nil || p.Computed() != 1 {
 			t.Fatalf("a predictor outside the group: computed %d (err %v), want 1", p.Computed(), err)
 		}
+	}
+}
+
+// TestInputTotalDeterministic: a prediction's input total is one float
+// bit for bit on every call, however the map iterates, and costs no
+// allocation. The four terms cancel differently in different orders.
+func TestInputTotalDeterministic(t *testing.T) {
+	p := &Prediction{Input: map[string]float64{"A": 1e16, "B": 1, "C": -1e16, "D": 3.3}}
+	want := math.Float64bits(p.InputTotal())
+	for i := 0; i < 2000; i++ {
+		if got := math.Float64bits(p.InputTotal()); got != want {
+			t.Fatalf("call %d: total %v, first call %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { p.InputTotal() }); n != 0 {
+		t.Fatalf("InputTotal allocates %v times per call", n)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 
 	"d2t2/internal/einsum"
 	"d2t2/internal/stats"
@@ -191,11 +192,20 @@ func (p *Prediction) heapBytes() int64 {
 		tensor.AllocBytes((len(p.Input)+8)*(1+16+8))
 }
 
-// InputTotal returns the summed predicted input traffic.
+// InputTotal returns the summed predicted input traffic, added in
+// input-name order: float addition is not associative, so a sum in map
+// order could differ from call to call once there are three inputs.
+// Up to eight names sort on the stack.
 func (p *Prediction) InputTotal() float64 {
+	var buf [8]string
+	names := buf[:0]
+	for name := range p.Input {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	s := 0.0
-	for _, v := range p.Input {
-		s += v
+	for _, name := range names {
+		s += p.Input[name]
 	}
 	return s
 }

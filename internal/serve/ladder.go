@@ -66,6 +66,27 @@ func newKeyedJob(endpoint string, canonical any, k *d2t2.Kernel, inputIDs map[st
 	}, nil
 }
 
+// kernel parses a request's kernel string once per server: the parsed
+// Kernel (immutable, so requests share it) stays resident as the
+// value-only entry "kernel\n"+text, charged like a raw-rung entry and
+// evicted by the same LRU. A parse error is not kept; the next request
+// with that text parses it again and gets the same error.
+func (s *Server) kernel(text string) (*d2t2.Kernel, error) {
+	key := "kernel\n" + text
+	if v, _ := s.store.Value(key); v != nil {
+		if k, ok := v.(*d2t2.Kernel); ok {
+			return k, nil
+		}
+	}
+	k, err := d2t2.ParseKernel(text)
+	if err != nil {
+		return nil, err
+	}
+	// A parsed kernel's heap is about 18 bytes per character of its text.
+	s.store.Keep(key, nil, k, 24*int64(len(key)))
+	return k, nil
+}
+
 func checkOverflowTarget(target float64) error {
 	if target < 0 || target >= 1 {
 		return fmt.Errorf("overflow_target %v outside [0, 1)", target)
@@ -78,7 +99,7 @@ func checkOverflowTarget(target float64) error {
 // overflow_target, sizes the default buffer, and drops the tile knob the
 // buffer replaces. An error is the request's fault.
 func (s *Server) optimizeJob(req optimizeRequest) (*keyedJob, error) {
-	k, err := d2t2.ParseKernel(req.Kernel)
+	k, err := s.kernel(req.Kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +149,7 @@ func (s *Server) optimizeJob(req optimizeRequest) (*keyedJob, error) {
 
 // predictJob canonicalizes a predict request (see optimizeJob).
 func (s *Server) predictJob(req predictRequest) (*keyedJob, error) {
-	k, err := d2t2.ParseKernel(req.Kernel)
+	k, err := s.kernel(req.Kernel)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"d2t2"
 	"d2t2/internal/raceflag"
 )
 
@@ -350,6 +351,50 @@ func TestWarmHitAllocs(t *testing.T) {
 		t.Logf("%s: %v allocations per warm hit", b.path, allocs)
 		if allocs > ceiling {
 			t.Errorf("%s: %v allocations per warm hit, ceiling %d", b.path, allocs, ceiling)
+		}
+	}
+}
+
+// TestKernelParsedOnce: requests naming one kernel string share one
+// parsed Kernel, kept as a value-only store entry; a kernel that fails
+// to parse is not kept, and every request with it gets the parser's
+// error text.
+func TestKernelParsedOnce(t *testing.T) {
+	s, id := newRungServer(t)
+	inputs := `"inputs":{"A":"` + id + `","B":"` + id + `"}`
+	for tile := 4; tile <= 8; tile += 4 {
+		body := fmt.Sprintf(`{"kernel":%q,%s,"tile":%d}`, testKernel, inputs, tile)
+		if rec := serveRaw(s, "/v1/optimize", "application/json", body); rec.Code != http.StatusOK {
+			t.Fatalf("tile %d: status %d: %s", tile, rec.Code, rec.Body)
+		}
+	}
+	v, ok := s.store.Value("kernel\n" + testKernel)
+	if !ok {
+		t.Fatal("the parsed kernel is not resident")
+	}
+	k, err := s.kernel(testKernel)
+	if err != nil || k != v {
+		t.Fatalf("kernel(%q) = %p, %v; want the resident %p", testKernel, k, err, v)
+	}
+
+	const bad = "C(i,j) = A(i,k) * | order: i,k,j"
+	_, want := d2t2.ParseKernel(bad)
+	if want == nil {
+		t.Fatalf("%q parses", bad)
+	}
+	for i := 0; i < 2; i++ {
+		rec := serveRaw(s, "/v1/optimize", "application/json", fmt.Sprintf(`{"kernel":%q,%s}`, bad, inputs))
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusBadRequest || err != nil {
+			t.Fatalf("bad kernel %d: status %d (%v), want 400: %s", i, rec.Code, err, rec.Body)
+		}
+		if e.Error != want.Error() {
+			t.Fatalf("bad kernel %d: error %q, want the parser's %q", i, e.Error, want.Error())
+		}
+		if _, ok := s.store.Value("kernel\n" + bad); ok {
+			t.Fatal("a kernel that failed to parse is resident")
 		}
 	}
 }

@@ -10,10 +10,11 @@ const sketchSize = 256
 // bottomK keeps the k smallest hashes seen, duplicates included — a
 // classic MinHash variant whose merge supports Jaccard estimation
 // between sets. It buffers hashes unsorted and cuts a buffer of 2k back
-// to its k smallest with one sort. Once cut, a hash at or above the
-// k-th smallest cannot enter the k smallest, so it is dropped as it
-// arrives: every entry of one row in one column tile brings one pair
-// hash, so most arrivals are such repeats.
+// to its k smallest with one selection, leaving them unsorted; the
+// multiset sorts once. Once cut, a hash at or above the k-th smallest
+// cannot enter the k smallest, so it is dropped as it arrives: every
+// entry of one row in one column tile brings one pair hash, so most
+// arrivals are such repeats.
 type bottomK struct {
 	k     int
 	buf   []uint64 // holds the k smallest of everything added
@@ -33,13 +34,52 @@ func (b *bottomK) add(h uint64) {
 	}
 }
 
-// trim sorts the buffer and cuts it to its k smallest.
+// trim cuts the buffer to its k smallest, in no particular order.
 func (b *bottomK) trim() {
-	slices.Sort(b.buf)
 	if len(b.buf) > b.k {
+		b.bound, b.cut = selectK(b.buf, b.k), true
 		b.buf = b.buf[:b.k]
-		b.bound, b.cut = b.buf[b.k-1], true
 	}
+}
+
+// selectK reorders s so that s[:k] holds its k smallest values, for
+// 0 < k <= len(s), and returns the largest of them: a quickselect with a
+// median-of-three pivot and a three-way partition, so runs of one
+// repeated hash split in one pass, finished by an insertion sort.
+func selectK(s []uint64, k int) uint64 {
+	lo, hi := 0, len(s) // s[:lo] <= s[lo:hi] <= s[hi:], and lo < k <= hi
+	for hi-lo > 12 {
+		a, m, z := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		pivot := max(min(a, m), min(max(a, m), z))
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case v < pivot:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				s[i], s[gt] = s[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k <= lt:
+			hi = lt
+		case k > gt:
+			lo = gt
+		default: // s[k-1] lies in the run equal to the pivot
+			return pivot
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+	return s[k-1]
 }
 
 // merge folds o's contents into b. The buffer holds the k-smallest
@@ -59,7 +99,9 @@ func (b *bottomK) merge(o *bottomK) {
 // straddles two partials and break the monoid.
 func (b *bottomK) multiset() []uint64 {
 	b.trim()
-	return append([]uint64(nil), b.buf...)
+	out := append([]uint64(nil), b.buf...)
+	slices.Sort(out)
+	return out
 }
 
 // dedupSorted removes adjacent duplicates from a sorted slice in place —

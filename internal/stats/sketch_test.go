@@ -132,7 +132,9 @@ func TestBottomKMatchesHeapOracle(t *testing.T) {
 
 // BenchmarkBottomK adds the pair hashes the collector's entry pass adds,
 // for each axis of a power-law and a banded matrix (64×64 tiles), to the
-// buffered sketch and to the heap it replaced.
+// buffered sketch and to the heap it replaced — and of a uniform and a
+// banded matrix of about 8k entries, the size of one collection's
+// sketch input, where the buffer is cut a few dozen times.
 func BenchmarkBottomK(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
@@ -141,6 +143,8 @@ func BenchmarkBottomK(b *testing.B) {
 	}{
 		{"powerlaw", gen.PowerLawGraph(r, 2048, 200_000, 1.7)},
 		{"banded", gen.Banded(r, 4096, 32, 48)},
+		{"uniform8k", gen.UniformRandom(r, 1024, 1024, 8192)},
+		{"banded8k", gen.Banded(r, 1024, 16, 8)},
 	} {
 		tile := []int{64, 64}
 		outer := []int{(tc.m.Dims[0] + 63) / 64, (tc.m.Dims[1] + 63) / 64}
