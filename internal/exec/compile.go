@@ -273,9 +273,8 @@ func (p *enginePlan) compileBands() {
 		rowKey = append(rowKey, outTerm{checked.Int32(a0), p.outStride[a] / width})
 	}
 	p.countInLeaf, p.rowKey = true, rowKey
-	a0 := axisOf(ref0.ref, r.e.Out.Indices[r.outLevels[0]])
-	if ref0.tt.Order[0] == a0 && ref0.tt.PackedFrom == nil {
-		p.bandAx = checked.Int32(a0)
+	if a0 := rowKey[0].src; ref0.tt.Order[0] == int(a0) && ref0.tt.PackedFrom == nil {
+		p.bandAx = a0
 	}
 }
 

@@ -285,8 +285,8 @@ func diffOneTile(t *testing.T, c wideCase) {
 			t.Fatal(err)
 		}
 		p := compileEngine(context.Background(), r)
-		if p == nil || len(p.topVals) != 1 {
-			t.Fatalf("%s: want a compiled plan with one outermost value", os.name)
+		if p == nil || len(p.topVals) != 1 || p.list != c.list {
+			t.Fatalf("%s: want a compiled plan with one outermost value on the list path %v", os.name, c.list)
 		}
 		if bands := p.bandAx >= 0; bands != !os.opts.CollectOutput {
 			t.Fatalf("%s: row bands %v, want %v", os.name, bands, !os.opts.CollectOutput)
